@@ -7,9 +7,9 @@ and the evaluation report against the scenario's own reference log.
     python3 scripts/run_scenario.py scenarios/house1.json \
         --config scenarios/house1.config
 
-With ``--emit DIR`` the rendered trace, reference log and per-stage
-event files are written for plotting or for feeding back through the
-``nilmevents`` CLI.
+For files to plot, render the scenario with ``nilmevents synth --out
+TRACE --truth TRUTH`` and run ``nilmevents detect TRACE --emit-stages
+DIR`` on it.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from nilmevents import (
     generate_scenario,
     load_config_file,
     load_scenario,
-    write_events,
-    write_ground_truth,
-    write_trace,
 )
 
 
@@ -40,7 +37,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tolerance", type=float, default=None, help="match tolerance in seconds"
     )
-    parser.add_argument("--emit", type=Path, metavar="DIR", help="write trace and event files")
     args = parser.parse_args(argv)
 
     spec = load_scenario(args.scenario)
@@ -75,15 +71,6 @@ def main(argv: list[str] | None = None) -> int:
         print(format_report(evaluate_detections(result.events, truth, tolerance_s=tolerance)))
     else:
         print("no reference entries; skipping evaluation")
-
-    if args.emit:
-        args.emit.mkdir(parents=True, exist_ok=True)
-        write_trace(args.emit / "trace.csv", series)
-        write_ground_truth(args.emit / "truth.csv", truth)
-        write_events(args.emit / "events_base.csv", result.base_events)
-        write_events(args.emit / "events_merged.csv", result.merged_events)
-        write_events(args.emit / "events_final.csv", result.events)
-        print(f"wrote {args.emit}/")
     return 0
 
 

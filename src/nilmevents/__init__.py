@@ -18,7 +18,7 @@ and an evaluation harness.
 [9.7]
 """
 
-from .base import MeanPair, WindowOutOfBounds, detect_base, moving_means
+from .base import detect_base
 from .baselines import (
     CusumTrace,
     CusumVariant,
@@ -56,7 +56,6 @@ from .derivative import (
     first_derivative,
     loess_smooth,
     merge_transient_events,
-    second_derivative,
 )
 from .evaluation import (
     InconsistentCounts,
@@ -72,7 +71,6 @@ from .filtering import (
     FilterVerdict,
     InvalidWindow,
     OrderTooHigh,
-    refilter_events,
     refilter_events_with_verdicts,
     savitzky_golay,
 )
@@ -123,7 +121,6 @@ __all__ = [
     "SeriesTooShort",
     "MisalignedInput",
     "UnsortedInput",
-    "WindowOutOfBounds",
     "WindowTooSmall",
     "WindowTooLarge",
     "InvalidWindow",
@@ -138,10 +135,7 @@ __all__ = [
     "EmptyFile",
     # detectors and pipeline
     "detect_base",
-    "moving_means",
-    "MeanPair",
     "first_derivative",
-    "second_derivative",
     "DerivativeSeries",
     "loess_smooth",
     "detect_extrema",
@@ -149,7 +143,6 @@ __all__ = [
     "ExtremumKind",
     "merge_transient_events",
     "savitzky_golay",
-    "refilter_events",
     "refilter_events_with_verdicts",
     "FilterReason",
     "FilterVerdict",

@@ -11,13 +11,10 @@ after an event is emitted, further alarms are suppressed until more than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     DetectedEvent,
-    DetectionError,
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
@@ -25,49 +22,22 @@ from .core import (
     validate_series,
 )
 
-__all__ = ["WindowOutOfBounds", "MeanPair", "moving_means", "detect_base"]
+__all__ = ["detect_base"]
 
 
-class WindowOutOfBounds(DetectionError):
-    """A mean window would extend past the ends of the series."""
-
-
-@dataclass(frozen=True)
-class MeanPair:
-    """Mean power just before and just after a candidate index."""
-
-    mean_before: float
-    mean_after: float
-    center_index: int
-
-    @property
-    def difference(self) -> float:
-        return self.mean_after - self.mean_before
-
-
-def moving_means(series: SampleSeries, center_index: int, window_samples: int) -> MeanPair:
-    """Exclusive before/after window means around ``center_index``.
+def _window_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums of the ``n`` samples before and after every eligible center.
 
     The before window covers ``[center - n, center - 1]`` and the after
     window ``[center + 1, center + n]``; the center sample is excluded so
-    a step landing exactly on it biases neither mean.
-
-    Raises
-    ------
-    WindowOutOfBounds
-        If either window would leave the series.
+    a step landing exactly on it biases neither mean.  Both sums come
+    from one cumulative sum.
     """
-    n = int(window_samples)
-    if n < 1:
-        raise WindowOutOfBounds(f"window_samples must be >= 1, got {window_samples}")
-    values = series.values
-    if center_index - n < 0 or center_index + n >= values.size:
-        raise WindowOutOfBounds(
-            f"center {center_index} with window {n} exceeds series of length {values.size}"
-        )
-    before = float(values[center_index - n : center_index].mean())
-    after = float(values[center_index + 1 : center_index + n + 1].mean())
-    return MeanPair(mean_before=before, mean_after=after, center_index=int(center_index))
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    centers = np.arange(n, values.size - n)
+    before_sums = csum[centers] - csum[centers - n]
+    after_sums = csum[centers + n + 1] - csum[centers + 1]
+    return centers, before_sums, after_sums
 
 
 def _mean_difference_profile(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +47,7 @@ def _mean_difference_profile(values: np.ndarray, n: int) -> tuple[np.ndarray, np
     so a constant offset added to every sample cancels exactly whenever
     the window sums are exact (integer-valued data, for instance).
     """
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    centers = np.arange(n, values.size - n)
-    before_sums = csum[centers] - csum[centers - n]
-    after_sums = csum[centers + n + 1] - csum[centers + 1]
+    centers, before_sums, after_sums = _window_sums(values, n)
     return centers, (after_sums - before_sums) / n
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .base import _window_sums
 from .core import (
     DetectedEvent,
     DetectionError,
@@ -170,10 +171,9 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
             f"sigma_sq must be positive, got {sigma_sq} (flat leading window?)"
         )
 
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    centers = np.arange(pw, x.size - pw)
-    mu0 = (csum[centers] - csum[centers - pw]) / pw
-    mu1 = (csum[centers + pw + 1] - csum[centers + 1]) / pw
+    centers, before_sums, after_sums = _window_sums(x, pw)
+    mu0 = before_sums / pw
+    mu1 = after_sums / pw
     mean_diff = mu1 - mu0
     ds = np.where(
         np.abs(mean_diff) > config.power_threshold_watts,

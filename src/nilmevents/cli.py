@@ -84,13 +84,6 @@ def _assemble_config(args: argparse.Namespace) -> HybridConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _print_events_csv(events, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["index", "timestamp_s", "delta_watts"])
-    for event in events:
-        writer.writerow([event.index, f"{event.timestamp_s:.6f}", f"{event.delta_watts:.6f}"])
-
-
 def _emit_stage_files(directory: str, series: SampleSeries, result: PipelineResult) -> None:
     """Write plot-ready per-stage data under ``directory``."""
     out = Path(directory)
@@ -119,7 +112,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     series = load_trace(args.trace)
     config = _assemble_config(args)
     result = detect_hybrid(series, config)
-    _print_events_csv(result.events, sys.stdout)
+    write_events(sys.stdout, result.events)
     counts = result.stage_counts
     print(
         f"stages base={counts.base} after_derivative={counts.after_derivative} "

@@ -34,7 +34,6 @@ __all__ = [
     "ExtremumKind",
     "Extremum",
     "first_derivative",
-    "second_derivative",
     "loess_smooth",
     "detect_extrema",
     "merge_transient_events",
@@ -53,19 +52,16 @@ class WindowTooLarge(DetectionError):
 class DerivativeSeries:
     """Finite-difference derivative aligned with its source trace.
 
-    The first ``order`` entries are zero padding so that ``values[i]``
-    always refers to the same sample instant as the source series.
+    The first entry is zero padding so that ``values[i]`` always refers
+    to the same sample instant as the source series.
     """
 
     values: np.ndarray
-    order: int
     spacing_h: float
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", arr)
-        if self.order not in (1, 2):
-            raise DetectionError(f"order must be 1 or 2, got {self.order}")
         if self.spacing_h <= 0:
             raise DetectionError(f"spacing_h must be positive, got {self.spacing_h}")
 
@@ -98,20 +94,7 @@ def first_derivative(series: SampleSeries, spacing_h: float = 1.0) -> Derivative
     out = np.empty_like(x)
     out[0] = 0.0
     out[1:] = (x[1:] - x[:-1]) / spacing_h
-    return DerivativeSeries(values=out, order=1, spacing_h=float(spacing_h))
-
-
-def second_derivative(series: SampleSeries, spacing_h: float = 1.0) -> DerivativeSeries:
-    """Backward-difference second derivative, ``(x[j] - 2x[j-1] + x[j-2]) / h**2``."""
-    if spacing_h <= 0:
-        raise DetectionError(f"spacing_h must be positive, got {spacing_h}")
-    x = series.values
-    if x.size < 3:
-        raise SeriesTooShort(f"second derivative needs >= 3 samples, got {x.size}")
-    out = np.empty_like(x)
-    out[:2] = 0.0
-    out[2:] = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (spacing_h * spacing_h)
-    return DerivativeSeries(values=out, order=2, spacing_h=float(spacing_h))
+    return DerivativeSeries(values=out, spacing_h=float(spacing_h))
 
 
 def _tricube_weights(offsets: np.ndarray, half_width: int) -> np.ndarray:

@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .base import detect_base
 from .core import (
@@ -36,7 +35,6 @@ __all__ = [
     "FilterReason",
     "FilterVerdict",
     "savitzky_golay",
-    "refilter_events",
     "refilter_events_with_verdicts",
 ]
 
@@ -73,6 +71,13 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
     their value from the polynomial fitted to the first (or last) full
     window, evaluated at the off-center position.
 
+    The fit is done in scaled coordinates: window offsets are divided by
+    the half width, so the Vandermonde matrix ``V`` holds powers of values
+    in ``[-1, 1]`` and stays well conditioned up to the interpolating
+    order.  Interior samples apply the center row of ``pinv(V)`` as one
+    convolution; each edge applies ``half`` rows of the projection
+    ``V @ pinv(V)`` to its end window.
+
     Parameters
     ----------
     values:
@@ -94,23 +99,14 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
         raise OrderTooHigh(
             f"poly_order must satisfy 0 <= order < window, got {poly_order} with window {win}"
         )
-    return savgol_filter(x, win, poly_order, mode="interp")
-
-
-def refilter_events(
-    series: SampleSeries,
-    candidates: list[DetectedEvent],
-    extrema: list[Extremum],
-    config: HybridConfig,
-) -> list[DetectedEvent]:
-    """Drop fluctuation-induced candidates; see module docstring.
-
-    Returns the surviving events.  When the trace never exceeds
-    ``fluctuation_trigger_watts`` after the first turn-on candidate, the
-    candidate list is returned unchanged.
-    """
-    survivors, _ = refilter_events_with_verdicts(series, candidates, extrema, config)
-    return survivors
+    half = win // 2
+    vander = np.vander(np.arange(-half, half + 1) / half, poly_order + 1, increasing=True)
+    fit = np.linalg.pinv(vander)
+    out = np.convolve(x, fit[0, ::-1], mode="same")
+    projection = vander @ fit
+    out[:half] = projection[:half] @ x[:win]
+    out[x.size - half :] = projection[win - half :] @ x[x.size - win :]
+    return out
 
 
 def refilter_events_with_verdicts(
@@ -119,9 +115,12 @@ def refilter_events_with_verdicts(
     extrema: list[Extremum],
     config: HybridConfig,
 ) -> tuple[list[DetectedEvent], list[FilterVerdict]]:
-    """Like :func:`refilter_events` but also report per-candidate verdicts.
+    """Drop fluctuation-induced candidates; see module docstring.
 
-    The verdict list is empty when the refilter did not trigger.
+    Returns the surviving events and one verdict per candidate.  When the
+    trace never exceeds ``fluctuation_trigger_watts`` after the first
+    turn-on candidate, the refilter does not trigger: the candidates come
+    back unchanged and the verdict list is empty.
     """
     for extremum in extrema:
         if not 0 <= extremum.index < len(series):

@@ -18,6 +18,7 @@ with unknown keys rejected.
 from __future__ import annotations
 
 import csv
+import os
 import re
 import typing
 import warnings
@@ -212,19 +213,23 @@ def write_ground_truth(path: str | Path, log: GroundTruthLog) -> None:
             writer.writerow([repr(entry.timestamp_s), entry.label])
 
 
-def write_events(path: str | Path, events: typing.Sequence[DetectedEvent]) -> None:
+def write_events(
+    target: str | Path | typing.TextIO, events: typing.Sequence[DetectedEvent]
+) -> None:
     """Write detections as ``index,timestamp_s,delta_watts`` CSV.
 
-    Reals carry six decimal places.  The pipeline stage is not stored;
-    per-stage event files are distinguished by name instead.
+    ``target`` is a path or an open text stream (``sys.stdout``, for
+    instance).  Reals carry six decimal places.  The pipeline stage is not
+    stored; per-stage event files are distinguished by name instead.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_EVENT_HEADER)
-        for event in events:
-            writer.writerow(
-                [event.index, f"{event.timestamp_s:.6f}", f"{event.delta_watts:.6f}"]
-            )
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", newline="", encoding="utf-8") as handle:
+            write_events(handle, events)
+        return
+    writer = csv.writer(target)
+    writer.writerow(_EVENT_HEADER)
+    for event in events:
+        writer.writerow([event.index, f"{event.timestamp_s:.6f}", f"{event.delta_watts:.6f}"])
 
 
 def read_events(path: str | Path, stage: Stage = Stage.FINAL) -> list[DetectedEvent]:

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import detect_base
-from .core import DetectedEvent, DetectionError, HybridConfig, SampleSeries, validate_series
+from .core import (
+    DetectedEvent,
+    DetectionError,
+    HybridConfig,
+    SampleSeries,
+    SeriesTooShort,
+    validate_series,
+)
 from .derivative import (
     DerivativeSeries,
     Extremum,
@@ -85,16 +92,30 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
         refilter guard (strict extrema of the smoothed derivative whose
         magnitude exceeds ``derivative_epsilon``).
 
+    Raises
+    ------
+    SeriesTooShort
+        Before any stage runs, if the series is shorter than the longest
+        window a stage needs: ``max(2n + 1, LOESS window, SG window)``,
+        where ``n`` is the base detector's half-window in samples.
+
     Notes
     -----
     The result is a pure function of ``(series, config)``: repeated calls
     return identical results.
     """
     series = validate_series(series)
+    base_span = 2 * config.mean_window_samples(series.sampling_rate_hz) + 1
+    loess_window = config.loess_window_samples(series.sampling_rate_hz)
+    minimum = max(base_span, loess_window, config.sg_window_samples)
+    if len(series) < minimum:
+        raise SeriesTooShort(
+            f"need at least {minimum} samples (base windows {base_span}, LOESS window "
+            f"{loess_window}, SG window {config.sg_window_samples}), got {len(series)}"
+        )
     base_events = detect_base(series, config)
 
     derivative = first_derivative(series, spacing_h=1.0)
-    loess_window = config.loess_window_samples(series.sampling_rate_hz)
     smoothed = loess_smooth(derivative.values, loess_window)
     significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
 

@@ -15,6 +15,8 @@ equality for the discrete operators.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -23,14 +25,6 @@ def oracle_first_derivative(values: np.ndarray, h: float = 1.0) -> np.ndarray:
     out = [0.0]
     for j in range(1, x.size):
         out.append((x[j] - x[j - 1]) / h)
-    return np.array(out)
-
-
-def oracle_second_derivative(values: np.ndarray, h: float = 1.0) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
-    out = [0.0, 0.0]
-    for j in range(2, x.size):
-        out.append((x[j] - 2.0 * x[j - 1] + x[j - 2]) / (h * h))
     return np.array(out)
 
 
@@ -179,6 +173,48 @@ def oracle_savgol(values: np.ndarray, window: int, order: int) -> np.ndarray:
     return out
 
 
+def oracle_savgol_exact(values: np.ndarray, window: int, order: int) -> np.ndarray:
+    """Savitzky-Golay smoothing in exact rational arithmetic, for integer input.
+
+    Builds the hat matrix ``V (V^T V)^-1 V^T`` of the integer-offset
+    window with :class:`fractions.Fraction`, so it carries no rounding
+    error at any order.  Row ``half`` smooths the interior samples; the
+    outer rows project the first and last full windows, as in
+    :func:`oracle_savgol`.
+    """
+    m = order + 1
+    vander = [[Fraction(t) ** k for k in range(m)] for t in range(window)]
+    # Gauss-Jordan on [V^T V | V^T] leaves (V^T V)^-1 V^T on the right.
+    rows = [
+        [sum(v[i] * v[j] for v in vander) for j in range(m)] + [v[i] for v in vander]
+        for i in range(m)
+    ]
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for r in range(m):
+            factor = rows[r][c]
+            if r != c and factor != 0:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    hat = [
+        [sum(vander[s][j] * rows[j][m + t] for j in range(m)) for t in range(window)]
+        for s in range(window)
+    ]
+    x = [Fraction(int(v)) for v in values]
+    n, half = len(x), window // 2
+    out = []
+    for i in range(n):
+        if i < half:
+            row, start = hat[i], 0
+        elif i >= n - half:
+            row, start = hat[i - (n - window)], n - window
+        else:
+            row, start = hat[half], i - half
+        out.append(float(sum(w * x[start + k] for k, w in enumerate(row))))
+    return np.array(out)
+
+
 def oracle_cusum(values: np.ndarray, n: int, squared: bool = False) -> np.ndarray:
     """Sequential cumulative deviation from the forward-window mean."""
     x = np.asarray(values, dtype=float)
@@ -189,7 +225,9 @@ def oracle_cusum(values: np.ndarray, n: int, squared: bool = False) -> np.ndarra
         mean_i = float(np.sum(window) / window.size)
         deviation = 0.0 if i == 0 else x[i] - mean_i
         if squared:
-            deviation = deviation**2
+            # Multiply rather than ``**2``: libm ``pow`` may be an ulp off
+            # the correctly rounded square that numpy computes.
+            deviation = deviation * deviation
         acc += deviation
         out.append(acc)
     return np.array(out)

@@ -36,7 +36,6 @@ from nilmevents import (
     load_trace,
     metrics,
     savitzky_golay,
-    second_derivative,
 )
 
 from oracles import (
@@ -44,7 +43,6 @@ from oracles import (
     oracle_extrema,
     oracle_first_derivative,
     oracle_savgol,
-    oracle_second_derivative,
 )
 from replicas import run_replica
 
@@ -182,9 +180,6 @@ def test_operators_agree_with_brute_force_references() -> None:
 
             np.testing.assert_array_equal(
                 first_derivative(series, h).values, oracle_first_derivative(values, h)
-            )
-            np.testing.assert_array_equal(
-                second_derivative(series, h).values, oracle_second_derivative(values, h)
             )
             found = [(e.index, e.kind.value, e.value) for e in detect_extrema(values)]
             assert found == oracle_extrema(values)

@@ -12,12 +12,10 @@ from nilmevents import (
     SampleSeries,
     SeriesTooShort,
     Stage,
-    WindowOutOfBounds,
     detect_base,
     detect_hybrid,
-    moving_means,
 )
-from nilmevents.base import _mean_difference_profile
+from nilmevents.base import _mean_difference_profile, _window_sums
 
 from oracles import oracle_base_events, oracle_mean_difference_profile, oracle_moving_means
 
@@ -39,37 +37,30 @@ def two_step_trace(rate: float = 20.0) -> SampleSeries:
     return SampleSeries(np.where((t >= 10.0) & (t < 20.0), 100.0, 0.0), rate)
 
 
+def moving_means(values: np.ndarray, center: int, n: int) -> tuple[float, float]:
+    """Before/after window means at ``center``, read from the shared window sums."""
+    centers, before_sums, after_sums = _window_sums(values, n)
+    pos = int(np.flatnonzero(centers == center)[0])
+    return before_sums[pos] / n, after_sums[pos] / n
+
+
 def test_moving_means_on_an_exact_step() -> None:
-    series = series_at_20hz(np.array([1.0, 1.0, 1.0, 5.0, 5.0, 5.0]))
-    pair = moving_means(series, 2, 2)
-    assert pair.mean_before == 1.0
-    assert pair.mean_after == 5.0
-    assert pair.difference == 4.0
-    assert pair.center_index == 2
+    values = np.array([1.0, 1.0, 1.0, 5.0, 5.0, 5.0])
+    assert moving_means(values, 2, 2) == (1.0, 5.0)
+    centers, diffs = _mean_difference_profile(values, 2)
+    assert list(centers) == [2, 3]
+    assert diffs[0] == 4.0
 
 
 def test_moving_means_on_a_constant_series() -> None:
-    series = series_at_20hz(np.full(50, 7.5))
+    values = np.full(50, 7.5)
     for center, n in ((5, 5), (25, 1), (40, 9)):
-        pair = moving_means(series, center, n)
-        assert pair.mean_before == 7.5
-        assert pair.mean_after == 7.5
+        assert moving_means(values, center, n) == (7.5, 7.5)
 
 
 def test_moving_means_with_wider_windows() -> None:
-    series = series_at_20hz(np.array([0.0] * 4 + [100.0] * 5))
-    pair = moving_means(series, 4, 3)
-    assert (pair.mean_before, pair.mean_after) == (0.0, 100.0)
-
-
-def test_moving_means_rejects_out_of_bounds_windows() -> None:
-    series = series_at_20hz(np.zeros(10))
-    with pytest.raises(WindowOutOfBounds):
-        moving_means(series, 1, 2)
-    with pytest.raises(WindowOutOfBounds):
-        moving_means(series, 8, 2)
-    with pytest.raises(WindowOutOfBounds):
-        moving_means(series, 5, 0)
+    values = np.array([0.0] * 4 + [100.0] * 5)
+    assert moving_means(values, 4, 3) == (0.0, 100.0)
 
 
 @given(integer_traces, st.integers(min_value=1, max_value=4))
@@ -94,13 +85,10 @@ def test_mean_difference_profile_matches_oracle_on_floats(values: np.ndarray, n:
 
 @given(integer_traces)
 def test_profile_agrees_with_moving_means_at_every_center(values: np.ndarray) -> None:
-    series = series_at_20hz(values)
     centers, diffs = _mean_difference_profile(values, 3)
     for center, diff in zip(centers, diffs):
         before, after = oracle_moving_means(values, int(center), 3)
-        assert moving_means(series, int(center), 3).difference == pytest.approx(
-            after - before, abs=1e-9 * max(1.0, abs(after), abs(before))
-        )
+        assert moving_means(values, int(center), 3) == (before, after)
         assert diff == pytest.approx(after - before, abs=1e-9)
 
 

@@ -24,7 +24,6 @@ from nilmevents import (
     first_derivative,
     loess_smooth,
     merge_transient_events,
-    second_derivative,
 )
 
 from oracles import (
@@ -32,7 +31,6 @@ from oracles import (
     oracle_first_derivative,
     oracle_loess,
     oracle_merge,
-    oracle_second_derivative,
 )
 from replicas import run_replica
 
@@ -57,7 +55,6 @@ def events_at(indices: list[int], series: SampleSeries) -> list[DetectedEvent]:
 def test_first_derivative_of_constant_is_zero() -> None:
     result = first_derivative(series_at_20hz(np.full(20, 42.0)))
     np.testing.assert_array_equal(result.values, np.zeros(20))
-    assert result.order == 1
 
 
 def test_first_derivative_of_ramp_is_the_increment() -> None:
@@ -80,45 +77,15 @@ def test_first_derivative_input_validation() -> None:
         first_derivative(series_at_20hz(np.zeros(5)), spacing_h=0.0)
 
 
-def test_second_derivative_of_quadratic_is_constant() -> None:
-    squares = np.arange(20, dtype=float) ** 2
-    result = second_derivative(series_at_20hz(squares))
-    np.testing.assert_array_equal(result.values[:2], [0.0, 0.0])
-    np.testing.assert_allclose(result.values[2:], 2.0)
-
-
-def test_second_derivative_of_ramp_is_zero() -> None:
-    result = second_derivative(series_at_20hz(np.arange(20) * 3.0))
-    np.testing.assert_array_equal(result.values[2:], np.zeros(18))
-
-
-def test_second_derivative_worked_example() -> None:
-    result = second_derivative(series_at_20hz(np.array([0.0, 1.0, 4.0, 9.0])))
-    np.testing.assert_array_equal(result.values, [0.0, 0.0, 2.0, 2.0])
-
-
-def test_second_derivative_input_validation() -> None:
-    with pytest.raises(SeriesTooShort):
-        second_derivative(series_at_20hz(np.array([1.0, 2.0])))
-
-
-def test_derivative_series_validates_order_and_spacing() -> None:
+def test_derivative_series_validates_spacing() -> None:
     with pytest.raises(DetectionError):
-        DerivativeSeries(values=np.zeros(4), order=3, spacing_h=1.0)
-    with pytest.raises(DetectionError):
-        DerivativeSeries(values=np.zeros(4), order=1, spacing_h=0.0)
+        DerivativeSeries(values=np.zeros(4), spacing_h=0.0)
 
 
 @given(float_traces, spacings)
 def test_first_derivative_matches_oracle_exactly(values: np.ndarray, h: float) -> None:
     result = first_derivative(series_at_20hz(values), spacing_h=h)
     assert np.array_equal(result.values, oracle_first_derivative(values, h))
-
-
-@given(float_traces, spacings)
-def test_second_derivative_matches_oracle_exactly(values: np.ndarray, h: float) -> None:
-    result = second_derivative(series_at_20hz(values), spacing_h=h)
-    assert np.array_equal(result.values, oracle_second_derivative(values, h))
 
 
 def test_loess_keeps_constants() -> None:

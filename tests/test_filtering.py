@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import nilmevents
 from nilmevents import (
     DetectedEvent,
     Extremum,
@@ -23,12 +28,11 @@ from nilmevents import (
     detect_hybrid,
     first_derivative,
     loess_smooth,
-    refilter_events,
     refilter_events_with_verdicts,
     savitzky_golay,
 )
 
-from oracles import oracle_base_events, oracle_savgol
+from oracles import oracle_base_events, oracle_savgol, oracle_savgol_exact
 
 float_traces = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), min_size=9, max_size=120
@@ -88,12 +92,37 @@ def test_savgol_fixed_oracle_comparison() -> None:
     )
 
 
-@given(float_traces)
-def test_savgol_with_interpolating_order_is_the_identity(values: np.ndarray) -> None:
+@given(float_traces, st.sampled_from([5, 15]))
+def test_savgol_with_interpolating_order_is_the_identity(values: np.ndarray, window: int) -> None:
+    assume(window <= values.size)
     scale = max(1.0, float(np.max(np.abs(values))))
     np.testing.assert_allclose(
-        savitzky_golay(values, 5, 4), values, rtol=1e-8, atol=1e-8 * scale
+        savitzky_golay(values, window, window - 1), values, rtol=1e-8, atol=1e-8 * scale
     )
+
+
+def test_savgol_matches_an_exact_rational_fit_up_to_the_interpolating_order() -> None:
+    values = np.random.default_rng(5).integers(0, 3000, 40).astype(float)
+    for order in range(15):
+        np.testing.assert_allclose(
+            savitzky_golay(values, 15, order),
+            oracle_savgol_exact(values, 15, order),
+            rtol=1e-8,
+            atol=1e-8 * 3000,
+            err_msg=f"order {order}",
+        )
+
+
+def test_importing_the_package_does_not_load_scipy() -> None:
+    package_root = Path(nilmevents.__file__).resolve().parent.parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(package_root)!r}); import nilmevents; "
+        "print('scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_savgol_window_and_order_validation() -> None:
@@ -126,7 +155,6 @@ def test_low_power_series_passes_through_unchanged() -> None:
     survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], HybridConfig())
     assert survivors == candidates  # untouched, stages included
     assert verdicts == []
-    assert refilter_events(series, candidates, [], HybridConfig()) == candidates
 
 
 def test_all_negative_candidates_pass_through_unchanged() -> None:

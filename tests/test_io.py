@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,17 @@ def test_event_files_round_trip_with_the_documented_header(tmp_path: Path) -> No
         assert read_back.delta_watts == pytest.approx(original.delta_watts, abs=5e-7)
     as_base = read_events(path, stage=Stage.BASE)
     assert all(e.stage is Stage.BASE for e in as_base)
+
+
+def test_events_written_to_a_stream_match_the_file(tmp_path: Path) -> None:
+    events = [
+        DetectedEvent(index=195, timestamp_s=9.75, delta_watts=100.123456, stage=Stage.FINAL),
+    ]
+    path = tmp_path / "events.csv"
+    write_events(str(path), events)
+    stream = io.StringIO(newline="")
+    write_events(stream, events)
+    assert stream.getvalue() == path.read_bytes().decode("utf-8")
 
 
 def test_event_reader_rejects_foreign_files(tmp_path: Path) -> None:

@@ -87,7 +87,6 @@ def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
     run = run_replica(name)
     result = run.result
     assert result.derivative_trace.values.size == len(run.series)
-    assert result.derivative_trace.order == 1
     assert result.smoothed_derivative.size == len(run.series)
     assert all(0 <= e.index < len(run.series) for e in result.extrema)
     assert all(
@@ -100,6 +99,28 @@ def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
 def test_pipeline_propagates_short_series_errors() -> None:
     with pytest.raises(SeriesTooShort):
         detect_hybrid(SampleSeries(np.zeros(5), 20.0), HybridConfig())
+
+
+@pytest.mark.parametrize(
+    ("config", "minimum"),
+    [
+        # At 20 Hz the defaults need 13 samples for the base windows, 41
+        # for LOESS and 9 for the Savitzky-Golay refilter.
+        (HybridConfig(), 41),
+        (HybridConfig(sg_window_samples=51, sg_poly_order=2), 51),
+    ],
+)
+def test_short_traces_fail_up_front_with_the_stated_minimum(
+    config: HybridConfig, minimum: int
+) -> None:
+    def step_trace(size: int) -> SampleSeries:
+        return SampleSeries(np.where(np.arange(size) >= size // 2, 1500.0, 0.0), 20.0)
+
+    with pytest.raises(SeriesTooShort, match=f"at least {minimum} samples"):
+        detect_hybrid(step_trace(minimum - 1), config)
+    result = detect_hybrid(step_trace(minimum), config)
+    # The 1.5 kW step arms the refilter, so every stage ran at the minimum.
+    assert result.filter_verdicts
 
 
 small_scenarios = st.builds(
