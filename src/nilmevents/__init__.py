@@ -20,7 +20,6 @@ and an evaluation harness.
 
 from .base import detect_base
 from .baselines import (
-    CusumTrace,
     CusumVariant,
     LldConfig,
     NonPositiveVariance,
@@ -35,19 +34,19 @@ from .core import (
     GroundTruthEntry,
     GroundTruthLog,
     HybridConfig,
+    InconsistentCounts,
     MisalignedInput,
     NonFiniteValue,
     NonPositiveDuration,
     NonPositiveRate,
     SampleSeries,
     SeriesTooShort,
-    Stage,
     UnsortedInput,
+    ZeroGroundTruth,
     seconds_to_samples,
     validate_series,
 )
 from .derivative import (
-    DerivativeSeries,
     Extremum,
     ExtremumKind,
     WindowTooLarge,
@@ -58,13 +57,10 @@ from .derivative import (
     merge_transient_events,
 )
 from .evaluation import (
-    InconsistentCounts,
     NegativeTolerance,
-    ZeroGroundTruth,
     coalesce_simultaneous,
     evaluate_detections,
     match_events,
-    metrics,
 )
 from .filtering import (
     FilterReason,
@@ -105,7 +101,6 @@ __all__ = [
     # core data model
     "SampleSeries",
     "DetectedEvent",
-    "Stage",
     "HybridConfig",
     "GroundTruthEntry",
     "GroundTruthLog",
@@ -136,7 +131,6 @@ __all__ = [
     # detectors and pipeline
     "detect_base",
     "first_derivative",
-    "DerivativeSeries",
     "loess_smooth",
     "detect_extrema",
     "Extremum",
@@ -150,14 +144,12 @@ __all__ = [
     "PipelineResult",
     "StageCounts",
     "cusum",
-    "CusumTrace",
     "CusumVariant",
     "lld_max",
     "LldConfig",
     # evaluation
     "coalesce_simultaneous",
     "match_events",
-    "metrics",
     "evaluate_detections",
     # synthesis
     "ScenarioSpec",

@@ -18,7 +18,6 @@ from .core import (
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
-    Stage,
     validate_series,
 )
 
@@ -65,11 +64,11 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> list[DetectedEven
     Returns
     -------
     list of DetectedEvent
-        Events with stage ``BASE``, in increasing index order, every
-        consecutive pair separated by more than ``time_limit_s``.  Each
-        event carries the mean difference observed at its own index, so
-        one physical transition that alarms over several samples is
-        reported once, at the first alarming index.
+        Events in increasing index order, every consecutive pair
+        separated by more than ``time_limit_s``.  Each event carries the
+        mean difference observed at its own index, so one physical
+        transition that alarms over several samples is reported once, at
+        the first alarming index.
 
     Raises
     ------
@@ -97,7 +96,6 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> list[DetectedEven
                     index=index,
                     timestamp_s=timestamp,
                     delta_watts=float(diffs[pos]),
-                    stage=Stage.BASE,
                 )
             )
             last_time = timestamp

@@ -28,14 +28,12 @@ from .core import (
     DetectionError,
     SampleSeries,
     SeriesTooShort,
-    Stage,
     validate_series,
 )
 
 __all__ = [
     "NonPositiveVariance",
     "CusumVariant",
-    "CusumTrace",
     "LldConfig",
     "cusum",
     "lld_max",
@@ -51,29 +49,18 @@ class CusumVariant(enum.Enum):
     SQUARED = "squared"
 
 
-@dataclass(frozen=True)
-class CusumTrace:
-    """Cumulative deviation trace aligned with its source series."""
-
-    values: np.ndarray
-    variant: CusumVariant
-    window_samples: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
 def cusum(
     series: SampleSeries,
     window_samples: int,
     variant: CusumVariant = CusumVariant.LINEAR,
-) -> CusumTrace:
+) -> np.ndarray:
     """Cumulative sum of deviations from a forward-window mean.
 
     For each index ``i`` the reference mean is taken over the ``n``
     samples starting at ``i`` (shrinking at the tail), and the trace
     accumulates ``x[i] - mean[i]`` (linear) or its square (squared)
-    starting from ``S[0] = 0``.
+    starting from ``S[0] = 0``.  The returned trace is aligned with the
+    series: ``S[i]`` belongs to sample ``i``.
 
     Parameters
     ----------
@@ -102,7 +89,7 @@ def cusum(
     deviations[0] = 0.0
     if variant is CusumVariant.SQUARED:
         deviations = deviations**2
-    return CusumTrace(values=np.cumsum(deviations), variant=variant, window_samples=n)
+    return np.cumsum(deviations)
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,7 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
     ``maxima_precision_samples`` of ``i``, so reported events are always
     separated by more than that many samples.
 
-    Events carry ``mu1 - mu0`` as their delta and stage ``BASE``.
+    Events carry ``mu1 - mu0`` as their delta.
     """
     series = validate_series(series)
     pw = config.pre_window_samples
@@ -194,7 +181,6 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
                     index=index,
                     timestamp_s=series.time_at(index),
                     delta_watts=float(mean_diff[pos]),
-                    stage=Stage.BASE,
                 )
             )
     return events

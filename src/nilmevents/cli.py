@@ -92,7 +92,7 @@ def _emit_stage_files(directory: str, series: SampleSeries, result: PipelineResu
     write_trace(out / "trace.csv", series)
     write_trace(
         out / "derivative.csv",
-        SampleSeries(result.derivative_trace.values, rate, start),
+        SampleSeries(result.derivative_trace, rate, start),
     )
     write_trace(
         out / "smoothed_derivative.csv",
@@ -160,8 +160,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         variant = CusumVariant(args.cusum_variant)
         trace = cusum(series, args.cusum_window, variant)
         write_trace(
-            args.cusum_out,
-            SampleSeries(trace.values, series.sampling_rate_hz, series.start_time_s),
+            args.cusum_out, SampleSeries(trace, series.sampling_rate_hz, series.start_time_s)
         )
     return 0
 

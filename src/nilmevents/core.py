@@ -10,7 +10,6 @@ sampling rate via :func:`seconds_to_samples`.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,8 @@ __all__ = [
     "SeriesTooShort",
     "MisalignedInput",
     "UnsortedInput",
-    "Stage",
+    "InconsistentCounts",
+    "ZeroGroundTruth",
     "SampleSeries",
     "DetectedEvent",
     "HybridConfig",
@@ -69,18 +69,12 @@ class UnsortedInput(DetectionError):
     """Entries that must be in non-decreasing time order were not."""
 
 
-class Stage(enum.IntEnum):
-    """Pipeline stage an event last passed through.
+class InconsistentCounts(DetectionError):
+    """Outcome counts were negative or do not add up."""
 
-    Values are ordered so that legal transitions only increase: an event
-    enters as BASE, survives derivative merging as DERIVATIVE_MERGED, and
-    is then either dropped (FILTER_REMOVED) or confirmed (FINAL).
-    """
 
-    BASE = 0
-    DERIVATIVE_MERGED = 1
-    FILTER_REMOVED = 2
-    FINAL = 3
+class ZeroGroundTruth(DetectionError):
+    """Rates were requested against an empty reference log."""
 
 
 def seconds_to_samples(duration_s: float, rate_hz: float) -> int:
@@ -132,11 +126,6 @@ class SampleSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def duration_s(self) -> float:
-        """Time spanned from the first to one past the last sample."""
-        return self.values.size / self.sampling_rate_hz
-
     def time_at(self, index: int) -> float:
         """Absolute timestamp of the sample at ``index``."""
         return self.start_time_s + index / self.sampling_rate_hz
@@ -158,13 +147,13 @@ class DetectedEvent:
 
     ``delta_watts`` is the before/after mean power difference measured at
     the emitting detector's alarm index; its sign distinguishes turn-on
-    from turn-off transitions.
+    from turn-off transitions.  An event carries no stage tag: its stage
+    is the :class:`~nilmevents.pipeline.PipelineResult` list that holds it.
     """
 
     index: int
     timestamp_s: float
     delta_watts: float
-    stage: Stage
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -173,8 +162,6 @@ class DetectedEvent:
             raise NonFiniteValue(f"event timestamp must be finite, got {self.timestamp_s}")
         if not math.isfinite(self.delta_watts):
             raise NonFiniteValue(f"event delta must be finite, got {self.delta_watts}")
-        if not isinstance(self.stage, Stage):
-            raise DetectionError(f"stage must be a Stage member, got {self.stage!r}")
 
 
 @dataclass(frozen=True)
@@ -272,54 +259,56 @@ class GroundTruthLog:
     def __iter__(self):
         return iter(self.entries)
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([e.timestamp_s for e in self.entries], dtype=float)
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Detection quality counts and rates.
+    """Detection quality counts and the rates derived from them.
 
     All three rates are fractions of the reference event count ``E``:
-    ``tpr = tp / E``, ``fpr = fp / E`` and ``fnr = fn / E``.  Note that
+    ``tpr = tp / E``, ``fpr = fp / E`` and ``fnr = 1 - tpr``.  Note that
     ``fpr`` divides by the reference count, not by a negative count, so
     it measures spurious detections per true event and may exceed 1.
-    ``tp + fn == ground_truth_count`` and ``tpr + fnr == 1.0`` hold
-    exactly for every constructed report.
+    Computing ``fnr`` as the complement keeps ``tpr + fnr == 1.0`` exact
+    in floating point.
 
     ``matches`` holds ``(detection_position, truth_position)`` pairs into
     the sequences the report was computed from.
+
+    Raises
+    ------
+    InconsistentCounts
+        If any count is negative or ``tp + fn != ground_truth_count``.
+    ZeroGroundTruth
+        If ``ground_truth_count`` is zero.
     """
 
     tp: int
     fp: int
     fn: int
     ground_truth_count: int
-    tpr: float
-    fpr: float
-    fnr: float
     matches: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("tp", "fp", "fn"):
             if getattr(self, name) < 0:
-                raise DetectionError(f"{name} must be >= 0")
+                raise InconsistentCounts(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.tp + self.fn != self.ground_truth_count:
-            raise DetectionError(
+            raise InconsistentCounts(
                 "tp + fn must equal ground_truth_count, got "
                 f"{self.tp} + {self.fn} != {self.ground_truth_count}"
             )
-        if self.ground_truth_count <= 0:
-            raise DetectionError("ground_truth_count must be positive")
-        e = self.ground_truth_count
-        for name, count in (("tpr", self.tp), ("fpr", self.fp), ("fnr", self.fn)):
-            rate = getattr(self, name)
-            if not math.isfinite(rate) or rate < 0 or abs(rate - count / e) > 1e-9:
-                raise DetectionError(
-                    f"{name}={rate} is inconsistent with count {count} over {e} events"
-                )
-        if self.tpr + self.fnr != 1.0:
-            raise DetectionError(
-                f"tpr + fnr must equal 1 exactly, got {self.tpr} + {self.fnr}"
-            )
+        if self.ground_truth_count == 0:
+            raise ZeroGroundTruth("rates are undefined without reference events")
         object.__setattr__(self, "matches", tuple(self.matches))
+
+    @property
+    def tpr(self) -> float:
+        return self.tp / self.ground_truth_count
+
+    @property
+    def fpr(self) -> float:
+        return self.fp / self.ground_truth_count
+
+    @property
+    def fnr(self) -> float:
+        return 1.0 - self.tpr

@@ -13,7 +13,7 @@ merged into the earliest event of their group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +24,11 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
-    Stage,
 )
 
 __all__ = [
     "WindowTooSmall",
     "WindowTooLarge",
-    "DerivativeSeries",
     "ExtremumKind",
     "Extremum",
     "first_derivative",
@@ -48,24 +46,6 @@ class WindowTooLarge(DetectionError):
     """A smoothing window exceeded the series length."""
 
 
-@dataclass(frozen=True)
-class DerivativeSeries:
-    """Finite-difference derivative aligned with its source trace.
-
-    The first entry is zero padding so that ``values[i]`` always refers
-    to the same sample instant as the source series.
-    """
-
-    values: np.ndarray
-    spacing_h: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", arr)
-        if self.spacing_h <= 0:
-            raise DetectionError(f"spacing_h must be positive, got {self.spacing_h}")
-
-
 class ExtremumKind(enum.Enum):
     PEAK = "peak"
     VALLEY = "valley"
@@ -80,21 +60,19 @@ class Extremum:
     value: float
 
 
-def first_derivative(series: SampleSeries, spacing_h: float = 1.0) -> DerivativeSeries:
-    """Backward-difference first derivative, ``(x[j] - x[j-1]) / h``.
+def first_derivative(values: np.ndarray) -> np.ndarray:
+    """Backward-difference first derivative ``x[j] - x[j-1]``, in watts per sample.
 
-    ``spacing_h`` is expressed in samples; with the default of 1 the
-    derivative reads as watts per sample.
+    The first entry is zero padding so that ``out[i]`` refers to the same
+    sample instant as ``values[i]``.
     """
-    if spacing_h <= 0:
-        raise DetectionError(f"spacing_h must be positive, got {spacing_h}")
-    x = series.values
+    x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise SeriesTooShort(f"first derivative needs >= 2 samples, got {x.size}")
     out = np.empty_like(x)
     out[0] = 0.0
-    out[1:] = (x[1:] - x[:-1]) / spacing_h
-    return DerivativeSeries(values=out, spacing_h=float(spacing_h))
+    out[1:] = x[1:] - x[:-1]
+    return out
 
 
 def _tricube_weights(offsets: np.ndarray, half_width: int) -> np.ndarray:
@@ -209,9 +187,8 @@ def merge_transient_events(
     is merged into the earlier event's group, and each group is reported
     as its first event.
 
-    Returns the surviving events with stage ``DERIVATIVE_MERGED``, in
-    order.  Candidate order and indices are preserved; no event is ever
-    added or moved.
+    Returns the surviving candidate objects themselves, in order; no
+    event is ever added, moved or copied.
     """
     smoothed = np.asarray(smoothed_derivative, dtype=float)
     if smoothed.size != len(series):
@@ -233,4 +210,4 @@ def merge_transient_events(
         gap = settled[previous.index + 1 : current.index]
         if _longest_true_run(gap) / rate > config.settle_threshold_s:
             survivors.append(current)
-    return [replace(event, stage=Stage.DERIVATIVE_MERGED) for event in survivors]
+    return survivors

@@ -6,12 +6,7 @@ the tolerance, breaking distance ties toward the earlier detection.
 Reference entries that share one timestamp describe a single aggregate
 transition (several appliances switching in the same instant are
 indistinguishable in a sum signal), so they are coalesced into one entry
-before matching.
-
-All three rates are fractions of the reference event count ``E``:
-``tpr = tp / E``, ``fpr = fp / E`` and ``fnr = fn / E``.  Dividing the
-false-positive count by ``E`` (rather than by a negative count) means
-``fpr`` measures spurious detections per true event and can exceed 1.
+before matching.  The rates are defined by :class:`EvaluationReport`.
 """
 
 from __future__ import annotations
@@ -29,25 +24,14 @@ from .core import (
 
 __all__ = [
     "NegativeTolerance",
-    "ZeroGroundTruth",
-    "InconsistentCounts",
     "coalesce_simultaneous",
     "match_events",
-    "metrics",
     "evaluate_detections",
 ]
 
 
 class NegativeTolerance(DetectionError):
     """A matching tolerance was not a positive finite number."""
-
-
-class ZeroGroundTruth(DetectionError):
-    """Rates were requested against an empty reference log."""
-
-
-class InconsistentCounts(DetectionError):
-    """Outcome counts were negative or do not add up."""
 
 
 def coalesce_simultaneous(log: GroundTruthLog) -> GroundTruthLog:
@@ -115,63 +99,17 @@ def match_events(
     return tp, len(detections) - tp, len(truth) - tp, pairs
 
 
-def metrics(
-    tp: int,
-    fp: int,
-    fn: int,
-    ground_truth_count: int,
-    matches: Sequence[tuple[int, int]] = (),
-) -> EvaluationReport:
-    """Build a report from outcome counts.
-
-    ``ground_truth_count`` must equal ``tp + fn`` and is the denominator
-    of all three rates.  ``fnr`` is computed as ``1 - tpr`` so that
-    ``tpr + fnr == 1.0`` holds exactly in floating point.
-
-    Raises
-    ------
-    InconsistentCounts
-        If any count is negative or ``tp + fn != ground_truth_count``.
-    ZeroGroundTruth
-        If ``ground_truth_count`` is zero.
-    """
-    for name, count in (("tp", tp), ("fp", fp), ("fn", fn)):
-        if count < 0:
-            raise InconsistentCounts(f"{name} must be >= 0, got {count}")
-    if tp + fn != ground_truth_count:
-        raise InconsistentCounts(
-            f"tp + fn must equal ground_truth_count, got {tp} + {fn} != {ground_truth_count}"
-        )
-    if ground_truth_count == 0:
-        raise ZeroGroundTruth("rates are undefined without reference events")
-    tpr = tp / ground_truth_count
-    return EvaluationReport(
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        ground_truth_count=ground_truth_count,
-        tpr=tpr,
-        fpr=fp / ground_truth_count,
-        fnr=1.0 - tpr,
-        matches=tuple(matches),
-    )
-
-
 def evaluate_detections(
     detections: Sequence[DetectedEvent],
     truth: GroundTruthLog,
     tolerance_s: float = 1.0,
-    coalesce: bool = True,
 ) -> EvaluationReport:
     """Match detections against a reference log and compute rates.
 
-    With ``coalesce`` (the default), simultaneous reference entries are
-    merged first and the reported match positions refer to the coalesced
-    log.  Raises :class:`ZeroGroundTruth` when the log is empty.
+    Simultaneous reference entries are merged first, and the reported
+    match positions refer to the coalesced log.  Raises
+    :class:`~nilmevents.core.ZeroGroundTruth` when the log is empty.
     """
-    if coalesce:
-        truth = coalesce_simultaneous(truth)
-    if len(truth) == 0:
-        raise ZeroGroundTruth("rates are undefined without reference events")
+    truth = coalesce_simultaneous(truth)
     tp, fp, fn, pairs = match_events(detections, truth, tolerance_s)
-    return metrics(tp, fp, fn, len(truth), matches=pairs)
+    return EvaluationReport(tp, fp, fn, len(truth), pairs)

@@ -13,7 +13,7 @@ survive on the evidence of their derivative signature.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .core import (
     HybridConfig,
     MisalignedInput,
     SampleSeries,
-    Stage,
     seconds_to_samples,
 )
 from .derivative import Extremum
@@ -58,8 +57,11 @@ class FilterVerdict:
     """Outcome of the refilter decision for one candidate event."""
 
     event_index: int
-    kept: bool
     reason: FilterReason
+
+    @property
+    def kept(self) -> bool:
+        return self.reason is not FilterReason.REMOVED_AS_FLUCTUATION
 
 
 def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> np.ndarray:
@@ -117,10 +119,10 @@ def refilter_events_with_verdicts(
 ) -> tuple[list[DetectedEvent], list[FilterVerdict]]:
     """Drop fluctuation-induced candidates; see module docstring.
 
-    Returns the surviving events and one verdict per candidate.  When the
-    trace never exceeds ``fluctuation_trigger_watts`` after the first
-    turn-on candidate, the refilter does not trigger: the candidates come
-    back unchanged and the verdict list is empty.
+    Returns the surviving candidate objects themselves and one verdict per
+    candidate.  When the trace never exceeds ``fluctuation_trigger_watts``
+    after the first turn-on candidate, the refilter does not trigger: the
+    candidates come back unchanged and the verdict list is empty.
     """
     for extremum in extrema:
         if not 0 <= extremum.index < len(series):
@@ -159,16 +161,15 @@ def refilter_events_with_verdicts(
             np.min(np.abs(re_times - event.timestamp_s)) <= config.eval_match_tolerance_s
         )
         if confirmed:
-            reason, kept = FilterReason.SURVIVED_REFILTER, True
+            reason = FilterReason.SURVIVED_REFILTER
+        elif extremum_indices.size > 0 and bool(
+            np.min(np.abs(extremum_indices - event.index)) <= guard_radius
+        ):
+            reason = FilterReason.PROTECTED_BY_EXTREMUM
         else:
-            guarded = extremum_indices.size > 0 and bool(
-                np.min(np.abs(extremum_indices - event.index)) <= guard_radius
-            )
-            if guarded:
-                reason, kept = FilterReason.PROTECTED_BY_EXTREMUM, True
-            else:
-                reason, kept = FilterReason.REMOVED_AS_FLUCTUATION, False
-        verdicts.append(FilterVerdict(event_index=event.index, kept=kept, reason=reason))
-        if kept:
-            survivors.append(replace(event, stage=Stage.FINAL))
+            reason = FilterReason.REMOVED_AS_FLUCTUATION
+        verdict = FilterVerdict(event_index=event.index, reason=reason)
+        verdicts.append(verdict)
+        if verdict.kept:
+            survivors.append(event)
     return survivors, verdicts

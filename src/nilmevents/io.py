@@ -35,7 +35,6 @@ from .core import (
     GroundTruthLog,
     HybridConfig,
     SampleSeries,
-    Stage,
 )
 
 __all__ = [
@@ -219,8 +218,8 @@ def write_events(
     """Write detections as ``index,timestamp_s,delta_watts`` CSV.
 
     ``target`` is a path or an open text stream (``sys.stdout``, for
-    instance).  Reals carry six decimal places.  The pipeline stage is not
-    stored; per-stage event files are distinguished by name instead.
+    instance).  Reals carry six decimal places.  An event's stage is the
+    list it came from, so per-stage event files are told apart by name.
     """
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", newline="", encoding="utf-8") as handle:
@@ -232,12 +231,8 @@ def write_events(
         writer.writerow([event.index, f"{event.timestamp_s:.6f}", f"{event.delta_watts:.6f}"])
 
 
-def read_events(path: str | Path, stage: Stage = Stage.FINAL) -> list[DetectedEvent]:
-    """Read detections written by :func:`write_events`.
-
-    The file format does not carry the pipeline stage, so all events are
-    reconstructed with the given ``stage``.
-    """
+def read_events(path: str | Path) -> list[DetectedEvent]:
+    """Read detections written by :func:`write_events`."""
     path = Path(path)
     events: list[DetectedEvent] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -256,7 +251,6 @@ def read_events(path: str | Path, stage: Stage = Stage.FINAL) -> list[DetectedEv
                         index=int(row[0]),
                         timestamp_s=float(row[1]),
                         delta_watts=float(row[2]),
-                        stage=stage,
                     )
                 )
             except ValueError as exc:

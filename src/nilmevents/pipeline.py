@@ -5,11 +5,19 @@ transient using the smoothed first derivative, then refilters candidates
 on heavily loaded traces with a Savitzky-Golay re-detection.  Each stage
 can only remove or confirm events produced by the stage before it, so
 stage counts are monotone non-increasing and every reported event
-originates from a base alarm.
+originates from a base alarm.  An event's stage is the result list that
+holds it: every final event is an element of ``merged_events``, and
+every merged event an element of ``base_events``.
 
-The pipeline looks at most ``max(settle_threshold_s, loess_window_s,
-sg window)`` past any emitted index, so detection latency is bounded by
-the configured windows rather than the trace length.
+Look-ahead is not bounded by the configured windows.  The per-candidate
+decisions read a bounded stretch past a candidate (the base after-window,
+the LOESS and Savitzky-Golay half windows, the match tolerance and the
+extremum guard radius), but the refilter trigger compares
+``series.values[first_on.index:].max()``, which runs to the end of the
+trace, with ``fluctuation_trigger_watts``.  Whether the refilter runs at
+all, and so whether an early candidate is kept, can therefore depend on
+samples arbitrarily far ahead.  ROADMAP item 4 replaces it with a local
+trigger.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from .core import (
     validate_series,
 )
 from .derivative import (
-    DerivativeSeries,
     Extremum,
     detect_extrema,
     first_derivative,
@@ -61,17 +68,21 @@ class PipelineResult:
     """Everything the pipeline computed for one trace.
 
     ``events`` holds the final detections; the per-stage lists and traces
-    are retained for inspection and plotting.
+    are retained for inspection and plotting.  ``derivative_trace`` is the
+    first derivative in watts per sample, aligned with the series.
     """
 
     events: tuple[DetectedEvent, ...]
-    stage_counts: StageCounts
-    derivative_trace: DerivativeSeries
+    derivative_trace: np.ndarray
     smoothed_derivative: np.ndarray
     extrema: tuple[Extremum, ...]
     base_events: tuple[DetectedEvent, ...]
     merged_events: tuple[DetectedEvent, ...]
     filter_verdicts: tuple[FilterVerdict, ...]
+
+    @property
+    def stage_counts(self) -> StageCounts:
+        return StageCounts(len(self.base_events), len(self.merged_events), len(self.events))
 
 
 def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -> PipelineResult:
@@ -115,8 +126,8 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
         )
     base_events = detect_base(series, config)
 
-    derivative = first_derivative(series, spacing_h=1.0)
-    smoothed = loess_smooth(derivative.values, loess_window)
+    derivative = first_derivative(series.values)
+    smoothed = loess_smooth(derivative, loess_window)
     significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
 
     merged_events = merge_transient_events(base_events, smoothed, series, config)
@@ -126,11 +137,6 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
 
     return PipelineResult(
         events=tuple(final_events),
-        stage_counts=StageCounts(
-            base=len(base_events),
-            after_derivative=len(merged_events),
-            after_filtering=len(final_events),
-        ),
         derivative_trace=derivative,
         smoothed_derivative=smoothed,
         extrema=tuple(significant_extrema),

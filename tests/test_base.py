@@ -11,7 +11,6 @@ from nilmevents import (
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
-    Stage,
     detect_base,
     detect_hybrid,
 )
@@ -112,7 +111,6 @@ def test_two_clean_steps_alarm_only_around_the_steps() -> None:
     for event in events[2:]:
         assert abs(event.timestamp_s - 20.0) <= 0.3
         assert event.delta_watts < 0
-    assert all(e.stage is Stage.BASE for e in events)
 
 
 def test_two_clean_steps_collapse_to_one_event_each_after_merging() -> None:

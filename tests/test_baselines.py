@@ -8,14 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilmevents import (
-    CusumTrace,
     CusumVariant,
     DetectionError,
     LldConfig,
     NonPositiveVariance,
     SampleSeries,
     SeriesTooShort,
-    Stage,
     cusum,
     lld_max,
 )
@@ -45,13 +43,12 @@ def transitional_step(level: float = 250.0) -> SampleSeries:
 
 def test_cusum_of_constant_series_is_zero() -> None:
     trace = cusum(series_at_20hz(np.full(50, 640.0)), 6)
-    assert trace.variant is CusumVariant.LINEAR
-    np.testing.assert_array_equal(trace.values, np.zeros(50))
+    np.testing.assert_array_equal(trace, np.zeros(50))
 
 
 def test_cusum_worked_example() -> None:
     trace = cusum(series_at_20hz(np.array([0.0, 0.0, 4.0, 4.0])), 2)
-    np.testing.assert_array_equal(trace.values, [0.0, -2.0, -2.0, -2.0])
+    np.testing.assert_array_equal(trace, [0.0, -2.0, -2.0, -2.0])
 
 
 @given(float_traces, st.integers(min_value=1, max_value=10))
@@ -59,7 +56,7 @@ def test_squared_cusum_is_monotone_non_decreasing(values: np.ndarray, n: int) ->
     if n > values.size:
         n = values.size
     trace = cusum(series_at_20hz(values), n, CusumVariant.SQUARED)
-    assert np.all(np.diff(trace.values) >= 0.0)
+    assert np.all(np.diff(trace) >= 0.0)
 
 
 @given(float_traces, st.integers(min_value=1, max_value=10), st.sampled_from(CusumVariant))
@@ -70,13 +67,13 @@ def test_cusum_matches_oracle_exactly(
         n = values.size
     trace = cusum(series_at_20hz(values), n, variant)
     expected = oracle_cusum(values, n, squared=variant is CusumVariant.SQUARED)
-    assert np.array_equal(trace.values, expected)
+    assert np.array_equal(trace, expected)
 
 
 @given(float_traces)
 def test_cusum_with_unit_window_is_identically_zero(values: np.ndarray) -> None:
     trace = cusum(series_at_20hz(values), 1)
-    np.testing.assert_array_equal(trace.values, np.zeros(values.size))
+    np.testing.assert_array_equal(trace, np.zeros(values.size))
 
 
 @given(integer_traces, st.sampled_from([1, 2, 4, 8]))
@@ -91,7 +88,7 @@ def test_cusum_increments_telescope_exactly_on_dyadic_means(
     trace = cusum(series_at_20hz(values), n)
     for i in range(1, values.size - n + 1):
         mean_i = np.sum(values[i : i + n]) / n
-        assert trace.values[i] - trace.values[i - 1] == values[i] - mean_i
+        assert trace[i] - trace[i - 1] == values[i] - mean_i
 
 
 def test_cusum_window_validation() -> None:
@@ -100,11 +97,6 @@ def test_cusum_window_validation() -> None:
         cusum(series, 0)
     with pytest.raises(SeriesTooShort):
         cusum(series, 11)
-
-
-def test_cusum_trace_coerces_values_to_float_array() -> None:
-    trace = CusumTrace(values=[1, 2, 3], variant=CusumVariant.LINEAR, window_samples=2)
-    assert trace.values.dtype == float
 
 
 def test_lld_config_validation() -> None:
@@ -128,7 +120,6 @@ def test_lld_is_silent_when_mean_changes_stay_below_threshold() -> None:
 def test_lld_finds_exactly_one_event_on_a_clean_step() -> None:
     events = lld_max(transitional_step(), LldConfig(sigma_sq=1.0))
     assert [(e.index, e.delta_watts) for e in events] == [(301, 237.5)]
-    assert events[0].stage is Stage.BASE
     assert events[0].timestamp_s == pytest.approx(15.05)
 
 

@@ -8,15 +8,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nilmevents import (
-    DerivativeSeries,
     DetectedEvent,
-    DetectionError,
     ExtremumKind,
     HybridConfig,
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
-    Stage,
     WindowTooLarge,
     WindowTooSmall,
     detect_base,
@@ -38,8 +35,6 @@ float_traces = st.lists(
     st.floats(min_value=-1e5, max_value=1e5, allow_nan=False), min_size=3, max_size=200
 ).map(np.array)
 
-spacings = st.floats(min_value=0.1, max_value=10.0)
-
 
 def series_at_20hz(values: np.ndarray) -> SampleSeries:
     return SampleSeries(values, 20.0)
@@ -47,45 +42,33 @@ def series_at_20hz(values: np.ndarray) -> SampleSeries:
 
 def events_at(indices: list[int], series: SampleSeries) -> list[DetectedEvent]:
     return [
-        DetectedEvent(index=i, timestamp_s=series.time_at(i), delta_watts=10.0, stage=Stage.BASE)
-        for i in indices
+        DetectedEvent(index=i, timestamp_s=series.time_at(i), delta_watts=10.0) for i in indices
     ]
 
 
 def test_first_derivative_of_constant_is_zero() -> None:
-    result = first_derivative(series_at_20hz(np.full(20, 42.0)))
-    np.testing.assert_array_equal(result.values, np.zeros(20))
+    np.testing.assert_array_equal(first_derivative(np.full(20, 42.0)), np.zeros(20))
 
 
 def test_first_derivative_of_ramp_is_the_increment() -> None:
-    result = first_derivative(series_at_20hz(np.arange(30) * 2.5))
-    np.testing.assert_allclose(result.values[1:], 2.5)
-    assert result.values[0] == 0.0
+    result = first_derivative(np.arange(30) * 2.5)
+    np.testing.assert_allclose(result[1:], 2.5)
+    assert result[0] == 0.0
 
 
 def test_first_derivative_worked_example() -> None:
-    result = first_derivative(series_at_20hz(np.array([0.0, 2.0, 6.0, 6.0])))
-    np.testing.assert_array_equal(result.values, [0.0, 2.0, 4.0, 0.0])
-    halved = first_derivative(series_at_20hz(np.array([0.0, 2.0, 6.0, 6.0])), spacing_h=2.0)
-    np.testing.assert_array_equal(halved.values, [0.0, 1.0, 2.0, 0.0])
+    result = first_derivative(np.array([0.0, 2.0, 6.0, 6.0]))
+    np.testing.assert_array_equal(result, [0.0, 2.0, 4.0, 0.0])
 
 
 def test_first_derivative_input_validation() -> None:
     with pytest.raises(SeriesTooShort):
-        first_derivative(series_at_20hz(np.array([1.0])))
-    with pytest.raises(DetectionError):
-        first_derivative(series_at_20hz(np.zeros(5)), spacing_h=0.0)
+        first_derivative(np.array([1.0]))
 
 
-def test_derivative_series_validates_spacing() -> None:
-    with pytest.raises(DetectionError):
-        DerivativeSeries(values=np.zeros(4), spacing_h=0.0)
-
-
-@given(float_traces, spacings)
-def test_first_derivative_matches_oracle_exactly(values: np.ndarray, h: float) -> None:
-    result = first_derivative(series_at_20hz(values), spacing_h=h)
-    assert np.array_equal(result.values, oracle_first_derivative(values, h))
+@given(float_traces)
+def test_first_derivative_matches_oracle_exactly(values: np.ndarray) -> None:
+    assert np.array_equal(first_derivative(values), oracle_first_derivative(values, 1.0))
 
 
 def test_loess_keeps_constants() -> None:
@@ -171,11 +154,10 @@ def test_extrema_alternate_when_no_neighbours_are_equal(increments: list[int]) -
 def test_candidates_with_a_settled_gap_are_both_kept() -> None:
     series = series_at_20hz(np.zeros(200))
     smoothed = np.zeros(200)
-    survivors = merge_transient_events(
-        events_at([10, 110], series), smoothed, series, HybridConfig()
-    )
+    candidates = events_at([10, 110], series)
+    survivors = merge_transient_events(candidates, smoothed, series, HybridConfig())
     assert [e.index for e in survivors] == [10, 110]
-    assert all(e.stage is Stage.DERIVATIVE_MERGED for e in survivors)
+    assert all(kept is given for kept, given in zip(survivors, candidates, strict=True))
 
 
 def test_candidates_on_one_unsettled_transient_collapse_to_the_first() -> None:
@@ -262,8 +244,7 @@ def test_isolated_clean_step_survives_the_whole_derivative_chain(
     series = series_at_20hz(values)
     config = HybridConfig()
     base = detect_base(series, config)
-    derivative = first_derivative(series)
-    smoothed = loess_smooth(derivative.values, config.loess_window_samples(20.0))
+    smoothed = loess_smooth(first_derivative(values), config.loess_window_samples(20.0))
     merged = merge_transient_events(base, smoothed, series, config)
     assert len(merged) == 1
     assert merged[0].index == base[0].index
@@ -274,5 +255,5 @@ def test_ramp_alarms_collapse_to_one_event_at_the_first_alarm() -> None:
     run = run_replica("rangehood")
     assert run.result.stage_counts.base == 11
     merged = run.result.merged_events
-    assert [e.index for e in merged] == [run.result.base_events[0].index]
-    assert merged[0].stage is Stage.DERIVATIVE_MERGED
+    assert len(merged) == 1
+    assert merged[0] is run.result.base_events[0]

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from nilmevents import (
     DetectedEvent,
+    EvaluationReport,
     GroundTruthEntry,
     GroundTruthLog,
     InconsistentCounts,
     NegativeTolerance,
-    Stage,
     ZeroGroundTruth,
     coalesce_simultaneous,
     evaluate_detections,
     match_events,
-    metrics,
 )
 
 from oracles import oracle_match
@@ -30,8 +29,7 @@ time_lists = st.lists(
 
 def detections_at(times: list[float]) -> list[DetectedEvent]:
     return [
-        DetectedEvent(index=i, timestamp_s=t, delta_watts=100.0, stage=Stage.FINAL)
-        for i, t in enumerate(times)
+        DetectedEvent(index=i, timestamp_s=t, delta_watts=100.0) for i, t in enumerate(times)
     ]
 
 
@@ -158,7 +156,7 @@ def test_greedy_matching_is_optimal_for_well_separated_truths(
 
 
 def test_rates_for_a_mostly_matched_day() -> None:
-    report = metrics(117, 1, 4, 121)
+    report = EvaluationReport(117, 1, 4, 121)
     assert (report.tp, report.fp, report.fn) == (117, 1, 4)
     assert abs(report.tpr * 100 - 96.7) <= 0.05
     assert abs(report.fpr * 100 - 0.81) <= 0.05
@@ -166,14 +164,14 @@ def test_rates_for_a_mostly_matched_day() -> None:
 
 
 def test_rates_for_a_mostly_matched_week() -> None:
-    report = metrics(837, 7, 52, 889)
+    report = EvaluationReport(837, 7, 52, 889)
     assert round(report.tpr * 100, 2) == 94.15
     assert round(report.fpr * 100, 2) == 0.79
     assert round(report.fnr * 100, 2) == 5.85
 
 
 def test_perfect_detection_rates() -> None:
-    report = metrics(57, 0, 0, 57)
+    report = EvaluationReport(57, 0, 0, 57)
     assert report.tpr == 1.0
     assert report.fpr == 0.0
     assert report.fnr == 0.0
@@ -181,14 +179,14 @@ def test_perfect_detection_rates() -> None:
 
 def test_metrics_error_cases_and_precedence() -> None:
     with pytest.raises(InconsistentCounts):
-        metrics(-1, 0, 1, 0)
+        EvaluationReport(-1, 0, 1, 0)
     with pytest.raises(InconsistentCounts):
-        metrics(3, 0, 1, 3)
+        EvaluationReport(3, 0, 1, 3)
     # A count mismatch is reported even when the reference count is zero.
     with pytest.raises(InconsistentCounts):
-        metrics(1, 0, 0, 0)
+        EvaluationReport(1, 0, 0, 0)
     with pytest.raises(ZeroGroundTruth):
-        metrics(0, 0, 0, 0)
+        EvaluationReport(0, 0, 0, 0)
 
 
 @given(
@@ -199,9 +197,9 @@ def test_metrics_error_cases_and_precedence() -> None:
 def test_metrics_identities_hold_for_every_report(tp: int, fp: int, fn: int) -> None:
     if tp + fn == 0:
         with pytest.raises(ZeroGroundTruth):
-            metrics(tp, fp, fn, tp + fn)
+            EvaluationReport(tp, fp, fn, tp + fn)
         return
-    report = metrics(tp, fp, fn, tp + fn)
+    report = EvaluationReport(tp, fp, fn, tp + fn)
     assert report.tp + report.fn == report.ground_truth_count
     assert report.tpr + report.fnr == 1.0
     assert report.fpr >= 0.0
@@ -219,9 +217,7 @@ def test_evaluate_detections_coalesces_by_default() -> None:
     report = evaluate_detections(detections, truth, tolerance_s=1.0)
     assert (report.tp, report.fp, report.fn) == (2, 0, 0)
     assert report.ground_truth_count == 2
-    raw = evaluate_detections(detections, truth, tolerance_s=1.0, coalesce=False)
-    assert (raw.tp, raw.fp, raw.fn) == (2, 0, 1)
-    assert raw.ground_truth_count == 3
+    assert match_events(detections, truth, tolerance_s=1.0)[:3] == (2, 0, 1)
 
 
 def test_evaluate_detections_rejects_an_empty_reference_log() -> None:

@@ -22,7 +22,6 @@ from nilmevents import (
     MisalignedInput,
     OrderTooHigh,
     SampleSeries,
-    Stage,
     detect_base,
     detect_extrema,
     detect_hybrid,
@@ -141,10 +140,8 @@ def test_savgol_window_and_order_validation() -> None:
 
 def low_power_candidates(series: SampleSeries) -> list[DetectedEvent]:
     return [
-        DetectedEvent(index=50, timestamp_s=series.time_at(50), delta_watts=30.0,
-                      stage=Stage.DERIVATIVE_MERGED),
-        DetectedEvent(index=150, timestamp_s=series.time_at(150), delta_watts=-30.0,
-                      stage=Stage.DERIVATIVE_MERGED),
+        DetectedEvent(index=50, timestamp_s=series.time_at(50), delta_watts=30.0),
+        DetectedEvent(index=150, timestamp_s=series.time_at(150), delta_watts=-30.0),
     ]
 
 
@@ -153,7 +150,7 @@ def test_low_power_series_passes_through_unchanged() -> None:
     series = series_at_20hz(np.where((t >= 2.5) & (t < 7.5), 40.0, 0.0))
     candidates = low_power_candidates(series)
     survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], HybridConfig())
-    assert survivors == candidates  # untouched, stages included
+    assert all(kept is given for kept, given in zip(survivors, candidates, strict=True))
     assert verdicts == []
 
 
@@ -162,8 +159,7 @@ def test_all_negative_candidates_pass_through_unchanged() -> None:
     # fluctuation, so the refilter leaves the list alone.
     series = series_at_20hz(np.full(300, 2000.0))
     candidates = [
-        DetectedEvent(index=80, timestamp_s=4.0, delta_watts=-500.0,
-                      stage=Stage.DERIVATIVE_MERGED)
+        DetectedEvent(index=80, timestamp_s=4.0, delta_watts=-500.0)
     ]
     survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], HybridConfig())
     assert survivors == candidates
@@ -177,7 +173,7 @@ def test_empty_candidate_list_is_a_no_op() -> None:
 
 def test_refilter_index_validation() -> None:
     series = series_at_20hz(np.zeros(100))
-    stray_event = DetectedEvent(index=100, timestamp_s=5.0, delta_watts=50.0, stage=Stage.BASE)
+    stray_event = DetectedEvent(index=100, timestamp_s=5.0, delta_watts=50.0)
     with pytest.raises(MisalignedInput):
         refilter_events_with_verdicts(series, [stray_event], [], HybridConfig())
     stray_extremum = Extremum(index=100, kind=ExtremumKind.PEAK, value=1.0)
@@ -200,7 +196,8 @@ def test_oscillation_alarms_are_removed_and_steps_kept() -> None:
         (683, False, FilterReason.REMOVED_AS_FLUCTUATION),
         (994, True, FilterReason.SURVIVED_REFILTER),
     ]
-    assert all(e.stage is Stage.FINAL for e in result.events)
+    kept = (result.merged_events[0], result.merged_events[4])
+    assert all(final is merged for final, merged in zip(result.events, kept, strict=True))
 
 
 def test_refilter_decisions_replay_from_first_principles() -> None:
@@ -235,10 +232,8 @@ def test_guarded_candidates_survive_regardless_of_redetection() -> None:
     series = series_at_20hz(values)
     config = HybridConfig()
     candidates = [
-        DetectedEvent(index=194, timestamp_s=series.time_at(194), delta_watts=250.0,
-                      stage=Stage.DERIVATIVE_MERGED),
-        DetectedEvent(index=600, timestamp_s=series.time_at(600), delta_watts=28.0,
-                      stage=Stage.DERIVATIVE_MERGED),
+        DetectedEvent(index=194, timestamp_s=series.time_at(194), delta_watts=250.0),
+        DetectedEvent(index=600, timestamp_s=series.time_at(600), delta_watts=28.0),
     ]
     removed, _ = refilter_events_with_verdicts(series, candidates, [], config)
     assert [e.index for e in removed] == [194]
@@ -258,8 +253,7 @@ def test_refilter_output_is_a_subset_with_consistent_verdicts(indices: list[int]
     series = series_at_20hz(np.where(t >= 10.0, 1500.0, 0.0))
     config = HybridConfig()
     candidates = [
-        DetectedEvent(index=i, timestamp_s=series.time_at(i), delta_watts=50.0,
-                      stage=Stage.DERIVATIVE_MERGED)
+        DetectedEvent(index=i, timestamp_s=series.time_at(i), delta_watts=50.0)
         for i in indices
     ]
     survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], config)

@@ -12,19 +12,18 @@ from nilmevents import (
     DetectedEvent,
     DetectionError,
     EmptyFile,
+    EvaluationReport,
     GroundTruthEntry,
     GroundTruthLog,
     HybridConfig,
     NonUniformSampling,
     ParseError,
     SampleSeries,
-    Stage,
     UnsortedInput,
     format_report,
     load_config_file,
     load_ground_truth,
     load_trace,
-    metrics,
     read_events,
     write_events,
     write_ground_truth,
@@ -168,25 +167,22 @@ def test_ground_truth_parse_and_order_errors(tmp_path: Path) -> None:
 
 def test_event_files_round_trip_with_the_documented_header(tmp_path: Path) -> None:
     events = [
-        DetectedEvent(index=195, timestamp_s=9.75, delta_watts=100.123456, stage=Stage.FINAL),
-        DetectedEvent(index=703, timestamp_s=35.15, delta_watts=-240.5, stage=Stage.FINAL),
+        DetectedEvent(index=195, timestamp_s=9.75, delta_watts=100.123456),
+        DetectedEvent(index=703, timestamp_s=35.15, delta_watts=-240.5),
     ]
     path = tmp_path / "events.csv"
     write_events(path, events)
     assert path.read_text().splitlines()[0] == "index,timestamp_s,delta_watts"
     loaded = read_events(path)
     assert [e.index for e in loaded] == [195, 703]
-    assert [e.stage for e in loaded] == [Stage.FINAL, Stage.FINAL]
     for read_back, original in zip(loaded, events):
         assert read_back.timestamp_s == pytest.approx(original.timestamp_s, abs=5e-7)
         assert read_back.delta_watts == pytest.approx(original.delta_watts, abs=5e-7)
-    as_base = read_events(path, stage=Stage.BASE)
-    assert all(e.stage is Stage.BASE for e in as_base)
 
 
 def test_events_written_to_a_stream_match_the_file(tmp_path: Path) -> None:
     events = [
-        DetectedEvent(index=195, timestamp_s=9.75, delta_watts=100.123456, stage=Stage.FINAL),
+        DetectedEvent(index=195, timestamp_s=9.75, delta_watts=100.123456),
     ]
     path = tmp_path / "events.csv"
     write_events(str(path), events)
@@ -211,7 +207,7 @@ def test_event_reader_rejects_foreign_files(tmp_path: Path) -> None:
 
 
 def test_report_rendering_shows_counts_and_two_decimal_percentages() -> None:
-    text = format_report(metrics(117, 1, 4, 121))
+    text = format_report(EvaluationReport(117, 1, 4, 121))
     lines = text.splitlines()
     assert "TPR%" in lines[0]
     assert "96.69" in lines[1]

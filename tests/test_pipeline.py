@@ -16,8 +16,8 @@ from nilmevents import (
     HybridConfig,
     SampleSeries,
     ScenarioSpec,
+    PipelineResult,
     SeriesTooShort,
-    Stage,
     StageCounts,
     TransientKind,
     detect_hybrid,
@@ -27,6 +27,14 @@ from nilmevents import (
 from replicas import run_replica
 
 REPLICA_NAMES = ("house1", "kitchen", "lighting", "rangehood")
+
+
+def assert_stage_lists_nest(result: PipelineResult) -> None:
+    """Each stage passes on the very event objects of the stage before it."""
+    assert all(any(f is m for m in result.merged_events) for f in result.events)
+    assert all(any(m is b for b in result.base_events) for m in result.merged_events)
+    if not result.filter_verdicts:
+        assert result.events == result.merged_events
 
 
 def test_stage_counts_must_be_monotone_non_increasing() -> None:
@@ -64,7 +72,7 @@ def test_pipeline_is_deterministic() -> None:
     assert first.stage_counts == second.stage_counts
     assert first.base_events == second.base_events
     assert first.extrema == second.extrema
-    assert np.array_equal(first.derivative_trace.values, second.derivative_trace.values)
+    assert np.array_equal(first.derivative_trace, second.derivative_trace)
     assert np.array_equal(first.smoothed_derivative, second.smoothed_derivative)
 
 
@@ -73,27 +81,24 @@ def test_stage_counts_shrink_and_events_trace_back_to_base(name: str) -> None:
     result = run_replica(name).result
     counts = result.stage_counts
     assert counts.base >= counts.after_derivative >= counts.after_filtering
-    assert len(result.events) == counts.after_filtering
-    assert len(result.base_events) == counts.base
-    assert len(result.merged_events) == counts.after_derivative
     base_indices = set(e.index for e in result.base_events)
     merged_indices = set(e.index for e in result.merged_events)
     final_indices = set(e.index for e in result.events)
     assert final_indices <= merged_indices <= base_indices
+    assert_stage_lists_nest(result)
 
 
 @pytest.mark.parametrize("name", REPLICA_NAMES)
 def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
     run = run_replica(name)
     result = run.result
-    assert result.derivative_trace.values.size == len(run.series)
+    assert result.derivative_trace.size == len(run.series)
     assert result.smoothed_derivative.size == len(run.series)
     assert all(0 <= e.index < len(run.series) for e in result.extrema)
     assert all(
         abs(e.value) > run.config.derivative_epsilon for e in result.extrema
     )
-    assert all(e.stage is Stage.BASE for e in result.base_events)
-    assert all(e.stage is Stage.DERIVATIVE_MERGED for e in result.merged_events)
+    assert_stage_lists_nest(result)
 
 
 def test_pipeline_propagates_short_series_errors() -> None:
@@ -160,6 +165,7 @@ def test_every_generated_scenario_respects_stage_monotonicity(spec: ScenarioSpec
     assert counts.base >= counts.after_derivative >= counts.after_filtering >= 0
     base_keys = set((e.index, e.timestamp_s) for e in result.base_events)
     assert set((e.index, e.timestamp_s) for e in result.events) <= base_keys
+    assert_stage_lists_nest(result)
 
 
 def test_package_docstring_example_runs() -> None:
