@@ -49,8 +49,7 @@ from .core import (
 from .derivative import (
     Extremum,
     ExtremumKind,
-    WindowTooLarge,
-    WindowTooSmall,
+    InvalidWindow,
     detect_extrema,
     first_derivative,
     loess_smooth,
@@ -65,7 +64,6 @@ from .evaluation import (
 from .filtering import (
     FilterReason,
     FilterVerdict,
-    InvalidWindow,
     OrderTooHigh,
     refilter_events_with_verdicts,
     savitzky_golay,
@@ -83,7 +81,7 @@ from .io import (
     write_ground_truth,
     write_trace,
 )
-from .pipeline import PipelineResult, StageCounts, detect_hybrid
+from .pipeline import PipelineResult, StageCounts, detect_hybrid, smoothed_derivative
 from .synth import (
     ApplianceSpec,
     InvalidSpec,
@@ -116,8 +114,6 @@ __all__ = [
     "SeriesTooShort",
     "MisalignedInput",
     "UnsortedInput",
-    "WindowTooSmall",
-    "WindowTooLarge",
     "InvalidWindow",
     "OrderTooHigh",
     "NonPositiveVariance",
@@ -132,6 +128,7 @@ __all__ = [
     "detect_base",
     "first_derivative",
     "loess_smooth",
+    "smoothed_derivative",
     "detect_extrema",
     "Extremum",
     "ExtremumKind",

@@ -24,30 +24,32 @@ from .core import (
 __all__ = ["detect_base"]
 
 
-def _window_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _window_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the ``n`` samples before and after every eligible center.
 
-    The before window covers ``[center - n, center - 1]`` and the after
-    window ``[center + 1, center + n]``; the center sample is excluded so
-    a step landing exactly on it biases neither mean.  Both sums come
-    from one cumulative sum.
+    Entry ``k`` belongs to center ``n + k``, for every center with a full
+    window on both sides.  The before window covers
+    ``[center - n, center - 1]`` and the after window
+    ``[center + 1, center + n]``; the center sample is excluded so a step
+    landing exactly on it biases neither mean.  Both sums are differences
+    of slices of one cumulative sum.
     """
     csum = np.concatenate(([0.0], np.cumsum(values)))
-    centers = np.arange(n, values.size - n)
-    before_sums = csum[centers] - csum[centers - n]
-    after_sums = csum[centers + n + 1] - csum[centers + 1]
-    return centers, before_sums, after_sums
+    size = values.size
+    before_sums = csum[n : size - n] - csum[: size - 2 * n]
+    after_sums = csum[2 * n + 1 :] - csum[n + 1 : size - n + 1]
+    return before_sums, after_sums
 
 
-def _mean_difference_profile(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """After-minus-before window means for every eligible center index.
+def _mean_difference_profile(values: np.ndarray, n: int) -> np.ndarray:
+    """After-minus-before window means; entry ``k`` belongs to center ``n + k``.
 
     Computed as ``(sum_after - sum_before) / n`` with a single division,
     so a constant offset added to every sample cancels exactly whenever
     the window sums are exact (integer-valued data, for instance).
     """
-    centers, before_sums, after_sums = _window_sums(values, n)
-    return centers, (after_sums - before_sums) / n
+    before_sums, after_sums = _window_sums(values, n)
+    return (after_sums - before_sums) / n
 
 
 def detect_base(series: SampleSeries, config: HybridConfig) -> list[DetectedEvent]:
@@ -82,13 +84,13 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> list[DetectedEven
         raise SeriesTooShort(
             f"need at least {2 * n + 1} samples for window {n}, got {len(series)}"
         )
-    centers, diffs = _mean_difference_profile(series.values, n)
+    diffs = _mean_difference_profile(series.values, n)
     alarm_positions = np.flatnonzero(np.abs(diffs) > config.power_threshold_watts)
 
     events: list[DetectedEvent] = []
     last_time = -np.inf
     for pos in alarm_positions:
-        index = int(centers[pos])
+        index = n + int(pos)
         timestamp = series.time_at(index)
         if timestamp - last_time > config.time_limit_s:
             events.append(

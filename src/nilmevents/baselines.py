@@ -158,13 +158,13 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
             f"sigma_sq must be positive, got {sigma_sq} (flat leading window?)"
         )
 
-    centers, before_sums, after_sums = _window_sums(x, pw)
+    before_sums, after_sums = _window_sums(x, pw)
     mu0 = before_sums / pw
     mu1 = after_sums / pw
     mean_diff = mu1 - mu0
     ds = np.where(
         np.abs(mean_diff) > config.power_threshold_watts,
-        mean_diff / sigma_sq * np.abs(x[centers] - (mu1 + mu0) / 2.0),
+        mean_diff / sigma_sq * np.abs(x[pw : len(x) - pw] - (mu1 + mu0) / 2.0),
         0.0,
     )
 
@@ -175,7 +175,7 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
         lo = max(0, pos - m)
         window = magnitude[lo : pos + m + 1]
         if np.count_nonzero(window >= magnitude[pos]) == 1:
-            index = int(centers[pos])
+            index = pw + int(pos)
             events.append(
                 DetectedEvent(
                     index=index,

@@ -27,6 +27,7 @@ from typing import Sequence
 from . import __version__
 from .baselines import CusumVariant, LldConfig, cusum, lld_max
 from .core import DetectionError, HybridConfig, SampleSeries
+from .derivative import first_derivative
 from .evaluation import evaluate_detections
 from .io import (
     format_report,
@@ -37,7 +38,7 @@ from .io import (
     write_ground_truth,
     write_trace,
 )
-from .pipeline import PipelineResult, detect_hybrid
+from .pipeline import PipelineResult, detect_hybrid, smoothed_derivative
 from .synth import generate_scenario, load_scenario
 
 __all__ = ["cli_main"]
@@ -84,7 +85,9 @@ def _assemble_config(args: argparse.Namespace) -> HybridConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _emit_stage_files(directory: str, series: SampleSeries, result: PipelineResult) -> None:
+def _emit_stage_files(
+    directory: str, series: SampleSeries, config: HybridConfig, result: PipelineResult
+) -> None:
     """Write plot-ready per-stage data under ``directory``."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,11 +95,11 @@ def _emit_stage_files(directory: str, series: SampleSeries, result: PipelineResu
     write_trace(out / "trace.csv", series)
     write_trace(
         out / "derivative.csv",
-        SampleSeries(result.derivative_trace, rate, start),
+        SampleSeries(first_derivative(series.values), rate, start),
     )
     write_trace(
         out / "smoothed_derivative.csv",
-        SampleSeries(result.smoothed_derivative, rate, start),
+        SampleSeries(smoothed_derivative(series, config), rate, start),
     )
     with open(out / "extrema.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -120,7 +123,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if args.emit_stages:
-        _emit_stage_files(args.emit_stages, series, result)
+        _emit_stage_files(args.emit_stages, series, config, result)
     return 0
 
 
@@ -142,11 +145,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _assemble_config(args)
 
     hybrid_events = detect_hybrid(series, config).events
-    lld_config = LldConfig(
-        pre_window_samples=args.lld_pre_window,
-        power_threshold_watts=args.lld_threshold,
-        maxima_precision_samples=args.lld_precision,
-        sigma_sq=args.lld_sigma_sq,
+    lld_flags = {
+        "pre_window_samples": args.lld_pre_window,
+        "power_threshold_watts": args.lld_threshold,
+        "maxima_precision_samples": args.lld_precision,
+        "sigma_sq": args.lld_sigma_sq,
+    }
+    lld_config = replace(
+        LldConfig(), **{field: value for field, value in lld_flags.items() if value is not None}
     )
     lld_events = lld_max(series, lld_config)
 
@@ -203,18 +209,13 @@ def _build_parser() -> _Parser:
     compare.add_argument("trace", help="two-column (timestamp, watts) trace file")
     compare.add_argument("truth", help="reference log CSV")
     _add_config_flags(compare)
-    compare.add_argument(
-        "--lld-pre-window", type=int, default=6, help="likelihood pre/post window in samples"
-    )
-    compare.add_argument(
-        "--lld-threshold", type=float, default=25.0, help="likelihood mean-change threshold"
-    )
-    compare.add_argument(
-        "--lld-precision", type=int, default=10, help="likelihood maxima separation in samples"
-    )
-    compare.add_argument(
-        "--lld-sigma-sq", type=float, default=None, help="fixed noise variance (default: estimate)"
-    )
+    for flag, kind, help_text in (
+        ("--lld-pre-window", int, "likelihood pre/post window in samples"),
+        ("--lld-threshold", float, "likelihood mean-change threshold"),
+        ("--lld-precision", int, "likelihood maxima separation in samples"),
+        ("--lld-sigma-sq", float, "fixed noise variance (default: estimate)"),
+    ):
+        compare.add_argument(flag, type=kind, help=help_text)
     compare.add_argument("--cusum-out", metavar="FILE", help="also write a cusum trace file")
     compare.add_argument(
         "--cusum-window", type=int, default=6, help="cusum forward-mean window in samples"

@@ -27,8 +27,7 @@ from .core import (
 )
 
 __all__ = [
-    "WindowTooSmall",
-    "WindowTooLarge",
+    "InvalidWindow",
     "ExtremumKind",
     "Extremum",
     "first_derivative",
@@ -38,12 +37,18 @@ __all__ = [
 ]
 
 
-class WindowTooSmall(DetectionError):
-    """A smoothing window was below the minimum usable size."""
+class InvalidWindow(DetectionError):
+    """A smoothing window was even, too small, or longer than the series."""
 
 
-class WindowTooLarge(DetectionError):
-    """A smoothing window exceeded the series length."""
+def _checked_window(window_samples: int, size: int) -> int:
+    """The window as an int, if it is odd, at least 3 and at most ``size``."""
+    win = int(window_samples)
+    if win < 3 or win % 2 == 0:
+        raise InvalidWindow(f"window_samples must be an odd integer >= 3, got {window_samples}")
+    if win > size:
+        raise InvalidWindow(f"window {win} exceeds series length {size}")
+    return win
 
 
 class ExtremumKind(enum.Enum):
@@ -114,12 +119,7 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
         Odd window length, at least 3 and at most ``len(values)``.
     """
     x = np.asarray(values, dtype=float)
-    win = int(window_samples)
-    if win < 3 or win % 2 == 0:
-        raise WindowTooSmall(f"window_samples must be an odd integer >= 3, got {window_samples}")
-    if win > x.size:
-        raise WindowTooLarge(f"window {win} exceeds series length {x.size}")
-    half = win // 2
+    half = _checked_window(window_samples, x.size) // 2
     kernel = _tricube_weights(np.arange(-half, half + 1), half)
     kernel /= kernel.sum()
     out = np.convolve(x, kernel, mode="same")

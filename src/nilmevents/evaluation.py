@@ -102,7 +102,7 @@ def match_events(
 def evaluate_detections(
     detections: Sequence[DetectedEvent],
     truth: GroundTruthLog,
-    tolerance_s: float = 1.0,
+    tolerance_s: float,
 ) -> EvaluationReport:
     """Match detections against a reference log and compute rates.
 

@@ -26,20 +26,15 @@ from .core import (
     SampleSeries,
     seconds_to_samples,
 )
-from .derivative import Extremum
+from .derivative import Extremum, _checked_window
 
 __all__ = [
-    "InvalidWindow",
     "OrderTooHigh",
     "FilterReason",
     "FilterVerdict",
     "savitzky_golay",
     "refilter_events_with_verdicts",
 ]
-
-
-class InvalidWindow(DetectionError):
-    """A filter window was even, too small, or longer than the series."""
 
 
 class OrderTooHigh(DetectionError):
@@ -92,11 +87,7 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
         filter is the identity.
     """
     x = np.asarray(values, dtype=float)
-    win = int(window_samples)
-    if win < 3 or win % 2 == 0:
-        raise InvalidWindow(f"window_samples must be an odd integer >= 3, got {window_samples}")
-    if win > x.size:
-        raise InvalidWindow(f"window {win} exceeds series length {x.size}")
+    win = _checked_window(window_samples, x.size)
     if not 0 <= poly_order < win:
         raise OrderTooHigh(
             f"poly_order must satisfy 0 <= order < window, got {poly_order} with window {win}"

@@ -44,7 +44,7 @@ from .derivative import (
 )
 from .filtering import FilterVerdict, refilter_events_with_verdicts
 
-__all__ = ["StageCounts", "PipelineResult", "detect_hybrid"]
+__all__ = ["StageCounts", "PipelineResult", "smoothed_derivative", "detect_hybrid"]
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,15 @@ class StageCounts:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the pipeline computed for one trace.
+    """The events, extrema and verdicts the pipeline found in one trace.
 
-    ``events`` holds the final detections; the per-stage lists and traces
-    are retained for inspection and plotting.  ``derivative_trace`` is the
-    first derivative in watts per sample, aligned with the series.
+    ``events`` holds the final detections; the per-stage event lists, the
+    significant extrema and the refilter verdicts are retained for
+    inspection.  No full-length trace is kept: :func:`first_derivative`
+    and :func:`smoothed_derivative` recompute the derivative traces.
     """
 
     events: tuple[DetectedEvent, ...]
-    derivative_trace: np.ndarray
-    smoothed_derivative: np.ndarray
     extrema: tuple[Extremum, ...]
     base_events: tuple[DetectedEvent, ...]
     merged_events: tuple[DetectedEvent, ...]
@@ -83,6 +82,13 @@ class PipelineResult:
     @property
     def stage_counts(self) -> StageCounts:
         return StageCounts(len(self.base_events), len(self.merged_events), len(self.events))
+
+
+def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarray:
+    """The LOESS-smoothed first derivative that the merge and the extrema read."""
+    return loess_smooth(
+        first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)
+    )
 
 
 def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -> PipelineResult:
@@ -98,10 +104,12 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
     Returns
     -------
     PipelineResult
-        Final events plus per-stage events, the first derivative, its
-        smoothed version, and the significant extrema used by the
-        refilter guard (strict extrema of the smoothed derivative whose
-        magnitude exceeds ``derivative_epsilon``).
+        Final events plus per-stage events, the refilter verdicts, and
+        the significant extrema used by the refilter guard (strict
+        extrema of the smoothed derivative whose magnitude exceeds
+        ``derivative_epsilon``).  The derivative traces are not kept;
+        :func:`first_derivative` and :func:`smoothed_derivative`
+        recompute them.
 
     Raises
     ------
@@ -126,8 +134,7 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
         )
     base_events = detect_base(series, config)
 
-    derivative = first_derivative(series.values)
-    smoothed = loess_smooth(derivative, loess_window)
+    smoothed = smoothed_derivative(series, config)
     significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
 
     merged_events = merge_transient_events(base_events, smoothed, series, config)
@@ -137,8 +144,6 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
 
     return PipelineResult(
         events=tuple(final_events),
-        derivative_trace=derivative,
-        smoothed_derivative=smoothed,
         extrema=tuple(significant_extrema),
         base_events=tuple(base_events),
         merged_events=tuple(merged_events),

@@ -38,16 +38,15 @@ def two_step_trace(rate: float = 20.0) -> SampleSeries:
 
 def moving_means(values: np.ndarray, center: int, n: int) -> tuple[float, float]:
     """Before/after window means at ``center``, read from the shared window sums."""
-    centers, before_sums, after_sums = _window_sums(values, n)
-    pos = int(np.flatnonzero(centers == center)[0])
-    return before_sums[pos] / n, after_sums[pos] / n
+    before_sums, after_sums = _window_sums(values, n)
+    return before_sums[center - n] / n, after_sums[center - n] / n
 
 
 def test_moving_means_on_an_exact_step() -> None:
     values = np.array([1.0, 1.0, 1.0, 5.0, 5.0, 5.0])
     assert moving_means(values, 2, 2) == (1.0, 5.0)
-    centers, diffs = _mean_difference_profile(values, 2)
-    assert list(centers) == [2, 3]
+    diffs = _mean_difference_profile(values, 2)
+    assert diffs.size == 2  # centers 2 and 3
     assert diffs[0] == 4.0
 
 
@@ -66,29 +65,30 @@ def test_moving_means_with_wider_windows() -> None:
 def test_mean_difference_profile_matches_oracle_exactly_on_integers(
     values: np.ndarray, n: int
 ) -> None:
-    centers, diffs = _mean_difference_profile(values, n)
+    diffs = _mean_difference_profile(values, n)
     expected = oracle_mean_difference_profile(values, n)
-    assert list(centers) == sorted(expected)
-    for center, diff in zip(centers, diffs):
-        assert diff == expected[center]
+    assert sorted(expected) == list(range(n, n + diffs.size))
+    for center in expected:
+        assert diffs[center - n] == expected[center]
 
 
 @given(float_traces, st.integers(min_value=1, max_value=4))
 def test_mean_difference_profile_matches_oracle_on_floats(values: np.ndarray, n: int) -> None:
-    centers, diffs = _mean_difference_profile(values, n)
+    diffs = _mean_difference_profile(values, n)
     expected = oracle_mean_difference_profile(values, n)
     scale = max(1.0, float(np.max(np.abs(values))))
-    for center, diff in zip(centers, diffs):
-        assert diff == pytest.approx(expected[center], abs=1e-9 * scale)
+    assert sorted(expected) == list(range(n, n + diffs.size))
+    for center in expected:
+        assert diffs[center - n] == pytest.approx(expected[center], abs=1e-9 * scale)
 
 
 @given(integer_traces)
 def test_profile_agrees_with_moving_means_at_every_center(values: np.ndarray) -> None:
-    centers, diffs = _mean_difference_profile(values, 3)
-    for center, diff in zip(centers, diffs):
-        before, after = oracle_moving_means(values, int(center), 3)
-        assert moving_means(values, int(center), 3) == (before, after)
-        assert diff == pytest.approx(after - before, abs=1e-9)
+    diffs = _mean_difference_profile(values, 3)
+    for center in range(3, values.size - 3):
+        before, after = oracle_moving_means(values, center, 3)
+        assert moving_means(values, center, 3) == (before, after)
+        assert diffs[center - 3] == pytest.approx(after - before, abs=1e-9)
 
 
 def test_constant_series_yields_no_events() -> None:
@@ -141,7 +141,7 @@ def test_raising_the_threshold_never_adds_raw_alarms(
     values: np.ndarray, threshold_a: float, threshold_b: float
 ) -> None:
     low, high = sorted((threshold_a, threshold_b))
-    _, diffs = _mean_difference_profile(values, 3)
+    diffs = _mean_difference_profile(values, 3)
     assert np.count_nonzero(np.abs(diffs) > high) <= np.count_nonzero(np.abs(diffs) > low)
 
 

@@ -5,15 +5,21 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nilmevents import (
     ApplianceSpec,
+    HybridConfig,
+    LldConfig,
     ScenarioSpec,
+    first_derivative,
     generate_scenario,
+    lld_max,
     load_ground_truth,
     load_trace,
     read_events,
+    smoothed_derivative,
     write_trace,
 )
 from nilmevents.cli import cli_main
@@ -85,7 +91,8 @@ def test_detect_emit_stages_writes_reloadable_files(tmp_path: Path, capsys) -> N
     derivative = load_trace(stage_dir / "derivative.csv")
     smoothed = load_trace(stage_dir / "smoothed_derivative.csv")
     assert len(series) == 1200
-    assert len(derivative) == len(smoothed) == 1200
+    assert np.array_equal(derivative.values, first_derivative(series.values))
+    assert np.array_equal(smoothed.values, smoothed_derivative(series, HybridConfig()))
     base = read_events(stage_dir / "events_base.csv")
     merged = read_events(stage_dir / "events_merged.csv")
     final = read_events(stage_dir / "events_final.csv")
@@ -132,6 +139,22 @@ def test_compare_reports_both_detectors_and_exports_cusum(tmp_path: Path, capsys
     assert "detector=lld" in out
     assert out.count("tpr=") == 2
     assert len(load_trace(cusum_out)) == 1200
+
+
+def test_compare_applies_only_the_given_likelihood_flags(tmp_path: Path, capsys) -> None:
+    trace, truth = render_scenario("rangehood", tmp_path)
+    series = load_trace(trace)
+    threshold_and_precision = LldConfig(power_threshold_watts=35.0, maxima_precision_samples=4)
+    # The threshold alone gives 2 events here and the precision alone 6.
+    for flags, config, expected in (
+        ([], LldConfig(), 3),
+        (["--lld-threshold", "35", "--lld-precision", "4"], threshold_and_precision, 5),
+    ):
+        capsys.readouterr()
+        assert cli_main(["compare", str(trace), str(truth), *flags]) == 0
+        lld_block = capsys.readouterr().out.split("detector=lld")[1]
+        assert len(lld_max(series, config)) == expected
+        assert f"events={expected}\n" in lld_block
 
 
 def test_explicit_flags_override_the_config_file(tmp_path: Path, capsys) -> None:

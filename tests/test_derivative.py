@@ -11,11 +11,10 @@ from nilmevents import (
     DetectedEvent,
     ExtremumKind,
     HybridConfig,
+    InvalidWindow,
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
-    WindowTooLarge,
-    WindowTooSmall,
     detect_base,
     detect_extrema,
     first_derivative,
@@ -83,11 +82,11 @@ def test_loess_reproduces_lines() -> None:
 
 
 def test_loess_window_validation() -> None:
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(InvalidWindow):
         loess_smooth(np.zeros(30), 4)
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(InvalidWindow):
         loess_smooth(np.zeros(30), 1)
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(InvalidWindow):
         loess_smooth(np.zeros(30), 31)
 
 

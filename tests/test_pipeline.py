@@ -20,10 +20,13 @@ from nilmevents import (
     SeriesTooShort,
     StageCounts,
     TransientKind,
+    detect_extrema,
     detect_hybrid,
     generate_scenario,
+    smoothed_derivative,
 )
 
+from oracles import oracle_merge
 from replicas import run_replica
 
 REPLICA_NAMES = ("house1", "kitchen", "lighting", "rangehood")
@@ -71,9 +74,9 @@ def test_pipeline_is_deterministic() -> None:
     assert first.events == second.events
     assert first.stage_counts == second.stage_counts
     assert first.base_events == second.base_events
+    assert first.merged_events == second.merged_events
     assert first.extrema == second.extrema
-    assert np.array_equal(first.derivative_trace, second.derivative_trace)
-    assert np.array_equal(first.smoothed_derivative, second.smoothed_derivative)
+    assert first.filter_verdicts == second.filter_verdicts
 
 
 @pytest.mark.parametrize("name", REPLICA_NAMES)
@@ -92,11 +95,19 @@ def test_stage_counts_shrink_and_events_trace_back_to_base(name: str) -> None:
 def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
     run = run_replica(name)
     result = run.result
-    assert result.derivative_trace.size == len(run.series)
-    assert result.smoothed_derivative.size == len(run.series)
+    smoothed = smoothed_derivative(run.series, run.config)
+    assert smoothed.size == len(run.series)
+    assert list(result.extrema) == detect_extrema(smoothed, run.config.derivative_epsilon)
     assert all(0 <= e.index < len(run.series) for e in result.extrema)
     assert all(
         abs(e.value) > run.config.derivative_epsilon for e in result.extrema
+    )
+    assert [e.index for e in result.merged_events] == oracle_merge(
+        [(e.index, e.timestamp_s) for e in result.base_events],
+        smoothed,
+        run.series.sampling_rate_hz,
+        run.config.derivative_epsilon,
+        run.config.settle_threshold_s,
     )
     assert_stage_lists_nest(result)
 
