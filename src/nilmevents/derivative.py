@@ -161,16 +161,6 @@ def detect_extrema(values: np.ndarray, min_abs_value: float | None = None) -> li
     return found
 
 
-def _longest_true_run(mask: np.ndarray) -> int:
-    if mask.size == 0:
-        return 0
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    if edges.size == 0:
-        return 0
-    return int(np.max(edges[1::2] - edges[0::2]))
-
-
 def merge_transient_events(
     candidates: list[DetectedEvent],
     smoothed_derivative: np.ndarray,
@@ -187,6 +177,12 @@ def merge_transient_events(
     is merged into the earlier event's group, and each group is reported
     as its first event.
 
+    The settled mask over ``[first, last]`` is cleared at every candidate
+    index, so each settled run lies strictly inside one candidate gap.
+    The runs are found once and assigned to their gaps by binary search:
+    O(S + C log C) for S samples in that span and C candidates, with no
+    per-pair loop.
+
     Returns the surviving candidate objects themselves, in order; no
     event is ever added, moved or copied.
     """
@@ -195,19 +191,22 @@ def merge_transient_events(
         raise MisalignedInput(
             f"smoothed derivative length {smoothed.size} != series length {len(series)}"
         )
-    for earlier, later in zip(candidates, candidates[1:]):
-        if later.index <= earlier.index:
-            raise MisalignedInput("candidates must be in strictly increasing index order")
+    indices = np.array([e.index for e in candidates], dtype=np.int64)
+    if np.any(np.diff(indices) <= 0):
+        raise MisalignedInput("candidates must be in strictly increasing index order")
     if candidates and candidates[-1].index >= len(series):
         raise MisalignedInput("candidate index exceeds series length")
 
     if not candidates:
         return []
-    rate = series.sampling_rate_hz
-    settled = np.abs(smoothed) < config.derivative_epsilon
-    survivors = [candidates[0]]
-    for previous, current in zip(candidates, candidates[1:]):
-        gap = settled[previous.index + 1 : current.index]
-        if _longest_true_run(gap) / rate > config.settle_threshold_s:
-            survivors.append(current)
-    return survivors
+    first = indices[0]
+    settled = np.abs(smoothed[first : indices[-1] + 1]) < config.derivative_epsilon
+    settled[indices - first] = False
+    # Both ends of the span are candidates, so every run starts and ends inside it.
+    edges = np.flatnonzero(np.diff(settled.view(np.int8))) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    gaps = np.searchsorted(indices, starts + first) - 1
+    longest = np.zeros(indices.size - 1, dtype=np.int64)
+    np.maximum.at(longest, gaps, ends - starts)
+    separate = longest / series.sampling_rate_hz > config.settle_threshold_s
+    return [candidates[0]] + [candidates[k + 1] for k in np.flatnonzero(separate)]

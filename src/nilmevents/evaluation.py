@@ -11,6 +11,7 @@ before matching.  The rates are defined by :class:`EvaluationReport`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -53,6 +54,14 @@ def coalesce_simultaneous(log: GroundTruthLog) -> GroundTruthLog:
     return GroundTruthLog(entries=tuple(merged))
 
 
+def _find(parent: list[int], k: int) -> int:
+    """Root of ``k`` in a pointer forest, halving the path on the way."""
+    while parent[k] != k:
+        parent[k] = parent[parent[k]]
+        k = parent[k]
+    return k
+
+
 def match_events(
     detections: Sequence[DetectedEvent],
     truth: GroundTruthLog,
@@ -65,6 +74,14 @@ def match_events(
     ``tolerance_s``.  Equal distances resolve to the detection earlier in
     ``detections``, so with detections in time order the earlier one
     wins.
+
+    The detections are stably sorted by time once.  For each entry a
+    binary search finds its place, and two pointer forests skip claimed
+    detections to the nearest unclaimed one on either side.  Since
+    ``fl(det - truth)`` is monotone in ``det``, the nearest candidates
+    lie next to that place; only detections at exactly the same distance
+    are compared by position.  The cost is O((D + T) log D) for D
+    detections and T entries, against O(D * T) for a full scan per entry.
 
     Returns
     -------
@@ -81,20 +98,52 @@ def match_events(
     """
     if not math.isfinite(tolerance_s) or tolerance_s <= 0:
         raise NegativeTolerance(f"tolerance_s must be positive, got {tolerance_s}")
+    stamps = [event.timestamp_s for event in detections]
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    times = [stamps[pos] for pos in order]
+    size = len(times)
+    # Slots k with equal times form one group [group_start[k], group_end[k]).
+    group_start = list(range(size))
+    for k in range(1, size):
+        if times[k] == times[k - 1]:
+            group_start[k] = group_start[k - 1]
+    group_end = [size] * size
+    for k in range(size - 2, -1, -1):
+        group_end[k] = group_end[k + 1] if times[k] == times[k + 1] else k + 1
+    # _find(upward, k) is the first unclaimed slot >= k (size if none);
+    # _find(downward, k + 1) - 1 is the last unclaimed slot <= k (-1 if none).
+    upward = list(range(size + 1))
+    downward = list(range(size + 1))
+
     pairs: list[tuple[int, int]] = []
-    claimed = [False] * len(detections)
     for truth_pos, entry in enumerate(truth):
-        best_pos = -1
-        best_distance = math.inf
-        for det_pos, event in enumerate(detections):
-            if claimed[det_pos]:
-                continue
-            distance = abs(event.timestamp_s - entry.timestamp_s)
-            if distance < best_distance:
-                best_pos, best_distance = det_pos, distance
-        if best_pos >= 0 and best_distance <= tolerance_s:
-            claimed[best_pos] = True
-            pairs.append((best_pos, truth_pos))
+        t = entry.timestamp_s
+        split = bisect.bisect_left(times, t)
+        right = _find(upward, split)
+        left = _find(downward, split) - 1
+        right_distance = abs(times[right] - t) if right < size else math.inf
+        left_distance = abs(times[left] - t) if left >= 0 else math.inf
+        best_distance = min(right_distance, left_distance)
+        if not best_distance <= tolerance_s:
+            continue
+        # Every group at best_distance offers its first unclaimed slot,
+        # which holds the group's smallest unclaimed position.
+        best_slot = -1
+        slot = right
+        while slot < size and abs(times[slot] - t) == best_distance:
+            first = _find(upward, group_start[slot])
+            if best_slot < 0 or order[first] < order[best_slot]:
+                best_slot = first
+            slot = _find(upward, group_end[slot])
+        slot = left
+        while slot >= 0 and abs(times[slot] - t) == best_distance:
+            first = _find(upward, group_start[slot])
+            if best_slot < 0 or order[first] < order[best_slot]:
+                best_slot = first
+            slot = _find(downward, group_start[slot]) - 1
+        upward[best_slot] = best_slot + 1
+        downward[best_slot + 1] = best_slot
+        pairs.append((order[best_slot], truth_pos))
     tp = len(pairs)
     return tp, len(detections) - tp, len(truth) - tp, pairs
 

@@ -102,6 +102,29 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
     return out
 
 
+def _nearest_distance(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``min(abs(sorted_values - q))`` for every query, from its two neighbours.
+
+    ``fl(v - q)`` is monotone in ``v``, so the minimum over the whole array
+    is attained at the nearest value on one side of ``q`` or the other.
+    With no values at all, every distance is infinite.
+    """
+    if sorted_values.size == 0:
+        return np.full(queries.shape, np.inf)
+    above = np.searchsorted(sorted_values, queries)
+    below = np.maximum(above - 1, 0)
+    above = np.minimum(above, sorted_values.size - 1)
+    return np.minimum(
+        np.abs(sorted_values[above] - queries), np.abs(sorted_values[below] - queries)
+    )
+
+
+def _first_outside(indices: np.ndarray, size: int) -> int | None:
+    """Position of the first index outside ``[0, size)``, if any."""
+    outside = np.flatnonzero((indices < 0) | (indices >= size))
+    return int(outside[0]) if outside.size else None
+
+
 def refilter_events_with_verdicts(
     series: SampleSeries,
     candidates: list[DetectedEvent],
@@ -115,16 +138,18 @@ def refilter_events_with_verdicts(
     after the first turn-on candidate, the refilter does not trigger: the
     candidates come back unchanged and the verdict list is empty.
     """
-    for extremum in extrema:
-        if not 0 <= extremum.index < len(series):
-            raise MisalignedInput(
-                f"extremum index {extremum.index} outside series of length {len(series)}"
-            )
-    for event in candidates:
-        if not 0 <= event.index < len(series):
-            raise MisalignedInput(
-                f"candidate index {event.index} outside series of length {len(series)}"
-            )
+    extremum_indices = np.array([e.index for e in extrema], dtype=np.int64)
+    bad = _first_outside(extremum_indices, len(series))
+    if bad is not None:
+        raise MisalignedInput(
+            f"extremum index {extrema[bad].index} outside series of length {len(series)}"
+        )
+    candidate_indices = np.array([e.index for e in candidates], dtype=np.int64)
+    bad = _first_outside(candidate_indices, len(series))
+    if bad is not None:
+        raise MisalignedInput(
+            f"candidate index {candidates[bad].index} outside series of length {len(series)}"
+        )
     if not candidates:
         return [], []
 
@@ -141,21 +166,19 @@ def refilter_events_with_verdicts(
         series.start_time_s,
     )
     redetected = detect_base(filtered, config)
-    re_times = np.array([e.timestamp_s for e in redetected], dtype=float)
-    extremum_indices = np.array(sorted(e.index for e in extrema), dtype=int)
+    re_times = np.sort(np.array([e.timestamp_s for e in redetected], dtype=float))
     guard_radius = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
+
+    times = np.array([e.timestamp_s for e in candidates], dtype=float)
+    confirmed = _nearest_distance(re_times, times) <= config.eval_match_tolerance_s
+    guarded = _nearest_distance(np.sort(extremum_indices), candidate_indices) <= guard_radius
 
     survivors: list[DetectedEvent] = []
     verdicts: list[FilterVerdict] = []
-    for event in candidates:
-        confirmed = re_times.size > 0 and bool(
-            np.min(np.abs(re_times - event.timestamp_s)) <= config.eval_match_tolerance_s
-        )
-        if confirmed:
+    for event, is_confirmed, is_guarded in zip(candidates, confirmed.tolist(), guarded.tolist()):
+        if is_confirmed:
             reason = FilterReason.SURVIVED_REFILTER
-        elif extremum_indices.size > 0 and bool(
-            np.min(np.abs(extremum_indices - event.index)) <= guard_radius
-        ):
+        elif is_guarded:
             reason = FilterReason.PROTECTED_BY_EXTREMUM
         else:
             reason = FilterReason.REMOVED_AS_FLUCTUATION

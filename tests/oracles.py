@@ -15,6 +15,7 @@ equality for the discrete operators.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -269,22 +270,51 @@ def oracle_lld(
 
 def oracle_match(
     detected_times: list[float], truth_times: list[float], tolerance_s: float
-) -> tuple[int, int, int]:
-    """Greedy nearest-unclaimed matching in truth order; returns (tp, fp, fn)."""
+) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """Greedy nearest-unclaimed matching in truth order, by full scan.
+
+    Every truth entry scans all detections; a strictly smaller distance
+    replaces the best so far, so ties go to the smaller detection
+    position.  Returns ``(tp, fp, fn, matches)`` with ``matches`` as
+    ``(detection_position, truth_position)`` pairs in truth order.
+    """
+    pairs = []
     claimed = [False] * len(detected_times)
-    tp = 0
-    for truth in truth_times:
-        best = None
-        best_distance = None
-        for j, det in enumerate(detected_times):
-            if claimed[j]:
+    for truth_pos, truth in enumerate(truth_times):
+        best_pos = -1
+        best_distance = math.inf
+        for det_pos, det in enumerate(detected_times):
+            if claimed[det_pos]:
                 continue
             distance = abs(det - truth)
-            if best_distance is None or distance < best_distance:
-                best, best_distance = j, distance
-        if best is not None and best_distance <= tolerance_s:
-            claimed[best] = True
-            tp += 1
-    fp = len(detected_times) - tp
-    fn = len(truth_times) - tp
-    return tp, fp, fn
+            if distance < best_distance:
+                best_pos, best_distance = det_pos, distance
+        if best_pos >= 0 and best_distance <= tolerance_s:
+            claimed[best_pos] = True
+            pairs.append((best_pos, truth_pos))
+    tp = len(pairs)
+    return tp, len(detected_times) - tp, len(truth_times) - tp, pairs
+
+
+def oracle_refilter_verdicts(
+    candidates: list[tuple[int, float]],
+    re_times: list[float],
+    extremum_indices: list[int],
+    tolerance_s: float,
+    guard_radius: int,
+) -> list[str]:
+    """Refilter reason per ``(index, time)`` candidate, by full scans.
+
+    A candidate within ``tolerance_s`` of any re-detection survives;
+    otherwise one within ``guard_radius`` samples of any extremum is
+    protected; otherwise it is removed.
+    """
+    reasons = []
+    for index, time in candidates:
+        if any(abs(r - time) <= tolerance_s for r in re_times):
+            reasons.append("survived_refilter")
+        elif any(abs(g - index) <= guard_radius for g in extremum_indices):
+            reasons.append("protected_by_extremum")
+        else:
+            reasons.append("removed_as_fluctuation")
+    return reasons

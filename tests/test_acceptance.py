@@ -21,7 +21,10 @@ import pytest
 from nilmevents import (
     ApplianceSpec,
     CusumVariant,
+    DetectedEvent,
     EvaluationReport,
+    GroundTruthEntry,
+    GroundTruthLog,
     LldConfig,
     SampleSeries,
     ScenarioSpec,
@@ -152,6 +155,26 @@ def test_kitchen_replica_rejects_fluctuation_bursts_exactly() -> None:
         assert report.ground_truth_count == 6
         assert (report.tp, report.fp, report.fn) == (6, 0, 0)
         assert len(run.result.events) == 6
+
+
+def test_evaluating_a_hundred_thousand_events_stays_within_budget() -> None:
+    with criterion("100k detections against 100k reference entries: under 10 s"):
+        rng = np.random.default_rng(11)
+        truth_times = np.cumsum(rng.exponential(2.0, 100_000))
+        detected_times = truth_times + rng.normal(0.0, 0.6, truth_times.size)
+        log = GroundTruthLog(
+            entries=tuple(GroundTruthEntry(float(t), "load") for t in truth_times)
+        )
+        detections = [
+            DetectedEvent(index=i, timestamp_s=float(t), delta_watts=100.0)
+            for i, t in enumerate(detected_times)
+        ]
+        started = time.perf_counter()
+        report = evaluate_detections(detections, log, tolerance_s=1.0)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0
+        assert report.tp + report.fn == 100_000
+        assert report.tp > 80_000
 
 
 def test_rate_arithmetic_matches_worked_examples() -> None:

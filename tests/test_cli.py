@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +205,19 @@ def test_usage_errors_exit_with_code_one(tmp_path: Path, capsys) -> None:
     trace, _ = render_scenario("rangehood", tmp_path)
     assert cli_main(["detect", str(trace), "--sg-window", "many"]) == 1
     capsys.readouterr()
+
+
+def test_readme_cli_example_runs_as_written(tmp_path: Path, monkeypatch, capsys) -> None:
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines
+    shutil.copytree(SCENARIO_DIR, tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        program, *args = shlex.split(line)
+        assert program == "nilmevents"
+        assert cli_main(args) == 0, (line, capsys.readouterr().err)
 
 
 def test_help_and_version_exit_cleanly(capsys) -> None:

@@ -168,10 +168,10 @@ def test_candidates_on_one_unsettled_transient_collapse_to_the_first() -> None:
 
 
 def test_settled_run_must_exceed_the_settle_threshold() -> None:
-    # 1.95 s of calm between the candidates is not enough at Th = 2 s;
-    # 2.05 s is.
+    # 1.95 s of calm between the candidates is not enough at Th = 2 s,
+    # nor is exactly 2 s (the comparison is strict); 2.05 s is.
     series = series_at_20hz(np.zeros(300))
-    for calm_samples, expected in ((39, [50]), (41, [50, 150])):
+    for calm_samples, expected in ((39, [50]), (40, [50]), (41, [50, 150])):
         smoothed = np.full(300, 1.0)
         smoothed[60 : 60 + calm_samples] = 0.0
         survivors = merge_transient_events(
@@ -194,6 +194,32 @@ def test_merge_input_validation() -> None:
         merge_transient_events(events_at([5, 100], series), np.zeros(100), series, HybridConfig())
 
 
+@st.composite
+def settled_run_cases(draw) -> tuple[list[int], np.ndarray]:
+    """Settled runs near the 40-sample threshold, with candidates at their edges.
+
+    Run lengths include exactly 40 samples (2.0 s at 20 Hz, which must
+    not separate) and 41.  Either end of the trace may be settled, and
+    candidates sit on run boundaries, one sample either side of them, at
+    the trace ends, or right next to another candidate.
+    """
+    lengths = draw(st.lists(st.sampled_from([1, 2, 39, 40, 41, 42, 60]), min_size=1, max_size=8))
+    settled = draw(st.booleans())
+    values: list[float] = []
+    for length in lengths:
+        values += [0.0 if settled else 1.4] * length
+        settled = not settled
+    tail = 0.0 if draw(st.booleans()) else 1.4
+    smoothed = np.array((values + [tail] * 200)[:200])
+    edges = np.cumsum([0] + lengths)
+    near_edges = sorted({int(e) + d for e in edges for d in (-1, 0, 1) if 0 <= e + d < 200})
+    spots = st.sampled_from(near_edges + [0, 199]) | st.integers(min_value=0, max_value=199)
+    chosen = draw(st.lists(spots, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        chosen += [i + 1 for i in chosen if i < 199]
+    return sorted(set(chosen)), smoothed
+
+
 merge_cases = st.tuples(
     st.lists(st.integers(min_value=0, max_value=199), unique=True, min_size=1, max_size=8).map(
         sorted
@@ -201,7 +227,7 @@ merge_cases = st.tuples(
     st.lists(
         st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.7, 1.4, -1.0]), min_size=200, max_size=200
     ).map(np.array),
-)
+) | settled_run_cases()
 
 
 @given(merge_cases)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilmevents import (
@@ -115,10 +115,33 @@ def test_match_counts_agree_with_oracle(
     detected: list[float], truths: list[float], tolerance: float
 ) -> None:
     tp, fp, fn, pairs = match_events(detections_at(detected), truth_at(truths), tolerance)
-    assert (tp, fp, fn) == oracle_match(detected, truths, tolerance)
+    assert (tp, fp, fn, pairs) == oracle_match(detected, truths, tolerance)
     assert len(pairs) == tp
     assert len(set(d for d, _ in pairs)) == tp
     assert len(set(t for _, t in pairs)) == tp
+
+
+# Times on a quarter-second grid give exact distance ties and shared
+# timestamps; the tiny values next to zero give ties between different
+# times, because ``fl(det - truth)`` rounds them to the same distance.
+tie_prone_times = st.sampled_from(
+    [0.0, 1e-20, 2e-20, -1e-20, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 5.0]
+)
+
+
+@given(
+    st.lists(tie_prone_times, max_size=30),
+    st.lists(tie_prone_times, max_size=30).map(sorted),
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 10.0]),
+)
+# 0.5 - 1e-20 and 0.5 - 2e-20 both round to 0.5: position 0 must win either way.
+@example([1e-20, 2e-20], [0.5], 1.0)
+@example([2e-20, 1e-20], [0.5], 1.0)
+def test_match_agrees_with_the_full_scan_on_ties_clusters_and_unsorted_input(
+    detected: list[float], truths: list[float], tolerance: float
+) -> None:
+    result = match_events(detections_at(detected), truth_at(truths), tolerance)
+    assert result == oracle_match(detected, truths, tolerance)
 
 
 @given(

@@ -29,9 +29,15 @@ from nilmevents import (
     loess_smooth,
     refilter_events_with_verdicts,
     savitzky_golay,
+    seconds_to_samples,
 )
 
-from oracles import oracle_base_events, oracle_savgol, oracle_savgol_exact
+from oracles import (
+    oracle_base_events,
+    oracle_refilter_verdicts,
+    oracle_savgol,
+    oracle_savgol_exact,
+)
 
 float_traces = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), min_size=9, max_size=120
@@ -265,6 +271,64 @@ def test_refilter_output_is_a_subset_with_consistent_verdicts(indices: list[int]
         if verdict.reason is FilterReason.REMOVED_AS_FLUCTUATION:
             assert not verdict.kept
     assert [v.event_index for v in verdicts if v.kept] == [e.index for e in survivors]
+
+
+def refilter_trace(stepped: bool) -> np.ndarray:
+    """60 s at 20 Hz, above the trigger throughout once switched on.
+
+    The stepped trace goes 0 -> 1.5 kW -> 3 kW -> 1.5 kW and is re-detected
+    at each step; the flat 1.5 kW trace has no re-detection at all.
+    """
+    t = np.arange(1200) / 20.0
+    if not stepped:
+        return np.full(t.size, 1500.0)
+    return np.select([t < 10.0, t < 30.0, t < 45.0], [0.0, 1500.0, 3000.0], 1500.0)
+
+
+@given(st.data())
+def test_refilter_verdicts_agree_with_full_scans(data) -> None:
+    config = HybridConfig()
+    tolerance = config.eval_match_tolerance_s
+    guard = seconds_to_samples(config.time_limit_s, 20.0)
+    stepped = data.draw(st.booleans())
+    series = series_at_20hz(refilter_trace(stepped))
+    smoothed = series_at_20hz(
+        savitzky_golay(series.values, config.sg_window_samples, config.sg_poly_order)
+    )
+    re_times = [e.timestamp_s for e in detect_base(smoothed, config)]
+    assert bool(re_times) == stepped
+    # Candidates sit exactly at the tolerance from a re-detection, or one
+    # ulp either side of it, and exactly at or one past the guard radius
+    # from an extremum; the extremum list may be empty.
+    extremum_indices = data.draw(st.lists(st.integers(0, 1199), max_size=6))
+    at_tolerance = [
+        float(edge)
+        for r in re_times
+        for bound in (r - tolerance, r + tolerance)
+        for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+    ]
+    at_guard = [
+        g + d
+        for g in extremum_indices
+        for d in (-guard - 1, -guard, 0, guard, guard + 1)
+        if 0 <= g + d < 1200
+    ]
+    times = st.floats(0.0, 60.0)
+    if at_tolerance:
+        times = st.sampled_from(at_tolerance) | times
+    indices = st.integers(0, 1199)
+    if at_guard:
+        indices = st.sampled_from(at_guard) | indices
+    specs = data.draw(st.lists(st.tuples(indices, times), min_size=1, max_size=10))
+    candidates = [DetectedEvent(index=i, timestamp_s=t, delta_watts=50.0) for i, t in specs]
+    extrema = [Extremum(index=g, kind=ExtremumKind.PEAK, value=1.0) for g in extremum_indices]
+    survivors, verdicts = refilter_events_with_verdicts(series, candidates, extrema, config)
+    expected = oracle_refilter_verdicts(specs, re_times, extremum_indices, tolerance, guard)
+    assert [v.reason.value for v in verdicts] == expected
+    assert [v.event_index for v in verdicts] == [i for i, _ in specs]
+    kept = [c for c, reason in zip(candidates, expected) if reason != "removed_as_fluctuation"]
+    assert len(survivors) == len(kept)
+    assert all(s is k for s, k in zip(survivors, kept))
 
 
 def test_kitchen_replica_removes_fluctuation_alarms_only() -> None:
