@@ -18,7 +18,7 @@ and an evaluation harness.
 [9.7]
 """
 
-from .base import detect_base
+from .base import MagnitudeTooLarge, detect_base
 from .baselines import (
     CusumVariant,
     LldConfig,
@@ -31,6 +31,7 @@ from .core import (
     DetectionError,
     EmptySeries,
     EvaluationReport,
+    Events,
     GroundTruthEntry,
     GroundTruthLog,
     HybridConfig,
@@ -47,8 +48,6 @@ from .core import (
     validate_series,
 )
 from .derivative import (
-    Extremum,
-    ExtremumKind,
     InvalidWindow,
     detect_extrema,
     first_derivative,
@@ -64,6 +63,7 @@ from .evaluation import (
 from .filtering import (
     FilterReason,
     FilterVerdict,
+    FilterVerdicts,
     OrderTooHigh,
     refilter_events_with_verdicts,
     savitzky_golay,
@@ -99,6 +99,7 @@ __all__ = [
     # core data model
     "SampleSeries",
     "DetectedEvent",
+    "Events",
     "HybridConfig",
     "GroundTruthEntry",
     "GroundTruthLog",
@@ -112,6 +113,7 @@ __all__ = [
     "NonPositiveDuration",
     "NonFiniteValue",
     "SeriesTooShort",
+    "MagnitudeTooLarge",
     "MisalignedInput",
     "UnsortedInput",
     "InvalidWindow",
@@ -130,13 +132,12 @@ __all__ = [
     "loess_smooth",
     "smoothed_derivative",
     "detect_extrema",
-    "Extremum",
-    "ExtremumKind",
     "merge_transient_events",
     "savitzky_golay",
     "refilter_events_with_verdicts",
     "FilterReason",
     "FilterVerdict",
+    "FilterVerdicts",
     "detect_hybrid",
     "PipelineResult",
     "StageCounts",

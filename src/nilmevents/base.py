@@ -7,6 +7,12 @@ raised where the absolute mean difference exceeds the power threshold,
 and alarms are clustered so that one transition emits a single event:
 after an event is emitted, further alarms are suppressed until more than
 ``time_limit_s`` has passed.
+
+The detector works on arrays throughout and returns :class:`Events`;
+the only Python loop is the time-limit emission over the alarm times.
+Window sums are differences of one cumulative sum, whose rounding error
+grows with the trace's magnitude times its length, so a trace where that
+error could reach the threshold is refused with :class:`MagnitudeTooLarge`.
 """
 
 from __future__ import annotations
@@ -14,14 +20,39 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    DetectedEvent,
+    DetectionError,
+    Events,
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
     validate_series,
 )
 
-__all__ = ["detect_base"]
+__all__ = ["MagnitudeTooLarge", "detect_base"]
+
+
+class MagnitudeTooLarge(DetectionError):
+    """A trace's magnitude is too large for its window sums to resolve the threshold."""
+
+
+def _check_sum_resolution(values: np.ndarray, threshold_watts: float) -> None:
+    """Refuse traces where cumulative-sum rounding could reach ``threshold_watts``.
+
+    Every partial sum of ``len(x)`` samples carries a rounding error of up
+    to about ``max|x| * len(x) * eps``, and a window mean difference
+    inherits it, so at or above the threshold an alarm may be spurious or
+    a real step lost.  ``max|x|`` is taken as ``max(x.max(), -x.min())``,
+    which builds no full-length temporary.
+    """
+    peak = max(float(values.max()), -float(values.min()))
+    eps = float(np.finfo(float).eps)
+    bound = peak * values.size * eps
+    if bound >= threshold_watts:
+        raise MagnitudeTooLarge(
+            f"max |x| * len(x) * eps = {peak:.6g} * {values.size} * {eps:.6g} = "
+            f"{bound:.6g} W reaches the power threshold {threshold_watts:.6g} W; "
+            "the window sums cannot resolve it"
+        )
 
 
 def _window_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,7 +83,7 @@ def _mean_difference_profile(values: np.ndarray, n: int) -> np.ndarray:
     return (after_sums - before_sums) / n
 
 
-def detect_base(series: SampleSeries, config: HybridConfig) -> list[DetectedEvent]:
+def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     """Detect state transitions by thresholded mean change.
 
     Parameters
@@ -65,18 +96,22 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> list[DetectedEven
 
     Returns
     -------
-    list of DetectedEvent
+    Events
         Events in increasing index order, every consecutive pair
         separated by more than ``time_limit_s``.  Each event carries the
         mean difference observed at its own index, so one physical
         transition that alarms over several samples is reported once, at
-        the first alarming index.
+        the first alarming index.  Timestamps are
+        ``start_time_s + index / sampling_rate_hz``, as
+        :meth:`SampleSeries.time_at` computes them.
 
     Raises
     ------
     SeriesTooShort
         If the series cannot hold one before window, one center sample
         and one after window.
+    MagnitudeTooLarge
+        If ``max|x| * len(x) * eps`` reaches ``power_threshold_watts``.
     """
     series = validate_series(series)
     n = config.mean_window_samples(series.sampling_rate_hz)
@@ -84,21 +119,20 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> list[DetectedEven
         raise SeriesTooShort(
             f"need at least {2 * n + 1} samples for window {n}, got {len(series)}"
         )
+    _check_sum_resolution(series.values, config.power_threshold_watts)
     diffs = _mean_difference_profile(series.values, n)
     alarm_positions = np.flatnonzero(np.abs(diffs) > config.power_threshold_watts)
+    alarm_indices = alarm_positions + n
+    alarm_times = series.start_time_s + alarm_indices / series.sampling_rate_hz
 
-    events: list[DetectedEvent] = []
+    # Sequential on purpose: whether an alarm is emitted depends on the
+    # last emitted one, and ``t - last > limit`` is not the same test as
+    # ``t > last + limit`` in floating point.
+    emitted: list[int] = []
     last_time = -np.inf
-    for pos in alarm_positions:
-        index = n + int(pos)
-        timestamp = series.time_at(index)
+    for k, timestamp in enumerate(alarm_times.tolist()):
         if timestamp - last_time > config.time_limit_s:
-            events.append(
-                DetectedEvent(
-                    index=index,
-                    timestamp_s=timestamp,
-                    delta_watts=float(diffs[pos]),
-                )
-            )
+            emitted.append(k)
             last_time = timestamp
-    return events
+    keep = np.array(emitted, dtype=np.int64)
+    return Events(alarm_indices[keep], alarm_times[keep], diffs[alarm_positions[keep]])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import _window_sums
+from .base import _check_sum_resolution, _window_sums
 from .core import (
     DetectedEvent,
     DetectionError,
@@ -141,7 +141,9 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
     ``maxima_precision_samples`` of ``i``, so reported events are always
     separated by more than that many samples.
 
-    Events carry ``mu1 - mu0`` as their delta.
+    Events carry ``mu1 - mu0`` as their delta.  Like :func:`detect_base`,
+    it raises :class:`~nilmevents.base.MagnitudeTooLarge` when
+    ``max|x| * len(x) * eps`` reaches ``power_threshold_watts``.
     """
     series = validate_series(series)
     pw = config.pre_window_samples
@@ -150,6 +152,7 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
             f"need at least {2 * pw + 1} samples for pre-window {pw}, got {len(series)}"
         )
     x = series.values
+    _check_sum_resolution(x, config.power_threshold_watts)
     sigma_sq = config.sigma_sq
     if sigma_sq is None:
         sigma_sq = float(np.var(x[:pw]))

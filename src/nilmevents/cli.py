@@ -97,15 +97,15 @@ def _emit_stage_files(
         out / "derivative.csv",
         SampleSeries(first_derivative(series.values), rate, start),
     )
-    write_trace(
-        out / "smoothed_derivative.csv",
-        SampleSeries(smoothed_derivative(series, config), rate, start),
-    )
+    smoothed = smoothed_derivative(series, config)
+    write_trace(out / "smoothed_derivative.csv", SampleSeries(smoothed, rate, start))
     with open(out / "extrema.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", "kind", "value"])
-        for extremum in result.extrema:
-            writer.writerow([extremum.index, extremum.kind.name, f"{extremum.value:.6f}"])
+        for index in result.extrema.tolist():
+            value = smoothed[index]
+            kind = "PEAK" if value > smoothed[index - 1] else "VALLEY"
+            writer.writerow([index, kind, f"{value:.6f}"])
     write_events(out / "events_base.csv", result.base_events)
     write_events(out / "events_merged.csv", result.merged_events)
     write_events(out / "events_final.csv", result.events)

@@ -3,7 +3,10 @@
 A trace is a uniformly sampled sequence of aggregate power readings in
 watts.  Detectors report state-transition events as sample indices plus
 timestamps, and every tunable quantity lives in :class:`HybridConfig` so
-that a single frozen object describes one detection run.  Durations are
+that a single frozen object describes one detection run.  Between
+pipeline stages events travel as :class:`Events`, three parallel arrays
+validated once; a :class:`DetectedEvent` is a view of one of them, built
+only where a caller reads events one at a time.  Durations are
 configured in seconds and converted to sample counts at the configured
 sampling rate via :func:`seconds_to_samples`.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "ZeroGroundTruth",
     "SampleSeries",
     "DetectedEvent",
+    "Events",
     "HybridConfig",
     "GroundTruthEntry",
     "GroundTruthLog",
@@ -149,6 +154,8 @@ class DetectedEvent:
     the emitting detector's alarm index; its sign distinguishes turn-on
     from turn-off transitions.  An event carries no stage tag: its stage
     is the :class:`~nilmevents.pipeline.PipelineResult` list that holds it.
+    The stages pass :class:`Events` arrays; a ``DetectedEvent`` is the view
+    of one position, built where a caller reads events one at a time.
     """
 
     index: int
@@ -162,6 +169,77 @@ class DetectedEvent:
             raise NonFiniteValue(f"event timestamp must be finite, got {self.timestamp_s}")
         if not math.isfinite(self.delta_watts):
             raise NonFiniteValue(f"event delta must be finite, got {self.delta_watts}")
+
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Detected events as three parallel arrays, in the order given.
+
+    ``indices`` (int64), ``timestamps_s`` and ``deltas_watts`` (float64)
+    describe one event per position and are checked once, vectorised,
+    with the same rules and errors as :class:`DetectedEvent`.  ``len()``
+    is the event count; iterating, or indexing with an integer, yields
+    :class:`DetectedEvent` views, while indexing with a slice, a mask or
+    an array of positions yields another :class:`Events`.  Two
+    :class:`Events` are equal when all three arrays are.
+    """
+
+    indices: np.ndarray
+    timestamps_s: np.ndarray
+    deltas_watts: np.ndarray
+
+    def __post_init__(self) -> None:
+        indices = np.asarray(self.indices, dtype=np.int64)
+        timestamps = np.asarray(self.timestamps_s, dtype=float)
+        deltas = np.asarray(self.deltas_watts, dtype=float)
+        if not indices.ndim == timestamps.ndim == deltas.ndim == 1:
+            raise DetectionError("event arrays must be one-dimensional")
+        if not indices.size == timestamps.size == deltas.size:
+            raise MisalignedInput(
+                "event arrays differ in length: "
+                f"{indices.size} / {timestamps.size} / {deltas.size}"
+            )
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "timestamps_s", timestamps)
+        object.__setattr__(self, "deltas_watts", deltas)
+        negative = np.flatnonzero(indices < 0)
+        if negative.size:
+            raise DetectionError(f"event index must be >= 0, got {indices[negative[0]]}")
+        bad = np.flatnonzero(~np.isfinite(timestamps))
+        if bad.size:
+            raise NonFiniteValue(f"event timestamp must be finite, got {timestamps[bad[0]]}")
+        bad = np.flatnonzero(~np.isfinite(deltas))
+        if bad.size:
+            raise NonFiniteValue(f"event delta must be finite, got {deltas[bad[0]]}")
+
+    def __len__(self) -> int:
+        return self.indices.size
+
+    def __iter__(self) -> Iterator[DetectedEvent]:
+        return map(
+            DetectedEvent,
+            self.indices.tolist(),
+            self.timestamps_s.tolist(),
+            self.deltas_watts.tolist(),
+        )
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return DetectedEvent(
+                int(self.indices[key]),
+                float(self.timestamps_s[key]),
+                float(self.deltas_watts[key]),
+            )
+        return Events(self.indices[key], self.timestamps_s[key], self.deltas_watts[key])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Events):
+            return NotImplemented
+        return (
+            np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.timestamps_s, other.timestamps_s)
+            and np.array_equal(self.deltas_watts, other.deltas_watts)
+        )
 
 
 @dataclass(frozen=True)

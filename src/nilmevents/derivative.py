@@ -8,18 +8,18 @@ of the trace: a transition is only considered finished once the absolute
 smoothed derivative stays below a small epsilon for longer than a settle
 threshold.  Consecutive events with no such settled gap between them are
 merged into the earliest event of their group.
+
+Extrema come back as an index array and the merge as positions into its
+candidates, so no per-extremum or per-event object is built here.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
-    DetectedEvent,
     DetectionError,
+    Events,
     HybridConfig,
     MisalignedInput,
     SampleSeries,
@@ -28,8 +28,6 @@ from .core import (
 
 __all__ = [
     "InvalidWindow",
-    "ExtremumKind",
-    "Extremum",
     "first_derivative",
     "loess_smooth",
     "detect_extrema",
@@ -49,20 +47,6 @@ def _checked_window(window_samples: int, size: int) -> int:
     if win > size:
         raise InvalidWindow(f"window {win} exceeds series length {size}")
     return win
-
-
-class ExtremumKind(enum.Enum):
-    PEAK = "peak"
-    VALLEY = "valley"
-
-
-@dataclass(frozen=True)
-class Extremum:
-    """Strict local peak or valley of a derivative trace."""
-
-    index: int
-    kind: ExtremumKind
-    value: float
 
 
 def first_derivative(values: np.ndarray) -> np.ndarray:
@@ -129,14 +113,18 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     return out
 
 
-def detect_extrema(values: np.ndarray, min_abs_value: float | None = None) -> list[Extremum]:
-    """Strict interior peaks and valleys of a sequence.
+def detect_extrema(values: np.ndarray, min_abs_value: float | None = None) -> np.ndarray:
+    """Indices of the strict interior peaks and valleys of a sequence.
 
     A peak at ``i`` requires ``values[i] > values[i-1]`` and
     ``values[i] > values[i+1]``; valleys are symmetric.  End points are
     never extrema.  With ``min_abs_value`` set, extrema whose absolute
     value does not exceed it are dropped, which separates significant
-    transient lobes from noise-level wiggle.
+    transient lobes from noise-level wiggle.  The threshold is applied
+    first, and neighbours are compared only where a sample passes it.
+
+    Returns an increasing int64 array; a peak is told from a valley by
+    comparing ``values[i]`` with ``values[i-1]``.
 
     Raises
     ------
@@ -146,27 +134,24 @@ def detect_extrema(values: np.ndarray, min_abs_value: float | None = None) -> li
     x = np.asarray(values, dtype=float)
     if x.size < 3:
         raise SeriesTooShort(f"extremum detection needs >= 3 values, got {x.size}")
-    left = x[1:-1] - x[:-2]
-    right = x[1:-1] - x[2:]
-    peaks = (left > 0) & (right > 0)
-    valleys = (left < 0) & (right < 0)
-    keep = peaks | valleys
-    if min_abs_value is not None:
-        keep &= np.abs(x[1:-1]) > min_abs_value
-    found = []
-    for offset in np.flatnonzero(keep):
-        i = int(offset) + 1
-        kind = ExtremumKind.PEAK if peaks[offset] else ExtremumKind.VALLEY
-        found.append(Extremum(index=i, kind=kind, value=float(x[i])))
-    return found
+    if min_abs_value is None:
+        candidates = np.arange(1, x.size - 1, dtype=np.int64)
+    else:
+        inner = x[1:-1]
+        # |v| > m as two comparisons, with no full-length float temporary.
+        passing = (inner > min_abs_value) | (inner < -min_abs_value)
+        candidates = np.flatnonzero(passing).astype(np.int64, copy=False) + 1
+    value, before, after = x[candidates], x[candidates - 1], x[candidates + 1]
+    strict = ((value > before) & (value > after)) | ((value < before) & (value < after))
+    return candidates[strict]
 
 
 def merge_transient_events(
-    candidates: list[DetectedEvent],
+    candidates: Events,
     smoothed_derivative: np.ndarray,
     series: SampleSeries,
     config: HybridConfig,
-) -> list[DetectedEvent]:
+) -> np.ndarray:
     """Collapse events that sit on one continuing transient.
 
     Two consecutive candidates are separate transitions only if the
@@ -183,22 +168,22 @@ def merge_transient_events(
     O(S + C log C) for S samples in that span and C candidates, with no
     per-pair loop.
 
-    Returns the surviving candidate objects themselves, in order; no
-    event is ever added, moved or copied.
+    Returns the increasing int64 positions, into ``candidates``, of the
+    events that survive; ``candidates[positions]`` are the merged events.
     """
     smoothed = np.asarray(smoothed_derivative, dtype=float)
     if smoothed.size != len(series):
         raise MisalignedInput(
             f"smoothed derivative length {smoothed.size} != series length {len(series)}"
         )
-    indices = np.array([e.index for e in candidates], dtype=np.int64)
+    indices = candidates.indices
     if np.any(np.diff(indices) <= 0):
         raise MisalignedInput("candidates must be in strictly increasing index order")
-    if candidates and candidates[-1].index >= len(series):
+    if indices.size and indices[-1] >= len(series):
         raise MisalignedInput("candidate index exceeds series length")
 
-    if not candidates:
-        return []
+    if not indices.size:
+        return np.empty(0, dtype=np.int64)
     first = indices[0]
     settled = np.abs(smoothed[first : indices[-1] + 1]) < config.derivative_epsilon
     settled[indices - first] = False
@@ -209,4 +194,4 @@ def merge_transient_events(
     longest = np.zeros(indices.size - 1, dtype=np.int64)
     np.maximum.at(longest, gaps, ends - starts)
     separate = longest / series.sampling_rate_hz > config.settle_threshold_s
-    return [candidates[0]] + [candidates[k + 1] for k in np.flatnonzero(separate)]
+    return np.concatenate(([0], np.flatnonzero(separate) + 1)).astype(np.int64, copy=False)

@@ -8,30 +8,37 @@ presumed to be fluctuation artifacts.  A candidate is only actually
 dropped if the smoothed derivative also shows no significant peak or
 valley near it, so genuine small transitions that the smoothing erased
 survive on the evidence of their derivative signature.
+
+Candidates arrive as :class:`~nilmevents.core.Events` and extrema as an
+index array; the survivors come back as positions into the candidates and
+the verdicts as :class:`FilterVerdicts` arrays, so no per-candidate object
+is built.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .base import detect_base
 from .core import (
-    DetectedEvent,
     DetectionError,
+    Events,
     HybridConfig,
     MisalignedInput,
     SampleSeries,
     seconds_to_samples,
 )
-from .derivative import Extremum, _checked_window
+from .derivative import _checked_window
 
 __all__ = [
     "OrderTooHigh",
     "FilterReason",
     "FilterVerdict",
+    "FilterVerdicts",
     "savitzky_golay",
     "refilter_events_with_verdicts",
 ]
@@ -57,6 +64,41 @@ class FilterVerdict:
     @property
     def kept(self) -> bool:
         return self.reason is not FilterReason.REMOVED_AS_FLUCTUATION
+
+
+_REASONS = tuple(FilterReason)
+
+
+@dataclass(frozen=True, eq=False)
+class FilterVerdicts:
+    """Refilter verdicts as arrays, one per candidate.
+
+    ``event_indices`` holds each candidate's sample index and
+    ``reason_codes`` the position of its reason in ``tuple(FilterReason)``.
+    ``len()`` is the verdict count, and iterating yields
+    :class:`FilterVerdict` views.  Two instances are equal when both
+    arrays are.
+    """
+
+    event_indices: np.ndarray
+    reason_codes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.event_indices.size
+
+    def __iter__(self) -> Iterator[FilterVerdict]:
+        reasons = [_REASONS[code] for code in self.reason_codes.tolist()]
+        return map(FilterVerdict, self.event_indices.tolist(), reasons)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FilterVerdicts):
+            return NotImplemented
+        return np.array_equal(self.event_indices, other.event_indices) and np.array_equal(
+            self.reason_codes, other.reason_codes
+        )
+
+
+_NO_VERDICTS = FilterVerdicts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
 
 
 def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> np.ndarray:
@@ -127,63 +169,53 @@ def _first_outside(indices: np.ndarray, size: int) -> int | None:
 
 def refilter_events_with_verdicts(
     series: SampleSeries,
-    candidates: list[DetectedEvent],
-    extrema: list[Extremum],
+    candidates: Events,
+    extrema: np.ndarray,
     config: HybridConfig,
-) -> tuple[list[DetectedEvent], list[FilterVerdict]]:
+) -> tuple[np.ndarray, FilterVerdicts]:
     """Drop fluctuation-induced candidates; see module docstring.
 
-    Returns the surviving candidate objects themselves and one verdict per
-    candidate.  When the trace never exceeds ``fluctuation_trigger_watts``
-    after the first turn-on candidate, the refilter does not trigger: the
-    candidates come back unchanged and the verdict list is empty.
+    ``extrema`` holds the sample indices of the significant extrema that
+    guard a candidate.  Returns the increasing int64 positions, into
+    ``candidates``, of the survivors and one verdict per candidate.  When
+    the trace never exceeds ``fluctuation_trigger_watts`` after the first
+    turn-on candidate, the refilter does not trigger: every candidate
+    survives and there are no verdicts.
     """
-    extremum_indices = np.array([e.index for e in extrema], dtype=np.int64)
+    extremum_indices = np.asarray(extrema, dtype=np.int64)
     bad = _first_outside(extremum_indices, len(series))
     if bad is not None:
         raise MisalignedInput(
-            f"extremum index {extrema[bad].index} outside series of length {len(series)}"
+            f"extremum index {extremum_indices[bad]} outside series of length {len(series)}"
         )
-    candidate_indices = np.array([e.index for e in candidates], dtype=np.int64)
+    candidate_indices = candidates.indices
     bad = _first_outside(candidate_indices, len(series))
     if bad is not None:
         raise MisalignedInput(
-            f"candidate index {candidates[bad].index} outside series of length {len(series)}"
+            f"candidate index {candidate_indices[bad]} outside series of length {len(series)}"
         )
-    if not candidates:
-        return [], []
-
-    first_on = next((e for e in candidates if e.delta_watts > 0), None)
-    if first_on is None:
-        return list(candidates), []
-    segment_max = float(series.values[first_on.index :].max())
+    everyone = np.arange(len(candidates), dtype=np.int64)
+    turn_ons = np.flatnonzero(candidates.deltas_watts > 0)
+    if not turn_ons.size:
+        return everyone, _NO_VERDICTS
+    segment_max = float(series.values[candidate_indices[turn_ons[0]] :].max())
     if segment_max <= config.fluctuation_trigger_watts:
-        return list(candidates), []
+        return everyone, _NO_VERDICTS
 
     filtered = SampleSeries(
         savitzky_golay(series.values, config.sg_window_samples, config.sg_poly_order),
         series.sampling_rate_hz,
         series.start_time_s,
     )
-    redetected = detect_base(filtered, config)
-    re_times = np.sort(np.array([e.timestamp_s for e in redetected], dtype=float))
+    # Re-detected times are non-decreasing, as their indices increase.
+    re_times = detect_base(filtered, config).timestamps_s
     guard_radius = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
 
-    times = np.array([e.timestamp_s for e in candidates], dtype=float)
-    confirmed = _nearest_distance(re_times, times) <= config.eval_match_tolerance_s
+    confirmed = (
+        _nearest_distance(re_times, candidates.timestamps_s) <= config.eval_match_tolerance_s
+    )
     guarded = _nearest_distance(np.sort(extremum_indices), candidate_indices) <= guard_radius
-
-    survivors: list[DetectedEvent] = []
-    verdicts: list[FilterVerdict] = []
-    for event, is_confirmed, is_guarded in zip(candidates, confirmed.tolist(), guarded.tolist()):
-        if is_confirmed:
-            reason = FilterReason.SURVIVED_REFILTER
-        elif is_guarded:
-            reason = FilterReason.PROTECTED_BY_EXTREMUM
-        else:
-            reason = FilterReason.REMOVED_AS_FLUCTUATION
-        verdict = FilterVerdict(event_index=event.index, reason=reason)
-        verdicts.append(verdict)
-        if verdict.kept:
-            survivors.append(event)
-    return survivors, verdicts
+    codes = np.full(len(candidates), _REASONS.index(FilterReason.REMOVED_AS_FLUCTUATION), np.int8)
+    codes[guarded] = _REASONS.index(FilterReason.PROTECTED_BY_EXTREMUM)
+    codes[confirmed] = _REASONS.index(FilterReason.SURVIVED_REFILTER)
+    return np.flatnonzero(confirmed | guarded), FilterVerdicts(candidate_indices, codes)

@@ -213,7 +213,7 @@ def write_ground_truth(path: str | Path, log: GroundTruthLog) -> None:
 
 
 def write_events(
-    target: str | Path | typing.TextIO, events: typing.Sequence[DetectedEvent]
+    target: str | Path | typing.TextIO, events: typing.Iterable[DetectedEvent]
 ) -> None:
     """Write detections as ``index,timestamp_s,delta_watts`` CSV.
 

@@ -5,9 +5,14 @@ transient using the smoothed first derivative, then refilters candidates
 on heavily loaded traces with a Savitzky-Golay re-detection.  Each stage
 can only remove or confirm events produced by the stage before it, so
 stage counts are monotone non-increasing and every reported event
-originates from a base alarm.  An event's stage is the result list that
-holds it: every final event is an element of ``merged_events``, and
-every merged event an element of ``base_events``.
+originates from a base alarm.
+
+The stages carry arrays, not event objects: the base detector returns
+:class:`~nilmevents.core.Events`, the extrema are an index array, and the
+merge and the refilter return the positions of the candidates they keep.
+:class:`PipelineResult` stores the base events once plus the positions
+that survive each stage; a :class:`~nilmevents.core.DetectedEvent` is a
+view built only when a caller iterates or indexes an event list.
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,
@@ -28,21 +33,20 @@ import numpy as np
 
 from .base import detect_base
 from .core import (
-    DetectedEvent,
     DetectionError,
+    Events,
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
     validate_series,
 )
 from .derivative import (
-    Extremum,
     detect_extrema,
     first_derivative,
     loess_smooth,
     merge_transient_events,
 )
-from .filtering import FilterVerdict, refilter_events_with_verdicts
+from .filtering import FilterVerdicts, refilter_events_with_verdicts
 
 __all__ = ["StageCounts", "PipelineResult", "smoothed_derivative", "detect_hybrid"]
 
@@ -63,25 +67,42 @@ class StageCounts:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
     """The events, extrema and verdicts the pipeline found in one trace.
 
-    ``events`` holds the final detections; the per-stage event lists, the
-    significant extrema and the refilter verdicts are retained for
-    inspection.  No full-length trace is kept: :func:`first_derivative`
-    and :func:`smoothed_derivative` recompute the derivative traces.
+    ``base_events`` holds every base detection once.  ``merged_positions``
+    and ``final_positions`` are the increasing positions, into
+    ``base_events``, of the events that survive the merge and the
+    refilter; ``merged_events`` and ``events`` are those subsets, so every
+    final event is a merged event and every merged event a base event.
+    ``extrema`` holds the sample indices of the significant extrema, and
+    ``filter_verdicts`` one verdict per merged event when the refilter
+    fired (none otherwise).  No full-length trace is kept:
+    :func:`first_derivative` and :func:`smoothed_derivative` recompute the
+    derivative traces.
     """
 
-    events: tuple[DetectedEvent, ...]
-    extrema: tuple[Extremum, ...]
-    base_events: tuple[DetectedEvent, ...]
-    merged_events: tuple[DetectedEvent, ...]
-    filter_verdicts: tuple[FilterVerdict, ...]
+    base_events: Events
+    merged_positions: np.ndarray
+    final_positions: np.ndarray
+    extrema: np.ndarray
+    filter_verdicts: FilterVerdicts
+
+    @property
+    def merged_events(self) -> Events:
+        return self.base_events[self.merged_positions]
+
+    @property
+    def events(self) -> Events:
+        """The final detections."""
+        return self.base_events[self.final_positions]
 
     @property
     def stage_counts(self) -> StageCounts:
-        return StageCounts(len(self.base_events), len(self.merged_events), len(self.events))
+        return StageCounts(
+            len(self.base_events), self.merged_positions.size, self.final_positions.size
+        )
 
 
 def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarray:
@@ -137,15 +158,15 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
     smoothed = smoothed_derivative(series, config)
     significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
 
-    merged_events = merge_transient_events(base_events, smoothed, series, config)
-    final_events, verdicts = refilter_events_with_verdicts(
-        series, merged_events, significant_extrema, config
+    merged_positions = merge_transient_events(base_events, smoothed, series, config)
+    kept, verdicts = refilter_events_with_verdicts(
+        series, base_events[merged_positions], significant_extrema, config
     )
 
     return PipelineResult(
-        events=tuple(final_events),
-        extrema=tuple(significant_extrema),
-        base_events=tuple(base_events),
-        merged_events=tuple(merged_events),
-        filter_verdicts=tuple(verdicts),
+        base_events=base_events,
+        merged_positions=merged_positions,
+        final_positions=merged_positions[kept],
+        extrema=significant_extrema,
+        filter_verdicts=verdicts,
     )

@@ -204,8 +204,8 @@ def test_operators_agree_with_brute_force_references() -> None:
             np.testing.assert_array_equal(
                 first_derivative(values), oracle_first_derivative(values, 1.0)
             )
-            found = [(e.index, e.kind.value, e.value) for e in detect_extrema(values)]
-            assert found == oracle_extrema(values)
+            found = detect_extrema(values).tolist()
+            assert found == [index for index, _, _ in oracle_extrema(values)]
 
             window = int(rng.integers(2, 9))
             squared = bool(rng.random() < 0.5)

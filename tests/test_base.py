@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from nilmevents import (
     HybridConfig,
+    LldConfig,
+    MagnitudeTooLarge,
     SampleSeries,
     SeriesTooShort,
     detect_base,
     detect_hybrid,
+    lld_max,
 )
 from nilmevents.base import _mean_difference_profile, _window_sums
 
@@ -93,7 +96,9 @@ def test_profile_agrees_with_moving_means_at_every_center(values: np.ndarray) ->
 
 def test_constant_series_yields_no_events() -> None:
     series = series_at_20hz(np.full(200, 640.0))
-    assert detect_base(series, HybridConfig()) == []
+    events = detect_base(series, HybridConfig())
+    assert len(events) == 0
+    assert events.indices.dtype == np.int64
 
 
 def test_two_clean_steps_alarm_only_around_the_steps() -> None:
@@ -183,3 +188,82 @@ def test_moderate_isolated_step_emits_exactly_one_event(magnitude: float, step_i
     assert len(events) == 1
     assert abs(events[0].index - step_index) <= 6
     assert events[0].delta_watts > 0
+
+
+@given(
+    integer_traces,
+    st.sampled_from([(4.0, 0.25), (20.0, 0.2), (10.0, 0.5), (20.0, 0.05)]),
+    st.sampled_from([0.0, 0.1, -30.0, 1e9 + 0.05, 3600.0 * 24 * 365]),
+)
+def test_base_events_match_oracle_exactly_with_start_times_and_time_limits(
+    values: np.ndarray, rate_and_limit: tuple[float, float], start_time_s: float
+) -> None:
+    # On the 4 Hz grid with no offset, neighbouring alarms are exactly
+    # time_limit_s apart, which the strict comparison must suppress.
+    rate, time_limit_s = rate_and_limit
+    config = HybridConfig(time_limit_s=time_limit_s)
+    series = SampleSeries(values, rate, start_time_s)
+    events = detect_base(series, config)
+    expected = oracle_base_events(
+        values,
+        rate,
+        config.mean_window_samples(rate),
+        config.power_threshold_watts,
+        time_limit_s,
+        start_time_s,
+    )
+    assert list(zip(events.indices.tolist(), events.timestamps_s.tolist(),
+                    events.deltas_watts.tolist())) == expected
+    assert [(e.index, e.timestamp_s, e.delta_watts) for e in events] == expected
+
+
+def test_alarms_exactly_one_time_limit_apart_are_suppressed() -> None:
+    # A steep ramp alarms at every sample; at 4 Hz samples are exactly
+    # 0.25 s apart, so with a 0.25 s limit every other alarm is emitted.
+    series = SampleSeries(np.arange(40, dtype=float) * 100.0, 4.0)
+    events = detect_base(series, HybridConfig(time_limit_s=0.25))
+    assert events.indices.tolist() == list(range(1, 39, 2))
+    assert np.all(np.diff(events.timestamps_s) == 0.5)
+
+
+def six_hour_step_trace(level_watts: float) -> SampleSeries:
+    """6 h at 60 Hz at a constant level, +100 W from 3 h on."""
+    values = np.full(6 * 3600 * 60, level_watts)
+    values[values.size // 2 :] += 100.0
+    return SampleSeries(values, 60.0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.full(400, 1.7e308),
+        np.where(np.arange(400) >= 100, 1e300, -1e300),
+    ],
+    ids=["overflowing-sum", "huge-step"],
+)
+def test_magnitudes_the_window_sums_cannot_resolve_are_refused(values: np.ndarray) -> None:
+    series = series_at_20hz(values)
+    with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 25 W"):
+        detect_base(series, HybridConfig())
+    with pytest.raises(MagnitudeTooLarge):
+        detect_hybrid(series, HybridConfig())
+    with pytest.raises(MagnitudeTooLarge):
+        lld_max(series, LldConfig(sigma_sq=1.0))
+
+
+def test_a_long_trace_at_a_high_level_is_refused_and_a_lower_level_detected() -> None:
+    # 1,296,000 samples * 1e12 W * eps = 288 W >= 25 W; at 1e10 W it is 2.9 W.
+    with pytest.raises(MagnitudeTooLarge, match=r"1296000 \* 2.22045e-16 = 287\.77 W"):
+        detect_base(six_hour_step_trace(1e12), HybridConfig())
+    series = six_hour_step_trace(1e10)
+    events = detect_hybrid(series, HybridConfig()).events
+    assert len(events) == 1
+    assert abs(events[0].timestamp_s - 3 * 3600.0) < 0.5
+    assert events[0].delta_watts > 0
+
+
+def test_lld_applies_the_magnitude_check_with_its_own_threshold() -> None:
+    series = series_at_20hz(np.full(400, 1e13))  # bound 400 * 1e13 * eps = 0.89
+    lld_max(series, LldConfig(sigma_sq=1.0, power_threshold_watts=1.0))
+    with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 0.5 W"):
+        lld_max(series, LldConfig(sigma_sq=1.0, power_threshold_watts=0.5))

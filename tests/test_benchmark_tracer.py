@@ -1,0 +1,66 @@
+"""The benchmark tracer still sees every pipeline stage and can count its output.
+
+``perfbench/tracer.py`` wraps module attributes by name and reads counts
+from each call's arguments and result with ``len()``.  A stage that is no
+longer called through its traced name, or whose result stops having the
+event count as its length, would silently zero the per-layer metrics;
+this test makes either fail the suite.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import nilmevents.pipeline
+from nilmevents import generate_scenario
+
+from replicas import replica_config, replica_spec
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> None:
+    series, _ = generate_scenario(replica_spec("kitchen"))
+    config = replica_config("kitchen")
+    tracer = load_tracer_module().Tracer()
+    assert tracer.missing == []
+    tracer.op = 0
+    tracer.install()
+    try:
+        result = nilmevents.pipeline.detect_hybrid(series, config)
+    finally:
+        tracer.uninstall()
+
+    assert not [span for span in tracer.spans if "counts_error" in span]
+    counts = {}
+    for span in tracer.spans:
+        if "counts" in span:
+            assert span["name"] not in counts, f"{span['name']} traced twice"
+            counts[span["name"]] = span["counts"]
+    verdicts = [v.reason.value for v in result.filter_verdicts]
+    assert verdicts, "the kitchen replica should arm the refilter"
+    assert counts == {
+        "base.detect_base": {"out": len(result.base_events)},
+        "derivative.detect_extrema": {"out": len(result.extrema)},
+        "derivative.merge_transient_events": {
+            "in": len(result.base_events),
+            "out": len(result.merged_events),
+        },
+        "filtering.refilter": {
+            "in": len(result.merged_events),
+            "out": len(result.events),
+            "removed": verdicts.count("removed_as_fluctuation"),
+            "protected": verdicts.count("protected_by_extremum"),
+            "survived": verdicts.count("survived_refilter"),
+        },
+    }
+    names = {span["name"] for span in tracer.spans}
+    assert {"filtering.savitzky_golay", "filtering.redetect"} <= names

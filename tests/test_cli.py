@@ -18,6 +18,7 @@ from nilmevents import (
     first_derivative,
     generate_scenario,
     lld_max,
+    load_config_file,
     load_ground_truth,
     load_trace,
     read_events,
@@ -26,6 +27,7 @@ from nilmevents import (
 )
 from nilmevents.cli import cli_main
 
+from oracles import oracle_extrema
 from replicas import SCENARIO_DIR
 
 
@@ -102,6 +104,25 @@ def test_detect_emit_stages_writes_reloadable_files(tmp_path: Path, capsys) -> N
     extrema_lines = (stage_dir / "extrema.csv").read_text().splitlines()
     assert extrema_lines[0] == "index,kind,value"
     assert len(extrema_lines) >= 2
+
+
+@pytest.mark.parametrize("name", ["kitchen", "house1"])
+def test_detect_emit_stages_writes_the_oracle_extrema(name: str, tmp_path: Path, capsys) -> None:
+    trace, _ = render_scenario(name, tmp_path)
+    config_path = SCENARIO_DIR / f"{name}.config"
+    stage_dir = tmp_path / "stages"
+    argv = ["detect", str(trace), "--config", str(config_path), "--emit-stages", str(stage_dir)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    config = load_config_file(config_path)
+    smoothed = smoothed_derivative(load_trace(trace), config)
+    expected = ["index,kind,value"] + [
+        f"{index},{kind.upper()},{value:.6f}"
+        for index, kind, value in oracle_extrema(smoothed)
+        if abs(value) > config.derivative_epsilon
+    ]
+    assert len(expected) > 2
+    assert (stage_dir / "extrema.csv").read_text().splitlines() == expected
 
 
 def test_evaluate_scores_a_clean_scenario_perfectly(tmp_path: Path, capsys) -> None:

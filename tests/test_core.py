@@ -12,9 +12,11 @@ from nilmevents import (
     DetectionError,
     EmptySeries,
     EvaluationReport,
+    Events,
     GroundTruthEntry,
     GroundTruthLog,
     HybridConfig,
+    MisalignedInput,
     NonFiniteValue,
     NonPositiveDuration,
     NonPositiveRate,
@@ -91,6 +93,51 @@ def test_detected_event_validates_fields() -> None:
         DetectedEvent(index=-1, timestamp_s=0.0, delta_watts=1.0)
     with pytest.raises(NonFiniteValue):
         DetectedEvent(index=0, timestamp_s=float("inf"), delta_watts=1.0)
+
+
+@pytest.mark.parametrize(
+    ("first_bad", "second_bad", "error"),
+    [
+        ((-1, 0.0, 1.0), (-2, 0.0, 1.0), DetectionError),
+        ((0, float("inf"), 1.0), (0, float("nan"), 1.0), NonFiniteValue),
+        ((0, float("nan"), 1.0), (0, float("-inf"), 1.0), NonFiniteValue),
+        ((0, 0.0, float("-inf")), (0, 0.0, float("nan")), NonFiniteValue),
+        ((0, 0.0, float("nan")), (0, 0.0, float("inf")), NonFiniteValue),
+    ],
+)
+def test_events_validate_every_position_like_a_detected_event(
+    first_bad: tuple, second_bad: tuple, error: type
+) -> None:
+    with pytest.raises(error) as single:
+        DetectedEvent(*first_bad)
+    rows = [(7, 0.5, 10.0), first_bad, (9, 1.5, -10.0), second_bad]
+    with pytest.raises(error) as batch:
+        Events(*zip(*rows))
+    # The batch reports its first invalid position, as building the
+    # events one by one would.
+    assert str(batch.value) == str(single.value)
+
+
+def test_events_are_arrays_that_yield_detected_events() -> None:
+    events = Events([3, 8, 20], [0.15, 0.4, 1.0], [120.0, -5.5, 30.0])
+    assert len(events) == 3
+    assert events.indices.dtype == np.int64
+    assert events.timestamps_s.dtype == events.deltas_watts.dtype == np.float64
+    assert list(events) == [
+        DetectedEvent(3, 0.15, 120.0),
+        DetectedEvent(8, 0.4, -5.5),
+        DetectedEvent(20, 1.0, 30.0),
+    ]
+    assert events[1] == DetectedEvent(8, 0.4, -5.5)
+    assert events[-1] == DetectedEvent(20, 1.0, 30.0)
+    assert events[1:] == Events([8, 20], [0.4, 1.0], [-5.5, 30.0])
+    assert events[np.array([0, 2])] == Events([3, 20], [0.15, 1.0], [120.0, 30.0])
+    assert events != events[:2]
+    assert len(Events([], [], [])) == 0
+    with pytest.raises(MisalignedInput):
+        Events([1, 2], [0.1], [1.0, 2.0])
+    with pytest.raises(DetectionError):
+        Events([[1]], [[0.1]], [[1.0]])
 
 
 def test_default_config_is_valid_and_frozen() -> None:

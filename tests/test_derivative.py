@@ -8,8 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nilmevents import (
-    DetectedEvent,
-    ExtremumKind,
+    Events,
     HybridConfig,
     InvalidWindow,
     MisalignedInput,
@@ -39,10 +38,8 @@ def series_at_20hz(values: np.ndarray) -> SampleSeries:
     return SampleSeries(values, 20.0)
 
 
-def events_at(indices: list[int], series: SampleSeries) -> list[DetectedEvent]:
-    return [
-        DetectedEvent(index=i, timestamp_s=series.time_at(i), delta_watts=10.0) for i in indices
-    ]
+def events_at(indices: list[int], series: SampleSeries) -> Events:
+    return Events(indices, [series.time_at(i) for i in indices], [10.0] * len(indices))
 
 
 def test_first_derivative_of_constant_is_zero() -> None:
@@ -113,22 +110,20 @@ def test_loess_reduces_noise_variance_on_step_plateaus() -> None:
 
 def test_single_peak_and_valley() -> None:
     peaks = detect_extrema(np.array([1.0, 3.0, 2.0]))
-    assert [(e.index, e.kind, e.value) for e in peaks] == [(1, ExtremumKind.PEAK, 3.0)]
-    valleys = detect_extrema(np.array([3.0, 1.0, 2.0]))
-    assert [(e.index, e.kind, e.value) for e in valleys] == [(1, ExtremumKind.VALLEY, 1.0)]
+    assert peaks.dtype == np.int64
+    assert peaks.tolist() == [1]
+    assert detect_extrema(np.array([3.0, 1.0, 2.0])).tolist() == [1]
 
 
 def test_monotone_and_plateau_sequences_have_no_extrema() -> None:
-    assert detect_extrema(np.arange(10, dtype=float)) == []
-    assert detect_extrema(np.array([0.0, 1.0, 1.0, 0.0])) == []
+    assert detect_extrema(np.arange(10, dtype=float)).size == 0
+    assert detect_extrema(np.array([0.0, 1.0, 1.0, 0.0])).size == 0
 
 
 def test_extrema_magnitude_screen() -> None:
     values = np.array([0.0, 0.3, 0.0, -0.2, 0.0, 5.0, 0.0])
-    all_extrema = detect_extrema(values)
-    assert [e.index for e in all_extrema] == [1, 3, 5]
-    significant = detect_extrema(values, min_abs_value=0.5)
-    assert [(e.index, e.kind) for e in significant] == [(5, ExtremumKind.PEAK)]
+    assert detect_extrema(values).tolist() == [1, 3, 5]
+    assert detect_extrema(values, min_abs_value=0.5).tolist() == [5]
 
 
 def test_extrema_need_three_samples() -> None:
@@ -136,17 +131,45 @@ def test_extrema_need_three_samples() -> None:
         detect_extrema(np.array([1.0, 2.0]))
 
 
-@given(float_traces)
-def test_extrema_match_oracle_exactly(values: np.ndarray) -> None:
-    found = [(e.index, e.kind.value, e.value) for e in detect_extrema(values)]
-    assert found == oracle_extrema(values)
+EPSILON = 0.5
+# Samples on a small grid that includes +-epsilon and its neighbouring
+# floats, so that plateaus, values exactly at the threshold and extrema
+# next to either end all come up often.
+grid_traces = st.lists(
+    st.sampled_from(
+        [
+            0.0,
+            0.25,
+            -0.25,
+            EPSILON,
+            -EPSILON,
+            np.nextafter(EPSILON, np.inf),
+            np.nextafter(-EPSILON, -np.inf),
+            np.nextafter(EPSILON, 0.0),
+            1.0,
+            -1.0,
+        ]
+    ),
+    min_size=3,
+    max_size=12,
+).map(np.array)
+
+
+@given(float_traces | grid_traces, st.sampled_from([None, EPSILON, 0.0, 7.5]))
+def test_extrema_match_oracle_exactly(values: np.ndarray, min_abs_value: float | None) -> None:
+    expected = [
+        index
+        for index, _, value in oracle_extrema(values)
+        if min_abs_value is None or abs(value) > min_abs_value
+    ]
+    assert detect_extrema(values, min_abs_value).tolist() == expected
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50).filter(bool), min_size=3, max_size=80))
 def test_extrema_alternate_when_no_neighbours_are_equal(increments: list[int]) -> None:
     values = np.cumsum(np.array(increments, dtype=float))
-    kinds = [e.kind for e in detect_extrema(values)]
-    for first, second in zip(kinds, kinds[1:]):
+    peaks = [values[i] > values[i - 1] for i in detect_extrema(values)]
+    for first, second in zip(peaks, peaks[1:]):
         assert first != second
 
 
@@ -155,8 +178,8 @@ def test_candidates_with_a_settled_gap_are_both_kept() -> None:
     smoothed = np.zeros(200)
     candidates = events_at([10, 110], series)
     survivors = merge_transient_events(candidates, smoothed, series, HybridConfig())
-    assert [e.index for e in survivors] == [10, 110]
-    assert all(kept is given for kept, given in zip(survivors, candidates, strict=True))
+    assert survivors.dtype == np.int64
+    assert survivors.tolist() == [0, 1]
 
 
 def test_candidates_on_one_unsettled_transient_collapse_to_the_first() -> None:
@@ -164,7 +187,7 @@ def test_candidates_on_one_unsettled_transient_collapse_to_the_first() -> None:
     busy = np.full(200, 1.0)  # |derivative| never drops below epsilon
     candidates = events_at([20, 45, 60, 88, 105, 130], series)
     survivors = merge_transient_events(candidates, busy, series, HybridConfig())
-    assert [e.index for e in survivors] == [20]
+    assert candidates[survivors].indices.tolist() == [20]
 
 
 def test_settled_run_must_exceed_the_settle_threshold() -> None:
@@ -174,10 +197,9 @@ def test_settled_run_must_exceed_the_settle_threshold() -> None:
     for calm_samples, expected in ((39, [50]), (40, [50]), (41, [50, 150])):
         smoothed = np.full(300, 1.0)
         smoothed[60 : 60 + calm_samples] = 0.0
-        survivors = merge_transient_events(
-            events_at([50, 150], series), smoothed, series, HybridConfig()
-        )
-        assert [e.index for e in survivors] == expected, calm_samples
+        candidates = events_at([50, 150], series)
+        survivors = merge_transient_events(candidates, smoothed, series, HybridConfig())
+        assert candidates[survivors].indices.tolist() == expected, calm_samples
 
 
 def test_merge_input_validation() -> None:
@@ -186,9 +208,9 @@ def test_merge_input_validation() -> None:
     with pytest.raises(MisalignedInput):
         merge_transient_events(good, np.zeros(99), series, HybridConfig())
     with pytest.raises(MisalignedInput):
-        merge_transient_events(list(reversed(good)), np.zeros(100), series, HybridConfig())
+        merge_transient_events(good[::-1], np.zeros(100), series, HybridConfig())
     with pytest.raises(MisalignedInput):
-        merge_transient_events(events_at([5, 99], series) + events_at([99], series),
+        merge_transient_events(events_at([5, 99, 99], series),
                                np.zeros(100), series, HybridConfig())
     with pytest.raises(MisalignedInput):
         merge_transient_events(events_at([5, 100], series), np.zeros(100), series, HybridConfig())
@@ -236,7 +258,7 @@ def test_merge_agrees_with_oracle_and_never_adds_events(case) -> None:
     series = series_at_20hz(np.zeros(200))
     config = HybridConfig()
     candidates = events_at(indices, series)
-    survivors = merge_transient_events(candidates, smoothed, series, config)
+    survivors = candidates[merge_transient_events(candidates, smoothed, series, config)]
     expected = oracle_merge(
         [(i, series.time_at(i)) for i in indices],
         smoothed,
@@ -244,7 +266,7 @@ def test_merge_agrees_with_oracle_and_never_adds_events(case) -> None:
         config.derivative_epsilon,
         config.settle_threshold_s,
     )
-    assert [e.index for e in survivors] == expected
+    assert survivors.indices.tolist() == expected
     assert set(e.index for e in survivors) <= set(indices)
     assert len(survivors) <= len(candidates)
     assert survivors[0].index == indices[0]
@@ -255,9 +277,10 @@ def test_merge_is_idempotent(case) -> None:
     indices, smoothed = case
     series = series_at_20hz(np.zeros(200))
     config = HybridConfig()
-    once = merge_transient_events(events_at(indices, series), smoothed, series, config)
-    twice = merge_transient_events(once, smoothed, series, config)
-    assert twice == once
+    candidates = events_at(indices, series)
+    once = candidates[merge_transient_events(candidates, smoothed, series, config)]
+    again = merge_transient_events(once, smoothed, series, config)
+    assert again.tolist() == list(range(len(once)))
 
 
 @given(st.floats(min_value=30.0, max_value=2000.0), st.integers(min_value=100, max_value=500))
@@ -270,7 +293,7 @@ def test_isolated_clean_step_survives_the_whole_derivative_chain(
     config = HybridConfig()
     base = detect_base(series, config)
     smoothed = loess_smooth(first_derivative(values), config.loess_window_samples(20.0))
-    merged = merge_transient_events(base, smoothed, series, config)
+    merged = base[merge_transient_events(base, smoothed, series, config)]
     assert len(merged) == 1
     assert merged[0].index == base[0].index
     assert abs(merged[0].index - step_index) <= 6
@@ -279,6 +302,5 @@ def test_isolated_clean_step_survives_the_whole_derivative_chain(
 def test_ramp_alarms_collapse_to_one_event_at_the_first_alarm() -> None:
     run = run_replica("rangehood")
     assert run.result.stage_counts.base == 11
-    merged = run.result.merged_events
-    assert len(merged) == 1
-    assert merged[0] is run.result.base_events[0]
+    assert run.result.merged_positions.tolist() == [0]
+    assert run.result.merged_events[0] == run.result.base_events[0]

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 import nilmevents
 from nilmevents import (
-    DetectedEvent,
-    Extremum,
-    ExtremumKind,
+    Events,
     FilterReason,
     HybridConfig,
     InvalidWindow,
@@ -144,11 +142,12 @@ def test_savgol_window_and_order_validation() -> None:
         savitzky_golay(values, 5, -1)
 
 
-def low_power_candidates(series: SampleSeries) -> list[DetectedEvent]:
-    return [
-        DetectedEvent(index=50, timestamp_s=series.time_at(50), delta_watts=30.0),
-        DetectedEvent(index=150, timestamp_s=series.time_at(150), delta_watts=-30.0),
-    ]
+def events_at(indices: list[int], series: SampleSeries, delta_watts: float) -> Events:
+    return Events(indices, [series.time_at(i) for i in indices], [delta_watts] * len(indices))
+
+
+def low_power_candidates(series: SampleSeries) -> Events:
+    return Events([50, 150], [series.time_at(50), series.time_at(150)], [30.0, -30.0])
 
 
 def test_low_power_series_passes_through_unchanged() -> None:
@@ -156,35 +155,36 @@ def test_low_power_series_passes_through_unchanged() -> None:
     series = series_at_20hz(np.where((t >= 2.5) & (t < 7.5), 40.0, 0.0))
     candidates = low_power_candidates(series)
     survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], HybridConfig())
-    assert all(kept is given for kept, given in zip(survivors, candidates, strict=True))
-    assert verdicts == []
+    assert survivors.tolist() == [0, 1]
+    assert len(verdicts) == 0
 
 
 def test_all_negative_candidates_pass_through_unchanged() -> None:
     # Without a turn-on candidate there is no segment to inspect for
     # fluctuation, so the refilter leaves the list alone.
     series = series_at_20hz(np.full(300, 2000.0))
-    candidates = [
-        DetectedEvent(index=80, timestamp_s=4.0, delta_watts=-500.0)
-    ]
+    candidates = Events([80], [4.0], [-500.0])
     survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], HybridConfig())
-    assert survivors == candidates
-    assert verdicts == []
+    assert survivors.tolist() == [0]
+    assert len(verdicts) == 0
 
 
 def test_empty_candidate_list_is_a_no_op() -> None:
     series = series_at_20hz(np.zeros(100))
-    assert refilter_events_with_verdicts(series, [], [], HybridConfig()) == ([], [])
+    survivors, verdicts = refilter_events_with_verdicts(
+        series, Events([], [], []), [], HybridConfig()
+    )
+    assert survivors.size == 0
+    assert len(verdicts) == 0
 
 
 def test_refilter_index_validation() -> None:
     series = series_at_20hz(np.zeros(100))
-    stray_event = DetectedEvent(index=100, timestamp_s=5.0, delta_watts=50.0)
-    with pytest.raises(MisalignedInput):
-        refilter_events_with_verdicts(series, [stray_event], [], HybridConfig())
-    stray_extremum = Extremum(index=100, kind=ExtremumKind.PEAK, value=1.0)
-    with pytest.raises(MisalignedInput):
-        refilter_events_with_verdicts(series, [], [stray_extremum], HybridConfig())
+    stray_event = Events([100], [5.0], [50.0])
+    with pytest.raises(MisalignedInput, match="candidate index 100"):
+        refilter_events_with_verdicts(series, stray_event, [], HybridConfig())
+    with pytest.raises(MisalignedInput, match="extremum index 100"):
+        refilter_events_with_verdicts(series, Events([], [], []), [100], HybridConfig())
 
 
 def test_oscillation_alarms_are_removed_and_steps_kept() -> None:
@@ -202,8 +202,7 @@ def test_oscillation_alarms_are_removed_and_steps_kept() -> None:
         (683, False, FilterReason.REMOVED_AS_FLUCTUATION),
         (994, True, FilterReason.SURVIVED_REFILTER),
     ]
-    kept = (result.merged_events[0], result.merged_events[4])
-    assert all(final is merged for final, merged in zip(result.events, kept, strict=True))
+    assert result.final_positions.tolist() == result.merged_positions[[0, 4]].tolist()
 
 
 def test_refilter_decisions_replay_from_first_principles() -> None:
@@ -218,7 +217,7 @@ def test_refilter_decisions_replay_from_first_principles() -> None:
         config.power_threshold_watts, config.time_limit_s,
     )
     re_times = [time for _, time, _ in re_events]
-    guard_indices = [e.index for e in result.extrema]
+    guard_indices = result.extrema.tolist()
     kept_expected = []
     for event in result.merged_events:
         confirmed = any(abs(t - event.timestamp_s) <= config.eval_match_tolerance_s
@@ -237,20 +236,16 @@ def test_guarded_candidates_survive_regardless_of_redetection() -> None:
     values = np.where(t >= 10.0, 1500.0, 0.0)
     series = series_at_20hz(values)
     config = HybridConfig()
-    candidates = [
-        DetectedEvent(index=194, timestamp_s=series.time_at(194), delta_watts=250.0),
-        DetectedEvent(index=600, timestamp_s=series.time_at(600), delta_watts=28.0),
-    ]
+    candidates = Events([194, 600], [series.time_at(194), series.time_at(600)], [250.0, 28.0])
     removed, _ = refilter_events_with_verdicts(series, candidates, [], config)
-    assert [e.index for e in removed] == [194]
-    guard = [Extremum(index=603, kind=ExtremumKind.PEAK, value=2.0)]
-    kept, verdicts = refilter_events_with_verdicts(series, candidates, guard, config)
-    assert [e.index for e in kept] == [194, 600]
-    assert verdicts[1].reason is FilterReason.PROTECTED_BY_EXTREMUM
-    assert verdicts[1].kept is True
-    far_guard = [Extremum(index=610, kind=ExtremumKind.PEAK, value=2.0)]
-    kept_far, _ = refilter_events_with_verdicts(series, candidates, far_guard, config)
-    assert [e.index for e in kept_far] == [194]
+    assert candidates.indices[removed].tolist() == [194]
+    kept, verdicts = refilter_events_with_verdicts(series, candidates, [603], config)
+    assert candidates.indices[kept].tolist() == [194, 600]
+    guarded = list(verdicts)[1]
+    assert guarded.reason is FilterReason.PROTECTED_BY_EXTREMUM
+    assert guarded.kept is True
+    kept_far, _ = refilter_events_with_verdicts(series, candidates, [610], config)
+    assert candidates.indices[kept_far].tolist() == [194]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1199), unique=True, min_size=1, max_size=6).map(sorted))
@@ -258,19 +253,17 @@ def test_refilter_output_is_a_subset_with_consistent_verdicts(indices: list[int]
     t = np.arange(1200) / 20.0
     series = series_at_20hz(np.where(t >= 10.0, 1500.0, 0.0))
     config = HybridConfig()
-    candidates = [
-        DetectedEvent(index=i, timestamp_s=series.time_at(i), delta_watts=50.0)
-        for i in indices
-    ]
+    candidates = events_at(indices, series, 50.0)
     survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], config)
-    assert set(e.index for e in survivors) <= set(indices)
+    survivor_indices = candidates.indices[survivors].tolist()
+    assert set(survivor_indices) <= set(indices)
     assert [v.event_index for v in verdicts] == indices
     for verdict in verdicts:
         if verdict.reason is FilterReason.PROTECTED_BY_EXTREMUM:
             assert verdict.kept
         if verdict.reason is FilterReason.REMOVED_AS_FLUCTUATION:
             assert not verdict.kept
-    assert [v.event_index for v in verdicts if v.kept] == [e.index for e in survivors]
+    assert [v.event_index for v in verdicts if v.kept] == survivor_indices
 
 
 def refilter_trace(stepped: bool) -> np.ndarray:
@@ -320,15 +313,15 @@ def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     if at_guard:
         indices = st.sampled_from(at_guard) | indices
     specs = data.draw(st.lists(st.tuples(indices, times), min_size=1, max_size=10))
-    candidates = [DetectedEvent(index=i, timestamp_s=t, delta_watts=50.0) for i, t in specs]
-    extrema = [Extremum(index=g, kind=ExtremumKind.PEAK, value=1.0) for g in extremum_indices]
-    survivors, verdicts = refilter_events_with_verdicts(series, candidates, extrema, config)
+    candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
+    survivors, verdicts = refilter_events_with_verdicts(
+        series, candidates, extremum_indices, config
+    )
     expected = oracle_refilter_verdicts(specs, re_times, extremum_indices, tolerance, guard)
     assert [v.reason.value for v in verdicts] == expected
     assert [v.event_index for v in verdicts] == [i for i, _ in specs]
-    kept = [c for c, reason in zip(candidates, expected) if reason != "removed_as_fluctuation"]
-    assert len(survivors) == len(kept)
-    assert all(s is k for s, k in zip(survivors, kept))
+    kept = [k for k, reason in enumerate(expected) if reason != "removed_as_fluctuation"]
+    assert survivors.tolist() == kept
 
 
 def test_kitchen_replica_removes_fluctuation_alarms_only() -> None:

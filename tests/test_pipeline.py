@@ -26,18 +26,28 @@ from nilmevents import (
     smoothed_derivative,
 )
 
-from oracles import oracle_merge
+from oracles import oracle_extrema, oracle_merge
 from replicas import run_replica
 
 REPLICA_NAMES = ("house1", "kitchen", "lighting", "rangehood")
 
 
 def assert_stage_lists_nest(result: PipelineResult) -> None:
-    """Each stage passes on the very event objects of the stage before it."""
-    assert all(any(f is m for m in result.merged_events) for f in result.events)
-    assert all(any(m is b for b in result.base_events) for m in result.merged_events)
-    if not result.filter_verdicts:
-        assert result.events == result.merged_events
+    """Each stage keeps a subset of the positions of the stage before it."""
+    merged, final = result.merged_positions, result.final_positions
+    for positions in (merged, final):
+        assert positions.dtype == np.int64
+        assert np.all(np.diff(positions) > 0)
+        assert np.all((0 <= positions) & (positions < len(result.base_events)))
+    assert np.isin(final, merged).all()
+    assert result.merged_events == result.base_events[merged]
+    assert result.events == result.base_events[final]
+    if len(result.filter_verdicts):
+        verdicts = list(result.filter_verdicts)
+        assert [v.event_index for v in verdicts] == result.merged_events.indices.tolist()
+        assert [v.event_index for v in verdicts if v.kept] == result.events.indices.tolist()
+    else:
+        assert np.array_equal(final, merged)
 
 
 def test_stage_counts_must_be_monotone_non_increasing() -> None:
@@ -52,9 +62,9 @@ def test_silent_minute_produces_no_events_at_any_stage() -> None:
     series = SampleSeries(np.zeros(60 * 20), 20.0)
     result = detect_hybrid(series, HybridConfig())
     assert result.stage_counts == StageCounts(0, 0, 0)
-    assert result.events == ()
-    assert result.base_events == ()
-    assert result.filter_verdicts == ()
+    assert len(result.events) == 0
+    assert len(result.base_events) == 0
+    assert len(result.filter_verdicts) == 0
 
 
 def test_pipeline_is_deterministic() -> None:
@@ -75,7 +85,7 @@ def test_pipeline_is_deterministic() -> None:
     assert first.stage_counts == second.stage_counts
     assert first.base_events == second.base_events
     assert first.merged_events == second.merged_events
-    assert first.extrema == second.extrema
+    assert np.array_equal(first.extrema, second.extrema)
     assert first.filter_verdicts == second.filter_verdicts
 
 
@@ -97,11 +107,11 @@ def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
     result = run.result
     smoothed = smoothed_derivative(run.series, run.config)
     assert smoothed.size == len(run.series)
-    assert list(result.extrema) == detect_extrema(smoothed, run.config.derivative_epsilon)
-    assert all(0 <= e.index < len(run.series) for e in result.extrema)
-    assert all(
-        abs(e.value) > run.config.derivative_epsilon for e in result.extrema
-    )
+    epsilon = run.config.derivative_epsilon
+    assert np.array_equal(result.extrema, detect_extrema(smoothed, epsilon))
+    assert result.extrema.tolist() == [
+        index for index, _, value in oracle_extrema(smoothed) if abs(value) > epsilon
+    ]
     assert [e.index for e in result.merged_events] == oracle_merge(
         [(e.index, e.timestamp_s) for e in result.base_events],
         smoothed,
