@@ -76,7 +76,6 @@ from .io import (
     load_config_file,
     load_ground_truth,
     load_trace,
-    read_events,
     write_events,
     write_ground_truth,
     write_trace,
@@ -161,7 +160,6 @@ __all__ = [
     "write_trace",
     "load_ground_truth",
     "write_ground_truth",
-    "read_events",
     "write_events",
     "format_report",
     "load_config_file",

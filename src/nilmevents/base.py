@@ -101,9 +101,8 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
         separated by more than ``time_limit_s``.  Each event carries the
         mean difference observed at its own index, so one physical
         transition that alarms over several samples is reported once, at
-        the first alarming index.  Timestamps are
-        ``start_time_s + index / sampling_rate_hz``, as
-        :meth:`SampleSeries.time_at` computes them.
+        the first alarming index.  Timestamps come from
+        :meth:`SampleSeries.time_at`.
 
     Raises
     ------
@@ -123,7 +122,7 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     diffs = _mean_difference_profile(series.values, n)
     alarm_positions = np.flatnonzero(np.abs(diffs) > config.power_threshold_watts)
     alarm_indices = alarm_positions + n
-    alarm_times = series.start_time_s + alarm_indices / series.sampling_rate_hz
+    alarm_times = series.time_at(alarm_indices)
 
     # Sequential on purpose: whether an alarm is emitted depends on the
     # last emitted one, and ``t - last > limit`` is not the same test as

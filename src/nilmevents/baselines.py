@@ -8,7 +8,8 @@ contrasted against two classic change-detection approaches:
   the window ahead of it, producing a drift trace whose slope changes at
   state transitions.  It is exported as a trace, not as events.
 * :func:`lld_max` scores each sample with a log-likelihood-style
-  detection statistic and reports strict local maxima of its magnitude.
+  detection statistic and reports strict local maxima of its magnitude
+  as :class:`~nilmevents.core.Events`, like the hybrid pipeline.
   On transients longer than its window it fires repeatedly, which is the
   failure mode the hybrid pipeline's merge stage is built to avoid.
 """
@@ -24,8 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import _check_sum_resolution, _window_sums
 from .core import (
-    DetectedEvent,
     DetectionError,
+    Events,
     SampleSeries,
     SeriesTooShort,
     validate_series,
@@ -126,7 +127,7 @@ class LldConfig:
             raise NonPositiveVariance(f"sigma_sq must be positive, got {self.sigma_sq}")
 
 
-def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[DetectedEvent]:
+def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     """Detect transitions as strict local maxima of a likelihood statistic.
 
     For each eligible index the statistic is
@@ -141,7 +142,8 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
     ``maxima_precision_samples`` of ``i``, so reported events are always
     separated by more than that many samples.
 
-    Events carry ``mu1 - mu0`` as their delta.  Like :func:`detect_base`,
+    Returns :class:`~nilmevents.core.Events` in increasing index order,
+    each carrying ``mu1 - mu0`` as its delta.  Like :func:`detect_base`,
     it raises :class:`~nilmevents.base.MagnitudeTooLarge` when
     ``max|x| * len(x) * eps`` reaches ``power_threshold_watts``.
     """
@@ -173,17 +175,11 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> list[Detec
 
     magnitude = np.abs(ds)
     m = config.maxima_precision_samples
-    events: list[DetectedEvent] = []
-    for pos in np.flatnonzero(magnitude > 0):
-        lo = max(0, pos - m)
-        window = magnitude[lo : pos + m + 1]
+    maxima: list[int] = []
+    for pos in np.flatnonzero(magnitude > 0).tolist():
+        window = magnitude[max(0, pos - m) : pos + m + 1]
         if np.count_nonzero(window >= magnitude[pos]) == 1:
-            index = pw + int(pos)
-            events.append(
-                DetectedEvent(
-                    index=index,
-                    timestamp_s=series.time_at(index),
-                    delta_watts=float(mean_diff[pos]),
-                )
-            )
-    return events
+            maxima.append(pos)
+    positions = np.array(maxima, dtype=np.int64)
+    indices = pw + positions
+    return Events(indices, series.time_at(indices), mean_diff[positions])

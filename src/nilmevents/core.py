@@ -3,12 +3,13 @@
 A trace is a uniformly sampled sequence of aggregate power readings in
 watts.  Detectors report state-transition events as sample indices plus
 timestamps, and every tunable quantity lives in :class:`HybridConfig` so
-that a single frozen object describes one detection run.  Between
-pipeline stages events travel as :class:`Events`, three parallel arrays
-validated once; a :class:`DetectedEvent` is a view of one of them, built
-only where a caller reads events one at a time.  Durations are
-configured in seconds and converted to sample counts at the configured
-sampling rate via :func:`seconds_to_samples`.
+that a single frozen object describes one detection run.  Detectors
+return, and scorers and writers take, :class:`Events`: three parallel
+arrays that enforce the event rules once; a :class:`DetectedEvent` is an
+unchecked view of one position, built only where a caller reads events
+one at a time.  Durations are configured in seconds and converted to
+sample counts at the configured sampling rate via
+:func:`seconds_to_samples`.
 """
 
 from __future__ import annotations
@@ -131,8 +132,12 @@ class SampleSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    def time_at(self, index: int) -> float:
-        """Absolute timestamp of the sample at ``index``."""
+    def time_at(self, index: int | np.ndarray) -> float | np.ndarray:
+        """Absolute timestamp of the sample at ``index``.
+
+        ``index`` is an int or an integer index array; an array gives the
+        array of timestamps, each computed by the same formula.
+        """
         return self.start_time_s + index / self.sampling_rate_hz
 
 
@@ -148,40 +153,35 @@ def validate_series(series: SampleSeries) -> SampleSeries:
 
 @dataclass(frozen=True)
 class DetectedEvent:
-    """One detected state transition.
+    """One detected state transition: a view of one :class:`Events` position.
 
     ``delta_watts`` is the before/after mean power difference measured at
     the emitting detector's alarm index; its sign distinguishes turn-on
     from turn-off transitions.  An event carries no stage tag: its stage
     is the :class:`~nilmevents.pipeline.PipelineResult` list that holds it.
-    The stages pass :class:`Events` arrays; a ``DetectedEvent`` is the view
-    of one position, built where a caller reads events one at a time.
+    The view is not checked again: the :class:`Events` it came from holds
+    the event rules, and no function takes a ``DetectedEvent``.
     """
 
     index: int
     timestamp_s: float
     delta_watts: float
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise DetectionError(f"event index must be >= 0, got {self.index}")
-        if not math.isfinite(self.timestamp_s):
-            raise NonFiniteValue(f"event timestamp must be finite, got {self.timestamp_s}")
-        if not math.isfinite(self.delta_watts):
-            raise NonFiniteValue(f"event delta must be finite, got {self.delta_watts}")
-
 
 @dataclass(frozen=True, eq=False)
 class Events:
     """Detected events as three parallel arrays, in the order given.
 
+    Every detector returns one, and every scorer and writer takes one.
     ``indices`` (int64), ``timestamps_s`` and ``deltas_watts`` (float64)
-    describe one event per position and are checked once, vectorised,
-    with the same rules and errors as :class:`DetectedEvent`.  ``len()``
-    is the event count; iterating, or indexing with an integer, yields
-    :class:`DetectedEvent` views, while indexing with a slice, a mask or
-    an array of positions yields another :class:`Events`.  Two
-    :class:`Events` are equal when all three arrays are.
+    describe one event per position and are checked once, vectorised:
+    an index must be non-negative (:class:`DetectionError`) and a
+    timestamp or delta finite (:class:`NonFiniteValue`); the message
+    names the first bad value.  ``len()`` is the event count; iterating,
+    or indexing with an integer, yields :class:`DetectedEvent` views,
+    while indexing with a slice, a mask or an array of positions yields
+    another :class:`Events`.  Two :class:`Events` are equal when all
+    three arrays are.
     """
 
     indices: np.ndarray

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Sequence
 
 from .core import (
-    DetectedEvent,
     DetectionError,
     EvaluationReport,
+    Events,
     GroundTruthEntry,
     GroundTruthLog,
 )
@@ -63,7 +62,7 @@ def _find(parent: list[int], k: int) -> int:
 
 
 def match_events(
-    detections: Sequence[DetectedEvent],
+    detections: Events,
     truth: GroundTruthLog,
     tolerance_s: float,
 ) -> tuple[int, int, int, list[tuple[int, int]]]:
@@ -98,7 +97,7 @@ def match_events(
     """
     if not math.isfinite(tolerance_s) or tolerance_s <= 0:
         raise NegativeTolerance(f"tolerance_s must be positive, got {tolerance_s}")
-    stamps = [event.timestamp_s for event in detections]
+    stamps = detections.timestamps_s.tolist()
     order = sorted(range(len(stamps)), key=stamps.__getitem__)
     times = [stamps[pos] for pos in order]
     size = len(times)
@@ -149,7 +148,7 @@ def match_events(
 
 
 def evaluate_detections(
-    detections: Sequence[DetectedEvent],
+    detections: Events,
     truth: GroundTruthLog,
     tolerance_s: float,
 ) -> EvaluationReport:

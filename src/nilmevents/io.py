@@ -7,12 +7,13 @@ which must be uniform to within 1 % of the median spacing.
 :func:`write_trace` emits full-precision ``repr`` floats, so a written
 trace reloads with bit-identical sample values.
 
-Reference logs travel as ``timestamp_s,label`` CSV and events as
-``index,timestamp_s,delta_watts`` CSV with six-decimal reals.  A report
-renders as a plain-text table followed by ``key=value`` lines so shell
-scripts can grep single fields.  Config files are ``key = value`` lines
-naming :class:`HybridConfig` fields, layered over an existing config,
-with unknown keys rejected.
+Reference logs travel as ``timestamp_s,label`` CSV.  Detections go out
+only, as ``index,timestamp_s,delta_watts`` CSV with six-decimal reals,
+written straight from the :class:`Events` arrays a detector returns.  A
+report renders as a plain-text table followed by ``key=value`` lines so
+shell scripts can grep single fields.  Config files are ``key = value``
+lines naming :class:`HybridConfig` fields, layered over an existing
+config, with unknown keys rejected.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DetectedEvent,
     DetectionError,
     EvaluationReport,
+    Events,
     GroundTruthEntry,
     GroundTruthLog,
     HybridConfig,
@@ -45,7 +46,6 @@ __all__ = [
     "write_trace",
     "load_ground_truth",
     "write_ground_truth",
-    "read_events",
     "write_events",
     "format_report",
     "load_config_file",
@@ -212,9 +212,7 @@ def write_ground_truth(path: str | Path, log: GroundTruthLog) -> None:
             writer.writerow([repr(entry.timestamp_s), entry.label])
 
 
-def write_events(
-    target: str | Path | typing.TextIO, events: typing.Iterable[DetectedEvent]
-) -> None:
+def write_events(target: str | Path | typing.TextIO, events: Events) -> None:
     """Write detections as ``index,timestamp_s,delta_watts`` CSV.
 
     ``target`` is a path or an open text stream (``sys.stdout``, for
@@ -227,35 +225,10 @@ def write_events(
         return
     writer = csv.writer(target)
     writer.writerow(_EVENT_HEADER)
-    for event in events:
-        writer.writerow([event.index, f"{event.timestamp_s:.6f}", f"{event.delta_watts:.6f}"])
-
-
-def read_events(path: str | Path) -> list[DetectedEvent]:
-    """Read detections written by :func:`write_events`."""
-    path = Path(path)
-    events: list[DetectedEvent] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _EVENT_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(_EVENT_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                events.append(
-                    DetectedEvent(
-                        index=int(row[0]),
-                        timestamp_s=float(row[1]),
-                        delta_watts=float(row[2]),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    return events
+    rows = zip(
+        events.indices.tolist(), events.timestamps_s.tolist(), events.deltas_watts.tolist()
+    )
+    writer.writerows([index, f"{stamp:.6f}", f"{delta:.6f}"] for index, stamp, delta in rows)
 
 
 def format_report(report: EvaluationReport) -> str:

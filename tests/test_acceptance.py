@@ -21,8 +21,8 @@ import pytest
 from nilmevents import (
     ApplianceSpec,
     CusumVariant,
-    DetectedEvent,
     EvaluationReport,
+    Events,
     GroundTruthEntry,
     GroundTruthLog,
     LldConfig,
@@ -165,10 +165,9 @@ def test_evaluating_a_hundred_thousand_events_stays_within_budget() -> None:
         log = GroundTruthLog(
             entries=tuple(GroundTruthEntry(float(t), "load") for t in truth_times)
         )
-        detections = [
-            DetectedEvent(index=i, timestamp_s=float(t), delta_watts=100.0)
-            for i, t in enumerate(detected_times)
-        ]
+        detections = Events(
+            np.arange(detected_times.size), detected_times, np.full(detected_times.size, 100.0)
+        )
         started = time.perf_counter()
         report = evaluate_detections(detections, log, tolerance_s=1.0)
         elapsed = time.perf_counter() - started

@@ -114,7 +114,7 @@ def test_lld_config_validation() -> None:
 
 def test_lld_is_silent_when_mean_changes_stay_below_threshold() -> None:
     drift = np.arange(100, dtype=float)  # mean difference is 7 W everywhere
-    assert lld_max(series_at_20hz(drift), LldConfig(sigma_sq=1.0)) == []
+    assert len(lld_max(series_at_20hz(drift), LldConfig(sigma_sq=1.0))) == 0
 
 
 def test_lld_finds_exactly_one_event_on_a_clean_step() -> None:
@@ -129,7 +129,7 @@ def test_lld_stays_silent_on_a_perfectly_symmetric_step() -> None:
     # sample or noise breaks the tie; the pure idealization does not fire.
     t = np.arange(600) / 20.0
     values = np.where(t >= 15.0, 250.0, 0.0)
-    assert lld_max(series_at_20hz(values), LldConfig(sigma_sq=1.0)) == []
+    assert len(lld_max(series_at_20hz(values), LldConfig(sigma_sq=1.0))) == 0
 
 
 def test_lld_fires_repeatedly_on_a_long_ramp() -> None:

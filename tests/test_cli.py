@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import re
+import runpy
 import shlex
 import shutil
 from pathlib import Path
@@ -21,14 +23,13 @@ from nilmevents import (
     load_config_file,
     load_ground_truth,
     load_trace,
-    read_events,
     smoothed_derivative,
     write_trace,
 )
 from nilmevents.cli import cli_main
 
 from oracles import oracle_extrema
-from replicas import SCENARIO_DIR
+from replicas import SCENARIO_DIR, run_replica
 
 
 def render_scenario(name: str, tmp_path: Path) -> tuple[Path, Path]:
@@ -97,10 +98,12 @@ def test_detect_emit_stages_writes_reloadable_files(tmp_path: Path, capsys) -> N
     assert len(series) == 1200
     assert np.array_equal(derivative.values, first_derivative(series.values))
     assert np.array_equal(smoothed.values, smoothed_derivative(series, HybridConfig()))
-    base = read_events(stage_dir / "events_base.csv")
-    merged = read_events(stage_dir / "events_merged.csv")
-    final = read_events(stage_dir / "events_final.csv")
-    assert len(base) >= len(merged) >= len(final) == 1
+    stage_rows = {}
+    for stage in ("base", "merged", "final"):
+        with open(stage_dir / f"events_{stage}.csv", newline="", encoding="utf-8") as handle:
+            header, *stage_rows[stage] = csv.reader(handle)
+        assert header == ["index", "timestamp_s", "delta_watts"]
+    assert len(stage_rows["base"]) >= len(stage_rows["merged"]) >= len(stage_rows["final"]) == 1
     extrema_lines = (stage_dir / "extrema.csv").read_text().splitlines()
     assert extrema_lines[0] == "index,kind,value"
     assert len(extrema_lines) >= 2
@@ -239,6 +242,33 @@ def test_readme_cli_example_runs_as_written(tmp_path: Path, monkeypatch, capsys)
         program, *args = shlex.split(line)
         assert program == "nilmevents"
         assert cli_main(args) == 0, (line, capsys.readouterr().err)
+
+
+def test_readme_library_example_runs_as_written(capsys) -> None:
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["result"].events) == 1
+    assert capsys.readouterr().out.splitlines() == ["9.70s  +250 W"]
+
+
+def test_run_scenario_script_prints_stages_verdicts_and_the_report(capsys) -> None:
+    script = runpy.run_path(str(SCENARIO_DIR.parent / "scripts" / "run_scenario.py"))
+    argv = [str(SCENARIO_DIR / "kitchen.json"), "--config", str(SCENARIO_DIR / "kitchen.config")]
+    assert script["main"](argv) == 0
+    out = capsys.readouterr().out
+    counts = run_replica("kitchen").result.stage_counts
+    stages = re.search(r"^stages base=(\d+) after_derivative=(\d+) final=(\d+) ", out, re.M)
+    assert stages is not None
+    assert tuple(map(int, stages.groups())) == (
+        counts.base,
+        counts.after_derivative,
+        counts.after_filtering,
+    )
+    verdicts = [line for line in out.splitlines() if line.startswith("verdict: ")]
+    assert len(verdicts) == counts.after_derivative
+    assert "tp=6" in out.splitlines()
 
 
 def test_help_and_version_exit_cleanly(capsys) -> None:

@@ -86,36 +86,44 @@ def test_series_timestamps_follow_start_and_rate() -> None:
     assert series.time_at(10) == pytest.approx(5.5)
 
 
-def test_detected_event_validates_fields() -> None:
-    event = DetectedEvent(index=3, timestamp_s=0.15, delta_watts=-120.0)
-    assert event.delta_watts == -120.0
-    with pytest.raises(DetectionError):
-        DetectedEvent(index=-1, timestamp_s=0.0, delta_watts=1.0)
-    with pytest.raises(NonFiniteValue):
-        DetectedEvent(index=0, timestamp_s=float("inf"), delta_watts=1.0)
-
-
 @pytest.mark.parametrize(
-    ("first_bad", "second_bad", "error"),
+    ("first_bad", "second_bad", "error", "message"),
     [
-        ((-1, 0.0, 1.0), (-2, 0.0, 1.0), DetectionError),
-        ((0, float("inf"), 1.0), (0, float("nan"), 1.0), NonFiniteValue),
-        ((0, float("nan"), 1.0), (0, float("-inf"), 1.0), NonFiniteValue),
-        ((0, 0.0, float("-inf")), (0, 0.0, float("nan")), NonFiniteValue),
-        ((0, 0.0, float("nan")), (0, 0.0, float("inf")), NonFiniteValue),
+        ((-1, 0.0, 1.0), (-2, 0.0, 1.0), DetectionError, "event index must be >= 0, got -1"),
+        (
+            (0, float("inf"), 1.0),
+            (0, float("nan"), 1.0),
+            NonFiniteValue,
+            "event timestamp must be finite, got inf",
+        ),
+        (
+            (0, float("nan"), 1.0),
+            (0, float("-inf"), 1.0),
+            NonFiniteValue,
+            "event timestamp must be finite, got nan",
+        ),
+        (
+            (0, 0.0, float("-inf")),
+            (0, 0.0, float("nan")),
+            NonFiniteValue,
+            "event delta must be finite, got -inf",
+        ),
+        (
+            (0, 0.0, float("nan")),
+            (0, 0.0, float("inf")),
+            NonFiniteValue,
+            "event delta must be finite, got nan",
+        ),
     ],
 )
 def test_events_validate_every_position_like_a_detected_event(
-    first_bad: tuple, second_bad: tuple, error: type
+    first_bad: tuple, second_bad: tuple, error: type, message: str
 ) -> None:
-    with pytest.raises(error) as single:
-        DetectedEvent(*first_bad)
     rows = [(7, 0.5, 10.0), first_bad, (9, 1.5, -10.0), second_bad]
     with pytest.raises(error) as batch:
         Events(*zip(*rows))
-    # The batch reports its first invalid position, as building the
-    # events one by one would.
-    assert str(batch.value) == str(single.value)
+    # The batch names its first invalid position, not a later one.
+    assert str(batch.value) == message
 
 
 def test_events_are_arrays_that_yield_detected_events() -> None:

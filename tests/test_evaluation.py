@@ -8,8 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilmevents import (
-    DetectedEvent,
     EvaluationReport,
+    Events,
     GroundTruthEntry,
     GroundTruthLog,
     InconsistentCounts,
@@ -27,10 +27,8 @@ time_lists = st.lists(
 ).map(sorted)
 
 
-def detections_at(times: list[float]) -> list[DetectedEvent]:
-    return [
-        DetectedEvent(index=i, timestamp_s=t, delta_watts=100.0) for i, t in enumerate(times)
-    ]
+def detections_at(times: list[float]) -> Events:
+    return Events(np.arange(len(times)), times, np.full(len(times), 100.0))
 
 
 def truth_at(times: list[float]) -> GroundTruthLog:
@@ -107,7 +105,7 @@ def test_detections_outside_tolerance_stay_unmatched() -> None:
 def test_tolerance_must_be_positive_and_finite() -> None:
     for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(NegativeTolerance):
-            match_events([], truth_at([1.0]), bad)
+            match_events(detections_at([]), truth_at([1.0]), bad)
 
 
 @given(time_lists, time_lists, st.floats(min_value=0.01, max_value=20.0))
