@@ -13,6 +13,9 @@ the only Python loop is the time-limit emission over the alarm times.
 Window sums are differences of one cumulative sum, whose rounding error
 grows with the trace's magnitude times its length, so a trace where that
 error could reach the threshold is refused with :class:`MagnitudeTooLarge`.
+The cumulative sum is one pass; the mean differences and the threshold
+test then run block by block, and every block reads the same sums the
+whole profile would.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .core import (
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
+    _map_blocks,
     validate_series,
 )
 
@@ -55,31 +59,45 @@ def _check_sum_resolution(values: np.ndarray, threshold_watts: float) -> None:
         )
 
 
-def _window_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the ``n`` samples before and after every eligible center.
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """``[0, x0, x0 + x1, ...]``: one sequential cumulative sum, written in place."""
+    csum = np.empty(values.size + 1)
+    csum[0] = 0.0
+    np.cumsum(values, out=csum[1:])
+    return csum
 
-    Entry ``k`` belongs to center ``n + k``, for every center with a full
-    window on both sides.  The before window covers
-    ``[center - n, center - 1]`` and the after window
-    ``[center + 1, center + n]``; the center sample is excluded so a step
-    landing exactly on it biases neither mean.  Both sums are differences
-    of slices of one cumulative sum.
+
+def _window_sums(
+    csum: np.ndarray, n: int, start: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the ``n`` samples before and after eligible centers.
+
+    ``csum`` comes from :func:`_prefix_sums`.  Entry ``k`` of the profile
+    belongs to center ``n + k``, for every center with a full window on
+    both sides; this returns entries ``[start, stop)``, all of them by
+    default.  The before window covers ``[center - n, center - 1]`` and
+    the after window ``[center + 1, center + n]``; the center sample is
+    excluded so a step landing exactly on it biases neither mean.  Each
+    sum is a difference of two cumulative-sum entries, so a block of
+    entries is bit-identical to the same entries of the whole profile.
     """
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    size = values.size
-    before_sums = csum[n : size - n] - csum[: size - 2 * n]
-    after_sums = csum[2 * n + 1 :] - csum[n + 1 : size - n + 1]
+    if stop is None:
+        stop = csum.size - 1 - 2 * n
+    before_sums = csum[n + start : n + stop] - csum[start:stop]
+    after_sums = csum[2 * n + 1 + start : 2 * n + 1 + stop] - csum[n + 1 + start : n + 1 + stop]
     return before_sums, after_sums
 
 
-def _mean_difference_profile(values: np.ndarray, n: int) -> np.ndarray:
-    """After-minus-before window means; entry ``k`` belongs to center ``n + k``.
+def _mean_difference_profile(
+    csum: np.ndarray, n: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """After-minus-before window means for profile entries ``[start, stop)``.
 
     Computed as ``(sum_after - sum_before) / n`` with a single division,
     so a constant offset added to every sample cancels exactly whenever
     the window sums are exact (integer-valued data, for instance).
     """
-    before_sums, after_sums = _window_sums(values, n)
+    before_sums, after_sums = _window_sums(csum, n, start, stop)
     return (after_sums - before_sums) / n
 
 
@@ -104,6 +122,12 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
         the first alarming index.  Timestamps come from
         :meth:`SampleSeries.time_at`.
 
+    Notes
+    -----
+    The mean-difference profile and its threshold test run in blocks, so
+    no full-length temporary is built beyond the cumulative sum; the
+    events are identical for any block size.
+
     Raises
     ------
     SeriesTooShort
@@ -119,9 +143,18 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
             f"need at least {2 * n + 1} samples for window {n}, got {len(series)}"
         )
     _check_sum_resolution(series.values, config.power_threshold_watts)
-    diffs = _mean_difference_profile(series.values, n)
-    alarm_positions = np.flatnonzero(np.abs(diffs) > config.power_threshold_watts)
-    alarm_indices = alarm_positions + n
+    csum = _prefix_sums(series.values)
+    threshold = config.power_threshold_watts
+
+    def alarms(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        diffs = _mean_difference_profile(csum, n, start, stop)
+        # |d| > threshold as two comparisons, with no |d| temporary.
+        positions = np.flatnonzero((diffs > threshold) | (diffs < -threshold))
+        return positions + (n + start), diffs[positions]
+
+    blocks = _map_blocks(alarms, csum.size - 1 - 2 * n)
+    alarm_indices = np.concatenate([indices for indices, _ in blocks])
+    alarm_deltas = np.concatenate([deltas for _, deltas in blocks])
     alarm_times = series.time_at(alarm_indices)
 
     # Sequential on purpose: whether an alarm is emitted depends on the
@@ -134,4 +167,4 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
             emitted.append(k)
             last_time = timestamp
     keep = np.array(emitted, dtype=np.int64)
-    return Events(alarm_indices[keep], alarm_times[keep], diffs[alarm_positions[keep]])
+    return Events(alarm_indices[keep], alarm_times[keep], alarm_deltas[keep])

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import _check_sum_resolution, _window_sums
+from .base import _check_sum_resolution, _prefix_sums, _window_sums
 from .core import (
     DetectionError,
     Events,
     SampleSeries,
     SeriesTooShort,
+    _BLOCK_SAMPLES,
     validate_series,
 )
 
@@ -163,23 +164,31 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
             f"sigma_sq must be positive, got {sigma_sq} (flat leading window?)"
         )
 
-    before_sums, after_sums = _window_sums(x, pw)
-    mu0 = before_sums / pw
-    mu1 = after_sums / pw
+    mu0, mu1 = _window_sums(_prefix_sums(x), pw)
+    mu0 /= pw
+    mu1 /= pw
     mean_diff = mu1 - mu0
-    ds = np.where(
-        np.abs(mean_diff) > config.power_threshold_watts,
-        mean_diff / sigma_sq * np.abs(x[pw : len(x) - pw] - (mu1 + mu0) / 2.0),
-        0.0,
-    )
+    threshold = config.power_threshold_watts
+    # ds is zero wherever |mu1 - mu0| <= threshold, so it is computed only
+    # at the other positions, each by the formula above.
+    active = np.flatnonzero((mean_diff > threshold) | (mean_diff < -threshold))
+    ds = mean_diff[active] / sigma_sq * np.abs(x[pw + active] - (mu1[active] + mu0[active]) / 2.0)
 
-    magnitude = np.abs(ds)
     m = config.maxima_precision_samples
-    maxima: list[int] = []
-    for pos in np.flatnonzero(magnitude > 0).tolist():
-        window = magnitude[max(0, pos - m) : pos + m + 1]
-        if np.count_nonzero(window >= magnitude[pos]) == 1:
-            maxima.append(pos)
-    positions = np.array(maxima, dtype=np.int64)
+    # Entries within m of an end see zeros beyond it, which no candidate
+    # (a nonzero magnitude) ties with, so the window is in effect truncated.
+    padded = np.zeros(mean_diff.size + 2 * m)
+    magnitude = padded[m:-m]
+    magnitude[active] = np.abs(ds)
+    candidates = active[magnitude[active] > 0]
+    windows = sliding_window_view(padded, 2 * m + 1)
+    # A strict maximum is the only entry of its window that is >= it.  The
+    # candidates go in chunks, so the (chunk, 2m + 1) comparison stays small.
+    chunk = max(1, _BLOCK_SAMPLES // (2 * m + 1))
+    maxima = [
+        part[np.count_nonzero(windows[part] >= magnitude[part, None], axis=1) == 1]
+        for part in (candidates[i : i + chunk] for i in range(0, candidates.size, chunk))
+    ]
+    positions = np.concatenate([np.empty(0, dtype=np.int64), *maxima])
     indices = pw + positions
     return Events(indices, series.time_at(indices), mean_diff[positions])

@@ -9,14 +9,16 @@ arrays that enforce the event rules once; a :class:`DetectedEvent` is an
 unchecked view of one position, built only where a caller reads events
 one at a time.  Durations are configured in seconds and converted to
 sample counts at the configured sampling rate via
-:func:`seconds_to_samples`.
+:func:`seconds_to_samples`.  The full-length passes of the other modules
+cut their range into blocks with ``_map_blocks``, so that each block's
+temporaries stay in cache, and return the same results for any block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -139,6 +141,26 @@ class SampleSeries:
         array of timestamps, each computed by the same formula.
         """
         return self.start_time_s + index / self.sampling_rate_hz
+
+
+# Samples per block of a full-length pass: small enough that a block's
+# temporaries stay in cache, large enough that dispatch costs little.
+_BLOCK_SAMPLES = 1 << 14
+
+_T = TypeVar("_T")
+
+
+def _map_blocks(fn: Callable[[int, int], _T], size: int) -> list[_T]:
+    """``[fn(start, stop) for each block [start, stop) of [0, size)]``, in block order.
+
+    ``[0, size)`` is cut into blocks of ``_BLOCK_SAMPLES``, run one after
+    another on the calling thread.  The outcome does not depend on the
+    block size as long as ``fn`` reads only its own block and writes only
+    its own slice of any shared output.  An exception in a block stops
+    the map and reaches the caller unchanged.
+    """
+    block_size = _BLOCK_SAMPLES
+    return [fn(start, min(start + block_size, size)) for start in range(0, size, block_size)]
 
 
 def validate_series(series: SampleSeries) -> SampleSeries:

@@ -24,6 +24,7 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
+    _map_blocks,
 )
 
 __all__ = [
@@ -47,6 +48,26 @@ def _checked_window(window_samples: int, size: int) -> int:
     if win > size:
         raise InvalidWindow(f"window {win} exceeds series length {size}")
     return win
+
+
+def _convolve_interior(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``np.convolve(x, kernel, "same")`` wherever the odd kernel fits inside ``x``.
+
+    The interior is convolved block by block (each block reads its own
+    samples plus ``half`` on either side) and equals the whole-array
+    convolution bit for bit.  The first and last ``half``
+    entries of the result are left unset for the caller's edge rule.
+    """
+    half = kernel.size // 2
+    out = np.empty_like(x)
+
+    def convolve_block(start: int, stop: int) -> None:
+        out[half + start : half + stop] = np.convolve(
+            x[start : stop + 2 * half], kernel, mode="valid"
+        )
+
+    _map_blocks(convolve_block, x.size - 2 * half)
+    return out
 
 
 def first_derivative(values: np.ndarray) -> np.ndarray:
@@ -93,7 +114,8 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     For full interior windows the symmetric weights make the fitted
     center value equal a tricube-weighted average, which is computed as a
     single convolution; only the truncated edge windows solve an explicit
-    least-squares system.
+    least-squares system.  The convolution runs in blocks, and the result
+    is identical for any block size.
 
     Parameters
     ----------
@@ -106,7 +128,7 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     half = _checked_window(window_samples, x.size) // 2
     kernel = _tricube_weights(np.arange(-half, half + 1), half)
     kernel /= kernel.sum()
-    out = np.convolve(x, kernel, mode="same")
+    out = _convolve_interior(x, kernel)
     for i in range(half):
         out[i] = _fit_local_linear(x, i, half)
         out[x.size - 1 - i] = _fit_local_linear(x, x.size - 1 - i, half)
@@ -185,7 +207,9 @@ def merge_transient_events(
     if not indices.size:
         return np.empty(0, dtype=np.int64)
     first = indices[0]
-    settled = np.abs(smoothed[first : indices[-1] + 1]) < config.derivative_epsilon
+    span = smoothed[first : indices[-1] + 1]
+    # |s| < eps as two comparisons, with no float temporary for |s|.
+    settled = (span < config.derivative_epsilon) & (span > -config.derivative_epsilon)
     settled[indices - first] = False
     # Both ends of the span are candidates, so every run starts and ends inside it.
     edges = np.flatnonzero(np.diff(settled.view(np.int8))) + 1

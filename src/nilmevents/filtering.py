@@ -32,7 +32,7 @@ from .core import (
     SampleSeries,
     seconds_to_samples,
 )
-from .derivative import _checked_window
+from .derivative import _checked_window, _convolve_interior
 
 __all__ = [
     "OrderTooHigh",
@@ -114,7 +114,8 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
     the half width, so the Vandermonde matrix ``V`` holds powers of values
     in ``[-1, 1]`` and stays well conditioned up to the interpolating
     order.  Interior samples apply the center row of ``pinv(V)`` as one
-    convolution; each edge applies ``half`` rows of the projection
+    convolution, run in blocks with a result identical for any block
+    size; each edge applies ``half`` rows of the projection
     ``V @ pinv(V)`` to its end window.
 
     Parameters
@@ -137,7 +138,7 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
     half = win // 2
     vander = np.vander(np.arange(-half, half + 1) / half, poly_order + 1, increasing=True)
     fit = np.linalg.pinv(vander)
-    out = np.convolve(x, fit[0, ::-1], mode="same")
+    out = _convolve_interior(x, fit[0, ::-1])
     projection = vander @ fit
     out[:half] = projection[:half] @ x[:win]
     out[x.size - half :] = projection[win - half :] @ x[x.size - win :]

@@ -17,7 +17,7 @@ from nilmevents import (
     detect_hybrid,
     lld_max,
 )
-from nilmevents.base import _mean_difference_profile, _window_sums
+from nilmevents.base import _mean_difference_profile, _prefix_sums, _window_sums
 
 from oracles import oracle_base_events, oracle_mean_difference_profile, oracle_moving_means
 
@@ -41,14 +41,19 @@ def two_step_trace(rate: float = 20.0) -> SampleSeries:
 
 def moving_means(values: np.ndarray, center: int, n: int) -> tuple[float, float]:
     """Before/after window means at ``center``, read from the shared window sums."""
-    before_sums, after_sums = _window_sums(values, n)
+    before_sums, after_sums = _window_sums(_prefix_sums(values), n)
     return before_sums[center - n] / n, after_sums[center - n] / n
+
+
+def profile(values: np.ndarray, n: int) -> np.ndarray:
+    """The whole mean-difference profile; entry ``k`` belongs to center ``n + k``."""
+    return _mean_difference_profile(_prefix_sums(values), n)
 
 
 def test_moving_means_on_an_exact_step() -> None:
     values = np.array([1.0, 1.0, 1.0, 5.0, 5.0, 5.0])
     assert moving_means(values, 2, 2) == (1.0, 5.0)
-    diffs = _mean_difference_profile(values, 2)
+    diffs = profile(values, 2)
     assert diffs.size == 2  # centers 2 and 3
     assert diffs[0] == 4.0
 
@@ -68,7 +73,7 @@ def test_moving_means_with_wider_windows() -> None:
 def test_mean_difference_profile_matches_oracle_exactly_on_integers(
     values: np.ndarray, n: int
 ) -> None:
-    diffs = _mean_difference_profile(values, n)
+    diffs = profile(values, n)
     expected = oracle_mean_difference_profile(values, n)
     assert sorted(expected) == list(range(n, n + diffs.size))
     for center in expected:
@@ -77,7 +82,7 @@ def test_mean_difference_profile_matches_oracle_exactly_on_integers(
 
 @given(float_traces, st.integers(min_value=1, max_value=4))
 def test_mean_difference_profile_matches_oracle_on_floats(values: np.ndarray, n: int) -> None:
-    diffs = _mean_difference_profile(values, n)
+    diffs = profile(values, n)
     expected = oracle_mean_difference_profile(values, n)
     scale = max(1.0, float(np.max(np.abs(values))))
     assert sorted(expected) == list(range(n, n + diffs.size))
@@ -87,7 +92,7 @@ def test_mean_difference_profile_matches_oracle_on_floats(values: np.ndarray, n:
 
 @given(integer_traces)
 def test_profile_agrees_with_moving_means_at_every_center(values: np.ndarray) -> None:
-    diffs = _mean_difference_profile(values, 3)
+    diffs = profile(values, 3)
     for center in range(3, values.size - 3):
         before, after = oracle_moving_means(values, center, 3)
         assert moving_means(values, center, 3) == (before, after)
@@ -146,7 +151,7 @@ def test_raising_the_threshold_never_adds_raw_alarms(
     values: np.ndarray, threshold_a: float, threshold_b: float
 ) -> None:
     low, high = sorted((threshold_a, threshold_b))
-    diffs = _mean_difference_profile(values, 3)
+    diffs = profile(values, 3)
     assert np.count_nonzero(np.abs(diffs) > high) <= np.count_nonzero(np.abs(diffs) > low)
 
 
@@ -217,6 +222,14 @@ def test_base_events_match_oracle_exactly_with_start_times_and_time_limits(
     assert [(e.index, e.timestamp_s, e.delta_watts) for e in events] == expected
 
 
+def test_a_mean_change_of_exactly_the_threshold_does_not_alarm() -> None:
+    # The 6-sample windows sum exactly, so a clean 25 W step gives |d| = 25
+    # at most, which is not above the 25 W threshold; 25.5 W is.
+    for step, expected in ((25.0, 0), (-25.0, 0), (25.5, 1), (-25.5, 1)):
+        values = np.concatenate([np.full(100, 500.0), np.full(100, 500.0 + step)])
+        assert len(detect_base(series_at_20hz(values), HybridConfig())) == expected, step
+
+
 def test_alarms_exactly_one_time_limit_apart_are_suppressed() -> None:
     # A steep ramp alarms at every sample; at 4 Hz samples are exactly
     # 0.25 s apart, so with a 0.25 s limit every other alarm is emitted.
@@ -267,3 +280,63 @@ def test_lld_applies_the_magnitude_check_with_its_own_threshold() -> None:
     lld_max(series, LldConfig(sigma_sq=1.0, power_threshold_watts=1.0))
     with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 0.5 W"):
         lld_max(series, LldConfig(sigma_sq=1.0, power_threshold_watts=0.5))
+
+
+def events_from_whole_profile(
+    values: np.ndarray, rate: float, n: int, threshold: float, time_limit_s: float
+) -> list[tuple[int, float, float]]:
+    """Threshold and time-limit emission over the unblocked profile, one center at a time."""
+    events: list[tuple[int, float, float]] = []
+    last_time = -np.inf
+    for position, delta in enumerate(profile(values, n).tolist()):
+        timestamp = (position + n) / rate
+        if abs(delta) > threshold and timestamp - last_time > time_limit_s:
+            events.append((position + n, timestamp, delta))
+            last_time = timestamp
+    return events
+
+
+def steps_on_block_edges(block: int, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Noise plus steps whose first alarm falls on, just before or just after block edges.
+
+    A large step starting at sample ``s`` first alarms at center ``s - n``,
+    which is profile entry ``s - 2n``; entries ``0, block, 2 block, ...``
+    start the blocks.
+    """
+    values = rng.normal(0.0, 3.0, size)
+    level = 0.0
+    for edge in range(block, size - 2 * n, max(block, 40)):
+        for step_at in (edge + 2 * n - 1, edge + 2 * n, edge + 2 * n + 1):
+            if step_at < size:
+                level = 1000.0 - level
+                values[step_at:] += level - 500.0
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_blocked_base_events_match_the_oracle_on_integers(
+    small_blocks: int, n: int
+) -> None:
+    rng = np.random.default_rng(small_blocks * 10 + n)
+    for size in (2 * n + 1, 2 * n + 2, 97, 300):
+        values = np.round(steps_on_block_edges(small_blocks, n, size, rng))
+        config = HybridConfig(mean_window_s=n / 20.0, time_limit_s=0.05)
+        events = detect_base(series_at_20hz(values), config)
+        expected = oracle_base_events(values, 20.0, n, 25.0, 0.05)
+        assert list(zip(events.indices.tolist(), events.timestamps_s.tolist(),
+                        events.deltas_watts.tolist())) == expected
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_blocked_base_events_match_the_whole_profile_on_floats(
+    small_blocks: int, n: int
+) -> None:
+    rng = np.random.default_rng(small_blocks * 10 + n)
+    for size in (2 * n + 1, 97, 300):
+        values = steps_on_block_edges(small_blocks, n, size, rng) * np.pi
+        config = HybridConfig(mean_window_s=n / 20.0, time_limit_s=0.05)
+        events = detect_base(series_at_20hz(values), config)
+        expected = events_from_whole_profile(values, 20.0, n, 25.0, 0.05)
+        assert list(zip(events.indices.tolist(), events.timestamps_s.tolist(),
+                        events.deltas_watts.tolist())) == expected
+        assert len(events) > 0 or size == 2 * n + 1

@@ -17,6 +17,7 @@ from nilmevents import (
     cusum,
     lld_max,
 )
+from nilmevents import baselines
 
 from oracles import oracle_cusum, oracle_lld
 
@@ -130,6 +131,41 @@ def test_lld_stays_silent_on_a_perfectly_symmetric_step() -> None:
     t = np.arange(600) / 20.0
     values = np.where(t >= 15.0, 250.0, 0.0)
     assert len(lld_max(series_at_20hz(values), LldConfig(sigma_sq=1.0))) == 0
+
+
+def lld_oracle_pairs(values: np.ndarray) -> list[tuple[int, float]]:
+    return oracle_lld(values, 20.0, 6, 25.0, 10, 1.0)
+
+
+def test_lld_reports_neither_of_two_equal_maxima_inside_one_window() -> None:
+    # A pulse mirror-symmetric about sample 303: |ds| at 303 - k equals
+    # |ds| at 303 + k, and every such pair lies within the 10-sample window.
+    values = np.zeros(600)
+    values[300], values[301:306], values[306] = 75.0, 250.0, 75.0
+    assert len(lld_max(series_at_20hz(values), LldConfig(sigma_sq=1.0))) == 0
+    assert lld_oracle_pairs(values) == []
+    values[306] = 80.0  # breaks the symmetry, and with it the tie
+    events = lld_max(series_at_20hz(values), LldConfig(sigma_sq=1.0))
+    assert [(e.index, e.delta_watts) for e in events] == lld_oracle_pairs(values) == [
+        (301, 167.5)
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 21, 64, 1 << 14])
+def test_lld_finds_maxima_within_the_precision_window_of_either_end(
+    monkeypatch: pytest.MonkeyPatch, block: int
+) -> None:
+    # Candidates are compared in chunks of block // 21 rows (at least one).
+    monkeypatch.setattr(baselines, "_BLOCK_SAMPLES", block)
+    values = np.zeros(120)
+    values[8], values[9:111], values[110] = 75.0, 250.0, 90.0
+    values[111:] = 0.0
+    events = lld_max(series_at_20hz(values), LldConfig(sigma_sq=1.0))
+    # Statistic positions 3 and 103 of 108: within 10 samples of each end.
+    assert [(e.index, e.delta_watts) for e in events] == lld_oracle_pairs(values) == [
+        (9, 237.5),
+        (109, -235.0),
+    ]
 
 
 def test_lld_fires_repeatedly_on_a_long_ramp() -> None:

@@ -4,7 +4,9 @@
 from each call's arguments and result with ``len()``.  A stage that is no
 longer called through its traced name, or whose result stops having the
 event count as its length, would silently zero the per-layer metrics;
-this test makes either fail the suite.
+this test makes either fail the suite.  The blocked passes must call
+nothing the tracer wraps from inside a block: the spans of a run cut into
+many blocks must be the same spans, each inside its parent.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import nilmevents.pipeline
 from nilmevents import generate_scenario
 
+from blocks import use_blocks
 from replicas import replica_config, replica_spec
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -27,7 +32,8 @@ def load_tracer_module():
     return module
 
 
-def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> None:
+def traced_kitchen_run():
+    """One traced ``detect_hybrid`` call on the kitchen replica: (tracer, result)."""
     series, _ = generate_scenario(replica_spec("kitchen"))
     config = replica_config("kitchen")
     tracer = load_tracer_module().Tracer()
@@ -38,16 +44,24 @@ def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> Non
         result = nilmevents.pipeline.detect_hybrid(series, config)
     finally:
         tracer.uninstall()
+    return tracer, result
 
+
+def span_counts(tracer) -> dict:
     assert not [span for span in tracer.spans if "counts_error" in span]
     counts = {}
     for span in tracer.spans:
         if "counts" in span:
             assert span["name"] not in counts, f"{span['name']} traced twice"
             counts[span["name"]] = span["counts"]
+    return counts
+
+
+def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> None:
+    tracer, result = traced_kitchen_run()
     verdicts = [v.reason.value for v in result.filter_verdicts]
     assert verdicts, "the kitchen replica should arm the refilter"
-    assert counts == {
+    assert span_counts(tracer) == {
         "base.detect_base": {"out": len(result.base_events)},
         "derivative.detect_extrema": {"out": len(result.extrema)},
         "derivative.merge_transient_events": {
@@ -64,3 +78,20 @@ def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> Non
     }
     names = {span["name"] for span in tracer.spans}
     assert {"filtering.savitzky_golay", "filtering.redetect"} <= names
+
+
+def test_many_blocks_leave_the_spans_unchanged(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    whole, _ = traced_kitchen_run()
+    use_blocks(monkeypatch, 64)  # the 11,398-sample trace spans about 180 blocks
+    blocked, _ = traced_kitchen_run()
+    assert [(s["name"], s["parent"]) for s in blocked.spans] == [
+        (s["name"], s["parent"]) for s in whole.spans
+    ]
+    assert span_counts(blocked) == span_counts(whole)
+    by_id = {span["id"]: span for span in blocked.spans}
+    for span in blocked.spans:
+        if span["parent"] is not None:
+            parent = by_id[span["parent"]]
+            assert parent["start"] <= span["start"] <= span["end"] <= parent["end"], span

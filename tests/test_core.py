@@ -27,6 +27,9 @@ from nilmevents import (
     seconds_to_samples,
     validate_series,
 )
+from nilmevents import core
+
+from blocks import use_blocks
 
 rates = st.floats(min_value=0.1, max_value=1000.0, allow_nan=False)
 
@@ -214,3 +217,29 @@ def test_report_enforces_count_identities() -> None:
         EvaluationReport(tp=-1, fp=0, fn=5, ground_truth_count=4)
     with pytest.raises(ZeroGroundTruth):
         EvaluationReport(tp=0, fp=0, fn=0, ground_truth_count=0)
+
+
+def test_block_map_returns_one_result_per_block_in_order(small_blocks: int) -> None:
+    size = 150
+    expected = [(start, min(start + small_blocks, size)) for start in range(0, size, small_blocks)]
+    assert core._map_blocks(lambda start, stop: (start, stop), size) == expected
+    assert core._map_blocks(lambda start, stop: (start, stop), 0) == []
+
+
+class BlockFailure(Exception):
+    pass
+
+
+def test_an_exception_in_a_block_reaches_the_caller(monkeypatch: pytest.MonkeyPatch) -> None:
+    use_blocks(monkeypatch, 7)
+    started: list[int] = []
+
+    def fail_late(start: int, stop: int) -> None:
+        started.append(start)
+        if start >= 35:
+            raise BlockFailure(f"block [{start}, {stop}) failed")
+
+    # Every block from 35 on would fail; the first one stops the map.
+    with pytest.raises(BlockFailure, match=r"^block \[35, 42\) failed$"):
+        core._map_blocks(fail_late, 100)
+    assert started == list(range(0, 42, 7))

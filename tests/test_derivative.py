@@ -20,6 +20,7 @@ from nilmevents import (
     loess_smooth,
     merge_transient_events,
 )
+from nilmevents.derivative import _fit_local_linear, _tricube_weights
 
 from oracles import (
     oracle_extrema,
@@ -96,6 +97,25 @@ def test_loess_matches_per_point_weighted_fit(values: np.ndarray, window: int) -
     smoothed = loess_smooth(values, window)
     expected = oracle_loess(values, window)
     np.testing.assert_allclose(smoothed, expected, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("window", [3, 21, 129])
+def test_blocked_loess_equals_the_whole_array_convolution_and_edge_fits(
+    small_blocks: int, window: int
+) -> None:
+    half = window // 2
+    kernel = _tricube_weights(np.arange(-half, half + 1), half)
+    kernel /= kernel.sum()
+    rng = np.random.default_rng(window)
+    for size in (window, window + 1, 500):
+        values = rng.normal(0.0, 50.0, size)
+        smoothed = loess_smooth(values, window)
+        interior = slice(half, size - half)
+        assert np.array_equal(smoothed[interior], np.convolve(values, kernel, "same")[interior])
+        edge_indices = [*range(half), *range(size - half, size)]
+        assert np.array_equal(
+            smoothed[edge_indices], [_fit_local_linear(values, i, half) for i in edge_indices]
+        )
 
 
 def test_loess_reduces_noise_variance_on_step_plateaus() -> None:
@@ -188,6 +208,17 @@ def test_candidates_on_one_unsettled_transient_collapse_to_the_first() -> None:
     candidates = events_at([20, 45, 60, 88, 105, 130], series)
     survivors = merge_transient_events(candidates, busy, series, HybridConfig())
     assert candidates[survivors].indices.tolist() == [20]
+
+
+def test_a_derivative_of_exactly_epsilon_is_not_settled() -> None:
+    # |s| < epsilon is strict on both signs; just inside it, the gap settles.
+    series = series_at_20hz(np.zeros(200))
+    candidates = events_at([10, 110], series)
+    epsilon = HybridConfig().derivative_epsilon
+    for level, expected in ((epsilon, [10]), (-epsilon, [10]), (-0.99 * epsilon, [10, 110])):
+        smoothed = np.full(200, level)
+        survivors = merge_transient_events(candidates, smoothed, series, HybridConfig())
+        assert candidates[survivors].indices.tolist() == expected, level
 
 
 def test_settled_run_must_exceed_the_settle_threshold() -> None:

@@ -116,6 +116,27 @@ def test_savgol_matches_an_exact_rational_fit_up_to_the_interpolating_order() ->
         )
 
 
+@pytest.mark.parametrize(("window", "order"), [(3, 1), (9, 3), (41, 2), (129, 4)])
+def test_blocked_savgol_equals_the_whole_array_convolution_and_edge_fits(
+    small_blocks: int, window: int, order: int
+) -> None:
+    half = window // 2
+    vander = np.vander(np.arange(-half, half + 1) / half, order + 1, increasing=True)
+    fit = np.linalg.pinv(vander)
+    projection = vander @ fit
+    rng = np.random.default_rng(window)
+    for size in (window, window + 1, 500):
+        values = rng.normal(0.0, 50.0, size)
+        smoothed = savitzky_golay(values, window, order)
+        interior = slice(half, size - half)
+        expected = np.convolve(values, fit[0, ::-1], "same")
+        assert np.array_equal(smoothed[interior], expected[interior])
+        assert np.array_equal(smoothed[:half], projection[:half] @ values[:window])
+        assert np.array_equal(
+            smoothed[size - half :], projection[window - half :] @ values[size - window :]
+        )
+
+
 def test_importing_the_package_does_not_load_scipy() -> None:
     package_root = Path(nilmevents.__file__).resolve().parent.parent
     probe = (

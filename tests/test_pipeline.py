@@ -26,6 +26,7 @@ from nilmevents import (
     smoothed_derivative,
 )
 
+from blocks import BLOCK_SIZES, use_blocks
 from oracles import oracle_extrema, oracle_merge
 from replicas import run_replica
 
@@ -120,6 +121,21 @@ def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
         run.config.settle_threshold_s,
     )
     assert_stage_lists_nest(result)
+
+
+@pytest.mark.parametrize("name", REPLICA_NAMES)
+def test_any_block_size_gives_identical_results(name: str) -> None:
+    run = run_replica(name)
+    expected = detect_hybrid(run.series, run.config)
+    for block in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            use_blocks(monkeypatch, block)
+            result = detect_hybrid(run.series, run.config)
+        assert result.base_events == expected.base_events, block
+        assert np.array_equal(result.merged_positions, expected.merged_positions)
+        assert np.array_equal(result.final_positions, expected.final_positions)
+        assert np.array_equal(result.extrema, expected.extrema)
+        assert result.filter_verdicts == expected.filter_verdicts
 
 
 def test_pipeline_propagates_short_series_errors() -> None:
