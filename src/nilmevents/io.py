@@ -1,9 +1,13 @@
 """File formats for traces, reference logs, detections and configs.
 
-Traces are two-column CSV files (``timestamp_s,power_w`` header or
-headerless; comma- or whitespace-separated), with ``#`` comments and
-blank lines ignored.  The sampling rate is inferred from the timestamps,
-which must be uniform to within 1 % of the median spacing.
+Every input file is read as UTF-8, with or without a byte-order mark.
+Traces follow one grammar, the one ``np.loadtxt`` parses: an optional
+header (``timestamp_s,power_w``) on line 1 only; ``#`` starting a
+comment anywhere on a line; blank lines skipped; one delimiter per file
+(a comma when the first data row holds one, else whitespace); and
+exactly two finite numbers on every data row.  The sampling rate is
+inferred from the timestamps, which must be uniform to within 1 % of the
+median spacing.
 :func:`write_trace` emits full-precision ``repr`` floats, so a written
 trace reloads with bit-identical sample values.
 
@@ -22,7 +26,7 @@ import csv
 import os
 import re
 import typing
-import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -35,6 +39,7 @@ from .core import (
     GroundTruthEntry,
     GroundTruthLog,
     HybridConfig,
+    NonFiniteValue,
     SampleSeries,
 )
 
@@ -70,75 +75,102 @@ class EmptyFile(DetectionError):
     """A file contained no data rows."""
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _looks_like_header(line: str) -> bool:
     parts = [p for p in _SPLIT.split(line.strip()) if p]
-    if not parts:
-        return False
+    return bool(parts) and not _is_number(parts[0])
+
+
+@contextmanager
+def _decoding(path: Path) -> typing.Iterator[None]:
+    """Report bytes that are not UTF-8 as a :class:`ParseError` naming the file."""
     try:
-        float(parts[0])
-    except ValueError:
-        return True
-    return False
+        yield
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} {bad!r}") from None
 
 
-def _parse_trace_rows(path: Path) -> np.ndarray:
-    """Line-by-line trace parser used to produce precise error positions."""
-    rows: list[tuple[float, float]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if lineno == 1 and _looks_like_header(line):
-                continue
-            parts = [p for p in _SPLIT.split(line) if p]
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: not a number: {line!r}") from None
-    return np.array(rows, dtype=float).reshape(-1, 2)
+def _data_lines(path: Path, delimiter: str | None) -> typing.Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each line ``np.loadtxt`` reads as data.
+
+    With a comma delimiter, a line of spaces is data: one empty field.
+    """
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.partition("#")[0].rstrip("\n")
+            if text.strip() if delimiter is None else text:
+                yield lineno, text.split(delimiter)
 
 
 def _load_trace_columns(path: Path) -> np.ndarray:
-    """Fast bulk parse; falls back to the line parser on any mismatch."""
+    """Parse a trace into an ``(n, 2)`` array with one ``np.loadtxt`` call.
+
+    Walks over the lines find the header (line 1 only) and the delimiter
+    (a comma when the first data row holds one), and name the first line
+    of a rejected file that is not two numbers.
+    """
+    skiprows = 0
+    for lineno, fields in _data_lines(path, None):
+        if lineno == 1 and _looks_like_header(fields[0]):
+            skiprows = 1
+            continue
+        delimiter = "," if any("," in field for field in fields) else None
+        break
+    else:
+        raise EmptyFile(f"{path}: no data rows")
     try:
-        with open(path, encoding="utf-8") as handle:
-            first = handle.readline()
-            second = handle.readline()
-        skiprows = 1 if _looks_like_header(first) else 0
-        sample = second if skiprows else first
-        delimiter = "," if "," in sample else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            data = np.loadtxt(
-                path, comments="#", delimiter=delimiter, skiprows=skiprows, ndmin=2
-            )
-        if data.size and data.shape[1] != 2:
-            raise ValueError
-        return data
-    except OSError:
-        raise
-    except Exception:
-        return _parse_trace_rows(path)
+        data = np.loadtxt(
+            path, delimiter=delimiter, skiprows=skiprows, ndmin=2, encoding="utf-8-sig"
+        )
+        if data.shape[1] == 2:
+            return data
+        problem = f"expected 2 columns, got {data.shape[1]}"
+    except ValueError as exc:
+        problem = str(exc)
+    for lineno, fields in _data_lines(path, delimiter):
+        if lineno > skiprows and (len(fields) != 2 or not all(map(_is_number, fields))):
+            fields = [field.strip() for field in fields]
+            raise ParseError(f"{path}:{lineno}: expected 2 numeric columns, got {fields}")
+    raise ParseError(f"{path}: {problem}")
 
 
 def load_trace(path: str | Path) -> SampleSeries:
     """Read a two-column (timestamp, watts) trace file.
 
-    An optional first-line header (``timestamp_s,power_w``) is skipped.
+    The file is UTF-8 text, with or without a byte-order mark.  Line 1
+    may be a header (``timestamp_s,power_w``); ``#`` starts a comment
+    anywhere and blank lines are skipped.  Every other line holds exactly
+    two finite numbers, separated by one comma throughout the file when
+    the first data row has one, else by whitespace.  A single
+    ``np.loadtxt`` call parses the rows; when it rejects the file, the
+    :class:`ParseError` names the first offending line.
+
     The sampling rate is the reciprocal of the median timestamp spacing.
-    Raises :class:`NonUniformSampling` when any spacing deviates from the
-    median by more than 1 %, and :class:`EmptyFile` when no data rows
-    remain after stripping the header, comments and blank lines.
+    Raises :class:`EmptyFile` when no data rows remain,
+    :class:`NonFiniteValue` for a NaN or infinite field, and
+    :class:`NonUniformSampling` when any spacing deviates from the median
+    by more than 1 %.
     """
     path = Path(path)
-    data = _load_trace_columns(path)
-    if data.size == 0:
-        raise EmptyFile(f"{path}: no data rows")
+    with _decoding(path):
+        data = _load_trace_columns(path)
     if data.shape[0] < 2:
         raise ParseError(f"{path}: need at least 2 samples to infer the sampling rate")
+    finite = np.isfinite(data)
+    if not finite.all():
+        sample, column = np.argwhere(~finite)[0]
+        name = ("timestamp", "power")[column]
+        raise NonFiniteValue(
+            f"{path}: sample {sample} {name} {data[sample, column]} is not finite"
+        )
 
     timestamps = data[:, 0]
     spacings = np.diff(timestamps)
@@ -185,7 +217,7 @@ def load_ground_truth(path: str | Path) -> GroundTruthLog:
     """
     path = Path(path)
     entries: list[GroundTruthEntry] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _decoding(path), open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -271,7 +303,7 @@ def load_config_file(path: str | Path, base: HybridConfig = HybridConfig()) -> H
     path = Path(path)
     field_types = _config_field_types()
     overrides: dict[str, object] = {}
-    with open(path, encoding="utf-8") as handle:
+    with _decoding(path), open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -310,10 +310,12 @@ def scenario_from_dict(payload: dict) -> ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    """Read a scenario description from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a scenario description from a UTF-8 JSON file (a byte-order mark is allowed)."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise InvalidSpec(f"{path}: not UTF-8 text: {exc.reason} {bad!r}") from None
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{path}: not valid JSON: {exc}") from exc
     return scenario_from_dict(payload)

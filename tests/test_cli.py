@@ -223,6 +223,49 @@ def test_missing_or_malformed_inputs_exit_with_code_two(tmp_path: Path, capsys) 
     assert cli_main(["detect", str(trace), "--config", str(bad_config)]) == 2
 
 
+@pytest.mark.parametrize("reader", ["trace", "truth", "config", "scenario"])
+def test_input_that_is_not_utf8_exits_with_code_two(reader: str, tmp_path: Path, capsys) -> None:
+    trace, truth = render_scenario("rangehood", tmp_path)
+    sources = {
+        "trace": trace,
+        "truth": truth,
+        "config": SCENARIO_DIR / "kitchen.config",
+        "scenario": SCENARIO_DIR / "rangehood.json",
+    }
+    data = sources[reader].read_bytes()
+    bad = tmp_path / f"bad_{reader}"
+    bad.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+    argv = {
+        "trace": ["detect", str(bad)],
+        "truth": ["evaluate", str(trace), str(bad)],
+        "config": ["detect", str(trace), "--config", str(bad)],
+        "scenario": ["synth", str(bad), "--out", str(tmp_path / "out.csv")],
+    }[reader]
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ("0.0,100\n0.05,100\nnan,100\n0.15,100\n", "sample 2 timestamp nan"),
+        ("0.0,100\n0.05,100\n0.1,100\ninf,100\n", "sample 3 timestamp inf"),
+        ("0.0,100\n0.05,nan\n0.1,100\n", "sample 1 power nan"),
+    ],
+)
+def test_non_finite_trace_fields_exit_with_code_two(
+    rows: str, message: str, tmp_path: Path, capsys
+) -> None:
+    trace = tmp_path / "odd.csv"
+    trace.write_text(rows)
+    assert cli_main(["detect", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: {trace}: {message} is not finite\n"
+
+
 def test_usage_errors_exit_with_code_one(tmp_path: Path, capsys) -> None:
     assert cli_main(["frobnicate"]) == 1
     assert cli_main([]) == 1

@@ -17,6 +17,7 @@ from nilmevents import (
     GroundTruthEntry,
     GroundTruthLog,
     HybridConfig,
+    NonFiniteValue,
     NonUniformSampling,
     ParseError,
     SampleSeries,
@@ -80,6 +81,158 @@ def test_trace_parse_errors_name_the_line(tmp_path: Path) -> None:
     bad_columns.write_text("0.0,100\n0.05,100,7\n")
     with pytest.raises(ParseError, match=r"cols\.csv:2.*columns"):
         load_trace(bad_columns)
+
+
+PLAIN_TRACE = "timestamp_s,power_w\n0.0,100\n0.05,150\n0.1,200\n0.15,250\n"
+HEADERLESS_TRACE = PLAIN_TRACE.split("\n", 1)[1]
+
+
+def write_bytes(path: Path, text: str) -> Path:
+    """Write ``text`` as UTF-8 with its line ends exactly as given."""
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("\n" + HEADERLESS_TRACE, id="blank-first-line"),
+        pytest.param(
+            PLAIN_TRACE.replace("power_w\n", "power_w\n# note\n"), id="comment-after-header"
+        ),
+        pytest.param(PLAIN_TRACE.replace("150\n", "150  # note\n"), id="inline-comment"),
+        pytest.param(PLAIN_TRACE.replace("\n", "\r\n"), id="crlf"),
+        pytest.param("\ufeff" + PLAIN_TRACE, id="bom-with-header"),
+        pytest.param("\ufeff" + HEADERLESS_TRACE, id="bom-headerless"),
+    ],
+)
+def test_trace_layouts_the_grammar_allows_load_like_the_plain_file(
+    text: str, tmp_path: Path
+) -> None:
+    plain = load_trace(write_bytes(tmp_path / "plain.csv", PLAIN_TRACE))
+    other = load_trace(write_bytes(tmp_path / "other.csv", text))
+    assert np.array_equal(other.values, plain.values)
+    assert np.array_equal(plain.values, [100.0, 150.0, 200.0, 250.0])
+    assert other.sampling_rate_hz == plain.sampling_rate_hz
+    assert other.start_time_s == plain.start_time_s == 0.0
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        pytest.param(
+            PLAIN_TRACE.replace("0.05,150\n", "0.05,150,\n"),
+            ":3: expected 2 numeric columns, got ['0.05', '150', '']",
+            id="trailing-comma",
+        ),
+        pytest.param(
+            PLAIN_TRACE.replace("0.05,150\n", "0.05,,150\n"),
+            ":3: expected 2 numeric columns, got ['0.05', '', '150']",
+            id="doubled-comma",
+        ),
+        pytest.param(
+            PLAIN_TRACE.replace("0.05,150\n", "0.05 150\n"),
+            ":3: expected 2 numeric columns, got ['0.05 150']",
+            id="space-row-in-a-comma-file",
+        ),
+        pytest.param(
+            HEADERLESS_TRACE.replace("0.0,100\n", "0.0 100\n"),
+            ":2: expected 2 numeric columns, got ['0.05,150']",
+            id="comma-row-in-a-space-file",
+        ),
+        pytest.param(
+            HEADERLESS_TRACE.replace("0.05,150\n", "0.05,150\n   # note\n"),
+            ":3: expected 2 numeric columns, got ['']",
+            id="spaces-before-a-comment-in-a-comma-file",
+        ),
+        pytest.param(
+            PLAIN_TRACE.replace("power_w\n", "power_w\ntimestamp_s,power_w\n"),
+            ":2: expected 2 numeric columns, got ['timestamp_s', 'power_w']",
+            id="second-header-line",
+        ),
+        pytest.param(
+            "\n" + PLAIN_TRACE,
+            ":2: expected 2 numeric columns, got ['timestamp_s', 'power_w']",
+            id="header-after-a-blank-line",
+        ),
+        pytest.param(
+            "timestamp_s,power_w\n0.0,100 # note\n0.05,oops\n0.1,200\n",
+            ":3: expected 2 numeric columns, got ['0.05', 'oops']",
+            id="inline-comment-then-bad-number",
+        ),
+    ],
+)
+def test_trace_rows_outside_the_grammar_are_rejected_at_their_line(
+    text: str, message: str, tmp_path: Path
+) -> None:
+    path = write_bytes(tmp_path / "bad.csv", text)
+    with pytest.raises(ParseError) as excinfo:
+        load_trace(path)
+    assert str(excinfo.value) == f"{path}{message}"
+
+
+def test_a_number_only_python_reads_is_rejected_with_numpys_message(tmp_path: Path) -> None:
+    path = write_bytes(tmp_path / "under.csv", "0.0,100\n0.05,1_000\n")
+    with pytest.raises(ParseError, match=r"under\.csv: .*1_000"):
+        load_trace(path)
+
+
+def test_trace_values_come_from_one_loadtxt_call(tmp_path: Path, monkeypatch) -> None:
+    calls, results = [], []
+    loadtxt = np.loadtxt
+
+    def recorded(*args, **kwargs):
+        calls.append(Path(args[0]).name)
+        results.append(loadtxt(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(np, "loadtxt", recorded)
+    blank_first = write_bytes(tmp_path / "blank.csv", "\n" + HEADERLESS_TRACE)
+    commented = write_bytes(
+        tmp_path / "commented.csv", PLAIN_TRACE.replace("power_w\n", "power_w\n# note\n")
+    )
+    for path in (blank_first, commented):
+        series = load_trace(path)
+        assert calls[-1] == path.name
+        assert np.shares_memory(series.values, results[-1])
+    with pytest.raises(ParseError):
+        load_trace(write_bytes(tmp_path / "bad.csv", PLAIN_TRACE.replace("150", "oops")))
+    assert calls == ["blank.csv", "commented.csv", "bad.csv"]
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("0.0,100\n0.05,100\nnan,100\n0.15,100\n", "sample 2 timestamp nan"),
+        ("0.0,100\n0.05,100\n0.1,100\ninf,100\n", "sample 3 timestamp inf"),
+        ("0.0,100\n0.05,nan\n0.1,100\n", "sample 1 power nan"),
+    ],
+)
+def test_non_finite_trace_fields_are_named(text: str, message: str, tmp_path: Path) -> None:
+    path = write_bytes(tmp_path / "odd.csv", text)
+    with pytest.raises(NonFiniteValue) as excinfo:
+        load_trace(path)
+    assert str(excinfo.value) == f"{path}: {message} is not finite"
+
+
+def test_bytes_that_are_not_utf8_are_a_parse_error_naming_the_file(tmp_path: Path) -> None:
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"0.0,100\n0.05,1\xff0\n0.1,200\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(b"3.5,kettle \xff on\n")
+    config = tmp_path / "tuned.config"
+    config.write_bytes(b"power_threshold_watts = 3\xff0\n")
+    readers = ((trace, load_trace), (truth, load_ground_truth), (config, load_config_file))
+    for path, reader in readers:
+        with pytest.raises(ParseError, match=rf"{path.name}: not UTF-8 text"):
+            reader(path)
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_row(tmp_path: Path) -> None:
+    truth = write_bytes(tmp_path / "truth.csv", "\ufeff3.5,kettle on\n8.0,kettle off\n")
+    assert [entry.timestamp_s for entry in load_ground_truth(truth)] == [3.5, 8.0]
+    config = write_bytes(tmp_path / "tuned.config", "\ufeffpower_threshold_watts = 30\n")
+    assert load_config_file(config).power_threshold_watts == 30.0
 
 
 def test_trace_rejects_irregular_timestamps(tmp_path: Path) -> None:

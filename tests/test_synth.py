@@ -354,6 +354,16 @@ def test_load_scenario_reports_broken_json_with_the_path(tmp_path: Path) -> None
         load_scenario(path)
 
 
+def test_load_scenario_reads_utf8_with_a_byte_order_mark(tmp_path: Path) -> None:
+    payload = {"name": "café", "sampling_rate_hz": 20.0, "duration_s": 60.0, "appliances": []}
+    path = tmp_path / "bom.json"
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8-sig")
+    assert load_scenario(path) == scenario_from_dict(payload)
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(InvalidSpec, match=r"bom\.json: not UTF-8 text"):
+        load_scenario(path)
+
+
 transition_kinds = st.sampled_from(list(TransientKind))
 
 
