@@ -298,7 +298,9 @@ class HybridConfig:
             ("eval_match_tolerance_s", self.eval_match_tolerance_s),
         )
         for name, value in positive:
-            if not math.isfinite(value) or value <= 0:
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise DetectionError(f"{name} must be positive, got {value}")
         if self.time_limit_s >= self.settle_threshold_s:
             raise DetectionError(

@@ -81,7 +81,7 @@ def first_derivative(values: np.ndarray) -> np.ndarray:
         raise SeriesTooShort(f"first derivative needs >= 2 samples, got {x.size}")
     out = np.empty_like(x)
     out[0] = 0.0
-    out[1:] = x[1:] - x[:-1]
+    np.subtract(x[1:], x[:-1], out=out[1:])
     return out
 
 

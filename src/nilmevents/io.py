@@ -9,7 +9,9 @@ exactly two finite numbers on every data row.  The sampling rate is
 inferred from the timestamps, which must be uniform to within 1 % of the
 median spacing.
 :func:`write_trace` emits full-precision ``repr`` floats, so a written
-trace reloads with bit-identical sample values.
+trace reloads with bit-identical sample values.  It renders the rows a
+block of samples at a time (the same blocks as the full-length passes)
+and writes each block with one call, so memory stays bounded by a block.
 
 Reference logs travel as ``timestamp_s,label`` CSV.  Detections go out
 only, as ``index,timestamp_s,delta_watts`` CSV with six-decimal reals,
@@ -23,6 +25,7 @@ config, with unknown keys rejected.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 import typing
@@ -41,6 +44,7 @@ from .core import (
     HybridConfig,
     NonFiniteValue,
     SampleSeries,
+    _map_blocks,
 )
 
 __all__ = [
@@ -200,12 +204,20 @@ def write_trace(path: str | Path, series: SampleSeries) -> None:
 
     Floats are written with ``repr`` precision, so sample values survive
     a round trip exactly and the inferred rate matches to float
-    precision.
+    precision.  Rows are rendered one block of samples at a time: each
+    block's timestamps come from :meth:`SampleSeries.time_at` on an index
+    array, the same formula as for a single index, and its text goes out
+    in one ``write``.  The file does not depend on the block size.
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{_TRACE_HEADER}\n")
-        for i, value in enumerate(series.values):
-            handle.write(f"{series.time_at(i)!r},{float(value)!r}\n")
+
+        def write_block(start: int, stop: int) -> None:
+            stamps = series.time_at(np.arange(start, stop)).tolist()
+            values = series.values[start:stop].tolist()
+            handle.write("".join([f"{t!r},{v!r}\n" for t, v in zip(stamps, values)]))
+
+        _map_blocks(write_block, len(series))
 
 
 def load_ground_truth(path: str | Path) -> GroundTruthLog:
@@ -213,7 +225,8 @@ def load_ground_truth(path: str | Path) -> GroundTruthLog:
 
     An optional header row is skipped; a file with no data rows yields an
     empty log (evaluation against it then fails with ZeroGroundTruth).
-    Entries must be in non-decreasing time order.
+    Entries must be in non-decreasing time order; a NaN or infinite
+    timestamp raises :class:`NonFiniteValue` naming the file and line.
     """
     path = Path(path)
     entries: list[GroundTruthEntry] = []
@@ -231,6 +244,8 @@ def load_ground_truth(path: str | Path) -> GroundTruthLog:
                 timestamp = float(row[0])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: not a timestamp: {row[0]!r}") from None
+            if not math.isfinite(timestamp):
+                raise NonFiniteValue(f"{path}:{lineno}: timestamp {timestamp} is not finite")
             entries.append(GroundTruthEntry(timestamp_s=timestamp, label=row[1].strip()))
     return GroundTruthLog(entries=tuple(entries))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -318,3 +319,11 @@ def oracle_refilter_verdicts(
         else:
             reasons.append("removed_as_fluctuation")
     return reasons
+
+
+def oracle_write_trace(path: Path, series) -> None:
+    """Write a trace one row at a time: ``time_at(i)`` and ``float(value)`` per sample."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("timestamp_s,power_w\n")
+        for i, value in enumerate(series.values):
+            handle.write(f"{series.time_at(i)!r},{float(value)!r}\n")

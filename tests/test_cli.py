@@ -16,19 +16,21 @@ from nilmevents import (
     ApplianceSpec,
     HybridConfig,
     LldConfig,
+    NonFiniteValue,
     ScenarioSpec,
     first_derivative,
     generate_scenario,
     lld_max,
     load_config_file,
     load_ground_truth,
+    load_scenario,
     load_trace,
     smoothed_derivative,
     write_trace,
 )
 from nilmevents.cli import cli_main
 
-from oracles import oracle_extrema
+from oracles import oracle_extrema, oracle_write_trace
 from replicas import SCENARIO_DIR, run_replica
 
 
@@ -71,6 +73,14 @@ def test_synth_writes_trace_and_truth_files(tmp_path: Path, capsys) -> None:
     assert "entries=6" in err
     assert len(load_trace(trace)) == 11398
     assert len(load_ground_truth(truth)) == 6
+
+
+def test_synth_writes_the_file_the_row_oracle_writes(small_blocks: int, tmp_path: Path) -> None:
+    trace, _ = render_scenario("kitchen", tmp_path)
+    series, _ = generate_scenario(load_scenario(SCENARIO_DIR / "kitchen.json"))
+    expected = tmp_path / "rows.csv"
+    oracle_write_trace(expected, series)
+    assert trace.read_bytes() == expected.read_bytes()
 
 
 def test_detect_prints_final_events_and_stage_counts(tmp_path: Path, capsys) -> None:
@@ -264,6 +274,20 @@ def test_non_finite_trace_fields_exit_with_code_two(
     trace.write_text(rows)
     assert cli_main(["detect", str(trace)]) == 2
     assert capsys.readouterr().err == f"error: {trace}: {message} is not finite\n"
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_a_non_finite_setting_exits_with_code_two_and_says_not_finite(
+    source: str, tmp_path: Path, capsys
+) -> None:
+    trace = write_small_step_trace(tmp_path)
+    config = tmp_path / "odd.config"
+    config.write_text("power_threshold_watts = inf\n")
+    with pytest.raises(NonFiniteValue, match="power_threshold_watts must be finite, got inf"):
+        load_config_file(config)
+    flags = {"config": ["--config", str(config)], "flag": ["--threshold", "inf"]}[source]
+    assert cli_main(["detect", str(trace), *flags]) == 2
+    assert capsys.readouterr().err == "error: power_threshold_watts must be finite, got inf\n"
 
 
 def test_usage_errors_exit_with_code_one(tmp_path: Path, capsys) -> None:

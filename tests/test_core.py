@@ -184,6 +184,24 @@ def test_config_rejects_invalid_settings(overrides: dict) -> None:
         HybridConfig(**overrides)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=str)
+@pytest.mark.parametrize(
+    "name", ["mean_window_s", "power_threshold_watts", "fluctuation_trigger_watts"]
+)
+def test_config_names_non_finite_settings_as_not_finite(name: str, value: float) -> None:
+    with pytest.raises(NonFiniteValue) as excinfo:
+        HybridConfig(**{name: value})
+    assert str(excinfo.value) == f"{name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_config_names_zero_and_negative_settings_as_not_positive(value: float) -> None:
+    with pytest.raises(DetectionError) as excinfo:
+        HybridConfig(power_threshold_watts=value)
+    assert not isinstance(excinfo.value, NonFiniteValue)
+    assert str(excinfo.value) == f"power_threshold_watts must be positive, got {value}"
+
+
 def test_config_window_conversions() -> None:
     config = HybridConfig()
     assert config.mean_window_samples(20.0) == 6

@@ -31,6 +31,7 @@ from nilmevents import (
     write_trace,
 )
 
+from oracles import oracle_write_trace
 from replicas import SCENARIO_DIR
 
 
@@ -270,6 +271,31 @@ def test_hour_long_sixty_hertz_trace_loads_with_the_right_rate(tmp_path: Path) -
     assert abs(loaded.sampling_rate_hz - 60.0) <= 0.6
 
 
+WRITER_VALUES = {
+    "floats": np.array([-0.0, 5e-324, 1e300, 512.25, 0.1, -3.5, 2.0 / 3.0]),
+    "integers": np.array([0, -3, 7, 2**53, 100, -100_000]),
+}
+
+
+@pytest.mark.parametrize("values", WRITER_VALUES.values(), ids=WRITER_VALUES.keys())
+@pytest.mark.parametrize("rate", [20.0, 60.0, 1 / 3], ids=["20Hz", "60Hz", "third-Hz"])
+@pytest.mark.parametrize("start", [0.0, 0.1, -30.0, 1e9 + 0.05], ids=str)
+def test_blocked_writer_matches_the_row_oracle_byte_for_byte(
+    start: float, rate: float, values: np.ndarray, small_blocks: int, tmp_path: Path
+) -> None:
+    # Two samples, and one block with one sample less and one more.
+    for n in sorted({2, small_blocks - 1, small_blocks, small_blocks + 1} - {0}):
+        series = SampleSeries(np.resize(values, n), rate, start)
+        written, expected = tmp_path / f"blocked{n}.csv", tmp_path / f"rows{n}.csv"
+        write_trace(written, series)
+        oracle_write_trace(expected, series)
+        assert written.read_bytes() == expected.read_bytes()
+        if n >= 2:
+            loaded = load_trace(written)
+            assert loaded.values.tobytes() == series.values.tobytes()
+            assert loaded.start_time_s == start
+
+
 def test_ground_truth_round_trip_keeps_duplicate_timestamps(tmp_path: Path) -> None:
     log = GroundTruthLog(
         entries=(
@@ -316,6 +342,14 @@ def test_ground_truth_parse_and_order_errors(tmp_path: Path) -> None:
     unsorted.write_text("8.0,kettle off\n3.5,kettle on\n")
     with pytest.raises(UnsortedInput):
         load_ground_truth(unsorted)
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_non_finite_truth_timestamps_name_the_file_and_line(stamp: str, tmp_path: Path) -> None:
+    path = write_bytes(tmp_path / "truth.csv", f"1.0,a\n{stamp},b\n")
+    with pytest.raises(NonFiniteValue) as excinfo:
+        load_ground_truth(path)
+    assert str(excinfo.value) == f"{path}:2: timestamp {float(stamp)} is not finite"
 
 
 def test_event_files_round_trip_with_the_documented_header(tmp_path: Path) -> None:
