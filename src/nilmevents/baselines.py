@@ -27,6 +27,7 @@ from .base import _check_sum_resolution, _prefix_sums, _window_sums
 from .core import (
     DetectionError,
     Events,
+    NonFiniteValue,
     SampleSeries,
     SeriesTooShort,
     _BLOCK_SAMPLES,
@@ -114,7 +115,11 @@ class LldConfig:
             raise DetectionError(
                 f"pre_window_samples must be >= 1, got {self.pre_window_samples}"
             )
-        if not math.isfinite(self.power_threshold_watts) or self.power_threshold_watts <= 0:
+        if not math.isfinite(self.power_threshold_watts):
+            raise NonFiniteValue(
+                f"power_threshold_watts must be finite, got {self.power_threshold_watts}"
+            )
+        if self.power_threshold_watts <= 0:
             raise DetectionError(
                 f"power_threshold_watts must be positive, got {self.power_threshold_watts}"
             )
@@ -122,10 +127,11 @@ class LldConfig:
             raise DetectionError(
                 f"maxima_precision_samples must be >= 1, got {self.maxima_precision_samples}"
             )
-        if self.sigma_sq is not None and (
-            not math.isfinite(self.sigma_sq) or self.sigma_sq <= 0
-        ):
-            raise NonPositiveVariance(f"sigma_sq must be positive, got {self.sigma_sq}")
+        if self.sigma_sq is not None:
+            if not math.isfinite(self.sigma_sq):
+                raise NonFiniteValue(f"sigma_sq must be finite, got {self.sigma_sq}")
+            if self.sigma_sq <= 0:
+                raise NonPositiveVariance(f"sigma_sq must be positive, got {self.sigma_sq}")
 
 
 def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:

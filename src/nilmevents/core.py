@@ -12,12 +12,14 @@ sample counts at the configured sampling rate via
 :func:`seconds_to_samples`.  The full-length passes of the other modules
 cut their range into blocks with ``_map_blocks``, so that each block's
 temporaries stay in cache, and return the same results for any block size.
+A pass that needs only some blocks reads the runs of them, each widened by
+the halo it must see, from ``_halo_runs``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
@@ -163,6 +165,25 @@ def _map_blocks(fn: Callable[[int, int], _T], size: int) -> list[_T]:
     return [fn(start, min(start + block_size, size)) for start in range(0, size, block_size)]
 
 
+def _halo_runs(active: np.ndarray, block: int, halo: int, size: int) -> list[tuple[int, int]]:
+    """``(start - halo, stop + halo)`` of each run of active blocks, clipped to ``[0, size]``.
+
+    Block ``b`` covers samples ``[b * block, (b + 1) * block)`` of
+    ``[0, size)`` and is active where ``active[b]`` is true.  Each maximal
+    run of consecutive active blocks gives one sample range ``[start,
+    stop)`` widened by ``halo`` on either side, so a pass over it can read
+    every sample within ``halo`` of the run.  The ranges come in increasing
+    order; two of them overlap where fewer than ``2 * halo`` samples
+    separate their runs.
+    """
+    flags = np.concatenate(([0], np.asarray(active, dtype=np.int8), [0]))
+    edges = np.flatnonzero(np.diff(flags)) * block
+    return [
+        (max(start - halo, 0), min(stop + halo, size))
+        for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())
+    ]
+
+
 def validate_series(series: SampleSeries) -> SampleSeries:
     """Re-run every series invariant and return an equivalent series.
 
@@ -264,6 +285,39 @@ class Events:
         )
 
 
+_POSITIVE_SETTINGS = frozenset(
+    (
+        "mean_window_s",
+        "power_threshold_watts",
+        "time_limit_s",
+        "derivative_epsilon",
+        "settle_threshold_s",
+        "loess_window_s",
+        "fluctuation_trigger_watts",
+        "eval_match_tolerance_s",
+    )
+)
+
+
+def _check_setting(name: str, value: float) -> None:
+    """Reject a :class:`HybridConfig` value that is wrong whatever the other fields hold.
+
+    The rules that relate two fields are checked by the config itself, so
+    a config file can be checked one line at a time.
+    """
+    if name in _POSITIVE_SETTINGS:
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {value}")
+        if value <= 0:
+            raise DetectionError(f"{name} must be positive, got {value}")
+    elif name == "sg_window_samples" and (value < 3 or value % 2 == 0):
+        raise DetectionError(f"sg_window_samples must be an odd integer >= 3, got {value}")
+    elif name == "sg_poly_order" and value < 0:
+        raise DetectionError(
+            f"sg_poly_order must satisfy 0 <= order < sg_window_samples, got {value}"
+        )
+
+
 @dataclass(frozen=True)
 class HybridConfig:
     """Tunables for the hybrid detection pipeline.
@@ -287,31 +341,14 @@ class HybridConfig:
     eval_match_tolerance_s: float = 1.0
 
     def __post_init__(self) -> None:
-        positive = (
-            ("mean_window_s", self.mean_window_s),
-            ("power_threshold_watts", self.power_threshold_watts),
-            ("time_limit_s", self.time_limit_s),
-            ("derivative_epsilon", self.derivative_epsilon),
-            ("settle_threshold_s", self.settle_threshold_s),
-            ("loess_window_s", self.loess_window_s),
-            ("fluctuation_trigger_watts", self.fluctuation_trigger_watts),
-            ("eval_match_tolerance_s", self.eval_match_tolerance_s),
-        )
-        for name, value in positive:
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise DetectionError(f"{name} must be positive, got {value}")
+        for field in fields(self):
+            _check_setting(field.name, getattr(self, field.name))
         if self.time_limit_s >= self.settle_threshold_s:
             raise DetectionError(
                 "time_limit_s must be smaller than settle_threshold_s, got "
                 f"{self.time_limit_s} >= {self.settle_threshold_s}"
             )
-        if self.sg_window_samples < 3 or self.sg_window_samples % 2 == 0:
-            raise DetectionError(
-                f"sg_window_samples must be an odd integer >= 3, got {self.sg_window_samples}"
-            )
-        if not 0 <= self.sg_poly_order < self.sg_window_samples:
+        if self.sg_poly_order >= self.sg_window_samples:
             raise DetectionError(
                 "sg_poly_order must satisfy 0 <= order < sg_window_samples, got "
                 f"{self.sg_poly_order}"

@@ -11,6 +11,13 @@ merged into the earliest event of their group.
 
 Extrema come back as an index array and the merge as positions into its
 candidates, so no per-extremum or per-event object is built here.
+
+On a steady stretch the smoothed derivative cannot reach epsilon: its
+magnitude is at most the largest kernel weight times the local range of
+the trace.  ``_moving_smoothed_derivative`` uses that bound to compute
+the derivative only on the blocks where it might, with a margin of
+epsilon / 2, and leaves 0 elsewhere; the merge and the significant
+extrema come out the same as from the whole-trace derivative.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
+    _halo_runs,
     _map_blocks,
 )
 
@@ -34,6 +42,11 @@ __all__ = [
     "detect_extrema",
     "merge_transient_events",
 ]
+
+
+# Samples per proof block of the settled-derivative bound: one transient
+# keeps only a few blocks active, and the per-block work stays small.
+_PROOF_BLOCK_SAMPLES = 1024
 
 
 class InvalidWindow(DetectionError):
@@ -50,23 +63,37 @@ def _checked_window(window_samples: int, size: int) -> int:
     return win
 
 
-def _convolve_interior(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``np.convolve(x, kernel, "same")`` wherever the odd kernel fits inside ``x``.
+def _convolve_interior(
+    x: np.ndarray, kernel: np.ndarray, out: np.ndarray, offset: int = 0
+) -> None:
+    """Set ``out[offset + half : offset + x.size - half]`` to ``np.convolve(x, kernel, "valid")``.
 
-    The interior is convolved block by block (each block reads its own
-    samples plus ``half`` on either side) and equals the whole-array
-    convolution bit for bit.  The first and last ``half``
-    entries of the result are left unset for the caller's edge rule.
+    That is ``np.convolve(x, kernel, "same")`` wherever the odd kernel fits
+    inside ``x``, written where ``x`` sits in ``out`` when ``x`` starts at
+    ``out[offset]``.  The range is convolved block by block (each block
+    reads its own samples plus ``half`` on either side) and equals the
+    whole-array convolution bit for bit, for any block size and any
+    ``offset``: every output sample is the same dot product of the same
+    ``kernel.size`` inputs.  Nothing else of ``out`` is written.
     """
     half = kernel.size // 2
-    out = np.empty_like(x)
 
     def convolve_block(start: int, stop: int) -> None:
-        out[half + start : half + stop] = np.convolve(
+        out[offset + half + start : offset + half + stop] = np.convolve(
             x[start : stop + 2 * half], kernel, mode="valid"
         )
 
     _map_blocks(convolve_block, x.size - 2 * half)
+
+
+def _difference(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``first_derivative(x)[lo:hi]``, read from ``x[lo - 1 : hi]`` alone (``x[:hi]`` at 0)."""
+    out = np.empty(hi - lo)
+    if lo == 0:
+        out[0] = 0.0
+        np.subtract(x[1:hi], x[: hi - 1], out=out[1:])
+    else:
+        np.subtract(x[lo:hi], x[lo - 1 : hi - 1], out=out)
     return out
 
 
@@ -79,10 +106,7 @@ def first_derivative(values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise SeriesTooShort(f"first derivative needs >= 2 samples, got {x.size}")
-    out = np.empty_like(x)
-    out[0] = 0.0
-    np.subtract(x[1:], x[:-1], out=out[1:])
-    return out
+    return _difference(x, 0, x.size)
 
 
 def _tricube_weights(offsets: np.ndarray, half_width: int) -> np.ndarray:
@@ -100,6 +124,25 @@ def _fit_local_linear(values: np.ndarray, center: int, half_width: int) -> float
     design = np.column_stack((sw, sw * offsets))
     beta, *_ = np.linalg.lstsq(design, sw * values[lo : hi + 1], rcond=None)
     return float(beta[0])
+
+
+def _loess_kernel(half: int) -> np.ndarray:
+    """The normalised tricube weights of a full ``2 * half + 1`` window; both end taps are 0."""
+    kernel = _tricube_weights(np.arange(-half, half + 1), half)
+    return kernel / kernel.sum()
+
+
+def _fit_edges(out: np.ndarray, head: np.ndarray, tail: np.ndarray) -> None:
+    """Set the first and last ``half`` entries of ``out`` by truncated-window fits.
+
+    ``head`` and ``tail`` are the first and last ``2 * half`` input
+    samples, all that those fits read; each fit equals the one over the
+    whole input.
+    """
+    half = head.size // 2
+    for i in range(half):
+        out[i] = _fit_local_linear(head, i, half)
+        out[out.size - 1 - i] = _fit_local_linear(tail, tail.size - 1 - i, half)
 
 
 def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
@@ -126,12 +169,98 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     """
     x = np.asarray(values, dtype=float)
     half = _checked_window(window_samples, x.size) // 2
-    kernel = _tricube_weights(np.arange(-half, half + 1), half)
-    kernel /= kernel.sum()
-    out = _convolve_interior(x, kernel)
-    for i in range(half):
-        out[i] = _fit_local_linear(x, i, half)
-        out[x.size - 1 - i] = _fit_local_linear(x, x.size - 1 - i, half)
+    kernel = _loess_kernel(half)
+    out = np.empty_like(x)
+    _convolve_interior(x, kernel, out)
+    _fit_edges(out, x[: 2 * half], x[x.size - 2 * half :])
+    return out
+
+
+def _block_bounds(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Per proof block, a bound on ``|s[i]|`` at its interior indices (see below).
+
+    Block ``b`` covers ``[b * P, (b + 1) * P)`` with ``P`` =
+    ``_PROOF_BLOCK_SAMPLES``; its bound is ``max(kernel)`` times the
+    range (max - min) of ``x`` over the block widened by ``half + 1``
+    samples before and ``half`` after, whatever ``half`` is.
+    """
+    half = kernel.size // 2
+    starts = np.arange(0, x.size, _PROOF_BLOCK_SAMPLES)
+    lo = np.maximum(starts - half - 1, 0)
+    hi = np.minimum(starts + _PROOF_BLOCK_SAMPLES + half, x.size)
+    # One reduceat per extreme over the cuts lo[0], hi[0], lo[1], hi[1], ...:
+    # its even entries reduce x[lo:hi], overlapping or not, and each odd one
+    # reads a single sample, since hi[b] > lo[b + 1].  A cut must be below
+    # x.size, so a range that ends there stops one short and takes x[-1] after.
+    cuts = np.column_stack((lo, np.minimum(hi, x.size - 1))).ravel()
+    low = np.minimum.reduceat(x, cuts)[::2]
+    high = np.maximum.reduceat(x, cuts)[::2]
+    at_end = hi == x.size
+    low[at_end] = np.minimum(low[at_end], x[-1])
+    high[at_end] = np.maximum(high[at_end], x[-1])
+    return kernel.max() * (high - low)
+
+
+def _moving_smoothed_derivative(
+    values: np.ndarray, window_samples: int, epsilon: float
+) -> np.ndarray:
+    """The smoothed first derivative, with 0 wherever it is proven small.
+
+    That is ``loess_smooth(first_derivative(values), window_samples)``.
+
+    Every returned sample either equals the whole-trace smoothed
+    derivative ``s`` bit for bit, or is 0 where ``|s| < epsilon / 2 +``
+    rounding ``< epsilon``.  Only the samples near a transient are
+    computed, which on a mostly steady household trace is a few percent
+    of them.
+
+    **The bound.**  At an interior index ``i`` (``half <= i < n - half``),
+    ``s[i] = sum_j k[j] * d[i + j]`` over ``j`` in ``[-half, half]``, with
+    ``d`` the first derivative and ``k`` the normalised tricube kernel,
+    whose end taps are exactly 0 (so the zero pad ``d[0]`` is never
+    weighted).  Summing by parts with ``d[m] = x[m] - x[m - 1]`` and ``k``
+    extended by zeros,
+    ``s[i] = sum_m (k[m - i] - k[m - i + 1]) * (x[m] - c)`` over ``m`` in
+    ``[i - half - 1, i + half]``, for any constant ``c``, since the
+    coefficients telescope to 0.  With ``c`` the midpoint of ``x`` over
+    that range ``R``, ``|s[i]| <= TV(k) * range(x over R) / 2``, where
+    ``TV(k) = sum |k[m] - k[m + 1]| = 2 * max(k)``: the kernel rises to
+    its centre and falls back to 0.  So ``|s[i]| <= max(k) * range``.
+
+    **Settled blocks.**  The trace is cut into proof blocks of
+    ``_PROOF_BLOCK_SAMPLES``; a block's bound (:func:`_block_bounds`)
+    reads ``x`` over the block widened by ``half + 1`` samples before and
+    ``half`` after, which covers ``R`` for every index in the block.  A
+    block is settled only when its bound is ``< epsilon / 2``; a
+    non-finite bound never is.  The computed ``s`` differs from the exact
+    one by at most about ``(2 * half + 3) * 2**-53 * range``, which stays
+    below the ``epsilon / 2`` margin for any window under ``10**7``
+    samples, so every settled index has ``|s| < epsilon``.
+
+    **What is computed.**  The first derivative and the interior
+    convolution run only on runs of active (not settled) blocks, each
+    widened by ``half`` samples (:func:`nilmevents.core._halo_runs`), with
+    the same blocked convolution as :func:`loess_smooth`; ``d[0] = 0``
+    where a run reaches the start.  The truncated-window edge fits run
+    once, at the true ends of the trace, whatever the blocks say.  Every
+    other sample is 0.
+
+    **Why 0 changes no result.**  The merge's settled mask is
+    ``|s| < epsilon``, which holds for the 0 as for the true value.  A
+    significant extremum needs ``|s[i]| > epsilon``; a skipped neighbour's
+    true value and its 0 both lie strictly between ``-epsilon`` and
+    ``epsilon``, so every strict comparison with ``s[i]`` has the same
+    outcome.  Hence :func:`detect_extrema` with ``min_abs_value=epsilon``
+    and :func:`merge_transient_events` return what they return on ``s``.
+    """
+    x = np.asarray(values, dtype=float)
+    half = _checked_window(window_samples, x.size) // 2
+    kernel = _loess_kernel(half)
+    active = ~(_block_bounds(x, kernel) < epsilon / 2)
+    out = np.zeros(x.size)  # calloc: pages never written stay unallocated
+    for lo, hi in _halo_runs(active, _PROOF_BLOCK_SAMPLES, half, x.size):
+        _convolve_interior(_difference(x, lo, hi), kernel, out, lo)
+    _fit_edges(out, _difference(x, 0, 2 * half), _difference(x, x.size - 2 * half, x.size))
     return out
 
 

@@ -138,7 +138,8 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
     half = win // 2
     vander = np.vander(np.arange(-half, half + 1) / half, poly_order + 1, increasing=True)
     fit = np.linalg.pinv(vander)
-    out = _convolve_interior(x, fit[0, ::-1])
+    out = np.empty_like(x)
+    _convolve_interior(x, fit[0, ::-1], out)
     projection = vander @ fit
     out[:half] = projection[:half] @ x[:win]
     out[x.size - half :] = projection[win - half :] @ x[x.size - win :]

@@ -44,6 +44,7 @@ from .core import (
     HybridConfig,
     NonFiniteValue,
     SampleSeries,
+    _check_setting,
     _map_blocks,
 )
 
@@ -312,8 +313,12 @@ def load_config_file(path: str | Path, base: HybridConfig = HybridConfig()) -> H
 
     Keys name :class:`HybridConfig` fields; values are converted to the
     field's type.  Unknown keys, malformed lines and unconvertible values
-    raise :class:`ParseError`; field constraints (positivity, odd
-    windows, ...) are enforced by :class:`HybridConfig` itself.
+    raise :class:`ParseError`.  A value that no config may hold (not
+    finite, not positive, an even window, ...) raises the error
+    :class:`HybridConfig` would raise, with ``<path>:<line>:`` in front.
+    Rules that relate two fields (``time_limit_s < settle_threshold_s``,
+    ``sg_poly_order < sg_window_samples``) are judged once, on the layered
+    config, and their error names the file.
     """
     path = Path(path)
     field_types = _config_field_types()
@@ -336,4 +341,11 @@ def load_config_file(path: str | Path, base: HybridConfig = HybridConfig()) -> H
                     f"{path}:{lineno}: cannot read {value!r} as "
                     f"{field_types[key].__name__} for {key!r}"
                 ) from None
-    return replace(base, **overrides)
+            try:
+                _check_setting(key, overrides[key])
+            except DetectionError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    try:
+        return replace(base, **overrides)
+    except DetectionError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -14,6 +14,14 @@ merge and the refilter return the positions of the candidates they keep.
 that survive each stage; a :class:`~nilmevents.core.DetectedEvent` is a
 view built only when a caller iterates or indexes an event list.
 
+The merge and the extrema read the smoothed derivative only where the
+trace moves.  A range bound proves most of a steady trace settled
+(``|s| < derivative_epsilon / 2``) without computing it; there the
+derivative is left 0, which gives the same settled mask, the same
+extrema and so the same events as the whole-trace
+:func:`smoothed_derivative` (the proof is in
+:func:`nilmevents.derivative._moving_smoothed_derivative`).
+
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,
 the LOESS and Savitzky-Golay half windows, the match tolerance and the
@@ -21,7 +29,7 @@ extremum guard radius), but the refilter trigger compares
 ``series.values[first_on.index:].max()``, which runs to the end of the
 trace, with ``fluctuation_trigger_watts``.  Whether the refilter runs at
 all, and so whether an early candidate is kept, can therefore depend on
-samples arbitrarily far ahead.  ROADMAP item 4 replaces it with a local
+samples arbitrarily far ahead.  ROADMAP item 6 replaces it with a local
 trigger.
 """
 
@@ -41,6 +49,7 @@ from .core import (
     validate_series,
 )
 from .derivative import (
+    _moving_smoothed_derivative,
     detect_extrema,
     first_derivative,
     loess_smooth,
@@ -106,7 +115,11 @@ class PipelineResult:
 
 
 def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarray:
-    """The LOESS-smoothed first derivative that the merge and the extrema read."""
+    """The LOESS-smoothed first derivative of the whole trace.
+
+    :func:`detect_hybrid` computes it only near transients and reads 0
+    elsewhere, with the same results; this function computes every sample.
+    """
     return loess_smooth(
         first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)
     )
@@ -155,7 +168,9 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
         )
     base_events = detect_base(series, config)
 
-    smoothed = smoothed_derivative(series, config)
+    smoothed = _moving_smoothed_derivative(
+        series.values, loess_window, config.derivative_epsilon
+    )
     significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
 
     merged_positions = merge_transient_events(base_events, smoothed, series, config)

@@ -11,6 +11,7 @@ from nilmevents import (
     CusumVariant,
     DetectionError,
     LldConfig,
+    NonFiniteValue,
     NonPositiveVariance,
     SampleSeries,
     SeriesTooShort,
@@ -236,3 +237,22 @@ def test_lld_rejects_flat_leading_window_without_explicit_variance() -> None:
 def test_lld_requires_both_windows_to_fit() -> None:
     with pytest.raises(SeriesTooShort):
         lld_max(series_at_20hz(np.zeros(12)), LldConfig(sigma_sq=1.0))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=str)
+@pytest.mark.parametrize("name", ["power_threshold_watts", "sigma_sq"])
+def test_lld_config_names_non_finite_settings_as_not_finite(name: str, value: float) -> None:
+    with pytest.raises(NonFiniteValue) as excinfo:
+        LldConfig(**{name: value})
+    assert str(excinfo.value) == f"{name} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_lld_config_keeps_its_messages_for_zero_and_negative_settings(value: float) -> None:
+    with pytest.raises(DetectionError) as excinfo:
+        LldConfig(power_threshold_watts=value)
+    assert not isinstance(excinfo.value, NonFiniteValue)
+    assert str(excinfo.value) == f"power_threshold_watts must be positive, got {value}"
+    with pytest.raises(NonPositiveVariance) as excinfo:
+        LldConfig(sigma_sq=value)
+    assert str(excinfo.value) == f"sigma_sq must be positive, got {value}"

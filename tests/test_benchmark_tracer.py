@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import nilmevents.pipeline
-from nilmevents import generate_scenario
+from nilmevents import derivative, generate_scenario
 
 from blocks import use_blocks
 from replicas import replica_config, replica_spec
@@ -95,3 +95,19 @@ def test_many_blocks_leave_the_spans_unchanged(
         if span["parent"] is not None:
             parent = by_id[span["parent"]]
             assert parent["start"] <= span["start"] <= span["end"] <= parent["end"], span
+
+
+@pytest.mark.parametrize("proof_block", [1024, 64])
+def test_the_derivative_path_calls_nothing_traced_per_active_run(
+    proof_block: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The kitchen replica has 2 active runs at 1024-sample proof blocks, 14 at 64.
+    whole, _ = traced_kitchen_run()
+    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", proof_block)
+    skipping, _ = traced_kitchen_run()
+    names = [span["name"] for span in skipping.spans]
+    assert "derivative.first_derivative" not in names
+    assert "derivative.loess_smooth" not in names
+    assert [(s["name"], s["parent"]) for s in skipping.spans] == [
+        (s["name"], s["parent"]) for s in whole.spans
+    ]

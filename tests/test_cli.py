@@ -12,12 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nilmevents.pipeline
 from nilmevents import (
     ApplianceSpec,
     HybridConfig,
     LldConfig,
     NonFiniteValue,
+    SampleSeries,
     ScenarioSpec,
+    detect_base,
+    detect_extrema,
     first_derivative,
     generate_scenario,
     lld_max,
@@ -25,10 +29,13 @@ from nilmevents import (
     load_ground_truth,
     load_scenario,
     load_trace,
+    merge_transient_events,
     smoothed_derivative,
+    write_events,
     write_trace,
 )
 from nilmevents.cli import cli_main
+from nilmevents.filtering import refilter_events_with_verdicts
 
 from oracles import oracle_extrema, oracle_write_trace
 from replicas import SCENARIO_DIR, run_replica
@@ -286,8 +293,96 @@ def test_a_non_finite_setting_exits_with_code_two_and_says_not_finite(
     with pytest.raises(NonFiniteValue, match="power_threshold_watts must be finite, got inf"):
         load_config_file(config)
     flags = {"config": ["--config", str(config)], "flag": ["--threshold", "inf"]}[source]
+    where = {"config": f"{config}:1: ", "flag": ""}[source]
     assert cli_main(["detect", str(trace), *flags]) == 2
-    assert capsys.readouterr().err == "error: power_threshold_watts must be finite, got inf\n"
+    message = "power_threshold_watts must be finite, got inf"
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
+
+
+def test_a_rejected_config_value_exits_with_code_two_and_names_the_line(
+    tmp_path: Path, capsys
+) -> None:
+    trace = write_small_step_trace(tmp_path)
+    config = tmp_path / "odd.config"
+    config.write_text("loess_window_s = 3.0\npower_threshold_watts = -5\n")
+    assert cli_main(["detect", str(trace), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}:2: power_threshold_watts must be positive, got -5.0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    ("flag", "name"),
+    [("--lld-threshold", "power_threshold_watts"), ("--lld-sigma-sq", "sigma_sq")],
+)
+def test_a_non_finite_likelihood_setting_exits_with_code_two_and_says_not_finite(
+    flag: str, name: str, tmp_path: Path, capsys
+) -> None:
+    trace, truth = render_scenario("kitchen", tmp_path)
+    capsys.readouterr()
+    assert cli_main(["compare", str(trace), str(truth), flag, "inf"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be finite, got inf\n"
+
+
+def test_detect_with_stages_smooths_the_whole_trace_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys
+) -> None:
+    trace, _ = render_scenario("kitchen", tmp_path)
+    calls = []
+    loess = nilmevents.pipeline.loess_smooth
+
+    def counting_loess(*args, **kwargs):
+        calls.append(args)
+        return loess(*args, **kwargs)
+
+    monkeypatch.setattr(nilmevents.pipeline, "loess_smooth", counting_loess)
+    config = str(SCENARIO_DIR / "kitchen.config")
+    argv = ["detect", str(trace), "--config", config, "--emit-stages", str(tmp_path / "stages")]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["kitchen", "lighting"])
+def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
+    name: str, tmp_path: Path, capsys
+) -> None:
+    trace, _ = render_scenario(name, tmp_path)
+    config_path = SCENARIO_DIR / f"{name}.config"
+    stage_dir = tmp_path / "stages"
+    argv = ["detect", str(trace), "--config", str(config_path), "--emit-stages", str(stage_dir)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+
+    series, config = load_trace(trace), load_config_file(config_path)
+    smoothed = smoothed_derivative(series, config)
+    extrema = detect_extrema(smoothed, config.derivative_epsilon)
+    base = detect_base(series, config)
+    merged = base[merge_transient_events(base, smoothed, series, config)]
+    kept, _ = refilter_events_with_verdicts(series, merged, extrema, config)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    rate, start = series.sampling_rate_hz, series.start_time_s
+    oracle_write_trace(expected / "trace.csv", series)
+    oracle_write_trace(
+        expected / "derivative.csv", SampleSeries(first_derivative(series.values), rate, start)
+    )
+    oracle_write_trace(expected / "smoothed_derivative.csv", SampleSeries(smoothed, rate, start))
+    (expected / "extrema.csv").write_text(
+        "index,kind,value\r\n"
+        + "".join(
+            f"{i},{'PEAK' if smoothed[i] > smoothed[i - 1] else 'VALLEY'},{smoothed[i]:.6f}\r\n"
+            for i in extrema.tolist()
+        ),
+        newline="",
+    )
+    for stage, events in (("base", base), ("merged", merged), ("final", merged[kept])):
+        write_events(expected / f"events_{stage}.csv", events)
+    names = sorted(path.name for path in stage_dir.iterdir())
+    assert names == sorted(path.name for path in expected.iterdir())
+    for file_name in names:
+        written = (stage_dir / file_name).read_bytes()
+        assert written == (expected / file_name).read_bytes(), file_name
 
 
 def test_usage_errors_exit_with_code_one(tmp_path: Path, capsys) -> None:

@@ -261,3 +261,13 @@ def test_an_exception_in_a_block_reaches_the_caller(monkeypatch: pytest.MonkeyPa
     with pytest.raises(BlockFailure, match=r"^block \[35, 42\) failed$"):
         core._map_blocks(fail_late, 100)
     assert started == list(range(0, 42, 7))
+
+
+def test_halo_runs_widen_each_run_of_active_blocks_and_clip_to_the_trace() -> None:
+    active = np.array([True, True, False, False, True, False, True])
+    assert core._halo_runs(active, 10, 3, 65) == [(0, 23), (37, 53), (57, 65)]
+    assert core._halo_runs(active, 10, 0, 65) == [(0, 20), (40, 50), (60, 65)]
+    # Halos wider than a block: the ranges overlap.
+    assert core._halo_runs(active, 10, 12, 65) == [(0, 32), (28, 62), (48, 65)]
+    assert core._halo_runs(np.zeros(3, dtype=bool), 10, 3, 30) == []
+    assert core._halo_runs(np.ones(3, dtype=bool), 10, 100, 25) == [(0, 25)]

@@ -19,8 +19,16 @@ from nilmevents import (
     first_derivative,
     loess_smooth,
     merge_transient_events,
+    smoothed_derivative,
 )
-from nilmevents.derivative import _fit_local_linear, _tricube_weights
+from nilmevents import derivative
+from nilmevents.derivative import (
+    _block_bounds,
+    _fit_local_linear,
+    _loess_kernel,
+    _moving_smoothed_derivative,
+    _tricube_weights,
+)
 
 from oracles import (
     oracle_extrema,
@@ -335,3 +343,168 @@ def test_ramp_alarms_collapse_to_one_event_at_the_first_alarm() -> None:
     assert run.result.stage_counts.base == 11
     assert run.result.merged_positions.tolist() == [0]
     assert run.result.merged_events[0] == run.result.base_events[0]
+
+
+# --- The range bound and the settled blocks --------------------------------
+#
+# Interior smoothed derivative values obey |s[i]| <= max(k) * range(x over
+# [i - half - 1, i + half]); detection skips proof blocks whose bound is below
+# epsilon / 2 and reads 0 there.
+
+PROOF_BLOCKS = (1, 2, 7, 64, 1024)
+
+# Steps and ramps of any size on a level, with or without noise.
+moving_traces = st.builds(
+    lambda seed, size, level, noise, changes: _render_changes(seed, size, level, noise, changes),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=3, max_value=400),
+    level=st.floats(min_value=-1e4, max_value=1e4),
+    noise=st.sampled_from([0.0, 1e-3, 0.2, 5.0]),
+    changes=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=-2000.0, max_value=2000.0),
+            st.integers(min_value=0, max_value=60),
+        ),
+        max_size=4,
+    ),
+)
+
+
+def _render_changes(seed, size, level, noise, changes) -> np.ndarray:
+    """``level`` plus noise plus a step or ramp per ``(where, height, ramp_samples)``."""
+    x = level + noise * np.random.default_rng(seed).standard_normal(size)
+    for where, height, ramp in changes:
+        at = int(where * (size - 1))
+        x[at:] += height * np.minimum(1.0, (np.arange(size - at) + 1.0) / (ramp + 1.0))
+    return x
+
+
+def brute_block_bounds(x: np.ndarray, kernel: np.ndarray, block: int) -> np.ndarray:
+    half = kernel.size // 2
+    return np.array(
+        [
+            kernel.max() * np.ptp(x[max(start - half - 1, 0) : start + block + half])
+            for start in range(0, x.size, block)
+        ]
+    )
+
+
+def assert_same_as_whole_trace(x: np.ndarray, window: int, epsilon: float) -> np.ndarray:
+    """Every sample is the whole-trace one or a 0 for a value below epsilon; the
+    settled mask and the significant extrema agree.  Returns where they are equal."""
+    moving = _moving_smoothed_derivative(x, window, epsilon)
+    whole = loess_smooth(first_derivative(x), window)
+    same = moving == whole
+    assert np.all(same | ((moving == 0.0) & (np.abs(whole) < epsilon)))
+    assert np.array_equal(np.abs(moving) < epsilon, np.abs(whole) < epsilon)
+    assert np.array_equal(detect_extrema(moving, epsilon), detect_extrema(whole, epsilon))
+    return same
+
+
+@pytest.mark.parametrize("half", [*range(1, 70), 127, 500, 4096])
+def test_loess_kernel_rises_to_its_centre_and_ends_in_zero_taps(half: int) -> None:
+    # These make the kernel's total variation exactly 2 * max(k).
+    kernel = _loess_kernel(half)
+    assert kernel[0] == kernel[-1] == 0.0
+    assert np.array_equal(kernel, kernel[::-1])
+    assert np.all(np.diff(kernel[: half + 1]) >= 0.0)
+    assert kernel.max() == kernel[half]
+
+
+@given(moving_traces, st.integers(min_value=1, max_value=40), st.floats(0.5, 60.0))
+def test_whole_trace_smoothed_derivative_obeys_the_range_bound(
+    values: np.ndarray, half: int, rate_hz: float
+) -> None:
+    config = HybridConfig(loess_window_s=(2 * half + 1) / rate_hz)
+    window = config.loess_window_samples(rate_hz)
+    assume(window <= values.size)
+    half = window // 2
+    smoothed = smoothed_derivative(SampleSeries(values, rate_hz), config)
+    kernel = _loess_kernel(half)
+    # Rounding: the differences, a window-long dot product and the range.
+    rounding = (window + 4) * np.finfo(float).eps
+    for i in range(half, values.size - half):
+        spread = np.ptp(values[max(i - half - 1, 0) : i + half + 1])
+        assert abs(smoothed[i]) <= kernel.max() * spread + rounding * spread, i
+
+
+@given(moving_traces, st.integers(min_value=1, max_value=2000), st.sampled_from(PROOF_BLOCKS))
+def test_block_bounds_read_the_whole_halo_for_any_window(
+    values: np.ndarray, half: int, block: int
+) -> None:
+    kernel = _loess_kernel(half)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", block)
+        bounds = _block_bounds(values, kernel)
+    assert np.array_equal(bounds, brute_block_bounds(values, kernel, block))
+
+
+@pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "step"])
+def test_a_trace_exactly_one_window_long(quiet: bool, monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 16)
+    x = 120.0 + np.random.default_rng(3).normal(0.0, 0.01, 41)
+    if not quiet:
+        x[18:] += 300.0
+    same = assert_same_as_whole_trace(x, 41, EPSILON)
+    # Only the centre sample is interior; it is skipped exactly when quiet.
+    assert same[20] != quiet
+    assert same[:20].all() and same[21:].all()
+
+
+def test_an_active_run_that_reaches_the_zero_pad(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 16)
+    x = 50.0 + np.random.default_rng(4).normal(0.0, 0.01, 400)
+    x[2:] += 800.0
+    same = assert_same_as_whole_trace(x, 21, EPSILON)
+    assert same[:16].all()  # the first block, computed from d[0] = 0 on
+    assert not same.all()  # and later blocks skipped
+
+
+@pytest.mark.parametrize("at_end", [1, 4, 9], ids=lambda k: f"step{k}fromend")
+def test_an_active_run_inside_the_last_half_window(
+    at_end: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 8)
+    x = 50.0 + np.random.default_rng(at_end).normal(0.0, 0.01, 400)
+    step = x.size - at_end
+    x[step:] += 800.0
+    same = assert_same_as_whole_trace(x, 21, EPSILON)
+    assert same[step - 10 :].all()  # every sample whose window sees the step
+    assert not same.all()
+
+
+def test_an_active_run_inside_the_first_half_window(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 4)
+    x = 50.0 + np.random.default_rng(5).normal(0.0, 0.01, 300)
+    x[3:] -= 600.0
+    same = assert_same_as_whole_trace(x, 41, EPSILON)
+    assert same[: 3 + 21].all()  # every sample whose window sees the step
+    assert not same.all()
+
+
+@given(moving_traces, st.sampled_from([3, 9, 41, 121]), st.sampled_from(PROOF_BLOCKS))
+def test_skipped_samples_never_change_the_mask_or_the_extrema(
+    values: np.ndarray, window: int, block: int
+) -> None:
+    assume(window <= values.size)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", block)
+        assert_same_as_whole_trace(values, window, EPSILON)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_a_bound_one_ulp_from_half_epsilon_gives_the_whole_trace_result(
+    side: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A block whose bound is one ulp below epsilon / 2 is skipped, one ulp above computed."""
+    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 32)
+    x = 230.0 + np.random.default_rng(8).normal(0.0, 0.01, 640)
+    x[100:] += 400.0
+    x[400:] += 3.0  # inside block 12, [384, 416)
+    kernel = _loess_kernel(10)
+    bound = _block_bounds(x, kernel)[12]
+    epsilon = 2.0 * np.nextafter(bound, np.inf if side == "below" else -np.inf)
+    assert (bound < epsilon / 2) == (side == "below")
+    same = assert_same_as_whole_trace(x, 21, epsilon)
+    assert same[384:416].all() == (side == "above")

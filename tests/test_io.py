@@ -428,6 +428,53 @@ def test_config_field_constraints_still_apply_after_parsing(tmp_path: Path) -> N
     assert not isinstance(excinfo.value, ParseError)
 
 
+@pytest.mark.parametrize(
+    ("line", "error", "message"),
+    [
+        (
+            "power_threshold_watts = -5",
+            DetectionError,
+            "power_threshold_watts must be positive, got -5.0",
+        ),
+        ("loess_window_s = inf", NonFiniteValue, "loess_window_s must be finite, got inf"),
+        (
+            "sg_window_samples = 8",
+            DetectionError,
+            "sg_window_samples must be an odd integer >= 3, got 8",
+        ),
+        (
+            "sg_poly_order = -1",
+            DetectionError,
+            "sg_poly_order must satisfy 0 <= order < sg_window_samples, got -1",
+        ),
+    ],
+)
+def test_a_rejected_config_value_names_the_file_and_line(
+    line: str, error: type, message: str, tmp_path: Path
+) -> None:
+    path = tmp_path / "tuned.config"
+    path.write_text(f"# tuned\n{line}\nsettle_threshold_s = 3\n")
+    with pytest.raises(error) as excinfo:
+        load_config_file(path)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{path}:2: {message}"
+
+
+def test_config_rules_across_fields_are_judged_on_the_layered_config(tmp_path: Path) -> None:
+    # Line 1 alone breaks time_limit_s < settle_threshold_s against the default 2 s.
+    both = tmp_path / "both.config"
+    both.write_text("time_limit_s = 3\nsettle_threshold_s = 5\n")
+    assert load_config_file(both).time_limit_s == 3.0
+    alone = tmp_path / "alone.config"
+    alone.write_text("time_limit_s = 3\n")
+    assert load_config_file(alone, HybridConfig(settle_threshold_s=5.0)).time_limit_s == 3.0
+    with pytest.raises(DetectionError) as excinfo:
+        load_config_file(alone)
+    assert str(excinfo.value) == (
+        f"{alone}: time_limit_s must be smaller than settle_threshold_s, got 3.0 >= 2.0"
+    )
+
+
 def test_bundled_scenario_configs_parse() -> None:
     house = load_config_file(SCENARIO_DIR / "house1.config")
     assert house.derivative_epsilon == 1.0

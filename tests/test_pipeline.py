@@ -20,11 +20,15 @@ from nilmevents import (
     SeriesTooShort,
     StageCounts,
     TransientKind,
+    detect_base,
     detect_extrema,
     detect_hybrid,
     generate_scenario,
+    merge_transient_events,
     smoothed_derivative,
 )
+from nilmevents import derivative
+from nilmevents.filtering import refilter_events_with_verdicts
 
 from blocks import BLOCK_SIZES, use_blocks
 from oracles import oracle_extrema, oracle_merge
@@ -209,3 +213,69 @@ def test_package_docstring_example_runs() -> None:
     results = doctest.testmod(nilmevents, verbose=False)
     assert results.attempted > 0
     assert results.failed == 0
+
+
+def assert_whole_trace_chain(series: SampleSeries, config: HybridConfig, result) -> None:
+    """``result`` is what the whole-trace smoothed derivative gives at every stage."""
+    base = detect_base(series, config)
+    smoothed = smoothed_derivative(series, config)
+    extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
+    merged = merge_transient_events(base, smoothed, series, config)
+    kept, verdicts = refilter_events_with_verdicts(series, base[merged], extrema, config)
+    assert result.base_events == base
+    assert np.array_equal(result.extrema, extrema)
+    assert np.array_equal(result.merged_positions, merged)
+    assert np.array_equal(result.final_positions, merged[kept])
+    assert result.filter_verdicts == verdicts
+
+
+@st.composite
+def quiet_stretches(draw) -> SampleSeries:
+    """A level with a little noise, broken by a few steps and ramps."""
+    rate = draw(st.sampled_from([10.0, 20.0, 60.0]))
+    size = draw(st.integers(min_value=121, max_value=3000))
+    noise = draw(st.sampled_from([0.0, 0.01, 0.3, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = draw(st.floats(min_value=0.0, max_value=3000.0)) + noise * rng.standard_normal(size)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=size - 1))
+        height = draw(st.floats(min_value=-1500.0, max_value=1500.0))
+        ramp = draw(st.integers(min_value=0, max_value=80))
+        x[at:] += height * np.minimum(1.0, (np.arange(size - at) + 1.0) / (ramp + 1.0))
+    return SampleSeries(x, rate)
+
+
+@given(
+    quiet_stretches(),
+    st.sampled_from(BLOCK_SIZES),
+    st.sampled_from([1, 7, 64, 300, 1024]),
+    st.sampled_from([0.05, 0.5, 3.0]),
+)
+def test_skipping_settled_blocks_changes_no_stage(
+    series: SampleSeries, block: int, proof_block: int, epsilon: float
+) -> None:
+    config = HybridConfig(derivative_epsilon=epsilon)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_blocks(monkeypatch, block)
+        monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", proof_block)
+        result = detect_hybrid(series, config)
+    assert_whole_trace_chain(series, config, result)
+
+
+@pytest.mark.parametrize("name", REPLICA_NAMES)
+def test_replicas_give_the_whole_trace_chain_for_any_proof_block(name: str) -> None:
+    run = run_replica(name)
+    assert_whole_trace_chain(run.series, run.config, run.result)
+    for proof_block in (1, 64, 4096):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", proof_block)
+            result = detect_hybrid(run.series, run.config)
+        assert_whole_trace_chain(run.series, run.config, result)
+
+
+def test_a_trace_one_loess_window_long_gives_the_whole_trace_chain() -> None:
+    # At 20 Hz the default LOESS window, 41 samples, is the longest a stage needs.
+    x = 80.0 + np.random.default_rng(9).normal(0.0, 0.05, 41)
+    for values in (x, np.where(np.arange(41) >= 20, x + 1500.0, x)):
+        series = SampleSeries(values, 20.0)
+        assert_whole_trace_chain(series, HybridConfig(), detect_hybrid(series, HybridConfig()))
