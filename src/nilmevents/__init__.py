@@ -5,7 +5,7 @@ appliance state-transition events.  :func:`detect_hybrid` is the main
 entry point: a moving-mean change detector proposes candidates, a
 smoothed-derivative stage merges candidates that ride one long transient,
 and a smoothing refilter drops candidates caused by periodic load
-fluctuation.  Classical cusum and likelihood detectors are included for
+fluctuation.  A classical likelihood detector is included for
 comparison, together with synthetic scenario generation, file formats
 and an evaluation harness.
 
@@ -19,13 +19,7 @@ and an evaluation harness.
 """
 
 from .base import MagnitudeTooLarge, detect_base
-from .baselines import (
-    CusumVariant,
-    LldConfig,
-    NonPositiveVariance,
-    cusum,
-    lld_max,
-)
+from .baselines import LldConfig, lld_max
 from .core import (
     DetectedEvent,
     DetectionError,
@@ -117,7 +111,6 @@ __all__ = [
     "UnsortedInput",
     "InvalidWindow",
     "OrderTooHigh",
-    "NonPositiveVariance",
     "NegativeTolerance",
     "ZeroGroundTruth",
     "InconsistentCounts",
@@ -140,8 +133,6 @@ __all__ = [
     "detect_hybrid",
     "PipelineResult",
     "StageCounts",
-    "cusum",
-    "CusumVariant",
     "lld_max",
     "LldConfig",
     # evaluation

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .baselines import CusumVariant, LldConfig, cusum, lld_max
+from .baselines import LldConfig, lld_max
 from .core import DetectionError, HybridConfig, SampleSeries
 from .derivative import first_derivative
 from .evaluation import evaluate_detections
@@ -73,16 +73,19 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _assemble_config(args: argparse.Namespace) -> HybridConfig:
-    """Defaults, then the config file, then explicit flags."""
-    config = HybridConfig()
-    if args.config:
-        config = load_config_file(args.config, config)
-    overrides = {
+    """Defaults, then the config file, then explicit flags.
+
+    The rules that relate two fields are judged once, on the result, so a
+    flag can make a file value valid.
+    """
+    flags = {
         dest: getattr(args, dest)
         for _, dest, _, _ in _CONFIG_FLAGS
         if getattr(args, dest) is not None
     }
-    return replace(config, **overrides) if overrides else config
+    if args.config:
+        return load_config_file(args.config, overrides=flags)
+    return HybridConfig(**flags)
 
 
 def _emit_stage_files(
@@ -149,7 +152,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "pre_window_samples": args.lld_pre_window,
         "power_threshold_watts": args.lld_threshold,
         "maxima_precision_samples": args.lld_precision,
-        "sigma_sq": args.lld_sigma_sq,
     }
     lld_config = replace(
         LldConfig(), **{field: value for field, value in lld_flags.items() if value is not None}
@@ -161,13 +163,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"detector={name}")
         print(f"events={len(events)}")
         print(format_report(report))
-
-    if args.cusum_out:
-        variant = CusumVariant(args.cusum_variant)
-        trace = cusum(series, args.cusum_window, variant)
-        write_trace(
-            args.cusum_out, SampleSeries(trace, series.sampling_rate_hz, series.start_time_s)
-        )
     return 0
 
 
@@ -213,19 +208,8 @@ def _build_parser() -> _Parser:
         ("--lld-pre-window", int, "likelihood pre/post window in samples"),
         ("--lld-threshold", float, "likelihood mean-change threshold"),
         ("--lld-precision", int, "likelihood maxima separation in samples"),
-        ("--lld-sigma-sq", float, "fixed noise variance (default: estimate)"),
     ):
         compare.add_argument(flag, type=kind, help=help_text)
-    compare.add_argument("--cusum-out", metavar="FILE", help="also write a cusum trace file")
-    compare.add_argument(
-        "--cusum-window", type=int, default=6, help="cusum forward-mean window in samples"
-    )
-    compare.add_argument(
-        "--cusum-variant",
-        choices=[v.value for v in CusumVariant],
-        default=CusumVariant.LINEAR.value,
-        help="cusum deviation accumulation",
-    )
     compare.set_defaults(func=_cmd_compare)
 
     synth = sub.add_parser("synth", help="render a synthetic scenario to files")

@@ -299,12 +299,20 @@ _POSITIVE_SETTINGS = frozenset(
 )
 
 
+def _check_integer(name: str, value: object) -> None:
+    """Reject a sample count or polynomial order that is not an integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise DetectionError(f"{name} must be an integer, got {value}")
+
+
 def _check_setting(name: str, value: float) -> None:
     """Reject a :class:`HybridConfig` value that is wrong whatever the other fields hold.
 
     The rules that relate two fields are checked by the config itself, so
     a config file can be checked one line at a time.
     """
+    if name in ("sg_window_samples", "sg_poly_order"):
+        _check_integer(name, value)
     if name in _POSITIVE_SETTINGS:
         if not math.isfinite(value):
             raise NonFiniteValue(f"{name} must be finite, got {value}")

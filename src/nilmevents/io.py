@@ -32,6 +32,7 @@ import typing
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -308,7 +309,11 @@ def _config_field_types() -> dict[str, type]:
     return {f.name: hints[f.name] for f in fields(HybridConfig)}
 
 
-def load_config_file(path: str | Path, base: HybridConfig = HybridConfig()) -> HybridConfig:
+def load_config_file(
+    path: str | Path,
+    base: HybridConfig = HybridConfig(),
+    overrides: typing.Mapping[str, object] = MappingProxyType({}),
+) -> HybridConfig:
     """Layer ``key = value`` lines from a file over an existing config.
 
     Keys name :class:`HybridConfig` fields; values are converted to the
@@ -316,13 +321,15 @@ def load_config_file(path: str | Path, base: HybridConfig = HybridConfig()) -> H
     raise :class:`ParseError`.  A value that no config may hold (not
     finite, not positive, an even window, ...) raises the error
     :class:`HybridConfig` would raise, with ``<path>:<line>:`` in front.
-    Rules that relate two fields (``time_limit_s < settle_threshold_s``,
-    ``sg_poly_order < sg_window_samples``) are judged once, on the layered
-    config, and their error names the file.
+    ``overrides``, such as explicit command-line flags, are layered over
+    the file and checked the same way, without a place.  Rules that relate
+    two fields (``time_limit_s < settle_threshold_s``, ``sg_poly_order <
+    sg_window_samples``) are judged on the layered config; their error
+    names the file when the file's values alone break a rule too.
     """
     path = Path(path)
     field_types = _config_field_types()
-    overrides: dict[str, object] = {}
+    values: dict[str, object] = {}
     with _decoding(path), open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -335,17 +342,23 @@ def load_config_file(path: str | Path, base: HybridConfig = HybridConfig()) -> H
             if key not in field_types:
                 raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                overrides[key] = field_types[key](value)
+                values[key] = field_types[key](value)
             except ValueError:
                 raise ParseError(
                     f"{path}:{lineno}: cannot read {value!r} as "
                     f"{field_types[key].__name__} for {key!r}"
                 ) from None
             try:
-                _check_setting(key, overrides[key])
+                _check_setting(key, values[key])
             except DetectionError as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    for key, value in overrides.items():
+        _check_setting(key, value)
     try:
-        return replace(base, **overrides)
+        return replace(base, **{**values, **overrides})
     except DetectionError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        try:
+            replace(base, **values)
+        except DetectionError:
+            raise type(exc)(f"{path}: {exc}") from None
+        raise

@@ -217,31 +217,11 @@ def oracle_savgol_exact(values: np.ndarray, window: int, order: int) -> np.ndarr
     return np.array(out)
 
 
-def oracle_cusum(values: np.ndarray, n: int, squared: bool = False) -> np.ndarray:
-    """Sequential cumulative deviation from the forward-window mean."""
-    x = np.asarray(values, dtype=float)
-    out = []
-    acc = 0.0
-    for i in range(x.size):
-        window = x[i : i + n]
-        mean_i = float(np.sum(window) / window.size)
-        deviation = 0.0 if i == 0 else x[i] - mean_i
-        if squared:
-            # Multiply rather than ``**2``: libm ``pow`` may be an ulp off
-            # the correctly rounded square that numpy computes.
-            deviation = deviation * deviation
-        acc += deviation
-        out.append(acc)
-    return np.array(out)
-
-
 def oracle_lld(
     values: np.ndarray,
-    rate_hz: float,
     pre_window: int,
     threshold: float,
     precision: int,
-    sigma_sq: float,
 ) -> list[tuple[int, float]]:
     """Strict local maxima of the likelihood statistic as (index, delta)."""
     x = np.asarray(values, dtype=float)
@@ -254,7 +234,7 @@ def oracle_lld(
         diff = mu1 - mu0
         deltas.append(diff)
         if abs(diff) > threshold:
-            ds.append(diff / sigma_sq * abs(x[i] - (mu1 + mu0) / 2.0))
+            ds.append(diff * abs(x[i] - (mu1 + mu0) / 2.0))
         else:
             ds.append(0.0)
     magnitude = [abs(v) for v in ds]

@@ -261,7 +261,7 @@ def test_magnitudes_the_window_sums_cannot_resolve_are_refused(values: np.ndarra
     with pytest.raises(MagnitudeTooLarge):
         detect_hybrid(series, HybridConfig())
     with pytest.raises(MagnitudeTooLarge):
-        lld_max(series, LldConfig(sigma_sq=1.0))
+        lld_max(series, LldConfig())
 
 
 def test_a_long_trace_at_a_high_level_is_refused_and_a_lower_level_detected() -> None:
@@ -277,9 +277,9 @@ def test_a_long_trace_at_a_high_level_is_refused_and_a_lower_level_detected() ->
 
 def test_lld_applies_the_magnitude_check_with_its_own_threshold() -> None:
     series = series_at_20hz(np.full(400, 1e13))  # bound 400 * 1e13 * eps = 0.89
-    lld_max(series, LldConfig(sigma_sq=1.0, power_threshold_watts=1.0))
+    lld_max(series, LldConfig(power_threshold_watts=1.0))
     with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 0.5 W"):
-        lld_max(series, LldConfig(sigma_sq=1.0, power_threshold_watts=0.5))
+        lld_max(series, LldConfig(power_threshold_watts=0.5))
 
 
 def events_from_whole_profile(

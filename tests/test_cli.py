@@ -169,19 +169,16 @@ def test_evaluate_honours_a_config_file(tmp_path: Path, capsys) -> None:
     assert "tpr=100.00" in out
 
 
-def test_compare_reports_both_detectors_and_exports_cusum(tmp_path: Path, capsys) -> None:
-    trace, truth = render_scenario("rangehood", tmp_path)
-    cusum_out = tmp_path / "cusum.csv"
+@pytest.mark.parametrize("name", ["house1", "kitchen", "lighting", "rangehood"])
+def test_compare_with_no_flags_reports_both_detectors(name: str, tmp_path: Path, capsys) -> None:
+    # house1, kitchen and lighting are noise-free and start flat.
+    trace, truth = render_scenario(name, tmp_path)
     capsys.readouterr()
-    code = cli_main(
-        ["compare", str(trace), str(truth), "--cusum-out", str(cusum_out), "--cusum-variant", "squared"]
-    )
-    assert code == 0
+    assert cli_main(["compare", str(trace), str(truth)]) == 0
     out = capsys.readouterr().out
     assert "detector=hybrid" in out
     assert "detector=lld" in out
     assert out.count("tpr=") == 2
-    assert len(load_trace(cusum_out)) == 1200
 
 
 def test_compare_applies_only_the_given_likelihood_flags(tmp_path: Path, capsys) -> None:
@@ -311,10 +308,39 @@ def test_a_rejected_config_value_exits_with_code_two_and_names_the_line(
     )
 
 
+
 @pytest.mark.parametrize(
-    ("flag", "name"),
-    [("--lld-threshold", "power_threshold_watts"), ("--lld-sigma-sq", "sigma_sq")],
+    ("line", "flags", "message"),
+    [
+        (
+            "time_limit_s = 3",
+            ["--settle", "5"],
+            "time_limit_s must be smaller than settle_threshold_s, got 3.0 >= 2.0",
+        ),
+        (
+            "sg_poly_order = 9",
+            ["--sg-window", "11"],
+            "sg_poly_order must satisfy 0 <= order < sg_window_samples, got 9",
+        ),
+    ],
+    ids=["time-limit", "sg-order"],
 )
+def test_flags_are_layered_over_the_config_file_before_the_rules_that_relate_two_fields(
+    line: str, flags: list[str], message: str, tmp_path: Path, capsys
+) -> None:
+    trace = write_small_step_trace(tmp_path)
+    config = tmp_path / "layered.config"
+    config.write_text(f"{line}\n")
+    assert cli_main(["detect", str(trace), "--config", str(config), *flags]) == 0
+    capsys.readouterr()
+    assert cli_main(["detect", str(trace), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    argv = ["detect", str(trace), "--config", str(config), *flags, "--threshold", "-5"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: power_threshold_watts must be positive, got -5.0\n"
+
+
+@pytest.mark.parametrize(("flag", "name"), [("--lld-threshold", "power_threshold_watts")])
 def test_a_non_finite_likelihood_setting_exits_with_code_two_and_says_not_finite(
     flag: str, name: str, tmp_path: Path, capsys
 ) -> None:

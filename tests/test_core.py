@@ -202,6 +202,15 @@ def test_config_names_zero_and_negative_settings_as_not_positive(value: float) -
     assert str(excinfo.value) == f"power_threshold_watts must be positive, got {value}"
 
 
+
+@pytest.mark.parametrize(
+    ("name", "value"), [("sg_window_samples", 41.5), ("sg_poly_order", 2.5)]
+)
+def test_config_rejects_sample_counts_that_are_not_integers(name: str, value: float) -> None:
+    with pytest.raises(DetectionError) as excinfo:
+        HybridConfig(**{name: value})
+    assert str(excinfo.value) == f"{name} must be an integer, got {value}"
+
 def test_config_window_conversions() -> None:
     config = HybridConfig()
     assert config.mean_window_samples(20.0) == 6

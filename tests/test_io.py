@@ -468,11 +468,19 @@ def test_config_rules_across_fields_are_judged_on_the_layered_config(tmp_path: P
     alone = tmp_path / "alone.config"
     alone.write_text("time_limit_s = 3\n")
     assert load_config_file(alone, HybridConfig(settle_threshold_s=5.0)).time_limit_s == 3.0
+    assert load_config_file(alone, overrides={"settle_threshold_s": 5.0}).time_limit_s == 3.0
     with pytest.raises(DetectionError) as excinfo:
         load_config_file(alone)
     assert str(excinfo.value) == (
         f"{alone}: time_limit_s must be smaller than settle_threshold_s, got 3.0 >= 2.0"
     )
+    # A rule that only the overrides break is reported without the file.
+    with pytest.raises(DetectionError) as excinfo:
+        load_config_file(both, overrides={"settle_threshold_s": 2.5})
+    assert str(excinfo.value) == (
+        "time_limit_s must be smaller than settle_threshold_s, got 3.0 >= 2.5"
+    )
+
 
 
 def test_bundled_scenario_configs_parse() -> None:
