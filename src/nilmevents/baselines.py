@@ -82,7 +82,8 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
             f"need at least {2 * pw + 1} samples for pre-window {pw}, got {len(series)}"
         )
     x = series.values
-    _check_sum_resolution(x, config.power_threshold_watts)
+    peak = max(float(x.max()), -float(x.min()))  # no full-length |x| temporary
+    _check_sum_resolution(peak, x.size, config.power_threshold_watts)
 
     mu0, mu1 = _window_sums(_prefix_sums(x), pw)
     mu0 /= pw

@@ -10,10 +10,12 @@ unchecked view of one position, built only where a caller reads events
 one at a time.  Durations are configured in seconds and converted to
 sample counts at the configured sampling rate via
 :func:`seconds_to_samples`.  The full-length passes of the other modules
-cut their range into blocks with ``_map_blocks``, so that each block's
+cut their range into blocks with ``_map_blocks`` (or walk ``_blocks`` in
+order, where a block carries a value into the next), so that each block's
 temporaries stay in cache, and return the same results for any block size.
 A pass that needs only some blocks reads the runs of them, each widened by
-the halo it must see, from ``_halo_runs``.
+the halo it must see, from ``_halo_runs``; the range bounds that tell the
+blocks apart come from ``_block_ranges``.
 """
 
 from __future__ import annotations
@@ -152,17 +154,26 @@ _BLOCK_SAMPLES = 1 << 14
 _T = TypeVar("_T")
 
 
+def _blocks(size: int) -> Iterator[tuple[int, int]]:
+    """The blocks ``[start, stop)`` of ``_BLOCK_SAMPLES`` that cut ``[0, size)``, in order.
+
+    Every block but the last is ``_BLOCK_SAMPLES`` long, so none is longer
+    than the first.
+    """
+    block_size = _BLOCK_SAMPLES
+    return ((start, min(start + block_size, size)) for start in range(0, size, block_size))
+
+
 def _map_blocks(fn: Callable[[int, int], _T], size: int) -> list[_T]:
     """``[fn(start, stop) for each block [start, stop) of [0, size)]``, in block order.
 
-    ``[0, size)`` is cut into blocks of ``_BLOCK_SAMPLES``, run one after
+    ``[0, size)`` is cut by :func:`_blocks`, and the blocks run one after
     another on the calling thread.  The outcome does not depend on the
     block size as long as ``fn`` reads only its own block and writes only
     its own slice of any shared output.  An exception in a block stops
     the map and reaches the caller unchanged.
     """
-    block_size = _BLOCK_SAMPLES
-    return [fn(start, min(start + block_size, size)) for start in range(0, size, block_size)]
+    return [fn(start, stop) for start, stop in _blocks(size)]
 
 
 def _halo_runs(active: np.ndarray, block: int, halo: int, size: int) -> list[tuple[int, int]]:
@@ -182,6 +193,32 @@ def _halo_runs(active: np.ndarray, block: int, halo: int, size: int) -> list[tup
         (max(start - halo, 0), min(stop + halo, size))
         for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())
     ]
+
+
+def _block_ranges(
+    x: np.ndarray, block: int, before: int, after: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of ``x``, the min and the max of ``x`` over the block and a halo.
+
+    Block ``b`` covers ``[b * block, (b + 1) * block)`` of ``[0, x.size)``;
+    its entries reduce ``x`` over that block widened by ``before`` samples
+    before and ``after`` after, clipped to the trace.  No full-length
+    temporary is built.
+    """
+    starts = np.arange(0, x.size, block)
+    lo = np.maximum(starts - before, 0)
+    hi = np.minimum(starts + block + after, x.size)
+    # One reduceat per extreme over the cuts lo[0], hi[0], lo[1], hi[1], ...:
+    # its even entries reduce x[lo:hi], overlapping or not, and each odd one
+    # reads a single sample, since hi[b] >= lo[b + 1].  A cut must be below
+    # x.size, so a range that ends there stops one short and takes x[-1] after.
+    cuts = np.column_stack((lo, np.minimum(hi, x.size - 1))).ravel()
+    low = np.minimum.reduceat(x, cuts)[::2]
+    high = np.maximum.reduceat(x, cuts)[::2]
+    at_end = hi == x.size
+    low[at_end] = np.minimum(low[at_end], x[-1])
+    high[at_end] = np.maximum(high[at_end], x[-1])
+    return low, high
 
 
 def validate_series(series: SampleSeries) -> SampleSeries:

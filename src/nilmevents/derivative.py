@@ -16,11 +16,16 @@ On a steady stretch the smoothed derivative cannot reach epsilon: its
 magnitude is at most the largest kernel weight times the local range of
 the trace.  ``_moving_smoothed_derivative`` uses that bound to compute
 the derivative only on the blocks where it might, with a margin of
-epsilon / 2, and leaves 0 elsewhere; the merge and the significant
-extrema come out the same as from the whole-trace derivative.
+epsilon / 2, and returns just those samples as a ``_Support``: a few
+sample ranges and their values, with a proven 0 everywhere else.
+:func:`detect_extrema` and :func:`merge_transient_events` read a support
+as they read a dense array, which is the one-range case, and return the
+same as on the whole-trace derivative.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
+    _block_ranges,
     _halo_runs,
     _map_blocks,
 )
@@ -51,6 +57,56 @@ _PROOF_BLOCK_SAMPLES = 1024
 
 class InvalidWindow(DetectionError):
     """A smoothing window was even, too small, or longer than the series."""
+
+
+@dataclass(frozen=True, eq=False)
+class _Support:
+    """A trace of ``size`` samples that is 0 outside a few sample ranges.
+
+    Range ``k`` is ``[starts[k], stops[k])``; the ranges are non-empty,
+    increasing and disjoint, and ``values`` holds their samples,
+    concatenated in range order.  A dense array is the one-range case.
+    """
+
+    size: int
+    starts: np.ndarray
+    stops: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, trace: np.ndarray | _Support) -> _Support:
+        """``trace`` itself if it is a support, else the dense array as one range."""
+        if isinstance(trace, _Support):
+            return trace
+        x = np.asarray(trace, dtype=float)
+        return cls(x.size, np.array([0]), np.array([x.size]), x)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Where each range starts in ``values``."""
+        lengths = self.stops - self.starts
+        return np.cumsum(lengths) - lengths
+
+    def indices(self, positions: np.ndarray) -> np.ndarray:
+        """The sample indices of the non-decreasing ``positions`` into ``values``."""
+        offsets = self.offsets
+        per_range = np.diff(np.searchsorted(positions, offsets), append=positions.size)
+        return positions + np.repeat(self.starts - offsets, per_range)
+
+    def at(self, indices: np.ndarray) -> np.ndarray:
+        """The samples at ``indices``: from their range, or 0 outside every range."""
+        ranges = np.maximum(np.searchsorted(self.starts, indices, side="right") - 1, 0)
+        inside = (indices >= self.starts[ranges]) & (indices < self.stops[ranges])
+        out = np.zeros(indices.size)
+        positions = (self.offsets - self.starts)[ranges[inside]] + indices[inside]
+        out[inside] = self.values[positions]
+        return out
+
+    def densify(self) -> np.ndarray:
+        """The full-length trace."""
+        out = np.zeros(self.size)
+        out[self.indices(np.arange(self.values.size))] = self.values
+        return out
 
 
 def _checked_window(window_samples: int, size: int) -> int:
@@ -132,17 +188,17 @@ def _loess_kernel(half: int) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _fit_edges(out: np.ndarray, head: np.ndarray, tail: np.ndarray) -> None:
-    """Set the first and last ``half`` entries of ``out`` by truncated-window fits.
+def _edge_fits(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last ``half`` outputs, by truncated-window fits.
 
     ``head`` and ``tail`` are the first and last ``2 * half`` input
     samples, all that those fits read; each fit equals the one over the
     whole input.
     """
     half = head.size // 2
-    for i in range(half):
-        out[i] = _fit_local_linear(head, i, half)
-        out[out.size - 1 - i] = _fit_local_linear(tail, tail.size - 1 - i, half)
+    first = [_fit_local_linear(head, i, half) for i in range(half)]
+    last = [_fit_local_linear(tail, tail.size - half + i, half) for i in range(half)]
+    return np.array(first), np.array(last)
 
 
 def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
@@ -172,7 +228,7 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     kernel = _loess_kernel(half)
     out = np.empty_like(x)
     _convolve_interior(x, kernel, out)
-    _fit_edges(out, x[: 2 * half], x[x.size - 2 * half :])
+    out[:half], out[x.size - half :] = _edge_fits(x[: 2 * half], x[x.size - 2 * half :])
     return out
 
 
@@ -185,34 +241,23 @@ def _block_bounds(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     samples before and ``half`` after, whatever ``half`` is.
     """
     half = kernel.size // 2
-    starts = np.arange(0, x.size, _PROOF_BLOCK_SAMPLES)
-    lo = np.maximum(starts - half - 1, 0)
-    hi = np.minimum(starts + _PROOF_BLOCK_SAMPLES + half, x.size)
-    # One reduceat per extreme over the cuts lo[0], hi[0], lo[1], hi[1], ...:
-    # its even entries reduce x[lo:hi], overlapping or not, and each odd one
-    # reads a single sample, since hi[b] > lo[b + 1].  A cut must be below
-    # x.size, so a range that ends there stops one short and takes x[-1] after.
-    cuts = np.column_stack((lo, np.minimum(hi, x.size - 1))).ravel()
-    low = np.minimum.reduceat(x, cuts)[::2]
-    high = np.maximum.reduceat(x, cuts)[::2]
-    at_end = hi == x.size
-    low[at_end] = np.minimum(low[at_end], x[-1])
-    high[at_end] = np.maximum(high[at_end], x[-1])
+    low, high = _block_ranges(x, _PROOF_BLOCK_SAMPLES, half + 1, half)
     return kernel.max() * (high - low)
 
 
 def _moving_smoothed_derivative(
     values: np.ndarray, window_samples: int, epsilon: float
-) -> np.ndarray:
-    """The smoothed first derivative, with 0 wherever it is proven small.
+) -> _Support:
+    """The smoothed first derivative where it is not proven small, as a support.
 
     That is ``loess_smooth(first_derivative(values), window_samples)``.
 
-    Every returned sample either equals the whole-trace smoothed
-    derivative ``s`` bit for bit, or is 0 where ``|s| < epsilon / 2 +``
-    rounding ``< epsilon``.  Only the samples near a transient are
-    computed, which on a mostly steady household trace is a few percent
-    of them.
+    Every sample of the returned :class:`_Support` equals the
+    whole-trace smoothed derivative ``s`` bit for bit; every sample
+    outside its ranges is 0 where ``|s| < epsilon / 2 +`` rounding
+    ``< epsilon``.  Only the samples near a transient are computed, which
+    on a mostly steady household trace is a few percent of them, and no
+    full-length array is built.
 
     **The bound.**  At an interior index ``i`` (``half <= i < n - half``),
     ``s[i] = sum_j k[j] * d[i + j]`` over ``j`` in ``[-half, half]``, with
@@ -237,15 +282,16 @@ def _moving_smoothed_derivative(
     below the ``epsilon / 2`` margin for any window under ``10**7``
     samples, so every settled index has ``|s| < epsilon``.
 
-    **What is computed.**  The first derivative and the interior
-    convolution run only on runs of active (not settled) blocks, each
-    widened by ``half`` samples (:func:`nilmevents.core._halo_runs`), with
-    the same blocked convolution as :func:`loess_smooth`; ``d[0] = 0``
-    where a run reaches the start.  The truncated-window edge fits run
-    once, at the true ends of the trace, whatever the blocks say.  Every
-    other sample is 0.
+    **What is computed.**  The support's ranges are the first and the
+    last ``half`` samples, whose truncated-window edge fits run whatever
+    the blocks say, and each run of active (not settled) blocks, cut to
+    the interior; ranges that touch are joined.  On the interior part of
+    a range, the first derivative and the convolution run over the range
+    widened by ``half`` samples on either side, with the same blocked
+    convolution as :func:`loess_smooth`; ``d[0] = 0`` where that reaches
+    the start.
 
-    **Why 0 changes no result.**  The merge's settled mask is
+    **Why 0 changes no result.**  The merge's settled test is
     ``|s| < epsilon``, which holds for the 0 as for the true value.  A
     significant extremum needs ``|s[i]| > epsilon``; a skipped neighbour's
     true value and its 0 both lie strictly between ``-epsilon`` and
@@ -257,14 +303,38 @@ def _moving_smoothed_derivative(
     half = _checked_window(window_samples, x.size) // 2
     kernel = _loess_kernel(half)
     active = ~(_block_bounds(x, kernel) < epsilon / 2)
-    out = np.zeros(x.size)  # calloc: pages never written stay unallocated
-    for lo, hi in _halo_runs(active, _PROOF_BLOCK_SAMPLES, half, x.size):
-        _convolve_interior(_difference(x, lo, hi), kernel, out, lo)
-    _fit_edges(out, _difference(x, 0, 2 * half), _difference(x, x.size - 2 * half, x.size))
-    return out
+    interior = x.size - half
+    runs = _halo_runs(active, _PROOF_BLOCK_SAMPLES, 0, x.size)
+    pieces = [
+        (0, half),
+        *((max(start, half), min(stop, interior)) for start, stop in runs),
+        (interior, x.size),
+    ]
+    ranges: list[tuple[int, int]] = []
+    for start, stop in pieces:
+        if ranges and start <= ranges[-1][1]:
+            ranges[-1] = (ranges[-1][0], max(ranges[-1][1], stop))
+        elif start < stop:
+            ranges.append((start, stop))
+
+    out = np.empty(sum(stop - start for start, stop in ranges))
+    offset = 0  # where the range starts in ``out``
+    for start, stop in ranges:
+        lo, hi = max(start, half), min(stop, interior)
+        if lo < hi:
+            d = _difference(x, lo - half, hi + half)
+            _convolve_interior(d, kernel, out, offset + lo - half - start)
+        offset += stop - start
+    head = _difference(x, 0, 2 * half)
+    tail = _difference(x, x.size - 2 * half, x.size)
+    out[:half], out[out.size - half :] = _edge_fits(head, tail)
+    starts, stops = (np.array(bounds, dtype=np.int64) for bounds in zip(*ranges))
+    return _Support(x.size, starts, stops, out)
 
 
-def detect_extrema(values: np.ndarray, min_abs_value: float | None = None) -> np.ndarray:
+def detect_extrema(
+    values: np.ndarray | _Support, min_abs_value: float | None = None
+) -> np.ndarray:
     """Indices of the strict interior peaks and valleys of a sequence.
 
     A peak at ``i`` requires ``values[i] > values[i-1]`` and
@@ -274,6 +344,10 @@ def detect_extrema(values: np.ndarray, min_abs_value: float | None = None) -> np
     transient lobes from noise-level wiggle.  The threshold is applied
     first, and neighbours are compared only where a sample passes it.
 
+    ``values`` is an array or a :class:`_Support`, whose samples outside
+    its ranges are 0.  With ``min_abs_value >= 0`` a 0 never passes, so
+    only the ranges are screened; otherwise the support is densified.
+
     Returns an increasing int64 array; a peak is told from a valley by
     comparing ``values[i]`` with ``values[i-1]``.
 
@@ -282,24 +356,62 @@ def detect_extrema(values: np.ndarray, min_abs_value: float | None = None) -> np
     SeriesTooShort
         If fewer than 3 values are given (no interior point exists).
     """
-    x = np.asarray(values, dtype=float)
-    if x.size < 3:
-        raise SeriesTooShort(f"extremum detection needs >= 3 values, got {x.size}")
+    trace = _Support.of(values)
+    if trace.size < 3:
+        raise SeriesTooShort(f"extremum detection needs >= 3 values, got {trace.size}")
+    if (min_abs_value is None or min_abs_value < 0) and trace.values.size < trace.size:
+        trace = _Support.of(trace.densify())  # a 0 passes, so it may be an extremum
+    v = trace.values
     if min_abs_value is None:
-        candidates = np.arange(1, x.size - 1, dtype=np.int64)
+        positions = np.arange(v.size)
     else:
-        inner = x[1:-1]
-        # |v| > m as two comparisons, with no full-length float temporary.
-        passing = (inner > min_abs_value) | (inner < -min_abs_value)
-        candidates = np.flatnonzero(passing).astype(np.int64, copy=False) + 1
-    value, before, after = x[candidates], x[candidates - 1], x[candidates + 1]
+        # |v| > m as two comparisons, with no float temporary.
+        positions = np.flatnonzero((v > min_abs_value) | (v < -min_abs_value))
+    value = v[positions]
+    # A neighbour in the same range is the next value.  The first and the
+    # last sample of a range read theirs from the trace instead, and the
+    # two ends of the trace, which have none, read their own value, which
+    # fails both strict tests.
+    before = v.take(positions - 1, mode="clip")
+    after = v.take(positions + 1, mode="clip")
+    last = trace.offsets + (trace.stops - trace.starts) - 1
+    for neighbours, edges, step in ((before, trace.offsets, -1), (after, last, 1)):
+        # Lands on each edge sample that passed, or else on a later sample,
+        # whose neighbour the trace gives right all the same.
+        at = np.searchsorted(positions, edges)
+        at = at[at < positions.size]
+        beside = trace.indices(positions[at]) + step
+        beyond = (beside < 0) | (beside >= trace.size)
+        neighbours[at] = np.where(beyond, value[at], trace.at(beside))
     strict = ((value > before) & (value > after)) | ((value < before) & (value < after))
-    return candidates[strict]
+    return trace.indices(positions[strict]).astype(np.int64, copy=False)
+
+
+def _unsettled_runs(trace: _Support, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, stops)`` of the runs of ``not |s| < epsilon`` in each range, as indices.
+
+    A run never crosses from one range into the next: the 0s between
+    them are settled, and two ranges that touch may split a run in two.
+    """
+    v = trace.values
+    # not |s| < eps as two comparisons, with no float temporary for |s|.
+    moving = ~((v < epsilon) & (v > -epsilon))
+    first = trace.offsets
+    last = first + (trace.stops - trace.starts) - 1
+    # A run opens where the sample before it is settled or in another
+    # range, and closes where the sample after it is.
+    opens = moving.copy()
+    opens[1:] &= ~moving[:-1]
+    opens[first] = moving[first]
+    closes = moving.copy()
+    closes[:-1] &= ~moving[1:]
+    closes[last] = moving[last]
+    return trace.indices(np.flatnonzero(opens)), trace.indices(np.flatnonzero(closes)) + 1
 
 
 def merge_transient_events(
     candidates: Events,
-    smoothed_derivative: np.ndarray,
+    smoothed_derivative: np.ndarray | _Support,
     series: SampleSeries,
     config: HybridConfig,
 ) -> np.ndarray:
@@ -313,19 +425,25 @@ def merge_transient_events(
     is merged into the earlier event's group, and each group is reported
     as its first event.
 
-    The settled mask over ``[first, last]`` is cleared at every candidate
-    index, so each settled run lies strictly inside one candidate gap.
-    The runs are found once and assigned to their gaps by binary search:
-    O(S + C log C) for S samples in that span and C candidates, with no
-    per-pair loop.
+    ``smoothed_derivative`` is an array or a :class:`_Support`, whose 0s
+    outside its ranges are settled.  No full-length mask is built: the
+    unsettled samples are the runs of ``|s| >= derivative_epsilon``
+    inside the ranges plus every candidate index, taken as intervals and
+    sorted by start.  The settled runs are the gaps between them, where a
+    gap ends at the next interval's start and starts at the furthest end
+    of the intervals before it (a running maximum, so a candidate inside
+    an unsettled run leaves no gap).  Each settled run lies strictly
+    between two consecutive candidates and is assigned to that candidate
+    gap by binary search: O(S + U log U) for S support samples and U
+    intervals, with no per-pair loop.
 
     Returns the increasing int64 positions, into ``candidates``, of the
     events that survive; ``candidates[positions]`` are the merged events.
     """
-    smoothed = np.asarray(smoothed_derivative, dtype=float)
-    if smoothed.size != len(series):
+    trace = _Support.of(smoothed_derivative)
+    if trace.size != len(series):
         raise MisalignedInput(
-            f"smoothed derivative length {smoothed.size} != series length {len(series)}"
+            f"smoothed derivative length {trace.size} != series length {len(series)}"
         )
     indices = candidates.indices
     if np.any(np.diff(indices) <= 0):
@@ -335,16 +453,18 @@ def merge_transient_events(
 
     if not indices.size:
         return np.empty(0, dtype=np.int64)
-    first = indices[0]
-    span = smoothed[first : indices[-1] + 1]
-    # |s| < eps as two comparisons, with no float temporary for |s|.
-    settled = (span < config.derivative_epsilon) & (span > -config.derivative_epsilon)
-    settled[indices - first] = False
-    # Both ends of the span are candidates, so every run starts and ends inside it.
-    edges = np.flatnonzero(np.diff(settled.view(np.int8))) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    gaps = np.searchsorted(indices, starts + first) - 1
+    run_starts, run_stops = _unsettled_runs(trace, config.derivative_epsilon)
+    starts = np.concatenate((run_starts, indices))
+    stops = np.concatenate((run_stops, indices + 1))
+    order = np.argsort(starts, kind="stable")
+    starts, reach = starts[order], np.maximum.accumulate(stops[order])
+    gap = np.flatnonzero(starts[1:] > reach[:-1])
+    settled_starts, settled_lengths = reach[gap], starts[gap + 1] - reach[gap]
+    # The settled run from s lies between candidate g and g + 1, g + 1 being
+    # the number of candidates before s; runs outside [first, last] drop out.
+    gaps = np.searchsorted(indices, settled_starts) - 1
+    between = (gaps >= 0) & (gaps < indices.size - 1)
     longest = np.zeros(indices.size - 1, dtype=np.int64)
-    np.maximum.at(longest, gaps, ends - starts)
+    np.maximum.at(longest, gaps[between], settled_lengths[between])
     separate = longest / series.sampling_rate_hz > config.settle_threshold_s
     return np.concatenate(([0], np.flatnonzero(separate) + 1)).astype(np.int64, copy=False)

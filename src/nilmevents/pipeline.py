@@ -14,11 +14,16 @@ merge and the refilter return the positions of the candidates they keep.
 that survive each stage; a :class:`~nilmevents.core.DetectedEvent` is a
 view built only when a caller iterates or indexes an event list.
 
-The merge and the extrema read the smoothed derivative only where the
-trace moves.  A range bound proves most of a steady trace settled
-(``|s| < derivative_epsilon / 2``) without computing it; there the
-derivative is left 0, which gives the same settled mask, the same
-extrema and so the same events as the whole-trace
+Detection pays only where the trace moves, and builds no full-length
+cumulative sum or derivative array.  The base detector's cumulative sum
+runs through one small buffer, and its threshold test runs only on the
+blocks that a range bound does not prove quiet (the proof is in
+:func:`nilmevents.base._rounding_margin`).  The same kind of bound proves
+most of a steady trace settled (``|s| < derivative_epsilon / 2``)
+without computing its smoothed derivative; the derivative comes back as
+a support, the sample ranges computed and their values, with a proven 0
+everywhere else.  The extrema and the merge read only the support, and
+give the same extrema and the same events as on the whole-trace
 :func:`smoothed_derivative` (the proof is in
 :func:`nilmevents.derivative._moving_smoothed_derivative`).
 
@@ -117,8 +122,9 @@ class PipelineResult:
 def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarray:
     """The LOESS-smoothed first derivative of the whole trace.
 
-    :func:`detect_hybrid` computes it only near transients and reads 0
-    elsewhere, with the same results; this function computes every sample.
+    :func:`detect_hybrid` computes it only near transients, as a support
+    that is 0 elsewhere, with the same results; this function computes
+    every sample.
     """
     return loess_smooth(
         first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)

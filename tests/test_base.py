@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nilmevents import (
@@ -17,8 +17,17 @@ from nilmevents import (
     detect_hybrid,
     lld_max,
 )
-from nilmevents.base import _mean_difference_profile, _prefix_sums, _window_sums
+from nilmevents import base, core
+from nilmevents.base import (
+    _mean_difference_profile,
+    _prefix_sum_blocks,
+    _prefix_sums,
+    _rounding_margin,
+    _tested_entries,
+    _window_sums,
+)
 
+from blocks import BLOCK_SIZES, PROOF_BLOCK_SIZES, use_blocks
 from oracles import oracle_base_events, oracle_mean_difference_profile, oracle_moving_means
 
 integer_traces = st.lists(
@@ -340,3 +349,151 @@ def test_blocked_base_events_match_the_whole_profile_on_floats(
         assert list(zip(events.indices.tolist(), events.timestamps_s.tolist(),
                         events.deltas_watts.tolist())) == expected
         assert len(events) > 0 or size == 2 * n + 1
+
+
+# --- Quiet blocks and the blocked cumulative sum ----------------------------
+#
+# A mean difference is at most the range of the samples its windows read plus
+# the rounding margin r; detection tests the threshold only on proof blocks of
+# centres where range + r does not stay below it.
+
+
+def event_triples(events) -> list[tuple[int, float, float]]:
+    return list(
+        zip(events.indices.tolist(), events.timestamps_s.tolist(), events.deltas_watts.tolist())
+    )
+
+
+@st.composite
+def steady_traces(draw) -> np.ndarray:
+    """A level with a little noise, broken by a few steps and ramps."""
+    size = draw(st.integers(min_value=13, max_value=600))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 0.01, 0.5, 4.0]))
+    x = draw(st.floats(min_value=-1e4, max_value=1e4)) + noise * rng.standard_normal(size)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=size - 1))
+        height = draw(st.floats(min_value=-2000.0, max_value=2000.0))
+        ramp = draw(st.integers(min_value=0, max_value=30))
+        x[at:] += height * np.minimum(1.0, (np.arange(size - at) + 1.0) / (ramp + 1.0))
+    return x
+
+
+def detect_with_blocks(
+    values: np.ndarray, config: HybridConfig, block: int, proof_block: int
+) -> list[tuple[int, float, float]]:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_blocks(monkeypatch, block)
+        monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", proof_block)
+        return event_triples(detect_base(series_at_20hz(values), config))
+
+
+@given(
+    float_traces | steady_traces(),
+    st.sampled_from(BLOCK_SIZES),
+    st.integers(min_value=1, max_value=6),
+)
+def test_prefix_sum_blocks_are_the_whole_cumulative_sum_bit_for_bit(
+    values: np.ndarray, block: int, n: int
+) -> None:
+    assume(values.size >= 2 * n + 1)
+    whole = _prefix_sums(values)
+    entries = values.size - 2 * n
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_blocks(monkeypatch, block)
+        blocks = [(a, b, sums.copy()) for a, b, sums in _prefix_sum_blocks(values, n)]
+    assert [(start, stop) for start, stop, _ in blocks] == [
+        (start, min(start + block, entries)) for start in range(0, entries, block)
+    ]
+    for start, stop, sums in blocks:
+        assert sums.tobytes() == whole[start : stop + 2 * n + 1].tobytes()
+
+
+@given(
+    steady_traces(),
+    st.sampled_from(BLOCK_SIZES),
+    st.sampled_from(PROOF_BLOCK_SIZES),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([2.0, 25.0, 300.0]),
+)
+def test_skipping_quiet_blocks_gives_the_whole_profile_events(
+    values: np.ndarray, block: int, proof_block: int, n: int, threshold: float
+) -> None:
+    assume(values.size >= 2 * n + 1)
+    config = HybridConfig(
+        mean_window_s=n / 20.0, power_threshold_watts=threshold, time_limit_s=0.05
+    )
+    expected = events_from_whole_profile(values, 20.0, n, threshold, 0.05)
+    assert detect_with_blocks(values, config, block, proof_block) == expected
+
+
+@given(
+    integer_traces | steady_traces().map(np.round),
+    st.sampled_from(BLOCK_SIZES),
+    st.sampled_from(PROOF_BLOCK_SIZES),
+    st.integers(min_value=1, max_value=4),
+)
+def test_skipping_quiet_blocks_matches_the_oracle_on_integers(
+    values: np.ndarray, block: int, proof_block: int, n: int
+) -> None:
+    assume(values.size >= 2 * n + 1)
+    config = HybridConfig(mean_window_s=n / 20.0, time_limit_s=0.05)
+    expected = oracle_base_events(values, 20.0, n, 25.0, 0.05)
+    assert detect_with_blocks(values, config, block, proof_block) == expected
+
+
+@given(
+    float_traces,
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1.0, 1e-3, 1e6, 1e12]),
+)
+def test_mean_differences_stay_within_their_window_range_plus_the_margin(
+    values: np.ndarray, n: int, scale: float
+) -> None:
+    x = values * scale
+    peak = max(float(x.max()), -float(x.min()))
+    margin = _rounding_margin(peak, x.size, n)
+    for k, delta in enumerate(profile(x, n).tolist()):
+        window = x[k : k + 2 * n + 1]
+        assert abs(delta) <= (window.max() - window.min()) + margin, k
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_a_range_one_ulp_from_threshold_minus_the_margin_gives_the_whole_profile_events(
+    side: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A block whose range is one ulp below threshold - r is skipped, one ulp above tested."""
+    monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", 32)
+    n = 3
+    x = 230.0 + np.random.default_rng(8).normal(0.0, 0.01, 640)
+    x[100:] += 400.0
+    x[400:] += 3.0  # inside block 12: centres [384, 416), profile entries [381, 413)
+    low, high = core._block_ranges(x, 32, n, n)
+    edge = (high[12] - low[12]) + _rounding_margin(max(high.max(), -low.min()), x.size, n)
+    threshold = float(np.nextafter(edge, np.inf if side == "below" else -np.inf))
+    tested = {k for start, stop in _tested_entries(x, n, threshold) for k in range(start, stop)}
+    block_entries = set(range(381, 413))
+    assert (block_entries <= tested) == (side == "above")
+    assert block_entries.isdisjoint(tested) == (side == "below")
+    assert set(range(100 - 2 * n, 100)) <= tested  # the 400 W step is tested either way
+    config = HybridConfig(
+        mean_window_s=n / 20.0, power_threshold_watts=threshold, time_limit_s=0.05
+    )
+    events = event_triples(detect_base(series_at_20hz(x), config))
+    assert events == events_from_whole_profile(x, 20.0, n, threshold, 0.05)
+    assert events
+
+
+def test_a_margin_that_reaches_the_threshold_tests_every_block(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # 2000 samples at 1e11 W: the guard's max|x| * len(x) * eps is 0.044 W,
+    # but r is about 59 W, so no block can be proven quiet.
+    monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", 16)
+    values = np.full(2000, 1e11)
+    values[1000:] += 100.0
+    assert _rounding_margin(1e11 + 100.0, values.size, 6) >= 25.0
+    assert _tested_entries(values, 6, 25.0) == [(0, values.size - 12)]
+    events = event_triples(detect_base(series_at_20hz(values), HybridConfig()))
+    assert events == events_from_whole_profile(values, 20.0, 6, 25.0, 0.2)
+    assert events

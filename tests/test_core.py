@@ -280,3 +280,26 @@ def test_halo_runs_widen_each_run_of_active_blocks_and_clip_to_the_trace() -> No
     assert core._halo_runs(active, 10, 12, 65) == [(0, 32), (28, 62), (48, 65)]
     assert core._halo_runs(np.zeros(3, dtype=bool), 10, 3, 30) == []
     assert core._halo_runs(np.ones(3, dtype=bool), 10, 100, 25) == [(0, 25)]
+
+
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=300).map(np.array),
+    st.sampled_from([1, 2, 7, 64, 1024]),
+    st.integers(min_value=0, max_value=70),
+    st.integers(min_value=0, max_value=70),
+)
+def test_block_ranges_reduce_each_block_with_its_halo(
+    x: np.ndarray, block: int, before: int, after: int
+) -> None:
+    low, high = core._block_ranges(x, block, before, after)
+    windows = [
+        x[max(start - before, 0) : start + block + after] for start in range(0, x.size, block)
+    ]
+    assert np.array_equal(low, [window.min() for window in windows])
+    assert np.array_equal(high, [window.max() for window in windows])
+
+
+def test_blocks_cut_the_range_in_order(monkeypatch: pytest.MonkeyPatch) -> None:
+    use_blocks(monkeypatch, 7)
+    assert list(core._blocks(20)) == [(0, 7), (7, 14), (14, 20)]
+    assert list(core._blocks(0)) == []

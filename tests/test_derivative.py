@@ -23,6 +23,7 @@ from nilmevents import (
 )
 from nilmevents import derivative
 from nilmevents.derivative import (
+    _Support,
     _block_bounds,
     _fit_local_linear,
     _loess_kernel,
@@ -393,12 +394,15 @@ def brute_block_bounds(x: np.ndarray, kernel: np.ndarray, block: int) -> np.ndar
 def assert_same_as_whole_trace(x: np.ndarray, window: int, epsilon: float) -> np.ndarray:
     """Every sample is the whole-trace one or a 0 for a value below epsilon; the
     settled mask and the significant extrema agree.  Returns where they are equal."""
-    moving = _moving_smoothed_derivative(x, window, epsilon)
+    support = _moving_smoothed_derivative(x, window, epsilon)
+    assert np.all(support.starts < support.stops)
+    assert np.all(support.stops[:-1] < support.starts[1:])  # disjoint, and joined where they touch
+    moving = support.densify()
     whole = loess_smooth(first_derivative(x), window)
     same = moving == whole
     assert np.all(same | ((moving == 0.0) & (np.abs(whole) < epsilon)))
     assert np.array_equal(np.abs(moving) < epsilon, np.abs(whole) < epsilon)
-    assert np.array_equal(detect_extrema(moving, epsilon), detect_extrema(whole, epsilon))
+    assert np.array_equal(detect_extrema(support, epsilon), detect_extrema(whole, epsilon))
     return same
 
 
@@ -508,3 +512,126 @@ def test_a_bound_one_ulp_from_half_epsilon_gives_the_whole_trace_result(
     assert (bound < epsilon / 2) == (side == "below")
     same = assert_same_as_whole_trace(x, 21, epsilon)
     assert same[384:416].all() == (side == "above")
+
+
+# --- Supports: the extrema and the merge read only the computed ranges -----
+
+SUPPORT_GRID = [
+    0.0,
+    0.0,
+    0.25,
+    -0.25,
+    0.7,
+    EPSILON,
+    -EPSILON,
+    np.nextafter(EPSILON, np.inf),
+    np.nextafter(-EPSILON, -np.inf),
+    np.nextafter(EPSILON, 0.0),
+    1.0,
+    -1.0,
+]
+
+
+@st.composite
+def support_cases(draw) -> tuple[_Support, list[int]]:
+    """A random support and increasing candidate indices.
+
+    Gaps of 0 samples let ranges touch each other, sample 0 or sample
+    N - 1.  Candidates sit on range edges and one sample either side of
+    them, inside runs where ``|s| >= epsilon``, at the trace ends, or
+    right next to another candidate.
+    """
+    size = draw(st.integers(min_value=3, max_value=200))
+    starts: list[int] = []
+    stops: list[int] = []
+    at = 0
+    while True:
+        at += draw(st.integers(min_value=0, max_value=40))
+        if at >= size:
+            break
+        starts.append(at)
+        at = min(size, at + draw(st.integers(min_value=1, max_value=50)))
+        stops.append(at)
+    total = sum(stop - start for start, stop in zip(starts, stops))
+    values = draw(st.lists(st.sampled_from(SUPPORT_GRID), min_size=total, max_size=total))
+    support = _Support(
+        size,
+        np.array(starts, dtype=np.int64),
+        np.array(stops, dtype=np.int64),
+        np.array(values, dtype=float),
+    )
+    edges = {edge + d for edge in starts + stops for d in (-1, 0, 1)}
+    moving = np.flatnonzero(np.abs(support.densify()) >= EPSILON).tolist()
+    spots = sorted(i for i in edges | set(moving) | {0, size - 1} if 0 <= i < size)
+    chosen = draw(
+        st.lists(
+            st.sampled_from(spots) | st.integers(min_value=0, max_value=size - 1),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    if draw(st.booleans()):
+        chosen += [i + 1 for i in chosen if i < size - 1]
+    return support, sorted(set(chosen))
+
+
+@given(support_cases(), st.sampled_from([0.3, 0.5, 2.0]))
+def test_merge_on_a_support_agrees_with_the_oracle_and_the_dense_trace(
+    case, settle_threshold_s: float
+) -> None:
+    support, indices = case
+    series = series_at_20hz(np.zeros(support.size))
+    config = HybridConfig(settle_threshold_s=settle_threshold_s, time_limit_s=0.1)
+    candidates = events_at(indices, series)
+    dense = support.densify()
+    survivors = merge_transient_events(candidates, support, series, config)
+    assert survivors.dtype == np.int64
+    assert np.array_equal(survivors, merge_transient_events(candidates, dense, series, config))
+    expected = oracle_merge(
+        [(i, series.time_at(i)) for i in indices],
+        dense,
+        20.0,
+        config.derivative_epsilon,
+        settle_threshold_s,
+    )
+    assert candidates[survivors].indices.tolist() == expected
+
+
+@given(support_cases(), st.sampled_from([None, EPSILON, 0.0, 0.25, -1.0]))
+def test_extrema_on_a_support_agree_with_the_oracle_and_the_dense_trace(
+    case, min_abs_value: float | None
+) -> None:
+    support, _ = case
+    dense = support.densify()
+    found = detect_extrema(support, min_abs_value)
+    assert found.dtype == np.int64
+    assert np.array_equal(found, detect_extrema(dense, min_abs_value))
+    expected = [
+        index
+        for index, _, value in oracle_extrema(dense)
+        if min_abs_value is None or abs(value) > min_abs_value
+    ]
+    assert found.tolist() == expected
+
+
+def test_a_support_reads_0_between_ranges_that_touch_each_other_and_both_ends() -> None:
+    # Ranges [0, 3), [3, 5), [7, 10) and [18, 20) of a 20-sample trace.
+    support = _Support(
+        20,
+        np.array([0, 3, 7, 18]),
+        np.array([3, 5, 10, 20]),
+        np.array([0.9, 0.6, 0.8, -0.7, 0.6, 0.0, 2.0, 0.0, 1.5, 0.9]),
+    )
+    dense = support.densify()
+    assert dense.tolist() == [0.9, 0.6, 0.8, -0.7, 0.6, 0, 0, 0, 2.0, 0] + [0.0] * 8 + [1.5, 0.9]
+    assert support.at(np.arange(20)).tolist() == dense.tolist()
+    # 2 and 3 compare across the touching ranges, 4 and 18 with a 0 outside.
+    assert detect_extrema(support, EPSILON).tolist() == [1, 2, 3, 4, 8, 18]
+    assert detect_extrema(support, EPSILON).tolist() == detect_extrema(dense, EPSILON).tolist()
+    series = series_at_20hz(np.zeros(20))
+    config = HybridConfig(settle_threshold_s=0.3, time_limit_s=0.1)
+    # 8 samples settled between 9 and 18 (0.4 s > 0.3 s); none between 0 and 4.
+    candidates = events_at([0, 4, 9, 18, 19], series)
+    survivors = merge_transient_events(candidates, support, series, config)
+    assert candidates[survivors].indices.tolist() == [0, 18]
+    assert np.array_equal(survivors, merge_transient_events(candidates, dense, series, config))

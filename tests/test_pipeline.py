@@ -27,10 +27,9 @@ from nilmevents import (
     merge_transient_events,
     smoothed_derivative,
 )
-from nilmevents import derivative
 from nilmevents.filtering import refilter_events_with_verdicts
 
-from blocks import BLOCK_SIZES, use_blocks
+from blocks import BLOCK_SIZES, use_blocks, use_proof_blocks
 from oracles import oracle_extrema, oracle_merge
 from replicas import run_replica
 
@@ -257,7 +256,7 @@ def test_skipping_settled_blocks_changes_no_stage(
     config = HybridConfig(derivative_epsilon=epsilon)
     with pytest.MonkeyPatch.context() as monkeypatch:
         use_blocks(monkeypatch, block)
-        monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", proof_block)
+        use_proof_blocks(monkeypatch, proof_block)
         result = detect_hybrid(series, config)
     assert_whole_trace_chain(series, config, result)
 
@@ -268,7 +267,7 @@ def test_replicas_give_the_whole_trace_chain_for_any_proof_block(name: str) -> N
     assert_whole_trace_chain(run.series, run.config, run.result)
     for proof_block in (1, 64, 4096):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", proof_block)
+            use_proof_blocks(monkeypatch, proof_block)
             result = detect_hybrid(run.series, run.config)
         assert_whole_trace_chain(run.series, run.config, result)
 
