@@ -10,23 +10,22 @@ after an event is emitted, further alarms are suppressed until more than
 
 The detector works on arrays throughout and returns :class:`Events`;
 the only Python loop is the time-limit emission over the alarm times.
-Window sums are differences of one cumulative sum, whose rounding error
-grows with the trace's magnitude times its length, so a trace where that
-error could reach the threshold is refused with :class:`MagnitudeTooLarge`.
+Each window is summed from its own ``n`` samples in one fixed order
+(:func:`_window_sums`), so a mean difference is a pure function of the
+``2n + 1`` samples around its centre, whatever the block sizes or the
+position in the trace, and its rounding error grows with ``n``, not
+with the trace length.  A trace whose magnitude times its length could
+reach the threshold is still refused with :class:`MagnitudeTooLarge`.
 
-No full-length temporary is built.  The cumulative sum runs block by
-block through one small buffer that carries its running value, and its
-entries equal the whole-trace sum's bit for bit.  A mean difference is
-at most the range of the samples its windows read, plus a bound on the
-rounding, so a block of centres whose range stays below the threshold by
-that bound cannot alarm and is not tested; on a mostly steady household
-trace that is nearly all of them.  The other blocks read the same sums
-the whole profile would.
+No full-length temporary is built.  A mean difference is at most the
+range of the samples its windows read, plus a bound on the rounding, so
+a block of centres whose range stays below the threshold by that bound
+cannot alarm and is not tested; on a mostly steady household trace that
+is nearly all of them.  The other centres are summed and tested in
+blocks, and quiet stretches are never summed.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -55,17 +54,18 @@ class MagnitudeTooLarge(DetectionError):
 
 
 def _check_sum_resolution(peak: float, size: int, threshold_watts: float) -> None:
-    """Refuse traces where cumulative-sum rounding could reach ``threshold_watts``.
+    """Refuse traces where ``max|x| * len(x) * eps`` reaches ``threshold_watts``.
 
-    ``peak`` is ``max|x|`` over the ``size`` samples.  A partial sum of
-    them carries a rounding error of typically about ``peak * size * eps``,
-    and a window mean difference inherits it, so at or above the threshold
-    an alarm may be spurious or a real step lost.  That is the typical
-    size, not a bound: the worst case is ``gamma_(size - 1) * sum|x|``
-    (see :func:`_rounding_margin`), up to about ``size / 2`` times more.
-    The guard is unchanged and stays at the typical size: 400 samples of
-    1.7e308 W, a -1e300 -> +1e300 step and 6 h at 60 Hz at 1e12 W are
-    refused, and a +100 W step in 6 h at 60 Hz at 1e10 W is still found.
+    ``peak`` is ``max|x|`` over the ``size`` samples.  The guard is kept
+    as it was when every window sum was a difference of one cumulative
+    sum over the whole trace, whose rounding grew with ``peak * size``.
+    It is now conservative: a window sum of ``n`` samples errs by at most
+    ``gamma_(n - 1) * n * peak`` (see :func:`_rounding_margin`), so a mean
+    difference by about ``(n - 1) * eps * peak``, which is below the
+    guard's figure for every trace with a full window (``size >= 2n + 1``).
+    400 samples of 1.7e308 W, a -1e300 -> +1e300 step and 6 h at 60 Hz at
+    1e12 W are refused, and a +100 W step in 6 h at 60 Hz at 1e10 W is
+    found.
     """
     eps = float(np.finfo(float).eps)
     bound = peak * size * eps
@@ -77,70 +77,46 @@ def _check_sum_resolution(peak: float, size: int, threshold_watts: float) -> Non
         )
 
 
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    """``[0, x0, x0 + x1, ...]``: one sequential cumulative sum, written in place."""
-    csum = np.empty(values.size + 1)
-    csum[0] = 0.0
-    np.cumsum(values, out=csum[1:])
-    return csum
-
-
-def _prefix_sum_blocks(values: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, sums)`` for each block ``[start, stop)`` of profile entries, in order.
-
-    The ``values.size - 2n`` profile entries are cut by
-    :func:`~nilmevents.core._blocks`.  ``sums`` holds the cumulative sums
-    ``_prefix_sums(values)[start : stop + 2n + 1]``, all that the block's
-    window sums read, bit for bit: each block keeps the last ``2n + 1``
-    sums of the block before, copies its new samples after them, adds the
-    carried running sum to the first and accumulates in place, which are
-    the additions of the one sequential cumulative sum, in its order.
-    Every block is a view of one buffer of ``_BLOCK_SAMPLES + 2n + 1``
-    entries, overwritten by the next block.
-    """
-    width = 2 * n + 1
-    buffer = np.empty(0)
-    kept = 0  # where the sums the next block keeps start in the buffer
-    for start, stop in _blocks(values.size - 2 * n):
-        if start == 0:
-            buffer = np.empty(stop + width)  # the first block is as long as any
-            buffer[0] = 0.0
-            np.cumsum(values[: stop + width - 1], out=buffer[1:])
-        else:
-            buffer[:width] = buffer[kept : kept + width]
-            fresh = buffer[width : stop - start + width]
-            fresh[:] = values[start + width - 1 : stop + width - 1]
-            fresh[0] += buffer[width - 1]
-            np.cumsum(fresh, out=fresh)
-        kept = stop - start
-        yield start, stop, buffer[: stop - start + width]
-
-
 def _window_sums(
-    csum: np.ndarray, n: int, start: int = 0, stop: int | None = None
+    values: np.ndarray, n: int, start: int = 0, stop: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the ``n`` samples before and after eligible centers.
+    """Sums of the ``n`` samples before and after the centres of profile entries ``[start, stop)``.
 
-    ``csum`` comes from :func:`_prefix_sums`.  Entry ``k`` of the profile
-    belongs to center ``n + k``, for every center with a full window on
-    both sides; this returns entries ``[start, stop)``, all of them by
-    default.  The before window covers ``[center - n, center - 1]`` and
-    the after window ``[center + 1, center + n]``; the center sample is
-    excluded so a step landing exactly on it biases neither mean.  Each
-    sum is a difference of two cumulative-sum entries, so a block of
-    entries is bit-identical to the same entries of the whole profile,
-    and so is a block read from :func:`_prefix_sum_blocks`, whose sums
-    start at its first entry.
+    Entry ``k`` of the profile belongs to centre ``n + k``, for every
+    centre with a full window on both sides; all of them by default.  The
+    before window covers ``[centre - n, centre - 1]`` and the after window
+    ``[centre + 1, centre + n]``; the centre sample is excluded so a step
+    landing exactly on it biases neither mean.
+
+    Every window is summed from its own samples in one fixed order, binary
+    doubling: ``W_1 = x`` and ``W_2p[k] = W_p[k] + W_p[k + p]`` is the sum
+    of the ``2p`` samples from ``k``, and a window of ``n`` adds its
+    power-of-two parts from the lowest set bit of ``n`` up, each part
+    starting where the ones before it end.  So a sum depends only on the
+    samples it reads, bit for bit, and takes ``O(log n)`` vectorised
+    passes over ``values[start : stop + 2n]``.  One array of window sums
+    serves both windows: an entry's before sum is its entry ``k`` and its
+    after sum entry ``k + n + 1``; the two results are views of it.
     """
     if stop is None:
-        stop = csum.size - 1 - 2 * n
-    before_sums = csum[n + start : n + stop] - csum[start:stop]
-    after_sums = csum[2 * n + 1 + start : 2 * n + 1 + stop] - csum[n + 1 + start : n + 1 + stop]
-    return before_sums, after_sums
+        stop = values.size - 2 * n
+    count = stop - start + n + 1  # the windows starting at samples [start, stop + n]
+    part = values[start : stop + 2 * n]  # W_1
+    sums = None
+    offset = 0
+    for bit in range(n.bit_length()):
+        width = 1 << bit
+        if bit:
+            part = part[: -(width >> 1)] + part[width >> 1 :]  # W_width from W_(width/2)
+        if n & width:
+            piece = part[offset : offset + count]
+            sums = piece if sums is None else sums + piece
+            offset += width
+    return sums[: stop - start], sums[n + 1 :]
 
 
 def _mean_difference_profile(
-    csum: np.ndarray, n: int, start: int = 0, stop: int | None = None
+    values: np.ndarray, n: int, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
     """After-minus-before window means for profile entries ``[start, stop)``.
 
@@ -148,44 +124,42 @@ def _mean_difference_profile(
     so a constant offset added to every sample cancels exactly whenever
     the window sums are exact (integer-valued data, for instance).
     """
-    before_sums, after_sums = _window_sums(csum, n, start, stop)
+    before_sums, after_sums = _window_sums(values, n, start, stop)
     return (after_sums - before_sums) / n
 
 
-def _rounding_margin(peak: float, size: int, n: int) -> float:
+def _rounding_margin(peak: float, n: int) -> float:
     """``r``: a computed mean difference exceeds its windows' range by less than this.
 
-    **The bound.**  Take ``u = 2**-53``, ``N = size`` and the exact
-    window sums ``B`` and ``A`` of the ``n`` samples before and after a
-    centre ``c``.  Then ``|A|, |B| <= n * peak``, and ``|A - B| <= n * R``
-    with ``R`` the range of ``x`` over ``[c - n, c + n]``, since ``A - B``
-    pairs each after sample with a before sample.  The cumulative sum is
-    recursive summation, so each computed prefix sum lies within
-    ``E = gamma_N * N * peak`` of the exact one, ``gamma_N = N u / (1 - N u)``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    section 4.2, which bounds it by ``gamma_(j-1) * sum|x_i|`` whatever the
-    order).  Each window sum is one rounded subtraction of two prefix sums,
-    so it errs by at most ``e = 2E + u * (n * peak + 2E)``.  The numerator
-    is then at most ``n R + 2e`` before its own rounding and the division
-    by ``n`` adds one more, so the computed mean difference obeys
-    ``|d| <= (1 + u)**2 * (R + 2e / n)``.
+    **The bound.**  Take ``u = 2**-53``, ``peak = max|x|`` and the exact
+    sums ``B`` and ``A`` of the ``n`` samples before and after a centre
+    ``c``.  Then ``|A - B| <= n * R`` with ``R`` the range of ``x`` over
+    ``[c - n, c + n]``, since ``A - B`` pairs each after sample with a
+    before sample.  A computed sum of ``n`` terms, in any order, lies
+    within ``gamma_(n-1) * sum|x_i|`` of the exact one, with
+    ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, section 4.2: no term passes through more
+    than ``n - 1`` additions), so each window sum of :func:`_window_sums`
+    errs by at most ``e = gamma_(n-1) * n * peak``.  The numerator is then
+    at most ``n R + 2e`` before its own rounding and the division by ``n``
+    adds one more, so the computed mean difference obeys
+    ``|d| <= (1 + u)**2 * (R + 2 * gamma_(n-1) * peak)``.
 
     **The margin.**  The range is read as ``R' = fl(max - min)``, so
     ``R <= R' / (1 - u)`` and ``R' <= 2 * peak * (1 + u)``.  Collecting
-    the ``(1 + u)`` factors, ``|d| <= R' + (4E / n) * (1 + 4u) + 12u * peak``.
-    This returns ``r = 2 * (4E / n + 8u * peak)``: the factor 2 covers the
-    ``1 + 4u`` and the few roundings of ``r``'s own arithmetic.  So
-    ``fl(R' + r) < threshold`` implies ``R' + r < threshold`` (the
+    the ``(1 + u)`` factors,
+    ``|d| <= R' + (2 * gamma_(n-1) + 8u) * peak * (1 + u)**2``.  This
+    returns ``r = 2 * (2 * gamma_(n-1) + 8u) * peak``: the factor 2 covers
+    the ``(1 + u)**2`` and the few roundings of ``r``'s own arithmetic.
+    So ``fl(R' + r) < threshold`` implies ``R' + r < threshold`` (the
     threshold is a float and rounding is monotone), hence
     ``|d| < threshold``: no centre of a block where that holds alarms.
-    ``r`` grows with ``N**2 * peak / n``; on long traces at high levels it
-    reaches the threshold, no block is quiet and every block is tested.
-    An overflow makes ``r`` infinite, with the same effect.
+    ``r`` is about ``4 (n + 3) u * peak`` and does not depend on the trace
+    length.
     """
     u = 2.0**-53
-    gamma = size * u / (1.0 - size * u)
-    prefix_error = gamma * size * peak
-    return 2.0 * (4.0 * prefix_error / n + 8.0 * u * peak)
+    gamma = (n - 1) * u / (1.0 - (n - 1) * u)
+    return 2.0 * (2.0 * gamma + 8.0 * u) * peak
 
 
 def _tested_entries(values: np.ndarray, n: int, threshold: float) -> list[tuple[int, int]]:
@@ -205,7 +179,7 @@ def _tested_entries(values: np.ndarray, n: int, threshold: float) -> list[tuple[
     low, high = _block_ranges(values, _PROOF_BLOCK_SAMPLES, n, n)
     peak = max(float(high.max()), -float(low.min()))
     _check_sum_resolution(peak, values.size, threshold)
-    quiet = (high - low) + _rounding_margin(peak, values.size, n) < threshold
+    quiet = (high - low) + _rounding_margin(peak, n) < threshold
     entries = values.size - 2 * n
     runs = _halo_runs(~quiet, _PROOF_BLOCK_SAMPLES, 0, values.size)
     return [
@@ -238,10 +212,12 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
 
     Notes
     -----
-    The cumulative sum runs in blocks (:func:`_prefix_sum_blocks`) and
-    the threshold test only on the centres not proven quiet
-    (:func:`_tested_entries`), so no full-length temporary is built; the
-    events are identical for any block and proof-block size.
+    The window sums and the threshold test run only on the centres not
+    proven quiet (:func:`_tested_entries`), cut into blocks of
+    :func:`~nilmevents.core._blocks`, so no full-length temporary is
+    built.  Each delta is a pure function of the samples its windows
+    read (:func:`_window_sums`), so the events are identical for any
+    block and proof-block size.
 
     Raises
     ------
@@ -258,23 +234,14 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
             f"need at least {2 * n + 1} samples for window {n}, got {len(series)}"
         )
     threshold = config.power_threshold_watts
-    tested = _tested_entries(series.values, n, threshold)
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    run = 0
-    for start, stop, sums in _prefix_sum_blocks(series.values, n):
-        while run < len(tested) and tested[run][1] <= start:
-            run += 1
-        if run == len(tested):
-            break  # the rest is quiet: no later sum is read
-        for lo, hi in tested[run:]:
-            if lo >= stop:
-                break
-            lo, hi = max(lo, start), min(hi, stop)
-            diffs = _mean_difference_profile(sums, n, lo - start, hi - start)
+    for lo, hi in _tested_entries(series.values, n, threshold):
+        for start, stop in _blocks(hi - lo):
+            diffs = _mean_difference_profile(series.values, n, lo + start, lo + stop)
             # |d| > threshold as two comparisons, with no |d| temporary.
             positions = np.flatnonzero((diffs > threshold) | (diffs < -threshold))
-            found.append((positions + (n + lo), diffs[positions]))
+            found.append((positions + (n + lo + start), diffs[positions]))
     alarm_indices = np.concatenate([indices for indices, _ in found])
     alarm_deltas = np.concatenate([deltas for _, deltas in found])
     alarm_times = series.time_at(alarm_indices)

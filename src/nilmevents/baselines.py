@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import _check_sum_resolution, _prefix_sums, _window_sums
+from .base import _check_sum_resolution, _window_sums
 from .core import (
     DetectionError,
     Events,
@@ -71,12 +71,15 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     separated by more than that many samples.
 
     Returns :class:`~nilmevents.core.Events` in increasing index order,
-    each carrying ``mu1 - mu0`` as its delta.  Like :func:`detect_base`,
-    it raises :class:`~nilmevents.base.MagnitudeTooLarge` when
+    each carrying ``mu1 - mu0`` as its delta.  The window sums are the
+    base detector's (:func:`~nilmevents.base._window_sums`), each summed
+    from its own samples, so a delta depends only on the ``2 *
+    pre_window_samples`` samples it reads.  Like :func:`detect_base`, it
+    raises :class:`~nilmevents.base.MagnitudeTooLarge` when
     ``max|x| * len(x) * eps`` reaches ``power_threshold_watts``.
     """
     series = validate_series(series)
-    pw = config.pre_window_samples
+    pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
     if len(series) < 2 * pw + 1:
         raise SeriesTooShort(
             f"need at least {2 * pw + 1} samples for pre-window {pw}, got {len(series)}"
@@ -85,15 +88,14 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     peak = max(float(x.max()), -float(x.min()))  # no full-length |x| temporary
     _check_sum_resolution(peak, x.size, config.power_threshold_watts)
 
-    mu0, mu1 = _window_sums(_prefix_sums(x), pw)
-    mu0 /= pw
-    mu1 /= pw
-    mean_diff = mu1 - mu0
+    before_sums, after_sums = _window_sums(x, pw)  # views of one array of window sums
+    mean_diff = after_sums / pw
+    mean_diff -= before_sums / pw  # mu1 - mu0
     threshold = config.power_threshold_watts
     # ds is zero wherever |mu1 - mu0| <= threshold, so it is computed only
     # at the other positions, each by the formula above.
     active = np.flatnonzero((mean_diff > threshold) | (mean_diff < -threshold))
-    midpoint = (mu1[active] + mu0[active]) / 2.0
+    midpoint = (after_sums[active] / pw + before_sums[active] / pw) / 2.0
 
     m = config.maxima_precision_samples
     # Entries within m of an end see zeros beyond it, which no candidate

@@ -317,10 +317,11 @@ def load_config_file(
     """Layer ``key = value`` lines from a file over an existing config.
 
     Keys name :class:`HybridConfig` fields; values are converted to the
-    field's type.  Unknown keys, malformed lines and unconvertible values
-    raise :class:`ParseError`.  A value that no config may hold (not
-    finite, not positive, an even window, ...) raises the error
-    :class:`HybridConfig` would raise, with ``<path>:<line>:`` in front.
+    field's type.  Unknown keys, a key given twice, malformed lines and
+    unconvertible values raise :class:`ParseError`.  A value that no
+    config may hold (not finite, not positive, an even window, ...) raises
+    the error :class:`HybridConfig` would raise, with ``<path>:<line>:``
+    in front.
     ``overrides``, such as explicit command-line flags, are layered over
     the file and checked the same way, without a place.  Rules that relate
     two fields (``time_limit_s < settle_threshold_s``, ``sg_poly_order <
@@ -330,6 +331,7 @@ def load_config_file(
     path = Path(path)
     field_types = _config_field_types()
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # the line that set each key
     with _decoding(path), open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -341,6 +343,9 @@ def load_config_file(
             key, value = key.strip(), value.strip()
             if key not in field_types:
                 raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_on:
+                raise ParseError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+            set_on[key] = lineno
             try:
                 values[key] = field_types[key](value)
             except ValueError:

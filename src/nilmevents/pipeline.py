@@ -15,9 +15,9 @@ that survive each stage; a :class:`~nilmevents.core.DetectedEvent` is a
 view built only when a caller iterates or indexes an event list.
 
 Detection pays only where the trace moves, and builds no full-length
-cumulative sum or derivative array.  The base detector's cumulative sum
-runs through one small buffer, and its threshold test runs only on the
-blocks that a range bound does not prove quiet (the proof is in
+window sums or derivative array.  The base detector sums each window
+from its own samples, and sums and tests only the blocks that a range
+bound does not prove quiet (the proof is in
 :func:`nilmevents.base._rounding_margin`).  The same kind of bound proves
 most of a steady trace settled (``|s| < derivative_epsilon / 2``)
 without computing its smoothed derivative; the derivative comes back as

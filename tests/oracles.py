@@ -6,11 +6,13 @@ transcription available: python loops, per-window sums, per-point
 least-squares solves.  Tests compare library output against these so
 that an algebra slip in either implementation surfaces as a mismatch.
 
-Window sums deliberately use :func:`numpy.sum` on the exact slice rather
-than a python accumulation loop: both the library and numpy reduce
-contiguous float windows pairwise, so on identical slices the results
-are bit-identical, which lets the equivalence tests demand exact
-equality for the discrete operators.
+Two references cover the base detector's window sums.
+:func:`oracle_mean_difference_profile` sums each window with
+:func:`numpy.sum`, an order the library does not use: it is exact on
+integer-valued traces, and tests hold floats to a tolerance against it.
+:func:`oracle_window_sums` adds each window's samples one Python float
+addition at a time in the library's own doubling order, so tests demand
+bit-equality with it on any float trace.
 """
 
 from __future__ import annotations
@@ -36,6 +38,36 @@ def oracle_moving_means(values: np.ndarray, center: int, n: int) -> tuple[float,
     before = float(np.sum(x[center - n : center]) / n)
     after = float(np.sum(x[center + 1 : center + 1 + n]) / n)
     return before, after
+
+
+def oracle_window_sums(values: np.ndarray, n: int) -> list[float]:
+    """``sum(values[k : k + n])`` for every ``k``, each window in the binary doubling order.
+
+    ``part(k, p)``, the sum of the ``p`` samples from ``k`` for a power of
+    two ``p``, is ``part(k, p / 2) + part(k + p / 2, p / 2)``; a window of
+    ``n`` adds its power-of-two parts from the lowest set bit of ``n`` up,
+    each part starting where the ones before it end.
+    """
+    x = [float(v) for v in values]
+
+    def part(k: int, p: int) -> float:
+        if p == 1:
+            return x[k]
+        return part(k, p // 2) + part(k + p // 2, p // 2)
+
+    sums = []
+    for k in range(len(x) - n + 1):
+        total = None
+        offset = 0
+        p = 1
+        while p <= n:
+            if n & p:
+                term = part(k + offset, p)
+                total = term if total is None else total + term
+                offset += p
+            p *= 2
+        sums.append(total)
+    return sums
 
 
 def oracle_mean_difference_profile(values: np.ndarray, n: int) -> dict[int, float]:

@@ -20,15 +20,18 @@ from nilmevents import (
 from nilmevents import base, core
 from nilmevents.base import (
     _mean_difference_profile,
-    _prefix_sum_blocks,
-    _prefix_sums,
     _rounding_margin,
     _tested_entries,
     _window_sums,
 )
 
 from blocks import BLOCK_SIZES, PROOF_BLOCK_SIZES, use_blocks
-from oracles import oracle_base_events, oracle_mean_difference_profile, oracle_moving_means
+from oracles import (
+    oracle_base_events,
+    oracle_mean_difference_profile,
+    oracle_moving_means,
+    oracle_window_sums,
+)
 
 integer_traces = st.lists(
     st.integers(min_value=0, max_value=3000), min_size=13, max_size=120
@@ -50,13 +53,13 @@ def two_step_trace(rate: float = 20.0) -> SampleSeries:
 
 def moving_means(values: np.ndarray, center: int, n: int) -> tuple[float, float]:
     """Before/after window means at ``center``, read from the shared window sums."""
-    before_sums, after_sums = _window_sums(_prefix_sums(values), n)
+    before_sums, after_sums = _window_sums(values, n)
     return before_sums[center - n] / n, after_sums[center - n] / n
 
 
 def profile(values: np.ndarray, n: int) -> np.ndarray:
     """The whole mean-difference profile; entry ``k`` belongs to center ``n + k``."""
-    return _mean_difference_profile(_prefix_sums(values), n)
+    return _mean_difference_profile(values, n)
 
 
 def test_moving_means_on_an_exact_step() -> None:
@@ -351,11 +354,12 @@ def test_blocked_base_events_match_the_whole_profile_on_floats(
         assert len(events) > 0 or size == 2 * n + 1
 
 
-# --- Quiet blocks and the blocked cumulative sum ----------------------------
+# --- Window sums from their own samples, and quiet blocks --------------------
 #
-# A mean difference is at most the range of the samples its windows read plus
-# the rounding margin r; detection tests the threshold only on proof blocks of
-# centres where range + r does not stay below it.
+# Every window is summed from its own samples in the doubling order, so a mean
+# difference is a pure function of the samples it reads.  It is at most their
+# range plus the rounding margin r; detection tests the threshold only on proof
+# blocks of centres where range + r does not stay below it.
 
 
 def event_triples(events) -> list[tuple[int, float, float]]:
@@ -388,25 +392,58 @@ def detect_with_blocks(
         return event_triples(detect_base(series_at_20hz(values), config))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 18, 64, 300])
+def test_window_sums_match_the_doubling_oracle_bit_for_bit(small_blocks: int, n: int) -> None:
+    rng = np.random.default_rng(n)
+    size = 2 * n + 1 + 3 * small_blocks + 17  # three blocks of entries and a partial one
+    values = rng.normal(0.0, 1.0, size) * 10.0 ** rng.uniform(-3.0, 5.0, size)
+    sums = oracle_window_sums(values, n)
+    entries = size - 2 * n
+    before_sums, after_sums = _window_sums(values, n)
+    assert before_sums.tolist() == sums[:entries]
+    assert after_sums.tolist() == sums[n + 1 :]
+    # Nearly every centre alarms and every alarm is emitted, so the blocked
+    # detector reports nearly the whole profile.
+    threshold = 1e-6
+    config = HybridConfig(
+        mean_window_s=n / 20.0, power_threshold_watts=threshold, time_limit_s=0.01
+    )
+    events = detect_base(series_at_20hz(values), config)
+    diffs = [(sums[k + n + 1] - sums[k]) / n for k in range(entries)]
+    expected = [(n + k, delta) for k, delta in enumerate(diffs) if abs(delta) > threshold]
+    assert list(zip(events.indices.tolist(), events.deltas_watts.tolist())) == expected
+
+
 @given(
     float_traces | steady_traces(),
+    st.integers(min_value=0, max_value=60),
     st.sampled_from(BLOCK_SIZES),
+    st.sampled_from(PROOF_BLOCK_SIZES),
+    st.sampled_from(BLOCK_SIZES),
+    st.sampled_from(PROOF_BLOCK_SIZES),
     st.integers(min_value=1, max_value=6),
+    st.sampled_from([2.0, 25.0, 300.0]),
 )
-def test_prefix_sum_blocks_are_the_whole_cumulative_sum_bit_for_bit(
-    values: np.ndarray, block: int, n: int
+def test_deltas_from_a_later_start_are_the_same_bit_for_bit(
+    values: np.ndarray,
+    offset: int,
+    block: int,
+    proof_block: int,
+    tail_block: int,
+    tail_proof_block: int,
+    n: int,
+    threshold: float,
 ) -> None:
-    assume(values.size >= 2 * n + 1)
-    whole = _prefix_sums(values)
-    entries = values.size - 2 * n
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        use_blocks(monkeypatch, block)
-        blocks = [(a, b, sums.copy()) for a, b, sums in _prefix_sum_blocks(values, n)]
-    assert [(start, stop) for start, stop, _ in blocks] == [
-        (start, min(start + block, entries)) for start in range(0, entries, block)
+    """The deltas of ``x[a:]`` are those of ``x`` at centres ``>= a + n``, for any block sizes."""
+    assume(values.size - offset >= 2 * n + 1)
+    config = HybridConfig(
+        mean_window_s=n / 20.0, power_threshold_watts=threshold, time_limit_s=0.01
+    )
+    whole = detect_with_blocks(values, config, block, proof_block)
+    tail = detect_with_blocks(values[offset:], config, tail_block, tail_proof_block)
+    assert [(index + offset, delta) for index, _, delta in tail] == [
+        (index, delta) for index, _, delta in whole if index >= offset + n
     ]
-    for start, stop, sums in blocks:
-        assert sums.tobytes() == whole[start : stop + 2 * n + 1].tobytes()
 
 
 @given(
@@ -444,15 +481,16 @@ def test_skipping_quiet_blocks_matches_the_oracle_on_integers(
 
 @given(
     float_traces,
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=20),
     st.sampled_from([1.0, 1e-3, 1e6, 1e12]),
 )
 def test_mean_differences_stay_within_their_window_range_plus_the_margin(
     values: np.ndarray, n: int, scale: float
 ) -> None:
+    assume(values.size >= 2 * n + 1)
     x = values * scale
     peak = max(float(x.max()), -float(x.min()))
-    margin = _rounding_margin(peak, x.size, n)
+    margin = _rounding_margin(peak, n)
     for k, delta in enumerate(profile(x, n).tolist()):
         window = x[k : k + 2 * n + 1]
         assert abs(delta) <= (window.max() - window.min()) + margin, k
@@ -469,7 +507,7 @@ def test_a_range_one_ulp_from_threshold_minus_the_margin_gives_the_whole_profile
     x[100:] += 400.0
     x[400:] += 3.0  # inside block 12: centres [384, 416), profile entries [381, 413)
     low, high = core._block_ranges(x, 32, n, n)
-    edge = (high[12] - low[12]) + _rounding_margin(max(high.max(), -low.min()), x.size, n)
+    edge = (high[12] - low[12]) + _rounding_margin(max(high.max(), -low.min()), n)
     threshold = float(np.nextafter(edge, np.inf if side == "below" else -np.inf))
     tested = {k for start, stop in _tested_entries(x, n, threshold) for k in range(start, stop)}
     block_entries = set(range(381, 413))
@@ -487,13 +525,18 @@ def test_a_range_one_ulp_from_threshold_minus_the_margin_gives_the_whole_profile
 def test_a_margin_that_reaches_the_threshold_tests_every_block(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # 2000 samples at 1e11 W: the guard's max|x| * len(x) * eps is 0.044 W,
-    # but r is about 59 W, so no block can be proven quiet.
-    monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", 16)
-    values = np.full(2000, 1e11)
-    values[1000:] += 100.0
-    assert _rounding_margin(1e11 + 100.0, values.size, 6) >= 25.0
-    assert _tested_entries(values, 6, 25.0) == [(0, values.size - 12)]
-    events = event_triples(detect_base(series_at_20hz(values), HybridConfig()))
-    assert events == events_from_whole_profile(values, 20.0, 6, 25.0, 0.2)
+    # r is about 4 (n + 3) u peak whatever the trace length, so it outgrows the
+    # guard's max|x| * len(x) * eps only on traces shorter than 2 (n + 3)
+    # samples.  On 17 samples at 6.4e15 W with n = 6, r is 25.6 W and the
+    # guard 24.2 W: no block can be proven quiet, yet the trace is not refused.
+    monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", 1)
+    level = 6.4e15
+    assert _rounding_margin(level + 100.0, 6) >= 25.0 > (level + 100.0) * 17 * 2.0**-52
+    flat = np.full(17, level)
+    assert _tested_entries(flat, 6, 25.0) == [(0, 5)]
+    assert _tested_entries(flat - level, 6, 25.0) == []
+    stepped = flat.copy()
+    stepped[9:] += 100.0
+    events = event_triples(detect_base(series_at_20hz(stepped), HybridConfig()))
+    assert events == events_from_whole_profile(stepped, 20.0, 6, 25.0, 0.2)
     assert events

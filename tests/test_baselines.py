@@ -122,6 +122,15 @@ def test_lld_matches_oracle_exactly(values: np.ndarray) -> None:
     assert [(e.index, e.delta_watts) for e in events] == expected
 
 
+@given(integer_traces, st.integers(min_value=1, max_value=6))
+def test_a_numpy_integer_window_gives_the_same_events(values: np.ndarray, window: int) -> None:
+    series = series_at_20hz(values)
+    expected = lld_max(series, LldConfig(pre_window_samples=window))
+    events = lld_max(series, LldConfig(pre_window_samples=np.int64(window)))
+    assert events.indices.tolist() == expected.indices.tolist()
+    assert events.deltas_watts.tolist() == expected.deltas_watts.tolist()
+
+
 @given(integer_traces, st.integers(min_value=1, max_value=12))
 def test_lld_events_are_separated_by_more_than_the_precision_window(
     values: np.ndarray, precision: int

@@ -420,6 +420,14 @@ def test_config_parse_errors_name_the_problem(tmp_path: Path) -> None:
         load_config_file(bad_value)
 
 
+def test_a_key_given_twice_in_one_file_names_both_lines(tmp_path: Path) -> None:
+    path = tmp_path / "twice.config"
+    path.write_text("power_threshold_watts = 30\n# retuned\npower_threshold_watts = 40\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_config_file(path)
+    assert str(excinfo.value) == f"{path}:3: power_threshold_watts already set on line 1"
+
+
 def test_config_field_constraints_still_apply_after_parsing(tmp_path: Path) -> None:
     path = tmp_path / "even.config"
     path.write_text("sg_window_samples = 8\n")
