@@ -14,8 +14,10 @@ Each window is summed from its own ``n`` samples in one fixed order
 (:func:`_window_sums`), so a mean difference is a pure function of the
 ``2n + 1`` samples around its centre, whatever the block sizes or the
 position in the trace, and its rounding error grows with ``n``, not
-with the trace length.  A trace whose magnitude times its length could
-reach the threshold is still refused with :class:`MagnitudeTooLarge`.
+with the trace length.  A trace whose rounding margin
+(:func:`_rounding_margin`, about ``4 (n + 3) u`` times its peak) reaches
+the threshold is refused with :class:`MagnitudeTooLarge`, since rounding
+alone could then make a flat stretch alarm.
 
 No full-length temporary is built.  A mean difference is at most the
 range of the samples its windows read, plus a bound on the rounding, so
@@ -51,30 +53,6 @@ _PROOF_BLOCK_SAMPLES = 1024
 
 class MagnitudeTooLarge(DetectionError):
     """A trace's magnitude is too large for its window sums to resolve the threshold."""
-
-
-def _check_sum_resolution(peak: float, size: int, threshold_watts: float) -> None:
-    """Refuse traces where ``max|x| * len(x) * eps`` reaches ``threshold_watts``.
-
-    ``peak`` is ``max|x|`` over the ``size`` samples.  The guard is kept
-    as it was when every window sum was a difference of one cumulative
-    sum over the whole trace, whose rounding grew with ``peak * size``.
-    It is now conservative: a window sum of ``n`` samples errs by at most
-    ``gamma_(n - 1) * n * peak`` (see :func:`_rounding_margin`), so a mean
-    difference by about ``(n - 1) * eps * peak``, which is below the
-    guard's figure for every trace with a full window (``size >= 2n + 1``).
-    400 samples of 1.7e308 W, a -1e300 -> +1e300 step and 6 h at 60 Hz at
-    1e12 W are refused, and a +100 W step in 6 h at 60 Hz at 1e10 W is
-    found.
-    """
-    eps = float(np.finfo(float).eps)
-    bound = peak * size * eps
-    if bound >= threshold_watts:
-        raise MagnitudeTooLarge(
-            f"max |x| * len(x) * eps = {peak:.6g} * {size} * {eps:.6g} = "
-            f"{bound:.6g} W reaches the power threshold {threshold_watts:.6g} W; "
-            "the window sums cannot resolve it"
-        )
 
 
 def _window_sums(
@@ -156,10 +134,37 @@ def _rounding_margin(peak: float, n: int) -> float:
     ``|d| < threshold``: no centre of a block where that holds alarms.
     ``r`` is about ``4 (n + 3) u * peak`` and does not depend on the trace
     length.
+
+    **LLD.**  :func:`~nilmevents.baselines.lld_max` forms ``mu1 - mu0`` as
+    ``fl(A'/n) - fl(B'/n)`` from the same computed sums ``A'`` and ``B'``,
+    with ``|A'| / n`` and ``|B'| / n`` at most ``(1 + gamma_(n-1)) * peak``.
+    The sums err by ``2 * gamma_(n-1) * peak`` after the division, each
+    quotient's rounding by ``u (1 + gamma_(n-1)) * peak`` and the
+    subtraction's by ``2u (1 + gamma_(n-1)) (1 + u) * peak``, so the
+    computed ``mu1 - mu0`` lies within
+    ``(2 * gamma_(n-1) + 4u) (1 + gamma_(n-1)) (1 + u) * peak < r`` of the
+    exact ``(A - B) / n``.  So ``r`` bounds what rounding adds to either
+    statistic.
     """
     u = 2.0**-53
     gamma = (n - 1) * u / (1.0 - (n - 1) * u)
     return 2.0 * (2.0 * gamma + 8.0 * u) * peak
+
+
+def _checked_margin(peak: float, n: int, threshold: float) -> float:
+    """``r = _rounding_margin(peak, n)``, or :class:`MagnitudeTooLarge` if ``r >= threshold``.
+
+    Where ``r`` reaches the threshold, rounding alone could make a flat
+    stretch alarm, so the window sums cannot resolve the threshold.
+    """
+    margin = _rounding_margin(peak, n)
+    if not margin < threshold:
+        raise MagnitudeTooLarge(
+            f"the rounding margin r = {margin:.6g} W of {n}-sample window sums at peak "
+            f"|x| = {peak:.6g} W reaches the power threshold {threshold:.6g} W; "
+            "the window sums cannot resolve it"
+        )
+    return margin
 
 
 def _tested_entries(values: np.ndarray, n: int, threshold: float) -> list[tuple[int, int]]:
@@ -173,13 +178,12 @@ def _tested_entries(values: np.ndarray, n: int, threshold: float) -> list[tuple[
     blocks that are not quiet, cut to the centres with full windows, are
     returned as profile entries (entry ``k`` is centre ``n + k``).
 
-    Raises :class:`MagnitudeTooLarge` as :func:`_check_sum_resolution`
-    does; ``peak`` comes from the same per-block extremes.
+    Raises :class:`MagnitudeTooLarge` from :func:`_checked_margin`;
+    ``peak`` comes from the same per-block extremes.
     """
     low, high = _block_ranges(values, _PROOF_BLOCK_SAMPLES, n, n)
     peak = max(float(high.max()), -float(low.min()))
-    _check_sum_resolution(peak, values.size, threshold)
-    quiet = (high - low) + _rounding_margin(peak, n) < threshold
+    quiet = (high - low) + _checked_margin(peak, n, threshold) < threshold
     entries = values.size - 2 * n
     runs = _halo_runs(~quiet, _PROOF_BLOCK_SAMPLES, 0, values.size)
     return [
@@ -225,7 +229,8 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
         If the series cannot hold one before window, one center sample
         and one after window.
     MagnitudeTooLarge
-        If ``max|x| * len(x) * eps`` reaches ``power_threshold_watts``.
+        If the rounding margin of its window sums
+        (:func:`_rounding_margin`) reaches ``power_threshold_watts``.
     """
     series = validate_series(series)
     n = config.mean_window_samples(series.sampling_rate_hz)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import _check_sum_resolution, _window_sums
+from .base import _checked_margin, _window_sums
 from .core import (
     DetectionError,
     Events,
@@ -75,8 +75,9 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     base detector's (:func:`~nilmevents.base._window_sums`), each summed
     from its own samples, so a delta depends only on the ``2 *
     pre_window_samples`` samples it reads.  Like :func:`detect_base`, it
-    raises :class:`~nilmevents.base.MagnitudeTooLarge` when
-    ``max|x| * len(x) * eps`` reaches ``power_threshold_watts``.
+    raises :class:`~nilmevents.base.MagnitudeTooLarge` when the rounding
+    margin of those sums (:func:`~nilmevents.base._rounding_margin` with
+    ``n = pre_window_samples``) reaches ``power_threshold_watts``.
     """
     series = validate_series(series)
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
@@ -86,7 +87,7 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
         )
     x = series.values
     peak = max(float(x.max()), -float(x.min()))  # no full-length |x| temporary
-    _check_sum_resolution(peak, x.size, config.power_threshold_watts)
+    _checked_margin(peak, pw, config.power_threshold_watts)
 
     before_sums, after_sums = _window_sums(x, pw)  # views of one array of window sums
     mean_diff = after_sums / pw

@@ -17,10 +17,11 @@ magnitude is at most the largest kernel weight times the local range of
 the trace.  ``_moving_smoothed_derivative`` uses that bound to compute
 the derivative only on the blocks where it might, with a margin of
 epsilon / 2, and returns just those samples as a ``_Support``: a few
-sample ranges and their values, with a proven 0 everywhere else.
-:func:`detect_extrema` and :func:`merge_transient_events` read a support
-as they read a dense array, which is the one-range case, and return the
-same as on the whole-trace derivative.
+sample ranges and their values, with a proven 0 everywhere else.  Each
+range is widened to start and end on a proven-settled sample, so
+:func:`detect_extrema` and :func:`merge_transient_events` run their
+dense code on the support's values, which is the one-range case, and
+return the same as on the whole-trace derivative.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ class _Support:
     Range ``k`` is ``[starts[k], stops[k])``; the ranges are non-empty,
     increasing and disjoint, and ``values`` holds their samples,
     concatenated in range order.  A dense array is the one-range case.
+
+    It answers ``min_abs_value >= epsilon`` in :func:`detect_extrema` and
+    the settle test ``|s| < epsilon`` from ``values`` alone when no two
+    ranges touch and each begins and ends at a trace end or a sample with
+    ``|s| < epsilon``: then a sample with ``|s| >= epsilon`` has its trace
+    neighbours beside it, and no run of them crosses into the next range.
     """
 
     size: int
@@ -81,32 +88,12 @@ class _Support:
         x = np.asarray(trace, dtype=float)
         return cls(x.size, np.array([0]), np.array([x.size]), x)
 
-    @property
-    def offsets(self) -> np.ndarray:
-        """Where each range starts in ``values``."""
-        lengths = self.stops - self.starts
-        return np.cumsum(lengths) - lengths
-
     def indices(self, positions: np.ndarray) -> np.ndarray:
         """The sample indices of the non-decreasing ``positions`` into ``values``."""
-        offsets = self.offsets
+        lengths = self.stops - self.starts
+        offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
         per_range = np.diff(np.searchsorted(positions, offsets), append=positions.size)
         return positions + np.repeat(self.starts - offsets, per_range)
-
-    def at(self, indices: np.ndarray) -> np.ndarray:
-        """The samples at ``indices``: from their range, or 0 outside every range."""
-        ranges = np.maximum(np.searchsorted(self.starts, indices, side="right") - 1, 0)
-        inside = (indices >= self.starts[ranges]) & (indices < self.stops[ranges])
-        out = np.zeros(indices.size)
-        positions = (self.offsets - self.starts)[ranges[inside]] + indices[inside]
-        out[inside] = self.values[positions]
-        return out
-
-    def densify(self) -> np.ndarray:
-        """The full-length trace."""
-        out = np.zeros(self.size)
-        out[self.indices(np.arange(self.values.size))] = self.values
-        return out
 
 
 def _checked_window(window_samples: int, size: int) -> int:
@@ -170,35 +157,41 @@ def _tricube_weights(offsets: np.ndarray, half_width: int) -> np.ndarray:
     return (1.0 - u**3) ** 3
 
 
-def _fit_local_linear(values: np.ndarray, center: int, half_width: int) -> float:
-    """Weighted degree-1 fit over a window truncated at the array ends."""
-    lo = max(0, center - half_width)
-    hi = min(values.size - 1, center + half_width)
-    offsets = np.arange(lo, hi + 1) - center
-    w = _tricube_weights(offsets, half_width)
-    sw = np.sqrt(w)
-    design = np.column_stack((sw, sw * offsets))
-    beta, *_ = np.linalg.lstsq(design, sw * values[lo : hi + 1], rcond=None)
-    return float(beta[0])
-
-
 def _loess_kernel(half: int) -> np.ndarray:
     """The normalised tricube weights of a full ``2 * half + 1`` window; both end taps are 0."""
     kernel = _tricube_weights(np.arange(-half, half + 1), half)
     return kernel / kernel.sum()
 
 
-def _edge_fits(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the last ``half`` outputs, by truncated-window fits.
+def _edge_rows(half: int) -> np.ndarray:
+    """The ``half x 2 * half`` weights of the first ``half`` outputs on the first inputs.
 
-    ``head`` and ``tail`` are the first and last ``2 * half`` input
-    samples, all that those fits read; each fit equals the one over the
-    whole input.
+    Output ``i`` is the tricube-weighted linear fit over inputs
+    ``[0, i + half]``, read at input ``i``: with offsets ``t_j = j - i``
+    and moments ``S_k = sum_j w_j * t_j**k``, it is ``sum_j r_ij * y_j``
+    with ``r_ij = w_j * (S_2 - S_1 * t_j) / (S_0 * S_2 - S_1**2)``.  The
+    last outputs use the rows mirrored, ``rows[::-1, ::-1]``.  In a
+    3-sample window the normal equations are singular: each truncated fit
+    weights only its own sample, and its row picks that sample.
     """
-    half = head.size // 2
-    first = [_fit_local_linear(head, i, half) for i in range(half)]
-    last = [_fit_local_linear(tail, tail.size - half + i, half) for i in range(half)]
-    return np.array(first), np.array(last)
+    t = np.arange(2 * half) - np.arange(half)[:, None]
+    # No input lies before i - half, and those past i + half get weight 0.
+    w = _tricube_weights(np.minimum(t, half), half)
+    if half == 1:
+        return w
+    s0, s1, s2 = ((w * t**k).sum(axis=1, keepdims=True) for k in range(3))
+    return w * (s2 - s1 * t) / (s0 * s2 - s1 * s1)
+
+
+def _edge_fits(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last ``half`` outputs, from the first and last ``2 * half`` inputs.
+
+    The products are a fresh array summed along its rows, so the bits do
+    not depend on where ``head`` and ``tail`` sit in memory, which a BLAS
+    matrix product does not promise.
+    """
+    rows = _edge_rows(head.size // 2)
+    return (rows * head).sum(axis=1), (rows[::-1, ::-1] * tail).sum(axis=1)
 
 
 def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
@@ -212,9 +205,9 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
 
     For full interior windows the symmetric weights make the fitted
     center value equal a tricube-weighted average, which is computed as a
-    single convolution; only the truncated edge windows solve an explicit
-    least-squares system.  The convolution runs in blocks, and the result
-    is identical for any block size.
+    single convolution; the truncated edge windows are fixed weight rows
+    too (:func:`_edge_rows`).  The convolution runs in blocks, and the
+    result is identical for any block size.
 
     Parameters
     ----------
@@ -282,33 +275,33 @@ def _moving_smoothed_derivative(
     below the ``epsilon / 2`` margin for any window under ``10**7``
     samples, so every settled index has ``|s| < epsilon``.
 
-    **What is computed.**  The support's ranges are the first and the
-    last ``half`` samples, whose truncated-window edge fits run whatever
-    the blocks say, and each run of active (not settled) blocks, cut to
-    the interior; ranges that touch are joined.  On the interior part of
-    a range, the first derivative and the convolution run over the range
-    widened by ``half`` samples on either side, with the same blocked
-    convolution as :func:`loess_smooth`; ``d[0] = 0`` where that reaches
-    the start.
+    **What is computed.**  The ranges are the first and the last
+    ``half + 1`` samples, which hold the edge fits, and each run of active
+    (not settled) blocks widened by one sample on either side and cut to
+    the interior; ranges that touch are joined.  So each range begins and
+    ends at a trace end or at an interior sample of a settled block, and
+    no two touch, as :class:`_Support` needs.  On the interior part of a
+    range, the first derivative and the convolution run over the range
+    widened by ``half`` on either side, with the blocked convolution of
+    :func:`loess_smooth`; ``d[0] = 0`` where that reaches the start.
 
     **Why 0 changes no result.**  The merge's settled test is
     ``|s| < epsilon``, which holds for the 0 as for the true value.  A
-    significant extremum needs ``|s[i]| > epsilon``; a skipped neighbour's
-    true value and its 0 both lie strictly between ``-epsilon`` and
-    ``epsilon``, so every strict comparison with ``s[i]`` has the same
-    outcome.  Hence :func:`detect_extrema` with ``min_abs_value=epsilon``
-    and :func:`merge_transient_events` return what they return on ``s``.
+    significant extremum needs ``|s[i]| > epsilon``, so it lies inside a
+    range with both trace neighbours beside it in ``values``.  Hence
+    :func:`detect_extrema` with ``min_abs_value=epsilon`` and
+    :func:`merge_transient_events` return what they return on ``s``.
     """
     x = np.asarray(values, dtype=float)
     half = _checked_window(window_samples, x.size) // 2
     kernel = _loess_kernel(half)
     active = ~(_block_bounds(x, kernel) < epsilon / 2)
     interior = x.size - half
-    runs = _halo_runs(active, _PROOF_BLOCK_SAMPLES, 0, x.size)
+    runs = _halo_runs(active, _PROOF_BLOCK_SAMPLES, 1, x.size)
     pieces = [
-        (0, half),
+        (0, half + 1),
         *((max(start, half), min(stop, interior)) for start, stop in runs),
-        (interior, x.size),
+        (interior - 1, x.size),
     ]
     ranges: list[tuple[int, int]] = []
     for start, stop in pieces:
@@ -345,8 +338,9 @@ def detect_extrema(
     first, and neighbours are compared only where a sample passes it.
 
     ``values`` is an array or a :class:`_Support`, whose samples outside
-    its ranges are 0.  With ``min_abs_value >= 0`` a 0 never passes, so
-    only the ranges are screened; otherwise the support is densified.
+    its ranges are 0.  A support gives the extrema of its trace for any
+    ``min_abs_value`` at or above its ``epsilon``: every sample that
+    passes has its trace neighbours beside it in ``values``.
 
     Returns an increasing int64 array; a peak is told from a valley by
     comparing ``values[i]`` with ``values[i-1]``.
@@ -359,8 +353,6 @@ def detect_extrema(
     trace = _Support.of(values)
     if trace.size < 3:
         raise SeriesTooShort(f"extremum detection needs >= 3 values, got {trace.size}")
-    if (min_abs_value is None or min_abs_value < 0) and trace.values.size < trace.size:
-        trace = _Support.of(trace.densify())  # a 0 passes, so it may be an extremum
     v = trace.values
     if min_abs_value is None:
         positions = np.arange(v.size)
@@ -368,44 +360,26 @@ def detect_extrema(
         # |v| > m as two comparisons, with no float temporary.
         positions = np.flatnonzero((v > min_abs_value) | (v < -min_abs_value))
     value = v[positions]
-    # A neighbour in the same range is the next value.  The first and the
-    # last sample of a range read theirs from the trace instead, and the
-    # two ends of the trace, which have none, read their own value, which
-    # fails both strict tests.
+    # The two ends have no neighbour and read their own value: no extremum.
     before = v.take(positions - 1, mode="clip")
     after = v.take(positions + 1, mode="clip")
-    last = trace.offsets + (trace.stops - trace.starts) - 1
-    for neighbours, edges, step in ((before, trace.offsets, -1), (after, last, 1)):
-        # Lands on each edge sample that passed, or else on a later sample,
-        # whose neighbour the trace gives right all the same.
-        at = np.searchsorted(positions, edges)
-        at = at[at < positions.size]
-        beside = trace.indices(positions[at]) + step
-        beyond = (beside < 0) | (beside >= trace.size)
-        neighbours[at] = np.where(beyond, value[at], trace.at(beside))
     strict = ((value > before) & (value > after)) | ((value < before) & (value < after))
     return trace.indices(positions[strict]).astype(np.int64, copy=False)
 
 
 def _unsettled_runs(trace: _Support, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(starts, stops)`` of the runs of ``not |s| < epsilon`` in each range, as indices.
+    """``(starts, stops)`` of the runs of ``not |s| < epsilon``, as sample indices.
 
-    A run never crosses from one range into the next: the 0s between
-    them are settled, and two ranges that touch may split a run in two.
+    They are the runs in ``values``: no run of a support crosses from one
+    range into the next (see :class:`_Support`).
     """
     v = trace.values
     # not |s| < eps as two comparisons, with no float temporary for |s|.
     moving = ~((v < epsilon) & (v > -epsilon))
-    first = trace.offsets
-    last = first + (trace.stops - trace.starts) - 1
-    # A run opens where the sample before it is settled or in another
-    # range, and closes where the sample after it is.
     opens = moving.copy()
     opens[1:] &= ~moving[:-1]
-    opens[first] = moving[first]
     closes = moving.copy()
     closes[:-1] &= ~moving[1:]
-    closes[last] = moving[last]
     return trace.indices(np.flatnonzero(opens)), trace.indices(np.flatnonzero(closes)) + 1
 
 
@@ -425,17 +399,17 @@ def merge_transient_events(
     is merged into the earlier event's group, and each group is reported
     as its first event.
 
-    ``smoothed_derivative`` is an array or a :class:`_Support`, whose 0s
-    outside its ranges are settled.  No full-length mask is built: the
-    unsettled samples are the runs of ``|s| >= derivative_epsilon``
-    inside the ranges plus every candidate index, taken as intervals and
-    sorted by start.  The settled runs are the gaps between them, where a
-    gap ends at the next interval's start and starts at the furthest end
-    of the intervals before it (a running maximum, so a candidate inside
-    an unsettled run leaves no gap).  Each settled run lies strictly
-    between two consecutive candidates and is assigned to that candidate
-    gap by binary search: O(S + U log U) for S support samples and U
-    intervals, with no per-pair loop.
+    ``smoothed_derivative`` is an array or a :class:`_Support` at
+    ``derivative_epsilon``, whose 0s outside its ranges are settled.  No
+    full-length mask is built: the unsettled samples are the runs of
+    ``|s| >= derivative_epsilon`` in its values plus every candidate
+    index, taken as intervals and sorted by start.  The settled runs are
+    the gaps between them, where a gap ends at the next interval's start
+    and starts at the furthest end of the intervals before it (a running
+    maximum, so a candidate inside an unsettled run leaves no gap).  Each
+    settled run lies strictly between two consecutive candidates and is
+    assigned to that candidate gap by binary search: O(S + U log U) for S
+    support samples and U intervals, with no per-pair loop.
 
     Returns the increasing int64 positions, into ``candidates``, of the
     events that survive; ``candidates[positions]`` are the merged events.

@@ -22,9 +22,10 @@ bound does not prove quiet (the proof is in
 most of a steady trace settled (``|s| < derivative_epsilon / 2``)
 without computing its smoothed derivative; the derivative comes back as
 a support, the sample ranges computed and their values, with a proven 0
-everywhere else.  The extrema and the merge read only the support, and
-give the same extrema and the same events as on the whole-trace
-:func:`smoothed_derivative` (the proof is in
+everywhere else.  Each range begins and ends on a sample proven settled,
+so the extrema and the merge run their dense code on the support's
+values, and give the same extrema and the same events as on the
+whole-trace :func:`smoothed_derivative` (the proof is in
 :func:`nilmevents.derivative._moving_smoothed_derivative`).
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
@@ -54,6 +55,7 @@ from .core import (
     validate_series,
 )
 from .derivative import (
+    InvalidWindow,
     _moving_smoothed_derivative,
     detect_extrema,
     first_derivative,
@@ -153,6 +155,9 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
 
     Raises
     ------
+    InvalidWindow
+        Before any stage runs, if ``loess_window_s`` is shorter than the
+        3 samples a LOESS window needs at the series' rate.
     SeriesTooShort
         Before any stage runs, if the series is shorter than the longest
         window a stage needs: ``max(2n + 1, LOESS window, SG window)``,
@@ -166,6 +171,11 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
     series = validate_series(series)
     base_span = 2 * config.mean_window_samples(series.sampling_rate_hz) + 1
     loess_window = config.loess_window_samples(series.sampling_rate_hz)
+    if loess_window < 3:
+        raise InvalidWindow(
+            f"loess_window_s = {config.loess_window_s:g} s is {loess_window} sample at "
+            f"{series.sampling_rate_hz:g} Hz; the LOESS window needs at least 3 samples"
+        )
     minimum = max(base_span, loess_window, config.sg_window_samples)
     if len(series) < minimum:
         raise SeriesTooShort(

@@ -277,20 +277,29 @@ def test_magnitudes_the_window_sums_cannot_resolve_are_refused(values: np.ndarra
 
 
 def test_a_long_trace_at_a_high_level_is_refused_and_a_lower_level_detected() -> None:
-    # 1,296,000 samples * 1e12 W * eps = 288 W >= 25 W; at 1e10 W it is 2.9 W.
-    with pytest.raises(MagnitudeTooLarge, match=r"1296000 \* 2.22045e-16 = 287\.77 W"):
-        detect_base(six_hour_step_trace(1e12), HybridConfig())
-    series = six_hour_step_trace(1e10)
-    events = detect_hybrid(series, HybridConfig()).events
-    assert len(events) == 1
-    assert abs(events[0].timestamp_s - 3 * 3600.0) < 0.5
-    assert events[0].delta_watts > 0
+    # With n = 18 the margin r is 28.0 W at 3e15 W, whatever the length of the
+    # trace, and 0.0093 W at 1e12 W.
+    with pytest.raises(
+        MagnitudeTooLarge,
+        match=r"r = 27\.9776 W of 18-sample window sums at peak \|x\| = 3e\+15 W "
+        "reaches the power threshold 25 W",
+    ):
+        detect_base(six_hour_step_trace(3e15), HybridConfig())
+    for level in (1e10, 1e12):
+        events = detect_hybrid(six_hour_step_trace(level), HybridConfig()).events
+        assert len(events) == 1, level
+        assert abs(events[0].timestamp_s - 3 * 3600.0) < 0.5
+        assert events[0].delta_watts > 0
 
 
 def test_lld_applies_the_magnitude_check_with_its_own_threshold() -> None:
-    series = series_at_20hz(np.full(400, 1e13))  # bound 400 * 1e13 * eps = 0.89
+    # LLD's margin is that of its own pre_window_samples = 6: 0.80 W at 2e14 W.
+    series = series_at_20hz(np.full(400, 2e14))
+    assert 0.5 <= _rounding_margin(2e14, 6) < 1.0
     lld_max(series, LldConfig(power_threshold_watts=1.0))
-    with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 0.5 W"):
+    with pytest.raises(
+        MagnitudeTooLarge, match=r"of 6-sample window sums .* reaches the power threshold 0\.5 W"
+    ):
         lld_max(series, LldConfig(power_threshold_watts=0.5))
 
 
@@ -522,21 +531,26 @@ def test_a_range_one_ulp_from_threshold_minus_the_margin_gives_the_whole_profile
     assert events
 
 
-def test_a_margin_that_reaches_the_threshold_tests_every_block(
+def test_a_margin_that_reaches_the_threshold_is_refused(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # r is about 4 (n + 3) u peak whatever the trace length, so it outgrows the
-    # guard's max|x| * len(x) * eps only on traces shorter than 2 (n + 3)
-    # samples.  On 17 samples at 6.4e15 W with n = 6, r is 25.6 W and the
-    # guard 24.2 W: no block can be proven quiet, yet the trace is not refused.
+    # r is about 4 (n + 3) u peak whatever the trace length: on 17 samples with
+    # n = 6 it is 25.6 W at 6.4e15 W, and rounding alone could alarm, so even
+    # this short trace is refused.  At 6.0e15 W r is 24.0 W: the flat blocks
+    # are proven quiet, and the step's blocks give the whole-profile events.
     monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", 1)
-    level = 6.4e15
-    assert _rounding_margin(level + 100.0, 6) >= 25.0 > (level + 100.0) * 17 * 2.0**-52
-    flat = np.full(17, level)
-    assert _tested_entries(flat, 6, 25.0) == [(0, 5)]
-    assert _tested_entries(flat - level, 6, 25.0) == []
-    stepped = flat.copy()
-    stepped[9:] += 100.0
-    events = event_triples(detect_base(series_at_20hz(stepped), HybridConfig()))
-    assert events == events_from_whole_profile(stepped, 20.0, 6, 25.0, 0.2)
+
+    def stepped(level: float) -> np.ndarray:
+        x = np.full(17, level)
+        x[9:] += 100.0
+        return x
+
+    assert _rounding_margin(6.4e15 + 100.0, 6) >= 25.0 > _rounding_margin(6.0e15 + 100.0, 6)
+    with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 25 W"):
+        _tested_entries(stepped(6.4e15), 6, 25.0)
+    with pytest.raises(MagnitudeTooLarge):
+        detect_base(series_at_20hz(stepped(6.4e15)), HybridConfig())
+    assert _tested_entries(np.full(17, 6.0e15), 6, 25.0) == []
+    events = event_triples(detect_base(series_at_20hz(stepped(6.0e15)), HybridConfig()))
+    assert events == events_from_whole_profile(stepped(6.0e15), 20.0, 6, 25.0, 0.2)
     assert events

@@ -296,6 +296,19 @@ def test_a_non_finite_setting_exits_with_code_two_and_says_not_finite(
     assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
+@pytest.mark.parametrize("name", ["house1", "rangehood"])
+def test_a_loess_window_under_three_samples_exits_with_code_two_and_names_the_setting(
+    name: str, tmp_path: Path, capsys
+) -> None:
+    trace, _ = render_scenario(name, tmp_path)
+    capsys.readouterr()
+    assert cli_main(["detect", str(trace), "--loess-window", "0.05"]) == 2
+    assert capsys.readouterr().err == (
+        "error: loess_window_s = 0.05 s is 1 sample at 20 Hz; "
+        "the LOESS window needs at least 3 samples\n"
+    )
+
+
 def test_a_rejected_config_value_exits_with_code_two_and_names_the_line(
     tmp_path: Path, capsys
 ) -> None:

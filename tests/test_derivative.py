@@ -25,7 +25,7 @@ from nilmevents import derivative
 from nilmevents.derivative import (
     _Support,
     _block_bounds,
-    _fit_local_linear,
+    _edge_rows,
     _loess_kernel,
     _moving_smoothed_derivative,
     _tricube_weights,
@@ -121,10 +121,28 @@ def test_blocked_loess_equals_the_whole_array_convolution_and_edge_fits(
         smoothed = loess_smooth(values, window)
         interior = slice(half, size - half)
         assert np.array_equal(smoothed[interior], np.convolve(values, kernel, "same")[interior])
-        edge_indices = [*range(half), *range(size - half, size)]
-        assert np.array_equal(
-            smoothed[edge_indices], [_fit_local_linear(values, i, half) for i in edge_indices]
-        )
+        rows = _edge_rows(half)
+        assert np.array_equal(smoothed[:half], (rows * values[: 2 * half]).sum(axis=1))
+        tail = (rows[::-1, ::-1] * values[size - 2 * half :]).sum(axis=1)
+        assert np.array_equal(smoothed[size - half :], tail)
+
+
+@pytest.mark.parametrize("half", [1, 2, 3, 10, 60])
+def test_loess_edge_rows_are_the_truncated_window_least_squares_fits(half: int) -> None:
+    # A 3-sample window (half 1) weights one sample per edge fit, where the
+    # weighted normal equations are singular; lstsq's fit is that sample.
+    values = np.random.default_rng(half).normal(0.0, 50.0, 2 * half)
+    expected = []
+    for i in range(half):
+        offsets = np.arange(i + half + 1) - i
+        sw = np.sqrt(_tricube_weights(offsets, half))
+        design = np.column_stack((sw, sw * offsets))
+        beta, *_ = np.linalg.lstsq(design, sw * values[: i + half + 1], rcond=None)
+        expected.append(beta[0])
+    fits = (_edge_rows(half) * values).sum(axis=1)
+    if half == 1:
+        assert np.array_equal(fits, expected)
+    np.testing.assert_allclose(fits, expected, rtol=1e-13, atol=1e-13 * np.abs(values).max())
 
 
 def test_loess_reduces_noise_variance_on_step_plateaus() -> None:
@@ -391,14 +409,39 @@ def brute_block_bounds(x: np.ndarray, kernel: np.ndarray, block: int) -> np.ndar
     )
 
 
+def densify(support: _Support) -> np.ndarray:
+    """The full-length trace of a support: its values in its ranges, 0 elsewhere."""
+    out = np.zeros(support.size)
+    ranges = [np.arange(start, stop) for start, stop in zip(support.starts, support.stops)]
+    out[np.concatenate([np.empty(0, dtype=np.int64), *ranges])] = support.values
+    return out
+
+
+def assert_support_invariant(support: _Support, trace: np.ndarray, epsilon: float) -> None:
+    """The ranges are non-empty and never touch, cover every ``|trace| >= epsilon``
+    sample, and begin and end at a trace end or at a ``|trace| < epsilon`` sample."""
+    starts, stops = support.starts, support.stops
+    assert support.size == trace.size
+    assert np.all(starts < stops)
+    assert np.all(stops[:-1] < starts[1:])
+    covered = np.zeros(trace.size, dtype=bool)
+    for start, stop in zip(starts, stops):
+        covered[start:stop] = True
+    assert np.all(covered | (np.abs(trace) < epsilon))
+    for edge, end in ((starts, 0), (stops - 1, trace.size - 1)):
+        assert np.all((edge == end) | (np.abs(trace[edge]) < epsilon))
+
+
 def assert_same_as_whole_trace(x: np.ndarray, window: int, epsilon: float) -> np.ndarray:
-    """Every sample is the whole-trace one or a 0 for a value below epsilon; the
-    settled mask and the significant extrema agree.  Returns where they are equal."""
+    """Every computed sample is the whole-trace one bit for bit and every other
+    a 0 for a value below epsilon; the support meets its invariant, and the
+    settled mask and the significant extrema agree.  Returns where the samples
+    are equal."""
     support = _moving_smoothed_derivative(x, window, epsilon)
-    assert np.all(support.starts < support.stops)
-    assert np.all(support.stops[:-1] < support.starts[1:])  # disjoint, and joined where they touch
-    moving = support.densify()
+    moving = densify(support)
     whole = loess_smooth(first_derivative(x), window)
+    assert_support_invariant(support, whole, epsilon)
+    assert np.array_equal(support.values, whole[support.indices(np.arange(support.values.size))])
     same = moving == whole
     assert np.all(same | ((moving == 0.0) & (np.abs(whole) < epsilon)))
     assert np.array_equal(np.abs(moving) < epsilon, np.abs(whole) < epsilon)
@@ -451,9 +494,9 @@ def test_a_trace_exactly_one_window_long(quiet: bool, monkeypatch: pytest.Monkey
     if not quiet:
         x[18:] += 300.0
     same = assert_same_as_whole_trace(x, 41, EPSILON)
-    # Only the centre sample is interior; it is skipped exactly when quiet.
-    assert same[20] != quiet
-    assert same[:20].all() and same[21:].all()
+    # Only the centre sample is interior, and both edge ranges reach it, so
+    # every sample is computed, quiet or not.
+    assert same.all()
 
 
 def test_an_active_run_that_reaches_the_zero_pad(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -527,42 +570,43 @@ SUPPORT_GRID = [
     np.nextafter(EPSILON, np.inf),
     np.nextafter(-EPSILON, -np.inf),
     np.nextafter(EPSILON, 0.0),
+    np.nextafter(-EPSILON, 0.0),
     1.0,
     -1.0,
 ]
 
 
-@st.composite
-def support_cases(draw) -> tuple[_Support, list[int]]:
-    """A random support and increasing candidate indices.
+def runs_of(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, stops)`` of the runs of true samples in ``mask``."""
+    flags = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    return np.flatnonzero(flags == 1), np.flatnonzero(flags == -1)
 
-    Gaps of 0 samples let ranges touch each other, sample 0 or sample
-    N - 1.  Candidates sit on range edges and one sample either side of
-    them, inside runs where ``|s| >= epsilon``, at the trace ends, or
-    right next to another candidate.
+
+@st.composite
+def covered_traces(draw) -> tuple[np.ndarray, _Support, list[int]]:
+    """A dense trace, a support of it that meets the invariant, and candidates.
+
+    The ranges are the runs of the samples with ``|v| >= epsilon`` plus any
+    others, each run widened by one sample where it would otherwise begin
+    or end on such a sample inside the trace.  Outside the ranges ``v`` may
+    be nonzero below epsilon, as the true derivative is where the support
+    reads 0.  Candidates sit on range edges and one sample either side of
+    them, inside runs where ``|v| >= epsilon``, at the trace ends, or right
+    next to another candidate.
     """
-    size = draw(st.integers(min_value=3, max_value=200))
-    starts: list[int] = []
-    stops: list[int] = []
-    at = 0
-    while True:
-        at += draw(st.integers(min_value=0, max_value=40))
-        if at >= size:
-            break
-        starts.append(at)
-        at = min(size, at + draw(st.integers(min_value=1, max_value=50)))
-        stops.append(at)
-    total = sum(stop - start for start, stop in zip(starts, stops))
-    values = draw(st.lists(st.sampled_from(SUPPORT_GRID), min_size=total, max_size=total))
-    support = _Support(
-        size,
-        np.array(starts, dtype=np.int64),
-        np.array(stops, dtype=np.int64),
-        np.array(values, dtype=float),
-    )
-    edges = {edge + d for edge in starts + stops for d in (-1, 0, 1)}
-    moving = np.flatnonzero(np.abs(support.densify()) >= EPSILON).tolist()
-    spots = sorted(i for i in edges | set(moving) | {0, size - 1} if 0 <= i < size)
+    v = np.array(draw(st.lists(st.sampled_from(SUPPORT_GRID), min_size=3, max_size=200)))
+    size = v.size
+    unsettled = np.abs(v) >= EPSILON
+    extra = draw(st.lists(st.sampled_from([False, False, True]), min_size=size, max_size=size))
+    inside = unsettled | np.array(extra)
+    starts, stops = runs_of(inside)
+    inside[starts[(starts > 0) & unsettled[starts]] - 1] = True
+    inside[stops[(stops < size) & unsettled[stops - 1]]] = True
+    starts, stops = runs_of(inside)
+    support = _Support(size, starts, stops, v[inside])
+    edges = {int(edge) + d for edge in [*starts, *stops] for d in (-1, 0, 1)}
+    spots = edges | set(np.flatnonzero(unsettled).tolist()) | {0, size - 1}
+    spots = sorted(i for i in spots if 0 <= i < size)
     chosen = draw(
         st.lists(
             st.sampled_from(spots) | st.integers(min_value=0, max_value=size - 1),
@@ -572,66 +616,36 @@ def support_cases(draw) -> tuple[_Support, list[int]]:
     )
     if draw(st.booleans()):
         chosen += [i + 1 for i in chosen if i < size - 1]
-    return support, sorted(set(chosen))
+    return v, support, sorted(set(chosen))
 
 
-@given(support_cases(), st.sampled_from([0.3, 0.5, 2.0]))
-def test_merge_on_a_support_agrees_with_the_oracle_and_the_dense_trace(
-    case, settle_threshold_s: float
+@given(
+    covered_traces(),
+    st.sampled_from([EPSILON, float(np.nextafter(EPSILON, np.inf)), 0.7, 1.0]),
+    st.sampled_from([0.3, 0.5, 2.0]),
+)
+def test_a_support_that_meets_the_invariant_gives_the_extrema_and_the_merge_of_its_trace(
+    case, min_abs_value: float, settle_threshold_s: float
 ) -> None:
-    support, indices = case
-    series = series_at_20hz(np.zeros(support.size))
+    v, support, indices = case
+    assert_support_invariant(support, v, EPSILON)
+    found = detect_extrema(support, min_abs_value)
+    assert found.dtype == np.int64
+    assert np.array_equal(found, detect_extrema(v, min_abs_value))
+    expected = [index for index, _, value in oracle_extrema(v) if abs(value) > min_abs_value]
+    assert found.tolist() == expected
+
+    series = series_at_20hz(np.zeros(v.size))
     config = HybridConfig(settle_threshold_s=settle_threshold_s, time_limit_s=0.1)
     candidates = events_at(indices, series)
-    dense = support.densify()
     survivors = merge_transient_events(candidates, support, series, config)
     assert survivors.dtype == np.int64
-    assert np.array_equal(survivors, merge_transient_events(candidates, dense, series, config))
+    assert np.array_equal(survivors, merge_transient_events(candidates, v, series, config))
     expected = oracle_merge(
         [(i, series.time_at(i)) for i in indices],
-        dense,
+        v,
         20.0,
         config.derivative_epsilon,
         settle_threshold_s,
     )
     assert candidates[survivors].indices.tolist() == expected
-
-
-@given(support_cases(), st.sampled_from([None, EPSILON, 0.0, 0.25, -1.0]))
-def test_extrema_on_a_support_agree_with_the_oracle_and_the_dense_trace(
-    case, min_abs_value: float | None
-) -> None:
-    support, _ = case
-    dense = support.densify()
-    found = detect_extrema(support, min_abs_value)
-    assert found.dtype == np.int64
-    assert np.array_equal(found, detect_extrema(dense, min_abs_value))
-    expected = [
-        index
-        for index, _, value in oracle_extrema(dense)
-        if min_abs_value is None or abs(value) > min_abs_value
-    ]
-    assert found.tolist() == expected
-
-
-def test_a_support_reads_0_between_ranges_that_touch_each_other_and_both_ends() -> None:
-    # Ranges [0, 3), [3, 5), [7, 10) and [18, 20) of a 20-sample trace.
-    support = _Support(
-        20,
-        np.array([0, 3, 7, 18]),
-        np.array([3, 5, 10, 20]),
-        np.array([0.9, 0.6, 0.8, -0.7, 0.6, 0.0, 2.0, 0.0, 1.5, 0.9]),
-    )
-    dense = support.densify()
-    assert dense.tolist() == [0.9, 0.6, 0.8, -0.7, 0.6, 0, 0, 0, 2.0, 0] + [0.0] * 8 + [1.5, 0.9]
-    assert support.at(np.arange(20)).tolist() == dense.tolist()
-    # 2 and 3 compare across the touching ranges, 4 and 18 with a 0 outside.
-    assert detect_extrema(support, EPSILON).tolist() == [1, 2, 3, 4, 8, 18]
-    assert detect_extrema(support, EPSILON).tolist() == detect_extrema(dense, EPSILON).tolist()
-    series = series_at_20hz(np.zeros(20))
-    config = HybridConfig(settle_threshold_s=0.3, time_limit_s=0.1)
-    # 8 samples settled between 9 and 18 (0.4 s > 0.3 s); none between 0 and 4.
-    candidates = events_at([0, 4, 9, 18, 19], series)
-    survivors = merge_transient_events(candidates, support, series, config)
-    assert candidates[survivors].indices.tolist() == [0, 18]
-    assert np.array_equal(survivors, merge_transient_events(candidates, dense, series, config))

@@ -14,6 +14,7 @@ from nilmevents import (
     ApplianceSpec,
     DetectionError,
     HybridConfig,
+    InvalidWindow,
     SampleSeries,
     ScenarioSpec,
     PipelineResult,
@@ -166,6 +167,18 @@ def test_short_traces_fail_up_front_with_the_stated_minimum(
     result = detect_hybrid(step_trace(minimum), config)
     # The 1.5 kW step arms the refilter, so every stage ran at the minimum.
     assert result.filter_verdicts
+
+
+def test_a_loess_window_under_three_samples_is_named_up_front() -> None:
+    series = SampleSeries(np.where(np.arange(200) >= 100, 1500.0, 0.0), 20.0)
+    with pytest.raises(
+        InvalidWindow,
+        match=r"^loess_window_s = 0\.05 s is 1 sample at 20 Hz; "
+        r"the LOESS window needs at least 3 samples$",
+    ):
+        detect_hybrid(series, HybridConfig(loess_window_s=0.05))
+    # 0.1 s is 2 samples, rounded up to an odd 3.
+    assert len(detect_hybrid(series, HybridConfig(loess_window_s=0.1)).events) == 1
 
 
 small_scenarios = st.builds(
