@@ -619,22 +619,12 @@ def covered_traces(draw) -> tuple[np.ndarray, _Support, list[int]]:
     return v, support, sorted(set(chosen))
 
 
-@given(
-    covered_traces(),
-    st.sampled_from([EPSILON, float(np.nextafter(EPSILON, np.inf)), 0.7, 1.0]),
-    st.sampled_from([0.3, 0.5, 2.0]),
-)
-def test_a_support_that_meets_the_invariant_gives_the_extrema_and_the_merge_of_its_trace(
-    case, min_abs_value: float, settle_threshold_s: float
+@given(covered_traces(), st.sampled_from([0.3, 0.5, 2.0]))
+def test_merge_on_a_support_agrees_with_the_oracle_and_the_dense_trace(
+    case, settle_threshold_s: float
 ) -> None:
     v, support, indices = case
     assert_support_invariant(support, v, EPSILON)
-    found = detect_extrema(support, min_abs_value)
-    assert found.dtype == np.int64
-    assert np.array_equal(found, detect_extrema(v, min_abs_value))
-    expected = [index for index, _, value in oracle_extrema(v) if abs(value) > min_abs_value]
-    assert found.tolist() == expected
-
     series = series_at_20hz(np.zeros(v.size))
     config = HybridConfig(settle_threshold_s=settle_threshold_s, time_limit_s=0.1)
     candidates = events_at(indices, series)
@@ -649,3 +639,20 @@ def test_a_support_that_meets_the_invariant_gives_the_extrema_and_the_merge_of_i
         settle_threshold_s,
     )
     assert candidates[survivors].indices.tolist() == expected
+
+
+@given(
+    covered_traces(),
+    st.sampled_from([EPSILON, float(np.nextafter(EPSILON, np.inf)), 0.7, 1.0]),
+)
+def test_extrema_on_a_support_agree_with_the_oracle_and_the_dense_trace(
+    case, min_abs_value: float
+) -> None:
+    # A support answers any min_abs_value at or above its epsilon.
+    v, support, _ = case
+    assert_support_invariant(support, v, EPSILON)
+    found = detect_extrema(support, min_abs_value)
+    assert found.dtype == np.int64
+    assert np.array_equal(found, detect_extrema(v, min_abs_value))
+    expected = [index for index, _, value in oracle_extrema(v) if abs(value) > min_abs_value]
+    assert found.tolist() == expected
