@@ -23,8 +23,9 @@ No full-length temporary is built.  A mean difference is at most the
 range of the samples its windows read, plus a bound on the rounding, so
 a block of centres whose range stays below the threshold by that bound
 cannot alarm and is not tested; on a mostly steady household trace that
-is nearly all of them.  The other centres are summed and tested in
-blocks, and quiet stretches are never summed.
+is nearly all of them.  The ranges and the peak are read from the
+series' summary.  The other centres are summed and tested in blocks,
+and quiet stretches are never summed.
 """
 
 from __future__ import annotations
@@ -37,18 +38,13 @@ from .core import (
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
-    _block_ranges,
+    _Summary,
     _blocks,
-    _halo_runs,
+    _proof_runs,
     validate_series,
 )
 
 __all__ = ["MagnitudeTooLarge", "detect_base"]
-
-
-# Centres per proof block of the quiet-window bound: a transient keeps only
-# a block or two tested, and the per-block work stays small.
-_PROOF_BLOCK_SAMPLES = 1024
 
 
 class MagnitudeTooLarge(DetectionError):
@@ -167,25 +163,23 @@ def _checked_margin(peak: float, n: int, threshold: float) -> float:
     return margin
 
 
-def _tested_entries(values: np.ndarray, n: int, threshold: float) -> list[tuple[int, int]]:
+def _tested_entries(summary: _Summary, n: int, threshold: float) -> list[tuple[int, int]]:
     """The profile entries ``[start, stop)`` the threshold test must run on, in order.
 
-    Centres are cut into proof blocks of ``_PROOF_BLOCK_SAMPLES``.  A
-    block is quiet when ``range + r < threshold``, with ``range`` the
-    range of ``x`` over the block widened by ``n`` samples on either
-    side, which covers both windows of every centre in it, and ``r`` from
-    :func:`_rounding_margin`; a non-finite range never is.  The runs of
-    blocks that are not quiet, cut to the centres with full windows, are
-    returned as profile entries (entry ``k`` is centre ``n + k``).
+    A centre ``c`` reads ``x[c - n .. c + n]``, so a proof block of
+    centres is quiet when ``range + r < threshold``, with ``range`` read
+    from the trace's summary over the block widened by ``n`` samples on
+    either side, and ``r`` from :func:`_rounding_margin`; a non-finite
+    range never is.  The runs of blocks that are not quiet, cut to the
+    centres with full windows, are returned as profile entries (entry
+    ``k`` is centre ``n + k``).
 
-    Raises :class:`MagnitudeTooLarge` from :func:`_checked_margin`;
-    ``peak`` comes from the same per-block extremes.
+    Raises :class:`MagnitudeTooLarge` from :func:`_checked_margin`.
     """
-    low, high = _block_ranges(values, _PROOF_BLOCK_SAMPLES, n, n)
-    peak = max(float(high.max()), -float(low.min()))
-    quiet = (high - low) + _checked_margin(peak, n, threshold) < threshold
-    entries = values.size - 2 * n
-    runs = _halo_runs(~quiet, _PROOF_BLOCK_SAMPLES, 0, values.size)
+    low, high = summary.block_ranges(n, n)
+    quiet = (high - low) + _checked_margin(summary.peak(), n, threshold) < threshold
+    entries = summary.size - 2 * n
+    runs = _proof_runs(~quiet, summary.size)
     return [
         (max(start - n, 0), min(stop - n, entries))
         for start, stop in runs
@@ -193,7 +187,9 @@ def _tested_entries(values: np.ndarray, n: int, threshold: float) -> list[tuple[
     ]
 
 
-def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
+def detect_base(
+    series: SampleSeries, config: HybridConfig, *, summary: _Summary | None = None
+) -> Events:
     """Detect state transitions by thresholded mean change.
 
     Parameters
@@ -203,6 +199,9 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     config:
         Uses ``mean_window_s``, ``power_threshold_watts`` and
         ``time_limit_s``.
+    summary:
+        ``series.summary``, from a caller that built or validated
+        ``series`` in the same call; without it, ``series`` is validated.
 
     Returns
     -------
@@ -232,7 +231,9 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
         If the rounding margin of its window sums
         (:func:`_rounding_margin`) reaches ``power_threshold_watts``.
     """
-    series = validate_series(series)
+    if summary is None:
+        series = validate_series(series)
+        summary = series.summary
     n = config.mean_window_samples(series.sampling_rate_hz)
     if len(series) < 2 * n + 1:
         raise SeriesTooShort(
@@ -241,7 +242,7 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     threshold = config.power_threshold_watts
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    for lo, hi in _tested_entries(series.values, n, threshold):
+    for lo, hi in _tested_entries(summary, n, threshold):
         for start, stop in _blocks(hi - lo):
             diffs = _mean_difference_profile(series.values, n, lo + start, lo + stop)
             # |d| > threshold as two comparisons, with no |d| temporary.

@@ -86,8 +86,7 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
             f"need at least {2 * pw + 1} samples for pre-window {pw}, got {len(series)}"
         )
     x = series.values
-    peak = max(float(x.max()), -float(x.min()))  # no full-length |x| temporary
-    _checked_margin(peak, pw, config.power_threshold_watts)
+    _checked_margin(series.summary.peak(), pw, config.power_threshold_watts)
 
     before_sums, after_sums = _window_sums(x, pw)  # views of one array of window sums
     mean_diff = after_sums / pw

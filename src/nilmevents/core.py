@@ -13,15 +13,18 @@ sample counts at the configured sampling rate via
 cut their range into blocks with ``_map_blocks`` (or walk ``_blocks`` in
 order, where a block carries a value into the next), so that each block's
 temporaries stay in cache, and return the same results for any block size.
-A pass that needs only some blocks reads the runs of them, each widened by
-the halo it must see, from ``_halo_runs``; the range bounds that tell the
-blocks apart come from ``_block_ranges``.
+
+Every trace-wide fact the detectors need comes from one summary that a
+:class:`SampleSeries` builds at construction, the min and the max of each
+64-sample block (:class:`_Summary`): finiteness, the peak, the refilter
+trigger's maximum, and the range bounds that prove blocks quiet, whose
+runs of unproven proof blocks ``_proof_runs`` turns into sample ranges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
@@ -111,13 +114,77 @@ def seconds_to_samples(duration_s: float, rate_hz: float) -> int:
     return max(1, round(duration_s * rate_hz))
 
 
+# Samples per block of a series' summary: fine enough that a range bound
+# widened to whole blocks reads few samples more than it needs.
+_SUMMARY_SAMPLES = 64
+
+# Samples per proof block of a range bound: a transient keeps only a block or
+# two unproven, and the per-block work stays small.
+_PROOF_BLOCK_SAMPLES = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class _Summary:
+    """The min and the max of each 64-sample block of a trace, the last maybe shorter.
+
+    A NaN propagates through ``np.minimum`` and ``np.maximum``, and an
+    infinite sample is itself an extreme, so the block extremes are all
+    finite exactly when every sample is.
+    """
+
+    size: int
+    low: np.ndarray
+    high: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> _Summary:
+        starts = np.arange(0, x.size, _SUMMARY_SAMPLES)
+        return cls(x.size, np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts))
+
+    def peak(self) -> float:
+        """``max|x|``, exactly."""
+        return max(float(self.high.max()), -float(self.low.min()))
+
+    def max_from(self, x: np.ndarray, start: int) -> float:
+        """``x[start:].max()``, exactly: the samples up to the next block, then block maxima."""
+        first = -(-start // _SUMMARY_SAMPLES)  # the first block that starts at or after start
+        parts = (x[start : first * _SUMMARY_SAMPLES], self.high[first:])
+        return max(float(part.max()) for part in parts if part.size)
+
+    def block_ranges(self, before: int, after: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per proof block, a min and a max over at least the block and its halo.
+
+        Proof block ``b`` covers ``[b * P, (b + 1) * P)``, ``P =
+        _PROOF_BLOCK_SAMPLES``.  Its entries reduce the summary blocks that
+        meet it widened by ``before`` samples before and ``after`` after,
+        clipped to the trace: at most 63 samples more on either side.
+        """
+        starts = np.arange(0, self.size, _PROOF_BLOCK_SAMPLES)
+        lo = np.maximum(starts - before, 0) // _SUMMARY_SAMPLES
+        hi = -(-np.minimum(starts + _PROOF_BLOCK_SAMPLES + after, self.size) // _SUMMARY_SAMPLES)
+        # One reduceat per extreme over the cuts lo[0], hi[0], lo[1], hi[1], ...:
+        # its even entries reduce the blocks [lo, hi), and each odd one a single
+        # block, since hi[b] >= lo[b + 1].  A padding entry lets a cut be the count.
+        cuts = np.column_stack((lo, hi)).ravel()
+        low = np.minimum.reduceat(np.append(self.low, np.inf), cuts)[::2]
+        high = np.maximum.reduceat(np.append(self.high, -np.inf), cuts)[::2]
+        return low, high
+
+
 @dataclass(frozen=True)
 class SampleSeries:
-    """Uniformly sampled power trace in watts."""
+    """Uniformly sampled power trace in watts.
+
+    ``summary`` (:class:`_Summary`) describes ``values`` as they were at
+    construction, which is where finiteness is read from it.  ``values``
+    can be written into later, so only a function that built or validated
+    the series in the same call reads it, or hands it on as ``summary=``.
+    """
 
     values: np.ndarray
     sampling_rate_hz: float
     start_time_s: float = 0.0
+    summary: _Summary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -130,10 +197,12 @@ class SampleSeries:
             raise NonPositiveRate(
                 f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}"
             )
-        if not np.isfinite(arr).all():
+        summary = _Summary.of(arr)
+        if not (np.isfinite(summary.low).all() and np.isfinite(summary.high).all()):
             raise NonFiniteValue("series contains NaN or infinite samples")
         if not math.isfinite(self.start_time_s):
             raise NonFiniteValue(f"start_time_s must be finite, got {self.start_time_s}")
+        object.__setattr__(self, "summary", summary)
 
     def __len__(self) -> int:
         return self.values.size
@@ -176,49 +245,19 @@ def _map_blocks(fn: Callable[[int, int], _T], size: int) -> list[_T]:
     return [fn(start, stop) for start, stop in _blocks(size)]
 
 
-def _halo_runs(active: np.ndarray, block: int, halo: int, size: int) -> list[tuple[int, int]]:
-    """``(start - halo, stop + halo)`` of each run of active blocks, clipped to ``[0, size]``.
+def _proof_runs(active: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` of each run of active proof blocks, clipped to ``[0, size)``.
 
-    Block ``b`` covers samples ``[b * block, (b + 1) * block)`` of
-    ``[0, size)`` and is active where ``active[b]`` is true.  Each maximal
-    run of consecutive active blocks gives one sample range ``[start,
-    stop)`` widened by ``halo`` on either side, so a pass over it can read
-    every sample within ``halo`` of the run.  The ranges come in increasing
-    order; two of them overlap where fewer than ``2 * halo`` samples
-    separate their runs.
+    Proof block ``b`` covers samples ``[b * P, (b + 1) * P)``, with ``P =
+    _PROOF_BLOCK_SAMPLES``, and is active where ``active[b]`` is true.  Each
+    maximal run of consecutive active blocks gives one range; the ranges
+    come in increasing order and no two touch.
     """
     flags = np.concatenate(([0], np.asarray(active, dtype=np.int8), [0]))
-    edges = np.flatnonzero(np.diff(flags)) * block
+    edges = np.flatnonzero(np.diff(flags)) * _PROOF_BLOCK_SAMPLES
     return [
-        (max(start - halo, 0), min(stop + halo, size))
-        for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())
+        (start, min(stop, size)) for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())
     ]
-
-
-def _block_ranges(
-    x: np.ndarray, block: int, before: int, after: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per block of ``x``, the min and the max of ``x`` over the block and a halo.
-
-    Block ``b`` covers ``[b * block, (b + 1) * block)`` of ``[0, x.size)``;
-    its entries reduce ``x`` over that block widened by ``before`` samples
-    before and ``after`` after, clipped to the trace.  No full-length
-    temporary is built.
-    """
-    starts = np.arange(0, x.size, block)
-    lo = np.maximum(starts - before, 0)
-    hi = np.minimum(starts + block + after, x.size)
-    # One reduceat per extreme over the cuts lo[0], hi[0], lo[1], hi[1], ...:
-    # its even entries reduce x[lo:hi], overlapping or not, and each odd one
-    # reads a single sample, since hi[b] >= lo[b + 1].  A cut must be below
-    # x.size, so a range that ends there stops one short and takes x[-1] after.
-    cuts = np.column_stack((lo, np.minimum(hi, x.size - 1))).ravel()
-    low = np.minimum.reduceat(x, cuts)[::2]
-    high = np.maximum.reduceat(x, cuts)[::2]
-    at_end = hi == x.size
-    low[at_end] = np.minimum(low[at_end], x[-1])
-    high[at_end] = np.maximum(high[at_end], x[-1])
-    return low, high
 
 
 def validate_series(series: SampleSeries) -> SampleSeries:
@@ -226,7 +265,8 @@ def validate_series(series: SampleSeries) -> SampleSeries:
 
     Raises the same errors as the :class:`SampleSeries` constructor, which
     makes it a cheap guard at pipeline entry points that accept
-    caller-built instances.
+    caller-built instances.  The series is rebuilt, so its ``summary``
+    describes the values as they are now, whatever was written into them.
     """
     return SampleSeries(series.values, series.sampling_rate_hz, series.start_time_s)
 

@@ -14,12 +14,12 @@ candidates, so no per-extremum or per-event object is built here.
 
 On a steady stretch the smoothed derivative cannot reach epsilon: its
 magnitude is at most the largest kernel weight times the local range of
-the trace.  ``_moving_smoothed_derivative`` uses that bound to compute
-the derivative only on the blocks where it might, with a margin of
-epsilon / 2, and returns just those samples as a ``_Support``: a few
-sample ranges and their values, with a proven 0 everywhere else.  Each
-range is widened to start and end on a proven-settled sample, so
-:func:`detect_extrema` and :func:`merge_transient_events` run their
+the trace, read from the series' summary.  ``_moving_smoothed_derivative``
+uses that bound to compute the derivative only on the blocks where it
+might, with a margin of epsilon / 2, and returns just those samples as a
+``_Support``: a few sample ranges and their values, with a proven 0
+everywhere else.  Each range starts and ends on a proven-settled sample,
+so :func:`detect_extrema` and :func:`merge_transient_events` run their
 dense code on the support's values, which is the one-range case, and
 return the same as on the whole-trace derivative.
 """
@@ -37,9 +37,9 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
-    _block_ranges,
-    _halo_runs,
+    _Summary,
     _map_blocks,
+    _proof_runs,
 )
 
 __all__ = [
@@ -49,11 +49,6 @@ __all__ = [
     "detect_extrema",
     "merge_transient_events",
 ]
-
-
-# Samples per proof block of the settled-derivative bound: one transient
-# keeps only a few blocks active, and the per-block work stays small.
-_PROOF_BLOCK_SAMPLES = 1024
 
 
 class InvalidWindow(DetectionError):
@@ -225,25 +220,25 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     return out
 
 
-def _block_bounds(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Per proof block, a bound on ``|s[i]|`` at its interior indices (see below).
+def _block_bounds(summary: _Summary, kernel: np.ndarray) -> np.ndarray:
+    """Per proof block, a bound on ``|s[i]|`` at its interior indices and one either side.
 
-    Block ``b`` covers ``[b * P, (b + 1) * P)`` with ``P`` =
-    ``_PROOF_BLOCK_SAMPLES``; its bound is ``max(kernel)`` times the
-    range (max - min) of ``x`` over the block widened by ``half + 1``
-    samples before and ``half`` after, whatever ``half`` is.
+    ``max(kernel)`` times the summary's range over the block widened by
+    ``half + 1`` samples before and ``half`` after, which holds the taps
+    that weigh (``x[i - half .. i + half - 1]``) at each of those indices.
     """
     half = kernel.size // 2
-    low, high = _block_ranges(x, _PROOF_BLOCK_SAMPLES, half + 1, half)
+    low, high = summary.block_ranges(half + 1, half)
     return kernel.max() * (high - low)
 
 
 def _moving_smoothed_derivative(
-    values: np.ndarray, window_samples: int, epsilon: float
+    values: np.ndarray, window_samples: int, epsilon: float, *, summary: _Summary
 ) -> _Support:
     """The smoothed first derivative where it is not proven small, as a support.
 
-    That is ``loess_smooth(first_derivative(values), window_samples)``.
+    That is ``loess_smooth(first_derivative(values), window_samples)``;
+    ``summary`` is that of ``values``.
 
     Every sample of the returned :class:`_Support` equals the
     whole-trace smoothed derivative ``s`` bit for bit; every sample
@@ -259,30 +254,35 @@ def _moving_smoothed_derivative(
     weighted).  Summing by parts with ``d[m] = x[m] - x[m - 1]`` and ``k``
     extended by zeros,
     ``s[i] = sum_m (k[m - i] - k[m - i + 1]) * (x[m] - c)`` over ``m`` in
-    ``[i - half - 1, i + half]``, for any constant ``c``, since the
-    coefficients telescope to 0.  With ``c`` the midpoint of ``x`` over
-    that range ``R``, ``|s[i]| <= TV(k) * range(x over R) / 2``, where
-    ``TV(k) = sum |k[m] - k[m + 1]| = 2 * max(k)``: the kernel rises to
-    its centre and falls back to 0.  So ``|s[i]| <= max(k) * range``.
+    ``[i - half, i + half - 1]``, the taps that weigh, for any constant
+    ``c``, since the coefficients telescope to 0.  With ``c`` the midpoint
+    of ``x`` over that range ``R``, ``|s[i]| <= TV(k) * range(x over R) /
+    2``, where ``TV(k) = sum |k[m] - k[m + 1]| = 2 * max(k)``: the kernel
+    rises to its centre and falls back to 0.  So ``|s[i]| <= max(k) * range``.
 
-    **Settled blocks.**  The trace is cut into proof blocks of
-    ``_PROOF_BLOCK_SAMPLES``; a block's bound (:func:`_block_bounds`)
-    reads ``x`` over the block widened by ``half + 1`` samples before and
-    ``half`` after, which covers ``R`` for every index in the block.  A
-    block is settled only when its bound is ``< epsilon / 2``; a
-    non-finite bound never is.  The computed ``s`` differs from the exact
-    one by at most about ``(2 * half + 3) * 2**-53 * range``, which stays
-    below the ``epsilon / 2`` margin for any window under ``10**7``
-    samples, so every settled index has ``|s| < epsilon``.
+    **Settled blocks.**  The trace is cut into proof blocks; a block's
+    bound (:func:`_block_bounds`) reads ``x`` over at least the block
+    widened by ``half + 1`` samples before and ``half`` after, which
+    covers ``R`` for every interior index in the block and for the
+    interior index just past either end of it.  A block is settled only
+    when its bound is ``< epsilon / 2``; a non-finite bound never is.  The
+    computed ``s`` differs from the exact one by at most about
+    ``(2 * half + 3) * 2**-53 * range``, which stays below the
+    ``epsilon / 2`` margin for any window under ``10**7`` samples, so
+    every index a settled block's bound covers has ``|s| < epsilon``.
 
     **What is computed.**  The ranges are the first and the last
-    ``half + 1`` samples, which hold the edge fits, and each run of active
-    (not settled) blocks widened by one sample on either side and cut to
-    the interior; ranges that touch are joined.  So each range begins and
-    ends at a trace end or at an interior sample of a settled block, and
-    no two touch, as :class:`_Support` needs.  On the interior part of a
-    range, the first derivative and the convolution run over the range
-    widened by ``half`` on either side, with the blocked convolution of
+    ``half + 1`` samples, which hold the edge fits and end at the first
+    and start at the last interior index, and each run of active (not
+    settled) blocks cut to the interior; ranges that touch are joined.
+    A run's first sample is the index just past a settled block, or its
+    range is joined to the first one, and likewise its last sample; an
+    edge range ends (starts) at an interior index of a settled block or
+    is joined to a run.  So each range begins and ends at a trace end or
+    at an index a settled block's bound covers, and no two touch, as
+    :class:`_Support` needs.  On the interior part of a range, the first
+    derivative and the convolution run over the range widened by
+    ``half`` on either side, with the blocked convolution of
     :func:`loess_smooth`; ``d[0] = 0`` where that reaches the start.
 
     **Why 0 changes no result.**  The merge's settled test is
@@ -295,12 +295,11 @@ def _moving_smoothed_derivative(
     x = np.asarray(values, dtype=float)
     half = _checked_window(window_samples, x.size) // 2
     kernel = _loess_kernel(half)
-    active = ~(_block_bounds(x, kernel) < epsilon / 2)
+    active = ~(_block_bounds(summary, kernel) < epsilon / 2)
     interior = x.size - half
-    runs = _halo_runs(active, _PROOF_BLOCK_SAMPLES, 1, x.size)
     pieces = [
         (0, half + 1),
-        *((max(start, half), min(stop, interior)) for start, stop in runs),
+        *((max(start, half), min(stop, interior)) for start, stop in _proof_runs(active, x.size)),
         (interior - 1, x.size),
     ]
     ranges: list[tuple[int, int]] = []

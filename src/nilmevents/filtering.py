@@ -30,7 +30,9 @@ from .core import (
     HybridConfig,
     MisalignedInput,
     SampleSeries,
+    _Summary,
     seconds_to_samples,
+    validate_series,
 )
 from .derivative import _checked_window, _convolve_interior
 
@@ -174,6 +176,8 @@ def refilter_events_with_verdicts(
     candidates: Events,
     extrema: np.ndarray,
     config: HybridConfig,
+    *,
+    summary: _Summary | None = None,
 ) -> tuple[np.ndarray, FilterVerdicts]:
     """Drop fluctuation-induced candidates; see module docstring.
 
@@ -182,8 +186,13 @@ def refilter_events_with_verdicts(
     ``candidates``, of the survivors and one verdict per candidate.  When
     the trace never exceeds ``fluctuation_trigger_watts`` after the first
     turn-on candidate, the refilter does not trigger: every candidate
-    survives and there are no verdicts.
+    survives and there are no verdicts.  ``summary`` is ``series.summary``,
+    from a caller that built or validated ``series`` in the same call;
+    without it, ``series`` is validated here.
     """
+    if summary is None:
+        series = validate_series(series)
+        summary = series.summary
     extremum_indices = np.asarray(extrema, dtype=np.int64)
     bad = _first_outside(extremum_indices, len(series))
     if bad is not None:
@@ -200,7 +209,7 @@ def refilter_events_with_verdicts(
     turn_ons = np.flatnonzero(candidates.deltas_watts > 0)
     if not turn_ons.size:
         return everyone, _NO_VERDICTS
-    segment_max = float(series.values[candidate_indices[turn_ons[0]] :].max())
+    segment_max = summary.max_from(series.values, candidate_indices[turn_ons[0]])
     if segment_max <= config.fluctuation_trigger_watts:
         return everyone, _NO_VERDICTS
 
@@ -210,7 +219,7 @@ def refilter_events_with_verdicts(
         series.start_time_s,
     )
     # Re-detected times are non-decreasing, as their indices increase.
-    re_times = detect_base(filtered, config).timestamps_s
+    re_times = detect_base(filtered, config, summary=filtered.summary).timestamps_s
     guard_radius = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
 
     confirmed = (

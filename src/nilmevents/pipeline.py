@@ -15,24 +15,26 @@ that survive each stage; a :class:`~nilmevents.core.DetectedEvent` is a
 view built only when a caller iterates or indexes an event list.
 
 Detection pays only where the trace moves, and builds no full-length
-window sums or derivative array.  The base detector sums each window
-from its own samples, and sums and tests only the blocks that a range
-bound does not prove quiet (the proof is in
-:func:`nilmevents.base._rounding_margin`).  The same kind of bound proves
-most of a steady trace settled (``|s| < derivative_epsilon / 2``)
-without computing its smoothed derivative; the derivative comes back as
-a support, the sample ranges computed and their values, with a proven 0
-everywhere else.  Each range begins and ends on a sample proven settled,
-so the extrema and the merge run their dense code on the support's
-values, and give the same extrema and the same events as on the
-whole-trace :func:`smoothed_derivative` (the proof is in
-:func:`nilmevents.derivative._moving_smoothed_derivative`).
+window sums or derivative array.  :func:`detect_hybrid` validates the
+series once and hands its summary (the min and max of each 64-sample
+block) to every stage, which reads its range bounds, the peak and the
+refilter trigger from it.  The base detector sums each window from its
+own samples, and sums and tests only the blocks that a range bound does
+not prove quiet (the proof is in :func:`nilmevents.base._rounding_margin`).
+The same kind of bound proves most of a steady trace settled (``|s| <
+derivative_epsilon / 2``) without computing its smoothed derivative; the
+derivative comes back as a support, the sample ranges computed and their
+values, with a proven 0 everywhere else.  Each range begins and ends on
+a sample proven settled, so the extrema and the merge run their dense
+code on the support's values, and give the same extrema and the same
+events as on the whole-trace :func:`smoothed_derivative` (the proof is
+in :func:`nilmevents.derivative._moving_smoothed_derivative`).
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,
 the LOESS and Savitzky-Golay half windows, the match tolerance and the
-extremum guard radius), but the refilter trigger compares
-``series.values[first_on.index:].max()``, which runs to the end of the
+extremum guard radius), but the refilter trigger compares the maximum
+of ``series.values[first_on.index:]``, which runs to the end of the
 trace, with ``fluctuation_trigger_watts``.  Whether the refilter runs at
 all, and so whether an early candidate is kept, can therefore depend on
 samples arbitrarily far ahead.  ROADMAP item 6 replaces it with a local
@@ -182,16 +184,16 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
             f"need at least {minimum} samples (base windows {base_span}, LOESS window "
             f"{loess_window}, SG window {config.sg_window_samples}), got {len(series)}"
         )
-    base_events = detect_base(series, config)
+    base_events = detect_base(series, config, summary=series.summary)
 
     smoothed = _moving_smoothed_derivative(
-        series.values, loess_window, config.derivative_epsilon
+        series.values, loess_window, config.derivative_epsilon, summary=series.summary
     )
     significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
 
     merged_positions = merge_transient_events(base_events, smoothed, series, config)
     kept, verdicts = refilter_events_with_verdicts(
-        series, base_events[merged_positions], significant_extrema, config
+        series, base_events[merged_positions], significant_extrema, config, summary=series.summary
     )
 
     return PipelineResult(

@@ -17,7 +17,7 @@ from nilmevents import (
     detect_hybrid,
     lld_max,
 )
-from nilmevents import base, core
+from nilmevents import core
 from nilmevents.base import (
     _mean_difference_profile,
     _rounding_margin,
@@ -25,7 +25,7 @@ from nilmevents.base import (
     _window_sums,
 )
 
-from blocks import BLOCK_SIZES, PROOF_BLOCK_SIZES, use_blocks
+from blocks import BLOCK_SIZES, PROOF_BLOCK_SIZES, use_blocks, use_proof_blocks
 from oracles import (
     oracle_base_events,
     oracle_mean_difference_profile,
@@ -397,7 +397,7 @@ def detect_with_blocks(
 ) -> list[tuple[int, float, float]]:
     with pytest.MonkeyPatch.context() as monkeypatch:
         use_blocks(monkeypatch, block)
-        monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", proof_block)
+        use_proof_blocks(monkeypatch, proof_block)
         return event_triples(detect_base(series_at_20hz(values), config))
 
 
@@ -510,15 +510,20 @@ def test_a_range_one_ulp_from_threshold_minus_the_margin_gives_the_whole_profile
     side: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     """A block whose range is one ulp below threshold - r is skipped, one ulp above tested."""
-    monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", 32)
+    use_proof_blocks(monkeypatch, 32)
     n = 3
     x = 230.0 + np.random.default_rng(8).normal(0.0, 0.01, 640)
     x[100:] += 400.0
     x[400:] += 3.0  # inside block 12: centres [384, 416), profile entries [381, 413)
-    low, high = core._block_ranges(x, 32, n, n)
-    edge = (high[12] - low[12]) + _rounding_margin(max(high.max(), -low.min()), n)
+    # The block's range is read over the summary blocks [320, 448) it meets.
+    summary = SampleSeries(x, 20.0).summary
+    low, high = summary.block_ranges(n, n)
+    assert high[12] - low[12] == np.ptp(x[320:448])
+    edge = (high[12] - low[12]) + _rounding_margin(summary.peak(), n)
     threshold = float(np.nextafter(edge, np.inf if side == "below" else -np.inf))
-    tested = {k for start, stop in _tested_entries(x, n, threshold) for k in range(start, stop)}
+    tested = {
+        k for start, stop in _tested_entries(summary, n, threshold) for k in range(start, stop)
+    }
     block_entries = set(range(381, 413))
     assert (block_entries <= tested) == (side == "above")
     assert block_entries.isdisjoint(tested) == (side == "below")
@@ -538,7 +543,7 @@ def test_a_margin_that_reaches_the_threshold_is_refused(
     # n = 6 it is 25.6 W at 6.4e15 W, and rounding alone could alarm, so even
     # this short trace is refused.  At 6.0e15 W r is 24.0 W: the flat blocks
     # are proven quiet, and the step's blocks give the whole-profile events.
-    monkeypatch.setattr(base, "_PROOF_BLOCK_SAMPLES", 1)
+    use_proof_blocks(monkeypatch, 1)
 
     def stepped(level: float) -> np.ndarray:
         x = np.full(17, level)
@@ -547,10 +552,10 @@ def test_a_margin_that_reaches_the_threshold_is_refused(
 
     assert _rounding_margin(6.4e15 + 100.0, 6) >= 25.0 > _rounding_margin(6.0e15 + 100.0, 6)
     with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 25 W"):
-        _tested_entries(stepped(6.4e15), 6, 25.0)
+        _tested_entries(core._Summary.of(stepped(6.4e15)), 6, 25.0)
     with pytest.raises(MagnitudeTooLarge):
         detect_base(series_at_20hz(stepped(6.4e15)), HybridConfig())
-    assert _tested_entries(np.full(17, 6.0e15), 6, 25.0) == []
+    assert _tested_entries(core._Summary.of(np.full(17, 6.0e15)), 6, 25.0) == []
     events = event_triples(detect_base(series_at_20hz(stepped(6.0e15)), HybridConfig()))
     assert events == events_from_whole_profile(stepped(6.0e15), 20.0, 6, 25.0, 0.2)
     assert events

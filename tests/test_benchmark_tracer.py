@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 import nilmevents.pipeline
-from nilmevents import derivative, generate_scenario
+from nilmevents import generate_scenario
 
-from blocks import use_blocks
+from blocks import use_blocks, use_proof_blocks
 from replicas import replica_config, replica_spec
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -80,6 +80,17 @@ def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> Non
     assert {"filtering.savitzky_golay", "filtering.redetect"} <= names
 
 
+def test_one_detect_hybrid_validates_the_series_once() -> None:
+    # The re-detection and the base detector read the summaries of series
+    # built or validated in the same call, so the pipeline's boundary is the
+    # only validation, even though the refilter fires.
+    tracer, result = traced_kitchen_run()
+    assert len(result.filter_verdicts)
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("core.validate_series") == 1
+    assert "filtering.redetect" in names
+
+
 def test_many_blocks_leave_the_spans_unchanged(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
@@ -103,7 +114,7 @@ def test_the_derivative_path_calls_nothing_traced_per_active_run(
 ) -> None:
     # The kitchen replica has 2 active runs at 1024-sample proof blocks, 14 at 64.
     whole, _ = traced_kitchen_run()
-    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", proof_block)
+    use_proof_blocks(monkeypatch, proof_block)
     skipping, _ = traced_kitchen_run()
     names = [span["name"] for span in skipping.spans]
     assert "derivative.first_derivative" not in names

@@ -29,7 +29,7 @@ from nilmevents import (
 )
 from nilmevents import core
 
-from blocks import use_blocks
+from blocks import PROOF_BLOCK_SIZES, use_blocks, use_proof_blocks
 
 rates = st.floats(min_value=0.1, max_value=1000.0, allow_nan=False)
 
@@ -272,31 +272,56 @@ def test_an_exception_in_a_block_reaches_the_caller(monkeypatch: pytest.MonkeyPa
     assert started == list(range(0, 42, 7))
 
 
-def test_halo_runs_widen_each_run_of_active_blocks_and_clip_to_the_trace() -> None:
+def test_proof_runs_cover_each_run_of_active_blocks_and_clip_to_the_trace(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    use_proof_blocks(monkeypatch, 10)
     active = np.array([True, True, False, False, True, False, True])
-    assert core._halo_runs(active, 10, 3, 65) == [(0, 23), (37, 53), (57, 65)]
-    assert core._halo_runs(active, 10, 0, 65) == [(0, 20), (40, 50), (60, 65)]
-    # Halos wider than a block: the ranges overlap.
-    assert core._halo_runs(active, 10, 12, 65) == [(0, 32), (28, 62), (48, 65)]
-    assert core._halo_runs(np.zeros(3, dtype=bool), 10, 3, 30) == []
-    assert core._halo_runs(np.ones(3, dtype=bool), 10, 100, 25) == [(0, 25)]
+    assert core._proof_runs(active, 65) == [(0, 20), (40, 50), (60, 65)]
+    assert core._proof_runs(np.zeros(3, dtype=bool), 30) == []
+    assert core._proof_runs(np.ones(3, dtype=bool), 25) == [(0, 25)]
 
 
 @given(
-    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=300).map(np.array),
-    st.sampled_from([1, 2, 7, 64, 1024]),
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=400).map(np.array),
+    st.sampled_from(PROOF_BLOCK_SIZES),
     st.integers(min_value=0, max_value=70),
     st.integers(min_value=0, max_value=70),
 )
 def test_block_ranges_reduce_each_block_with_its_halo(
     x: np.ndarray, block: int, before: int, after: int
 ) -> None:
-    low, high = core._block_ranges(x, block, before, after)
+    """Each proof block reads its halo widened to whole 64-sample summary blocks."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_proof_blocks(monkeypatch, block)
+        low, high = core._Summary.of(x).block_ranges(before, after)
     windows = [
-        x[max(start - before, 0) : start + block + after] for start in range(0, x.size, block)
+        x[max(start - before, 0) // 64 * 64 : -(-(start + block + after) // 64) * 64]
+        for start in range(0, x.size, block)
     ]
     assert np.array_equal(low, [window.min() for window in windows])
     assert np.array_equal(high, [window.max() for window in windows])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 130, 200])
+def test_the_summary_is_finite_exactly_when_every_sample_is(size: int, bad: float) -> None:
+    # Every position, the partial last block included.
+    x = np.random.default_rng(size).normal(0.0, 1e3, size)
+    SampleSeries(x, 20.0)
+    one_bad = (np.where(np.arange(size) == at, bad, x) for at in range(size))
+    for y in [np.full(size, bad), *one_bad]:
+        with pytest.raises(NonFiniteValue, match="^series contains NaN or infinite samples$"):
+            SampleSeries(y, 20.0)
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=300).map(np.array))
+def test_the_summary_gives_the_exact_maximum_from_every_start(x: np.ndarray) -> None:
+    summary = core._Summary.of(x)
+    assert [summary.max_from(x, start) for start in range(x.size)] == [
+        x[start:].max() for start in range(x.size)
+    ]
+    assert summary.peak() == max(x.max(), -x.min())
 
 
 def test_blocks_cut_the_range_in_order(monkeypatch: pytest.MonkeyPatch) -> None:

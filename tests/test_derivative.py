@@ -21,7 +21,7 @@ from nilmevents import (
     merge_transient_events,
     smoothed_derivative,
 )
-from nilmevents import derivative
+from nilmevents import core
 from nilmevents.derivative import (
     _Support,
     _block_bounds,
@@ -31,6 +31,7 @@ from nilmevents.derivative import (
     _tricube_weights,
 )
 
+from blocks import PROOF_BLOCK_SIZES, use_proof_blocks
 from oracles import (
     oracle_extrema,
     oracle_first_derivative,
@@ -367,10 +368,8 @@ def test_ramp_alarms_collapse_to_one_event_at_the_first_alarm() -> None:
 # --- The range bound and the settled blocks --------------------------------
 #
 # Interior smoothed derivative values obey |s[i]| <= max(k) * range(x over
-# [i - half - 1, i + half]); detection skips proof blocks whose bound is below
-# epsilon / 2 and reads 0 there.
-
-PROOF_BLOCKS = (1, 2, 7, 64, 1024)
+# [i - half, i + half - 1]), the taps that weigh; detection skips proof blocks
+# whose bound is below epsilon / 2 and reads 0 there.
 
 # Steps and ramps of any size on a level, with or without noise.
 moving_traces = st.builds(
@@ -400,13 +399,14 @@ def _render_changes(seed, size, level, noise, changes) -> np.ndarray:
 
 
 def brute_block_bounds(x: np.ndarray, kernel: np.ndarray, block: int) -> np.ndarray:
+    """The block widened by ``half + 1`` before and ``half`` after, then to whole
+    64-sample summary blocks."""
     half = kernel.size // 2
-    return np.array(
-        [
-            kernel.max() * np.ptp(x[max(start - half - 1, 0) : start + block + half])
-            for start in range(0, x.size, block)
-        ]
-    )
+    reads = [
+        (max(start - half - 1, 0) // 64 * 64, -(-(start + block + half) // 64) * 64)
+        for start in range(0, x.size, block)
+    ]
+    return np.array([kernel.max() * np.ptp(x[lo:hi]) for lo, hi in reads])
 
 
 def densify(support: _Support) -> np.ndarray:
@@ -437,7 +437,7 @@ def assert_same_as_whole_trace(x: np.ndarray, window: int, epsilon: float) -> np
     a 0 for a value below epsilon; the support meets its invariant, and the
     settled mask and the significant extrema agree.  Returns where the samples
     are equal."""
-    support = _moving_smoothed_derivative(x, window, epsilon)
+    support = _moving_smoothed_derivative(x, window, epsilon, summary=core._Summary.of(x))
     moving = densify(support)
     whole = loess_smooth(first_derivative(x), window)
     assert_support_invariant(support, whole, epsilon)
@@ -472,24 +472,28 @@ def test_whole_trace_smoothed_derivative_obeys_the_range_bound(
     # Rounding: the differences, a window-long dot product and the range.
     rounding = (window + 4) * np.finfo(float).eps
     for i in range(half, values.size - half):
-        spread = np.ptp(values[max(i - half - 1, 0) : i + half + 1])
+        spread = np.ptp(values[i - half : i + half])  # the taps that weigh
         assert abs(smoothed[i]) <= kernel.max() * spread + rounding * spread, i
 
 
-@given(moving_traces, st.integers(min_value=1, max_value=2000), st.sampled_from(PROOF_BLOCKS))
+@given(
+    moving_traces,
+    st.integers(min_value=1, max_value=2000),
+    st.sampled_from(PROOF_BLOCK_SIZES),
+)
 def test_block_bounds_read_the_whole_halo_for_any_window(
     values: np.ndarray, half: int, block: int
 ) -> None:
     kernel = _loess_kernel(half)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", block)
-        bounds = _block_bounds(values, kernel)
+        use_proof_blocks(monkeypatch, block)
+        bounds = _block_bounds(core._Summary.of(values), kernel)
     assert np.array_equal(bounds, brute_block_bounds(values, kernel, block))
 
 
 @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "step"])
 def test_a_trace_exactly_one_window_long(quiet: bool, monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 16)
+    use_proof_blocks(monkeypatch, 16)
     x = 120.0 + np.random.default_rng(3).normal(0.0, 0.01, 41)
     if not quiet:
         x[18:] += 300.0
@@ -500,7 +504,7 @@ def test_a_trace_exactly_one_window_long(quiet: bool, monkeypatch: pytest.Monkey
 
 
 def test_an_active_run_that_reaches_the_zero_pad(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 16)
+    use_proof_blocks(monkeypatch, 16)
     x = 50.0 + np.random.default_rng(4).normal(0.0, 0.01, 400)
     x[2:] += 800.0
     same = assert_same_as_whole_trace(x, 21, EPSILON)
@@ -512,7 +516,7 @@ def test_an_active_run_that_reaches_the_zero_pad(monkeypatch: pytest.MonkeyPatch
 def test_an_active_run_inside_the_last_half_window(
     at_end: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 8)
+    use_proof_blocks(monkeypatch, 8)
     x = 50.0 + np.random.default_rng(at_end).normal(0.0, 0.01, 400)
     step = x.size - at_end
     x[step:] += 800.0
@@ -522,7 +526,7 @@ def test_an_active_run_inside_the_last_half_window(
 
 
 def test_an_active_run_inside_the_first_half_window(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 4)
+    use_proof_blocks(monkeypatch, 4)
     x = 50.0 + np.random.default_rng(5).normal(0.0, 0.01, 300)
     x[3:] -= 600.0
     same = assert_same_as_whole_trace(x, 41, EPSILON)
@@ -530,13 +534,13 @@ def test_an_active_run_inside_the_first_half_window(monkeypatch: pytest.MonkeyPa
     assert not same.all()
 
 
-@given(moving_traces, st.sampled_from([3, 9, 41, 121]), st.sampled_from(PROOF_BLOCKS))
+@given(moving_traces, st.sampled_from([3, 9, 41, 121]), st.sampled_from(PROOF_BLOCK_SIZES))
 def test_skipped_samples_never_change_the_mask_or_the_extrema(
     values: np.ndarray, window: int, block: int
 ) -> None:
     assume(window <= values.size)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", block)
+        use_proof_blocks(monkeypatch, block)
         assert_same_as_whole_trace(values, window, EPSILON)
 
 
@@ -545,16 +549,36 @@ def test_a_bound_one_ulp_from_half_epsilon_gives_the_whole_trace_result(
     side: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     """A block whose bound is one ulp below epsilon / 2 is skipped, one ulp above computed."""
-    monkeypatch.setattr(derivative, "_PROOF_BLOCK_SAMPLES", 32)
+    use_proof_blocks(monkeypatch, 32)
     x = 230.0 + np.random.default_rng(8).normal(0.0, 0.01, 640)
     x[100:] += 400.0
     x[400:] += 3.0  # inside block 12, [384, 416)
     kernel = _loess_kernel(10)
-    bound = _block_bounds(x, kernel)[12]
+    bound = _block_bounds(core._Summary.of(x), kernel)[12]
     epsilon = 2.0 * np.nextafter(bound, np.inf if side == "below" else -np.inf)
     assert (bound < epsilon / 2) == (side == "below")
     same = assert_same_as_whole_trace(x, 21, epsilon)
     assert same[384:416].all() == (side == "above")
+
+
+@pytest.mark.parametrize("window", [3, 129])
+def test_a_settled_block_proves_the_sample_just_past_either_end(
+    window: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A range starts and ends where a settled block's bound reaches one sample past it.
+
+    A 1e7 W step at sample 64 moves ``s[64]`` (window 3) and, through the
+    tiny tap ``k[63]``, ``s[127]`` (window 129).  A bound over the taps alone
+    would prove block 0 (window 3) or block 2 (window 129) settled, since
+    both edges fall on a summary block edge, and a range would start or end
+    at that moving sample.
+    """
+    use_proof_blocks(monkeypatch, 64)
+    x = np.zeros(320)
+    x[64:] = 1e7
+    whole = loess_smooth(first_derivative(x), window)
+    assert abs(whole[64 if window == 3 else 127]) >= EPSILON
+    assert_same_as_whole_trace(x, window, EPSILON)
 
 
 # --- Supports: the extrema and the merge read only the computed ranges -----

@@ -13,8 +13,10 @@ import nilmevents
 from nilmevents import (
     ApplianceSpec,
     DetectionError,
+    Events,
     HybridConfig,
     InvalidWindow,
+    NonFiniteValue,
     SampleSeries,
     ScenarioSpec,
     PipelineResult,
@@ -25,6 +27,7 @@ from nilmevents import (
     detect_extrema,
     detect_hybrid,
     generate_scenario,
+    lld_max,
     merge_transient_events,
     smoothed_derivative,
 )
@@ -291,3 +294,31 @@ def test_a_trace_one_loess_window_long_gives_the_whole_trace_chain() -> None:
     for values in (x, np.where(np.arange(41) >= 20, x + 1500.0, x)):
         series = SampleSeries(values, 20.0)
         assert_whole_trace_chain(series, HybridConfig(), detect_hybrid(series, HybridConfig()))
+
+
+def test_a_series_written_into_after_construction_is_checked_again() -> None:
+    # Each entry point validates the series it is given, so it reads a fresh
+    # summary, not the one built with the series.
+    x = 120.0 + np.random.default_rng(11).normal(0.0, 0.05, 4000)
+    x[1000:] += 300.0
+    series = SampleSeries(x, 20.0)
+    config = HybridConfig()
+    series.values[3000:] += 500.0  # inside blocks that were quiet
+    fresh = SampleSeries(series.values.copy(), 20.0)
+    result = detect_hybrid(series, config)
+    assert result.base_events == detect_hybrid(fresh, config).base_events
+    assert result.events == detect_hybrid(fresh, config).events
+    assert 3000 - 6 <= result.events.indices[-1] <= 3000 + 6
+    assert detect_base(series, config) == detect_base(fresh, config)
+    assert lld_max(series) == lld_max(fresh)
+
+    series.values[2000] = np.nan
+    no_candidates = Events(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    for call in (
+        lambda: detect_hybrid(series, config),
+        lambda: detect_base(series, config),
+        lambda: lld_max(series),
+        lambda: refilter_events_with_verdicts(series, no_candidates, np.empty(0), config),
+    ):
+        with pytest.raises(NonFiniteValue, match="^series contains NaN or infinite samples$"):
+            call()
