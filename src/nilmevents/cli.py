@@ -8,11 +8,11 @@ Four subcommands cover the library's workflow::
     nilmevents synth    SCENARIO.json    render a synthetic scenario
 
 ``detect`` prints final events as ``index,timestamp_s,delta_watts`` CSV
-on stdout and can write per-stage traces for plotting with
-``--emit-stages DIR``.  Config files are ``key = value`` lines naming
-config fields; any explicit flag overrides the file.  Exit codes: 0 on
-success, 1 for usage errors, 2 when an input file is missing or
-malformed or a domain check fails.
+on stdout and can write per-stage traces, event lists and the refilter
+verdicts for plotting with ``--emit-stages DIR``.  Config files are
+``key = value`` lines naming config fields; any explicit flag overrides
+the file.  Exit codes: 0 on success, 1 for usage errors, 2 when an input
+file is missing or malformed or a domain check fails.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ def _emit_stage_files(
     write_events(out / "events_base.csv", result.base_events)
     write_events(out / "events_merged.csv", result.merged_events)
     write_events(out / "events_final.csv", result.events)
+    with open(out / "verdicts.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["index", "reason"])
+        writer.writerows((v.event_index, v.reason.value) for v in result.filter_verdicts)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -187,7 +191,7 @@ def _build_parser() -> _Parser:
     detect.add_argument(
         "--emit-stages",
         metavar="DIR",
-        help="write per-stage traces, extrema and event lists into DIR",
+        help="write per-stage traces, extrema, event lists and refilter verdicts into DIR",
     )
     _add_config_flags(detect)
     detect.set_defaults(func=_cmd_detect)

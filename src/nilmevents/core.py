@@ -10,8 +10,7 @@ unchecked view of one position, built only where a caller reads events
 one at a time.  Durations are configured in seconds and converted to
 sample counts at the configured sampling rate via
 :func:`seconds_to_samples`.  The full-length passes of the other modules
-cut their range into blocks with ``_map_blocks`` (or walk ``_blocks`` in
-order, where a block carries a value into the next), so that each block's
+walk their range in the blocks of ``_blocks``, so that each block's
 temporaries stay in cache, and return the same results for any block size.
 
 Every trace-wide fact the detectors need comes from one summary that a
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
 import numpy as np
 
@@ -171,7 +170,7 @@ class _Summary:
         return low, high
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSeries:
     """Uniformly sampled power trace in watts.
 
@@ -179,12 +178,14 @@ class SampleSeries:
     construction, which is where finiteness is read from it.  ``values``
     can be written into later, so only a function that built or validated
     the series in the same call reads it, or hands it on as ``summary=``.
+    Two series are equal when their values, rate and start time are; the
+    summary takes no part.
     """
 
     values: np.ndarray
     sampling_rate_hz: float
     start_time_s: float = 0.0
-    summary: _Summary = field(init=False, repr=False, compare=False)
+    summary: _Summary = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -207,6 +208,15 @@ class SampleSeries:
     def __len__(self) -> int:
         return self.values.size
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleSeries):
+            return NotImplemented
+        return (
+            np.array_equal(self.values, other.values)
+            and self.sampling_rate_hz == other.sampling_rate_hz
+            and self.start_time_s == other.start_time_s
+        )
+
     def time_at(self, index: int | np.ndarray) -> float | np.ndarray:
         """Absolute timestamp of the sample at ``index``.
 
@@ -220,8 +230,6 @@ class SampleSeries:
 # temporaries stay in cache, large enough that dispatch costs little.
 _BLOCK_SAMPLES = 1 << 14
 
-_T = TypeVar("_T")
-
 
 def _blocks(size: int) -> Iterator[tuple[int, int]]:
     """The blocks ``[start, stop)`` of ``_BLOCK_SAMPLES`` that cut ``[0, size)``, in order.
@@ -231,18 +239,6 @@ def _blocks(size: int) -> Iterator[tuple[int, int]]:
     """
     block_size = _BLOCK_SAMPLES
     return ((start, min(start + block_size, size)) for start in range(0, size, block_size))
-
-
-def _map_blocks(fn: Callable[[int, int], _T], size: int) -> list[_T]:
-    """``[fn(start, stop) for each block [start, stop) of [0, size)]``, in block order.
-
-    ``[0, size)`` is cut by :func:`_blocks`, and the blocks run one after
-    another on the calling thread.  The outcome does not depend on the
-    block size as long as ``fn`` reads only its own block and writes only
-    its own slice of any shared output.  An exception in a block stops
-    the map and reaches the caller unchanged.
-    """
-    return [fn(start, stop) for start, stop in _blocks(size)]
 
 
 def _proof_runs(active: np.ndarray, size: int) -> list[tuple[int, int]]:

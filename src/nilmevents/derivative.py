@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     DetectionError,
     Events,
@@ -38,7 +39,7 @@ from .core import (
     SampleSeries,
     SeriesTooShort,
     _Summary,
-    _map_blocks,
+    _blocks,
     _proof_runs,
 )
 
@@ -115,13 +116,10 @@ def _convolve_interior(
     ``kernel.size`` inputs.  Nothing else of ``out`` is written.
     """
     half = kernel.size // 2
-
-    def convolve_block(start: int, stop: int) -> None:
+    for start, stop in _blocks(x.size - 2 * half):
         out[offset + half + start : offset + half + stop] = np.convolve(
             x[start : stop + 2 * half], kernel, mode="valid"
         )
-
-    _map_blocks(convolve_block, x.size - 2 * half)
 
 
 def _difference(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -271,19 +269,22 @@ def _moving_smoothed_derivative(
     ``epsilon / 2`` margin for any window under ``10**7`` samples, so
     every index a settled block's bound covers has ``|s| < epsilon``.
 
-    **What is computed.**  The ranges are the first and the last
-    ``half + 1`` samples, which hold the edge fits and end at the first
-    and start at the last interior index, and each run of active (not
-    settled) blocks cut to the interior; ranges that touch are joined.
-    A run's first sample is the index just past a settled block, or its
-    range is joined to the first one, and likewise its last sample; an
-    edge range ends (starts) at an interior index of a settled block or
-    is joined to a run.  So each range begins and ends at a trace end or
-    at an index a settled block's bound covers, and no two touch, as
-    :class:`_Support` needs.  On the interior part of a range, the first
-    derivative and the convolution run over the range widened by
-    ``half`` on either side, with the blocked convolution of
-    :func:`loess_smooth`; ``d[0] = 0`` where that reaches the start.
+    **What is computed.**  The ranges are the runs of active blocks
+    (:func:`~nilmevents.core._proof_runs`), where a block is active when
+    it is not settled or holds one of the first or the last ``half + 1``
+    samples, which the edge fits need.  So the first run begins at 0 and
+    the last ends at the trace's end.  Every other run begins just past a
+    settled block, at an index that block's bound covers.  That index is
+    interior: the settled block holds none of the first ``half + 1``
+    samples, so it lies past them, and none of the last ``half + 1``, so
+    the index just past it lies before them.  Likewise every other run
+    ends just before a settled block, at an interior index its bound
+    covers.  Runs never touch, so each range begins and ends at a trace
+    end or at a covered interior index, as :class:`_Support` needs.  On
+    the interior part of a range, the first derivative and the
+    convolution run over the range widened by ``half`` on either side,
+    with the blocked convolution of :func:`loess_smooth`; ``d[0] = 0``
+    where that reaches the start.
 
     **Why 0 changes no result.**  The merge's settled test is
     ``|s| < epsilon``, which holds for the 0 as for the true value.  A
@@ -296,18 +297,10 @@ def _moving_smoothed_derivative(
     half = _checked_window(window_samples, x.size) // 2
     kernel = _loess_kernel(half)
     active = ~(_block_bounds(summary, kernel) < epsilon / 2)
+    block = core._PROOF_BLOCK_SAMPLES
+    active[: half // block + 1] = active[(x.size - half - 1) // block :] = True
+    ranges = _proof_runs(active, x.size)
     interior = x.size - half
-    pieces = [
-        (0, half + 1),
-        *((max(start, half), min(stop, interior)) for start, stop in _proof_runs(active, x.size)),
-        (interior - 1, x.size),
-    ]
-    ranges: list[tuple[int, int]] = []
-    for start, stop in pieces:
-        if ranges and start <= ranges[-1][1]:
-            ranges[-1] = (ranges[-1][0], max(ranges[-1][1], stop))
-        elif start < stop:
-            ranges.append((start, stop))
 
     out = np.empty(sum(stop - start for start, stop in ranges))
     offset = 0  # where the range starts in ``out``

@@ -18,8 +18,8 @@ only, as ``index,timestamp_s,delta_watts`` CSV with six-decimal reals,
 written straight from the :class:`Events` arrays a detector returns.  A
 report renders as a plain-text table followed by ``key=value`` lines so
 shell scripts can grep single fields.  Config files are ``key = value``
-lines naming :class:`HybridConfig` fields, layered over an existing
-config, with unknown keys rejected.
+lines naming :class:`HybridConfig` fields, layered over the defaults,
+with unknown keys rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import re
 import typing
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from types import MappingProxyType
 
@@ -45,8 +45,8 @@ from .core import (
     HybridConfig,
     NonFiniteValue,
     SampleSeries,
+    _blocks,
     _check_setting,
-    _map_blocks,
 )
 
 __all__ = [
@@ -194,8 +194,10 @@ def load_trace(path: str | Path) -> SampleSeries:
             f"{path}: spacing at sample {first + 1} deviates more than "
             f"{_UNIFORMITY_REL_TOL:.0%} from the median {median_dt:g} s"
         )
+    # Free the checks' temporaries first: the copy is where loading peaks.
+    del finite, spacings, deviation
     return SampleSeries(
-        values=data[:, 1],
+        values=data[:, 1].copy(),
         sampling_rate_hz=1.0 / median_dt,
         start_time_s=float(timestamps[0]),
     )
@@ -213,13 +215,10 @@ def write_trace(path: str | Path, series: SampleSeries) -> None:
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{_TRACE_HEADER}\n")
-
-        def write_block(start: int, stop: int) -> None:
+        for start, stop in _blocks(len(series)):
             stamps = series.time_at(np.arange(start, stop)).tolist()
             values = series.values[start:stop].tolist()
             handle.write("".join([f"{t!r},{v!r}\n" for t, v in zip(stamps, values)]))
-
-        _map_blocks(write_block, len(series))
 
 
 def load_ground_truth(path: str | Path) -> GroundTruthLog:
@@ -310,11 +309,9 @@ def _config_field_types() -> dict[str, type]:
 
 
 def load_config_file(
-    path: str | Path,
-    base: HybridConfig = HybridConfig(),
-    overrides: typing.Mapping[str, object] = MappingProxyType({}),
+    path: str | Path, overrides: typing.Mapping[str, object] = MappingProxyType({})
 ) -> HybridConfig:
-    """Layer ``key = value`` lines from a file over an existing config.
+    """Layer ``key = value`` lines from a file over the :class:`HybridConfig` defaults.
 
     Keys name :class:`HybridConfig` fields; values are converted to the
     field's type.  Unknown keys, a key given twice, malformed lines and
@@ -360,10 +357,10 @@ def load_config_file(
     for key, value in overrides.items():
         _check_setting(key, value)
     try:
-        return replace(base, **{**values, **overrides})
+        return HybridConfig(**{**values, **overrides})
     except DetectionError as exc:
         try:
-            replace(base, **values)
+            HybridConfig(**values)
         except DetectionError:
             raise type(exc)(f"{path}: {exc}") from None
         raise

@@ -19,7 +19,7 @@ PROOF_BLOCK_SIZES = (1, 2, 7, 64, 1024)
 
 
 def use_blocks(monkeypatch: pytest.MonkeyPatch, block: int) -> None:
-    """Run block maps over ``block``-sample blocks."""
+    """Run the blocked full-length passes over ``block``-sample blocks."""
     monkeypatch.setattr(core, "_BLOCK_SAMPLES", block)
 
 

@@ -89,6 +89,14 @@ def test_series_timestamps_follow_start_and_rate() -> None:
     assert series.time_at(10) == pytest.approx(5.5)
 
 
+def test_series_are_equal_when_values_rate_and_start_are() -> None:
+    series = SampleSeries(np.arange(3.0), 20.0, 5.0)
+    assert series == SampleSeries(np.arange(3.0), 20.0, 5.0)
+    assert series != SampleSeries(np.array([0.0, 1.0, 2.5]), 20.0, 5.0)
+    assert series != SampleSeries(np.arange(3.0), 60.0, 5.0)
+    assert series != SampleSeries(np.arange(3.0), 20.0, 0.0)
+
+
 @pytest.mark.parametrize(
     ("first_bad", "second_bad", "error", "message"),
     [
@@ -246,32 +254,6 @@ def test_report_enforces_count_identities() -> None:
         EvaluationReport(tp=0, fp=0, fn=0, ground_truth_count=0)
 
 
-def test_block_map_returns_one_result_per_block_in_order(small_blocks: int) -> None:
-    size = 150
-    expected = [(start, min(start + small_blocks, size)) for start in range(0, size, small_blocks)]
-    assert core._map_blocks(lambda start, stop: (start, stop), size) == expected
-    assert core._map_blocks(lambda start, stop: (start, stop), 0) == []
-
-
-class BlockFailure(Exception):
-    pass
-
-
-def test_an_exception_in_a_block_reaches_the_caller(monkeypatch: pytest.MonkeyPatch) -> None:
-    use_blocks(monkeypatch, 7)
-    started: list[int] = []
-
-    def fail_late(start: int, stop: int) -> None:
-        started.append(start)
-        if start >= 35:
-            raise BlockFailure(f"block [{start}, {stop}) failed")
-
-    # Every block from 35 on would fail; the first one stops the map.
-    with pytest.raises(BlockFailure, match=r"^block \[35, 42\) failed$"):
-        core._map_blocks(fail_late, 100)
-    assert started == list(range(0, 42, 7))
-
-
 def test_proof_runs_cover_each_run_of_active_blocks_and_clip_to_the_trace(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
@@ -322,6 +304,13 @@ def test_the_summary_gives_the_exact_maximum_from_every_start(x: np.ndarray) -> 
         x[start:].max() for start in range(x.size)
     ]
     assert summary.peak() == max(x.max(), -x.min())
+
+
+def test_blocks_cut_any_size_into_full_blocks_and_a_shorter_last(small_blocks: int) -> None:
+    size = 150
+    expected = [(start, min(start + small_blocks, size)) for start in range(0, size, small_blocks)]
+    assert list(core._blocks(size)) == expected
+    assert list(core._blocks(0)) == []
 
 
 def test_blocks_cut_the_range_in_order(monkeypatch: pytest.MonkeyPatch) -> None:
