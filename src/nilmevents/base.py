@@ -141,6 +141,16 @@ def _rounding_margin(peak: float, n: int) -> float:
     ``(2 * gamma_(n-1) + 4u) (1 + gamma_(n-1)) (1 + u) * peak < r`` of the
     exact ``(A - B) / n``.  So ``r`` bounds what rounding adds to either
     statistic.
+
+    The same steps bound LLD's deviation ``x[c] - (mu1 + mu0) / 2``.  Each
+    quotient lies within ``(gamma_(n-1) + u (1 + gamma_(n-1))) * peak`` of
+    the exact mean, their sum's rounding adds ``2u (1 + gamma_(n-1)) (1 +
+    u) * peak``, the halving is exact, and the subtraction from ``x[c]``
+    adds ``2u (1 + gamma_(n-1)) (1 + u)**2 * peak``.  So the computed
+    deviation lies within ``(gamma_(n-1) + 4u (1 + gamma_(n-1)) (1 +
+    u)**2) * peak < r`` of the exact one.  Where the exact deviation is 0,
+    as inside a noiseless ramp, the computed one is at most ``r``, and
+    ``lld_max`` zeroes its statistic wherever it is.
     """
     u = 2.0**-53
     gamma = (n - 1) * u / (1.0 - (n - 1) * u)
@@ -172,7 +182,8 @@ def _tested_entries(summary: _Summary, n: int, threshold: float) -> list[tuple[i
     either side, and ``r`` from :func:`_rounding_margin`; a non-finite
     range never is.  The runs of blocks that are not quiet, cut to the
     centres with full windows, are returned as profile entries (entry
-    ``k`` is centre ``n + k``).
+    ``k`` is centre ``n + k``).  :func:`~nilmevents.baselines.lld_max`
+    reads the same runs, since its ``mu1 - mu0`` obeys the same bound.
 
     Raises :class:`MagnitudeTooLarge` from :func:`_checked_margin`.
     """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import _checked_margin, _window_sums
+from .base import _rounding_margin, _tested_entries, _window_sums
 from .core import (
     DetectionError,
     Events,
@@ -62,11 +62,15 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
 
     where ``mu0``/``mu1`` are the means of the ``pre_window_samples``
     samples before/after ``i`` (the index itself excluded), and ``ds`` is
-    zeroed wherever ``|mu1 - mu0|`` does not exceed the power threshold.
-    A noise variance would divide every magnitude by the same constant,
-    so it could not change which maxima are strict, and there is none.
-    An event is reported at ``i`` when ``|ds[i]|`` is nonzero and a
-    strict maximum over all eligible indices within
+    zeroed wherever ``|mu1 - mu0|`` does not exceed the power threshold,
+    and wherever the computed ``|x[i] - (mu1 + mu0) / 2|`` is at most the
+    rounding margin ``r`` (:func:`~nilmevents.base._rounding_margin` with
+    ``n = pre_window_samples``), which rounding alone can reach: on a
+    noiseless ramp the exact deviation is 0 and the computed one its last
+    bits.  A noise variance would divide every magnitude by the same
+    constant, so it could not change which maxima are strict, and there
+    is none.  An event is reported at ``i`` when ``|ds[i]|`` is nonzero
+    and a strict maximum over all eligible indices within
     ``maxima_precision_samples`` of ``i``, so reported events are always
     separated by more than that many samples.
 
@@ -75,9 +79,18 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     base detector's (:func:`~nilmevents.base._window_sums`), each summed
     from its own samples, so a delta depends only on the ``2 *
     pre_window_samples`` samples it reads.  Like :func:`detect_base`, it
-    raises :class:`~nilmevents.base.MagnitudeTooLarge` when the rounding
-    margin of those sums (:func:`~nilmevents.base._rounding_margin` with
-    ``n = pre_window_samples``) reaches ``power_threshold_watts``.
+    raises :class:`~nilmevents.base.MagnitudeTooLarge` when ``r`` reaches
+    ``power_threshold_watts``.
+
+    The statistic is computed only where the series summary's range proof
+    fails (:func:`~nilmevents.base._tested_entries`): elsewhere ``|mu1 -
+    mu0|`` is below the threshold, so ``ds`` is 0.  Each tested run is
+    widened by ``maxima_precision_samples`` on both sides, so that it
+    holds the whole window of each of its candidates, and the strict
+    maxima are found run by run, with the zeros beyond a run standing for
+    the quiet entries there; a nonzero candidate never ties with a 0.  So
+    the events are those of the statistic over the whole trace, for any
+    proof-block size.
     """
     series = validate_series(series)
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
@@ -85,24 +98,45 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
         raise SeriesTooShort(
             f"need at least {2 * pw + 1} samples for pre-window {pw}, got {len(series)}"
         )
-    x = series.values
-    _checked_margin(series.summary.peak(), pw, config.power_threshold_watts)
+    threshold = config.power_threshold_watts
+    m = config.maxima_precision_samples
+    entries = len(series) - 2 * pw
+    runs: list[tuple[int, int]] = []
+    for lo, hi in _tested_entries(series.summary, pw, threshold):
+        lo, hi = max(lo - m, 0), min(hi + m, entries)
+        if runs and lo <= runs[-1][1]:  # widened runs that touch are one
+            lo = runs.pop()[0]
+        runs.append((lo, hi))
+    margin = _rounding_margin(series.summary.peak(), pw)
 
-    before_sums, after_sums = _window_sums(x, pw)  # views of one array of window sums
+    found = [(np.empty(0, dtype=np.int64), np.empty(0))]
+    found += [_run_maxima(series.values, pw, lo, hi, threshold, margin, m) for lo, hi in runs]
+    indices = pw + np.concatenate([positions for positions, _ in found])
+    deltas = np.concatenate([deltas for _, deltas in found])
+    return Events(indices, series.time_at(indices), deltas)
+
+
+def _run_maxima(
+    x: np.ndarray, pw: int, lo: int, hi: int, threshold: float, margin: float, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profile entries and deltas of the strict maxima of ``|ds|`` on entries ``[lo, hi)``."""
+    before_sums, after_sums = _window_sums(x, pw, lo, hi)  # views of one array of window sums
     mean_diff = after_sums / pw
     mean_diff -= before_sums / pw  # mu1 - mu0
-    threshold = config.power_threshold_watts
     # ds is zero wherever |mu1 - mu0| <= threshold, so it is computed only
-    # at the other positions, each by the formula above.
+    # at the other positions, each by the formula of lld_max.
     active = np.flatnonzero((mean_diff > threshold) | (mean_diff < -threshold))
     midpoint = (after_sums[active] / pw + before_sums[active] / pw) / 2.0
+    deviation = np.abs(x[pw + lo + active] - midpoint)
+    deviation[deviation <= margin] = 0.0  # what rounding alone can give
 
-    m = config.maxima_precision_samples
-    # Entries within m of an end see zeros beyond it, which no candidate
-    # (a nonzero magnitude) ties with, so the window is in effect truncated.
-    padded = np.zeros(mean_diff.size + 2 * m)
+    # Entries within m of the run's ends see zeros beyond them: the quiet
+    # entries there, or the ends of the profile.  No candidate (a nonzero
+    # magnitude) ties with a zero, so a window at a profile end is in
+    # effect truncated.
+    padded = np.zeros(hi - lo + 2 * m)
     magnitude = padded[m:-m]
-    magnitude[active] = np.abs(mean_diff[active]) * np.abs(x[pw + active] - midpoint)
+    magnitude[active] = np.abs(mean_diff[active]) * deviation
     candidates = active[magnitude[active] > 0]
     windows = sliding_window_view(padded, 2 * m + 1)
     # A strict maximum is the only entry of its window that is >= it.  The
@@ -113,5 +147,4 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
         for part in (candidates[i : i + chunk] for i in range(0, candidates.size, chunk))
     ]
     positions = np.concatenate([np.empty(0, dtype=np.int64), *maxima])
-    indices = pw + positions
-    return Events(indices, series.time_at(indices), mean_diff[positions])
+    return lo + positions, mean_diff[positions]

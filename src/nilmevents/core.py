@@ -128,17 +128,31 @@ class _Summary:
 
     A NaN propagates through ``np.minimum`` and ``np.maximum``, and an
     infinite sample is itself an extreme, so the block extremes are all
-    finite exactly when every sample is.
+    finite exactly when every sample is.  ``low`` and ``high`` are views
+    of ``padded_low`` and ``padded_high``, which end in one more entry,
+    ``+inf`` and ``-inf``, for :meth:`block_ranges` to cut at.
     """
 
     size: int
-    low: np.ndarray
-    high: np.ndarray
+    padded_low: np.ndarray
+    padded_high: np.ndarray
 
     @classmethod
     def of(cls, x: np.ndarray) -> _Summary:
         starts = np.arange(0, x.size, _SUMMARY_SAMPLES)
-        return cls(x.size, np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts))
+        low = np.full(starts.size + 1, np.inf)
+        high = np.full(starts.size + 1, -np.inf)
+        np.minimum.reduceat(x, starts, out=low[:-1])
+        np.maximum.reduceat(x, starts, out=high[:-1])
+        return cls(x.size, low, high)
+
+    @property
+    def low(self) -> np.ndarray:
+        return self.padded_low[:-1]
+
+    @property
+    def high(self) -> np.ndarray:
+        return self.padded_high[:-1]
 
     def peak(self) -> float:
         """``max|x|``, exactly."""
@@ -163,10 +177,10 @@ class _Summary:
         hi = -(-np.minimum(starts + _PROOF_BLOCK_SAMPLES + after, self.size) // _SUMMARY_SAMPLES)
         # One reduceat per extreme over the cuts lo[0], hi[0], lo[1], hi[1], ...:
         # its even entries reduce the blocks [lo, hi), and each odd one a single
-        # block, since hi[b] >= lo[b + 1].  A padding entry lets a cut be the count.
+        # block, since hi[b] >= lo[b + 1].  The padding entry lets a cut be the count.
         cuts = np.column_stack((lo, hi)).ravel()
-        low = np.minimum.reduceat(np.append(self.low, np.inf), cuts)[::2]
-        high = np.maximum.reduceat(np.append(self.high, -np.inf), cuts)[::2]
+        low = np.minimum.reduceat(self.padded_low, cuts)[::2]
+        high = np.maximum.reduceat(self.padded_high, cuts)[::2]
         return low, high
 
 

@@ -268,6 +268,11 @@ def _moving_smoothed_derivative(
     ``(2 * half + 3) * 2**-53 * range``, which stays below the
     ``epsilon / 2`` margin for any window under ``10**7`` samples, so
     every index a settled block's bound covers has ``|s| < epsilon``.
+    So a block can be settled only where ``max(k) * range < epsilon /
+    2``: at 20 Hz with the default 2 s window ``max(k) = 0.0432``, and
+    with the default ``epsilon = 0.5`` the widened range must stay under
+    5.8 W.  A trace with 2 W of noise rarely does, and on such a trace
+    the whole derivative is computed.
 
     **What is computed.**  The ranges are the runs of active blocks
     (:func:`~nilmevents.core._proof_runs`), where a block is active when

@@ -249,13 +249,27 @@ def oracle_savgol_exact(values: np.ndarray, window: int, order: int) -> np.ndarr
     return np.array(out)
 
 
+def exact_lld_deviation(x: np.ndarray, i: int, pre_window: int) -> Fraction:
+    """``x[i] - (mu1 + mu0) / 2`` in rational arithmetic, exactly."""
+    window = [Fraction(v) for v in x[i - pre_window : i + pre_window + 1].tolist()]
+    return window[pre_window] - (sum(window) - window[pre_window]) / (2 * pre_window)
+
+
 def oracle_lld(
     values: np.ndarray,
     pre_window: int,
     threshold: float,
     precision: int,
 ) -> list[tuple[int, float]]:
-    """Strict local maxima of the likelihood statistic as (index, delta)."""
+    """Strict local maxima of the likelihood statistic as (index, delta).
+
+    ``ds`` is zero where ``|mu1 - mu0|`` does not exceed the threshold, and
+    where ``x[i]`` is exactly the mean of its two windows, in rational
+    arithmetic.  On integer-valued samples whose rounding margin is below
+    ``1 / (4 * pre_window)`` that is the library's rule: a nonzero exact
+    deviation is then at least ``1 / (2 * pre_window)``, and the computed
+    one is within the margin of the exact one.
+    """
     x = np.asarray(values, dtype=float)
     centers = list(range(pre_window, x.size - pre_window))
     ds = []
@@ -265,7 +279,7 @@ def oracle_lld(
         mu1 = float(np.sum(x[i + 1 : i + 1 + pre_window]) / pre_window)
         diff = mu1 - mu0
         deltas.append(diff)
-        if abs(diff) > threshold:
+        if abs(diff) > threshold and exact_lld_deviation(x, i, pre_window) != 0:
             ds.append(diff * abs(x[i] - (mu1 + mu0) / 2.0))
         else:
             ds.append(0.0)

@@ -147,7 +147,9 @@ def test_long_ramp_yields_one_event_where_the_likelihood_baseline_splinters() ->
 @pytest.mark.parametrize(
     ("name", "counts"),
     [
-        ("house1", (4, 16, 16)),
+        # house1's ramps are noiseless: inside them the statistic is rounding
+        # noise, which lld_max zeroes.
+        ("house1", (4, 14, 16)),
         ("kitchen", (1, 18, 5)),
         ("lighting", (6, 0, 12)),
         ("rangehood", (1, 2, 0)),

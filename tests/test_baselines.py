@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nilmevents import (
@@ -16,8 +16,10 @@ from nilmevents import (
     lld_max,
 )
 from nilmevents import baselines
+from nilmevents.base import MagnitudeTooLarge, _rounding_margin, _tested_entries
 
-from oracles import oracle_lld
+from blocks import use_proof_blocks
+from oracles import exact_lld_deviation, oracle_lld
 
 integer_traces = st.lists(
     st.integers(min_value=0, max_value=3000), min_size=13, max_size=150
@@ -182,3 +184,187 @@ def test_lld_config_rejects_sample_counts_that_are_not_integers(name: str, value
     with pytest.raises(DetectionError) as excinfo:
         LldConfig(**{name: value})
     assert str(excinfo.value) == f"{name} must be an integer, got {value}"
+
+
+# Proof blocks of 1, 7, 64 and 1024 samples, and None: one block that covers
+# the whole trace, which gives the dense computation wherever the trace moves.
+LLD_PROOF_BLOCKS = (1, 7, 64, 1024, None)
+
+
+@st.composite
+def stepped_traces(draw, integer: bool) -> np.ndarray:
+    """Levels held for 1-100 samples, reached in ramps of 0-8 samples, plus noise.
+
+    Integer traces have no ramps and integer noise.  Steps land within a
+    few samples of either end and of each other, and quiet stretches of
+    one or two 64-sample summary blocks separate busy ones, so the tested
+    runs of small proof blocks lie close together.
+    """
+    size = draw(st.integers(min_value=13, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = st.integers(0, 1500) if integer else st.floats(-1e4, 1e4)
+    x = np.empty(size)
+    level = float(draw(levels))
+    at = 0
+    while at < size:
+        new = float(draw(levels))
+        ramp = 0 if integer else draw(st.integers(min_value=0, max_value=8))
+        steps = np.arange(1, min(ramp, size - at) + 1)
+        x[at : at + steps.size] = level + (new - level) * (steps / (ramp + 1))
+        at += steps.size
+        hold = draw(st.integers(min_value=1, max_value=100))
+        x[at : at + hold] = new
+        at += hold
+        level = new
+    if integer:
+        return x + rng.integers(0, draw(st.sampled_from([1, 2, 4])), size)
+    return x + draw(st.sampled_from([0.0, 0.01, 0.5, 4.0])) * rng.standard_normal(size)
+
+
+def lld_with_proof_block(values: np.ndarray, config: LldConfig, block: int | None):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_proof_blocks(monkeypatch, values.size if block is None else block)
+        events = lld_max(series_at_20hz(values), config)
+    return list(
+        zip(events.indices.tolist(), events.timestamps_s.tolist(), events.deltas_watts.tolist())
+    )
+
+
+# pre_window_samples and maxima_precision_samples.  Windows up to 30 samples
+# leave as few as 4 proven-quiet entries inside a quiet 64-sample summary block.
+lld_windows = st.tuples(
+    st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=40)
+)
+
+
+@given(stepped_traces(integer=True), lld_windows)
+def test_restricted_lld_matches_the_oracle_for_any_proof_block(
+    values: np.ndarray, windows: tuple[int, int]
+) -> None:
+    pw, m = windows
+    assume(values.size >= 2 * pw + 1)
+    config = LldConfig(pre_window_samples=pw, maxima_precision_samples=m)
+    expected = oracle_lld(values, pw, config.power_threshold_watts, m)
+    for block in LLD_PROOF_BLOCKS:
+        events = lld_with_proof_block(values, config, block)
+        assert [(index, delta) for index, _, delta in events] == expected, block
+
+
+@given(stepped_traces(integer=False), lld_windows)
+def test_restricted_lld_is_the_same_for_any_proof_block(
+    values: np.ndarray, windows: tuple[int, int]
+) -> None:
+    pw, m = windows
+    assume(values.size >= 2 * pw + 1)
+    config = LldConfig(pre_window_samples=pw, maxima_precision_samples=m)
+    dense = lld_with_proof_block(values, config, None)
+    for block in LLD_PROOF_BLOCKS[:-1]:
+        assert lld_with_proof_block(values, config, block) == dense, block
+
+
+def test_restricted_lld_handles_close_runs_run_edges_and_trace_ends() -> None:
+    # pw = 25 and m = 10.  Each step has a transitional sample, so no maxima tie.
+    values = np.zeros(256)
+    level = 0.0
+    for at, new in ((8, 300.0), (60, 700.0), (132, 200.0), (228, 900.0)):
+        values[at] = level + round(0.3 * (new - level))
+        values[at + 1 :] = level = new
+    pw, m = 25, 10
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_proof_blocks(monkeypatch, 1)
+        runs = _tested_entries(series_at_20hz(values).summary, pw, 25.0)
+    # Only samples 64-127 are quiet in the 64-sample summary, so only the
+    # entries 64-77, whose windows lie inside them, are proven quiet: 14 < 2m.
+    assert runs == [(0, 64), (78, 206)]
+    # Nonzero statistics lie within m of both edges of that gap.
+    nonzero = [
+        k
+        for k in range(values.size - 2 * pw)
+        if abs(values[k + pw + 1 : k + 2 * pw + 1].sum() - values[k : k + pw].sum()) / pw > 25.0
+        and exact_lld_deviation(values, k + pw, pw) != 0
+    ]
+    assert set(nonzero) & set(range(64 - m, 64)) and set(nonzero) & set(range(78, 78 + m))
+    expected = oracle_lld(values, pw, 25.0, m)
+    # The first and the last events lie within pw + m of the trace's ends.
+    assert [index for index, _ in expected] == [25, 61, 133, 229]
+    config = LldConfig(pre_window_samples=pw, maxima_precision_samples=m)
+    for block in LLD_PROOF_BLOCKS:
+        events = lld_with_proof_block(values, config, block)
+        assert [(index, delta) for index, _, delta in events] == expected, block
+
+
+def test_a_maximum_beaten_across_a_proven_quiet_gap_is_not_reported() -> None:
+    # pw = 30 and m = 10: only the entries 64-67 are proven quiet.  Entry 63
+    # (sample 93) is the largest statistic of its run, but entry 68 (sample
+    # 98), 5 entries on in the next run, is larger.
+    values = np.full(256, 1000.0)
+    values[63] = values[128] = 0.0
+    values[93] += 5.0
+    values[98] += 10.0
+    config = LldConfig(pre_window_samples=30, maxima_precision_samples=10)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_proof_blocks(monkeypatch, 1)
+        assert _tested_entries(series_at_20hz(values).summary, 30, 25.0) == [(0, 64), (68, 192)]
+    expected = oracle_lld(values, 30, 25.0, 10)
+    assert expected == [(98, -33.5)]
+    for block in LLD_PROOF_BLOCKS:
+        events = lld_with_proof_block(values, config, block)
+        assert [(index, delta) for index, _, delta in events] == expected, block
+
+
+def test_lld_reports_no_rounding_noise_inside_a_noiseless_ramp() -> None:
+    # A 2.8 s ramp of 613.7 W: inside it each sample is the mean of its two
+    # windows in exact arithmetic, up to the rounding of the samples, so the
+    # statistic is the last bits of the sums.  Only the two ends are events.
+    t = np.arange(600) / 20.0
+    values = 100.3 + np.clip((t - 10.0) / 2.8, 0.0, 1.0) * 613.7
+    margin = _rounding_margin(float(values.max()), 6)
+    inside = [
+        i
+        for i in range(6, values.size - 6)
+        if abs(exact_lld_deviation(values, i, 6)) <= margin / 2
+        and abs(values[i + 1 : i + 7].sum() - values[i - 6 : i].sum()) / 6 > 25.0
+    ]
+    assert len(inside) == 45
+    events = lld_max(series_at_20hz(values), LldConfig())
+    assert events.indices.tolist() == [200, 256]
+    assert not set(inside) & set(events.indices.tolist())
+
+
+@pytest.mark.parametrize("block", LLD_PROOF_BLOCKS)
+@pytest.mark.parametrize(
+    ("values", "config", "message"),
+    [
+        (
+            np.full(400, 1.7e308),
+            LldConfig(),
+            "the rounding margin r = 6.79456e+293 W of 6-sample window sums at peak "
+            "|x| = 1.7e+308 W reaches the power threshold 25 W; the window sums cannot resolve it",
+        ),
+        (
+            np.where(np.arange(400) >= 100, 1e300, -1e300),
+            LldConfig(),
+            "the rounding margin r = 3.9968e+285 W of 6-sample window sums at peak "
+            "|x| = 1e+300 W reaches the power threshold 25 W; the window sums cannot resolve it",
+        ),
+        (
+            np.full(400, 2e14),
+            LldConfig(power_threshold_watts=0.5),
+            "the rounding margin r = 0.799361 W of 6-sample window sums at peak "
+            "|x| = 2e+14 W reaches the power threshold 0.5 W; the window sums cannot resolve it",
+        ),
+        (
+            np.where(np.arange(3000) >= 1500, 3e15, 0.0),
+            LldConfig(pre_window_samples=18),
+            "the rounding margin r = 27.9776 W of 18-sample window sums at peak "
+            "|x| = 3e+15 W reaches the power threshold 25 W; the window sums cannot resolve it",
+        ),
+    ],
+    ids=["overflowing-sum", "huge-step", "low-threshold", "long-window"],
+)
+def test_lld_refuses_magnitudes_its_sums_cannot_resolve_for_any_proof_block(
+    values: np.ndarray, config: LldConfig, message: str, block: int | None
+) -> None:
+    with pytest.raises(MagnitudeTooLarge) as excinfo:
+        lld_with_proof_block(values, config, block)
+    assert str(excinfo.value) == message
