@@ -231,7 +231,10 @@ def detect_base(
     :func:`~nilmevents.core._blocks`, so no full-length temporary is
     built.  Each delta is a pure function of the samples its windows
     read (:func:`_window_sums`), so the events are identical for any
-    block and proof-block size.
+    block and proof-block size.  The time-limit emission walks the alarm
+    times one block at a time, in order and with the same
+    ``t - last > time_limit_s`` test, so only a block of them is ever a
+    Python list.
 
     Raises
     ------
@@ -268,9 +271,10 @@ def detect_base(
     # ``t > last + limit`` in floating point.
     emitted: list[int] = []
     last_time = -np.inf
-    for k, timestamp in enumerate(alarm_times.tolist()):
-        if timestamp - last_time > config.time_limit_s:
-            emitted.append(k)
-            last_time = timestamp
+    for start, stop in _blocks(alarm_times.size):
+        for k, timestamp in enumerate(alarm_times[start:stop].tolist(), start):
+            if timestamp - last_time > config.time_limit_s:
+                emitted.append(k)
+                last_time = timestamp
     keep = np.array(emitted, dtype=np.int64)
     return Events(alarm_indices[keep], alarm_times[keep], alarm_deltas[keep])

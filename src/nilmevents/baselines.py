@@ -26,6 +26,7 @@ from .core import (
     _BLOCK_SAMPLES,
     _check_integer,
     _check_setting,
+    _Summary,
     validate_series,
 )
 
@@ -53,7 +54,9 @@ class LldConfig:
                 raise DetectionError(f"{name} must be >= 1, got {value}")
 
 
-def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
+def lld_max(
+    series: SampleSeries, config: LldConfig = LldConfig(), *, summary: _Summary | None = None
+) -> Events:
     """Detect transitions as strict local maxima of a likelihood statistic.
 
     For each eligible index the statistic's magnitude is
@@ -91,8 +94,14 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     the quiet entries there; a nonzero candidate never ties with a 0.  So
     the events are those of the statistic over the whole trace, for any
     proof-block size.
+
+    ``summary`` is ``series.summary``, from a caller that built or
+    validated ``series`` in the same call; without it, ``series`` is
+    validated.
     """
-    series = validate_series(series)
+    if summary is None:
+        series = validate_series(series)
+        summary = series.summary
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
     if len(series) < 2 * pw + 1:
         raise SeriesTooShort(
@@ -102,12 +111,12 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     m = config.maxima_precision_samples
     entries = len(series) - 2 * pw
     runs: list[tuple[int, int]] = []
-    for lo, hi in _tested_entries(series.summary, pw, threshold):
+    for lo, hi in _tested_entries(summary, pw, threshold):
         lo, hi = max(lo - m, 0), min(hi + m, entries)
         if runs and lo <= runs[-1][1]:  # widened runs that touch are one
             lo = runs.pop()[0]
         runs.append((lo, hi))
-    margin = _rounding_margin(series.summary.peak(), pw)
+    margin = _rounding_margin(summary.peak(), pw)
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
     found += [_run_maxima(series.values, pw, lo, hi, threshold, margin, m) for lo, hi in runs]

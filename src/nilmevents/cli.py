@@ -121,7 +121,7 @@ def _emit_stage_files(
 def _cmd_detect(args: argparse.Namespace) -> int:
     series = load_trace(args.trace)
     config = _assemble_config(args)
-    result = detect_hybrid(series, config)
+    result = detect_hybrid(series, config, summary=series.summary)
     write_events(sys.stdout, result.events)
     counts = result.stage_counts
     print(
@@ -138,7 +138,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     series = load_trace(args.trace)
     truth = load_ground_truth(args.truth)
     config = _assemble_config(args)
-    result = detect_hybrid(series, config)
+    result = detect_hybrid(series, config, summary=series.summary)
     report = evaluate_detections(
         result.events, truth, tolerance_s=config.eval_match_tolerance_s
     )
@@ -151,7 +151,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     truth = load_ground_truth(args.truth)
     config = _assemble_config(args)
 
-    hybrid_events = detect_hybrid(series, config).events
+    hybrid_events = detect_hybrid(series, config, summary=series.summary).events
     lld_flags = {
         "pre_window_samples": args.lld_pre_window,
         "power_threshold_watts": args.lld_threshold,
@@ -160,7 +160,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     lld_config = replace(
         LldConfig(), **{field: value for field, value in lld_flags.items() if value is not None}
     )
-    lld_events = lld_max(series, lld_config)
+    lld_events = lld_max(series, lld_config, summary=series.summary)
 
     for name, events in (("hybrid", hybrid_events), ("lld", lld_events)):
         report = evaluate_detections(events, truth, tolerance_s=config.eval_match_tolerance_s)

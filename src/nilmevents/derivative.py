@@ -102,22 +102,19 @@ def _checked_window(window_samples: int, size: int) -> int:
     return win
 
 
-def _convolve_interior(
-    x: np.ndarray, kernel: np.ndarray, out: np.ndarray, offset: int = 0
-) -> None:
-    """Set ``out[offset + half : offset + x.size - half]`` to ``np.convolve(x, kernel, "valid")``.
+def _convolve_interior(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
+    """Set ``out[half : x.size - half]`` to ``np.convolve(x, kernel, "valid")``.
 
     That is ``np.convolve(x, kernel, "same")`` wherever the odd kernel fits
-    inside ``x``, written where ``x`` sits in ``out`` when ``x`` starts at
-    ``out[offset]``.  The range is convolved block by block (each block
-    reads its own samples plus ``half`` on either side) and equals the
-    whole-array convolution bit for bit, for any block size and any
-    ``offset``: every output sample is the same dot product of the same
-    ``kernel.size`` inputs.  Nothing else of ``out`` is written.
+    inside ``x``.  The range is convolved block by block (each block reads
+    its own samples plus ``half`` on either side) and equals the
+    whole-array convolution bit for bit, for any block size: every output
+    sample is the same dot product of the same ``kernel.size`` inputs.
+    Nothing else of ``out`` is written.
     """
     half = kernel.size // 2
     for start, stop in _blocks(x.size - 2 * half):
-        out[offset + half + start : offset + half + stop] = np.convolve(
+        out[half + start : half + stop] = np.convolve(
             x[start : stop + 2 * half], kernel, mode="valid"
         )
 
@@ -285,11 +282,15 @@ def _moving_smoothed_derivative(
     the index just past it lies before them.  Likewise every other run
     ends just before a settled block, at an interior index its bound
     covers.  Runs never touch, so each range begins and ends at a trace
-    end or at a covered interior index, as :class:`_Support` needs.  On
-    the interior part of a range, the first derivative and the
-    convolution run over the range widened by ``half`` on either side,
-    with the blocked convolution of :func:`loess_smooth`; ``d[0] = 0``
-    where that reaches the start.
+    end or at a covered interior index, as :class:`_Support` needs.  The
+    interior part of a range is convolved one block of
+    :func:`~nilmevents.core._blocks` at a time, each block from the first
+    difference of its own samples widened by ``half`` on either side
+    (``d[0] = 0`` where that reaches the start), so no range-long
+    difference array is built.  Every sample is the same dot product of
+    the same inputs as in :func:`loess_smooth`, whatever the block size.
+    Besides the support, the call holds a block's difference and its
+    convolution, and per-proof-block bounds.
 
     **Why 0 changes no result.**  The merge's settled test is
     ``|s| < epsilon``, which holds for the 0 as for the true value.  A
@@ -311,9 +312,10 @@ def _moving_smoothed_derivative(
     offset = 0  # where the range starts in ``out``
     for start, stop in ranges:
         lo, hi = max(start, half), min(stop, interior)
-        if lo < hi:
-            d = _difference(x, lo - half, hi + half)
-            _convolve_interior(d, kernel, out, offset + lo - half - start)
+        at = offset + lo - start  # where sample ``lo`` sits in ``out``
+        for first, last in _blocks(hi - lo):
+            d = _difference(x, lo + first - half, lo + last + half)
+            out[at + first : at + last] = np.convolve(d, kernel, mode="valid")
         offset += stop - start
     head = _difference(x, 0, 2 * half)
     tail = _difference(x, x.size - 2 * half, x.size)

@@ -7,7 +7,9 @@ comment anywhere on a line; blank lines skipped; one delimiter per file
 (a comma when the first data row holds one, else whitespace); and
 exactly two finite numbers on every data row.  The sampling rate is
 inferred from the timestamps, which must be uniform to within 1 % of the
-median spacing.
+median spacing.  The checks read one array of spacings: its min and max
+decide them, and the median partitions it in place, so loading peaks at
+the ``(n, 2)`` parse array plus the one column the series keeps.
 :func:`write_trace` emits full-precision ``repr`` floats, so a written
 trace reloads with bit-identical sample values.  It renders the rows a
 block of samples at a time (the same blocks as the full-length passes)
@@ -164,15 +166,21 @@ def load_trace(path: str | Path) -> SampleSeries:
     :class:`NonFiniteValue` for a NaN or infinite field, and
     :class:`NonUniformSampling` when any spacing deviates from the median
     by more than 1 %.
+
+    The checks read one spacing array.  Its min decides "strictly
+    increasing" and its min and max "within 1 %", exactly: ``fl(s - m)``
+    is monotone in ``s``, so ``|fl(s - m)|`` is largest at an extreme
+    spacing.  The median partitions the array in place, and only an error
+    takes a fresh difference to name the first bad sample.  So loading
+    peaks at the parse array plus one column.
     """
     path = Path(path)
     with _decoding(path):
         data = _load_trace_columns(path)
     if data.shape[0] < 2:
         raise ParseError(f"{path}: need at least 2 samples to infer the sampling rate")
-    finite = np.isfinite(data)
-    if not finite.all():
-        sample, column = np.argwhere(~finite)[0]
+    if not np.isfinite(data).all():
+        sample, column = np.argwhere(~np.isfinite(data))[0]
         name = ("timestamp", "power")[column]
         raise NonFiniteValue(
             f"{path}: sample {sample} {name} {data[sample, column]} is not finite"
@@ -180,22 +188,22 @@ def load_trace(path: str | Path) -> SampleSeries:
 
     timestamps = data[:, 0]
     spacings = np.diff(timestamps)
-    if np.any(spacings <= 0):
+    least, most = float(spacings.min()), float(spacings.max())
+    if least <= 0:
         first = int(np.argmax(spacings <= 0))
         raise NonUniformSampling(
             f"{path}: timestamps must be strictly increasing "
             f"(sample {first + 1} does not advance)"
         )
-    median_dt = float(np.median(spacings))
-    deviation = np.abs(spacings - median_dt)
-    if np.any(deviation > _UNIFORMITY_REL_TOL * median_dt):
-        first = int(np.argmax(deviation > _UNIFORMITY_REL_TOL * median_dt))
+    median_dt = float(np.median(spacings, overwrite_input=True))
+    del spacings  # partitioned in place by the median
+    tolerance = _UNIFORMITY_REL_TOL * median_dt
+    if abs(least - median_dt) > tolerance or abs(most - median_dt) > tolerance:
+        first = int(np.argmax(np.abs(np.diff(timestamps) - median_dt) > tolerance))
         raise NonUniformSampling(
             f"{path}: spacing at sample {first + 1} deviates more than "
             f"{_UNIFORMITY_REL_TOL:.0%} from the median {median_dt:g} s"
         )
-    # Free the checks' temporaries first: the copy is where loading peaks.
-    del finite, spacings, deviation
     return SampleSeries(
         values=data[:, 1].copy(),
         sampling_rate_hz=1.0 / median_dt,

@@ -16,11 +16,13 @@ view built only when a caller iterates or indexes an event list.
 
 Detection pays only where the trace moves, and builds no full-length
 window sums or derivative array.  :func:`detect_hybrid` validates the
-series once and hands its summary (the min and max of each 64-sample
-block) to every stage, which reads its range bounds, the peak and the
-refilter trigger from it.  The base detector sums each window from its
-own samples, and sums and tests only the blocks that a range bound does
-not prove quiet (the proof is in :func:`nilmevents.base._rounding_margin`).
+series once, or takes the summary of a caller that just built it (the
+CLI hands on :func:`~nilmevents.io.load_trace`'s), and hands the summary
+(the min and max of each 64-sample block) to every stage, which reads
+its range bounds, the peak and the refilter trigger from it.  The base
+detector sums each window from its own samples, and sums and tests only
+the blocks that a range bound does not prove quiet (the proof is in
+:func:`nilmevents.base._rounding_margin`).
 The same kind of bound proves most of a steady trace settled (``|s| <
 derivative_epsilon / 2``) without computing its smoothed derivative; the
 derivative comes back as a support, the sample ranges computed and their
@@ -54,6 +56,7 @@ from .core import (
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
+    _Summary,
     validate_series,
 )
 from .derivative import (
@@ -135,7 +138,12 @@ def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarra
     )
 
 
-def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -> PipelineResult:
+def detect_hybrid(
+    series: SampleSeries,
+    config: HybridConfig = HybridConfig(),
+    *,
+    summary: _Summary | None = None,
+) -> PipelineResult:
     """Run the full hybrid event detection pipeline on one trace.
 
     Parameters
@@ -144,6 +152,9 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
         Aggregate power trace.
     config:
         Detection tunables; see :class:`HybridConfig`.
+    summary:
+        ``series.summary``, from a caller that built or validated
+        ``series`` in the same call; without it, ``series`` is validated.
 
     Returns
     -------
@@ -168,9 +179,12 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
     Notes
     -----
     The result is a pure function of ``(series, config)``: repeated calls
-    return identical results.
+    return identical results.  The derivative support is dropped once the
+    merge has read it, since the refilter reads only the extrema.
     """
-    series = validate_series(series)
+    if summary is None:
+        series = validate_series(series)
+        summary = series.summary
     base_span = 2 * config.mean_window_samples(series.sampling_rate_hz) + 1
     loess_window = config.loess_window_samples(series.sampling_rate_hz)
     if loess_window < 3:
@@ -184,16 +198,17 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
             f"need at least {minimum} samples (base windows {base_span}, LOESS window "
             f"{loess_window}, SG window {config.sg_window_samples}), got {len(series)}"
         )
-    base_events = detect_base(series, config, summary=series.summary)
+    base_events = detect_base(series, config, summary=summary)
 
     smoothed = _moving_smoothed_derivative(
-        series.values, loess_window, config.derivative_epsilon, summary=series.summary
+        series.values, loess_window, config.derivative_epsilon, summary=summary
     )
     significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
 
     merged_positions = merge_transient_events(base_events, smoothed, series, config)
+    del smoothed
     kept, verdicts = refilter_events_with_verdicts(
-        series, base_events[merged_positions], significant_extrema, config, summary=series.summary
+        series, base_events[merged_positions], significant_extrema, config, summary=summary
     )
 
     return PipelineResult(

@@ -208,14 +208,15 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
 
     labelled: list[tuple[float, str]] = []
     for appliance in spec.appliances:
-        active = (times >= appliance.on_time_s) & (times < appliance.off_time_s)
-        elapsed = times[active] - appliance.on_time_s
-        total[active] += _transient_profile(appliance, elapsed, dt)
+        # On the increasing grid, [lo, hi) holds exactly the samples with on <= t < off.
+        lo, hi = np.searchsorted(times, (appliance.on_time_s, appliance.off_time_s))
+        elapsed = times[lo:hi] - appliance.on_time_s
+        total[lo:hi] += _transient_profile(appliance, elapsed, dt)
         if appliance.fluctuation_amplitude_watts > 0:
             for start in _burst_starts(appliance, spec.duration_s):
-                burst = (times >= start) & (times < start + _BURST_LENGTH_S)
-                total[burst] += appliance.fluctuation_amplitude_watts * np.sin(
-                    2.0 * np.pi * (times[burst] - start) / BURST_CARRIER_PERIOD_S
+                b_lo, b_hi = np.searchsorted(times, (start, start + _BURST_LENGTH_S))
+                total[b_lo:b_hi] += appliance.fluctuation_amplitude_watts * np.sin(
+                    2.0 * np.pi * (times[b_lo:b_hi] - start) / BURST_CARRIER_PERIOD_S
                 )
         labelled.append((appliance.on_time_s, f"{appliance.label} on"))
         if appliance.transient is TransientKind.MULTI_STAGE:
@@ -230,7 +231,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
 
     if spec.noise_std_watts > 0:
         rng = np.random.default_rng(spec.seed)
-        total = total + rng.normal(0.0, spec.noise_std_watts, n)
+        total += rng.normal(0.0, spec.noise_std_watts, n)
 
     labelled.sort(key=lambda pair: pair[0])
     truth = GroundTruthLog(

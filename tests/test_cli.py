@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nilmevents.pipeline
+from nilmevents import core
 from nilmevents import (
     ApplianceSpec,
     HybridConfig,
@@ -178,6 +179,28 @@ def test_compare_with_no_flags_reports_both_detectors(name: str, tmp_path: Path,
     assert "detector=hybrid" in out
     assert "detector=lld" in out
     assert out.count("tpr=") == 2
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate", "compare"])
+def test_each_command_builds_the_trace_summary_once(
+    command: str, tmp_path: Path, monkeypatch, capsys
+) -> None:
+    # The refilter does not fire on the lighting replica, so it builds no
+    # smoothed series of its own; the loaded series' summary serves every stage.
+    trace, truth = render_scenario("lighting", tmp_path)
+    samples = len(load_trace(trace))
+    built = []
+    build = core._Summary.of.__func__
+
+    def counting(cls, x):
+        built.append(x.size)
+        return build(cls, x)
+
+    monkeypatch.setattr(core._Summary, "of", classmethod(counting))
+    args = [str(trace)] if command == "detect" else [str(trace), str(truth)]
+    assert cli_main([command, *args]) == 0
+    assert built == [samples]
+    capsys.readouterr()
 
 
 def test_compare_applies_only_the_given_likelihood_flags(tmp_path: Path, capsys) -> None:

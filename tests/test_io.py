@@ -256,6 +256,60 @@ def test_trace_rejects_irregular_timestamps(tmp_path: Path) -> None:
         load_trace(stalled)
 
 
+def write_stamps(path: Path, stamps, fmt: str = "{!r}") -> Path:
+    path.write_text("".join(f"{fmt.format(t)},1\n" for t in stamps))
+    return path
+
+
+def test_the_only_deviant_spacing_near_the_end_of_a_long_file_is_named(tmp_path: Path) -> None:
+    n = 50_000
+    stamps = np.arange(n) / 20.0
+    stamps[n - 5 :] += 0.01  # one spacing 20 % long, four samples before the end
+    path = write_stamps(tmp_path / "late.csv", stamps.tolist(), "{:.3f}")
+    with pytest.raises(NonUniformSampling, match=f"spacing at sample {n - 5} deviates"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("spacing", [101.0, 99.0])
+def test_a_spacing_off_by_exactly_one_percent_loads_and_one_ulp_more_does_not(
+    spacing: float, tmp_path: Path
+) -> None:
+    # The median spacing is 100, so the tolerance 0.01 * 100 rounds to
+    # exactly 1.0, which |spacing - 100| equals.  The first row is -spacing,
+    # so the first spacing is the spacing itself, bit for bit.
+    stamps = [-spacing, *range(0, 1100, 100)]
+    series = load_trace(write_stamps(tmp_path / "edge.csv", stamps))
+    assert series.sampling_rate_hz == 1 / 100
+    beyond = float(np.nextafter(spacing, 2 * spacing - 100))  # one ulp further from 100
+    path = write_stamps(tmp_path / "beyond.csv", [-beyond, *range(0, 1100, 100)])
+    with pytest.raises(NonUniformSampling, match="spacing at sample 1 deviates more than 1%"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("repeat", [1, 2_500, 4_999])
+def test_a_repeated_timestamp_does_not_advance_at_its_sample(
+    repeat: int, tmp_path: Path
+) -> None:
+    stamps = (np.arange(5_000) / 20.0).tolist()
+    stamps[repeat] = stamps[repeat - 1]
+    path = write_stamps(tmp_path / "stalled.csv", stamps, "{:.3f}")
+    with pytest.raises(NonUniformSampling, match=rf"\(sample {repeat} does not advance\)"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("fmt", ["{!r}", "{:.3f}"], ids=["repr", "3f"])
+@pytest.mark.parametrize("rate", [20.0, 50.0, 1 / 3], ids=["20Hz", "50Hz", "third-Hz"])
+@pytest.mark.parametrize("n", [1_000, 1_001])
+def test_the_inferred_rate_is_the_reciprocal_of_the_median_spacing(
+    fmt: str, rate: float, n: int, tmp_path: Path
+) -> None:
+    stamps = [float(fmt.format(t)) for t in (1e6 + np.arange(n) / rate).tolist()]
+    series = load_trace(write_stamps(tmp_path / "trace.csv", stamps, fmt))
+    expected = 1.0 / float(np.median(np.diff(stamps)))
+    assert series.sampling_rate_hz.hex() == expected.hex()
+    assert series.start_time_s == stamps[0]
+
+
 def test_trace_with_no_data_rows_is_empty(tmp_path: Path) -> None:
     path = tmp_path / "empty.csv"
     path.write_text("timestamp_s,power_w\n# nothing yet\n\n")
