@@ -23,8 +23,9 @@ its range bounds, the peak and the refilter trigger from it.  The base
 detector sums each window from its own samples, and sums and tests only
 the blocks that a range bound does not prove quiet (the proof is in
 :func:`nilmevents.base._rounding_margin`).
-The same kind of bound proves most of a steady trace settled (``|s| <
-derivative_epsilon / 2``) without computing its smoothed derivative; the
+Range and Cauchy–Schwarz bounds prove most of a steady trace settled
+(``|s|`` below ``derivative_epsilon`` less a proven rounding margin, even
+on meter noise) without computing its smoothed derivative; the
 derivative comes back as a support, the sample ranges computed and their
 values, with a proven 0 everywhere else.  Each range begins and ends on
 a sample proven settled, so the extrema and the merge run their dense

@@ -25,9 +25,13 @@ from nilmevents import core
 from nilmevents.derivative import (
     _Support,
     _block_bounds,
+    _difference_norm,
     _edge_rows,
     _loess_kernel,
+    _moment_bounds,
+    _moment_floors,
     _moving_smoothed_derivative,
+    _settle_limit,
     _tricube_weights,
 )
 
@@ -365,11 +369,12 @@ def test_ramp_alarms_collapse_to_one_event_at_the_first_alarm() -> None:
     assert run.result.merged_events[0] == run.result.base_events[0]
 
 
-# --- The range bound and the settled blocks --------------------------------
+# --- The range and moment bounds and the settled blocks --------------------
 #
-# Interior smoothed derivative values obey |s[i]| <= max(k) * range(x over
-# [i - half, i + half - 1]), the taps that weigh; detection skips proof blocks
-# whose bound is below epsilon / 2 and reads 0 there.
+# Interior smoothed derivative values obey |s[i]| <= max(k) * range and
+# |s[i]| <= ||diff(k)||_2 * sqrt(sum (x - mean)**2) over [i - half, i + half - 1],
+# the taps that weigh; detection skips proof blocks where either bound is below
+# the settle limit (epsilon less a rounding margin) and reads 0 there.
 
 # Steps and ramps of any size on a level, with or without noise.
 moving_traces = st.builds(
@@ -544,19 +549,34 @@ def test_skipped_samples_never_change_the_mask_or_the_extrema(
         assert_same_as_whole_trace(values, window, EPSILON)
 
 
+def epsilon_beside(bound: float, kernel: np.ndarray, side: str) -> float:
+    """The smallest epsilon whose settle limit exceeds ``bound`` ("below"), or
+    the float just under it, whose limit does not ("above")."""
+    epsilon = bound / _settle_limit(kernel, 1.0)
+    while not bound < _settle_limit(kernel, epsilon):
+        epsilon = np.nextafter(epsilon, np.inf)
+    while bound < _settle_limit(kernel, np.nextafter(epsilon, -np.inf)):
+        epsilon = np.nextafter(epsilon, -np.inf)
+    return float(epsilon if side == "below" else np.nextafter(epsilon, -np.inf))
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
-def test_a_bound_one_ulp_from_half_epsilon_gives_the_whole_trace_result(
+def test_a_bound_one_ulp_from_the_settle_limit_gives_the_whole_trace_result(
     side: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    """A block whose bound is one ulp below epsilon / 2 is skipped, one ulp above computed."""
+    """A block whose range bound is just below the settle limit is skipped, one
+    ulp above it computed; its moment bound is far above either."""
     use_proof_blocks(monkeypatch, 32)
     x = 230.0 + np.random.default_rng(8).normal(0.0, 0.01, 640)
     x[100:] += 400.0
     x[400:] += 3.0  # inside block 12, [384, 416)
     kernel = _loess_kernel(10)
-    bound = _block_bounds(core._Summary.of(x), kernel)[12]
-    epsilon = 2.0 * np.nextafter(bound, np.inf if side == "below" else -np.inf)
-    assert (bound < epsilon / 2) == (side == "below")
+    summary = core._Summary.of(x)
+    bound = _block_bounds(summary, kernel)[12]
+    epsilon = epsilon_beside(bound, kernel, side)
+    assert (bound < _settle_limit(kernel, epsilon)) == (side == "below")
+    assert bound < epsilon  # the limit, not epsilon, decides
+    assert _moment_bounds(x, summary, kernel, np.array([12]))[0] > 2 * epsilon
     same = assert_same_as_whole_trace(x, 21, epsilon)
     assert same[384:416].all() == (side == "above")
 
@@ -579,6 +599,179 @@ def test_a_settled_block_proves_the_sample_just_past_either_end(
     whole = loess_smooth(first_derivative(x), window)
     assert abs(whole[64 if window == 3 else 127]) >= EPSILON
     assert_same_as_whole_trace(x, window, EPSILON)
+
+
+def no_underflow(x: np.ndarray) -> bool:
+    """Whether every nonzero sample exceeds 1e-100 in magnitude, so that the
+    squared deviations and the products of ``s`` stay normal numbers (the
+    library settles no block where they might not: epsilon < 2**-400)."""
+    return bool(np.all((x == 0.0) | (np.abs(x) > 1e-100)))
+
+
+def tap_spreads(x: np.ndarray, half: int) -> np.ndarray:
+    """Per interior index, ``sqrt(sum (x - mean)**2)`` over ``x[i - half .. i + half - 1]``."""
+    taps = np.lib.stride_tricks.sliding_window_view(x, 2 * half)[: x.size - 2 * half]
+    # About the first tap, so that equal taps give exactly 0.
+    shifted = taps - taps[:, :1]
+    squares = np.sum(shifted**2, axis=1) - np.sum(shifted, axis=1) ** 2 / (2 * half)
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+@given(moving_traces, st.integers(min_value=1, max_value=40), st.floats(0.5, 60.0))
+def test_whole_trace_smoothed_derivative_obeys_the_moment_bound(
+    values: np.ndarray, half: int, rate_hz: float
+) -> None:
+    config = HybridConfig(loess_window_s=(2 * half + 1) / rate_hz)
+    window = config.loess_window_samples(rate_hz)
+    assume(window <= values.size)
+    assume(no_underflow(values))
+    half = window // 2
+    smoothed = smoothed_derivative(SampleSeries(values, rate_hz), config)
+    bound = _difference_norm(_loess_kernel(half)) * tap_spreads(values, half)
+    assert np.all(np.abs(smoothed[half : values.size - half]) <= bound * (1 + 1e-6))
+
+
+@given(
+    moving_traces,
+    st.integers(min_value=1, max_value=100),
+    st.sampled_from(PROOF_BLOCK_SIZES),
+)
+def test_moment_bounds_cover_the_taps_of_every_index_they_stand_for(
+    values: np.ndarray, half: int, block: int
+) -> None:
+    """Each proof block's moment bound is at least the Cauchy–Schwarz bound of
+    every interior index in it and one either side, and at least its floor."""
+    assume(2 * half + 1 <= values.size and no_underflow(values))
+    kernel = _loess_kernel(half)
+    summary = core._Summary.of(values)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_proof_blocks(monkeypatch, block)
+        blocks = np.arange(-(-values.size // block))
+        starts = blocks * block
+        interior = blocks[(starts - 1 >= half) & (starts + block < values.size - half)]
+        assume(interior.size)
+        bounds = _moment_bounds(values, summary, kernel, interior)
+        floors = _moment_floors(summary, kernel, interior)
+    spreads = _difference_norm(kernel) * tap_spreads(values, half)
+    for b, bound, floor in zip(interior.tolist(), bounds, floors):
+        covered = spreads[b * block - 1 - half : b * block + block + 1 - half]
+        assert bound >= covered.max() * (1 - 1e-6)
+        assert floor <= bound * (1 + 1e-6)
+
+
+def noisy_trace(
+    rate_hz: float, sigma: float, seconds: float, seed: int, gaps: tuple[float, float]
+) -> np.ndarray:
+    """A 230 W level with ``sigma`` W of noise and a switch every ``gaps`` s: steps
+    of 30-600 W either way, some of them ramped over up to 3 s."""
+    rng = np.random.default_rng(seed)
+    n = round(seconds * rate_hz)
+    x = 230.0 + sigma * rng.standard_normal(n)
+    at = 0.0
+    while (at := at + rng.uniform(*gaps)) < seconds - 5.0:
+        start, ramp = round(at * rate_hz), round(rng.choice([0.0, 0.5, 3.0]) * rate_hz)
+        rise = np.minimum(1.0, (np.arange(n - start) + 1.0) / (ramp + 1.0))
+        x[start:] += rng.choice([-1.0, 1.0]) * rng.uniform(30.0, 600.0) * rise
+    return x
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 5.0])
+@pytest.mark.parametrize("rate_hz", [20.0, 50.0, 60.0])
+def test_noisy_traces_give_the_whole_trace_extrema_and_merge(
+    rate_hz: float, sigma: float
+) -> None:
+    x = noisy_trace(rate_hz, sigma, 1800.0, seed=round(rate_hz * 10 + sigma * 100), gaps=(60, 300))
+    series, config = SampleSeries(x, rate_hz), HybridConfig()
+    window, epsilon = config.loess_window_samples(rate_hz), config.derivative_epsilon
+    assert_same_as_whole_trace(x, window, epsilon)
+    support = _moving_smoothed_derivative(x, window, epsilon, summary=series.summary)
+    whole = smoothed_derivative(series, config)
+    candidates = detect_base(series, config)
+    assert len(candidates) > 10
+    assert np.array_equal(
+        merge_transient_events(candidates, support, series, config),
+        merge_transient_events(candidates, whole, series, config),
+    )
+
+
+def test_a_noisy_meter_trace_computes_a_tenth_of_its_samples() -> None:
+    """Three hours at 20 Hz with 2 W of noise and a switch every 20-40 minutes:
+    the range bound settles almost nothing there, the moment bound almost
+    every block without a switch."""
+    x = noisy_trace(20.0, 2.0, 3 * 3600.0, seed=11, gaps=(1200, 2400))
+    config = HybridConfig()
+    window, epsilon = config.loess_window_samples(20.0), config.derivative_epsilon
+    summary = core._Summary.of(x)
+    kernel = _loess_kernel(window // 2)
+    assert np.mean(_block_bounds(summary, kernel) < _settle_limit(kernel, epsilon)) < 0.1
+    support = _moving_smoothed_derivative(x, window, epsilon, summary=summary)
+    assert support.values.size <= 0.1 * x.size
+
+
+def tight_moment_traces(half: int, tries: int) -> list[np.ndarray]:
+    """Flat traces whose taps around sample 1500 are ``level + alpha * dk``, where
+    Cauchy–Schwarz is tight, and the computed ``|s|`` there exceeds the
+    computed moment bound of its proof block by rounding."""
+    kernel = _loess_kernel(half)
+    dk = kernel[:-1] - kernel[1:]
+    rng = np.random.default_rng(half)
+    found = []
+    for _ in range(tries):
+        x = np.full(3072, rng.uniform(-1.0, 1.0))
+        x[1500 - half : 1500 + half] += rng.uniform(1.0, 1e4) * dk
+        s = loess_smooth(first_derivative(x), 2 * half + 1)
+        bound = _moment_bounds(x, core._Summary.of(x), kernel, np.array([1]))[0]
+        if np.abs(s[1023:2049]).max() > bound:
+            found.append(x)
+    return found
+
+
+@pytest.mark.parametrize(
+    "epsilon", [2.0**-400, float(np.nextafter(2.0**-400, 0.0))], ids=["smallest", "below"]
+)
+def test_no_block_is_settled_below_the_smallest_epsilon(epsilon: float) -> None:
+    """Below 2**-400 the rounding margin would not cover underflow."""
+    x = np.full(5000, 2.0**-600)
+    x[2500:] = 2.0**-599
+    support = _moving_smoothed_derivative(x, 41, epsilon, summary=core._Summary.of(x))
+    assert (support.values.size == x.size) == (epsilon < 2.0**-400)
+
+
+@pytest.mark.parametrize("half", [10, 20])
+def test_a_tight_moment_bound_settles_nothing_within_its_rounding_margin(half: int) -> None:
+    """Where the computed ``|s|`` is a few ulps above the computed bound, a limit
+    of epsilon itself would settle the block at epsilon = max |s|; the margin
+    keeps it computed."""
+    traces = tight_moment_traces(half, tries=60)
+    assert len(traces) >= 5
+    for x in traces[:5]:
+        whole = loess_smooth(first_derivative(x), 2 * half + 1)
+        epsilon = float(np.abs(whole).max())
+        same = assert_same_as_whole_trace(x, 2 * half + 1, epsilon)
+        assert same[1023:2049].all()
+
+
+@pytest.mark.parametrize(
+    ("half", "spike"),
+    [(64, 2 * 64 + 64 - 1), (65, 4 * 64), (1, 4 * 64)],
+    ids=["first-tap", "last-tap", "last-tap-3"],
+)
+def test_a_window_set_holds_the_end_taps_of_the_indices_beside_its_block(
+    half: int, spike: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A 1e7 W spike on a flat trace reaches ``s`` at one index beside a proof
+    block through an end tap (``dk = k[1]``), from a summary block that only
+    that tap brings into the block's window sets.  The range bound sees it;
+    a moment bound whose taps were one sample shorter on that side would
+    settle the block, and a range would begin or end at that moving sample.
+    """
+    use_proof_blocks(monkeypatch, 64)
+    x = np.zeros(64 * 12)
+    x[spike] = 1e7
+    whole = loess_smooth(first_derivative(x), 2 * half + 1)
+    beside = spike + half if spike % 64 == 63 else spike - half + 1  # the index beside a block
+    assert beside % 64 in (0, 63) and abs(whole[beside]) >= EPSILON
+    assert_same_as_whole_trace(x, 2 * half + 1, EPSILON)
 
 
 # --- Supports: the extrema and the merge read only the computed ranges -----

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nilmevents
 from nilmevents import (
     DetectionError,
     EmptyFile,
@@ -30,6 +33,8 @@ from nilmevents import (
     write_ground_truth,
     write_trace,
 )
+
+from nilmevents.io import _median_in_place
 
 from oracles import oracle_write_trace
 from replicas import SCENARIO_DIR
@@ -308,6 +313,32 @@ def test_the_inferred_rate_is_the_reciprocal_of_the_median_spacing(
     expected = 1.0 / float(np.median(np.diff(stamps)))
     assert series.sampling_rate_hz.hex() == expected.hex()
     assert series.start_time_s == stamps[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 999, 1_000])
+def test_the_in_place_median_is_numpys_median_bit_for_bit(n: int) -> None:
+    rng = np.random.default_rng(n)
+    for spacings in (
+        rng.uniform(0.04, 0.06, n),
+        np.round(rng.uniform(0.0, 1.0, n), 3),
+        rng.choice([0.05, 0.05000000000000001, 0.049999999999999996, 1e300], n),
+    ):
+        expected = float(np.median(spacings))
+        assert _median_in_place(spacings.copy()).hex() == expected.hex()
+
+
+def test_loading_a_trace_does_not_import_numpy_ma(tmp_path: Path) -> None:
+    """``np.median`` imports ``numpy.ma`` on its first call; the loader does not use it."""
+    path = write_stamps(tmp_path / "trace.csv", [0.05 * i for i in range(101)], "{!r}")
+    package_root = Path(nilmevents.__file__).resolve().parent.parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(package_root)!r}); import nilmevents; "
+        f"nilmevents.load_trace({str(path)!r}); print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_trace_with_no_data_rows_is_empty(tmp_path: Path) -> None:
