@@ -27,7 +27,7 @@ from typing import Sequence
 from . import __version__
 from .baselines import LldConfig, lld_max
 from .core import DetectionError, HybridConfig, SampleSeries
-from .derivative import first_derivative
+from .derivative import detect_extrema, first_derivative
 from .evaluation import evaluate_detections
 from .io import (
     format_report,
@@ -91,7 +91,11 @@ def _assemble_config(args: argparse.Namespace) -> HybridConfig:
 def _emit_stage_files(
     directory: str, series: SampleSeries, config: HybridConfig, result: PipelineResult
 ) -> None:
-    """Write plot-ready per-stage data under ``directory``."""
+    """Write plot-ready per-stage data under ``directory``.
+
+    ``extrema.csv`` holds every significant extremum of the whole-trace
+    smoothed derivative, not only those the refilter's guard read.
+    """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     rate, start = series.sampling_rate_hz, series.start_time_s
@@ -102,10 +106,11 @@ def _emit_stage_files(
     )
     smoothed = smoothed_derivative(series, config)
     write_trace(out / "smoothed_derivative.csv", SampleSeries(smoothed, rate, start))
+    extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
     with open(out / "extrema.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", "kind", "value"])
-        for index in result.extrema.tolist():
+        for index in extrema.tolist():
             value = smoothed[index]
             kind = "PEAK" if value > smoothed[index - 1] else "VALLEY"
             writer.writerow([index, kind, f"{value:.6f}"])

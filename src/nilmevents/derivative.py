@@ -12,26 +12,18 @@ merged into the earliest event of their group.
 Extrema come back as an index array and the merge as positions into its
 candidates, so no per-extremum or per-event object is built here.
 
-On a steady stretch the smoothed derivative cannot reach epsilon.  Its
-magnitude is at most the largest kernel weight times the local range of
-the trace, read from the series' summary, and at most the norm of the
-kernel's differences times the root of the local centred sum of squares
-(Cauchy–Schwarz), combined from the moments of 64-sample blocks; the
-second holds on meter noise, where the first fails.
-``_moving_smoothed_derivative`` computes the derivative only on the
-blocks where neither bound stays below epsilon less a proven rounding
-margin, and returns just those samples as a ``_Support``: a few sample
-ranges and their values, with a proven 0 everywhere else.  Each range
-starts and ends on a proven-settled sample, so :func:`detect_extrema`
-and :func:`merge_transient_events` run their dense code on the support's
-values, which is the one-range case, and return the same as on the
-whole-trace derivative.
+The merge reads the smoothed derivative ``s`` only between consecutive
+candidates, and the refilter's guard only near a candidate, so
+:class:`_SmoothedDerivative` computes ``s`` only on the sample ranges
+read, each sample bit for bit the whole-trace one.  ``s`` on ``[lo, hi)``
+reads the trace on ``[lo - half - 1, hi + half)``, ``half`` being the
+LOESS half window (and the first or last ``2 * half`` samples for the
+edge fits).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +36,8 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
-    _SUMMARY_SAMPLES,
-    _Summary,
     _blocks,
-    _proof_runs,
+    seconds_to_samples,
 )
 
 __all__ = [
@@ -59,52 +49,13 @@ __all__ = [
 ]
 
 
-# The unit roundoff of float64.
-_UNIT = 2.0**-53
-
-# Below this epsilon no block is settled: the rounding margin covers underflow
-# only from here on (see "Rounding" in _moving_smoothed_derivative).
-_SMALLEST_EPSILON = 2.0**-400
+# The merge first reads this many settle lengths of a gap, and where that
+# stretch holds no settled run long enough, the whole gap.
+_SETTLE_SPANS = 2
 
 
 class InvalidWindow(DetectionError):
     """A smoothing window was even, too small, or longer than the series."""
-
-
-@dataclass(frozen=True, eq=False)
-class _Support:
-    """A trace of ``size`` samples that is 0 outside a few sample ranges.
-
-    Range ``k`` is ``[starts[k], stops[k])``; the ranges are non-empty,
-    increasing and disjoint, and ``values`` holds their samples,
-    concatenated in range order.  A dense array is the one-range case.
-
-    It answers ``min_abs_value >= epsilon`` in :func:`detect_extrema` and
-    the settle test ``|s| < epsilon`` from ``values`` alone when no two
-    ranges touch and each begins and ends at a trace end or a sample with
-    ``|s| < epsilon``: then a sample with ``|s| >= epsilon`` has its trace
-    neighbours beside it, and no run of them crosses into the next range.
-    """
-
-    size: int
-    starts: np.ndarray
-    stops: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def of(cls, trace: np.ndarray | _Support) -> _Support:
-        """``trace`` itself if it is a support, else the dense array as one range."""
-        if isinstance(trace, _Support):
-            return trace
-        x = np.asarray(trace, dtype=float)
-        return cls(x.size, np.array([0]), np.array([x.size]), x)
-
-    def indices(self, positions: np.ndarray) -> np.ndarray:
-        """The sample indices of the non-decreasing ``positions`` into ``values``."""
-        lengths = self.stops - self.starts
-        offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
-        per_range = np.diff(np.searchsorted(positions, offsets), append=positions.size)
-        return positions + np.repeat(self.starts - offsets, per_range)
 
 
 def _checked_window(window_samples: int, size: int) -> int:
@@ -134,17 +85,6 @@ def _convolve_interior(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> No
         )
 
 
-def _difference(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``first_derivative(x)[lo:hi]``, read from ``x[lo - 1 : hi]`` alone (``x[:hi]`` at 0)."""
-    out = np.empty(hi - lo)
-    if lo == 0:
-        out[0] = 0.0
-        np.subtract(x[1:hi], x[: hi - 1], out=out[1:])
-    else:
-        np.subtract(x[lo:hi], x[lo - 1 : hi - 1], out=out)
-    return out
-
-
 def first_derivative(values: np.ndarray) -> np.ndarray:
     """Backward-difference first derivative ``x[j] - x[j-1]``, in watts per sample.
 
@@ -154,7 +94,10 @@ def first_derivative(values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise SeriesTooShort(f"first derivative needs >= 2 samples, got {x.size}")
-    return _difference(x, 0, x.size)
+    out = np.empty_like(x)
+    out[0] = 0.0
+    np.subtract(x[1:], x[:-1], out=out[1:])
+    return out
 
 
 def _tricube_weights(offsets: np.ndarray, half_width: int) -> np.ndarray:
@@ -162,12 +105,20 @@ def _tricube_weights(offsets: np.ndarray, half_width: int) -> np.ndarray:
     return (1.0 - u**3) ** 3
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a cached array is shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=None)
 def _loess_kernel(half: int) -> np.ndarray:
-    """The normalised tricube weights of a full ``2 * half + 1`` window; both end taps are 0."""
+    """The normalised tricube weights of a ``2 * half + 1`` window, end taps 0; cached."""
     kernel = _tricube_weights(np.arange(-half, half + 1), half)
-    return kernel / kernel.sum()
+    return _read_only(kernel / kernel.sum())
 
 
+@functools.lru_cache(maxsize=None)
 def _edge_rows(half: int) -> np.ndarray:
     """The ``half x 2 * half`` weights of the first ``half`` outputs on the first inputs.
 
@@ -177,15 +128,16 @@ def _edge_rows(half: int) -> np.ndarray:
     with ``r_ij = w_j * (S_2 - S_1 * t_j) / (S_0 * S_2 - S_1**2)``.  The
     last outputs use the rows mirrored, ``rows[::-1, ::-1]``.  In a
     3-sample window the normal equations are singular: each truncated fit
-    weights only its own sample, and its row picks that sample.
+    weights only its own sample, and its row picks that sample.  Cached
+    and read-only, like :func:`_loess_kernel`.
     """
     t = np.arange(2 * half) - np.arange(half)[:, None]
     # No input lies before i - half, and those past i + half get weight 0.
     w = _tricube_weights(np.minimum(t, half), half)
     if half == 1:
-        return w
+        return _read_only(w)
     s0, s1, s2 = ((w * t**k).sum(axis=1, keepdims=True) for k in range(3))
-    return w * (s2 - s1 * t) / (s0 * s2 - s1 * s1)
+    return _read_only(w * (s2 - s1 * t) / (s0 * s2 - s1 * s1))
 
 
 def _edge_fits(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,333 +182,112 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     return out
 
 
-def _block_bounds(summary: _Summary, kernel: np.ndarray) -> np.ndarray:
-    """Per proof block, the range bound on ``|s[i]|`` at its interior indices and one either side.
-
-    ``max(kernel)`` times the summary's range over the block widened by
-    ``half + 1`` samples before and ``half`` after, which holds the taps
-    that weigh (``x[i - half .. i + half - 1]``) at each of those indices.
-    """
-    half = kernel.size // 2
-    low, high = summary.block_ranges(half + 1, half)
-    return kernel.max() * (high - low)
-
-
-def _window_blocks(half: int) -> int:
-    """The most summary blocks that the ``2 * half`` taps of one index meet."""
-    return 1 + (2 * half + _SUMMARY_SAMPLES - 2) // _SUMMARY_SAMPLES
-
-
-def _difference_norm(kernel: np.ndarray) -> float:
-    """``||diff(kernel)||_2``, as computed; "Rounding" in :func:`_moving_smoothed_derivative`
-    bounds its error."""
-    return math.sqrt(float(np.sum(np.diff(kernel) ** 2)))
-
-
-def _window_sets(
-    blocks: np.ndarray, half: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(first, last, read)``: where the window sets of each proof block start, and what they read.
-
-    A window set is the :func:`_window_blocks` summary blocks from the one
-    that holds an index's first tap ``x[i - half]`` (fewer at the trace's
-    end), so it holds all of that index's taps.  Those of proof block
-    ``blocks[j]`` start at summary blocks ``[first[j], last[j]]``; ``read``
-    is the increasing union of the summary blocks they meet.  ``blocks``
-    is increasing and non-empty, and every index it stands for is interior.
-    """
-    width, proof = _window_blocks(half), core._PROOF_BLOCK_SAMPLES
-    first = np.maximum(blocks * proof - 1 - half, 0) // _SUMMARY_SAMPLES
-    last = (blocks * proof + proof - half) // _SUMMARY_SAMPLES
-    last = np.minimum(np.maximum(last, first), count - 1)
-    reach = np.minimum(last + width, count)
-    # Proof block j + 1 opens a new run of blocks read where it starts past j's reach.
-    new = (first[1:] > reach[:-1]).nonzero()[0]
-    opens = np.concatenate((first[:1], first[new + 1]))
-    lengths = np.concatenate((reach[new], reach[-1:])) - opens
-    read = np.arange(lengths.sum()) + np.repeat(opens - np.cumsum(lengths) + lengths, lengths)
-    return first, last, read
-
-
-def _largest_per_block(
-    per_start: np.ndarray, first: np.ndarray, last: np.ndarray, read: np.ndarray
-) -> np.ndarray:
-    """Per proof block, the largest of ``per_start`` (one entry per block ``read``) over its
-    window sets' starts ``[first, last]``, as in :meth:`_Summary.block_ranges`."""
-    cuts = np.empty(2 * first.size, dtype=np.int64)
-    cuts[0::2], cuts[1::2] = first, last + 1
-    padded = np.concatenate((per_start, [-np.inf]))
-    return np.maximum.reduceat(padded, np.searchsorted(read, cuts))[::2]
-
-
-def _spreads(
-    centres: np.ndarray, sums: np.ndarray, squares: np.ndarray, counts: np.ndarray, width: int
-) -> np.ndarray:
-    """Per entry ``j``, the centred sum of squares of blocks ``j .. j + width - 1``.
-
-    Block ``b`` holds ``counts[b]`` samples whose deviations from
-    ``centres[b]`` sum to ``sums[b]`` and their squares to ``squares[b]``.
-    The sums are taken about block ``j``'s centre, then about the mean.
-    Past the last entry a set has fewer blocks.
-    """
-    total, linear, samples = squares.copy(), sums.copy(), counts.copy()
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(1, width):
-            shift = centres[k:] - centres[:-k]
-            total[:-k] += squares[k:] + shift * (2 * sums[k:] + counts[k:] * shift)
-            linear[:-k] += sums[k:] + counts[k:] * shift
-            samples[:-k] += counts[k:]
-        return total - linear * linear / samples
-
-
-def _moment_floors(summary: _Summary, kernel: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Per proof block in ``blocks``, at most its :func:`_moment_bounds`, read from the summary.
-
-    Every summary block holds its min and its max, so a window set's
-    centred sum of squares is at least that of those extremes alone,
-    which :func:`_spreads` takes from their midrange, a zero sum and
-    ``range**2 / 2``.
-    """
-    half, count = kernel.size // 2, summary.low.size
-    first, last, read = _window_sets(blocks, half, count)
-    low, high = summary.low[read], summary.high[read]
-    with np.errstate(over="ignore", invalid="ignore"):
-        extremes = _spreads(
-            (low + high) / 2,
-            np.zeros(read.size),
-            (high - low) ** 2 / 2,
-            np.full(read.size, 2.0),
-            _window_blocks(half),
-        )
-        return _difference_norm(kernel) * np.sqrt(_largest_per_block(extremes, first, last, read))
-
-
-def _block_moments(
-    x: np.ndarray, summary: _Summary, blocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(c, S, Q)`` of the summary blocks ``blocks``: ``c_b`` and ``sum (x - c_b)**k``, k = 1, 2.
-
-    ``c_b`` is the block's midrange, read from the summary.  The blocks
-    are read ``_BLOCK_SAMPLES`` samples at a time.
-    """
-    centres = (summary.low[blocks] + summary.high[blocks]) / 2
-    sums, squares = np.empty(blocks.size), np.empty(blocks.size)
-    rows = x[: x.size - x.size % _SUMMARY_SAMPLES].reshape(-1, _SUMMARY_SAMPLES)
-    full = blocks.size - int(blocks[-1] == rows.shape[0])
-    step = max(1, core._BLOCK_SAMPLES // _SUMMARY_SAMPLES)
-    for start in range(0, full, step):
-        part = slice(start, min(start + step, full))
-        deviations = rows[blocks[part]]
-        deviations -= centres[part, None]
-        np.einsum("ij->i", deviations, out=sums[part])
-        np.einsum("ij,ij->i", deviations, deviations, out=squares[part])
-    if full < blocks.size:  # the trace's last block, shorter than the rest
-        rest = x[rows.size :] - centres[-1]
-        sums[-1], squares[-1] = rest.sum(), np.einsum("i,i->", rest, rest)
-    return centres, sums, squares
-
-
-def _moment_bounds(
-    x: np.ndarray, summary: _Summary, kernel: np.ndarray, blocks: np.ndarray
-) -> np.ndarray:
-    """Per proof block in ``blocks``, the Cauchy–Schwarz bound on ``|s[i]|`` at its
-    interior indices and one either side.
-
-    ``||diff(kernel)||_2`` times the root of the largest centred sum of
-    squares ``sum (x - mean)**2`` over one of its window sets
-    (:func:`_window_sets`).  Each sum combines the moments of its
-    summary blocks (:func:`_block_moments`), which are computed only over
-    the blocks ``read``.
-    """
-    if not blocks.size:
-        return np.empty(0)
-    half, count = kernel.size // 2, summary.low.size
-    first, last, read = _window_sets(blocks, half, count)
-    centres, sums, squares = _block_moments(x, summary, read)
-    counts = np.full(read.size, float(_SUMMARY_SAMPLES))
-    if read[-1] == count - 1:
-        counts[-1] = x.size - (count - 1) * _SUMMARY_SAMPLES
-    spreads = _spreads(centres, sums, squares, counts, _window_blocks(half))
-    with np.errstate(invalid="ignore"):
-        return _difference_norm(kernel) * np.sqrt(_largest_per_block(spreads, first, last, read))
-
-
-def _settle_limit(kernel: np.ndarray, epsilon: float) -> float:
-    """``epsilon - rho * epsilon``: a block is settled when a bound of it is below this."""
-    if not epsilon >= _SMALLEST_EPSILON:
-        return 0.0
-    return epsilon - _rounding_share(kernel.size // 2) * epsilon
-
-
-@functools.lru_cache(maxsize=None)
-def _rounding_share(half: int) -> float:
-    """``rho = 4 * S``: ``S`` bounds the rounding of the computed derivative and of both
-    bounds, relative to the bound (see "Rounding" in :func:`_moving_smoothed_derivative`).
-
-    It depends on the window alone, so it is computed once per window.
-    """
-    def gamma(m: int) -> float:
-        return m * _UNIT / (1 - m * _UNIT) if m * _UNIT < 1 else math.inf
-
-    kernel = _loess_kernel(half)
-    size, width = kernel.size, _window_blocks(half)
-    derivative = gamma(size + 1) * (
-        (1 + gamma(size + 1)) / float(kernel.max())
-        + 2 * math.sqrt(float(np.sum(kernel**2))) / _difference_norm(kernel)
+def _union(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the ranges ``[starts, stops)``: increasing, disjoint, never touching."""
+    keep = starts < stops
+    order = np.argsort(starts[keep], kind="stable")
+    starts, reach = starts[keep][order], np.maximum.accumulate(stops[keep][order])
+    opens = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+    return (
+        np.concatenate((starts[:1], starts[opens])),
+        np.concatenate((reach[opens - 1], reach[-1:])),
     )
-    spread = (1 + 2 * width * _SUMMARY_SAMPLES) * gamma(16000 + 256 * width)
-    return 4 * (derivative + gamma(size + 3) + spread)
 
 
-def _moving_smoothed_derivative(
-    values: np.ndarray, window_samples: int, epsilon: float, *, summary: _Summary
-) -> _Support:
-    """The smoothed first derivative where it is not proven small, as a support.
+@dataclass(frozen=True, eq=False)
+class _Ranges:
+    """The samples of a trace of ``size`` samples on a few sample ranges.
 
-    That is ``loess_smooth(first_derivative(values), window_samples)``;
-    ``summary`` is that of ``values``.
-
-    Every sample of the returned :class:`_Support` equals the
-    whole-trace smoothed derivative ``s`` bit for bit; every sample
-    outside its ranges is 0 where the computed ``|s| < epsilon``.  Only
-    the samples near a transient are computed, which on a mostly steady
-    household trace is a few percent of them, and no full-length array is
-    built.
-
-    **The bounds.**  At an interior index ``i`` (``half <= i < n - half``),
-    ``s[i] = sum_j k[j] * d[i + j]`` over ``j`` in ``[-half, half]``, with
-    ``d`` the first derivative and ``k`` the normalised tricube kernel,
-    whose end taps are exactly 0 (so the zero pad ``d[0]`` is never
-    weighted).  Summing by parts with ``d[m] = x[m] - x[m - 1]`` and ``k``
-    extended by zeros,
-    ``s[i] = sum_m (k[m - i] - k[m - i + 1]) * (x[m] - c)`` over ``m`` in
-    ``[i - half, i + half - 1]``, the taps that weigh, for any constant
-    ``c``, since the coefficients ``dk`` telescope to 0.  Two bounds
-    follow.  With ``c`` the midpoint of the taps, ``|s[i]| <= TV(k) *
-    range / 2``, where ``TV(k) = sum |dk| = 2 * max(k)``: the kernel rises
-    to its centre and falls back to 0.  So ``|s[i]| <= max(k) * range``,
-    the range bound.  With ``c`` their mean, Cauchy–Schwarz gives
-    ``|s[i]| <= ||dk||_2 * sqrt(sum (x[m] - c)**2)``, the moment bound.
-    At 20 Hz with the default 2 s window ``max(k) = 0.0432`` and
-    ``||dk||_2 = 0.0167``.
-
-    **Settled blocks.**  The trace is cut into proof blocks.  A block's
-    range bound (:func:`_block_bounds`) reads ``x`` over at least the
-    block widened by ``half + 1`` samples before and ``half`` after, which
-    holds the taps of every interior index in the block and of the
-    interior index just past either end of it.  Its moment bound
-    (:func:`_moment_bounds`) covers the same indices: each index's taps
-    lie in one window set, the :func:`_window_blocks` 64-sample summary
-    blocks from the one that holds its first tap, and the bound reads the
-    largest centred sum of squares over the window sets of those indices.
-    Each sum combines per-block moments ``sum (x - c_b)`` and
-    ``sum (x - c_b)**2`` about the block's midrange ``c_b``, taken about
-    the first block's centre and then about the set's mean.  The moments
-    are summed only for the blocks that the range bound leaves and whose
-    floor (:func:`_moment_floors`: the same sums over the summary blocks'
-    minima and maxima alone, which are samples among them) is below the
-    limit, one ``_BLOCK_SAMPLES`` stretch at a time.  A block is settled
-    when either bound is below ``epsilon - delta`` (:func:`_settle_limit`);
-    a non-finite bound never is.
-
-    **Rounding.**  ``delta = 4 * S * epsilon``, where ``S`` sums the
-    relative rounding terms below (``u = 2**-53``, ``g_m = m u / (1 - m
-    u)``, ``N = 2 * half + 1``, ``w`` summary blocks per window set).  The
-    computed ``s`` differs from the exact one by at most ``g_(N+1) * sum
-    |k[j] d[j]|``, which is at most ``(1 + g_(N+1)) * range`` and at most
-    ``2 * ||k||_2`` times the root sum of squares.  So ``|s|`` exceeds the
-    range bound by at most the share ``g_(N+1) (1 + g_(N+1)) / max(k)``
-    and the moment bound by ``2 g_(N+1) ||k||_2 / ||dk||_2``.  The
-    computed ``||dk||_2``, products and roots add ``g_(N+3)``.  Each
-    computed moment errs by ``g_66`` of its exact value, the ``S_b`` by
-    ``g_64 sqrt(n_b Q_b)``, and a block's terms, ``Q_b + n_b e_b**2``
-    with ``e_b = c_b - c``, sum to at most ``97`` times its sum of
-    squares about ``c``, since ``c_b`` lies within the block's range and
-    ``n_b <= 64``.  So the combined sum errs by ``g_(16000 + 256 w)`` of
-    the sum about ``c``, which is at most ``1 + 128 w`` times the centred
-    one, as ``c`` lies within the set's range: the share ``(1 + 128 w)
-    g_(16000 + 256 w)``.  A computed bound ``B < epsilon - delta`` then
-    gives ``|s| <= B (1 + 2 S) < epsilon`` at every index it covers.  At
-    20 Hz with the default window ``delta = 1.9e-9 * epsilon``; for a
-    window of ``10**6`` samples it is ``0.016 * epsilon``, and where ``S``
-    passes 1/2 no block is settled.  Underflow, which these relative terms
-    do not cover, moves a bound or ``s`` by less than ``2**-500``, within
-    the spare half of ``delta`` for ``epsilon >= 2**-400``; below that no
-    block is settled.
-
-    **Reach.**  Neither bound settles a block that holds a switch.  With
-    the default ``epsilon = 0.5`` at 20 Hz and the default window, the
-    range bound needs a widened range under 11.6 W, and the moment bound
-    a root sum of squares under 29.9 W over the 128 samples of a window
-    set.  On 2 W of noise a block's widened range is about 13 W, while a
-    window set's root sum of squares is about 23 W.  On the seed-1300
-    ``csv_ingest`` benchmark trace (20 Hz, 2 W noise) the range bound
-    settles 10 of the 420 interior proof blocks and the moment bound 397
-    more, so 15,232 of 432,000 samples are computed.
-
-    **What is computed.**  The ranges are the runs of active blocks
-    (:func:`~nilmevents.core._proof_runs`), where a block is active when
-    it is not settled or holds one of the first or the last ``half + 1``
-    samples, which the edge fits need.  So the first run begins at 0 and
-    the last ends at the trace's end.  Every other run begins just past a
-    settled block, at an index that block's bound covers.  That index is
-    interior: the settled block holds none of the first ``half + 1``
-    samples, so it lies past them, and none of the last ``half + 1``, so
-    the index just past it lies before them.  Likewise every other run
-    ends just before a settled block, at an interior index its bound
-    covers.  Runs never touch, so each range begins and ends at a trace
-    end or at a covered interior index, as :class:`_Support` needs.  The
-    interior part of a range is convolved one block of
-    :func:`~nilmevents.core._blocks` at a time, each block from the first
-    difference of its own samples widened by ``half`` on either side
-    (``d[0] = 0`` where that reaches the start), so no range-long
-    difference array is built.  Every sample is the same dot product of
-    the same inputs as in :func:`loess_smooth`, whatever the block size.
-    Besides the support, the call holds a block's difference and its
-    convolution, per-proof-block bounds, and three moments per summary
-    block read.
-
-    **Why 0 changes no result.**  The merge's settled test is
-    ``|s| < epsilon``, which holds for the 0 as for the true value.  A
-    significant extremum needs ``|s[i]| > epsilon``, so it lies inside a
-    range with both trace neighbours beside it in ``values``.  Hence
-    :func:`detect_extrema` with ``min_abs_value=epsilon`` and
-    :func:`merge_transient_events` return what they return on ``s``.
+    Range ``k`` is ``[starts[k], stops[k])``; the ranges are non-empty,
+    increasing, disjoint and never touch, and ``values`` holds their
+    samples, concatenated in range order.  Nothing is known of the
+    samples outside them.  A dense array is the one-range case.
     """
-    x = np.asarray(values, dtype=float)
-    half = _checked_window(window_samples, x.size) // 2
-    kernel = _loess_kernel(half)
-    limit = _settle_limit(kernel, epsilon)
-    active = ~(_block_bounds(summary, kernel) < limit)
-    block = core._PROOF_BLOCK_SAMPLES
-    head, tail = half // block + 1, (x.size - half - 1) // block
-    unproven = np.flatnonzero(active[head:tail]) + head
-    if unproven.size:
-        # The moments are summed only where the summary leaves them a chance.
-        hopeful = unproven[_moment_floors(summary, kernel, unproven) < limit]
-        active[hopeful] = ~(_moment_bounds(x, summary, kernel, hopeful) < limit)
-    active[:head] = active[tail:] = True
-    ranges = _proof_runs(active, x.size)
-    interior = x.size - half
 
-    out = np.empty(sum(stop - start for start, stop in ranges))
-    offset = 0  # where the range starts in ``out``
-    for start, stop in ranges:
-        lo, hi = max(start, half), min(stop, interior)
-        at = offset + lo - start  # where sample ``lo`` sits in ``out``
-        for first, last in _blocks(hi - lo):
-            d = _difference(x, lo + first - half, lo + last + half)
-            out[at + first : at + last] = np.convolve(d, kernel, mode="valid")
-        offset += stop - start
-    head = _difference(x, 0, 2 * half)
-    tail = _difference(x, x.size - 2 * half, x.size)
-    out[:half], out[out.size - half :] = _edge_fits(head, tail)
-    starts, stops = (np.array(bounds, dtype=np.int64) for bounds in zip(*ranges))
-    return _Support(x.size, starts, stops, out)
+    size: int
+    starts: np.ndarray
+    stops: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, trace: np.ndarray | _Ranges) -> _Ranges:
+        """``trace`` itself if it is ranges, else the dense array as one range."""
+        if isinstance(trace, _Ranges):
+            return trace
+        x = np.asarray(trace, dtype=float)
+        return cls(x.size, np.array([0]), np.array([x.size]), x)
+
+    def indices(self, positions: np.ndarray) -> np.ndarray:
+        """The sample indices of the non-decreasing ``positions`` into ``values``."""
+        lengths = self.stops - self.starts
+        offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
+        per_range = np.diff(np.searchsorted(positions, offsets), append=positions.size)
+        return positions + np.repeat(self.starts - offsets, per_range)
+
+
+class _SmoothedDerivative:
+    """``loess_smooth(first_derivative(values), window_samples)``, computed only where read."""
+
+    def __init__(self, values: np.ndarray, window_samples: int) -> None:
+        self.values = np.asarray(values, dtype=float)
+        self.half = _checked_window(window_samples, self.values.size) // 2
+        self.size = self.values.size
+
+    def read(self, starts: np.ndarray, stops: np.ndarray) -> _Ranges:
+        """The samples of the union of the ranges ``[starts, stops)`` inside the trace.
+
+        The first and the last ``half`` samples are the edge fits of
+        :func:`loess_smooth`.  The rest are cut into pieces of at most
+        ``_BLOCK_SAMPLES``, and each group of pieces that reads about a
+        block is one :func:`numpy.convolve` over their first differences
+        laid end to end, each piece widened by ``half`` on either side.
+        An output that reaches across two pieces is dropped; each one kept
+        is the dot product :func:`loess_smooth` takes, of the same inputs.
+        A piece reads ``x`` from one sample before its first difference,
+        so the zero pad ``d[0] = 0`` comes as ``x[0] - x[0]``.  No Python
+        loop runs per range, and no full-length array is built.
+        """
+        x, half = self.values, self.half
+        kernel = _loess_kernel(half)
+        starts, stops = _union(np.maximum(starts, 0), np.minimum(stops, x.size))
+        ranges = _Ranges(x.size, starts, stops, np.empty(int((stops - starts).sum())))
+        out, inner = ranges.values, x.size - half
+        # The ranges are sorted, so the edge fits' samples come first and last in ``out``.
+        first = int((np.minimum(stops, half) - starts).clip(0).sum())
+        last = out.size - int((stops - np.maximum(starts, inner)).clip(0).sum())
+        if first or last < out.size:
+            head, tail = _edge_fits(
+                first_derivative(x[: 2 * half]), np.diff(x[x.size - 2 * half - 1 :])
+            )
+            out[:first] = head[ranges.indices(np.arange(first))]
+            out[last:] = tail[ranges.indices(np.arange(last, out.size)) - inner]
+        # The interior of each range, in pieces of at most a block, read a group at a time.
+        lo, hi = np.clip(starts, half, inner), np.clip(stops, half, inner)
+        block = core._BLOCK_SAMPLES
+        count = -(-(hi - lo) // block)  # pieces per range
+        skip = np.repeat(np.cumsum(count) - count, count)
+        begins = np.repeat(lo, count) + block * (np.arange(skip.size) - skip)
+        lengths = np.minimum(begins + block, np.repeat(hi, count)) - begins
+        widths = lengths + 2 * half + 1  # samples a piece reads
+        opens = np.flatnonzero(np.diff((np.cumsum(widths) - widths) // block, prepend=-1))
+        done = first
+        for a, b in zip(opens.tolist(), [*opens[1:].tolist(), begins.size]):
+            at = np.cumsum(widths[a:b]) - widths[a:b]  # where each piece begins in ``window``
+            reads = np.repeat(begins[a:b] - half - 1 - at, widths[a:b])
+            reads += np.arange(reads.size)
+            window = x[np.maximum(reads, 0, out=reads)]
+            del reads
+            full = np.convolve(np.diff(window), kernel, mode="valid")
+            del window
+            keep = np.repeat(at - np.cumsum(lengths[a:b]) + lengths[a:b], lengths[a:b])
+            keep += np.arange(keep.size)
+            out[done : done + keep.size] = full[keep]
+            done += keep.size
+        return ranges
 
 
 def detect_extrema(
-    values: np.ndarray | _Support, min_abs_value: float | None = None
+    values: np.ndarray | _Ranges, min_abs_value: float | None = None
 ) -> np.ndarray:
     """Indices of the strict interior peaks and valleys of a sequence.
 
@@ -569,12 +300,9 @@ def detect_extrema(
     ``values[2:]``, and the threshold masks their result, so no index
     array is gathered.
 
-    ``values`` is an array or a :class:`_Support`, whose samples outside
-    its ranges are 0.  A support gives the extrema of its trace for any
-    ``min_abs_value`` at or above its ``epsilon``: every sample that
-    passes has its trace neighbours beside it in ``values``, and a sample
-    compared across two ranges, which begin and end below ``epsilon``,
-    never passes.
+    ``values`` is an array or :class:`_Ranges`.  Of ranges, it returns the
+    extrema of the trace that lie inside a range with both neighbours:
+    the first and the last sample of each range are never extrema.
 
     Returns an increasing int64 array; a peak is told from a valley by
     comparing ``values[i]`` with ``values[i-1]``.
@@ -584,7 +312,7 @@ def detect_extrema(
     SeriesTooShort
         If fewer than 3 values are given (no interior point exists).
     """
-    trace = _Support.of(values)
+    trace = _Ranges.of(values)
     if trace.size < 3:
         raise SeriesTooShort(f"extremum detection needs >= 3 values, got {trace.size}")
     v = trace.values
@@ -595,28 +323,57 @@ def detect_extrema(
     if min_abs_value is not None:
         # |v| > m as two comparisons, with no float temporary.
         strict &= (middle > min_abs_value) | (middle < -min_abs_value)
+    # Where two ranges meet in ``values``, neither edge sample has its trace neighbour.
+    meet = np.cumsum(trace.stops - trace.starts)[:-1]
+    edges = np.concatenate((meet - 1, meet))
+    strict[edges[(edges >= 1) & (edges <= v.size - 2)] - 1] = False
     return trace.indices(np.flatnonzero(strict) + 1).astype(np.int64, copy=False)
 
 
-def _unsettled_runs(trace: _Support, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(starts, stops)`` of the runs of ``not |s| < epsilon``, as sample indices.
+def _longest_settled(trace: _Ranges, indices: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per pair of consecutive ``indices``, the longest run of ``|s| < epsilon`` read between them.
 
-    They are the runs in ``values``: no run of a support crosses from one
-    range into the next (see :class:`_Support`).
+    The runs are those of the values read, cut at the edges of every
+    range and at every candidate index, so each lies strictly between two
+    consecutive candidates; binary search assigns it to that pair.  No
+    full-length mask is built and no pair is looped over.
     """
     v = trace.values
-    # not |s| < eps as two comparisons, with no float temporary for |s|.
-    moving = ~((v < epsilon) & (v > -epsilon))
-    opens = moving.copy()
-    opens[1:] &= ~moving[:-1]
-    closes = moving.copy()
-    closes[:-1] &= ~moving[1:]
-    return trace.indices(np.flatnonzero(opens)), trace.indices(np.flatnonzero(closes)) + 1
+    settled = (v < epsilon) & (v > -epsilon)  # no float temporary for |s|
+    lengths = trace.stops - trace.starts
+    offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
+    held = np.searchsorted(trace.starts, indices, side="right") - 1  # the range, if any
+    inside = (held >= 0) & (indices < trace.stops[held])
+    settled[(offsets[held] + indices - trace.starts[held])[inside]] = False
+    cut = np.zeros(v.size, dtype=bool)
+    cut[offsets] = True
+    opens, closes = settled.copy(), settled.copy()
+    opens[1:] &= cut[1:] | ~settled[:-1]
+    closes[:-1] &= cut[1:] | ~settled[1:]
+    begins = np.flatnonzero(opens)
+    pairs = np.searchsorted(indices, trace.indices(begins)) - 1
+    between = (pairs >= 0) & (pairs < indices.size - 1)
+    longest = np.zeros(indices.size - 1, dtype=np.int64)
+    runs = np.flatnonzero(closes) + 1 - begins
+    np.maximum.at(longest, pairs[between], runs[between])
+    return longest
+
+
+def _read(
+    smoothed: np.ndarray | _SmoothedDerivative, starts: np.ndarray, stops: np.ndarray
+) -> _Ranges:
+    """The samples of ``smoothed`` on the union of the ranges ``[starts, stops)``."""
+    if isinstance(smoothed, _SmoothedDerivative):
+        return smoothed.read(starts, stops)
+    starts, stops = _union(starts, stops)
+    lengths = stops - starts
+    samples = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return _Ranges(smoothed.size, starts, stops, smoothed[samples])
 
 
 def merge_transient_events(
     candidates: Events,
-    smoothed_derivative: np.ndarray | _Support,
+    smoothed_derivative: np.ndarray | _SmoothedDerivative,
     series: SampleSeries,
     config: HybridConfig,
 ) -> np.ndarray:
@@ -630,25 +387,26 @@ def merge_transient_events(
     is merged into the earlier event's group, and each group is reported
     as its first event.
 
-    ``smoothed_derivative`` is an array or a :class:`_Support` at
-    ``derivative_epsilon``, whose 0s outside its ranges are settled.  No
-    full-length mask is built: the unsettled samples are the runs of
-    ``|s| >= derivative_epsilon`` in its values plus every candidate
-    index, taken as intervals and sorted by start.  The settled runs are
-    the gaps between them, where a gap ends at the next interval's start
-    and starts at the furthest end of the intervals before it (a running
-    maximum, so a candidate inside an unsettled run leaves no gap).  Each
-    settled run lies strictly between two consecutive candidates and is
-    assigned to that candidate gap by binary search: O(S + U log U) for S
-    support samples and U intervals, with no per-pair loop.
+    ``smoothed_derivative`` is the whole-trace array or a
+    :class:`_SmoothedDerivative`, which computes only the samples read.
+    The merge reads ``s`` only strictly between consecutive candidates
+    ``a < b`` whose ``b - a - 1`` samples could hold a run long enough; a
+    shorter gap merges unread.  It reads ``[a + 1, a + 1 + K)``, ``K``
+    being ``_SETTLE_SPANS`` settle lengths, and where that stretch ends
+    before ``b`` with no run long enough, the whole gap ``[a + 1, b)``.
+    A run found is a settled run of the gap (samples not read count as
+    unsettled), and a gap read to its end gives its longest run, so the
+    decisions are those of the whole trace.
 
     Returns the increasing int64 positions, into ``candidates``, of the
     events that survive; ``candidates[positions]`` are the merged events.
     """
-    trace = _Support.of(smoothed_derivative)
-    if trace.size != len(series):
+    if not isinstance(smoothed_derivative, _SmoothedDerivative):
+        smoothed_derivative = np.asarray(smoothed_derivative, dtype=float)
+    if smoothed_derivative.size != len(series):
         raise MisalignedInput(
-            f"smoothed derivative length {trace.size} != series length {len(series)}"
+            f"smoothed derivative length {smoothed_derivative.size} != "
+            f"series length {len(series)}"
         )
     indices = candidates.indices
     if np.any(np.diff(indices) <= 0):
@@ -658,18 +416,18 @@ def merge_transient_events(
 
     if not indices.size:
         return np.empty(0, dtype=np.int64)
-    run_starts, run_stops = _unsettled_runs(trace, config.derivative_epsilon)
-    starts = np.concatenate((run_starts, indices))
-    stops = np.concatenate((run_stops, indices + 1))
-    order = np.argsort(starts, kind="stable")
-    starts, reach = starts[order], np.maximum.accumulate(stops[order])
-    gap = np.flatnonzero(starts[1:] > reach[:-1])
-    settled_starts, settled_lengths = reach[gap], starts[gap + 1] - reach[gap]
-    # The settled run from s lies between candidate g and g + 1, g + 1 being
-    # the number of candidates before s; runs outside [first, last] drop out.
-    gaps = np.searchsorted(indices, settled_starts) - 1
-    between = (gaps >= 0) & (gaps < indices.size - 1)
-    longest = np.zeros(indices.size - 1, dtype=np.int64)
-    np.maximum.at(longest, gaps[between], settled_lengths[between])
-    separate = longest / series.sampling_rate_hz > config.settle_threshold_s
+    rate, settle = series.sampling_rate_hz, config.settle_threshold_s
+    epsilon = config.derivative_epsilon
+    before, after = indices[:-1], indices[1:]
+    # Only a gap whose every sample settled could pass; shorter gaps merge unread.
+    pending = np.flatnonzero((after - before - 1) / rate > settle)
+    separate = np.zeros(indices.size - 1, dtype=bool)
+    reach = np.minimum(after, before + 1 + _SETTLE_SPANS * seconds_to_samples(settle, rate))
+    while pending.size:
+        starts, stops = before[pending] + 1, reach[pending]
+        longest = _longest_settled(_read(smoothed_derivative, starts, stops), indices, epsilon)
+        separate[pending] = longest[pending] / rate > settle
+        # A stretch short of its gap and with no run long enough is read to the gap's end.
+        pending = pending[(stops < after[pending]) & ~separate[pending]]
+        reach = after
     return np.concatenate(([0], np.flatnonzero(separate) + 1)).astype(np.int64, copy=False)

@@ -18,8 +18,9 @@ is built.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .core import (
     seconds_to_samples,
     validate_series,
 )
-from .derivative import _checked_window, _convolve_interior
+from .derivative import _checked_window, _convolve_interior, _read_only
 
 __all__ = [
     "OrderTooHigh",
@@ -101,6 +102,7 @@ class FilterVerdicts:
 
 
 _NO_VERDICTS = FilterVerdicts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
+_NO_EXTREMA = _read_only(np.empty(0, dtype=np.int64))
 
 
 def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> np.ndarray:
@@ -138,14 +140,25 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
             f"poly_order must satisfy 0 <= order < window, got {poly_order} with window {win}"
         )
     half = win // 2
-    vander = np.vander(np.arange(-half, half + 1) / half, poly_order + 1, increasing=True)
-    fit = np.linalg.pinv(vander)
+    centre, projection = _savitzky_golay_rows(win, poly_order)
     out = np.empty_like(x)
-    _convolve_interior(x, fit[0, ::-1], out)
-    projection = vander @ fit
+    _convolve_interior(x, centre, out)
     out[:half] = projection[:half] @ x[:win]
     out[x.size - half :] = projection[win - half :] @ x[x.size - win :]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _savitzky_golay_rows(window: int, poly_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reversed centre row of ``pinv(V)`` and the projection ``V @ pinv(V)``.
+
+    Built once per ``(window, poly_order)`` and read-only, since every
+    caller shares them.
+    """
+    half = window // 2
+    vander = np.vander(np.arange(-half, half + 1) / half, poly_order + 1, increasing=True)
+    fit = np.linalg.pinv(vander)
+    return _read_only(fit[0, ::-1]), _read_only(vander @ fit)
 
 
 def _nearest_distance(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -174,44 +187,53 @@ def _first_outside(indices: np.ndarray, size: int) -> int | None:
 def refilter_events_with_verdicts(
     series: SampleSeries,
     candidates: Events,
-    extrema: np.ndarray,
+    extrema: np.ndarray | Callable[[np.ndarray, int], np.ndarray],
     config: HybridConfig,
     *,
     summary: _Summary | None = None,
-) -> tuple[np.ndarray, FilterVerdicts]:
+) -> tuple[np.ndarray, FilterVerdicts, np.ndarray]:
     """Drop fluctuation-induced candidates; see module docstring.
 
     ``extrema`` holds the sample indices of the significant extrema that
-    guard a candidate.  Returns the increasing int64 positions, into
-    ``candidates``, of the survivors and one verdict per candidate.  When
-    the trace never exceeds ``fluctuation_trigger_watts`` after the first
-    turn-on candidate, the refilter does not trigger: every candidate
-    survives and there are no verdicts.  ``summary`` is ``series.summary``,
-    from a caller that built or validated ``series`` in the same call;
-    without it, ``series`` is validated here.
+    guard a candidate, or is a function that finds them: it is called
+    once, when the refilter fires, with the sample indices of the
+    candidates the re-detection did not confirm and the guard radius in
+    samples, and returns the significant extrema within that radius of
+    them; any further ones are dropped.
+
+    Returns the increasing int64 positions, into ``candidates``, of the
+    survivors, one verdict per candidate, and the extrema the guard read:
+    those of ``extrema`` within the guard radius of a candidate the
+    re-detection did not confirm, in their given order.  When the trace
+    never exceeds ``fluctuation_trigger_watts`` after the first turn-on
+    candidate, the refilter does not trigger: every candidate survives,
+    and there are no verdicts and no extrema read.  ``summary`` is
+    ``series.summary``, from a caller that built or validated ``series``
+    in the same call; without it, ``series`` is validated here.
     """
     if summary is None:
         series = validate_series(series)
         summary = series.summary
-    extremum_indices = np.asarray(extrema, dtype=np.int64)
-    bad = _first_outside(extremum_indices, len(series))
-    if bad is not None:
-        raise MisalignedInput(
-            f"extremum index {extremum_indices[bad]} outside series of length {len(series)}"
-        )
+    if not callable(extrema):
+        extrema = np.asarray(extrema, dtype=np.int64)
+        bad = _first_outside(extrema, len(series))
+        if bad is not None:
+            raise MisalignedInput(
+                f"extremum index {extrema[bad]} outside series of length {len(series)}"
+            )
     candidate_indices = candidates.indices
     bad = _first_outside(candidate_indices, len(series))
     if bad is not None:
         raise MisalignedInput(
             f"candidate index {candidate_indices[bad]} outside series of length {len(series)}"
         )
-    everyone = np.arange(len(candidates), dtype=np.int64)
+    unfired = np.arange(len(candidates), dtype=np.int64), _NO_VERDICTS, _NO_EXTREMA
     turn_ons = np.flatnonzero(candidates.deltas_watts > 0)
     if not turn_ons.size:
-        return everyone, _NO_VERDICTS
+        return unfired
     segment_max = summary.max_from(series.values, candidate_indices[turn_ons[0]])
     if segment_max <= config.fluctuation_trigger_watts:
-        return everyone, _NO_VERDICTS
+        return unfired
 
     filtered = SampleSeries(
         savitzky_golay(series.values, config.sg_window_samples, config.sg_poly_order),
@@ -225,8 +247,13 @@ def refilter_events_with_verdicts(
     confirmed = (
         _nearest_distance(re_times, candidates.timestamps_s) <= config.eval_match_tolerance_s
     )
-    guarded = _nearest_distance(np.sort(extremum_indices), candidate_indices) <= guard_radius
+    unconfirmed = candidate_indices[~confirmed]
+    if callable(extrema):
+        extrema = np.asarray(extrema(unconfirmed, guard_radius), dtype=np.int64)
+    read = extrema[_nearest_distance(np.sort(unconfirmed), extrema) <= guard_radius]
+    # A confirmed candidate survives whatever lies near it, so only ``read`` guards.
+    guarded = _nearest_distance(np.sort(read), candidate_indices) <= guard_radius
     codes = np.full(len(candidates), _REASONS.index(FilterReason.REMOVED_AS_FLUCTUATION), np.int8)
     codes[guarded] = _REASONS.index(FilterReason.PROTECTED_BY_EXTREMUM)
     codes[confirmed] = _REASONS.index(FilterReason.SURVIVED_REFILTER)
-    return np.flatnonzero(confirmed | guarded), FilterVerdicts(candidate_indices, codes)
+    return np.flatnonzero(confirmed | guarded), FilterVerdicts(candidate_indices, codes), read

@@ -14,24 +14,31 @@ merge and the refilter return the positions of the candidates they keep.
 that survive each stage; a :class:`~nilmevents.core.DetectedEvent` is a
 view built only when a caller iterates or indexes an event list.
 
-Detection pays only where the trace moves, and builds no full-length
-window sums or derivative array.  :func:`detect_hybrid` validates the
-series once, or takes the summary of a caller that just built it (the
-CLI hands on :func:`~nilmevents.io.load_trace`'s), and hands the summary
-(the min and max of each 64-sample block) to every stage, which reads
-its range bounds, the peak and the refilter trigger from it.  The base
-detector sums each window from its own samples, and sums and tests only
-the blocks that a range bound does not prove quiet (the proof is in
+Detection pays only where the trace moves or a decision reads, and
+builds no full-length window sums or derivative array.
+:func:`detect_hybrid` validates the series once, or takes the summary of
+a caller that just built it (the CLI hands on
+:func:`~nilmevents.io.load_trace`'s), and hands the summary (the min and
+max of each 64-sample block) to every stage, which reads its range
+bounds, the peak and the refilter trigger from it.  The base detector
+sums each window from its own samples, and sums and tests only the
+blocks that a range bound does not prove quiet (the proof is in
 :func:`nilmevents.base._rounding_margin`).
-Range and Cauchy–Schwarz bounds prove most of a steady trace settled
-(``|s|`` below ``derivative_epsilon`` less a proven rounding margin, even
-on meter noise) without computing its smoothed derivative; the
-derivative comes back as a support, the sample ranges computed and their
-values, with a proven 0 everywhere else.  Each range begins and ends on
-a sample proven settled, so the extrema and the merge run their dense
-code on the support's values, and give the same extrema and the same
-events as on the whole-trace :func:`smoothed_derivative` (the proof is
-in :func:`nilmevents.derivative._moving_smoothed_derivative`).
+
+The smoothed derivative ``s`` is computed only where a decision reads it
+(:class:`nilmevents.derivative._SmoothedDerivative`), each sample bit for
+bit as the whole-trace :func:`smoothed_derivative` gives it:
+
+- the merge reads ``s`` strictly between consecutive base events
+  ``a < b`` whose gap could hold a settled run long enough: first two
+  settle lengths after ``a``, and where those hold no settled run long
+  enough, the whole gap ``(a, b)``;
+- the refilter's guard, only when the refilter fires, reads ``s`` within
+  ``r + 1`` samples of each candidate the re-detection did not confirm,
+  ``r`` being the guard radius, for the significant extrema within ``r``.
+
+``s`` on a stretch reads the trace a LOESS half window further on either
+side.  The events and verdicts are those of the whole-trace derivative.
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,
@@ -62,7 +69,7 @@ from .core import (
 )
 from .derivative import (
     InvalidWindow,
-    _moving_smoothed_derivative,
+    _SmoothedDerivative,
     detect_extrema,
     first_derivative,
     loess_smooth,
@@ -98,11 +105,14 @@ class PipelineResult:
     ``base_events``, of the events that survive the merge and the
     refilter; ``merged_events`` and ``events`` are those subsets, so every
     final event is a merged event and every merged event a base event.
-    ``extrema`` holds the sample indices of the significant extrema, and
-    ``filter_verdicts`` one verdict per merged event when the refilter
-    fired (none otherwise).  No full-length trace is kept:
+    ``extrema`` holds the sample indices of the significant extrema the
+    refilter's guard read: those within the guard radius of a candidate
+    the re-detection did not confirm, and none when the refilter did not
+    fire.  ``filter_verdicts`` holds one verdict per merged event when the
+    refilter fired (none otherwise).  No full-length trace is kept:
     :func:`first_derivative` and :func:`smoothed_derivative` recompute the
-    derivative traces.
+    derivative traces, and :func:`~nilmevents.derivative.detect_extrema`
+    finds every significant extremum on the latter.
     """
 
     base_events: Events
@@ -130,9 +140,9 @@ class PipelineResult:
 def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarray:
     """The LOESS-smoothed first derivative of the whole trace.
 
-    :func:`detect_hybrid` computes it only near transients, as a support
-    that is 0 elsewhere, with the same results; this function computes
-    every sample.
+    :func:`detect_hybrid` computes it only where the merge and the
+    refilter's guard read it, each sample the same; this function
+    computes every sample.
     """
     return loess_smooth(
         first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)
@@ -161,7 +171,7 @@ def detect_hybrid(
     -------
     PipelineResult
         Final events plus per-stage events, the refilter verdicts, and
-        the significant extrema used by the refilter guard (strict
+        the significant extrema the refilter's guard read (strict
         extrema of the smoothed derivative whose magnitude exceeds
         ``derivative_epsilon``).  The derivative traces are not kept;
         :func:`first_derivative` and :func:`smoothed_derivative`
@@ -180,8 +190,7 @@ def detect_hybrid(
     Notes
     -----
     The result is a pure function of ``(series, config)``: repeated calls
-    return identical results.  The derivative support is dropped once the
-    merge has read it, since the refilter reads only the extrema.
+    return identical results.
     """
     if summary is None:
         series = validate_series(series)
@@ -201,21 +210,21 @@ def detect_hybrid(
         )
     base_events = detect_base(series, config, summary=summary)
 
-    smoothed = _moving_smoothed_derivative(
-        series.values, loess_window, config.derivative_epsilon, summary=summary
-    )
-    significant_extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
+    derivative = _SmoothedDerivative(series.values, loess_window)
+    merged_positions = merge_transient_events(base_events, derivative, series, config)
 
-    merged_positions = merge_transient_events(base_events, smoothed, series, config)
-    del smoothed
-    kept, verdicts = refilter_events_with_verdicts(
-        series, base_events[merged_positions], significant_extrema, config, summary=summary
-    )
+    def guard_extrema(indices: np.ndarray, radius: int) -> np.ndarray:
+        # An extremum within the radius is told by its neighbours, one sample further.
+        near = derivative.read(indices - radius - 1, indices + radius + 2)
+        return detect_extrema(near, min_abs_value=config.derivative_epsilon)
 
+    kept, verdicts, extrema = refilter_events_with_verdicts(
+        series, base_events[merged_positions], guard_extrema, config, summary=summary
+    )
     return PipelineResult(
         base_events=base_events,
         merged_positions=merged_positions,
         final_positions=merged_positions[kept],
-        extrema=significant_extrema,
+        extrema=extrema,
         filter_verdicts=verdicts,
     )

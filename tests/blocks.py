@@ -3,7 +3,7 @@
 Full-length passes cut their range into ``core._BLOCK_SAMPLES`` blocks.
 :func:`use_blocks` patches the size for one test; the ``small_blocks``
 fixture in ``conftest.py`` runs a test once per size in :data:`BLOCK_SIZES`.
-The base detector, LLD-Max and the derivative prove quiet stretches over
+The base detector and LLD-Max prove quiet stretches over
 proof blocks of ``core._PROOF_BLOCK_SAMPLES``; :func:`use_proof_blocks` patches
 that size, which need not be a multiple of the 64-sample summary block.
 """

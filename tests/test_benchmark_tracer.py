@@ -32,10 +32,10 @@ def load_tracer_module():
     return module
 
 
-def traced_kitchen_run():
-    """One traced ``detect_hybrid`` call on the kitchen replica: (tracer, result)."""
-    series, _ = generate_scenario(replica_spec("kitchen"))
-    config = replica_config("kitchen")
+def traced_replica_run(name: str = "kitchen"):
+    """One traced ``detect_hybrid`` call on a replica, the kitchen by default: (tracer, result)."""
+    series, _ = generate_scenario(replica_spec(name))
+    config = replica_config(name)
     tracer = load_tracer_module().Tracer()
     assert tracer.missing == []
     tracer.op = 0
@@ -58,11 +58,13 @@ def span_counts(tracer) -> dict:
 
 
 def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> None:
-    tracer, result = traced_kitchen_run()
+    tracer, result = traced_replica_run()
     verdicts = [v.reason.value for v in result.filter_verdicts]
     assert verdicts, "the kitchen replica should arm the refilter"
     assert span_counts(tracer) == {
         "base.detect_base": {"out": len(result.base_events)},
+        # The guard's windows around the unconfirmed candidates do not meet on
+        # this replica, so it keeps every extremum they hold.
         "derivative.detect_extrema": {"out": len(result.extrema)},
         "derivative.merge_transient_events": {
             "in": len(result.base_events),
@@ -78,13 +80,26 @@ def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> Non
     }
     names = {span["name"] for span in tracer.spans}
     assert {"filtering.savitzky_golay", "filtering.redetect"} <= names
+    # The guard reads its extrema inside the refilter, once it knows what the
+    # re-detection left unconfirmed.
+    by_id = {span["id"]: span for span in tracer.spans}
+    (extrema,) = [span for span in tracer.spans if span["name"] == "derivative.detect_extrema"]
+    assert by_id[extrema["parent"]]["name"] == "filtering.refilter"
+
+
+def test_no_extrema_are_read_where_the_refilter_does_not_fire() -> None:
+    tracer, result = traced_replica_run("lighting")
+    assert not len(result.filter_verdicts) and not result.extrema.size
+    names = [span["name"] for span in tracer.spans]
+    assert "derivative.detect_extrema" not in names
+    assert names.count("derivative.merge_transient_events") == 1
 
 
 def test_one_detect_hybrid_validates_the_series_once() -> None:
     # The re-detection and the base detector read the summaries of series
     # built or validated in the same call, so the pipeline's boundary is the
     # only validation, even though the refilter fires.
-    tracer, result = traced_kitchen_run()
+    tracer, result = traced_replica_run()
     assert len(result.filter_verdicts)
     names = [span["name"] for span in tracer.spans]
     assert names.count("core.validate_series") == 1
@@ -94,9 +109,9 @@ def test_one_detect_hybrid_validates_the_series_once() -> None:
 def test_many_blocks_leave_the_spans_unchanged(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    whole, _ = traced_kitchen_run()
+    whole, _ = traced_replica_run()
     use_blocks(monkeypatch, 64)  # the 11,398-sample trace spans about 180 blocks
-    blocked, _ = traced_kitchen_run()
+    blocked, _ = traced_replica_run()
     assert [(s["name"], s["parent"]) for s in blocked.spans] == [
         (s["name"], s["parent"]) for s in whole.spans
     ]
@@ -112,10 +127,11 @@ def test_many_blocks_leave_the_spans_unchanged(
 def test_the_derivative_path_calls_nothing_traced_per_active_run(
     proof_block: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # The kitchen replica has 2 active runs at 1024-sample proof blocks, 14 at 64.
-    whole, _ = traced_kitchen_run()
+    # The base detector tests more runs at 64-sample proof blocks than at 1024,
+    # and the derivative reads its windows with no traced call in either case.
+    whole, _ = traced_replica_run()
     use_proof_blocks(monkeypatch, proof_block)
-    skipping, _ = traced_kitchen_run()
+    skipping, _ = traced_replica_run()
     names = [span["name"] for span in skipping.spans]
     assert "derivative.first_derivative" not in names
     assert "derivative.loess_smooth" not in names

@@ -421,7 +421,7 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
     extrema = detect_extrema(smoothed, config.derivative_epsilon)
     base = detect_base(series, config)
     merged = base[merge_transient_events(base, smoothed, series, config)]
-    kept, verdicts = refilter_events_with_verdicts(series, merged, extrema, config)
+    kept, verdicts, _ = refilter_events_with_verdicts(series, merged, extrema, config)
     final = merged[kept]
     assert err == f"stages base={len(base)} after_derivative={len(merged)} final={len(final)}\n"
     # On kitchen the refilter fires, one verdict per merged event; on lighting it does not.

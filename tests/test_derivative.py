@@ -16,26 +16,24 @@ from nilmevents import (
     SeriesTooShort,
     detect_base,
     detect_extrema,
+    detect_hybrid,
     first_derivative,
     loess_smooth,
     merge_transient_events,
     smoothed_derivative,
 )
-from nilmevents import core
+from nilmevents import derivative
 from nilmevents.derivative import (
-    _Support,
-    _block_bounds,
-    _difference_norm,
+    _Ranges,
+    _SmoothedDerivative,
     _edge_rows,
     _loess_kernel,
-    _moment_bounds,
-    _moment_floors,
-    _moving_smoothed_derivative,
-    _settle_limit,
+    _longest_settled,
     _tricube_weights,
+    _union,
 )
 
-from blocks import PROOF_BLOCK_SIZES, use_proof_blocks
+from blocks import BLOCK_SIZES, use_blocks
 from oracles import (
     oracle_extrema,
     oracle_first_derivative,
@@ -369,12 +367,12 @@ def test_ramp_alarms_collapse_to_one_event_at_the_first_alarm() -> None:
     assert run.result.merged_events[0] == run.result.base_events[0]
 
 
-# --- The range and moment bounds and the settled blocks --------------------
+# --- The derivative where a decision reads it ---------------------------------
 #
-# Interior smoothed derivative values obey |s[i]| <= max(k) * range and
-# |s[i]| <= ||diff(k)||_2 * sqrt(sum (x - mean)**2) over [i - half, i + half - 1],
-# the taps that weigh; detection skips proof blocks where either bound is below
-# the settle limit (epsilon less a rounding margin) and reads 0 there.
+# _SmoothedDerivative computes the smoothed derivative only on the ranges read,
+# each sample bit for bit the whole-trace one.  The merge reads it between
+# consecutive candidates, from a first stretch after the earlier one on, and
+# the refilter's guard near a candidate.
 
 # Steps and ramps of any size on a level, with or without noise.
 moving_traces = st.builds(
@@ -403,60 +401,189 @@ def _render_changes(seed, size, level, noise, changes) -> np.ndarray:
     return x
 
 
-def brute_block_bounds(x: np.ndarray, kernel: np.ndarray, block: int) -> np.ndarray:
-    """The block widened by ``half + 1`` before and ``half`` after, then to whole
-    64-sample summary blocks."""
-    half = kernel.size // 2
-    reads = [
-        (max(start - half - 1, 0) // 64 * 64, -(-(start + block + half) // 64) * 64)
-        for start in range(0, x.size, block)
-    ]
-    return np.array([kernel.max() * np.ptp(x[lo:hi]) for lo, hi in reads])
+def sample_indices(ranges: _Ranges) -> np.ndarray:
+    """The sample index of every entry of ``ranges.values``."""
+    return ranges.indices(np.arange(ranges.values.size))
 
 
-def densify(support: _Support) -> np.ndarray:
-    """The full-length trace of a support: its values in its ranges, 0 elsewhere."""
-    out = np.zeros(support.size)
-    ranges = [np.arange(start, stop) for start, stop in zip(support.starts, support.stops)]
-    out[np.concatenate([np.empty(0, dtype=np.int64), *ranges])] = support.values
-    return out
-
-
-def assert_support_invariant(support: _Support, trace: np.ndarray, epsilon: float) -> None:
-    """The ranges are non-empty and never touch, cover every ``|trace| >= epsilon``
-    sample, and begin and end at a trace end or at a ``|trace| < epsilon`` sample."""
-    starts, stops = support.starts, support.stops
-    assert support.size == trace.size
-    assert np.all(starts < stops)
-    assert np.all(stops[:-1] < starts[1:])
-    covered = np.zeros(trace.size, dtype=bool)
-    for start, stop in zip(starts, stops):
-        covered[start:stop] = True
-    assert np.all(covered | (np.abs(trace) < epsilon))
-    for edge, end in ((starts, 0), (stops - 1, trace.size - 1)):
-        assert np.all((edge == end) | (np.abs(trace[edge]) < epsilon))
-
-
-def assert_same_as_whole_trace(x: np.ndarray, window: int, epsilon: float) -> np.ndarray:
-    """Every computed sample is the whole-trace one bit for bit and every other
-    a 0 for a value below epsilon; the support meets its invariant, and the
-    settled mask and the significant extrema agree.  Returns where the samples
-    are equal."""
-    support = _moving_smoothed_derivative(x, window, epsilon, summary=core._Summary.of(x))
-    moving = densify(support)
+def assert_read_is_the_whole_trace(x: np.ndarray, window: int, starts, stops) -> _Ranges:
+    """Reading ``[starts, stops)`` gives their union, each sample the whole-trace one."""
+    starts, stops = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
+    ranges = _SmoothedDerivative(x, window).read(starts, stops)
+    wanted = np.zeros(x.size, dtype=bool)
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        wanted[start:stop] = True
+    assert np.array_equal(sample_indices(ranges), np.flatnonzero(wanted))
+    assert np.all(ranges.starts < ranges.stops) and np.all(ranges.stops[:-1] < ranges.starts[1:])
     whole = loess_smooth(first_derivative(x), window)
-    assert_support_invariant(support, whole, epsilon)
-    assert np.array_equal(support.values, whole[support.indices(np.arange(support.values.size))])
-    same = moving == whole
-    assert np.all(same | ((moving == 0.0) & (np.abs(whole) < epsilon)))
-    assert np.array_equal(np.abs(moving) < epsilon, np.abs(whole) < epsilon)
-    assert np.array_equal(detect_extrema(support, epsilon), detect_extrema(whole, epsilon))
-    return same
+    assert np.array_equal(ranges.values, whole[wanted])
+    return ranges
+
+
+@st.composite
+def read_cases(draw) -> tuple[np.ndarray, int, list[int], list[int]]:
+    """A trace, a window, and ranges that overlap, touch, or sit at either end."""
+    x = draw(moving_traces)
+    window = draw(st.sampled_from([3, 5, 9, 41, 121]))
+    assume(window <= x.size)
+    near_ends = [0, 1, window // 2, x.size - window // 2, x.size - 1]
+    edges = st.sampled_from(near_ends) | st.integers(min_value=0, max_value=x.size)
+    spans = st.lists(st.tuples(edges, st.integers(min_value=-2, max_value=50)), max_size=6)
+    starts, stops = [], []
+    for start, length in draw(spans):
+        starts.append(start)
+        stops.append(min(max(start + length, 0), x.size))
+    return x, window, starts, stops
+
+
+@given(read_cases(), st.sampled_from(BLOCK_SIZES))
+def test_a_read_gives_the_whole_trace_samples_bit_for_bit(case, block: int) -> None:
+    x, window, starts, stops = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_blocks(monkeypatch, block)
+        assert_read_is_the_whole_trace(x, window, starts, stops)
+
+
+@pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "step"])
+def test_a_trace_exactly_one_window_long(quiet: bool) -> None:
+    # Only the centre sample is interior; the rest are edge fits.
+    x = 120.0 + np.random.default_rng(3).normal(0.0, 0.01, 41)
+    if not quiet:
+        x[18:] += 300.0
+    for sample in range(41):
+        assert_read_is_the_whole_trace(x, 41, [sample], [sample + 1])
+    assert_read_is_the_whole_trace(x, 41, [0, 19, 21], [19, 21, 41])
+
+
+@pytest.mark.parametrize("block", [1, 3, 16384])
+def test_reads_that_reach_the_zero_pad_and_the_last_sample(
+    block: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The first interior sample reads d[0] = 0; the last reads x[-1].
+    use_blocks(monkeypatch, block)
+    x = 50.0 + np.random.default_rng(4).normal(0.0, 0.01, 400)
+    x[2:] += 800.0
+    x[397:] -= 300.0
+    half = 10
+    assert_read_is_the_whole_trace(x, 21, [half, 400 - half - 1], [half + 1, 400 - half])
+    assert_read_is_the_whole_trace(x, 21, [half - 1, 390], [half + 3, 400])
+    assert_read_is_the_whole_trace(x, 21, [5, 9, 12], [9, 12, 30])
+    # x[0] - x[-1] overflows: a pad read from the far end would give 0 * inf.
+    x = np.zeros(400)
+    x[0], x[-1] = -1e308, 1e308
+    assert_read_is_the_whole_trace(x, 21, [half], [half + 1])
+
+
+def assert_guard_read_is_the_whole_trace(
+    x: np.ndarray, window: int, centres: list[int], radius: int
+) -> None:
+    """The significant extrema read within ``radius + 1`` of each centre, as the
+    refilter's guard reads them, are the whole-trace ones with both neighbours read."""
+    c = np.array(centres, dtype=np.int64)
+    starts, stops = np.maximum(c - radius - 1, 0), np.minimum(c + radius + 2, x.size)
+    ranges = assert_read_is_the_whole_trace(x, window, starts, stops)
+    whole = loess_smooth(first_derivative(x), window)
+    read = np.zeros(x.size + 1, dtype=bool)  # one spare: no neighbour past the end
+    read[sample_indices(ranges)] = True
+    expected = detect_extrema(whole, EPSILON)
+    told = read[expected - 1] & read[expected] & read[expected + 1]
+    assert np.array_equal(detect_extrema(ranges, EPSILON), expected[told])
+
+
+def assert_merge_is_the_whole_trace_merge(
+    x: np.ndarray, window: int, indices: list[int], settle_s: float
+) -> list[int]:
+    """The merge of the computed derivative is the dense merge and the oracle's;
+    returns the surviving indices."""
+    series = series_at_20hz(x)
+    config = HybridConfig(settle_threshold_s=settle_s, time_limit_s=0.1)
+    candidates = events_at(indices, series)
+    whole = loess_smooth(first_derivative(x), window)
+    survivors = merge_transient_events(candidates, _SmoothedDerivative(x, window), series, config)
+    assert np.array_equal(survivors, merge_transient_events(candidates, whole, series, config))
+    expected = oracle_merge(
+        [(i, series.time_at(i)) for i in indices], whole, 20.0, EPSILON, settle_s
+    )
+    assert candidates[survivors].indices.tolist() == expected
+    return expected
+
+
+def test_an_active_run_that_reaches_the_zero_pad(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A step at sample 2: the first interior samples read d[0] = 0 and the step.
+    use_blocks(monkeypatch, 16)
+    x = 50.0 + np.random.default_rng(4).normal(0.0, 0.01, 400)
+    x[2:] += 800.0
+    assert_read_is_the_whole_trace(x, 21, [0], [32])
+    assert_guard_read_is_the_whole_trace(x, 21, [2, 12], 4)
+    # The step keeps s unsettled to sample 12; a 1 s run settles after it.
+    assert assert_merge_is_the_whole_trace_merge(x, 21, [0, 2, 40, 380], 1.0) == [0, 40, 380]
+
+
+@pytest.mark.parametrize("at_end", [1, 4, 9], ids=lambda k: f"step{k}fromend")
+def test_an_active_run_inside_the_last_half_window(
+    at_end: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    use_blocks(monkeypatch, 8)
+    x = 50.0 + np.random.default_rng(at_end).normal(0.0, 0.01, 400)
+    step = x.size - at_end
+    x[step:] += 800.0
+    assert_read_is_the_whole_trace(x, 21, [step - 10], [x.size])  # every sample that sees it
+    assert_guard_read_is_the_whole_trace(x, 21, [step - 12, step], 6)
+    # The gap before the step settles until its window reaches the step.
+    assert assert_merge_is_the_whole_trace_merge(x, 21, [100, 300, step], 1.0) == [100, 300, step]
+
+
+def test_an_active_run_inside_the_first_half_window(monkeypatch: pytest.MonkeyPatch) -> None:
+    use_blocks(monkeypatch, 4)
+    x = 50.0 + np.random.default_rng(5).normal(0.0, 0.01, 300)
+    x[3:] -= 600.0
+    assert_read_is_the_whole_trace(x, 41, [0], [3 + 21])  # every sample that sees it
+    assert_guard_read_is_the_whole_trace(x, 41, [3, 19], 5)
+    assert assert_merge_is_the_whole_trace_merge(x, 41, [3, 25, 200], 1.0) == [3, 200]
+
+
+@pytest.mark.parametrize("window", [3, 129])
+def test_a_read_that_ends_on_a_sample_moved_by_a_tiny_tap(
+    window: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A 1e7 W step at sample 64 moves ``s[64]`` (window 3) and, through the
+    tiny tap ``k[1]``, ``s[127]`` (window 129), the last unsettled sample.
+    Read as settled, it would lengthen the gap's settled run by one sample,
+    past the settle threshold, and split the gap."""
+    use_blocks(monkeypatch, 64)
+    x = np.zeros(320)
+    x[64:] = 1e7
+    moving = 64 if window == 3 else 127
+    whole = loess_smooth(first_derivative(x), window)
+    assert abs(whole[moving]) >= EPSILON and np.all(whole[moving + 1 : 256] == 0.0)
+    ends = [moving - 5, moving, moving], [moving + 1, moving + 1, 200]
+    assert_read_is_the_whole_trace(x, window, *ends)
+    a, b = (30, 100) if window == 3 else (100, 200)
+    run = b - moving - 1  # the settled run after the moving sample
+    # A run of ``run`` samples does not exceed the threshold, one more would.
+    assert assert_merge_is_the_whole_trace_merge(x, window, [a, b], run / 20.0) == [a]
+
+
+def test_many_one_sample_ranges_read_as_one_piece_each(monkeypatch) -> None:
+    # Many one-sample ranges in one block: each its own piece, none computed twice.
+    use_blocks(monkeypatch, 64)
+    x = np.random.default_rng(6).normal(0.0, 5.0, 5000).cumsum()
+    starts = np.arange(30, 4950, 7)
+    ranges = assert_read_is_the_whole_trace(x, 41, starts, starts + 1)
+    assert ranges.values.size == starts.size
+
+
+def test_window_constants_are_built_once_and_read_only() -> None:
+    for build in (_loess_kernel, _edge_rows):
+        first = build(20)
+        assert build(20) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, ...] = 1.0
 
 
 @pytest.mark.parametrize("half", [*range(1, 70), 127, 500, 4096])
 def test_loess_kernel_rises_to_its_centre_and_ends_in_zero_taps(half: int) -> None:
-    # These make the kernel's total variation exactly 2 * max(k).
     kernel = _loess_kernel(half)
     assert kernel[0] == kernel[-1] == 0.0
     assert np.array_equal(kernel, kernel[::-1])
@@ -464,199 +591,110 @@ def test_loess_kernel_rises_to_its_centre_and_ends_in_zero_taps(half: int) -> No
     assert kernel.max() == kernel[half]
 
 
-@given(moving_traces, st.integers(min_value=1, max_value=40), st.floats(0.5, 60.0))
-def test_whole_trace_smoothed_derivative_obeys_the_range_bound(
-    values: np.ndarray, half: int, rate_hz: float
+def reads_of(monkeypatch: pytest.MonkeyPatch) -> list[list[tuple[int, int]]]:
+    """The ranges of every read the merge makes from now on, one list per read."""
+    reads: list[list[tuple[int, int]]] = []
+    read = derivative._read
+
+    def recorded(smoothed, starts, stops):
+        reads.append(list(zip(starts.tolist(), stops.tolist())))
+        return read(smoothed, starts, stops)
+
+    monkeypatch.setattr(derivative, "_read", recorded)
+    return reads
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "computed"])
+def test_a_gap_that_settles_after_its_first_stretch_is_read_further(
+    lazy: bool, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    config = HybridConfig(loess_window_s=(2 * half + 1) / rate_hz)
-    window = config.loess_window_samples(rate_hz)
-    assume(window <= values.size)
-    half = window // 2
-    smoothed = smoothed_derivative(SampleSeries(values, rate_hz), config)
-    kernel = _loess_kernel(half)
-    # Rounding: the differences, a window-long dot product and the range.
-    rounding = (window + 4) * np.finfo(float).eps
-    for i in range(half, values.size - half):
-        spread = np.ptp(values[i - half : i + half])  # the taps that weigh
-        assert abs(smoothed[i]) <= kernel.max() * spread + rounding * spread, i
+    """At 20 Hz and a 2 s settle threshold the merge first reads 80 samples
+    after a candidate, then the whole gap: a gap that settles for 45 samples
+    from 300 on is read twice before it separates."""
+    # 1 W a sample, flat on [300, 345); a 3-sample window smooths nothing inside.
+    samples = np.arange(500)
+    x = np.cumsum(np.where((samples >= 300) & (samples < 345), 0.0, 1.0))
+    series, config = series_at_20hz(x), HybridConfig()
+    smoothed = loess_smooth(first_derivative(x), 3)
+    settled = np.abs(smoothed) < config.derivative_epsilon
+    assert np.array_equal(settled[1:], (samples[1:] >= 300) & (samples[1:] < 345))
+    candidates = events_at([10, 400], series)
+    reads = reads_of(monkeypatch)
+    source = _SmoothedDerivative(x, 3) if lazy else smoothed
+    survivors = merge_transient_events(candidates, source, series, config)
+    assert candidates[survivors].indices.tolist() == [10, 400]
+    assert reads == [[(11, 91)], [(11, 400)]]
+    # Without the settled run the gap is read to its end and merges.
+    reads.clear()
+    x = samples.astype(float)
+    source = _SmoothedDerivative(x, 3) if lazy else loess_smooth(first_derivative(x), 3)
+    assert merge_transient_events(candidates, source, series, config).tolist() == [0]
+    assert reads == [[(11, 91)], [(11, 400)]]
+
+
+def test_a_gap_too_short_to_settle_is_not_read(monkeypatch: pytest.MonkeyPatch) -> None:
+    # 2 s at 20 Hz: a gap of 40 samples cannot hold a run longer than 40.
+    series = series_at_20hz(np.zeros(300))
+    candidates = events_at([10, 51, 93], series)
+    reads = reads_of(monkeypatch)
+    survivors = merge_transient_events(candidates, np.zeros(300), series, HybridConfig())
+    assert survivors.tolist() == [0, 2]
+    assert reads == [[(52, 93)]]
 
 
 @given(
     moving_traces,
-    st.integers(min_value=1, max_value=2000),
-    st.sampled_from(PROOF_BLOCK_SIZES),
+    st.sampled_from([3, 9, 41]),
+    st.lists(st.integers(min_value=0, max_value=399), unique=True, min_size=1, max_size=8),
+    st.sampled_from([0.3, 0.5, 2.0]),
+    st.sampled_from([0.05, EPSILON, 3.0]),
 )
-def test_block_bounds_read_the_whole_halo_for_any_window(
-    values: np.ndarray, half: int, block: int
+def test_merge_of_the_computed_derivative_is_the_dense_merge(
+    values: np.ndarray, window: int, spots: list[int], settle_s: float, epsilon: float
 ) -> None:
-    kernel = _loess_kernel(half)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        use_proof_blocks(monkeypatch, block)
-        bounds = _block_bounds(core._Summary.of(values), kernel)
-    assert np.array_equal(bounds, brute_block_bounds(values, kernel, block))
+    assume(window <= values.size)
+    indices = sorted({i for i in spots if i < values.size})
+    series = series_at_20hz(values)
+    config = HybridConfig(
+        settle_threshold_s=settle_s, time_limit_s=0.1, derivative_epsilon=epsilon
+    )
+    candidates = events_at(indices, series)
+    whole = loess_smooth(first_derivative(values), window)
+    computed = _SmoothedDerivative(values, window)
+    survivors = merge_transient_events(candidates, computed, series, config)
+    assert np.array_equal(survivors, merge_transient_events(candidates, whole, series, config))
+    expected = oracle_merge(
+        [(i, series.time_at(i)) for i in indices], whole, 20.0, epsilon, settle_s
+    )
+    assert candidates[survivors].indices.tolist() == expected
 
 
-@pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "step"])
-def test_a_trace_exactly_one_window_long(quiet: bool, monkeypatch: pytest.MonkeyPatch) -> None:
-    use_proof_blocks(monkeypatch, 16)
-    x = 120.0 + np.random.default_rng(3).normal(0.0, 0.01, 41)
-    if not quiet:
-        x[18:] += 300.0
-    same = assert_same_as_whole_trace(x, 41, EPSILON)
-    # Only the centre sample is interior, and both edge ranges reach it, so
-    # every sample is computed, quiet or not.
-    assert same.all()
-
-
-def test_an_active_run_that_reaches_the_zero_pad(monkeypatch: pytest.MonkeyPatch) -> None:
-    use_proof_blocks(monkeypatch, 16)
-    x = 50.0 + np.random.default_rng(4).normal(0.0, 0.01, 400)
-    x[2:] += 800.0
-    same = assert_same_as_whole_trace(x, 21, EPSILON)
-    assert same[:16].all()  # the first block, computed from d[0] = 0 on
-    assert not same.all()  # and later blocks skipped
-
-
-@pytest.mark.parametrize("at_end", [1, 4, 9], ids=lambda k: f"step{k}fromend")
-def test_an_active_run_inside_the_last_half_window(
-    at_end: int, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    use_proof_blocks(monkeypatch, 8)
-    x = 50.0 + np.random.default_rng(at_end).normal(0.0, 0.01, 400)
-    step = x.size - at_end
-    x[step:] += 800.0
-    same = assert_same_as_whole_trace(x, 21, EPSILON)
-    assert same[step - 10 :].all()  # every sample whose window sees the step
-    assert not same.all()
-
-
-def test_an_active_run_inside_the_first_half_window(monkeypatch: pytest.MonkeyPatch) -> None:
-    use_proof_blocks(monkeypatch, 4)
-    x = 50.0 + np.random.default_rng(5).normal(0.0, 0.01, 300)
-    x[3:] -= 600.0
-    same = assert_same_as_whole_trace(x, 41, EPSILON)
-    assert same[: 3 + 21].all()  # every sample whose window sees the step
-    assert not same.all()
-
-
-@given(moving_traces, st.sampled_from([3, 9, 41, 121]), st.sampled_from(PROOF_BLOCK_SIZES))
+@given(
+    moving_traces,
+    st.sampled_from([3, 9, 41, 121]),
+    st.sampled_from(BLOCK_SIZES),
+    st.lists(st.integers(min_value=0, max_value=399), unique=True, min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=12),
+)
 def test_skipped_samples_never_change_the_mask_or_the_extrema(
-    values: np.ndarray, window: int, block: int
+    values: np.ndarray, window: int, block: int, spots: list[int], radius: int
 ) -> None:
+    """Samples never computed change neither the merge nor the guard's extrema,
+    and every sample read is settled exactly where the whole trace's is."""
     assume(window <= values.size)
+    indices = sorted({i for i in spots if i < values.size})
     with pytest.MonkeyPatch.context() as monkeypatch:
-        use_proof_blocks(monkeypatch, block)
-        assert_same_as_whole_trace(values, window, EPSILON)
-
-
-def epsilon_beside(bound: float, kernel: np.ndarray, side: str) -> float:
-    """The smallest epsilon whose settle limit exceeds ``bound`` ("below"), or
-    the float just under it, whose limit does not ("above")."""
-    epsilon = bound / _settle_limit(kernel, 1.0)
-    while not bound < _settle_limit(kernel, epsilon):
-        epsilon = np.nextafter(epsilon, np.inf)
-    while bound < _settle_limit(kernel, np.nextafter(epsilon, -np.inf)):
-        epsilon = np.nextafter(epsilon, -np.inf)
-    return float(epsilon if side == "below" else np.nextafter(epsilon, -np.inf))
-
-
-@pytest.mark.parametrize("side", ["below", "above"])
-def test_a_bound_one_ulp_from_the_settle_limit_gives_the_whole_trace_result(
-    side: str, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    """A block whose range bound is just below the settle limit is skipped, one
-    ulp above it computed; its moment bound is far above either."""
-    use_proof_blocks(monkeypatch, 32)
-    x = 230.0 + np.random.default_rng(8).normal(0.0, 0.01, 640)
-    x[100:] += 400.0
-    x[400:] += 3.0  # inside block 12, [384, 416)
-    kernel = _loess_kernel(10)
-    summary = core._Summary.of(x)
-    bound = _block_bounds(summary, kernel)[12]
-    epsilon = epsilon_beside(bound, kernel, side)
-    assert (bound < _settle_limit(kernel, epsilon)) == (side == "below")
-    assert bound < epsilon  # the limit, not epsilon, decides
-    assert _moment_bounds(x, summary, kernel, np.array([12]))[0] > 2 * epsilon
-    same = assert_same_as_whole_trace(x, 21, epsilon)
-    assert same[384:416].all() == (side == "above")
-
-
-@pytest.mark.parametrize("window", [3, 129])
-def test_a_settled_block_proves_the_sample_just_past_either_end(
-    window: int, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    """A range starts and ends where a settled block's bound reaches one sample past it.
-
-    A 1e7 W step at sample 64 moves ``s[64]`` (window 3) and, through the
-    tiny tap ``k[63]``, ``s[127]`` (window 129).  A bound over the taps alone
-    would prove block 0 (window 3) or block 2 (window 129) settled, since
-    both edges fall on a summary block edge, and a range would start or end
-    at that moving sample.
-    """
-    use_proof_blocks(monkeypatch, 64)
-    x = np.zeros(320)
-    x[64:] = 1e7
-    whole = loess_smooth(first_derivative(x), window)
-    assert abs(whole[64 if window == 3 else 127]) >= EPSILON
-    assert_same_as_whole_trace(x, window, EPSILON)
-
-
-def no_underflow(x: np.ndarray) -> bool:
-    """Whether every nonzero sample exceeds 1e-100 in magnitude, so that the
-    squared deviations and the products of ``s`` stay normal numbers (the
-    library settles no block where they might not: epsilon < 2**-400)."""
-    return bool(np.all((x == 0.0) | (np.abs(x) > 1e-100)))
-
-
-def tap_spreads(x: np.ndarray, half: int) -> np.ndarray:
-    """Per interior index, ``sqrt(sum (x - mean)**2)`` over ``x[i - half .. i + half - 1]``."""
-    taps = np.lib.stride_tricks.sliding_window_view(x, 2 * half)[: x.size - 2 * half]
-    # About the first tap, so that equal taps give exactly 0.
-    shifted = taps - taps[:, :1]
-    squares = np.sum(shifted**2, axis=1) - np.sum(shifted, axis=1) ** 2 / (2 * half)
-    return np.sqrt(np.maximum(squares, 0.0))
-
-
-@given(moving_traces, st.integers(min_value=1, max_value=40), st.floats(0.5, 60.0))
-def test_whole_trace_smoothed_derivative_obeys_the_moment_bound(
-    values: np.ndarray, half: int, rate_hz: float
-) -> None:
-    config = HybridConfig(loess_window_s=(2 * half + 1) / rate_hz)
-    window = config.loess_window_samples(rate_hz)
-    assume(window <= values.size)
-    assume(no_underflow(values))
-    half = window // 2
-    smoothed = smoothed_derivative(SampleSeries(values, rate_hz), config)
-    bound = _difference_norm(_loess_kernel(half)) * tap_spreads(values, half)
-    assert np.all(np.abs(smoothed[half : values.size - half]) <= bound * (1 + 1e-6))
-
-
-@given(
-    moving_traces,
-    st.integers(min_value=1, max_value=100),
-    st.sampled_from(PROOF_BLOCK_SIZES),
-)
-def test_moment_bounds_cover_the_taps_of_every_index_they_stand_for(
-    values: np.ndarray, half: int, block: int
-) -> None:
-    """Each proof block's moment bound is at least the Cauchy–Schwarz bound of
-    every interior index in it and one either side, and at least its floor."""
-    assume(2 * half + 1 <= values.size and no_underflow(values))
-    kernel = _loess_kernel(half)
-    summary = core._Summary.of(values)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        use_proof_blocks(monkeypatch, block)
-        blocks = np.arange(-(-values.size // block))
-        starts = blocks * block
-        interior = blocks[(starts - 1 >= half) & (starts + block < values.size - half)]
-        assume(interior.size)
-        bounds = _moment_bounds(values, summary, kernel, interior)
-        floors = _moment_floors(summary, kernel, interior)
-    spreads = _difference_norm(kernel) * tap_spreads(values, half)
-    for b, bound, floor in zip(interior.tolist(), bounds, floors):
-        covered = spreads[b * block - 1 - half : b * block + block + 1 - half]
-        assert bound >= covered.max() * (1 - 1e-6)
-        assert floor <= bound * (1 + 1e-6)
+        use_blocks(monkeypatch, block)
+        reads = reads_of(monkeypatch)
+        assert_merge_is_the_whole_trace_merge(values, window, indices, 0.5)
+        assert_guard_read_is_the_whole_trace(values, window, indices, radius)
+        whole = loess_smooth(first_derivative(values), window)
+        computed = _SmoothedDerivative(values, window)
+        for read in reads:
+            starts, stops = (np.array(edges, dtype=np.int64) for edges in zip(*read))
+            ranges = computed.read(starts, stops)
+            settled = np.abs(ranges.values) < EPSILON
+            assert np.array_equal(settled, np.abs(whole[sample_indices(ranges)]) < EPSILON)
 
 
 def noisy_trace(
@@ -680,103 +718,67 @@ def noisy_trace(
 def test_noisy_traces_give_the_whole_trace_extrema_and_merge(
     rate_hz: float, sigma: float
 ) -> None:
+    """The merge and the extrema near each candidate, read from the computed
+    derivative, are those of the whole trace."""
     x = noisy_trace(rate_hz, sigma, 1800.0, seed=round(rate_hz * 10 + sigma * 100), gaps=(60, 300))
     series, config = SampleSeries(x, rate_hz), HybridConfig()
     window, epsilon = config.loess_window_samples(rate_hz), config.derivative_epsilon
-    assert_same_as_whole_trace(x, window, epsilon)
-    support = _moving_smoothed_derivative(x, window, epsilon, summary=series.summary)
+    computed = _SmoothedDerivative(x, window)
     whole = smoothed_derivative(series, config)
     candidates = detect_base(series, config)
     assert len(candidates) > 10
     assert np.array_equal(
-        merge_transient_events(candidates, support, series, config),
+        merge_transient_events(candidates, computed, series, config),
         merge_transient_events(candidates, whole, series, config),
     )
+    c = candidates.indices
+    near = computed.read(np.maximum(c - 5, 0), np.minimum(c + 6, x.size))
+    read = np.zeros(x.size, dtype=bool)
+    for index in c.tolist():
+        read[max(index - 5, 0) : index + 6] = True
+    expected = detect_extrema(whole, epsilon)
+    told = read[expected - 1] & read[expected] & read[np.minimum(expected + 1, x.size - 1)]
+    assert np.array_equal(detect_extrema(near, epsilon), expected[told])
 
 
-def test_a_noisy_meter_trace_computes_a_tenth_of_its_samples() -> None:
-    """Three hours at 20 Hz with 2 W of noise and a switch every 20-40 minutes:
-    the range bound settles almost nothing there, the moment bound almost
-    every block without a switch."""
-    x = noisy_trace(20.0, 2.0, 3 * 3600.0, seed=11, gaps=(1200, 2400))
-    config = HybridConfig()
-    window, epsilon = config.loess_window_samples(20.0), config.derivative_epsilon
-    summary = core._Summary.of(x)
-    kernel = _loess_kernel(window // 2)
-    assert np.mean(_block_bounds(summary, kernel) < _settle_limit(kernel, epsilon)) < 0.1
-    support = _moving_smoothed_derivative(x, window, epsilon, summary=summary)
-    assert support.values.size <= 0.1 * x.size
-
-
-def tight_moment_traces(half: int, tries: int) -> list[np.ndarray]:
-    """Flat traces whose taps around sample 1500 are ``level + alpha * dk``, where
-    Cauchy–Schwarz is tight, and the computed ``|s|`` there exceeds the
-    computed moment bound of its proof block by rounding."""
-    kernel = _loess_kernel(half)
-    dk = kernel[:-1] - kernel[1:]
-    rng = np.random.default_rng(half)
-    found = []
-    for _ in range(tries):
-        x = np.full(3072, rng.uniform(-1.0, 1.0))
-        x[1500 - half : 1500 + half] += rng.uniform(1.0, 1e4) * dk
-        s = loess_smooth(first_derivative(x), 2 * half + 1)
-        bound = _moment_bounds(x, core._Summary.of(x), kernel, np.array([1]))[0]
-        if np.abs(s[1023:2049]).max() > bound:
-            found.append(x)
-    return found
-
-
-@pytest.mark.parametrize(
-    "epsilon", [2.0**-400, float(np.nextafter(2.0**-400, 0.0))], ids=["smallest", "below"]
-)
-def test_no_block_is_settled_below_the_smallest_epsilon(epsilon: float) -> None:
-    """Below 2**-400 the rounding margin would not cover underflow."""
-    x = np.full(5000, 2.0**-600)
-    x[2500:] = 2.0**-599
-    support = _moving_smoothed_derivative(x, 41, epsilon, summary=core._Summary.of(x))
-    assert (support.values.size == x.size) == (epsilon < 2.0**-400)
-
-
-@pytest.mark.parametrize("half", [10, 20])
-def test_a_tight_moment_bound_settles_nothing_within_its_rounding_margin(half: int) -> None:
-    """Where the computed ``|s|`` is a few ulps above the computed bound, a limit
-    of epsilon itself would settle the block at epsilon = max |s|; the margin
-    keeps it computed."""
-    traces = tight_moment_traces(half, tries=60)
-    assert len(traces) >= 5
-    for x in traces[:5]:
-        whole = loess_smooth(first_derivative(x), 2 * half + 1)
-        epsilon = float(np.abs(whole).max())
-        same = assert_same_as_whole_trace(x, 2 * half + 1, epsilon)
-        assert same[1023:2049].all()
-
-
-@pytest.mark.parametrize(
-    ("half", "spike"),
-    [(64, 2 * 64 + 64 - 1), (65, 4 * 64), (1, 4 * 64)],
-    ids=["first-tap", "last-tap", "last-tap-3"],
-)
-def test_a_window_set_holds_the_end_taps_of_the_indices_beside_its_block(
-    half: int, spike: int, monkeypatch: pytest.MonkeyPatch
+def test_the_merge_reads_a_small_share_of_a_noisy_meter_trace(
+    monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    """A 1e7 W spike on a flat trace reaches ``s`` at one index beside a proof
-    block through an end tap (``dk = k[1]``), from a summary block that only
-    that tap brings into the block's window sets.  The range bound sees it;
-    a moment bound whose taps were one sample shorter on that side would
-    settle the block, and a range would begin or end at that moving sample.
-    """
-    use_proof_blocks(monkeypatch, 64)
-    x = np.zeros(64 * 12)
-    x[spike] = 1e7
-    whole = loess_smooth(first_derivative(x), 2 * half + 1)
-    beside = spike + half if spike % 64 == 63 else spike - half + 1  # the index beside a block
-    assert beside % 64 in (0, 63) and abs(whole[beside]) >= EPSILON
-    assert_same_as_whole_trace(x, 2 * half + 1, EPSILON)
+    """Three hours at 20 Hz with 2 W of noise and a switch every 20-40 minutes:
+    the merge reads a few settle lengths after each candidate."""
+    x = noisy_trace(20.0, 2.0, 3 * 3600.0, seed=11, gaps=(1200, 2400))
+    series, config = SampleSeries(x, 20.0), HybridConfig()
+    candidates = detect_base(series, config)
+    reads = reads_of(monkeypatch)
+    computed = _SmoothedDerivative(x, config.loess_window_samples(20.0))
+    merge_transient_events(candidates, computed, series, config)
+    read = sum(stop - start for ranges in reads for start, stop in ranges)
+    assert 0 < read <= 0.01 * x.size
 
 
-# --- Supports: the extrema and the merge read only the computed ranges -----
+def test_a_noisy_meter_trace_computes_a_tenth_of_its_samples(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """The same three hours through detect_hybrid, merge and guard together:
+    the derivative is computed on at most a tenth of the samples."""
+    x = noisy_trace(20.0, 2.0, 3 * 3600.0, seed=11, gaps=(1200, 2400))
+    computed: list[int] = []
+    read = _SmoothedDerivative.read
 
-SUPPORT_GRID = [
+    def counted(self, starts, stops):
+        ranges = read(self, starts, stops)
+        computed.append(ranges.values.size)
+        return ranges
+
+    monkeypatch.setattr(_SmoothedDerivative, "read", counted)
+    result = detect_hybrid(SampleSeries(x, 20.0), HybridConfig())
+    assert len(result.base_events) > 3
+    assert 0 < sum(computed) <= 0.1 * x.size
+
+
+# --- Ranges: the extrema read only inside a range ---------------------------
+
+RANGE_GRID = [
     0.0,
     0.0,
     0.25,
@@ -793,83 +795,80 @@ SUPPORT_GRID = [
 ]
 
 
-def runs_of(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(starts, stops)`` of the runs of true samples in ``mask``."""
-    flags = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
-    return np.flatnonzero(flags == 1), np.flatnonzero(flags == -1)
-
-
 @st.composite
-def covered_traces(draw) -> tuple[np.ndarray, _Support, list[int]]:
-    """A dense trace, a support of it that meets the invariant, and candidates.
-
-    The ranges are the runs of the samples with ``|v| >= epsilon`` plus any
-    others, each run widened by one sample where it would otherwise begin
-    or end on such a sample inside the trace.  Outside the ranges ``v`` may
-    be nonzero below epsilon, as the true derivative is where the support
-    reads 0.  Candidates sit on range edges and one sample either side of
-    them, inside runs where ``|v| >= epsilon``, at the trace ends, or right
-    next to another candidate.
-    """
-    v = np.array(draw(st.lists(st.sampled_from(SUPPORT_GRID), min_size=3, max_size=200)))
-    size = v.size
-    unsettled = np.abs(v) >= EPSILON
-    extra = draw(st.lists(st.sampled_from([False, False, True]), min_size=size, max_size=size))
-    inside = unsettled | np.array(extra)
-    starts, stops = runs_of(inside)
-    inside[starts[(starts > 0) & unsettled[starts]] - 1] = True
-    inside[stops[(stops < size) & unsettled[stops - 1]]] = True
-    starts, stops = runs_of(inside)
-    support = _Support(size, starts, stops, v[inside])
-    edges = {int(edge) + d for edge in [*starts, *stops] for d in (-1, 0, 1)}
-    spots = edges | set(np.flatnonzero(unsettled).tolist()) | {0, size - 1}
-    spots = sorted(i for i in spots if 0 <= i < size)
-    chosen = draw(
-        st.lists(
-            st.sampled_from(spots) | st.integers(min_value=0, max_value=size - 1),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    if draw(st.booleans()):
-        chosen += [i + 1 for i in chosen if i < size - 1]
-    return v, support, sorted(set(chosen))
-
-
-@given(covered_traces(), st.sampled_from([0.3, 0.5, 2.0]))
-def test_merge_on_a_support_agrees_with_the_oracle_and_the_dense_trace(
-    case, settle_threshold_s: float
-) -> None:
-    v, support, indices = case
-    assert_support_invariant(support, v, EPSILON)
-    series = series_at_20hz(np.zeros(v.size))
-    config = HybridConfig(settle_threshold_s=settle_threshold_s, time_limit_s=0.1)
-    candidates = events_at(indices, series)
-    survivors = merge_transient_events(candidates, support, series, config)
-    assert survivors.dtype == np.int64
-    assert np.array_equal(survivors, merge_transient_events(candidates, v, series, config))
-    expected = oracle_merge(
-        [(i, series.time_at(i)) for i in indices],
-        v,
-        20.0,
-        config.derivative_epsilon,
-        settle_threshold_s,
-    )
-    assert candidates[survivors].indices.tolist() == expected
+def ranges_of_traces(draw) -> tuple[np.ndarray, _Ranges]:
+    """A dense trace and some of its samples as ranges, which may be one sample long."""
+    v = np.array(draw(st.lists(st.sampled_from(RANGE_GRID), min_size=3, max_size=200)))
+    inside = np.array(draw(st.lists(st.booleans(), min_size=v.size, max_size=v.size)))
+    flags = np.diff(np.concatenate(([0], inside.astype(np.int8), [0])))
+    starts, stops = np.flatnonzero(flags == 1), np.flatnonzero(flags == -1)
+    return v, _Ranges(v.size, starts, stops, v[inside])
 
 
 @given(
-    covered_traces(),
-    st.sampled_from([EPSILON, float(np.nextafter(EPSILON, np.inf)), 0.7, 1.0]),
+    ranges_of_traces(),
+    st.sampled_from([None, EPSILON, float(np.nextafter(EPSILON, np.inf)), 0.7, 1.0]),
 )
-def test_extrema_on_a_support_agree_with_the_oracle_and_the_dense_trace(
-    case, min_abs_value: float
+def test_extrema_of_ranges_are_the_dense_extrema_with_both_neighbours_inside(
+    case, min_abs_value: float | None
 ) -> None:
-    # A support answers any min_abs_value at or above its epsilon.
-    v, support, _ = case
-    assert_support_invariant(support, v, EPSILON)
-    found = detect_extrema(support, min_abs_value)
+    v, ranges = case
+    found = detect_extrema(ranges, min_abs_value)
     assert found.dtype == np.int64
-    assert np.array_equal(found, detect_extrema(v, min_abs_value))
-    expected = [index for index, _, value in oracle_extrema(v) if abs(value) > min_abs_value]
+    inside = np.zeros(v.size, dtype=bool)
+    inside[sample_indices(ranges)] = True
+    expected = [
+        index
+        for index, _, value in oracle_extrema(v)
+        if inside[index - 1 : index + 2].all()
+        and (min_abs_value is None or abs(value) > min_abs_value)
+    ]
     assert found.tolist() == expected
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.integers(min_value=-3, max_value=60)] * 2),
+        max_size=8,
+    )
+)
+def test_the_union_of_ranges_is_the_union_of_their_samples(pairs) -> None:
+    starts = np.array([start for start, _ in pairs], dtype=np.int64)
+    stops = np.array([stop for _, stop in pairs], dtype=np.int64)
+    union_starts, union_stops = _union(starts, stops)
+    assert np.all(union_starts < union_stops)
+    assert np.all(union_stops[:-1] < union_starts[1:])  # disjoint, never touching
+    covered = {i for start, stop in pairs for i in range(start, stop)}
+    assert {
+        i for start, stop in zip(union_starts.tolist(), union_stops.tolist())
+        for i in range(start, stop)
+    } == covered
+
+
+@given(st.data())
+def test_the_longest_settled_run_counts_only_samples_read_between_candidates(data) -> None:
+    v, ranges = data.draw(ranges_of_traces())
+    assume(ranges.starts.size)  # the merge reads only non-empty gaps
+    spots = st.lists(st.integers(min_value=0, max_value=v.size - 1), unique=True, min_size=2)
+    indices = np.array(sorted(data.draw(spots)), dtype=np.int64)
+    read = np.zeros(v.size, dtype=bool)
+    read[sample_indices(ranges)] = True
+    settled = read & (np.abs(v) < EPSILON)
+    expected = []
+    for a, b in zip(indices[:-1].tolist(), indices[1:].tolist()):
+        longest = run = 0
+        for flag in settled[a + 1 : b].tolist():
+            run = run + 1 if flag else 0
+            longest = max(longest, run)
+        expected.append(longest)
+    assert _longest_settled(ranges, indices, EPSILON).tolist() == expected
+
+
+def test_a_computed_derivative_checks_its_window_and_its_length() -> None:
+    for window in (1, 4, 11):
+        with pytest.raises(InvalidWindow):
+            _SmoothedDerivative(np.zeros(10), window)
+    series = series_at_20hz(np.zeros(100))
+    with pytest.raises(MisalignedInput):
+        short = _SmoothedDerivative(np.zeros(99), 3)
+        merge_transient_events(events_at([5, 50], series), short, series, HybridConfig())

@@ -175,9 +175,11 @@ def test_low_power_series_passes_through_unchanged() -> None:
     t = np.arange(300) / 20.0
     series = series_at_20hz(np.where((t >= 2.5) & (t < 7.5), 40.0, 0.0))
     candidates = low_power_candidates(series)
-    survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], HybridConfig())
+    survivors, verdicts, read = refilter_events_with_verdicts(
+        series, candidates, [], HybridConfig()
+    )
     assert survivors.tolist() == [0, 1]
-    assert len(verdicts) == 0
+    assert len(verdicts) == 0 and read.size == 0
 
 
 def test_all_negative_candidates_pass_through_unchanged() -> None:
@@ -185,18 +187,20 @@ def test_all_negative_candidates_pass_through_unchanged() -> None:
     # fluctuation, so the refilter leaves the list alone.
     series = series_at_20hz(np.full(300, 2000.0))
     candidates = Events([80], [4.0], [-500.0])
-    survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], HybridConfig())
+    survivors, verdicts, read = refilter_events_with_verdicts(
+        series, candidates, [79], HybridConfig()
+    )
     assert survivors.tolist() == [0]
-    assert len(verdicts) == 0
+    assert len(verdicts) == 0 and read.size == 0
 
 
 def test_empty_candidate_list_is_a_no_op() -> None:
     series = series_at_20hz(np.zeros(100))
-    survivors, verdicts = refilter_events_with_verdicts(
+    survivors, verdicts, read = refilter_events_with_verdicts(
         series, Events([], [], []), [], HybridConfig()
     )
     assert survivors.size == 0
-    assert len(verdicts) == 0
+    assert len(verdicts) == 0 and read.size == 0
 
 
 def test_refilter_index_validation() -> None:
@@ -238,7 +242,8 @@ def test_refilter_decisions_replay_from_first_principles() -> None:
         config.power_threshold_watts, config.time_limit_s,
     )
     re_times = [time for _, time, _ in re_events]
-    guard_indices = result.extrema.tolist()
+    whole = loess_smooth(first_derivative(series.values), config.loess_window_samples(20.0))
+    guard_indices = detect_extrema(whole, config.derivative_epsilon).tolist()
     kept_expected = []
     for event in result.merged_events:
         confirmed = any(abs(t - event.timestamp_s) <= config.eval_match_tolerance_s
@@ -258,15 +263,18 @@ def test_guarded_candidates_survive_regardless_of_redetection() -> None:
     series = series_at_20hz(values)
     config = HybridConfig()
     candidates = Events([194, 600], [series.time_at(194), series.time_at(600)], [250.0, 28.0])
-    removed, _ = refilter_events_with_verdicts(series, candidates, [], config)
+    removed, _, _ = refilter_events_with_verdicts(series, candidates, [], config)
     assert candidates.indices[removed].tolist() == [194]
-    kept, verdicts = refilter_events_with_verdicts(series, candidates, [603], config)
+    kept, verdicts, read = refilter_events_with_verdicts(series, candidates, [603, 190], config)
     assert candidates.indices[kept].tolist() == [194, 600]
+    # The extremum near the confirmed step guards nothing, so the guard does not read it.
+    assert read.tolist() == [603]
     guarded = list(verdicts)[1]
     assert guarded.reason is FilterReason.PROTECTED_BY_EXTREMUM
     assert guarded.kept is True
-    kept_far, _ = refilter_events_with_verdicts(series, candidates, [610], config)
+    kept_far, _, read_far = refilter_events_with_verdicts(series, candidates, [610], config)
     assert candidates.indices[kept_far].tolist() == [194]
+    assert read_far.size == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1199), unique=True, min_size=1, max_size=6).map(sorted))
@@ -275,7 +283,7 @@ def test_refilter_output_is_a_subset_with_consistent_verdicts(indices: list[int]
     series = series_at_20hz(np.where(t >= 10.0, 1500.0, 0.0))
     config = HybridConfig()
     candidates = events_at(indices, series, 50.0)
-    survivors, verdicts = refilter_events_with_verdicts(series, candidates, [], config)
+    survivors, verdicts, _ = refilter_events_with_verdicts(series, candidates, [], config)
     survivor_indices = candidates.indices[survivors].tolist()
     assert set(survivor_indices) <= set(indices)
     assert [v.event_index for v in verdicts] == indices
@@ -285,6 +293,17 @@ def test_refilter_output_is_a_subset_with_consistent_verdicts(indices: list[int]
         if verdict.reason is FilterReason.REMOVED_AS_FLUCTUATION:
             assert not verdict.kept
     assert [v.event_index for v in verdicts if v.kept] == survivor_indices
+
+
+def test_savitzky_golay_rows_are_built_once_and_read_only() -> None:
+    centre, projection = nilmevents.filtering._savitzky_golay_rows(41, 2)
+    assert nilmevents.filtering._savitzky_golay_rows(41, 2)[0] is centre
+    for rows in (centre, projection):
+        assert not rows.flags.writeable
+    values = np.random.default_rng(2).normal(0.0, 50.0, 300)
+    assert np.array_equal(savitzky_golay(values, 41, 2), savitzky_golay(values, 41, 2))
+    np.testing.assert_allclose(savitzky_golay(values, 41, 2), oracle_savgol(values, 41, 2),
+                               rtol=1e-9, atol=1e-9)
 
 
 def refilter_trace(stepped: bool) -> np.ndarray:
@@ -335,7 +354,7 @@ def test_refilter_verdicts_agree_with_full_scans(data) -> None:
         indices = st.sampled_from(at_guard) | indices
     specs = data.draw(st.lists(st.tuples(indices, times), min_size=1, max_size=10))
     candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
-    survivors, verdicts = refilter_events_with_verdicts(
+    survivors, verdicts, read = refilter_events_with_verdicts(
         series, candidates, extremum_indices, config
     )
     expected = oracle_refilter_verdicts(specs, re_times, extremum_indices, tolerance, guard)
@@ -343,6 +362,22 @@ def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     assert [v.event_index for v in verdicts] == [i for i, _ in specs]
     kept = [k for k, reason in enumerate(expected) if reason != "removed_as_fluctuation"]
     assert survivors.tolist() == kept
+    unconfirmed = [i for (i, _), reason in zip(specs, expected) if reason != "survived_refilter"]
+    assert read.tolist() == [
+        g for g in extremum_indices if any(abs(g - i) <= guard for i in unconfirmed)
+    ]
+
+    # Given as a function, the guard is asked once, for the unconfirmed candidates.
+    asked = []
+
+    def near(unconfirmed: np.ndarray, radius: int) -> np.ndarray:
+        asked.append((unconfirmed.tolist(), radius))
+        return np.array(extremum_indices, dtype=np.int64)
+
+    lazy = refilter_events_with_verdicts(series, candidates, near, config)
+    assert np.array_equal(lazy[0], survivors) and lazy[1] == verdicts
+    assert np.array_equal(lazy[2], read)
+    assert asked == [(unconfirmed, guard)]
 
 
 def test_kitchen_replica_removes_fluctuation_alarms_only() -> None:

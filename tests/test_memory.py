@@ -1,4 +1,4 @@
-"""Traced allocation peaks of the CSV reader and the smoothed derivative.
+"""Traced allocation peaks of the CSV reader and of a smoothed derivative read.
 
 numpy reports its array buffers to ``tracemalloc``, so a traced peak
 counts every temporary a call holds at once.  Each test runs its call
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from nilmevents import core, load_trace
-from nilmevents.derivative import _moving_smoothed_derivative
+from nilmevents.derivative import _SmoothedDerivative
 
 
 def traced_peak(call) -> tuple[object, int]:
@@ -45,15 +45,17 @@ def test_load_trace_peaks_at_the_parse_array_plus_one_column(tmp_path: Path) -> 
     assert peak <= 1.25 * parse_and_column
 
 
-def test_the_moving_derivative_holds_the_support_and_a_few_blocks() -> None:
-    window, epsilon = 41, 0.5  # 2 s at 20 Hz and the default epsilon
+def test_a_derivative_read_holds_its_windows_and_a_few_blocks() -> None:
+    window = 41  # 2 s at 20 Hz
     rng = np.random.default_rng(3)
     warm = rng.normal(500.0, 5.0, 4096)
-    _moving_smoothed_derivative(warm, window, epsilon, summary=core._Summary.of(warm))
-    values = rng.normal(500.0, 5.0, 200_000)  # too noisy for any block to be proven settled
-    summary = core._Summary.of(values)
-    support, peak = traced_peak(
-        lambda: _moving_smoothed_derivative(values, window, epsilon, summary=summary)
-    )
-    assert support.starts.tolist() == [0] and support.stops.tolist() == [values.size]
-    assert peak <= support.values.nbytes + 4 * core._BLOCK_SAMPLES * 8
+    _SmoothedDerivative(warm, window).read(np.array([0, 1000]), np.array([100, 4096]))
+    values = rng.normal(500.0, 5.0, 200_000)  # meter noise: no stretch is skipped for it
+    # As the merge reads: 80 samples after each of 1,500 candidates, and one long gap.
+    starts = np.concatenate((np.arange(1, 150_000, 100), [150_000]))
+    stops = np.concatenate((starts[:-1] + 80, [200_000]))
+    derivative = _SmoothedDerivative(values, window)
+    ranges, peak = traced_peak(lambda: derivative.read(starts, stops))
+    assert ranges.values.size == 1500 * 80 + 50_000
+    # The values, a few int64 words of bookkeeping per window, and a few blocks.
+    assert peak <= ranges.values.nbytes + 8 * 8 * starts.size + 8 * core._BLOCK_SAMPLES * 8

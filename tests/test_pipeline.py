@@ -6,7 +6,7 @@ import doctest
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilmevents
@@ -14,6 +14,7 @@ from nilmevents import (
     ApplianceSpec,
     DetectionError,
     Events,
+    FilterReason,
     HybridConfig,
     InvalidWindow,
     NonFiniteValue,
@@ -28,7 +29,7 @@ from nilmevents import (
     detect_hybrid,
     generate_scenario,
     lld_max,
-    merge_transient_events,
+    seconds_to_samples,
     smoothed_derivative,
 )
 from nilmevents.filtering import refilter_events_with_verdicts
@@ -109,6 +110,17 @@ def test_stage_counts_shrink_and_events_trace_back_to_base(name: str) -> None:
     assert_stage_lists_nest(result)
 
 
+def guard_read(extrema: np.ndarray, result: PipelineResult, radius: int) -> np.ndarray:
+    """The ``extrema`` within ``radius`` of a merged event the re-detection did not
+    confirm: what the refilter's guard reads, none when the refilter did not fire."""
+    unconfirmed = [
+        v.event_index for v in result.filter_verdicts
+        if v.reason is not FilterReason.SURVIVED_REFILTER
+    ]
+    near = [e for e in extrema.tolist() if any(abs(e - c) <= radius for c in unconfirmed)]
+    return np.array(near, dtype=np.int64)
+
+
 @pytest.mark.parametrize("name", REPLICA_NAMES)
 def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
     run = run_replica(name)
@@ -116,10 +128,14 @@ def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
     smoothed = smoothed_derivative(run.series, run.config)
     assert smoothed.size == len(run.series)
     epsilon = run.config.derivative_epsilon
-    assert np.array_equal(result.extrema, detect_extrema(smoothed, epsilon))
-    assert result.extrema.tolist() == [
+    extrema = detect_extrema(smoothed, epsilon)
+    assert extrema.tolist() == [
         index for index, _, value in oracle_extrema(smoothed) if abs(value) > epsilon
     ]
+    radius = seconds_to_samples(run.config.time_limit_s, run.series.sampling_rate_hz)
+    assert np.array_equal(result.extrema, guard_read(extrema, result, radius))
+    # On house1 the guard protects candidates; on kitchen it reads no significant extremum.
+    assert (result.extrema.size > 0) == (name == "house1")
     assert [e.index for e in result.merged_events] == oracle_merge(
         [(e.index, e.timestamp_s) for e in result.base_events],
         smoothed,
@@ -231,17 +247,27 @@ def test_package_docstring_example_runs() -> None:
 
 
 def assert_whole_trace_chain(series: SampleSeries, config: HybridConfig, result) -> None:
-    """``result`` is what the whole-trace smoothed derivative gives at every stage."""
+    """``result`` is what the whole-trace smoothed derivative gives at every stage:
+    the merge oracle on it, its significant extrema and the refilter on those."""
     base = detect_base(series, config)
     smoothed = smoothed_derivative(series, config)
     extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
-    merged = merge_transient_events(base, smoothed, series, config)
-    kept, verdicts = refilter_events_with_verdicts(series, base[merged], extrema, config)
+    merged_indices = oracle_merge(
+        [(e.index, e.timestamp_s) for e in base],
+        smoothed,
+        series.sampling_rate_hz,
+        config.derivative_epsilon,
+        config.settle_threshold_s,
+    )
+    merged = np.flatnonzero(np.isin(base.indices, merged_indices))
+    kept, verdicts, read = refilter_events_with_verdicts(series, base[merged], extrema, config)
     assert result.base_events == base
-    assert np.array_equal(result.extrema, extrema)
     assert np.array_equal(result.merged_positions, merged)
     assert np.array_equal(result.final_positions, merged[kept])
     assert result.filter_verdicts == verdicts
+    radius = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
+    assert np.array_equal(result.extrema, guard_read(extrema, result, radius))
+    assert np.array_equal(result.extrema, read)
 
 
 @st.composite
@@ -260,13 +286,45 @@ def quiet_stretches(draw) -> SampleSeries:
     return SampleSeries(x, rate)
 
 
+@st.composite
+def moving_stretches(draw) -> SampleSeries:
+    """A noisy level with a few switches 0.2-20 s apart: each a step, a ramp, or both,
+    and maybe an oscillation burst from the switch on.
+
+    Ramps and bursts last up to 12 s, longer than the two settle lengths
+    (4 s at the default settle threshold) the merge reads first after a
+    candidate, so in some gaps the first stretch holds no settled run and
+    the merge reads further.
+    """
+    rate = draw(st.sampled_from([20.0, 50.0, 60.0]))
+    apart = draw(st.lists(st.floats(min_value=0.2, max_value=20.0), min_size=1, max_size=5))
+    switches = np.round(np.cumsum(apart) * rate).astype(int)
+    size = int(switches[-1]) + round(draw(st.floats(min_value=3.0, max_value=20.0)) * rate)
+    noise = draw(st.sampled_from([0.0, 0.01, 0.3, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = draw(st.floats(min_value=0.0, max_value=3000.0)) + noise * rng.standard_normal(size)
+    seconds = st.floats(min_value=0.0, max_value=12.0)
+    for at in switches.tolist():
+        step, height = draw(st.floats(-1500.0, 1500.0)), draw(st.floats(-500.0, 500.0))
+        ramp = round(draw(seconds) * rate)
+        x[at:] += step + height * np.minimum(1.0, (np.arange(size - at) + 1.0) / (ramp + 1.0))
+        if draw(st.booleans()):
+            stop = min(size, at + round(draw(seconds) * rate))
+            period = draw(st.floats(min_value=0.3, max_value=3.0)) * rate
+            amplitude = draw(st.floats(min_value=5.0, max_value=200.0))
+            x[at:stop] += amplitude * np.sin(2.0 * np.pi * np.arange(stop - at) / period)
+    return SampleSeries(x, rate)
+
+
+# Each of the two kinds of trace gets about the default hundred examples.
+@settings(max_examples=200)
 @given(
-    quiet_stretches(),
+    quiet_stretches() | moving_stretches(),
     st.sampled_from(BLOCK_SIZES),
     st.sampled_from([1, 7, 64, 300, 1024]),
     st.sampled_from([0.05, 0.5, 3.0]),
 )
-def test_skipping_settled_blocks_changes_no_stage(
+def test_detect_hybrid_gives_the_whole_trace_chain(
     series: SampleSeries, block: int, proof_block: int, epsilon: float
 ) -> None:
     config = HybridConfig(derivative_epsilon=epsilon)
@@ -275,6 +333,34 @@ def test_skipping_settled_blocks_changes_no_stage(
         use_proof_blocks(monkeypatch, proof_block)
         result = detect_hybrid(series, config)
     assert_whole_trace_chain(series, config, result)
+
+
+def test_a_busy_fluctuating_trace_gives_the_whole_trace_chain() -> None:
+    """Ten minutes at 1.5 kW, with a 30-80 W step or a 1-3 s oscillation burst
+    every 4-10 s and kitchen settings: the refilter fires, and the guard keeps
+    significant extrema from the candidate itself out to its radius."""
+    rng = np.random.default_rng(1)
+    x = 1500.0 + 2.0 * rng.standard_normal(12_000)
+    at = 0.0
+    while (at := at + rng.uniform(4.0, 10.0)) < 595.0:
+        i = round(at * 20.0)
+        if rng.random() < 0.5:
+            x[i:] += rng.choice([-1, 1]) * rng.uniform(30.0, 80.0)
+        else:
+            m, period = round(rng.uniform(1.0, 3.0) * 20.0), rng.uniform(0.3, 1.0) * 20.0
+            square = np.sign(np.sin(2 * np.pi * np.arange(m) / period))
+            x[i : i + m] += rng.uniform(30.0, 60.0) * square
+    series = SampleSeries(x, 20.0)
+    config = HybridConfig(loess_window_s=3.0, sg_window_samples=41, sg_poly_order=2)
+    result = detect_hybrid(series, config)
+    assert_whole_trace_chain(series, config, result)
+    radius = seconds_to_samples(config.time_limit_s, 20.0)
+    unconfirmed = [
+        v.event_index for v in result.filter_verdicts
+        if v.reason is not FilterReason.SURVIVED_REFILTER
+    ]
+    distances = {min(abs(e - c) for c in unconfirmed) for e in result.extrema.tolist()}
+    assert distances == set(range(radius + 1))
 
 
 @pytest.mark.parametrize("name", REPLICA_NAMES)
