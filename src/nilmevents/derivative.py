@@ -330,42 +330,35 @@ def detect_extrema(
     return trace.indices(np.flatnonzero(strict) + 1).astype(np.int64, copy=False)
 
 
-def _longest_settled(trace: _Ranges, indices: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per pair of consecutive ``indices``, the longest run of ``|s| < epsilon`` read between them.
+def _longest_settled(trace: _Ranges, epsilon: float) -> np.ndarray:
+    """Per range of ``trace``, the longest run of ``|s| < epsilon`` inside it.
 
     The runs are those of the values read, cut at the edges of every
-    range and at every candidate index, so each lies strictly between two
-    consecutive candidates; binary search assigns it to that pair.  No
-    full-length mask is built and no pair is looped over.
+    range, so each lies in one range.  No full-length mask is built and
+    no range is looped over.
     """
     v = trace.values
     settled = (v < epsilon) & (v > -epsilon)  # no float temporary for |s|
     lengths = trace.stops - trace.starts
     offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
-    held = np.searchsorted(trace.starts, indices, side="right") - 1  # the range, if any
-    inside = (held >= 0) & (indices < trace.stops[held])
-    settled[(offsets[held] + indices - trace.starts[held])[inside]] = False
     cut = np.zeros(v.size, dtype=bool)
     cut[offsets] = True
     opens, closes = settled.copy(), settled.copy()
     opens[1:] &= cut[1:] | ~settled[:-1]
     closes[:-1] &= cut[1:] | ~settled[1:]
     begins = np.flatnonzero(opens)
-    pairs = np.searchsorted(indices, trace.indices(begins)) - 1
-    between = (pairs >= 0) & (pairs < indices.size - 1)
-    longest = np.zeros(indices.size - 1, dtype=np.int64)
-    runs = np.flatnonzero(closes) + 1 - begins
-    np.maximum.at(longest, pairs[between], runs[between])
+    longest = np.zeros(lengths.size, dtype=np.int64)
+    held = np.searchsorted(offsets, begins, side="right") - 1  # the range of each run
+    np.maximum.at(longest, held, np.flatnonzero(closes) + 1 - begins)
     return longest
 
 
 def _read(
     smoothed: np.ndarray | _SmoothedDerivative, starts: np.ndarray, stops: np.ndarray
 ) -> _Ranges:
-    """The samples of ``smoothed`` on the union of the ranges ``[starts, stops)``."""
+    """The samples of ``smoothed`` on the increasing, non-touching ranges ``[starts, stops)``."""
     if isinstance(smoothed, _SmoothedDerivative):
         return smoothed.read(starts, stops)
-    starts, stops = _union(starts, stops)
     lengths = stops - starts
     samples = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
     return _Ranges(smoothed.size, starts, stops, smoothed[samples])
@@ -397,6 +390,9 @@ def merge_transient_events(
     A run found is a settled run of the gap (samples not read count as
     unsettled), and a gap read to its end gives its longest run, so the
     decisions are those of the whole trace.
+    Each window ``[a + 1, stop)`` read has ``stop <= b`` and a sample at
+    least, so each range of a read is one pending gap, in gap order, and
+    holds no candidate.
 
     Returns the increasing int64 positions, into ``candidates``, of the
     events that survive; ``candidates[positions]`` are the merged events.
@@ -425,8 +421,8 @@ def merge_transient_events(
     reach = np.minimum(after, before + 1 + _SETTLE_SPANS * seconds_to_samples(settle, rate))
     while pending.size:
         starts, stops = before[pending] + 1, reach[pending]
-        longest = _longest_settled(_read(smoothed_derivative, starts, stops), indices, epsilon)
-        separate[pending] = longest[pending] / rate > settle
+        longest = _longest_settled(_read(smoothed_derivative, starts, stops), epsilon)
+        separate[pending] = longest / rate > settle
         # A stretch short of its gap and with no run long enough is read to the gap's end.
         pending = pending[(stops < after[pending]) & ~separate[pending]]
         reach = after

@@ -22,12 +22,7 @@ from .core import (
     GroundTruthLog,
 )
 
-__all__ = [
-    "NegativeTolerance",
-    "coalesce_simultaneous",
-    "match_events",
-    "evaluate_detections",
-]
+__all__ = ["NegativeTolerance", "coalesce_simultaneous", "match_events", "evaluate_detections"]
 
 
 class NegativeTolerance(DetectionError):
@@ -53,14 +48,6 @@ def coalesce_simultaneous(log: GroundTruthLog) -> GroundTruthLog:
     return GroundTruthLog(entries=tuple(merged))
 
 
-def _find(parent: list[int], k: int) -> int:
-    """Root of ``k`` in a pointer forest, halving the path on the way."""
-    while parent[k] != k:
-        parent[k] = parent[parent[k]]
-        k = parent[k]
-    return k
-
-
 def match_events(
     detections: Events,
     truth: GroundTruthLog,
@@ -74,13 +61,17 @@ def match_events(
     ``detections``, so with detections in time order the earlier one
     wins.
 
-    The detections are stably sorted by time once.  For each entry a
-    binary search finds its place, and two pointer forests skip claimed
-    detections to the nearest unclaimed one on either side.  Since
-    ``fl(det - truth)`` is monotone in ``det``, the nearest candidates
-    lie next to that place; only detections at exactly the same distance
-    are compared by position.  The cost is O((D + T) log D) for D
-    detections and T entries, against O(D * T) for a full scan per entry.
+    The detections are stably sorted by time once, each with a claimed
+    flag.  For each entry a binary search finds its place; from there the
+    search walks right, then left, while the distance (``det - truth`` or
+    ``truth - det``: the rounded ``abs(det - truth)``, which never
+    decreases along a walk) is at most the best so far, at first
+    ``tolerance_s``.  It steps over claimed detections; an unclaimed one
+    becomes the best when strictly nearer, or equally near with a smaller
+    position.  The cost is O(D log D) to sort D detections, then per
+    entry O(log D) to place it plus one step per detection within the
+    best distance, claimed ones included: a tolerance of minutes makes
+    the walks long.
 
     Returns
     -------
@@ -101,48 +92,26 @@ def match_events(
     order = sorted(range(len(stamps)), key=stamps.__getitem__)
     times = [stamps[pos] for pos in order]
     size = len(times)
-    # Slots k with equal times form one group [group_start[k], group_end[k]).
-    group_start = list(range(size))
-    for k in range(1, size):
-        if times[k] == times[k - 1]:
-            group_start[k] = group_start[k - 1]
-    group_end = [size] * size
-    for k in range(size - 2, -1, -1):
-        group_end[k] = group_end[k + 1] if times[k] == times[k + 1] else k + 1
-    # _find(upward, k) is the first unclaimed slot >= k (size if none);
-    # _find(downward, k + 1) - 1 is the last unclaimed slot <= k (-1 if none).
-    upward = list(range(size + 1))
-    downward = list(range(size + 1))
+    claimed = [False] * size
 
     pairs: list[tuple[int, int]] = []
     for truth_pos, entry in enumerate(truth):
         t = entry.timestamp_s
         split = bisect.bisect_left(times, t)
-        right = _find(upward, split)
-        left = _find(downward, split) - 1
-        right_distance = abs(times[right] - t) if right < size else math.inf
-        left_distance = abs(times[left] - t) if left >= 0 else math.inf
-        best_distance = min(right_distance, left_distance)
-        if not best_distance <= tolerance_s:
-            continue
-        # Every group at best_distance offers its first unclaimed slot,
-        # which holds the group's smallest unclaimed position.
-        best_slot = -1
-        slot = right
-        while slot < size and abs(times[slot] - t) == best_distance:
-            first = _find(upward, group_start[slot])
-            if best_slot < 0 or order[first] < order[best_slot]:
-                best_slot = first
-            slot = _find(upward, group_end[slot])
-        slot = left
-        while slot >= 0 and abs(times[slot] - t) == best_distance:
-            first = _find(upward, group_start[slot])
-            if best_slot < 0 or order[first] < order[best_slot]:
-                best_slot = first
-            slot = _find(downward, group_start[slot]) - 1
-        upward[best_slot] = best_slot + 1
-        downward[best_slot + 1] = best_slot
-        pairs.append((order[best_slot], truth_pos))
+        best, best_distance = -1, tolerance_s
+        k = split
+        while k < size and (distance := times[k] - t) <= best_distance:
+            if not claimed[k] and (distance < best_distance or best < 0 or order[k] < order[best]):
+                best, best_distance = k, distance
+            k += 1
+        k = split - 1
+        while k >= 0 and (distance := t - times[k]) <= best_distance:
+            if not claimed[k] and (distance < best_distance or best < 0 or order[k] < order[best]):
+                best, best_distance = k, distance
+            k -= 1
+        if best >= 0:
+            claimed[best] = True
+            pairs.append((order[best], truth_pos))
     tp = len(pairs)
     return tp, len(detections) - tp, len(truth) - tp, pairs
 

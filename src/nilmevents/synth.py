@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -240,23 +240,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
     return SampleSeries(values=total, sampling_rate_hz=rate), truth
 
 
-_APPLIANCE_KEYS = {
-    "label",
-    "power_watts",
-    "on_time_s",
-    "off_time_s",
-    "transient",
-    "transient_duration_s",
-    "fluctuation_amplitude_watts",
-}
-_SCENARIO_KEYS = {
-    "name",
-    "sampling_rate_hz",
-    "duration_s",
-    "appliances",
-    "noise_std_watts",
-    "seed",
-}
+_APPLIANCE_KEYS = {field.name for field in fields(ApplianceSpec)}
+_SCENARIO_KEYS = {field.name for field in fields(ScenarioSpec)}
 
 
 def _appliance_from_dict(payload: dict) -> ApplianceSpec:

@@ -845,23 +845,17 @@ def test_the_union_of_ranges_is_the_union_of_their_samples(pairs) -> None:
     } == covered
 
 
-@given(st.data())
-def test_the_longest_settled_run_counts_only_samples_read_between_candidates(data) -> None:
-    v, ranges = data.draw(ranges_of_traces())
-    assume(ranges.starts.size)  # the merge reads only non-empty gaps
-    spots = st.lists(st.integers(min_value=0, max_value=v.size - 1), unique=True, min_size=2)
-    indices = np.array(sorted(data.draw(spots)), dtype=np.int64)
-    read = np.zeros(v.size, dtype=bool)
-    read[sample_indices(ranges)] = True
-    settled = read & (np.abs(v) < EPSILON)
+@given(ranges_of_traces())
+def test_the_longest_settled_run_of_each_range_counts_only_its_own_samples(case) -> None:
+    v, ranges = case
     expected = []
-    for a, b in zip(indices[:-1].tolist(), indices[1:].tolist()):
+    for start, stop in zip(ranges.starts.tolist(), ranges.stops.tolist()):
         longest = run = 0
-        for flag in settled[a + 1 : b].tolist():
-            run = run + 1 if flag else 0
+        for value in v[start:stop].tolist():
+            run = run + 1 if abs(value) < EPSILON else 0
             longest = max(longest, run)
         expected.append(longest)
-    assert _longest_settled(ranges, indices, EPSILON).tolist() == expected
+    assert _longest_settled(ranges, EPSILON).tolist() == expected
 
 
 def test_a_computed_derivative_checks_its_window_and_its_length() -> None:

@@ -135,6 +135,14 @@ tie_prone_times = st.sampled_from(
 # 0.5 - 1e-20 and 0.5 - 2e-20 both round to 0.5: position 0 must win either way.
 @example([1e-20, 2e-20], [0.5], 1.0)
 @example([2e-20, 1e-20], [0.5], 1.0)
+# A detection exactly the tolerance before an entry, and one exactly after.
+@example([0.0], [1.0], 1.0)
+@example([2.0], [1.0], 1.0)
+# The second entry's nearest detection is claimed: the walk steps past it.
+@example([1.0, 1.5], [1.0, 1.0], 1.0)
+# Equally far on opposite sides: the smaller position wins, later or earlier in time.
+@example([1.5, 0.5], [1.0], 1.0)
+@example([0.5, 1.5], [1.0], 1.0)
 def test_match_agrees_with_the_full_scan_on_ties_clusters_and_unsorted_input(
     detected: list[float], truths: list[float], tolerance: float
 ) -> None:

@@ -277,10 +277,14 @@ def test_a_duration_shorter_than_one_sample_cannot_render() -> None:
 
 
 def test_scenario_from_dict_round_trips_and_applies_defaults() -> None:
+    # The payload sets every field of both specs, so a key that either key
+    # set lacks is refused here.
     payload = {
         "name": "demo",
         "sampling_rate_hz": 20,
         "duration_s": 60,
+        "noise_std_watts": 1.5,
+        "seed": 7,
         "appliances": [
             {
                 "label": "hood",
@@ -289,17 +293,36 @@ def test_scenario_from_dict_round_trips_and_applies_defaults() -> None:
                 "off_time_s": 40,
                 "transient": "ramp",
                 "transient_duration_s": 2.0,
+                "fluctuation_amplitude_watts": 30.0,
             },
             {"label": "lamp", "power_watts": 60, "on_time_s": 15, "off_time_s": 45},
         ],
     }
     spec = scenario_from_dict(payload)
-    assert spec.name == "demo"
-    assert spec.noise_std_watts == 0.0
-    assert spec.seed == 0
-    assert spec.appliances[0].transient is TransientKind.RAMP
+    assert spec == ScenarioSpec(
+        sampling_rate_hz=20.0,
+        duration_s=60.0,
+        appliances=(
+            ApplianceSpec(
+                label="hood",
+                power_watts=400.0,
+                on_time_s=10.0,
+                off_time_s=40.0,
+                transient=TransientKind.RAMP,
+                transient_duration_s=2.0,
+                fluctuation_amplitude_watts=30.0,
+            ),
+            ApplianceSpec(label="lamp", power_watts=60.0, on_time_s=15.0, off_time_s=45.0),
+        ),
+        noise_std_watts=1.5,
+        seed=7,
+        name="demo",
+    )
     assert spec.appliances[1].transient is TransientKind.STEP
     assert spec.appliances[1].fluctuation_amplitude_watts == 0.0
+    defaults = scenario_from_dict({"sampling_rate_hz": 20, "duration_s": 60})
+    assert (defaults.name, defaults.noise_std_watts, defaults.seed) == ("scenario", 0.0, 0)
+    assert defaults.appliances == ()
 
 
 @pytest.mark.parametrize(
