@@ -198,6 +198,43 @@ def _tested_entries(summary: _Summary, n: int, threshold: float) -> list[tuple[i
     ]
 
 
+def _require_windows(size: int, n: int) -> None:
+    """:class:`SeriesTooShort` unless ``size`` samples hold two ``n``-sample windows.
+
+    The two windows and the centre between them take ``2n + 1`` samples.
+    """
+    if size < 2 * n + 1:
+        raise SeriesTooShort(f"need at least {2 * n + 1} samples for window {n}, got {size}")
+
+
+def _alarming(diffs: np.ndarray, threshold: float) -> np.ndarray:
+    """The positions of the mean differences with ``|d| > threshold``.
+
+    Two comparisons, with no ``|d|`` temporary.
+    """
+    return np.flatnonzero((diffs > threshold) | (diffs < -threshold))
+
+
+def _emitted(times: np.ndarray, time_limit_s: float) -> np.ndarray:
+    """The positions of the alarms the time limit emits, of the alarm ``times`` in order.
+
+    An alarm is emitted when ``t - last > time_limit_s``, ``last`` being
+    the time of the last alarm emitted before it (``-inf`` before the
+    first).  Sequential on purpose: whether an alarm is emitted depends on
+    the last emitted one, and ``t - last > limit`` is not the same test as
+    ``t > last + limit`` in floating point.  The times are walked a block
+    at a time, so only a block of them is ever a Python list.
+    """
+    emitted: list[int] = []
+    last = -np.inf
+    for start, stop in _blocks(times.size):
+        for k, timestamp in enumerate(times[start:stop].tolist(), start):
+            if timestamp - last > time_limit_s:
+                emitted.append(k)
+                last = timestamp
+    return np.array(emitted, dtype=np.int64)
+
+
 def detect_base(
     series: SampleSeries, config: HybridConfig, *, summary: _Summary | None = None
 ) -> Events:
@@ -231,10 +268,9 @@ def detect_base(
     :func:`~nilmevents.core._blocks`, so no full-length temporary is
     built.  Each delta is a pure function of the samples its windows
     read (:func:`_window_sums`), so the events are identical for any
-    block and proof-block size.  The time-limit emission walks the alarm
-    times one block at a time, in order and with the same
-    ``t - last > time_limit_s`` test, so only a block of them is ever a
-    Python list.
+    block and proof-block size.  The time-limit emission
+    (:func:`_emitted`) walks the alarm times one block at a time, so only
+    a block of them is ever a Python list.
 
     Raises
     ------
@@ -249,32 +285,17 @@ def detect_base(
         series = validate_series(series)
         summary = series.summary
     n = config.mean_window_samples(series.sampling_rate_hz)
-    if len(series) < 2 * n + 1:
-        raise SeriesTooShort(
-            f"need at least {2 * n + 1} samples for window {n}, got {len(series)}"
-        )
+    _require_windows(len(series), n)
     threshold = config.power_threshold_watts
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
     for lo, hi in _tested_entries(summary, n, threshold):
         for start, stop in _blocks(hi - lo):
             diffs = _mean_difference_profile(series.values, n, lo + start, lo + stop)
-            # |d| > threshold as two comparisons, with no |d| temporary.
-            positions = np.flatnonzero((diffs > threshold) | (diffs < -threshold))
+            positions = _alarming(diffs, threshold)
             found.append((positions + (n + lo + start), diffs[positions]))
     alarm_indices = np.concatenate([indices for indices, _ in found])
     alarm_deltas = np.concatenate([deltas for _, deltas in found])
     alarm_times = series.time_at(alarm_indices)
-
-    # Sequential on purpose: whether an alarm is emitted depends on the
-    # last emitted one, and ``t - last > limit`` is not the same test as
-    # ``t > last + limit`` in floating point.
-    emitted: list[int] = []
-    last_time = -np.inf
-    for start, stop in _blocks(alarm_times.size):
-        for k, timestamp in enumerate(alarm_times[start:stop].tolist(), start):
-            if timestamp - last_time > config.time_limit_s:
-                emitted.append(k)
-                last_time = timestamp
-    keep = np.array(emitted, dtype=np.int64)
+    keep = _emitted(alarm_times, config.time_limit_s)
     return Events(alarm_indices[keep], alarm_times[keep], alarm_deltas[keep])

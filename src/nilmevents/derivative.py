@@ -182,6 +182,18 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     return out
 
 
+def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers of the ranges ``[starts, starts + lengths)``, laid end to end in order.
+
+    ``x[_aranges(starts, lengths)]`` gathers the samples of several ranges
+    of ``x`` into one array with no Python loop per range.
+    """
+    offsets = np.cumsum(lengths) - lengths  # where each range begins in the result
+    out = np.repeat(starts - offsets, lengths)
+    out += np.arange(out.size)
+    return out
+
+
 def _union(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The union of the ranges ``[starts, stops)``: increasing, disjoint, never touching."""
     keep = starts < stops
@@ -273,14 +285,12 @@ class _SmoothedDerivative:
         done = first
         for a, b in zip(opens.tolist(), [*opens[1:].tolist(), begins.size]):
             at = np.cumsum(widths[a:b]) - widths[a:b]  # where each piece begins in ``window``
-            reads = np.repeat(begins[a:b] - half - 1 - at, widths[a:b])
-            reads += np.arange(reads.size)
+            reads = _aranges(begins[a:b] - half - 1, widths[a:b])
             window = x[np.maximum(reads, 0, out=reads)]
             del reads
             full = np.convolve(np.diff(window), kernel, mode="valid")
             del window
-            keep = np.repeat(at - np.cumsum(lengths[a:b]) + lengths[a:b], lengths[a:b])
-            keep += np.arange(keep.size)
+            keep = _aranges(at, lengths[a:b])
             out[done : done + keep.size] = full[keep]
             done += keep.size
         return ranges
@@ -359,9 +369,7 @@ def _read(
     """The samples of ``smoothed`` on the increasing, non-touching ranges ``[starts, stops)``."""
     if isinstance(smoothed, _SmoothedDerivative):
         return smoothed.read(starts, stops)
-    lengths = stops - starts
-    samples = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return _Ranges(smoothed.size, starts, stops, smoothed[samples])
+    return _Ranges(smoothed.size, starts, stops, smoothed[_aranges(starts, stops - starts)])
 
 
 def merge_transient_events(

@@ -13,29 +13,59 @@ Candidates arrive as :class:`~nilmevents.core.Events` and extrema as an
 index array; the survivors come back as positions into the candidates and
 the verdicts as :class:`FilterVerdicts` arrays, so no per-candidate object
 is built.
+
+A confirmation reads only the re-detections within
+``eval_match_tolerance_s`` of its candidate's time, so the trace is
+smoothed and re-detected only in windows around the candidates, each
+output bit for bit the one of the whole-trace smoothing and
+:func:`~nilmevents.base.detect_base` run on it.  A window holds the
+alarm centres whose time lies within the tolerance of the candidate's
+(at most ``2 * tolerance * rate + 3`` of them), plus a lead-in of
+``ceil(time_limit_s * rate) + 1`` centres.  Since whether an alarm is
+emitted depends on the last one emitted before it, a window whose first
+alarm is not a proven restart of that chain is widened back until it is,
+or until it reaches the first centre.  Its centres read the smoothed
+trace ``n`` samples further on either side, and that reads the trace a
+Savitzky-Golay half window further still.  The windows are joined where
+those reads overlap, laid end to end and smoothed by one
+:func:`savitzky_golay` call; where the refilter does not fire, nothing
+is smoothed.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .base import detect_base
+# ``detect_base`` is no longer called here, but stays importable under this
+# module: the benchmark's tracer (perfbench/tracer.py) wraps
+# ``nilmevents.filtering.detect_base`` by name.
+from .base import (  # noqa: F401
+    _alarming,
+    _checked_margin,
+    _emitted,
+    _mean_difference_profile,
+    _require_windows,
+    _rounding_margin,
+    detect_base,
+)
 from .core import (
     DetectionError,
     Events,
     HybridConfig,
     MisalignedInput,
     SampleSeries,
+    _blocks,
     _Summary,
     seconds_to_samples,
     validate_series,
 )
-from .derivative import _checked_window, _convolve_interior, _read_only
+from .derivative import _aranges, _checked_window, _convolve_interior, _read_only, _union
 
 __all__ = [
     "OrderTooHigh",
@@ -134,18 +164,35 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
         filter is the identity.
     """
     x = np.asarray(values, dtype=float)
-    win = _checked_window(window_samples, x.size)
+    win = _checked_sg_window(window_samples, poly_order, x.size)
+    half = win // 2
+    out = np.empty_like(x)
+    _convolve_interior(x, _savitzky_golay_rows(win, poly_order)[0], out)
+    out[:half], out[x.size - half :] = _end_fits(x, win, poly_order)
+    return out
+
+
+def _checked_sg_window(window_samples: int, poly_order: int, size: int) -> int:
+    """The window as an int, if it is valid for ``size`` samples and ``poly_order`` fits it."""
+    win = _checked_window(window_samples, size)
     if not 0 <= poly_order < win:
         raise OrderTooHigh(
             f"poly_order must satisfy 0 <= order < window, got {poly_order} with window {win}"
         )
+    return win
+
+
+def _end_fits(x: np.ndarray, win: int, poly_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last ``win // 2`` outputs of :func:`savitzky_golay` on ``x``.
+
+    They are projection rows applied to the end windows of ``x`` itself.
+    A BLAS product does not promise the same bits for the same samples at
+    another address, so a caller that needs the outputs of
+    ``savitzky_golay(x)`` passes the same array, not a copy.
+    """
     half = win // 2
-    centre, projection = _savitzky_golay_rows(win, poly_order)
-    out = np.empty_like(x)
-    _convolve_interior(x, centre, out)
-    out[:half] = projection[:half] @ x[:win]
-    out[x.size - half :] = projection[win - half :] @ x[x.size - win :]
-    return out
+    projection = _savitzky_golay_rows(win, poly_order)[1]
+    return projection[:half] @ x[:win], projection[win - half :] @ x[x.size - win :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,6 +231,139 @@ def _first_outside(indices: np.ndarray, size: int) -> int | None:
     return int(outside[0]) if outside.size else None
 
 
+def _confirmation_windows(
+    series: SampleSeries, times: np.ndarray, config: HybridConfig, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate time ``t``, the alarm centres ``[lo, hi)`` its confirmation can read.
+
+    ``fl(time_at(j) - t)`` is non-decreasing in ``j``, so ``lo`` and ``hi``
+    are moved out from an estimate until ``time_at(lo - 1) - t`` lies below
+    ``-eval_match_tolerance_s`` and ``time_at(hi) - t`` above it, as
+    computed: no centre outside re-detects within the tolerance of ``t``.
+    A window that holds a centre is then given a lead-in of
+    ``ceil(time_limit_s * rate) + 1`` centres.  All are clipped to the
+    centres with full windows, ``[n, len(series) - n)``, and a time farther
+    than the tolerance from all of them gets an empty window.
+    """
+    rate, tolerance = series.sampling_rate_hz, config.eval_match_tolerance_s
+    low, high = n, len(series) - n
+    # Clipped before the conversion, so that a time far outside the trace converts.
+    with np.errstate(over="ignore"):
+        offsets = (times - series.start_time_s) * rate
+    lo = np.floor(np.clip(offsets - tolerance * rate, low - 1, high)).astype(np.int64)
+    hi = np.ceil(np.clip(offsets + tolerance * rate, low, high + 1)).astype(np.int64)
+    while True:
+        back = (lo > low) & (series.time_at(lo - 1) - times >= -tolerance)
+        ahead = (hi < high) & (series.time_at(hi) - times <= tolerance)
+        if not (back.any() or ahead.any()):
+            break
+        lo -= back
+        hi += ahead
+    lo, hi = np.maximum(lo, low), np.minimum(hi, high)
+    lead_in = math.ceil(config.time_limit_s * rate) + 1
+    return np.where(lo < hi, np.maximum(lo - lead_in, low), hi), hi
+
+
+def _window_alarms(
+    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int, config: HybridConfig
+) -> np.ndarray:
+    """The increasing indices of the smoothed trace's alarms at centres in ``[lo, hi)``.
+
+    The windows are increasing and more than ``2 * (n + half)`` centres
+    apart, ``half`` being the SG half window.  Window ``[lo, hi)`` reads the
+    smoothed trace on ``[lo - n, hi + n)``, which reads ``x`` on the piece
+    ``[lo - n - half, hi + n + half)``, clipped to the trace.  The pieces are
+    laid end to end and smoothed by one :func:`savitzky_golay` call.  An
+    output whose SG window lies inside one piece is the dot product the
+    whole-trace call takes, of the same samples; the first and last
+    ``half`` samples of the trace are :func:`_end_fits` of ``x`` itself.
+    The mean-difference profile of the smoothed pieces is tested against
+    the power threshold, and only the centres in a window are kept: they
+    alarm exactly where the whole smoothed trace does.
+    """
+    size, win, order = x.size, config.sg_window_samples, config.sg_poly_order
+    half = win // 2
+    a, b = np.maximum(lo - n - half, 0), np.minimum(hi + n + half, size)
+    # Only a piece at an end of the trace can be shorter than an SG window;
+    # it is stretched to one, so that the pieces can be smoothed together.
+    short = b - a < win
+    b[short] = np.minimum(a[short] + win, size)
+    a[short] = b[short] - win
+    smoothed = savitzky_golay(x[_aranges(a, b - a)], win, order)
+    if a[0] == 0 or b[-1] == size:
+        head, tail = _end_fits(x, win, order)
+        if a[0] == 0:
+            smoothed[:half] = head
+        if b[-1] == size:
+            smoothed[smoothed.size - half :] = tail
+    found = [np.empty(0, dtype=np.int64)]
+    for start, stop in _blocks(smoothed.size - 2 * n):
+        diffs = _mean_difference_profile(smoothed, n, start, stop)
+        found.append(_alarming(diffs, config.power_threshold_watts) + (start + n))
+    centres = np.concatenate(found)  # positions in ``smoothed``
+    shift = a - (np.cumsum(b - a) - (b - a))  # a sample's index less its position
+    inside = np.searchsorted(np.column_stack((lo - shift, hi - shift)).ravel(), centres, "right")
+    kept = inside % 2 == 1  # inside a window
+    return centres[kept] + shift[inside[kept] // 2]
+
+
+def _redetected_times(
+    series: SampleSeries, times: np.ndarray, config: HybridConfig, peak: float
+) -> np.ndarray:
+    """Re-detection times of the smoothed trace: every one within the tolerance of ``times``.
+
+    They are the times of :func:`detect_base` run on the whole
+    ``savitzky_golay(series.values, ...)``, on the windows of
+    :func:`_confirmation_windows`, each joined with any window less than
+    ``2 (n + half)`` centres away.  A window's alarms are emitted as the
+    whole-trace run emits them once its first alarm is a proven chain
+    reset: ``fl(t_k - time_at(lo - 1)) > time_limit_s``, which the true gap
+    to any alarm before the window exceeds, or ``lo = n``, where the
+    whole-trace chain starts.  A window where neither holds is widened
+    back to twice its length, at most to ``n``, and its alarms computed
+    again, until one does.  Then the alarms of all windows are walked by
+    :func:`~nilmevents.base._emitted` in one pass.
+
+    Raises what the whole-trace run raises, in its order.  A smoothed
+    sample is at most ``l1 * peak`` in magnitude, ``l1`` the largest L1
+    norm of a projection row, plus the rounding of its dot product.  Where
+    that bound cannot rule out an overflow or a rounding margin that
+    reaches the threshold, the whole trace is smoothed once, to read its
+    finiteness and peak.
+    """
+    size, rate, order = len(series), series.sampling_rate_hz, config.sg_poly_order
+    win = _checked_sg_window(config.sg_window_samples, order, size)
+    n = config.mean_window_samples(rate)
+    centre, projection = _savitzky_golay_rows(win, order)
+    l1 = max(float(np.abs(projection).sum(axis=1).max()), float(np.abs(centre).sum()))
+    bound = l1 * peak * (1.0 + 4.0 * (win + 2) * 2.0**-53)
+    exact_peak = None
+    if not (bound < math.inf and _rounding_margin(bound, n) < config.power_threshold_watts):
+        exact_peak = SampleSeries(savitzky_golay(series.values, win, order), rate).summary.peak()
+    _require_windows(size, n)
+    if exact_peak is not None:
+        _checked_margin(exact_peak, n, config.power_threshold_watts)
+
+    lo, hi = _confirmation_windows(series, times, config, n)
+    lo, hi = lo[lo < hi], hi[lo < hi]
+    reach = n + win // 2
+    accepted = []
+    while lo.size:
+        starts, stops = _union(lo - reach, hi + reach)
+        lo, hi = starts + reach, stops - reach
+        alarms = _window_alarms(series.values, lo, hi, n, config)
+        first = np.append(alarms, size)[np.searchsorted(alarms, lo)]
+        reset = (first >= hi) | (lo == n)
+        reset |= series.time_at(first) - series.time_at(lo - 1) > config.time_limit_s
+        accepted.append(alarms[reset[np.searchsorted(lo, alarms, side="right") - 1]])
+        lo, hi = np.maximum(2 * lo - hi, n)[~reset], hi[~reset]
+    alarms = np.concatenate([np.empty(0, dtype=np.int64), *accepted])
+    if len(accepted) > 1:  # a window widened back may overlap one proven before
+        alarms = np.unique(alarms)
+    alarm_times = series.time_at(alarms)
+    return alarm_times[_emitted(alarm_times, config.time_limit_s)]
+
+
 def refilter_events_with_verdicts(
     series: SampleSeries,
     candidates: Events,
@@ -207,7 +387,12 @@ def refilter_events_with_verdicts(
     re-detection did not confirm, in their given order.  When the trace
     never exceeds ``fluctuation_trigger_watts`` after the first turn-on
     candidate, the refilter does not trigger: every candidate survives,
-    and there are no verdicts and no extrema read.  ``summary`` is
+    and there are no verdicts and no extrema read.  When it triggers, it
+    smooths only the windows of the module docstring.  Unless a window is
+    widened back, that is at most ``2 * eval_match_tolerance_s * rate + 3``
+    centres, the lead-in and ``2 * (n + half)`` samples per candidate,
+    ``n`` being the base half window and ``half`` the SG half window.
+    ``summary`` is
     ``series.summary``, from a caller that built or validated ``series``
     in the same call; without it, ``series`` is validated here.
     """
@@ -235,13 +420,8 @@ def refilter_events_with_verdicts(
     if segment_max <= config.fluctuation_trigger_watts:
         return unfired
 
-    filtered = SampleSeries(
-        savitzky_golay(series.values, config.sg_window_samples, config.sg_poly_order),
-        series.sampling_rate_hz,
-        series.start_time_s,
-    )
     # Re-detected times are non-decreasing, as their indices increase.
-    re_times = detect_base(filtered, config, summary=filtered.summary).timestamps_s
+    re_times = _redetected_times(series, candidates.timestamps_s, config, summary.peak())
     guard_radius = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
 
     confirmed = (

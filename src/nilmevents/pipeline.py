@@ -15,7 +15,7 @@ that survive each stage; a :class:`~nilmevents.core.DetectedEvent` is a
 view built only when a caller iterates or indexes an event list.
 
 Detection pays only where the trace moves or a decision reads, and
-builds no full-length window sums or derivative array.
+builds no full-length window sums, derivative or smoothed trace.
 :func:`detect_hybrid` validates the series once, or takes the summary of
 a caller that just built it (the CLI hands on
 :func:`~nilmevents.io.load_trace`'s), and hands the summary (the min and
@@ -39,6 +39,17 @@ bit as the whole-trace :func:`smoothed_derivative` gives it:
 
 ``s`` on a stretch reads the trace a LOESS half window further on either
 side.  The events and verdicts are those of the whole-trace derivative.
+
+The refilter's re-detection, only when the refilter fires, runs on the
+Savitzky-Golay-smoothed trace at the alarm centres whose time lies within
+``eval_match_tolerance_s`` of each candidate's time, plus a lead-in of
+``ceil(time_limit_s * rate) + 1`` centres, widened back where needed to
+an alarm that provably restarts the time-limit chain
+(:mod:`nilmevents.filtering`).  Those centres read the smoothed trace
+``n`` samples on either side, and the smoothing reads the trace ``h``
+further, ``h`` being the SG half window: ``n + h`` samples of trace
+beyond the window on either side.  The verdicts are those of the
+whole-trace smoothing and re-detection.
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,

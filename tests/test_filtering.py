@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,17 @@ from hypothesis import strategies as st
 
 import nilmevents
 from nilmevents import (
+    DetectionError,
     Events,
     FilterReason,
     HybridConfig,
     InvalidWindow,
+    MagnitudeTooLarge,
     MisalignedInput,
+    NonFiniteValue,
     OrderTooHigh,
     SampleSeries,
+    SeriesTooShort,
     detect_base,
     detect_extrema,
     detect_hybrid,
@@ -394,3 +399,303 @@ def test_kitchen_replica_removes_fluctuation_alarms_only() -> None:
     final_times = [e.timestamp_s for e in final]
     for truth_time in truth_times:
         assert min(abs(t - truth_time) for t in final_times) <= 1.0
+
+
+# The windowed re-detection against today's whole-trace path.
+
+
+def whole_trace_redetections(series: SampleSeries, config: HybridConfig) -> list[float]:
+    """Re-detection times as the whole-trace path finds them: smooth all, detect on all."""
+    smoothed = SampleSeries(
+        savitzky_golay(series.values, config.sg_window_samples, config.sg_poly_order),
+        series.sampling_rate_hz,
+        series.start_time_s,
+    )
+    return detect_base(smoothed, config).timestamps_s.tolist()
+
+
+def assert_refilter_matches_whole_trace(
+    series: SampleSeries,
+    config: HybridConfig,
+    specs: list[tuple[int, float]],
+    extremum_indices: list[int],
+    re_times: list[float],
+) -> None:
+    guard = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
+    candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
+    survivors, verdicts, read = refilter_events_with_verdicts(
+        series, candidates, extremum_indices, config
+    )
+    expected = oracle_refilter_verdicts(
+        specs, re_times, extremum_indices, config.eval_match_tolerance_s, guard
+    )
+    assert [v.reason.value for v in verdicts] == expected
+    assert [v.event_index for v in verdicts] == [i for i, _ in specs]
+    assert survivors.tolist() == [
+        k for k, reason in enumerate(expected) if reason != "removed_as_fluctuation"
+    ]
+    unconfirmed = [i for (i, _), reason in zip(specs, expected) if reason != "survived_refilter"]
+    assert read.tolist() == [
+        g for g in extremum_indices if any(abs(g - i) <= guard for i in unconfirmed)
+    ]
+
+
+@st.composite
+def busy_traces(draw) -> tuple[SampleSeries, HybridConfig]:
+    """A trace above the trigger throughout, with steps, oscillation bursts and long ramps.
+
+    A ramp alarms at every centre it covers, so a window that starts on
+    one must be widened back past the ramp's start.
+    """
+    rate = draw(st.sampled_from([20.0, 50.0, 60.0]))
+    start = draw(st.sampled_from([-7.25, 0.1, 3600.0, 1.7e9]))
+    window, order = draw(st.sampled_from([(5, 2), (9, 3), (41, 2)]))
+    config = HybridConfig(
+        mean_window_s=draw(st.sampled_from([0.1, 0.3])),
+        time_limit_s=draw(st.sampled_from([0.1, 0.2, 0.5])),
+        eval_match_tolerance_s=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        sg_window_samples=window,
+        sg_poly_order=order,
+    )
+    size = draw(st.integers(100, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = 1500.0 + rng.normal(0.0, 5.0, size)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["step", "burst", "ramp", "ramp"]))
+        first = draw(st.integers(0, size - 1))
+        length = draw(st.integers(5, 200))
+        part = values[first : first + length]
+        ramp = np.arange(part.size, dtype=float)
+        if kind == "step":
+            values[first:] += draw(st.sampled_from([-300.0, 300.0]))
+        elif kind == "burst":
+            part += 60.0 * np.sin(2.0 * np.pi * ramp * 2.0 / rate)
+        else:
+            part += ramp * draw(st.sampled_from([-15.0, 15.0, 40.0]))
+    return SampleSeries(np.maximum(values, 1100.0), rate, start), config
+
+
+@given(busy_traces(), st.data())
+def test_windowed_redetection_verdicts_equal_the_whole_trace_path(case, data) -> None:
+    series, config = case
+    size, rate = len(series), series.sampling_rate_hz
+    tolerance = config.eval_match_tolerance_s
+    half = config.sg_window_samples // 2
+    re_times = whole_trace_redetections(series, config)
+    at_tolerance = [
+        float(edge)
+        for r in re_times
+        for bound in (r - tolerance, r + tolerance)
+        for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+    ]
+    end_time = series.time_at(size - 1)
+    times = (
+        st.floats(series.start_time_s - 5.0, end_time + 5.0)  # off the grid, or outside
+        | st.integers(0, size - 1).map(series.time_at)  # on the grid
+        | st.sampled_from([series.start_time_s - 100.0, end_time + 100.0])  # far outside
+    )
+    if at_tolerance:
+        times = st.sampled_from(at_tolerance) | times
+    # Within an SG half window of either end, or anywhere.
+    indices = st.integers(0, half) | st.integers(size - 1 - half, size - 1)
+    indices |= st.integers(0, size - 1)
+    specs = data.draw(st.lists(st.tuples(indices, times), min_size=1, max_size=12))
+    extrema = data.draw(st.lists(st.integers(0, size - 1), max_size=4))
+    assert_refilter_matches_whole_trace(series, config, specs, extrema, re_times)
+
+
+def smoothing_calls(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Wrap ``nilmevents.filtering.savitzky_golay``: the sizes of the inputs it is given."""
+    sizes: list[int] = []
+    smooth = nilmevents.filtering.savitzky_golay
+
+    def recording(values, window_samples, poly_order):
+        sizes.append(np.asarray(values).size)
+        return smooth(values, window_samples, poly_order)
+
+    monkeypatch.setattr(nilmevents.filtering, "savitzky_golay", recording)
+    return sizes
+
+
+def test_a_window_that_starts_inside_an_alarm_run_is_widened_back(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A 20 W-per-sample ramp from 10 s to 20 s alarms at every centre, and the
+    # time limit emits every fifth alarm from the first one.  The window of a
+    # candidate at 15 s starts mid-ramp, so its first alarm is no proven chain
+    # reset until the window reaches back past the ramp's start.
+    values = np.full(800, 1500.0)
+    values[200:400] += 20.0 * np.arange(200)
+    values[400:] = values[399]
+    series = series_at_20hz(values)
+    config = HybridConfig(sg_window_samples=9, sg_poly_order=3)
+    re_times = whole_trace_redetections(series, config)
+    tolerance = config.eval_match_tolerance_s
+    specs = [(300, 15.0)] + [
+        (300, float(edge))
+        for r in re_times
+        if abs(r - 15.0) < 2.0
+        for bound in (r - tolerance, r + tolerance)
+        for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+    ]
+    sizes = smoothing_calls(monkeypatch)
+    assert_refilter_matches_whole_trace(series, config, specs, [], re_times)
+    assert len(sizes) > 1
+
+
+def test_windows_at_both_ends_of_a_short_trace_take_the_edge_fits() -> None:
+    # An SG window longer than two mean windows and a half window: a window at
+    # a trace end reads a piece shorter than an SG window, which is stretched.
+    rng = np.random.default_rng(11)
+    values = 1500.0 + np.cumsum(rng.normal(0.0, 20.0, 120))
+    series = SampleSeries(values, 50.0, 2.5)
+    config = HybridConfig(
+        mean_window_s=0.02, eval_match_tolerance_s=0.01, sg_window_samples=41, sg_poly_order=2
+    )
+    re_times = whole_trace_redetections(series, config)
+    specs = [(0, series.time_at(1)), (119, series.time_at(118)), (60, series.time_at(60))]
+    specs += [(5, t) for t in re_times]
+    assert_refilter_matches_whole_trace(series, config, specs, [], re_times)
+
+
+# Errors: a fired refilter raises what the whole-trace path raises, with its message.
+
+
+def whole_trace_error(series: SampleSeries, config: HybridConfig) -> DetectionError:
+    with pytest.raises(DetectionError) as caught:
+        whole_trace_redetections(series, config)
+    return caught.value
+
+
+def assert_refilter_raises_as_whole_trace(series: SampleSeries, config: HybridConfig) -> None:
+    expected = whole_trace_error(series, config)
+    candidates = Events([len(series) // 2], [series.time_at(len(series) // 2)], [50.0])
+    with pytest.raises(type(expected)) as caught:
+        refilter_events_with_verdicts(series, candidates, [], config)
+    assert str(caught.value) == str(expected)
+
+
+def test_a_smoothed_peak_past_the_magnitude_limit_is_refused_as_the_whole_trace_does() -> None:
+    # The last projection row of a 41-sample, order-2 window has an L1 norm of
+    # 2.05: samples of one magnitude carrying its signs overshoot there.
+    config = HybridConfig(sg_window_samples=41, sg_poly_order=2)
+    n = config.mean_window_samples(20.0)
+    limit = config.power_threshold_watts / nilmevents.base._rounding_margin(1.0, n)
+    peak = 0.7 * limit
+    _, projection = nilmevents.filtering._savitzky_golay_rows(41, 2)
+    values = np.full(400, peak)
+    values[-41:] = peak * np.sign(projection[-1])
+    series = series_at_20hz(values)
+    detect_base(series, config)  # the raw peak passes
+    assert isinstance(whole_trace_error(series, config), MagnitudeTooLarge)
+    assert_refilter_raises_as_whole_trace(series, config)
+
+
+def test_a_trace_near_the_magnitude_limit_that_smooths_below_it_is_re_detected_as_before() -> None:
+    # The bound cannot rule the error out here, so the whole trace is smoothed
+    # to read its peak; it passes, and the verdicts are the windowed ones.
+    config = HybridConfig(sg_window_samples=41, sg_poly_order=2)
+    n = config.mean_window_samples(20.0)
+    limit = config.power_threshold_watts / nilmevents.base._rounding_margin(1.0, n)
+    values = np.full(400, 0.7 * limit)
+    values[200:] -= 1e3
+    series = series_at_20hz(values)
+    re_times = whole_trace_redetections(series, config)
+    specs = [(200, series.time_at(200)), (100, 5.0)] + [(10, t + 1.0) for t in re_times]
+    assert_refilter_matches_whole_trace(series, config, specs, [], re_times)
+
+
+def test_a_smoothing_that_overflows_is_refused_as_the_whole_trace_path_refuses_it() -> None:
+    _, projection = nilmevents.filtering._savitzky_golay_rows(41, 2)
+    values = np.full(200, 1.5e308)
+    values[:41] = 1.5e308 * np.sign(projection[0])
+    series = series_at_20hz(values)
+    config = HybridConfig(sg_window_samples=41, sg_poly_order=2)
+    # Both paths run the same whole-trace smoothing, whose edge product overflows.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        expected = whole_trace_error(series, config)
+    assert isinstance(expected, NonFiniteValue)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert_refilter_raises_as_whole_trace(series, config)
+
+
+@pytest.mark.parametrize(
+    ("size", "window", "error"),
+    [
+        (30, 41, InvalidWindow),  # the SG window is longer than the series
+        (3, 5, InvalidWindow),  # ... and so are the mean windows
+        (10, 5, SeriesTooShort),  # two 6-sample mean windows and a centre need 13
+    ],
+)
+def test_short_series_are_refused_as_the_whole_trace_path_refuses_them(
+    size: int, window: int, error: type
+) -> None:
+    series = series_at_20hz(np.full(size, 1500.0))
+    config = HybridConfig(sg_window_samples=window, sg_poly_order=2)
+    assert isinstance(whole_trace_error(series, config), error)
+    assert_refilter_raises_as_whole_trace(series, config)
+
+
+def test_an_order_too_high_is_refused_as_the_whole_trace_path_refuses_it() -> None:
+    # HybridConfig refuses such an order, so it is written past the config's checks.
+    config = HybridConfig(sg_window_samples=9, sg_poly_order=3)
+    object.__setattr__(config, "sg_poly_order", 9)
+    series = series_at_20hz(np.full(100, 1500.0))
+    assert isinstance(whole_trace_error(series, config), OrderTooHigh)
+    assert_refilter_raises_as_whole_trace(series, config)
+
+
+# What the refilter smooths.
+
+
+def read_bound(series: SampleSeries, candidates: int, config: HybridConfig) -> int:
+    """The samples smoothed at most, by the refilter's docstring, with no window widened back."""
+    rate = series.sampling_rate_hz
+    n = config.mean_window_samples(rate)
+    half = config.sg_window_samples // 2
+    centres = 2 * config.eval_match_tolerance_s * rate + 3
+    lead_in = math.ceil(config.time_limit_s * rate) + 1
+    return int(candidates * (centres + lead_in + 2 * (n + half)))
+
+
+def dense_trace() -> SampleSeries:
+    """20 min at 20 Hz above the trigger: a 200 W step every 14 s, each followed by a burst."""
+    rng = np.random.default_rng(4)
+    t = np.arange(24000) / 20.0
+    values = 1500.0 + 200.0 * (np.floor(t / 14.0) % 2) + rng.normal(0.0, 0.2, t.size)
+    burst = (t % 14.0 > 6.0) & (t % 14.0 < 7.0)
+    values[burst] += 60.0 * np.sin(2.0 * np.pi * t[burst] / 0.5)
+    return series_at_20hz(values)
+
+
+@pytest.mark.parametrize("trace", ["kitchen", "dense"])
+def test_the_refilter_smooths_only_its_windows(
+    trace: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    from replicas import replica_config, replica_spec
+
+    if trace == "kitchen":
+        series, _ = nilmevents.generate_scenario(replica_spec("kitchen"))
+        config = replica_config("kitchen")
+    else:
+        series = dense_trace()
+        config = HybridConfig(loess_window_s=3.0, sg_window_samples=41, sg_poly_order=2)
+    sizes = smoothing_calls(monkeypatch)
+    result = detect_hybrid(series, config)
+    merged = len(result.merged_events)
+    assert len(result.filter_verdicts) == merged > 10
+    assert len(sizes) == 1
+    assert sizes[0] <= read_bound(series, merged, config)
+    assert sizes[0] < len(series)
+
+
+def test_nothing_is_smoothed_where_the_refilter_does_not_fire(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    from replicas import replica_config, replica_spec
+
+    series, _ = nilmevents.generate_scenario(replica_spec("lighting"))
+    sizes = smoothing_calls(monkeypatch)
+    result = detect_hybrid(series, replica_config("lighting"))
+    assert len(result.filter_verdicts) == 0
+    assert sizes == []
