@@ -41,8 +41,12 @@ from .core import (
     _Summary,
     _blocks,
     _proof_runs,
-    validate_series,
 )
+
+# ``validate_series`` is no longer called here, but stays importable under
+# this module: the benchmark's tracer (perfbench/tracer.py) wraps
+# ``nilmevents.base.validate_series`` by name.
+from .core import validate_series  # noqa: F401
 
 __all__ = ["MagnitudeTooLarge", "detect_base"]
 
@@ -235,9 +239,7 @@ def _emitted(times: np.ndarray, time_limit_s: float) -> np.ndarray:
     return np.array(emitted, dtype=np.int64)
 
 
-def detect_base(
-    series: SampleSeries, config: HybridConfig, *, summary: _Summary | None = None
-) -> Events:
+def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     """Detect state transitions by thresholded mean change.
 
     Parameters
@@ -247,9 +249,6 @@ def detect_base(
     config:
         Uses ``mean_window_s``, ``power_threshold_watts`` and
         ``time_limit_s``.
-    summary:
-        ``series.summary``, from a caller that built or validated
-        ``series`` in the same call; without it, ``series`` is validated.
 
     Returns
     -------
@@ -281,15 +280,12 @@ def detect_base(
         If the rounding margin of its window sums
         (:func:`_rounding_margin`) reaches ``power_threshold_watts``.
     """
-    if summary is None:
-        series = validate_series(series)
-        summary = series.summary
     n = config.mean_window_samples(series.sampling_rate_hz)
     _require_windows(len(series), n)
     threshold = config.power_threshold_watts
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    for lo, hi in _tested_entries(summary, n, threshold):
+    for lo, hi in _tested_entries(series.summary, n, threshold):
         for start, stop in _blocks(hi - lo):
             diffs = _mean_difference_profile(series.values, n, lo + start, lo + stop)
             positions = _alarming(diffs, threshold)

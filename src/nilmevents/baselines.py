@@ -26,8 +26,6 @@ from .core import (
     _BLOCK_SAMPLES,
     _check_integer,
     _check_setting,
-    _Summary,
-    validate_series,
 )
 
 __all__ = ["LldConfig", "lld_max"]
@@ -54,9 +52,7 @@ class LldConfig:
                 raise DetectionError(f"{name} must be >= 1, got {value}")
 
 
-def lld_max(
-    series: SampleSeries, config: LldConfig = LldConfig(), *, summary: _Summary | None = None
-) -> Events:
+def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     """Detect transitions as strict local maxima of a likelihood statistic.
 
     For each eligible index the statistic's magnitude is
@@ -94,14 +90,7 @@ def lld_max(
     the quiet entries there; a nonzero candidate never ties with a 0.  So
     the events are those of the statistic over the whole trace, for any
     proof-block size.
-
-    ``summary`` is ``series.summary``, from a caller that built or
-    validated ``series`` in the same call; without it, ``series`` is
-    validated.
     """
-    if summary is None:
-        series = validate_series(series)
-        summary = series.summary
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
     if len(series) < 2 * pw + 1:
         raise SeriesTooShort(
@@ -111,12 +100,12 @@ def lld_max(
     m = config.maxima_precision_samples
     entries = len(series) - 2 * pw
     runs: list[tuple[int, int]] = []
-    for lo, hi in _tested_entries(summary, pw, threshold):
+    for lo, hi in _tested_entries(series.summary, pw, threshold):
         lo, hi = max(lo - m, 0), min(hi + m, entries)
         if runs and lo <= runs[-1][1]:  # widened runs that touch are one
             lo = runs.pop()[0]
         runs.append((lo, hi))
-    margin = _rounding_margin(summary.peak(), pw)
+    margin = _rounding_margin(series.summary.peak(), pw)
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
     found += [_run_maxima(series.values, pw, lo, hi, threshold, margin, m) for lo, hi in runs]

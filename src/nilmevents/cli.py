@@ -126,7 +126,7 @@ def _emit_stage_files(
 def _cmd_detect(args: argparse.Namespace) -> int:
     series = load_trace(args.trace)
     config = _assemble_config(args)
-    result = detect_hybrid(series, config, summary=series.summary)
+    result = detect_hybrid(series, config)
     write_events(sys.stdout, result.events)
     counts = result.stage_counts
     print(
@@ -143,7 +143,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     series = load_trace(args.trace)
     truth = load_ground_truth(args.truth)
     config = _assemble_config(args)
-    result = detect_hybrid(series, config, summary=series.summary)
+    result = detect_hybrid(series, config)
     report = evaluate_detections(
         result.events, truth, tolerance_s=config.eval_match_tolerance_s
     )
@@ -156,7 +156,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     truth = load_ground_truth(args.truth)
     config = _assemble_config(args)
 
-    hybrid_events = detect_hybrid(series, config, summary=series.summary).events
+    hybrid_events = detect_hybrid(series, config).events
     lld_flags = {
         "pre_window_samples": args.lld_pre_window,
         "power_threshold_watts": args.lld_threshold,
@@ -165,7 +165,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     lld_config = replace(
         LldConfig(), **{field: value for field, value in lld_flags.items() if value is not None}
     )
-    lld_events = lld_max(series, lld_config, summary=series.summary)
+    lld_events = lld_max(series, lld_config)
 
     for name, events in (("hybrid", hybrid_events), ("lld", lld_events)):
         report = evaluate_detections(events, truth, tolerance_s=config.eval_match_tolerance_s)

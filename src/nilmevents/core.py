@@ -18,6 +18,8 @@ Every trace-wide fact the detectors need comes from one summary that a
 64-sample block (:class:`_Summary`): finiteness, the peak, the refilter
 trigger's maximum, and the range bounds that prove blocks quiet, whose
 runs of unproven proof blocks ``_proof_runs`` turns into sample ranges.
+A series makes its samples read-only, so the summary stays true and no
+stage builds it again.
 """
 
 from __future__ import annotations
@@ -186,12 +188,21 @@ class _Summary:
 
 @dataclass(frozen=True, eq=False)
 class SampleSeries:
-    """Uniformly sampled power trace in watts.
+    """Uniformly sampled power trace in watts, whose samples are read-only.
 
-    ``summary`` (:class:`_Summary`) describes ``values`` as they were at
-    construction, which is where finiteness is read from it.  ``values``
-    can be written into later, so only a function that built or validated
-    the series in the same call reads it, or hands it on as ``summary=``.
+    ``values`` is the array given, with no copy when it is a float64
+    ndarray; any other input is converted once.  Once every check has
+    passed, the series clears ``flags.writeable`` on ``values`` and on
+    each ndarray on its ``.base`` chain, so a write through ``values``,
+    through the array passed in, or through any view taken afterwards
+    raises numpy's ``ValueError``; an input that is refused is left as it
+    was.  Copy the array first to keep writing into it.  So ``summary``
+    (:class:`_Summary`), built at construction, stays true for the life
+    of the series, and every stage reads it.  Not supported: a writable
+    view of the same memory taken *before* construction, or a buffer
+    under the array that is not an ndarray (``np.frombuffer`` of a
+    ``bytearray``); a write through either goes unseen by the summary.
+
     Two series are equal when their values, rate and start time are; the
     summary takes no part.
     """
@@ -218,6 +229,10 @@ class SampleSeries:
         if not math.isfinite(self.start_time_s):
             raise NonFiniteValue(f"start_time_s must be finite, got {self.start_time_s}")
         object.__setattr__(self, "summary", summary)
+        owner = arr
+        while isinstance(owner, np.ndarray):
+            owner.flags.writeable = False
+            owner = owner.base
 
     def __len__(self) -> int:
         return self.values.size
@@ -273,10 +288,11 @@ def _proof_runs(active: np.ndarray, size: int) -> list[tuple[int, int]]:
 def validate_series(series: SampleSeries) -> SampleSeries:
     """Re-run every series invariant and return an equivalent series.
 
-    Raises the same errors as the :class:`SampleSeries` constructor, which
-    makes it a cheap guard at pipeline entry points that accept
-    caller-built instances.  The series is rebuilt, so its ``summary``
-    describes the values as they are now, whatever was written into them.
+    Raises the same errors as the :class:`SampleSeries` constructor.  The
+    series is rebuilt on the same read-only samples, so its ``summary`` is
+    built again, a full pass over the trace.  No stage calls it: a
+    series' samples cannot change after construction, so its own
+    ``summary`` already describes them.
     """
     return SampleSeries(series.values, series.sampling_rate_hz, series.start_time_s)
 

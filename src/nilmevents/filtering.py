@@ -61,9 +61,7 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     _blocks,
-    _Summary,
     seconds_to_samples,
-    validate_series,
 )
 from .derivative import _aranges, _checked_window, _convolve_interior, _read_only, _union
 
@@ -369,8 +367,6 @@ def refilter_events_with_verdicts(
     candidates: Events,
     extrema: np.ndarray | Callable[[np.ndarray, int], np.ndarray],
     config: HybridConfig,
-    *,
-    summary: _Summary | None = None,
 ) -> tuple[np.ndarray, FilterVerdicts, np.ndarray]:
     """Drop fluctuation-induced candidates; see module docstring.
 
@@ -392,13 +388,7 @@ def refilter_events_with_verdicts(
     widened back, that is at most ``2 * eval_match_tolerance_s * rate + 3``
     centres, the lead-in and ``2 * (n + half)`` samples per candidate,
     ``n`` being the base half window and ``half`` the SG half window.
-    ``summary`` is
-    ``series.summary``, from a caller that built or validated ``series``
-    in the same call; without it, ``series`` is validated here.
     """
-    if summary is None:
-        series = validate_series(series)
-        summary = series.summary
     if not callable(extrema):
         extrema = np.asarray(extrema, dtype=np.int64)
         bad = _first_outside(extrema, len(series))
@@ -416,12 +406,12 @@ def refilter_events_with_verdicts(
     turn_ons = np.flatnonzero(candidates.deltas_watts > 0)
     if not turn_ons.size:
         return unfired
-    segment_max = summary.max_from(series.values, candidate_indices[turn_ons[0]])
+    segment_max = series.summary.max_from(series.values, candidate_indices[turn_ons[0]])
     if segment_max <= config.fluctuation_trigger_watts:
         return unfired
 
     # Re-detected times are non-decreasing, as their indices increase.
-    re_times = _redetected_times(series, candidates.timestamps_s, config, summary.peak())
+    re_times = _redetected_times(series, candidates.timestamps_s, config, series.summary.peak())
     guard_radius = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
 
     confirmed = (

@@ -16,14 +16,12 @@ view built only when a caller iterates or indexes an event list.
 
 Detection pays only where the trace moves or a decision reads, and
 builds no full-length window sums, derivative or smoothed trace.
-:func:`detect_hybrid` validates the series once, or takes the summary of
-a caller that just built it (the CLI hands on
-:func:`~nilmevents.io.load_trace`'s), and hands the summary (the min and
-max of each 64-sample block) to every stage, which reads its range
-bounds, the peak and the refilter trigger from it.  The base detector
-sums each window from its own samples, and sums and tests only the
-blocks that a range bound does not prove quiet (the proof is in
-:func:`nilmevents.base._rounding_margin`).
+Every stage reads the series' summary (the min and max of each 64-sample
+block), built when the series was and kept true by its read-only
+samples: its range bounds, the peak and the refilter trigger.  No stage
+validates the series again.  The base detector sums each window from its
+own samples, and sums and tests only the blocks that a range bound does
+not prove quiet (the proof is in :func:`nilmevents.base._rounding_margin`).
 
 The smoothed derivative ``s`` is computed only where a decision reads it
 (:class:`nilmevents.derivative._SmoothedDerivative`), each sample bit for
@@ -69,15 +67,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import detect_base
-from .core import (
-    DetectionError,
-    Events,
-    HybridConfig,
-    SampleSeries,
-    SeriesTooShort,
-    _Summary,
-    validate_series,
-)
+from .core import DetectionError, Events, HybridConfig, SampleSeries, SeriesTooShort
+
+# ``validate_series`` is no longer called here, but stays importable under
+# this module: the benchmark's tracer (perfbench/tracer.py) wraps
+# ``nilmevents.pipeline.validate_series`` by name.
+from .core import validate_series  # noqa: F401
 from .derivative import (
     InvalidWindow,
     _SmoothedDerivative,
@@ -160,12 +155,7 @@ def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarra
     )
 
 
-def detect_hybrid(
-    series: SampleSeries,
-    config: HybridConfig = HybridConfig(),
-    *,
-    summary: _Summary | None = None,
-) -> PipelineResult:
+def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -> PipelineResult:
     """Run the full hybrid event detection pipeline on one trace.
 
     Parameters
@@ -174,9 +164,6 @@ def detect_hybrid(
         Aggregate power trace.
     config:
         Detection tunables; see :class:`HybridConfig`.
-    summary:
-        ``series.summary``, from a caller that built or validated
-        ``series`` in the same call; without it, ``series`` is validated.
 
     Returns
     -------
@@ -203,9 +190,6 @@ def detect_hybrid(
     The result is a pure function of ``(series, config)``: repeated calls
     return identical results.
     """
-    if summary is None:
-        series = validate_series(series)
-        summary = series.summary
     base_span = 2 * config.mean_window_samples(series.sampling_rate_hz) + 1
     loess_window = config.loess_window_samples(series.sampling_rate_hz)
     if loess_window < 3:
@@ -219,7 +203,7 @@ def detect_hybrid(
             f"need at least {minimum} samples (base windows {base_span}, LOESS window "
             f"{loess_window}, SG window {config.sg_window_samples}), got {len(series)}"
         )
-    base_events = detect_base(series, config, summary=summary)
+    base_events = detect_base(series, config)
 
     derivative = _SmoothedDerivative(series.values, loess_window)
     merged_positions = merge_transient_events(base_events, derivative, series, config)
@@ -230,7 +214,7 @@ def detect_hybrid(
         return detect_extrema(near, min_abs_value=config.derivative_epsilon)
 
     kept, verdicts, extrema = refilter_events_with_verdicts(
-        series, base_events[merged_positions], guard_extrema, config, summary=summary
+        series, base_events[merged_positions], guard_extrema, config
     )
     return PipelineResult(
         base_events=base_events,

@@ -79,6 +79,7 @@ def test_lld_reports_neither_of_two_equal_maxima_inside_one_window() -> None:
     values[300], values[301:306], values[306] = 75.0, 250.0, 75.0
     assert len(lld_max(series_at_20hz(values), LldConfig())) == 0
     assert lld_oracle_pairs(values) == []
+    values = values.copy()  # the series made the symmetric pulse read-only
     values[306] = 80.0  # breaks the symmetry, and with it the tie
     events = lld_max(series_at_20hz(values), LldConfig())
     assert [(e.index, e.delta_watts) for e in events] == lld_oracle_pairs(values) == [

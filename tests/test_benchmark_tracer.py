@@ -98,14 +98,14 @@ def test_no_extrema_are_read_where_the_refilter_does_not_fire() -> None:
     assert names.count("derivative.merge_transient_events") == 1
 
 
-def test_one_detect_hybrid_validates_the_series_once() -> None:
-    # The base detector reads the summary of the series validated at the
-    # pipeline's boundary, and the refilter's windowed re-detection builds no
-    # series, so that is the only validation, even though the refilter fires.
+def test_one_detect_hybrid_validates_no_series() -> None:
+    # Every stage reads the summary the series built at construction, and the
+    # refilter's windowed re-detection builds no series, so nothing is
+    # validated, even though the refilter fires.
     tracer, result = traced_replica_run()
     assert len(result.filter_verdicts)
     names = [span["name"] for span in tracer.spans]
-    assert names.count("core.validate_series") == 1
+    assert "core.validate_series" not in names
     assert "filtering.savitzky_golay" in names
 
 

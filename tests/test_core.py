@@ -97,6 +97,91 @@ def test_series_are_equal_when_values_rate_and_start_are() -> None:
     assert series != SampleSeries(np.arange(3.0), 20.0, 0.0)
 
 
+INPUT_KINDS = ("owned", "reshape view", "slice", "float32", "int", "list", "frombuffer")
+
+
+def input_of_kind(kind: str, x: np.ndarray, step: int):
+    """``x`` as one kind of input a series may be given."""
+    if kind == "owned":
+        return x.copy()
+    if kind == "reshape view":  # what np.load returns: a view of the array it read
+        return x.copy().reshape(x.shape)
+    if kind == "slice":  # every step-th sample of a larger array
+        larger = np.zeros(x.size * step + 2)
+        larger[1 : 1 + x.size * step : step] = x
+        return larger[1 : 1 + x.size * step : step]
+    if kind == "float32":
+        return x.astype(np.float32)
+    if kind == "int":
+        return np.round(x).astype(np.int64)
+    if kind == "list":
+        return x.tolist()
+    return np.frombuffer(x.tobytes())  # read-only memory that no ndarray owns
+
+
+def base_chain(array: np.ndarray) -> list[np.ndarray]:
+    """``array`` and each ndarray on its ``.base`` chain, up to the owner."""
+    chain = []
+    while isinstance(array, np.ndarray):
+        chain.append(array)
+        array = array.base
+    return chain
+
+
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200).map(np.array),
+    st.sampled_from(INPUT_KINDS),
+    st.integers(min_value=1, max_value=3),
+)
+def test_a_series_makes_its_samples_and_their_owners_read_only(
+    x: np.ndarray, kind: str, step: int
+) -> None:
+    given_input = input_of_kind(kind, x, step)
+    expected = np.asarray(given_input, dtype=float).copy()
+    series = SampleSeries(given_input, 20.0)
+    assert not any(array.flags.writeable for array in base_chain(series.values))
+    if isinstance(given_input, np.ndarray) and given_input.dtype == np.float64:  # no copy
+        assert np.shares_memory(given_input, series.values)
+        targets = [given_input, given_input[::2]]
+    else:  # converted once into memory of the series' own: the input stays writable
+        if isinstance(given_input, np.ndarray):
+            assert not np.shares_memory(given_input, series.values)
+            assert given_input.flags.writeable
+        targets = []
+    for target in [series.values, series.values[::2], series.values.view(), *targets]:
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            target += 1.0
+    np.testing.assert_array_equal(series.values, expected)
+    assert series.summary.peak() == np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    ("reason", "error", "message"),
+    [
+        ("nan", NonFiniteValue, "NaN or infinite"),
+        ("empty", EmptySeries, "no samples"),
+        ("2-d", DetectionError, "one-dimensional"),
+        ("zero rate", NonPositiveRate, "sampling_rate_hz"),
+        ("infinite start", NonFiniteValue, "start_time_s"),
+    ],
+)
+def test_a_refused_input_stays_writable(reason: str, error: type, message: str) -> None:
+    owner = np.ones(26)
+    if reason == "nan":
+        owner[7] = np.nan
+    given_input = {"empty": owner[:0], "2-d": owner[2:].reshape(4, 6)}.get(reason, owner[2:])
+    rate = 0.0 if reason == "zero rate" else 20.0
+    start = np.inf if reason == "infinite start" else 0.0
+    with pytest.raises(error, match=message):
+        SampleSeries(given_input, rate, start)
+    assert base_chain(given_input)[-1] is owner
+    for array in base_chain(given_input):
+        assert array.flags.writeable
+        array[...] = 2.0
+
+
 @pytest.mark.parametrize(
     ("first_bad", "second_bad", "error", "message"),
     [

@@ -13,11 +13,9 @@ import nilmevents
 from nilmevents import (
     ApplianceSpec,
     DetectionError,
-    Events,
     FilterReason,
     HybridConfig,
     InvalidWindow,
-    NonFiniteValue,
     SampleSeries,
     ScenarioSpec,
     PipelineResult,
@@ -32,11 +30,12 @@ from nilmevents import (
     seconds_to_samples,
     smoothed_derivative,
 )
+from nilmevents import core
 from nilmevents.filtering import refilter_events_with_verdicts
 
 from blocks import BLOCK_SIZES, use_blocks, use_proof_blocks
 from oracles import oracle_extrema, oracle_merge
-from replicas import run_replica
+from replicas import replica_config, replica_spec, run_replica
 
 REPLICA_NAMES = ("house1", "kitchen", "lighting", "rangehood")
 
@@ -382,29 +381,55 @@ def test_a_trace_one_loess_window_long_gives_the_whole_trace_chain() -> None:
         assert_whole_trace_chain(series, HybridConfig(), detect_hybrid(series, HybridConfig()))
 
 
-def test_a_series_written_into_after_construction_is_checked_again() -> None:
-    # Each entry point validates the series it is given, so it reads a fresh
-    # summary, not the one built with the series.
+def test_a_series_refuses_writes_after_construction() -> None:
+    # The samples are read-only once the series is built, so the summary it
+    # built stays true: a write is refused, not checked again by a stage.
     x = 120.0 + np.random.default_rng(11).normal(0.0, 0.05, 4000)
     x[1000:] += 300.0
     series = SampleSeries(x, 20.0)
     config = HybridConfig()
-    series.values[3000:] += 500.0  # inside blocks that were quiet
-    fresh = SampleSeries(series.values.copy(), 20.0)
-    result = detect_hybrid(series, config)
-    assert result.base_events == detect_hybrid(fresh, config).base_events
-    assert result.events == detect_hybrid(fresh, config).events
-    assert 3000 - 6 <= result.events.indices[-1] <= 3000 + 6
+    with pytest.raises(ValueError, match="read-only"):
+        series.values[3000:] += 500.0  # inside blocks that were quiet
+    with pytest.raises(ValueError, match="read-only"):
+        x[2000] = np.nan
+    later = x[1000:]
+    with pytest.raises(ValueError, match="read-only"):
+        later[1000] = np.nan
+    fresh = SampleSeries(x.copy(), 20.0)
+    result, expected = detect_hybrid(series, config), detect_hybrid(fresh, config)
+    assert result.base_events == expected.base_events
+    assert result.merged_events == expected.merged_events
+    assert result.events == expected.events
+    assert 1000 - 6 <= result.events.indices[-1] <= 1000 + 6
     assert detect_base(series, config) == detect_base(fresh, config)
     assert lld_max(series) == lld_max(fresh)
 
-    series.values[2000] = np.nan
-    no_candidates = Events(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    edited = x.copy()  # a copy stays writable, and a new series describes it
+    edited[3000:] += 500.0
+    last = detect_hybrid(SampleSeries(edited, 20.0), config).events.indices[-1]
+    assert 3000 - 6 <= last <= 3000 + 6
+
+
+def test_no_stage_builds_the_summary_of_a_built_series(monkeypatch: pytest.MonkeyPatch) -> None:
+    series, _ = generate_scenario(replica_spec("kitchen"))
+    config = replica_config("kitchen")
+    result = detect_hybrid(series, config)
+    assert len(result.filter_verdicts)  # the refilter fires
+    built = []
+    build = core._Summary.of.__func__
+
+    def counting(cls, x):
+        built.append(x.size)
+        return build(cls, x)
+
+    monkeypatch.setattr(core._Summary, "of", classmethod(counting))
     for call in (
         lambda: detect_hybrid(series, config),
         lambda: detect_base(series, config),
         lambda: lld_max(series),
-        lambda: refilter_events_with_verdicts(series, no_candidates, np.empty(0), config),
+        lambda: refilter_events_with_verdicts(
+            series, result.merged_events, result.extrema, config
+        ),
     ):
-        with pytest.raises(NonFiniteValue, match="^series contains NaN or infinite samples$"):
-            call()
+        call()
+        assert built == []
