@@ -10,8 +10,10 @@ unchecked view of one position, built only where a caller reads events
 one at a time.  Durations are configured in seconds and converted to
 sample counts at the configured sampling rate via
 :func:`seconds_to_samples`.  The full-length passes of the other modules
-walk their range in the blocks of ``_blocks``, so that each block's
-temporaries stay in cache, and return the same results for any block size.
+walk their range in the blocks of ``_blocks``, and passes over many
+short ranges walk them in the block-sized piece groups of
+``_piece_groups``, so that each block's temporaries stay in cache; all
+return the same results for any block size.
 
 Every trace-wide fact the detectors need comes from one summary that a
 :class:`SampleSeries` builds at construction, the min and the max of each
@@ -268,6 +270,41 @@ def _blocks(size: int) -> Iterator[tuple[int, int]]:
     """
     block_size = _BLOCK_SAMPLES
     return ((start, min(start + block_size, size)) for start in range(0, size, block_size))
+
+
+def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers of the ranges ``[starts, starts + lengths)``, laid end to end in order.
+
+    ``x[_aranges(starts, lengths)]`` gathers the samples of several ranges
+    of ``x`` into one array with no Python loop per range.
+    """
+    offsets = np.cumsum(lengths) - lengths  # where each range begins in the result
+    out = np.repeat(starts - offsets, lengths)
+    out += np.arange(out.size)
+    return out
+
+
+def _piece_groups(
+    starts: np.ndarray, stops: np.ndarray, reach: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ranges ``[starts, stops)`` in pieces of at most ``_BLOCK_SAMPLES``, a group at a time.
+
+    A piece reads its own samples and ``reach`` more.  With the reads of
+    all pieces laid end to end, a group opens at each piece whose read
+    begins past another multiple of ``_BLOCK_SAMPLES``, so a group reads
+    less than two blocks and ``reach``, and many short ranges share one.
+    Yields the starts and the lengths of each group's pieces, in order;
+    an empty range has no piece.
+    """
+    block = _BLOCK_SAMPLES
+    count = -(-(stops - starts) // block)  # pieces per range
+    skip = np.repeat(np.cumsum(count) - count, count)
+    begins = np.repeat(starts, count) + block * (np.arange(skip.size) - skip)
+    lengths = np.minimum(begins + block, np.repeat(stops, count)) - begins
+    reads = lengths + reach
+    opens = np.flatnonzero(np.diff((np.cumsum(reads) - reads) // block, prepend=-1))
+    for a, b in zip(opens.tolist(), [*opens[1:].tolist(), begins.size]):
+        yield begins[a:b], lengths[a:b]
 
 
 def _proof_runs(active: np.ndarray, size: int) -> list[tuple[int, int]]:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import (
     DetectionError,
     Events,
@@ -36,7 +35,9 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
+    _aranges,
     _blocks,
+    _piece_groups,
     seconds_to_samples,
 )
 
@@ -50,7 +51,7 @@ __all__ = [
 
 
 # The merge first reads this many settle lengths of a gap, and where that
-# stretch holds no settled run long enough, the whole gap.
+# stretch holds no settled run long enough, stretches twice as long each time.
 _SETTLE_SPANS = 2
 
 
@@ -182,18 +183,6 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     return out
 
 
-def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The integers of the ranges ``[starts, starts + lengths)``, laid end to end in order.
-
-    ``x[_aranges(starts, lengths)]`` gathers the samples of several ranges
-    of ``x`` into one array with no Python loop per range.
-    """
-    offsets = np.cumsum(lengths) - lengths  # where each range begins in the result
-    out = np.repeat(starts - offsets, lengths)
-    out += np.arange(out.size)
-    return out
-
-
 def _union(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The union of the ranges ``[starts, stops)``: increasing, disjoint, never touching."""
     keep = starts < stops
@@ -249,10 +238,10 @@ class _SmoothedDerivative:
         """The samples of the union of the ranges ``[starts, stops)`` inside the trace.
 
         The first and the last ``half`` samples are the edge fits of
-        :func:`loess_smooth`.  The rest are cut into pieces of at most
-        ``_BLOCK_SAMPLES``, and each group of pieces that reads about a
-        block is one :func:`numpy.convolve` over their first differences
-        laid end to end, each piece widened by ``half`` on either side.
+        :func:`loess_smooth`.  The rest are cut into the pieces and groups
+        of :func:`~nilmevents.core._piece_groups`, and each group is one
+        :func:`numpy.convolve` over its pieces' first differences laid end
+        to end, each piece widened by ``half`` on either side.
         An output that reaches across two pieces is dropped; each one kept
         is the dot product :func:`loess_smooth` takes, of the same inputs.
         A piece reads ``x`` from one sample before its first difference,
@@ -275,22 +264,16 @@ class _SmoothedDerivative:
             out[last:] = tail[ranges.indices(np.arange(last, out.size)) - inner]
         # The interior of each range, in pieces of at most a block, read a group at a time.
         lo, hi = np.clip(starts, half, inner), np.clip(stops, half, inner)
-        block = core._BLOCK_SAMPLES
-        count = -(-(hi - lo) // block)  # pieces per range
-        skip = np.repeat(np.cumsum(count) - count, count)
-        begins = np.repeat(lo, count) + block * (np.arange(skip.size) - skip)
-        lengths = np.minimum(begins + block, np.repeat(hi, count)) - begins
-        widths = lengths + 2 * half + 1  # samples a piece reads
-        opens = np.flatnonzero(np.diff((np.cumsum(widths) - widths) // block, prepend=-1))
         done = first
-        for a, b in zip(opens.tolist(), [*opens[1:].tolist(), begins.size]):
-            at = np.cumsum(widths[a:b]) - widths[a:b]  # where each piece begins in ``window``
-            reads = _aranges(begins[a:b] - half - 1, widths[a:b])
+        for begins, lengths in _piece_groups(lo, hi, 2 * half + 1):
+            widths = lengths + 2 * half + 1  # samples a piece reads
+            at = np.cumsum(widths) - widths  # where each piece begins in ``window``
+            reads = _aranges(begins - half - 1, widths)
             window = x[np.maximum(reads, 0, out=reads)]
             del reads
             full = np.convolve(np.diff(window), kernel, mode="valid")
             del window
-            keep = _aranges(at, lengths[a:b])
+            keep = _aranges(at, lengths)
             out[done : done + keep.size] = full[keep]
             done += keep.size
         return ranges
@@ -393,14 +376,19 @@ def merge_transient_events(
     The merge reads ``s`` only strictly between consecutive candidates
     ``a < b`` whose ``b - a - 1`` samples could hold a run long enough; a
     shorter gap merges unread.  It reads ``[a + 1, a + 1 + K)``, ``K``
-    being ``_SETTLE_SPANS`` settle lengths, and where that stretch ends
-    before ``b`` with no run long enough, the whole gap ``[a + 1, b)``.
-    A run found is a settled run of the gap (samples not read count as
-    unsettled), and a gap read to its end gives its longest run, so the
-    decisions are those of the whole trace.
-    Each window ``[a + 1, stop)`` read has ``stop <= b`` and a sample at
-    least, so each range of a read is one pending gap, in gap order, and
-    holds no candidate.
+    being ``_SETTLE_SPANS`` settle lengths, and where a stretch ends before
+    ``b`` with no run long enough, the next one: twice as long, starting
+    ``m`` samples before the last one ended, ``m`` being the settle length
+    in samples, and cut at ``b``.  A run found is a settled run of the gap
+    (samples not read count as unsettled), so a run long enough separates.
+    Any ``m + 1`` settled samples are long enough, so a run that crosses a
+    stretch's end unfound has at most ``m`` samples before it: it starts
+    inside the next stretch, which holds it whole or at least ``m + 1`` of
+    it.  So a gap read to its end with no run long enough has none, and
+    the decisions are those of the whole trace.
+    Each stretch ``[start, stop)`` read has ``a < start < stop <= b``, so
+    each range of a read is one pending gap, in gap order, and holds no
+    candidate.
 
     Returns the increasing int64 positions, into ``candidates``, of the
     events that survive; ``candidates[positions]`` are the merged events.
@@ -426,12 +414,14 @@ def merge_transient_events(
     # Only a gap whose every sample settled could pass; shorter gaps merge unread.
     pending = np.flatnonzero((after - before - 1) / rate > settle)
     separate = np.zeros(indices.size - 1, dtype=bool)
-    reach = np.minimum(after, before + 1 + _SETTLE_SPANS * seconds_to_samples(settle, rate))
+    overlap = seconds_to_samples(settle, rate)
+    starts, span = before[pending] + 1, _SETTLE_SPANS * overlap
     while pending.size:
-        starts, stops = before[pending] + 1, reach[pending]
+        stops = np.minimum(after[pending], starts + span)
         longest = _longest_settled(_read(smoothed_derivative, starts, stops), epsilon)
         separate[pending] = longest / rate > settle
-        # A stretch short of its gap and with no run long enough is read to the gap's end.
-        pending = pending[(stops < after[pending]) & ~separate[pending]]
-        reach = after
+        # A stretch short of its gap and with no run long enough is followed
+        # by one twice as long that starts a settle length before it ends.
+        grow = (stops < after[pending]) & ~separate[pending]
+        pending, starts, span = pending[grow], stops[grow] - overlap, 2 * span
     return np.concatenate(([0], np.flatnonzero(separate) + 1)).astype(np.int64, copy=False)

@@ -60,10 +60,11 @@ from .core import (
     HybridConfig,
     MisalignedInput,
     SampleSeries,
+    _aranges,
     _blocks,
     seconds_to_samples,
 )
-from .derivative import _aranges, _checked_window, _convolve_interior, _read_only, _union
+from .derivative import _checked_window, _convolve_interior, _read_only, _union
 
 __all__ = [
     "OrderTooHigh",

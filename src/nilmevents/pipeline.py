@@ -21,7 +21,8 @@ block), built when the series was and kept true by its read-only
 samples: its range bounds, the peak and the refilter trigger.  No stage
 validates the series again.  The base detector sums each window from its
 own samples, and sums and tests only the blocks that a range bound does
-not prove quiet (the proof is in :func:`nilmevents.base._rounding_margin`).
+not prove quiet (the proof is in :func:`nilmevents.base._rounding_margin`),
+gathering short runs of them end to end about a block at a time.
 
 The smoothed derivative ``s`` is computed only where a decision reads it
 (:class:`nilmevents.derivative._SmoothedDerivative`), each sample bit for
@@ -30,7 +31,8 @@ bit as the whole-trace :func:`smoothed_derivative` gives it:
 - the merge reads ``s`` strictly between consecutive base events
   ``a < b`` whose gap could hold a settled run long enough: first two
   settle lengths after ``a``, and where those hold no settled run long
-  enough, the whole gap ``(a, b)``;
+  enough, stretches that double in length, each starting a settle length
+  before the last one ended, until one holds such a run or reaches ``b``;
 - the refilter's guard, only when the refilter fires, reads ``s`` within
   ``r + 1`` samples of each candidate the re-detection did not confirm,
   ``r`` being the guard radius, for the significant extrema within ``r``.

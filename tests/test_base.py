@@ -17,7 +17,7 @@ from nilmevents import (
     detect_hybrid,
     lld_max,
 )
-from nilmevents import core
+from nilmevents import base, core
 from nilmevents.base import (
     _mean_difference_profile,
     _rounding_margin,
@@ -361,6 +361,99 @@ def test_blocked_base_events_match_the_whole_profile_on_floats(
         assert list(zip(events.indices.tolist(), events.timestamps_s.tolist(),
                         events.deltas_watts.tolist())) == expected
         assert len(events) > 0 or size == 2 * n + 1
+
+
+def clustered_steps(size: int, rng: np.random.Generator) -> np.ndarray:
+    """An integer level with +-2 W of noise and clusters of one to four steps.
+
+    The clusters lie 400 to 2,400 samples apart and their steps 2 to 60
+    samples apart, so proof blocks of 1, 64 and 1024 samples leave many
+    short unproven runs, laid end to end across the groups' edges.  The
+    level drifts up 15 W per 1,000 samples, too slowly to alarm, so two
+    runs laid end to end can meet at levels more than 25 W apart: a
+    window that reads across two pieces would alarm.
+    """
+    values = 500.0 + np.round(0.015 * np.arange(size)) + rng.integers(-2, 3, size)
+    at = 0
+    while (at := at + int(rng.integers(400, 2400))) < size:
+        step = at
+        for _ in range(int(rng.integers(1, 5))):
+            values[step:] += float(rng.choice([-1, 1]) * rng.integers(30, 300))
+            step += int(rng.integers(2, 60))
+    return values
+
+
+@pytest.mark.parametrize("proof_block", [1, 64, 1024])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_grouped_runs_match_the_oracle_on_integers(
+    small_blocks: int, proof_block: int, n: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Many short unproven runs, profiled a group at a time, give the oracle's
+    events bit for bit; nearly every alarm is emitted, so each alarm's centre
+    and delta is checked."""
+    use_proof_blocks(monkeypatch, proof_block)
+    values = clustered_steps(16_000, np.random.default_rng(proof_block * 10 + n))
+    config = HybridConfig(mean_window_s=n / 20.0, time_limit_s=0.01)
+    runs = _tested_entries(SampleSeries(values, 20.0).summary, n, 25.0)
+    assert len(runs) >= (3 if proof_block == 1024 else 8)
+    events = event_triples(detect_base(series_at_20hz(values), config))
+    assert events == oracle_base_events(values, 20.0, n, 25.0, 0.01)
+
+
+@pytest.mark.parametrize("proof_block", [1, 64, 1024])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_grouped_runs_match_the_whole_profile_on_floats(
+    small_blocks: int, proof_block: int, n: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    use_proof_blocks(monkeypatch, proof_block)
+    values = clustered_steps(16_000, np.random.default_rng(proof_block * 10 + n)) * np.pi
+    config = HybridConfig(
+        mean_window_s=n / 20.0, power_threshold_watts=25.0 * np.pi, time_limit_s=0.01
+    )
+    events = event_triples(detect_base(series_at_20hz(values), config))
+    assert events == events_from_whole_profile(values, 20.0, n, 25.0 * np.pi, 0.01)
+
+
+def test_a_run_longer_than_a_block_is_profiled_in_pieces(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """A 700-sample burst of loud noise is one unproven run of many 64-sample
+    pieces, between short runs that share groups."""
+    use_blocks(monkeypatch, 64)
+    use_proof_blocks(monkeypatch, 16)
+    rng = np.random.default_rng(12)
+    values = clustered_steps(6000, rng)
+    values[3000:3700] += rng.integers(-300, 300, 700)
+    n = 6
+    runs = _tested_entries(SampleSeries(values, 20.0).summary, n, 25.0)
+    assert max(stop - start for start, stop in runs) > 11 * 64
+    config = HybridConfig(time_limit_s=0.01)
+    events = event_triples(detect_base(series_at_20hz(values), config))
+    assert events == oracle_base_events(values, 20.0, n, 25.0, 0.01)
+
+
+def test_short_runs_share_one_profile_per_group(monkeypatch: pytest.MonkeyPatch) -> None:
+    """48 switches on a quiet 60 Hz trace: the window sums run once per group of
+    about a block, not once per unproven run."""
+    rng = np.random.default_rng(48)
+    values = 230.0 + rng.normal(0.0, 2.0, 48 * 6000)
+    for at in range(3000, values.size, 6000):
+        values[at:] += rng.choice([-1.0, 1.0]) * rng.uniform(150.0, 400.0)
+    series = SampleSeries(values, 60.0)
+    runs = _tested_entries(series.summary, 18, 25.0)
+    calls: list[int] = []
+    window_sums = base._window_sums
+
+    def counted(values, n, start=0, stop=None):
+        calls.append(n)
+        return window_sums(values, n, start, stop)
+
+    monkeypatch.setattr(base, "_window_sums", counted)
+    events = detect_base(series, HybridConfig())
+    assert len(runs) == 48
+    reads = sum(stop - start + 36 for start, stop in runs)
+    assert len(calls) <= reads // core._BLOCK_SAMPLES + 1
+    assert event_triples(events) == events_from_whole_profile(values, 60.0, 18, 25.0, 0.2)
 
 
 # --- Window sums from their own samples, and quiet blocks --------------------

@@ -18,9 +18,12 @@ from nilmevents import (
     detect_extrema,
     detect_hybrid,
     first_derivative,
+    generate_scenario,
+    load_trace,
     loess_smooth,
     merge_transient_events,
     smoothed_derivative,
+    write_trace,
 )
 from nilmevents import derivative
 from nilmevents.derivative import (
@@ -40,7 +43,7 @@ from oracles import (
     oracle_loess,
     oracle_merge,
 )
-from replicas import run_replica
+from replicas import replica_config, replica_spec, run_replica
 
 float_traces = st.lists(
     st.floats(min_value=-1e5, max_value=1e5, allow_nan=False), min_size=3, max_size=200
@@ -605,31 +608,37 @@ def reads_of(monkeypatch: pytest.MonkeyPatch) -> list[list[tuple[int, int]]]:
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "computed"])
-def test_a_gap_that_settles_after_its_first_stretch_is_read_further(
-    lazy: bool, monkeypatch: pytest.MonkeyPatch
+@pytest.mark.parametrize(
+    ("flat", "kept"),
+    [
+        ((300, 345), [10, 400]),  # inside the third stretch
+        ((171, 212), [10, 400]),  # 41 samples, 40 of them at the end of the second
+        ((170, 211), [10, 400]),  # 41 samples at the end of the second
+        ((171, 211), [10]),  # 40 samples: not longer than the threshold
+        ((0, 0), [10]),  # no settled run
+    ],
+)
+def test_a_gap_that_settles_after_its_first_stretch_is_read_in_doubling_stretches(
+    lazy: bool, flat: tuple[int, int], kept: list[int], monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    """At 20 Hz and a 2 s settle threshold the merge first reads 80 samples
-    after a candidate, then the whole gap: a gap that settles for 45 samples
-    from 300 on is read twice before it separates."""
-    # 1 W a sample, flat on [300, 345); a 3-sample window smooths nothing inside.
+    """At 20 Hz and a 2 s settle threshold (40 samples) the merge first reads 80
+    samples after a candidate, then stretches of 160 and 320 that start 40
+    samples before the last one ended, up to the gap's end.  A settled run of 41
+    samples that crosses a stretch's end is found whole in the next one."""
+    # 1 W a sample, flat on ``flat``; a 3-sample window smooths nothing inside.
     samples = np.arange(500)
-    x = np.cumsum(np.where((samples >= 300) & (samples < 345), 0.0, 1.0))
+    x = np.cumsum(np.where((samples >= flat[0]) & (samples < flat[1]), 0.0, 1.0))
     series, config = series_at_20hz(x), HybridConfig()
     smoothed = loess_smooth(first_derivative(x), 3)
     settled = np.abs(smoothed) < config.derivative_epsilon
-    assert np.array_equal(settled[1:], (samples[1:] >= 300) & (samples[1:] < 345))
+    assert np.array_equal(settled[1:], (samples[1:] >= flat[0]) & (samples[1:] < flat[1]))
     candidates = events_at([10, 400], series)
     reads = reads_of(monkeypatch)
     source = _SmoothedDerivative(x, 3) if lazy else smoothed
     survivors = merge_transient_events(candidates, source, series, config)
-    assert candidates[survivors].indices.tolist() == [10, 400]
-    assert reads == [[(11, 91)], [(11, 400)]]
-    # Without the settled run the gap is read to its end and merges.
-    reads.clear()
-    x = samples.astype(float)
-    source = _SmoothedDerivative(x, 3) if lazy else loess_smooth(first_derivative(x), 3)
-    assert merge_transient_events(candidates, source, series, config).tolist() == [0]
-    assert reads == [[(11, 91)], [(11, 400)]]
+    assert candidates[survivors].indices.tolist() == kept
+    stretches = [[(11, 91)], [(51, 211)], [(171, 400)]]
+    assert reads == (stretches[:2] if flat == (170, 211) else stretches)
 
 
 def test_a_gap_too_short_to_settle_is_not_read(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -756,12 +765,8 @@ def test_the_merge_reads_a_small_share_of_a_noisy_meter_trace(
     assert 0 < read <= 0.01 * x.size
 
 
-def test_a_noisy_meter_trace_computes_a_tenth_of_its_samples(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    """The same three hours through detect_hybrid, merge and guard together:
-    the derivative is computed on at most a tenth of the samples."""
-    x = noisy_trace(20.0, 2.0, 3 * 3600.0, seed=11, gaps=(1200, 2400))
+def computed_by(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """The samples each ``_SmoothedDerivative.read`` computes from now on."""
     computed: list[int] = []
     read = _SmoothedDerivative.read
 
@@ -771,9 +776,60 @@ def test_a_noisy_meter_trace_computes_a_tenth_of_its_samples(
         return ranges
 
     monkeypatch.setattr(_SmoothedDerivative, "read", counted)
+    return computed
+
+
+def test_a_noisy_meter_trace_computes_a_tenth_of_its_samples(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """The same three hours through detect_hybrid, merge and guard together:
+    the derivative is computed on at most a tenth of the samples."""
+    x = noisy_trace(20.0, 2.0, 3 * 3600.0, seed=11, gaps=(1200, 2400))
+    computed = computed_by(monkeypatch)
     result = detect_hybrid(SampleSeries(x, 20.0), HybridConfig())
     assert len(result.base_events) > 3
     assert 0 < sum(computed) <= 0.1 * x.size
+
+
+@pytest.mark.parametrize("gap_s", [60.0, 600.0])
+def test_a_drift_after_each_event_is_read_past_not_to_the_gap_end(
+    gap_s: float, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Each event drifts for 5 s, longer than the first stretch (4 s), then the
+    trace settles: the second stretch finds the run, whatever the gap's length."""
+    rate, drift = 20.0, 100
+    gap = round(gap_s * rate)
+    indices = list(range(50, 20 * gap, gap))
+    x = np.zeros(20 * gap + 50)
+    for index in indices:
+        x[index:] += 300.0
+        x[index + 1 : index + 1 + drift] += np.arange(1, drift + 1) * 1.0
+        x[index + 1 + drift :] += drift
+    series, config = series_at_20hz(x), HybridConfig()
+    candidates = events_at(indices, series)
+    computed = computed_by(monkeypatch)
+    window = config.loess_window_samples(rate)
+    survivors = merge_transient_events(candidates, _SmoothedDerivative(x, window), series, config)
+    assert survivors.tolist() == list(range(len(indices)))
+    # The 80 samples after each event, then 160 from 40 before those end.
+    assert computed == [19 * 80, 19 * 160]
+
+
+def test_the_lighting_replica_from_its_csv_computes_few_derivative_samples(
+    tmp_path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """The CI's lighting run: ``detect --config scenarios/lighting.config`` on the
+    replica written to and read back from CSV.  The merge computes the derivative
+    on 249 of its 37,198 samples; a gap whose first stretch holds no settled run
+    is read on in doubling stretches, not to its end."""
+    series, _ = generate_scenario(replica_spec("lighting"))
+    write_trace(tmp_path / "lighting.csv", series)
+    loaded = load_trace(tmp_path / "lighting.csv")
+    computed = computed_by(monkeypatch)
+    result = detect_hybrid(loaded, replica_config("lighting"))
+    assert len(loaded) == 37_198
+    assert len(result.filter_verdicts) == 0  # the refilter does not fire: the merge reads all
+    assert sum(computed) == 249
 
 
 # --- Ranges: the extrema read only inside a range ---------------------------

@@ -1,4 +1,4 @@
-"""Traced allocation peaks of the CSV reader and of a smoothed derivative read.
+"""Traced allocation peaks of the CSV reader, a smoothed derivative read and the base detector.
 
 numpy reports its array buffers to ``tracemalloc``, so a traced peak
 counts every temporary a call holds at once.  Each test runs its call
@@ -12,8 +12,10 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from nilmevents import core, load_trace
+from nilmevents import HybridConfig, SampleSeries, core, detect_base, load_trace
+from nilmevents.base import _tested_entries
 from nilmevents.derivative import _SmoothedDerivative
 
 
@@ -59,3 +61,30 @@ def test_a_derivative_read_holds_its_windows_and_a_few_blocks() -> None:
     assert ranges.values.size == 1500 * 80 + 50_000
     # The values, a few int64 words of bookkeeping per window, and a few blocks.
     assert peak <= ranges.values.nbytes + 8 * 8 * starts.size + 8 * core._BLOCK_SAMPLES * 8
+
+
+def noisy_steps(steps: int, sigma: float) -> SampleSeries:
+    """1 M samples at 20 Hz around 500 W with ``sigma`` W of noise and ``steps`` switches."""
+    rng = np.random.default_rng(steps)
+    values = 500.0 + rng.normal(0.0, sigma, 1_000_000)
+    for k in range(steps):  # at most 200, one every 5,000 samples
+        values[5000 * k + 2500 :] += rng.choice([-1.0, 1.0]) * rng.uniform(50.0, 300.0)
+    return SampleSeries(values, 20.0)
+
+
+@pytest.mark.parametrize(
+    ("steps", "sigma", "runs"),
+    [
+        (200, 2.0, 200),  # meter noise: 200 short runs, gathered a group at a time
+        (0, 5.0, 1),  # noise no range bound proves quiet: one run, profiled in place
+    ],
+    ids=["many_groups", "one_run"],
+)
+def test_detect_base_holds_a_few_blocks(steps: int, sigma: float, runs: int) -> None:
+    config = HybridConfig()
+    detect_base(SampleSeries(np.random.default_rng(4).normal(500.0, 2.0, 4096), 20.0), config)
+    series = noisy_steps(steps, sigma)
+    assert len(_tested_entries(series.summary, 6, 25.0)) == runs
+    events, peak = traced_peak(lambda: detect_base(series, config))
+    assert len(events) >= steps
+    assert peak <= 8 * 8 * core._BLOCK_SAMPLES  # eight blocks of float64; the trace is 8 MB
