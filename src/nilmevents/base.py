@@ -24,12 +24,11 @@ range of the samples its windows read, plus a bound on the rounding, so
 a block of centres whose range stays below the threshold by that bound
 cannot alarm and is not tested; on a mostly steady household trace that
 is nearly all of them.  The ranges and the peak are read from the
-series' summary.  The other centres are cut into pieces of at most a
-block, and the pieces are grouped about a block at a time: a group of
-several is gathered end to end with the samples its windows read, and
-summed and tested as one array.  So one switch costs a share of a
-group's few array passes, not passes of its own, and quiet stretches
-are never summed.
+series' summary.  The other centres are summed and tested a piece
+group at a time, each group as one array, exactly as the whole trace
+would be (:mod:`nilmevents.core`).  So one switch costs a share of a
+group's few array passes, not passes of its own, and quiet stretches are
+never summed.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .core import (
     SampleSeries,
     SeriesTooShort,
     _Summary,
-    _aranges,
     _blocks,
     _piece_groups,
     _proof_runs,
@@ -268,18 +266,10 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
 
     Notes
     -----
-    The window sums and the threshold test run only on the centres not
-    proven quiet (:func:`_tested_entries`), cut into the pieces and
-    groups of :func:`~nilmevents.core._piece_groups`, each of which reads
-    less than two blocks, so no full-length temporary is built.  A lone
-    piece is profiled in place on ``series.values``; the pieces of a
-    larger group are gathered end to end, each with the ``2n`` samples
-    past its centres that its windows read, and only the alarms at a
-    piece's own centres are kept.  Each delta is a pure function of the
-    ``2n + 1`` samples around its centre (:func:`_window_sums`), so the
-    events are identical for any block and proof-block size.  The
-    time-limit emission (:func:`_emitted`) walks the alarm times one block
-    at a time, so only a block of them is ever a Python list.
+    Only the centres not proven quiet (:func:`_tested_entries`) are
+    summed and tested (module docstring).  The time-limit emission
+    (:func:`_emitted`) walks the alarm times one block at a time, so only
+    a block of them is ever a Python list.
 
     Raises
     ------
@@ -294,24 +284,14 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     _require_windows(len(series), n)
     threshold = config.power_threshold_watts
 
-    x = series.values
     runs = np.array(_tested_entries(series.summary, n, threshold), dtype=np.int64).reshape(-1, 2)
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    for begins, lengths in _piece_groups(runs[:, 0], runs[:, 1], 2 * n):
-        if begins.size == 1:  # a lone piece is profiled in place
-            start = int(begins[0])
-            diffs = _mean_difference_profile(x, n, start, start + int(lengths[0]))
-            positions = _alarming(diffs, threshold)
-            found.append((positions + (n + start), diffs[positions]))
-            continue
-        reads = lengths + 2 * n  # a piece's entries read 2n samples past their count
-        diffs = _mean_difference_profile(x[_aranges(begins, reads)], n)
+    # A centre reads n samples on either side; entry k is centre n + k.
+    for layout in _piece_groups(runs[:, 0] + n, runs[:, 1] + n, n, n, len(series)):
+        diffs = _mean_difference_profile(layout.take(series.values), n)
         positions = _alarming(diffs, threshold)
-        at = np.cumsum(reads) - reads  # where each piece begins in the gathered samples
-        piece = np.searchsorted(at, positions, "right") - 1
-        offsets = positions - at[piece]
-        kept = offsets < lengths[piece]  # the rest read across two pieces
-        found.append(((begins[piece] + offsets + n)[kept], diffs[positions[kept]]))
+        kept, centres = layout.own(positions + n)
+        found.append((centres, diffs[positions[kept]]))
     alarm_indices = np.concatenate([indices for indices, _ in found])
     alarm_deltas = np.concatenate([deltas for _, deltas in found])
     alarm_times = series.time_at(alarm_indices)

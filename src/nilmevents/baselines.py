@@ -26,6 +26,7 @@ from .core import (
     _BLOCK_SAMPLES,
     _check_integer,
     _check_setting,
+    _union,
 )
 
 __all__ = ["LldConfig", "lld_max"]
@@ -85,11 +86,14 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     fails (:func:`~nilmevents.base._tested_entries`): elsewhere ``|mu1 -
     mu0|`` is below the threshold, so ``ds`` is 0.  Each tested run is
     widened by ``maxima_precision_samples`` on both sides, so that it
-    holds the whole window of each of its candidates, and the strict
+    holds the whole window of each of its candidates, widened runs that
+    touch are joined (:func:`~nilmevents.core._union`), and the strict
     maxima are found run by run, with the zeros beyond a run standing for
     the quiet entries there; a nonzero candidate never ties with a 0.  So
     the events are those of the statistic over the whole trace, for any
-    proof-block size.
+    proof-block size.  The runs are not gathered end to end like the
+    hybrid stages' pieces (:mod:`nilmevents.core`): a maximum near a run's
+    end is tested against the zeros beyond it, not a neighbour's entries.
     """
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
     if len(series) < 2 * pw + 1:
@@ -98,17 +102,14 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
         )
     threshold = config.power_threshold_watts
     m = config.maxima_precision_samples
+    runs = np.array(_tested_entries(series.summary, pw, threshold), dtype=np.int64).reshape(-1, 2)
     entries = len(series) - 2 * pw
-    runs: list[tuple[int, int]] = []
-    for lo, hi in _tested_entries(series.summary, pw, threshold):
-        lo, hi = max(lo - m, 0), min(hi + m, entries)
-        if runs and lo <= runs[-1][1]:  # widened runs that touch are one
-            lo = runs.pop()[0]
-        runs.append((lo, hi))
+    starts, stops = _union(np.maximum(runs[:, 0] - m, 0), np.minimum(runs[:, 1] + m, entries))
     margin = _rounding_margin(series.summary.peak(), pw)
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    found += [_run_maxima(series.values, pw, lo, hi, threshold, margin, m) for lo, hi in runs]
+    for lo, hi in zip(starts.tolist(), stops.tolist()):
+        found.append(_run_maxima(series.values, pw, lo, hi, threshold, margin, m))
     indices = pw + np.concatenate([positions for positions, _ in found])
     deltas = np.concatenate([deltas for _, deltas in found])
     return Events(indices, series.time_at(indices), deltas)

@@ -10,10 +10,28 @@ unchecked view of one position, built only where a caller reads events
 one at a time.  Durations are configured in seconds and converted to
 sample counts at the configured sampling rate via
 :func:`seconds_to_samples`.  The full-length passes of the other modules
-walk their range in the blocks of ``_blocks``, and passes over many
-short ranges walk them in the block-sized piece groups of
-``_piece_groups``, so that each block's temporaries stay in cache; all
-return the same results for any block size.
+walk their range in the blocks of ``_blocks``, so that each block's
+temporaries stay in cache, and return the same results for any block
+size.
+
+A stage that computes only near where it reads lays out the ranges it
+needs as pieces (:class:`_Layout`), each owning a range of samples and
+reading it widened by ``before`` and ``after`` samples, clipped to the
+trace; ``_piece_groups`` groups pieces of at most a block about a block
+at a time.  The stage runs its whole-array kernel once over a group's
+reads laid end to end (:meth:`_Layout.take`), and keeps the outputs
+whose sample the piece holding them owns (:meth:`_Layout.own`).
+
+**Exactness.**  Let the kernel's output at sample ``s`` read only
+samples in ``[s - before, s + after]``.  Then an output that ``own``
+keeps reads only its own piece's samples, laid out as in the trace: it
+is the dot product the kernel takes over the whole trace, of the same
+samples in the same order, so bit for bit the same for any block size.
+An output that straddles two pieces is owned by neither, and dropped.
+An output whose reads would pass an end of the trace (the derivative's
+zero pad, the Savitzky-Golay end fits) is the whole-trace one only where
+its piece is the first, or the last, in the gathered array, so that the
+kernel sees the trace's end there; a stage that relies on that says why.
 
 Every trace-wide fact the detectors need comes from one summary that a
 :class:`SampleSeries` builds at construction, the min and the max of each
@@ -28,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -284,27 +302,106 @@ def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _union(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the ranges ``[starts, stops)``: increasing, disjoint, never touching."""
+    keep = starts < stops
+    order = np.argsort(starts[keep], kind="stable")
+    starts, reach = starts[keep][order], np.maximum.accumulate(stops[keep][order])
+    opens = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+    return (
+        np.concatenate((starts[:1], starts[opens])),
+        np.concatenate((reach[opens - 1], reach[-1:])),
+    )
+
+
+class _Layout(NamedTuple):
+    """Pieces of a trace: piece ``k`` owns ``[starts[k], stops[k])`` and reads ``[lo[k], hi[k])``.
+
+    The owned ranges are increasing and disjoint, each inside its reads.
+    """
+
+    starts: np.ndarray
+    stops: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """The pieces' reads of ``x``, laid end to end; a view of ``x`` for one piece."""
+        if self.lo.size == 1:
+            return x[int(self.lo[0]) : int(self.hi[0])]
+        return x[_aranges(self.lo, self.hi - self.lo)]
+
+    def own(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(kept, samples)`` of the non-decreasing ``positions`` into :meth:`take`'s array.
+
+        ``kept`` indexes the positions whose sample the piece holding them
+        owns, and ``samples`` holds those samples.  The pieces' ``2P`` cuts
+        are searched among the positions, not each position among the cuts.
+        """
+        widths = self.hi - self.lo
+        shift = self.lo - (np.cumsum(widths) - widths)  # a sample's index less its position
+        first = np.searchsorted(positions, self.starts - shift)
+        counts = np.searchsorted(positions, self.stops - shift) - first
+        kept = _aranges(first, counts)
+        return kept, positions[kept] + np.repeat(shift, counts)
+
+    def owned(self) -> np.ndarray:
+        """The positions, in :meth:`take`'s array, of every sample the pieces own, in order."""
+        widths = self.hi - self.lo
+        at = np.cumsum(widths) - widths  # where each piece's reads begin
+        return _aranges(self.starts - self.lo + at, self.stops - self.starts)
+
+
 def _piece_groups(
-    starts: np.ndarray, stops: np.ndarray, reach: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    starts: np.ndarray, stops: np.ndarray, before: int, after: int, size: int
+) -> Iterator[_Layout]:
     """The ranges ``[starts, stops)`` in pieces of at most ``_BLOCK_SAMPLES``, a group at a time.
 
-    A piece reads its own samples and ``reach`` more.  With the reads of
-    all pieces laid end to end, a group opens at each piece whose read
-    begins past another multiple of ``_BLOCK_SAMPLES``, so a group reads
-    less than two blocks and ``reach``, and many short ranges share one.
-    Yields the starts and the lengths of each group's pieces, in order;
-    an empty range has no piece.
+    A piece reads ``before`` and ``after`` samples more, clipped to the
+    ``size`` samples of the trace.  With all reads laid end to end, a group
+    opens at each piece whose read begins past another block multiple, so
+    a group reads less than two blocks and ``before + after``.
     """
     block = _BLOCK_SAMPLES
     count = -(-(stops - starts) // block)  # pieces per range
-    skip = np.repeat(np.cumsum(count) - count, count)
-    begins = np.repeat(starts, count) + block * (np.arange(skip.size) - skip)
-    lengths = np.minimum(begins + block, np.repeat(stops, count)) - begins
-    reads = lengths + reach
+    begins = np.repeat(starts, count) + block * _aranges(np.zeros_like(count), count)
+    ends = np.minimum(begins + block, np.repeat(stops, count))
+    lo, hi = np.maximum(begins - before, 0), np.minimum(ends + after, size)
+    reads = hi - lo
     opens = np.flatnonzero(np.diff((np.cumsum(reads) - reads) // block, prepend=-1))
     for a, b in zip(opens.tolist(), [*opens[1:].tolist(), begins.size]):
-        yield begins[a:b], lengths[a:b]
+        yield _Layout(begins[a:b], ends[a:b], lo[a:b], hi[a:b])
+
+
+@dataclass(frozen=True, eq=False)
+class _Ranges:
+    """The samples of a trace of ``size`` samples on a few sample ranges.
+
+    Range ``k`` is ``[starts[k], stops[k])``; the ranges are non-empty,
+    increasing, disjoint and never touch, and ``values`` holds their
+    samples, concatenated in range order.  Nothing is known of the
+    samples outside them.  A dense array is the one-range case.
+    """
+
+    size: int
+    starts: np.ndarray
+    stops: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, trace: np.ndarray | _Ranges) -> _Ranges:
+        """``trace`` itself if it is ranges, else the dense array as one range."""
+        if isinstance(trace, _Ranges):
+            return trace
+        x = np.asarray(trace, dtype=float)
+        return cls(x.size, np.array([0]), np.array([x.size]), x)
+
+    def indices(self, positions: np.ndarray) -> np.ndarray:
+        """The sample indices of the non-decreasing ``positions`` into ``values``."""
+        lengths = self.stops - self.starts
+        offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
+        per_range = np.diff(np.searchsorted(positions, offsets), append=positions.size)
+        return positions + np.repeat(self.starts - offsets, per_range)
 
 
 def _proof_runs(active: np.ndarray, size: int) -> list[tuple[int, int]]:

@@ -15,16 +15,15 @@ candidates, so no per-extremum or per-event object is built here.
 The merge reads the smoothed derivative ``s`` only between consecutive
 candidates, and the refilter's guard only near a candidate, so
 :class:`_SmoothedDerivative` computes ``s`` only on the sample ranges
-read, each sample bit for bit the whole-trace one.  ``s`` on ``[lo, hi)``
-reads the trace on ``[lo - half - 1, hi + half)``, ``half`` being the
-LOESS half window (and the first or last ``2 * half`` samples for the
-edge fits).
+read, each sample bit for bit the whole-trace one by the argument of
+:mod:`nilmevents.core`.  ``s`` on ``[lo, hi)`` reads the trace on
+``[lo - half - 1, hi + half)``, ``half`` being the LOESS half window (and
+the first or last ``2 * half`` samples for the edge fits).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +34,11 @@ from .core import (
     MisalignedInput,
     SampleSeries,
     SeriesTooShort,
-    _aranges,
+    _Layout,
+    _Ranges,
     _blocks,
     _piece_groups,
+    _union,
     seconds_to_samples,
 )
 
@@ -73,11 +74,9 @@ def _convolve_interior(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> No
     """Set ``out[half : x.size - half]`` to ``np.convolve(x, kernel, "valid")``.
 
     That is ``np.convolve(x, kernel, "same")`` wherever the odd kernel fits
-    inside ``x``.  The range is convolved block by block (each block reads
-    its own samples plus ``half`` on either side) and equals the
-    whole-array convolution bit for bit, for any block size: every output
-    sample is the same dot product of the same ``kernel.size`` inputs.
-    Nothing else of ``out`` is written.
+    inside ``x``.  The range is convolved block by block, each block reading
+    ``half`` samples more on either side, bit for bit as the whole array is
+    (:mod:`nilmevents.core`).  Nothing else of ``out`` is written.
     """
     half = kernel.size // 2
     for start, stop in _blocks(x.size - 2 * half):
@@ -183,49 +182,6 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     return out
 
 
-def _union(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The union of the ranges ``[starts, stops)``: increasing, disjoint, never touching."""
-    keep = starts < stops
-    order = np.argsort(starts[keep], kind="stable")
-    starts, reach = starts[keep][order], np.maximum.accumulate(stops[keep][order])
-    opens = np.flatnonzero(starts[1:] > reach[:-1]) + 1
-    return (
-        np.concatenate((starts[:1], starts[opens])),
-        np.concatenate((reach[opens - 1], reach[-1:])),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class _Ranges:
-    """The samples of a trace of ``size`` samples on a few sample ranges.
-
-    Range ``k`` is ``[starts[k], stops[k])``; the ranges are non-empty,
-    increasing, disjoint and never touch, and ``values`` holds their
-    samples, concatenated in range order.  Nothing is known of the
-    samples outside them.  A dense array is the one-range case.
-    """
-
-    size: int
-    starts: np.ndarray
-    stops: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def of(cls, trace: np.ndarray | _Ranges) -> _Ranges:
-        """``trace`` itself if it is ranges, else the dense array as one range."""
-        if isinstance(trace, _Ranges):
-            return trace
-        x = np.asarray(trace, dtype=float)
-        return cls(x.size, np.array([0]), np.array([x.size]), x)
-
-    def indices(self, positions: np.ndarray) -> np.ndarray:
-        """The sample indices of the non-decreasing ``positions`` into ``values``."""
-        lengths = self.stops - self.starts
-        offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
-        per_range = np.diff(np.searchsorted(positions, offsets), append=positions.size)
-        return positions + np.repeat(self.starts - offsets, per_range)
-
-
 class _SmoothedDerivative:
     """``loess_smooth(first_derivative(values), window_samples)``, computed only where read."""
 
@@ -238,18 +194,13 @@ class _SmoothedDerivative:
         """The samples of the union of the ranges ``[starts, stops)`` inside the trace.
 
         The first and the last ``half`` samples are the edge fits of
-        :func:`loess_smooth`.  The rest are cut into the pieces and groups
-        of :func:`~nilmevents.core._piece_groups`, and each group is one
-        :func:`numpy.convolve` over its pieces' first differences laid end
-        to end, each piece widened by ``half`` on either side.
-        An output that reaches across two pieces is dropped; each one kept
-        is the dot product :func:`loess_smooth` takes, of the same inputs.
-        A piece reads ``x`` from one sample before its first difference,
-        so the zero pad ``d[0] = 0`` comes as ``x[0] - x[0]``.  No Python
-        loop runs per range, and no full-length array is built.
+        :func:`loess_smooth`.  The rest are laid out in piece groups that
+        read ``x`` from ``half + 1`` before to ``half`` after each sample,
+        one :func:`numpy.convolve` over the :func:`first_derivative` of a
+        group's reads.  Only a piece that begins at sample 0, and so comes
+        first, has an output that reads the zero pad: the trace's own.
         """
         x, half = self.values, self.half
-        kernel = _loess_kernel(half)
         starts, stops = _union(np.maximum(starts, 0), np.minimum(stops, x.size))
         ranges = _Ranges(x.size, starts, stops, np.empty(int((stops - starts).sum())))
         out, inner = ranges.values, x.size - half
@@ -262,20 +213,12 @@ class _SmoothedDerivative:
             )
             out[:first] = head[ranges.indices(np.arange(first))]
             out[last:] = tail[ranges.indices(np.arange(last, out.size)) - inner]
-        # The interior of each range, in pieces of at most a block, read a group at a time.
-        lo, hi = np.clip(starts, half, inner), np.clip(stops, half, inner)
         done = first
-        for begins, lengths in _piece_groups(lo, hi, 2 * half + 1):
-            widths = lengths + 2 * half + 1  # samples a piece reads
-            at = np.cumsum(widths) - widths  # where each piece begins in ``window``
-            reads = _aranges(begins - half - 1, widths)
-            window = x[np.maximum(reads, 0, out=reads)]
-            del reads
-            full = np.convolve(np.diff(window), kernel, mode="valid")
-            del window
-            keep = _aranges(at, lengths)
-            out[done : done + keep.size] = full[keep]
-            done += keep.size
+        for layout in _piece_groups(*np.clip((starts, stops), half, inner), half + 1, half, x.size):
+            smoothed = np.convolve(first_derivative(layout.take(x)), _loess_kernel(half), "valid")
+            kept = layout.owned() - half
+            out[done : done + kept.size] = smoothed[kept]
+            done += kept.size
         return ranges
 
 
@@ -352,7 +295,8 @@ def _read(
     """The samples of ``smoothed`` on the increasing, non-touching ranges ``[starts, stops)``."""
     if isinstance(smoothed, _SmoothedDerivative):
         return smoothed.read(starts, stops)
-    return _Ranges(smoothed.size, starts, stops, smoothed[_aranges(starts, stops - starts)])
+    values = _Layout(starts, stops, starts, stops).take(smoothed)
+    return _Ranges(smoothed.size, starts, stops, values)
 
 
 def merge_transient_events(

@@ -16,20 +16,10 @@ is built.
 
 A confirmation reads only the re-detections within
 ``eval_match_tolerance_s`` of its candidate's time, so the trace is
-smoothed and re-detected only in windows around the candidates, each
-output bit for bit the one of the whole-trace smoothing and
-:func:`~nilmevents.base.detect_base` run on it.  A window holds the
-alarm centres whose time lies within the tolerance of the candidate's
-(at most ``2 * tolerance * rate + 3`` of them), plus a lead-in of
-``ceil(time_limit_s * rate) + 1`` centres.  Since whether an alarm is
-emitted depends on the last one emitted before it, a window whose first
-alarm is not a proven restart of that chain is widened back until it is,
-or until it reaches the first centre.  Its centres read the smoothed
-trace ``n`` samples further on either side, and that reads the trace a
-Savitzky-Golay half window further still.  The windows are joined where
-those reads overlap, laid end to end and smoothed by one
-:func:`savitzky_golay` call; where the refilter does not fire, nothing
-is smoothed.
+smoothed and re-detected only in windows around the candidates
+(:func:`_redetected_times`): pieces of :mod:`nilmevents.core`, smoothed
+by one :func:`savitzky_golay` call, each alarm the whole-trace one.
+Where the refilter does not fire, nothing is smoothed.
 """
 
 from __future__ import annotations
@@ -60,11 +50,12 @@ from .core import (
     HybridConfig,
     MisalignedInput,
     SampleSeries,
-    _aranges,
+    _Layout,
     _blocks,
+    _union,
     seconds_to_samples,
 )
-from .derivative import _checked_window, _convolve_interior, _read_only, _union
+from .derivative import _checked_window, _convolve_interior, _read_only
 
 __all__ = [
     "OrderTooHigh",
@@ -269,26 +260,21 @@ def _window_alarms(
     """The increasing indices of the smoothed trace's alarms at centres in ``[lo, hi)``.
 
     The windows are increasing and more than ``2 * (n + half)`` centres
-    apart, ``half`` being the SG half window.  Window ``[lo, hi)`` reads the
-    smoothed trace on ``[lo - n, hi + n)``, which reads ``x`` on the piece
-    ``[lo - n - half, hi + n + half)``, clipped to the trace.  The pieces are
-    laid end to end and smoothed by one :func:`savitzky_golay` call.  An
-    output whose SG window lies inside one piece is the dot product the
-    whole-trace call takes, of the same samples; the first and last
-    ``half`` samples of the trace are :func:`_end_fits` of ``x`` itself.
-    The mean-difference profile of the smoothed pieces is tested against
-    the power threshold, and only the centres in a window are kept: they
-    alarm exactly where the whole smoothed trace does.
+    apart, ``half`` being the SG half window.  They are the pieces of one
+    :class:`~nilmevents.core._Layout`, reading ``x`` ``n + half`` samples
+    further on either side, smoothed by one :func:`savitzky_golay` call and
+    profiled; at a trace end, in the first or the last piece, the smoothed
+    samples are the :func:`_end_fits` of ``x``.
     """
     size, win, order = x.size, config.sg_window_samples, config.sg_poly_order
     half = win // 2
     a, b = np.maximum(lo - n - half, 0), np.minimum(hi + n + half, size)
-    # Only a piece at an end of the trace can be shorter than an SG window;
-    # it is stretched to one, so that the pieces can be smoothed together.
+    # A piece at an end of the trace may read less than an SG window: it reads one.
     short = b - a < win
     b[short] = np.minimum(a[short] + win, size)
     a[short] = b[short] - win
-    smoothed = savitzky_golay(x[_aranges(a, b - a)], win, order)
+    pieces = _Layout(lo, hi, a, b)
+    smoothed = savitzky_golay(pieces.take(x), win, order)
     if a[0] == 0 or b[-1] == size:
         head, tail = _end_fits(x, win, order)
         if a[0] == 0:
@@ -299,11 +285,7 @@ def _window_alarms(
     for start, stop in _blocks(smoothed.size - 2 * n):
         diffs = _mean_difference_profile(smoothed, n, start, stop)
         found.append(_alarming(diffs, config.power_threshold_watts) + (start + n))
-    centres = np.concatenate(found)  # positions in ``smoothed``
-    shift = a - (np.cumsum(b - a) - (b - a))  # a sample's index less its position
-    inside = np.searchsorted(np.column_stack((lo - shift, hi - shift)).ravel(), centres, "right")
-    kept = inside % 2 == 1  # inside a window
-    return centres[kept] + shift[inside[kept] // 2]
+    return pieces.own(np.concatenate(found))[1]
 
 
 def _redetected_times(

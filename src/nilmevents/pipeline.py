@@ -17,39 +17,33 @@ view built only when a caller iterates or indexes an event list.
 Detection pays only where the trace moves or a decision reads, and
 builds no full-length window sums, derivative or smoothed trace.
 Every stage reads the series' summary (the min and max of each 64-sample
-block), built when the series was and kept true by its read-only
-samples: its range bounds, the peak and the refilter trigger.  No stage
-validates the series again.  The base detector sums each window from its
-own samples, and sums and tests only the blocks that a range bound does
-not prove quiet (the proof is in :func:`nilmevents.base._rounding_margin`),
-gathering short runs of them end to end about a block at a time.
+block), kept true by its read-only samples: its range bounds, the peak
+and the refilter trigger.  The stages compute on the piece layouts of
+:mod:`nilmevents.core`, so by the argument there the events and verdicts
+are those of the whole-trace stages.  What each reads:
 
-The smoothed derivative ``s`` is computed only where a decision reads it
-(:class:`nilmevents.derivative._SmoothedDerivative`), each sample bit for
-bit as the whole-trace :func:`smoothed_derivative` gives it:
-
-- the merge reads ``s`` strictly between consecutive base events
-  ``a < b`` whose gap could hold a settled run long enough: first two
-  settle lengths after ``a``, and where those hold no settled run long
-  enough, stretches that double in length, each starting a settle length
-  before the last one ended, until one holds such a run or reaches ``b``;
+- the base detector sums and tests only the blocks no range bound proves
+  quiet (:func:`nilmevents.base._rounding_margin`), each centre reading
+  ``n`` samples on either side;
+- the merge reads the smoothed derivative ``s``
+  (:class:`nilmevents.derivative._SmoothedDerivative`) strictly between
+  consecutive base events ``a < b`` whose gap could hold a settled run
+  long enough: first two settle lengths after ``a``, and where those hold
+  no settled run long enough, stretches that double in length, each
+  starting a settle length before the last one ended, until one holds
+  such a run or reaches ``b``;
 - the refilter's guard, only when the refilter fires, reads ``s`` within
   ``r + 1`` samples of each candidate the re-detection did not confirm,
-  ``r`` being the guard radius, for the significant extrema within ``r``.
-
-``s`` on a stretch reads the trace a LOESS half window further on either
-side.  The events and verdicts are those of the whole-trace derivative.
-
-The refilter's re-detection, only when the refilter fires, runs on the
-Savitzky-Golay-smoothed trace at the alarm centres whose time lies within
-``eval_match_tolerance_s`` of each candidate's time, plus a lead-in of
-``ceil(time_limit_s * rate) + 1`` centres, widened back where needed to
-an alarm that provably restarts the time-limit chain
-(:mod:`nilmevents.filtering`).  Those centres read the smoothed trace
-``n`` samples on either side, and the smoothing reads the trace ``h``
-further, ``h`` being the SG half window: ``n + h`` samples of trace
-beyond the window on either side.  The verdicts are those of the
-whole-trace smoothing and re-detection.
+  ``r`` being the guard radius, for the significant extrema within ``r``;
+- ``s`` on a stretch reads the trace a LOESS half window further on
+  either side;
+- the refilter's re-detection, only when the refilter fires, runs on the
+  Savitzky-Golay-smoothed trace at the alarm centres whose time lies
+  within ``eval_match_tolerance_s`` of each candidate's time, plus a
+  lead-in of ``ceil(time_limit_s * rate) + 1`` centres, widened back
+  where needed to an alarm that provably restarts the time-limit chain
+  (:mod:`nilmevents.filtering`), and reads ``n + h`` samples of trace
+  beyond them on either side, ``h`` being the SG half window.
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,

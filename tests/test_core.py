@@ -402,3 +402,46 @@ def test_blocks_cut_the_range_in_order(monkeypatch: pytest.MonkeyPatch) -> None:
     use_blocks(monkeypatch, 7)
     assert list(core._blocks(20)) == [(0, 7), (7, 14), (14, 20)]
     assert list(core._blocks(0)) == []
+
+
+# --- The piece layout ---------------------------------------------------------
+#
+# A stage gathers a group's reads end to end, runs a whole-array kernel over
+# them and keeps the outputs at the samples its pieces own; each is the
+# whole-array output bit for bit.
+
+
+def test_a_layout_keeps_each_owned_output_once_and_bit_for_bit(small_blocks: int) -> None:
+    rng = np.random.default_rng(small_blocks)
+    for _ in range(300):
+        # A valid-mode kernel whose output at s reads [s - reach_before, s + reach_after].
+        reach_before, reach_after = rng.integers(0, 5, 2).tolist()
+        taps = rng.normal(0.0, 1.0, reach_before + reach_after + 1)
+        size = int(rng.integers(taps.size, 150))
+        x = rng.normal(0.0, 1.0, size) * 10.0 ** rng.integers(-3, 4, size)
+        whole = np.convolve(x, taps, "valid")  # output j is at sample j + reach_before
+        # Pieces read more than the kernel does, and the ranges always include
+        # the first and the last sample with a kernel output, so reads are
+        # clipped at both trace ends.
+        before, after = reach_before + 1 + int(rng.integers(0, 4)), reach_after + 1
+        low, high = reach_before, size - reach_after
+        ends = np.sort(rng.integers(low, high + 1, 2 * int(rng.integers(0, 6))))
+        starts, stops = core._union(
+            np.concatenate(([low, max(high - 3, low)], ends[0::2])),
+            np.concatenate(([min(low + 2, high), high], ends[1::2])),
+        )
+        layouts = list(core._piece_groups(starts, stops, before, after, size))
+        assert layouts[0].lo[0] == 0 > layouts[0].starts[0] - before
+        assert layouts[-1].hi[-1] == size < layouts[-1].stops[-1] + after
+        produced = []
+        for layout in layouts:
+            gathered = layout.take(x)
+            if layout.lo.size == 1:
+                assert np.shares_memory(gathered, x)
+            out = np.convolve(gathered, taps, "valid")
+            kept, samples = layout.own(np.arange(reach_before, reach_before + out.size))
+            assert out[kept].tobytes() == whole[samples - reach_before].tobytes()
+            assert (layout.owned() - reach_before).tolist() == kept.tolist()
+            produced.append(samples)
+        owned = [s for start, stop in zip(starts, stops) for s in range(start, stop)]
+        assert np.concatenate(produced).tolist() == owned

@@ -26,14 +26,13 @@ from nilmevents import (
     write_trace,
 )
 from nilmevents import derivative
+from nilmevents.core import _Ranges, _union
 from nilmevents.derivative import (
-    _Ranges,
     _SmoothedDerivative,
     _edge_rows,
     _loess_kernel,
     _longest_settled,
     _tricube_weights,
-    _union,
 )
 
 from blocks import BLOCK_SIZES, use_blocks
