@@ -17,10 +17,10 @@ size.
 A stage that computes only near where it reads lays out the ranges it
 needs as pieces (:class:`_Layout`), each owning a range of samples and
 reading it widened by ``before`` and ``after`` samples, clipped to the
-trace; ``_piece_groups`` groups pieces of at most a block about a block
-at a time.  The stage runs its whole-array kernel once over a group's
-reads laid end to end (:meth:`_Layout.take`), and keeps the outputs
-whose sample the piece holding them owns (:meth:`_Layout.own`).
+trace (``_reads``); ``_piece_groups`` groups pieces of at most a block
+about a block at a time.  The stage runs its whole-array kernel once
+over a group's reads laid end to end (:meth:`_Layout.take`), and keeps
+the outputs whose sample the piece holding them owns (:meth:`_Layout.own`).
 
 **Exactness.**  Let the kernel's output at sample ``s`` read only
 samples in ``[s - before, s + after]``.  Then an output that ``own``
@@ -29,9 +29,13 @@ is the dot product the kernel takes over the whole trace, of the same
 samples in the same order, so bit for bit the same for any block size.
 An output that straddles two pieces is owned by neither, and dropped.
 An output whose reads would pass an end of the trace (the derivative's
-zero pad, the Savitzky-Golay end fits) is the whole-trace one only where
-its piece is the first, or the last, in the gathered array, so that the
-kernel sees the trace's end there; a stage that relies on that says why.
+zero pad, a smoother's end fits) is the whole-trace one where its piece
+is the first, or the last, in the gathered array, and reads at least one
+smoothing window from that end: the kernel then sees the trace's end and
+the trace's own end window.  So a read that touches an end spans at
+least one window (``_reads``), a piece whose read does so comes first, or
+last, in its group (``_piece_groups``), and a smoother's end fits depend
+only on the samples of its end window, not on where they sit in memory.
 
 Every trace-wide fact the detectors need comes from one summary that a
 :class:`SampleSeries` builds at construction, the min and the max of each
@@ -352,23 +356,43 @@ class _Layout(NamedTuple):
         return _aranges(self.starts - self.lo + at, self.stops - self.starts)
 
 
+def _reads(
+    starts: np.ndarray, stops: np.ndarray, before: int, after: int, size: int, window: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reads ``[lo, hi)`` of pieces that own ``[starts, stops)``.
+
+    A piece reads ``before`` and ``after`` samples more, clipped to the
+    ``size`` samples of the trace.  A read that touches an end of the trace
+    spans at least ``window <= size`` samples from that end, so that a
+    smoother of that window reads the trace's own end window there.
+    """
+    lo, hi = np.maximum(starts - before, 0), np.minimum(stops + after, size)
+    hi = np.where(lo == 0, np.maximum(hi, window), hi)
+    return np.where(hi == size, np.minimum(lo, size - window), lo), hi
+
+
 def _piece_groups(
-    starts: np.ndarray, stops: np.ndarray, before: int, after: int, size: int
+    starts: np.ndarray, stops: np.ndarray, before: int, after: int, size: int, window: int = 0
 ) -> Iterator[_Layout]:
     """The ranges ``[starts, stops)`` in pieces of at most ``_BLOCK_SAMPLES``, a group at a time.
 
-    A piece reads ``before`` and ``after`` samples more, clipped to the
-    ``size`` samples of the trace.  With all reads laid end to end, a group
-    opens at each piece whose read begins past another block multiple, so
-    a group reads less than two blocks and ``before + after``.
+    A piece reads as :func:`_reads` says.  With all reads laid end to end,
+    a group opens at each piece whose read begins past another block
+    multiple, so a group reads less than two blocks and ``before + after``
+    (or ``window``).  A group also opens at each piece whose read begins at
+    sample 0, and after each whose read ends at ``size``: such a piece is
+    the first, or the last, of its group.
     """
     block = _BLOCK_SAMPLES
     count = -(-(stops - starts) // block)  # pieces per range
     begins = np.repeat(starts, count) + block * _aranges(np.zeros_like(count), count)
     ends = np.minimum(begins + block, np.repeat(stops, count))
-    lo, hi = np.maximum(begins - before, 0), np.minimum(ends + after, size)
+    lo, hi = _reads(begins, ends, before, after, size, window)
     reads = hi - lo
-    opens = np.flatnonzero(np.diff((np.cumsum(reads) - reads) // block, prepend=-1))
+    opens = np.diff((np.cumsum(reads) - reads) // block, prepend=-1) != 0
+    opens |= lo == 0
+    opens[1:] |= hi[:-1] == size
+    opens = np.flatnonzero(opens)
     for a, b in zip(opens.tolist(), [*opens[1:].tolist(), begins.size]):
         yield _Layout(begins[a:b], ends[a:b], lo[a:b], hi[a:b])
 

@@ -15,10 +15,11 @@ candidates, so no per-extremum or per-event object is built here.
 The merge reads the smoothed derivative ``s`` only between consecutive
 candidates, and the refilter's guard only near a candidate, so
 :class:`_SmoothedDerivative` computes ``s`` only on the sample ranges
-read, each sample bit for bit the whole-trace one by the argument of
+read, by :func:`loess_smooth` on gathered pieces of the trace, each
+sample bit for bit the whole-trace one by the argument of
 :mod:`nilmevents.core`.  ``s`` on ``[lo, hi)`` reads the trace on
-``[lo - half - 1, hi + half)``, ``half`` being the LOESS half window (and
-the first or last ``2 * half`` samples for the edge fits).
+``[lo - half - 1, hi + half)``, ``half`` being the LOESS half window, and
+at least one window from a trace end that this reaches.
 """
 
 from __future__ import annotations
@@ -70,19 +71,27 @@ def _checked_window(window_samples: int, size: int) -> int:
     return win
 
 
-def _convolve_interior(x: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> None:
-    """Set ``out[half : x.size - half]`` to ``np.convolve(x, kernel, "valid")``.
+def _smooth(x: np.ndarray, kernel: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``x`` smoothed by the odd ``kernel`` where it fits, and by weight rows at the ends.
 
-    That is ``np.convolve(x, kernel, "same")`` wherever the odd kernel fits
-    inside ``x``.  The range is convolved block by block, each block reading
-    ``half`` samples more on either side, bit for bit as the whole array is
-    (:mod:`nilmevents.core`).  Nothing else of ``out`` is written.
+    Output ``half + j`` is ``np.convolve(x, kernel, "valid")[j]``, run
+    block by block, each block reading ``half`` samples more on either
+    side, bit for bit as the whole array is (:mod:`nilmevents.core`).  The
+    first ``half`` outputs are the rows of ``head`` times the first
+    ``head.shape[1]`` samples, and the last ``half`` those of ``tail``
+    times the last ``tail.shape[1]``: each a fresh product array summed
+    along its rows, so that its bits depend only on those samples, not on
+    where they sit in memory, which a BLAS matrix product does not promise.
     """
     half = kernel.size // 2
+    out = np.empty_like(x)
     for start, stop in _blocks(x.size - 2 * half):
         out[half + start : half + stop] = np.convolve(
             x[start : stop + 2 * half], kernel, mode="valid"
         )
+    out[:half] = (head * x[: head.shape[1]]).sum(axis=1)
+    out[x.size - half :] = (tail * x[x.size - tail.shape[1] :]).sum(axis=1)
+    return out
 
 
 def first_derivative(values: np.ndarray) -> np.ndarray:
@@ -140,17 +149,6 @@ def _edge_rows(half: int) -> np.ndarray:
     return _read_only(w * (s2 - s1 * t) / (s0 * s2 - s1 * s1))
 
 
-def _edge_fits(head: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the last ``half`` outputs, from the first and last ``2 * half`` inputs.
-
-    The products are a fresh array summed along its rows, so the bits do
-    not depend on where ``head`` and ``tail`` sit in memory, which a BLAS
-    matrix product does not promise.
-    """
-    rows = _edge_rows(head.size // 2)
-    return (rows * head).sum(axis=1), (rows[::-1, ::-1] * tail).sum(axis=1)
-
-
 def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     """Locally weighted linear smoothing with tricube weights.
 
@@ -163,8 +161,10 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     For full interior windows the symmetric weights make the fitted
     center value equal a tricube-weighted average, which is computed as a
     single convolution; the truncated edge windows are fixed weight rows
-    too (:func:`_edge_rows`).  The convolution runs in blocks, and the
-    result is identical for any block size.
+    too (:func:`_edge_rows`).  Both are applied by :func:`_smooth`, whose
+    result is identical for any block size, and whose first and last
+    ``window_samples // 2`` outputs depend only on the first and last
+    ``window_samples - 1`` samples.
 
     Parameters
     ----------
@@ -175,11 +175,8 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     """
     x = np.asarray(values, dtype=float)
     half = _checked_window(window_samples, x.size) // 2
-    kernel = _loess_kernel(half)
-    out = np.empty_like(x)
-    _convolve_interior(x, kernel, out)
-    out[:half], out[x.size - half :] = _edge_fits(x[: 2 * half], x[x.size - 2 * half :])
-    return out
+    rows = _edge_rows(half)
+    return _smooth(x, _loess_kernel(half), rows, rows[::-1, ::-1])
 
 
 class _SmoothedDerivative:
@@ -187,37 +184,31 @@ class _SmoothedDerivative:
 
     def __init__(self, values: np.ndarray, window_samples: int) -> None:
         self.values = np.asarray(values, dtype=float)
-        self.half = _checked_window(window_samples, self.values.size) // 2
+        self.window = _checked_window(window_samples, self.values.size)
         self.size = self.values.size
 
     def read(self, starts: np.ndarray, stops: np.ndarray) -> _Ranges:
         """The samples of the union of the ranges ``[starts, stops)`` inside the trace.
 
-        The first and the last ``half`` samples are the edge fits of
-        :func:`loess_smooth`.  The rest are laid out in piece groups that
-        read ``x`` from ``half + 1`` before to ``half`` after each sample,
-        one :func:`numpy.convolve` over the :func:`first_derivative` of a
-        group's reads.  Only a piece that begins at sample 0, and so comes
-        first, has an output that reads the zero pad: the trace's own.
+        The ranges are laid out in the piece groups of
+        :func:`~nilmevents.core._piece_groups`, each piece reading ``x``
+        from ``half + 1`` before to ``half`` after its samples, and at least
+        one window from a trace end that this reaches.  Each group keeps
+        the outputs its pieces own of :func:`loess_smooth` over the
+        :func:`first_derivative` of its reads.  Each is bit for bit the
+        whole-trace one by the argument of :mod:`nilmevents.core`: an
+        interior output reads its own piece, and a piece that reads from
+        sample 0 comes first in its group, so that its derivative starts
+        with the zero pad and its edge fits read the trace's first window;
+        a piece that reads to the end comes last, for the last window.
         """
-        x, half = self.values, self.half
+        x, window = self.values, self.window
         starts, stops = _union(np.maximum(starts, 0), np.minimum(stops, x.size))
         ranges = _Ranges(x.size, starts, stops, np.empty(int((stops - starts).sum())))
-        out, inner = ranges.values, x.size - half
-        # The ranges are sorted, so the edge fits' samples come first and last in ``out``.
-        first = int((np.minimum(stops, half) - starts).clip(0).sum())
-        last = out.size - int((stops - np.maximum(starts, inner)).clip(0).sum())
-        if first or last < out.size:
-            head, tail = _edge_fits(
-                first_derivative(x[: 2 * half]), np.diff(x[x.size - 2 * half - 1 :])
-            )
-            out[:first] = head[ranges.indices(np.arange(first))]
-            out[last:] = tail[ranges.indices(np.arange(last, out.size)) - inner]
-        done = first
-        for layout in _piece_groups(*np.clip((starts, stops), half, inner), half + 1, half, x.size):
-            smoothed = np.convolve(first_derivative(layout.take(x)), _loess_kernel(half), "valid")
-            kept = layout.owned() - half
-            out[done : done + kept.size] = smoothed[kept]
+        done = 0
+        for layout in _piece_groups(starts, stops, window // 2 + 1, window // 2, x.size, window):
+            kept = loess_smooth(first_derivative(layout.take(x)), window)[layout.owned()]
+            ranges.values[done : done + kept.size] = kept
             done += kept.size
         return ranges
 

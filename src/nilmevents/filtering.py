@@ -18,7 +18,8 @@ A confirmation reads only the re-detections within
 ``eval_match_tolerance_s`` of its candidate's time, so the trace is
 smoothed and re-detected only in windows around the candidates
 (:func:`_redetected_times`): pieces of :mod:`nilmevents.core`, smoothed
-by one :func:`savitzky_golay` call, each alarm the whole-trace one.
+by one :func:`savitzky_golay` call, each alarm the whole-trace one,
+since an end fit depends only on the end window it reads.
 Where the refilter does not fire, nothing is smoothed.
 """
 
@@ -52,10 +53,11 @@ from .core import (
     SampleSeries,
     _Layout,
     _blocks,
+    _reads,
     _union,
     seconds_to_samples,
 )
-from .derivative import _checked_window, _convolve_interior, _read_only
+from .derivative import _checked_window, _read_only, _smooth
 
 __all__ = [
     "OrderTooHigh",
@@ -140,7 +142,10 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
     order.  Interior samples apply the center row of ``pinv(V)`` as one
     convolution, run in blocks with a result identical for any block
     size; each edge applies ``half`` rows of the projection
-    ``V @ pinv(V)`` to its end window.
+    ``V @ pinv(V)`` to its end window, with bits that depend only on the
+    samples of that window (:func:`~nilmevents.derivative._smooth`).  So
+    the first and the last ``half`` outputs of any array that shares the
+    first or the last ``window_samples`` samples of ``values`` are these.
 
     Parameters
     ----------
@@ -155,11 +160,8 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
     """
     x = np.asarray(values, dtype=float)
     win = _checked_sg_window(window_samples, poly_order, x.size)
-    half = win // 2
-    out = np.empty_like(x)
-    _convolve_interior(x, _savitzky_golay_rows(win, poly_order)[0], out)
-    out[:half], out[x.size - half :] = _end_fits(x, win, poly_order)
-    return out
+    centre, projection = _savitzky_golay_rows(win, poly_order)
+    return _smooth(x, centre, projection[: win // 2], projection[win - win // 2 :])
 
 
 def _checked_sg_window(window_samples: int, poly_order: int, size: int) -> int:
@@ -170,19 +172,6 @@ def _checked_sg_window(window_samples: int, poly_order: int, size: int) -> int:
             f"poly_order must satisfy 0 <= order < window, got {poly_order} with window {win}"
         )
     return win
-
-
-def _end_fits(x: np.ndarray, win: int, poly_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the last ``win // 2`` outputs of :func:`savitzky_golay` on ``x``.
-
-    They are projection rows applied to the end windows of ``x`` itself.
-    A BLAS product does not promise the same bits for the same samples at
-    another address, so a caller that needs the outputs of
-    ``savitzky_golay(x)`` passes the same array, not a copy.
-    """
-    half = win // 2
-    projection = _savitzky_golay_rows(win, poly_order)[1]
-    return projection[:half] @ x[:win], projection[win - half :] @ x[x.size - win :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,25 +251,15 @@ def _window_alarms(
     The windows are increasing and more than ``2 * (n + half)`` centres
     apart, ``half`` being the SG half window.  They are the pieces of one
     :class:`~nilmevents.core._Layout`, reading ``x`` ``n + half`` samples
-    further on either side, smoothed by one :func:`savitzky_golay` call and
-    profiled; at a trace end, in the first or the last piece, the smoothed
-    samples are the :func:`_end_fits` of ``x``.
+    further on either side (:func:`~nilmevents.core._reads`), smoothed by
+    one :func:`savitzky_golay` call and profiled.  Being that far apart,
+    only the first piece can read from sample 0 and only the last to the
+    end, each at least one SG window: there the smoothed samples are the
+    end fits of ``x`` itself.
     """
-    size, win, order = x.size, config.sg_window_samples, config.sg_poly_order
-    half = win // 2
-    a, b = np.maximum(lo - n - half, 0), np.minimum(hi + n + half, size)
-    # A piece at an end of the trace may read less than an SG window: it reads one.
-    short = b - a < win
-    b[short] = np.minimum(a[short] + win, size)
-    a[short] = b[short] - win
-    pieces = _Layout(lo, hi, a, b)
-    smoothed = savitzky_golay(pieces.take(x), win, order)
-    if a[0] == 0 or b[-1] == size:
-        head, tail = _end_fits(x, win, order)
-        if a[0] == 0:
-            smoothed[:half] = head
-        if b[-1] == size:
-            smoothed[smoothed.size - half :] = tail
+    win, reach = config.sg_window_samples, n + config.sg_window_samples // 2
+    pieces = _Layout(lo, hi, *_reads(lo, hi, reach, reach, x.size, win))
+    smoothed = savitzky_golay(pieces.take(x), win, config.sg_poly_order)
     found = [np.empty(0, dtype=np.int64)]
     for start, stop in _blocks(smoothed.size - 2 * n):
         diffs = _mean_difference_profile(smoothed, n, start, stop)

@@ -445,3 +445,20 @@ def test_a_layout_keeps_each_owned_output_once_and_bit_for_bit(small_blocks: int
             produced.append(samples)
         owned = [s for start, stop in zip(starts, stops) for s in range(start, stop)]
         assert np.concatenate(produced).tolist() == owned
+
+
+def test_a_piece_that_reads_a_trace_end_leads_or_closes_its_group_and_reads_a_window() -> None:
+    # Three ranges near each end of a 100-sample trace, each read 5 samples
+    # further: two pieces read from sample 0 and two to the end.
+    size, window = 100, 21
+    starts, stops = np.array([0, 3, 30, 90, 95, 98]), np.array([1, 4, 31, 91, 96, 99])
+    layouts = list(core._piece_groups(starts, stops, 5, 5, size, window))
+    for layout in layouts:
+        assert not np.any(layout.lo[1:] == 0) and not np.any(layout.hi[:-1] == size)
+    lo = np.concatenate([layout.lo for layout in layouts])
+    hi = np.concatenate([layout.hi for layout in layouts])
+    assert lo.tolist() == [0, 0, 25, 85, 79, 79]
+    assert hi.tolist() == [21, 21, 36, 96, 100, 100]
+    assert core._reads(starts, stops, 5, 5, size, window)[0].tolist() == lo.tolist()
+    # With no window, a read is only clipped.
+    assert core._reads(starts, stops, 5, 5, size)[1].tolist() == [6, 9, 36, 96, 100, 100]

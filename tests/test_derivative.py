@@ -422,6 +422,23 @@ def assert_read_is_the_whole_trace(x: np.ndarray, window: int, starts, stops) ->
     return ranges
 
 
+@pytest.mark.parametrize("window", [5, 11, 41])
+def test_several_ranges_that_read_one_end_of_the_trace_are_the_whole_trace_bits(
+    window: int,
+) -> None:
+    # Each range lies within a half window of an end, so the pieces of several
+    # ranges read from sample 0, or to the last sample.  Each such piece must
+    # see the trace's end: its zero pad and edge fits, not a convolution over
+    # the piece gathered before it.
+    x = np.random.default_rng(window).normal(0.0, 50.0, 200)
+    half = window // 2
+    whole = loess_smooth(first_derivative(x), window)
+    for starts, stops in (([0, 2, half], [1, 3, half + 2]), ([190, 197, 199], [192, 198, 200])):
+        ranges = _SmoothedDerivative(x, window).read(np.array(starts), np.array(stops))
+        assert ranges.starts.size > 1
+        assert ranges.values.tobytes() == whole[sample_indices(ranges)].tobytes()
+
+
 @st.composite
 def read_cases(draw) -> tuple[np.ndarray, int, list[int], list[int]]:
     """A trace, a window, and ranges that overlap, touch, or sit at either end."""

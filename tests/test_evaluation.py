@@ -150,6 +150,40 @@ def test_match_agrees_with_the_full_scan_on_ties_clusters_and_unsorted_input(
     assert result == oracle_match(detected, truths, tolerance)
 
 
+# Detections clustered on a quarter-second grid over 10 s: at a tolerance of
+# a minute or more every entry reaches every detection, most of them already
+# claimed, so the walks step over runs of claimed detections on both sides,
+# and shared times and mirrored distances tie.
+clustered_times = st.lists(st.integers(0, 40).map(lambda quarter: quarter / 4), max_size=60)
+
+
+@given(clustered_times, clustered_times.map(sorted), st.sampled_from([60.0, 600.0, 1e6]))
+# Every entry at one time: each walk steps over more claimed ones.
+@example([2.0] * 6 + [1.0] * 6 + [3.0] * 6, [2.0] * 15, 60.0)
+# Entries inside a growing claimed run, which each walk leaves on both sides.
+@example([1.0, 1.25, 1.5, 1.75, 2.0, 0.75, 0.5], [1.25, 1.5, 1.5, 1.5, 1.75, 10.0], 600.0)
+def test_match_agrees_with_the_full_scan_at_long_tolerances(
+    detected: list[float], truths: list[float], tolerance: float
+) -> None:
+    result = match_events(detections_at(detected), truth_at(truths), tolerance)
+    assert result == oracle_match(detected, truths, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [60.0, 600.0, 1e6])
+def test_match_agrees_with_the_full_scan_on_hundreds_of_clustered_detections(
+    tolerance: float,
+) -> None:
+    # Bursts of detections a few tenths of a second apart, every few minutes,
+    # and entries near the bursts: long runs of claimed detections to step over.
+    rng = np.random.default_rng(int(tolerance) % 1000)
+    bursts = np.repeat(np.arange(40) * 200.0, 8)
+    detected = (bursts + np.round(rng.uniform(0.0, 3.0, bursts.size), 1)).tolist()
+    truths = sorted((np.repeat(np.arange(40) * 200.0, 6) + rng.integers(0, 4, 240)).tolist())
+    rng.shuffle(detected)
+    result = match_events(detections_at(detected), truth_at(truths), tolerance)
+    assert result == oracle_match(detected, truths, tolerance)
+
+
 @given(
     time_lists,
     time_lists,

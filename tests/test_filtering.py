@@ -136,10 +136,30 @@ def test_blocked_savgol_equals_the_whole_array_convolution_and_edge_fits(
         interior = slice(half, size - half)
         expected = np.convolve(values, fit[0, ::-1], "same")
         assert np.array_equal(smoothed[interior], expected[interior])
-        assert np.array_equal(smoothed[:half], projection[:half] @ values[:window])
+        assert np.array_equal(smoothed[:half], (projection[:half] * values[:window]).sum(axis=1))
         assert np.array_equal(
-            smoothed[size - half :], projection[window - half :] @ values[size - window :]
+            smoothed[size - half :],
+            (projection[window - half :] * values[size - window :]).sum(axis=1),
         )
+
+
+@pytest.mark.parametrize(("window", "order"), [(3, 1), (9, 3), (41, 2), (129, 4)])
+def test_savgol_end_fits_depend_only_on_the_end_window(window: int, order: int) -> None:
+    # The refilter smooths its gathered windows in one call: where a window
+    # starts or ends the trace, the gathered array shares the trace's first
+    # or last SG window, wherever it sits in memory, and its end fits must be
+    # the trace's own, bit for bit.
+    half = window // 2
+    rng = np.random.default_rng(window + order)
+    x = rng.normal(0.0, 50.0, 3 * window)
+    smoothed = savitzky_golay(x, window, order)
+    head, tail = smoothed[:half], smoothed[-half:]
+    backing = np.concatenate((rng.normal(0.0, 50.0, 7), x, rng.normal(0.0, 50.0, 5)))
+    shares_both = [x.copy(), backing[7 : 7 + x.size]]  # a copy, and a slice at an odd offset
+    for y in shares_both + [np.concatenate((x[:window], rng.normal(0.0, 50.0, 2 * window)))]:
+        assert savitzky_golay(y, window, order)[:half].tobytes() == head.tobytes()
+    for y in shares_both + [np.concatenate((rng.normal(0.0, 50.0, 5 * window), x[-window:]))]:
+        assert savitzky_golay(y, window, order)[-half:].tobytes() == tail.tobytes()
 
 
 def test_importing_the_package_does_not_load_scipy() -> None:
