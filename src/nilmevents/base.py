@@ -8,8 +8,11 @@ and alarms are clustered so that one transition emits a single event:
 after an event is emitted, further alarms are suppressed until more than
 ``time_limit_s`` has passed.
 
-The detector works on arrays throughout and returns :class:`Events`;
-the only Python loop is the time-limit emission over the alarm times.
+The detector works on arrays throughout and returns :class:`Events`.
+The time-limit emission (:func:`_emitted`) cuts the alarms into the
+chains that the limit cannot link, in one array pass, and moves every
+chain on by one emitted alarm per array pass; only the last few chains
+are walked an alarm at a time.
 Each window is summed from its own ``n`` samples in one fixed order
 (:func:`_window_sums`), so a mean difference is a pure function of the
 ``2n + 1`` samples around its centre, whatever the block sizes or the
@@ -42,6 +45,7 @@ from .core import (
     SampleSeries,
     SeriesTooShort,
     _Summary,
+    _aranges,
     _blocks,
     _piece_groups,
     _proof_runs,
@@ -223,15 +227,19 @@ def _alarming(diffs: np.ndarray, threshold: float) -> np.ndarray:
     return np.flatnonzero((diffs > threshold) | (diffs < -threshold))
 
 
-def _emitted(times: np.ndarray, time_limit_s: float) -> np.ndarray:
-    """The positions of the alarms the time limit emits, of the alarm ``times`` in order.
+# Once no more than this many alarm chains are left to walk, each is finished
+# one alarm at a time: an array pass per emitted alarm would cost more.
+_LOCKSTEP_CHAINS = 64
 
-    An alarm is emitted when ``t - last > time_limit_s``, ``last`` being
-    the time of the last alarm emitted before it (``-inf`` before the
-    first).  Sequential on purpose: whether an alarm is emitted depends on
-    the last emitted one, and ``t - last > limit`` is not the same test as
-    ``t > last + limit`` in floating point.  The times are walked a block
-    at a time, so only a block of them is ever a Python list.
+
+def _walked(times: np.ndarray, time_limit_s: float) -> np.ndarray:
+    """The positions of the alarms the time limit emits, walking the alarm ``times`` in order.
+
+    An alarm is emitted when ``t - last > time_limit_s`` in floating point,
+    ``last`` being the time of the last alarm emitted before it (``-inf``
+    before the first); that is not the test ``t > last + time_limit_s``.
+    The times are walked a block at a time, so only a block of them is
+    ever a Python list.
     """
     emitted: list[int] = []
     last = -np.inf
@@ -241,6 +249,51 @@ def _emitted(times: np.ndarray, time_limit_s: float) -> np.ndarray:
                 emitted.append(k)
                 last = timestamp
     return np.array(emitted, dtype=np.int64)
+
+
+def _emitted(times: np.ndarray, time_limit_s: float) -> np.ndarray:
+    """:func:`_walked` of the non-decreasing alarm ``times``, with most chains walked in lockstep.
+
+    The limit is not negative.
+
+    **Chains.**  Rounding is monotone, so an alarm with ``fl(t_i - t_(i-1))
+    > limit`` has ``fl(t_i - last) > limit`` for any earlier ``last``: it
+    is always emitted, and it heads a chain.  One array pass finds the
+    heads.  Within a chain, the alarm emitted after the one at ``t_cur`` is
+    the first ``j`` with ``fl(t_j - t_cur) > limit``.  That test is
+    monotone in ``j``, and the next chain's head passes it (an alarm at
+    ``+inf`` closes the last chain).  ``fl(d) > limit`` implies ``d >
+    limit``, so ``t_j`` exceeds ``t_cur + limit`` and is at least its
+    rounding: ``searchsorted`` of ``fl(t_cur + limit)`` gives a lower
+    bound, stepped forward until the float test holds.
+
+    **Lockstep.**  Each array pass moves every chain still walked on by
+    one emitted alarm; a chain stops when it reaches the next head.  Once
+    no more than ``_LOCKSTEP_CHAINS`` are left, as on one long chain, the
+    rest of each, from its last emitted alarm on, is laid end to end and
+    walked by :func:`_walked`: each chain's first alarm there passes the
+    test, as a head does, so the walk restarts at each chain.  With that
+    few chains from the start, :func:`_walked` walks all the alarms.
+    """
+    size = times.size
+    restarts = np.ones(size + 1, dtype=bool)
+    np.greater(np.diff(times), time_limit_s, out=restarts[1:size])
+    walking = np.flatnonzero(restarts[:-1] & ~restarts[1:])  # chains of more than one alarm
+    if walking.size <= _LOCKSTEP_CHAINS:
+        return _walked(times, time_limit_s)
+    padded = np.append(times, np.inf)
+    emitted = restarts.copy()
+    while walking.size > _LOCKSTEP_CHAINS:
+        last = padded[walking]
+        following = np.searchsorted(padded, last + time_limit_s)
+        while (behind := ~(padded[following] - last > time_limit_s)).any():
+            following += behind
+        emitted[following] = True
+        walking = following[~restarts[following]]
+    heads = np.flatnonzero(restarts)
+    rest = _aranges(walking, heads[np.searchsorted(heads, walking, side="right")] - walking)
+    emitted[rest[_walked(times[rest], time_limit_s)]] = True
+    return np.flatnonzero(emitted[:size])
 
 
 def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
@@ -268,8 +321,10 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     -----
     Only the centres not proven quiet (:func:`_tested_entries`) are
     summed and tested (module docstring).  The time-limit emission
-    (:func:`_emitted`) walks the alarm times one block at a time, so only
-    a block of them is ever a Python list.
+    (:func:`_emitted`) moves every alarm chain on by one emitted alarm per
+    array pass until ``_LOCKSTEP_CHAINS`` or fewer are left, and walks
+    those an alarm at a time (:func:`_walked`), a block of alarm times at
+    a time, so only a block of them is ever a Python list.
 
     Raises
     ------

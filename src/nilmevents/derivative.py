@@ -15,7 +15,8 @@ candidates, so no per-extremum or per-event object is built here.
 The merge reads the smoothed derivative ``s`` only between consecutive
 candidates, and the refilter's guard only near a candidate, so
 :class:`_SmoothedDerivative` computes ``s`` only on the sample ranges
-read, by :func:`loess_smooth` on gathered pieces of the trace, each
+read, by the smoother of :func:`loess_smooth` on gathered pieces of the
+trace, fitting an end only where a piece reads the trace's end, each
 sample bit for bit the whole-trace one by the argument of
 :mod:`nilmevents.core`.  ``s`` on ``[lo, hi)`` reads the trace on
 ``[lo - half - 1, hi + half)``, ``half`` being the LOESS half window, and
@@ -71,7 +72,9 @@ def _checked_window(window_samples: int, size: int) -> int:
     return win
 
 
-def _smooth(x: np.ndarray, kernel: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+def _smooth(
+    x: np.ndarray, kernel: np.ndarray, head: np.ndarray | None, tail: np.ndarray | None
+) -> np.ndarray:
     """``x`` smoothed by the odd ``kernel`` where it fits, and by weight rows at the ends.
 
     Output ``half + j`` is ``np.convolve(x, kernel, "valid")[j]``, run
@@ -82,6 +85,7 @@ def _smooth(x: np.ndarray, kernel: np.ndarray, head: np.ndarray, tail: np.ndarra
     times the last ``tail.shape[1]``: each a fresh product array summed
     along its rows, so that its bits depend only on those samples, not on
     where they sit in memory, which a BLAS matrix product does not promise.
+    An end given no rows (``None``) is not fitted, and its outputs are NaN.
     """
     half = kernel.size // 2
     out = np.empty_like(x)
@@ -89,8 +93,10 @@ def _smooth(x: np.ndarray, kernel: np.ndarray, head: np.ndarray, tail: np.ndarra
         out[half + start : half + stop] = np.convolve(
             x[start : stop + 2 * half], kernel, mode="valid"
         )
-    out[:half] = (head * x[: head.shape[1]]).sum(axis=1)
-    out[x.size - half :] = (tail * x[x.size - tail.shape[1] :]).sum(axis=1)
+    out[:half] = np.nan if head is None else (head * x[: head.shape[1]]).sum(axis=1)
+    out[x.size - half :] = (
+        np.nan if tail is None else (tail * x[x.size - tail.shape[1] :]).sum(axis=1)
+    )
     return out
 
 
@@ -194,20 +200,25 @@ class _SmoothedDerivative:
         :func:`~nilmevents.core._piece_groups`, each piece reading ``x``
         from ``half + 1`` before to ``half`` after its samples, and at least
         one window from a trace end that this reaches.  Each group keeps
-        the outputs its pieces own of :func:`loess_smooth` over the
-        :func:`first_derivative` of its reads.  Each is bit for bit the
-        whole-trace one by the argument of :mod:`nilmevents.core`: an
-        interior output reads its own piece, and a piece that reads from
+        the outputs its pieces own of the smoother of :func:`loess_smooth`
+        over the :func:`first_derivative` of its reads.  Each is bit for
+        bit the whole-trace one by the argument of :mod:`nilmevents.core`:
+        an interior output reads its own piece, and a piece that reads from
         sample 0 comes first in its group, so that its derivative starts
         with the zero pad and its edge fits read the trace's first window;
-        a piece that reads to the end comes last, for the last window.
+        a piece that reads to the end comes last, for the last window.  A
+        group fits only the ends where it reads a trace end: its other ends
+        lie in a piece's halo, which no piece owns, and are left NaN.
         """
-        x, window = self.values, self.window
+        x, half = self.values, self.window // 2
+        kernel, rows = _loess_kernel(half), _edge_rows(half)
         starts, stops = _union(np.maximum(starts, 0), np.minimum(stops, x.size))
         ranges = _Ranges(x.size, starts, stops, np.empty(int((stops - starts).sum())))
         done = 0
-        for layout in _piece_groups(starts, stops, window // 2 + 1, window // 2, x.size, window):
-            kept = loess_smooth(first_derivative(layout.take(x)), window)[layout.owned()]
+        for layout in _piece_groups(starts, stops, half + 1, half, x.size, self.window):
+            head = rows if layout.lo[0] == 0 else None
+            tail = rows[::-1, ::-1] if layout.hi[-1] == x.size else None
+            kept = _smooth(first_derivative(layout.take(x)), kernel, head, tail)[layout.owned()]
             ranges.values[done : done + kept.size] = kept
             done += kept.size
         return ranges

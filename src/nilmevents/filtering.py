@@ -281,8 +281,9 @@ def _redetected_times(
     to any alarm before the window exceeds, or ``lo = n``, where the
     whole-trace chain starts.  A window where neither holds is widened
     back to twice its length, at most to ``n``, and its alarms computed
-    again, until one does.  Then the alarms of all windows are walked by
-    :func:`~nilmevents.base._emitted` in one pass.
+    again, until one does.  Then the alarms of all windows go through one
+    :func:`~nilmevents.base._emitted` call, chain by chain as the
+    whole-trace run's alarms do.
 
     Raises what the whole-trace run raises, in its order.  A smoothed
     sample is at most ``l1 * peak`` in magnitude, ``l1`` the largest L1

@@ -86,6 +86,22 @@ def oracle_mean_difference_profile(values: np.ndarray, n: int) -> dict[int, floa
     return profile
 
 
+def oracle_emitted(times: list[float], time_limit_s: float) -> list[int]:
+    """Positions of the alarms the time limit emits, walking the alarm ``times`` in order.
+
+    The first alarm is emitted, and each later one when ``t - last >
+    time_limit_s`` as one Python float subtraction and comparison,
+    ``last`` being the time of the last alarm emitted.
+    """
+    emitted: list[int] = []
+    last = None
+    for position, timestamp in enumerate(times):
+        if last is None or timestamp - last > time_limit_s:
+            emitted.append(position)
+            last = timestamp
+    return emitted
+
+
 def oracle_base_events(
     values: np.ndarray,
     rate_hz: float,
@@ -96,18 +112,11 @@ def oracle_base_events(
 ) -> list[tuple[int, float, float]]:
     """Greedy threshold-and-cluster scan; returns (index, time, delta) triples."""
     profile = oracle_mean_difference_profile(values, n)
-    events: list[tuple[int, float, float]] = []
-    last_time = None
-    for center in sorted(profile):
-        delta = profile[center]
-        if abs(delta) <= threshold:
-            continue
-        timestamp = start_time_s + center / rate_hz
-        if last_time is not None and not timestamp - last_time > time_limit_s:
-            continue
-        events.append((center, timestamp, delta))
-        last_time = timestamp
-    return events
+    alarms = [(center, delta) for center, delta in sorted(profile.items()) if abs(delta) > threshold]
+    times = [start_time_s + center / rate_hz for center, _ in alarms]
+    return [
+        (alarms[k][0], times[k], alarms[k][1]) for k in oracle_emitted(times, time_limit_s)
+    ]
 
 
 def oracle_tricube(offsets: np.ndarray, half: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from nilmevents import (
@@ -15,10 +17,14 @@ from nilmevents import (
     SeriesTooShort,
     detect_base,
     detect_hybrid,
+    generate_scenario,
     lld_max,
+    load_trace,
+    write_trace,
 )
 from nilmevents import base, core
 from nilmevents.base import (
+    _emitted,
     _mean_difference_profile,
     _rounding_margin,
     _tested_entries,
@@ -28,10 +34,12 @@ from nilmevents.base import (
 from blocks import BLOCK_SIZES, PROOF_BLOCK_SIZES, use_blocks, use_proof_blocks
 from oracles import (
     oracle_base_events,
+    oracle_emitted,
     oracle_mean_difference_profile,
     oracle_moving_means,
     oracle_window_sums,
 )
+from replicas import replica_config, replica_spec
 
 integer_traces = st.lists(
     st.integers(min_value=0, max_value=3000), min_size=13, max_size=120
@@ -249,6 +257,106 @@ def test_alarms_exactly_one_time_limit_apart_are_suppressed() -> None:
     events = detect_base(series, HybridConfig(time_limit_s=0.25))
     assert events.indices.tolist() == list(range(1, 39, 2))
     assert np.all(np.diff(events.timestamps_s) == 0.5)
+
+
+# The rate load_trace infers for a 20 Hz trace that write_trace wrote.
+RELOADED_RATE_HZ = 19.999999999995453
+
+
+def alarm_times(rate: float, start_time_s: float, runs: list[tuple[int, int, int]]) -> np.ndarray:
+    """The times of alarms laid out in runs, as :meth:`SampleSeries.time_at` gives them.
+
+    Per ``(gap, count, stride)``, a run of ``count`` alarms ``stride``
+    samples apart starts ``gap`` samples after the previous run's last
+    alarm.
+    """
+    indices, at = [], 0
+    for gap, count, stride in runs:
+        indices.extend(range(at + gap, at + gap + count * stride, stride))
+        at = indices[-1]
+    return start_time_s + np.array(indices, dtype=np.int64) / rate
+
+
+@given(
+    st.sampled_from([0.5, 7.0, 20.0, 50.0, 60.0, RELOADED_RATE_HZ]),
+    st.sampled_from([0.0, 1e6, 1.7e9, -1e12]),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([-np.inf, None, np.inf]),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=30),
+            st.integers(min_value=1, max_value=40),
+            st.integers(min_value=1, max_value=3),
+        ),
+        max_size=80,
+    ),
+)
+@example(20.0, 0.0, 4, None, [])  # no alarm
+@example(RELOADED_RATE_HZ, 1.7e9, 4, None, [(1, 1, 1)])  # a single alarm
+# One chain of 6,000 consecutive alarms, walked an alarm at a time.
+@example(RELOADED_RATE_HZ, 0.0, 4, None, [(1, 6000, 1)])
+# 100 short chains walked in lockstep, then the rest of a 5,000-alarm chain.
+@example(20.0, 1.7e9, 4, -np.inf, [(30, 5000, 1)] + [(30, 3, 1)] * 100)
+# 150 chains of 1 to 60 alarms: walked in lockstep until 64 are left, then one at a time.
+@example(60.0, -1e12, 3, np.inf, [(30, 1 + 7 * i % 60, 1 + i % 3) for i in range(150)])
+@example(RELOADED_RATE_HZ, 1e6, 4, None, [(9, 1 + 13 * i % 40, 1) for i in range(200)])
+# At 2**50 s times are 0.25 s apart, so 15 alarms at 60 Hz share each time.
+@example(60.0, 2.0**50, 6, None, [(200, 30 + i % 7, 1) for i in range(100)])
+def test_emission_equals_the_sequential_walk(
+    rate: float,
+    start_time_s: float,
+    samples: int,
+    nudge: float | None,
+    runs: list[tuple[int, int, int]],
+) -> None:
+    """Limits of exactly ``samples / rate``, or one ulp below or above it (``nudge``)."""
+    times = alarm_times(rate, start_time_s, runs)
+    limit = samples / rate
+    if nudge is not None:
+        limit = float(np.nextafter(limit, nudge))
+    assert _emitted(times, limit).tolist() == oracle_emitted(times.tolist(), limit)
+
+
+@pytest.mark.parametrize("short_chains", [0, 100])
+def test_chains_walked_a_block_of_alarms_at_a_time_equal_the_sequential_walk(
+    small_blocks: int, short_chains: int
+) -> None:
+    """Long chains alone, or left over from a lockstep walk of 100 short ones."""
+    long_chains = [(30, 200, 1), (30, 100, 2), (30, 100, 3)]
+    runs = [(30, 2, 1)] * short_chains + long_chains
+    times = alarm_times(RELOADED_RATE_HZ, 1.7e9, runs)
+    assert _emitted(times, 0.2).tolist() == oracle_emitted(times.tolist(), 0.2)
+
+
+@pytest.mark.parametrize("start_time_s", [0.0, 1.7e9])
+@pytest.mark.parametrize("name", ["house1", "kitchen", "lighting", "rangehood"])
+def test_base_events_of_a_reloaded_replica_are_the_oracle_events_at_its_rate(
+    name: str, start_time_s: float, tmp_path: Path
+) -> None:
+    """Indices and times as the oracle's; deltas within the rounding the two sum orders allow.
+
+    Each computed mean difference lies within ``r`` of the exact one
+    (:func:`~nilmevents.base._rounding_margin`), so the library's and the
+    oracle's differ by less than ``2 r``.
+    """
+    generated, _ = generate_scenario(replica_spec(name))
+    path = tmp_path / "trace.csv"
+    write_trace(path, SampleSeries(generated.values, generated.sampling_rate_hz, start_time_s))
+    series = load_trace(path)
+    config = replica_config(name)
+    n = config.mean_window_samples(series.sampling_rate_hz)
+    events = event_triples(detect_base(series, config))
+    expected = oracle_base_events(
+        series.values,
+        series.sampling_rate_hz,
+        n,
+        config.power_threshold_watts,
+        config.time_limit_s,
+        series.start_time_s,
+    )
+    assert [event[:2] for event in events] == [event[:2] for event in expected]
+    margin = 2 * _rounding_margin(series.summary.peak(), n)
+    assert all(abs(a[2] - b[2]) < margin for a, b in zip(events, expected))
 
 
 def six_hour_step_trace(level_watts: float) -> SampleSeries:
