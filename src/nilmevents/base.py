@@ -6,7 +6,9 @@ each candidate index against the mean of the ``n`` samples just after it
 raised where the absolute mean difference exceeds the power threshold,
 and alarms are clustered so that one transition emits a single event:
 after an event is emitted, further alarms are suppressed until more than
-``time_limit_s`` has passed.
+``k`` samples have passed, ``k`` being ``time_limit_s`` in whole samples
+(:meth:`HybridConfig.time_limit_samples`).  The limit is an integer test
+on sample indices, so the events do not depend on the start time.
 
 The detector works on arrays throughout and returns :class:`Events`.
 The time-limit emission (:func:`_emitted`) cuts the alarms into the
@@ -232,40 +234,33 @@ def _alarming(diffs: np.ndarray, threshold: float) -> np.ndarray:
 _LOCKSTEP_CHAINS = 64
 
 
-def _walked(times: np.ndarray, time_limit_s: float) -> np.ndarray:
-    """The positions of the alarms the time limit emits, walking the alarm ``times`` in order.
+def _walked(indices: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the alarms the time limit emits, walking the alarm ``indices`` in order.
 
-    An alarm is emitted when ``t - last > time_limit_s`` in floating point,
-    ``last`` being the time of the last alarm emitted before it (``-inf``
-    before the first); that is not the test ``t > last + time_limit_s``.
-    The times are walked a block at a time, so only a block of them is
+    An alarm is emitted when ``index - last > k``, ``last`` being the
+    index of the last alarm emitted before it (none before the first).
+    The indices are walked a block at a time, so only a block of them is
     ever a Python list.
     """
     emitted: list[int] = []
     last = -np.inf
-    for start, stop in _blocks(times.size):
-        for k, timestamp in enumerate(times[start:stop].tolist(), start):
-            if timestamp - last > time_limit_s:
-                emitted.append(k)
-                last = timestamp
+    for start, stop in _blocks(indices.size):
+        for position, index in enumerate(indices[start:stop].tolist(), start):
+            if index - last > k:
+                emitted.append(position)
+                last = index
     return np.array(emitted, dtype=np.int64)
 
 
-def _emitted(times: np.ndarray, time_limit_s: float) -> np.ndarray:
-    """:func:`_walked` of the non-decreasing alarm ``times``, with most chains walked in lockstep.
+def _emitted(indices: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_walked` of the increasing alarm ``indices``, with most chains walked in lockstep.
 
-    The limit is not negative.
-
-    **Chains.**  Rounding is monotone, so an alarm with ``fl(t_i - t_(i-1))
-    > limit`` has ``fl(t_i - last) > limit`` for any earlier ``last``: it
-    is always emitted, and it heads a chain.  One array pass finds the
-    heads.  Within a chain, the alarm emitted after the one at ``t_cur`` is
-    the first ``j`` with ``fl(t_j - t_cur) > limit``.  That test is
-    monotone in ``j``, and the next chain's head passes it (an alarm at
-    ``+inf`` closes the last chain).  ``fl(d) > limit`` implies ``d >
-    limit``, so ``t_j`` exceeds ``t_cur + limit`` and is at least its
-    rounding: ``searchsorted`` of ``fl(t_cur + limit)`` gives a lower
-    bound, stepped forward until the float test holds.
+    **Chains.**  An alarm more than ``k`` samples after the one before it
+    is more than ``k`` after any earlier one: it is always emitted, and it
+    heads a chain.  One array pass finds the heads.  Within a chain, the
+    alarm emitted after the one at ``cur`` is the first past ``cur + k``,
+    ``searchsorted(indices, cur + k, side="right")``; the next chain's head
+    is past it too, and past the last alarm lies the end.
 
     **Lockstep.**  Each array pass moves every chain still walked on by
     one emitted alarm; a chain stops when it reaches the next head.  Once
@@ -275,24 +270,20 @@ def _emitted(times: np.ndarray, time_limit_s: float) -> np.ndarray:
     test, as a head does, so the walk restarts at each chain.  With that
     few chains from the start, :func:`_walked` walks all the alarms.
     """
-    size = times.size
+    size = indices.size
     restarts = np.ones(size + 1, dtype=bool)
-    np.greater(np.diff(times), time_limit_s, out=restarts[1:size])
+    np.greater(np.diff(indices), k, out=restarts[1:size])
     walking = np.flatnonzero(restarts[:-1] & ~restarts[1:])  # chains of more than one alarm
     if walking.size <= _LOCKSTEP_CHAINS:
-        return _walked(times, time_limit_s)
-    padded = np.append(times, np.inf)
+        return _walked(indices, k)
     emitted = restarts.copy()
     while walking.size > _LOCKSTEP_CHAINS:
-        last = padded[walking]
-        following = np.searchsorted(padded, last + time_limit_s)
-        while (behind := ~(padded[following] - last > time_limit_s)).any():
-            following += behind
+        following = np.searchsorted(indices, indices[walking] + k, side="right")
         emitted[following] = True
         walking = following[~restarts[following]]
     heads = np.flatnonzero(restarts)
     rest = _aranges(walking, heads[np.searchsorted(heads, walking, side="right")] - walking)
-    emitted[rest[_walked(times[rest], time_limit_s)]] = True
+    emitted[rest[_walked(indices[rest], k)]] = True
     return np.flatnonzero(emitted[:size])
 
 
@@ -310,12 +301,13 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     Returns
     -------
     Events
-        Events in increasing index order, every consecutive pair
-        separated by more than ``time_limit_s``.  Each event carries the
-        mean difference observed at its own index, so one physical
-        transition that alarms over several samples is reported once, at
-        the first alarming index.  Timestamps come from
-        :meth:`SampleSeries.time_at`.
+        Events in increasing index order, every consecutive pair more
+        than ``k`` samples apart, ``k`` being ``time_limit_s`` in whole
+        samples (:meth:`HybridConfig.time_limit_samples`).  Each event
+        carries the mean difference observed at its own index, so one
+        physical transition that alarms over several samples is reported
+        once, at the first alarming index.  Timestamps come from
+        :meth:`SampleSeries.time_at`, for the emitted alarms only.
 
     Notes
     -----
@@ -323,7 +315,7 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     summed and tested (module docstring).  The time-limit emission
     (:func:`_emitted`) moves every alarm chain on by one emitted alarm per
     array pass until ``_LOCKSTEP_CHAINS`` or fewer are left, and walks
-    those an alarm at a time (:func:`_walked`), a block of alarm times at
+    those an alarm at a time (:func:`_walked`), a block of alarm indices at
     a time, so only a block of them is ever a Python list.
 
     Raises
@@ -349,6 +341,6 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
         found.append((centres, diffs[positions[kept]]))
     alarm_indices = np.concatenate([indices for indices, _ in found])
     alarm_deltas = np.concatenate([deltas for _, deltas in found])
-    alarm_times = series.time_at(alarm_indices)
-    keep = _emitted(alarm_times, config.time_limit_s)
-    return Events(alarm_indices[keep], alarm_times[keep], alarm_deltas[keep])
+    keep = _emitted(alarm_indices, config.time_limit_samples(series.sampling_rate_hz))
+    indices = alarm_indices[keep]
+    return Events(indices, series.time_at(indices), alarm_deltas[keep])

@@ -46,14 +46,14 @@ __all__ = ["cli_main"]
 _CONFIG_FLAGS = (
     ("--mean-window", "mean_window_s", float, "base detector half-window in seconds"),
     ("--threshold", "power_threshold_watts", float, "base detector power threshold in watts"),
-    ("--time-limit", "time_limit_s", float, "minimum seconds between base alarms"),
+    ("--time-limit", "time_limit_s", float, "base events are > this apart (s; whole samples)"),
     ("--epsilon", "derivative_epsilon", float, "settled-derivative band in watts/sample"),
-    ("--settle", "settle_threshold_s", float, "settle duration separating transitions"),
+    ("--settle", "settle_threshold_s", float, "settled runs > this separate (s; whole samples)"),
     ("--loess-window", "loess_window_s", float, "derivative smoothing window in seconds"),
     ("--sg-window", "sg_window_samples", int, "refilter smoothing window in samples (odd)"),
     ("--sg-order", "sg_poly_order", int, "refilter polynomial order"),
     ("--trigger", "fluctuation_trigger_watts", float, "refilter activation level in watts"),
-    ("--tolerance", "eval_match_tolerance_s", float, "match tolerance in seconds"),
+    ("--tolerance", "eval_match_tolerance_s", float, "match tolerance (s; refilter: samples)"),
 )
 
 

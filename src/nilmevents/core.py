@@ -596,6 +596,11 @@ class HybridConfig:
     fluctuating transients are expected to tune the threshold, the two
     smoothing windows, and the settle threshold for the appliance mix at
     hand.
+
+    Every duration is rounded to the nearest whole sample, at least 1, by
+    :func:`seconds_to_samples` at the series' rate before any decision
+    reads it, so every detection decision is an integer test on sample
+    indices: no timestamp is compared.
     """
 
     mean_window_s: float = 0.3
@@ -626,6 +631,18 @@ class HybridConfig:
     def mean_window_samples(self, rate_hz: float) -> int:
         """Half-window length of the base detector, in samples."""
         return seconds_to_samples(self.mean_window_s, rate_hz)
+
+    def time_limit_samples(self, rate_hz: float) -> int:
+        """``k``: an alarm is emitted more than ``k`` samples after the last one."""
+        return seconds_to_samples(self.time_limit_s, rate_hz)
+
+    def settle_samples(self, rate_hz: float) -> int:
+        """``m``: a settled run of more than ``m`` samples separates two transitions."""
+        return seconds_to_samples(self.settle_threshold_s, rate_hz)
+
+    def match_tolerance_samples(self, rate_hz: float) -> int:
+        """The refilter confirms a candidate re-detected within this many samples."""
+        return seconds_to_samples(self.eval_match_tolerance_s, rate_hz)
 
     def loess_window_samples(self, rate_hz: float) -> int:
         """Derivative smoothing window in samples, rounded up to odd."""

@@ -41,7 +41,6 @@ from .core import (
     _blocks,
     _piece_groups,
     _union,
-    seconds_to_samples,
 )
 
 __all__ = [
@@ -312,10 +311,11 @@ def merge_transient_events(
     Two consecutive candidates are separate transitions only if the
     appliance settled between them: there must be a contiguous run of
     samples strictly between their indices where the absolute smoothed
-    derivative stays below ``derivative_epsilon`` and whose duration
-    exceeds ``settle_threshold_s``.  Without such a run the later event
-    is merged into the earlier event's group, and each group is reported
-    as its first event.
+    derivative stays below ``derivative_epsilon`` and that is longer than
+    ``m`` samples, ``m`` being ``settle_threshold_s`` in whole samples
+    (:meth:`~nilmevents.core.HybridConfig.settle_samples`).  Without such
+    a run the later event is merged into the earlier event's group, and
+    each group is reported as its first event.
 
     ``smoothed_derivative`` is the whole-trace array or a
     :class:`_SmoothedDerivative`, which computes only the samples read.
@@ -324,9 +324,9 @@ def merge_transient_events(
     shorter gap merges unread.  It reads ``[a + 1, a + 1 + K)``, ``K``
     being ``_SETTLE_SPANS`` settle lengths, and where a stretch ends before
     ``b`` with no run long enough, the next one: twice as long, starting
-    ``m`` samples before the last one ended, ``m`` being the settle length
-    in samples, and cut at ``b``.  A run found is a settled run of the gap
-    (samples not read count as unsettled), so a run long enough separates.
+    ``m`` samples before the last one ended, and cut at ``b``.  A run
+    found is a settled run of the gap (samples not read count as
+    unsettled), so a run long enough separates.
     Any ``m + 1`` settled samples are long enough, so a run that crosses a
     stretch's end unfound has at most ``m`` samples before it: it starts
     inside the next stretch, which holds it whole or at least ``m + 1`` of
@@ -354,20 +354,18 @@ def merge_transient_events(
 
     if not indices.size:
         return np.empty(0, dtype=np.int64)
-    rate, settle = series.sampling_rate_hz, config.settle_threshold_s
-    epsilon = config.derivative_epsilon
+    settle, epsilon = config.settle_samples(series.sampling_rate_hz), config.derivative_epsilon
     before, after = indices[:-1], indices[1:]
     # Only a gap whose every sample settled could pass; shorter gaps merge unread.
-    pending = np.flatnonzero((after - before - 1) / rate > settle)
+    pending = np.flatnonzero(after - before - 1 > settle)
     separate = np.zeros(indices.size - 1, dtype=bool)
-    overlap = seconds_to_samples(settle, rate)
-    starts, span = before[pending] + 1, _SETTLE_SPANS * overlap
+    starts, span = before[pending] + 1, _SETTLE_SPANS * settle
     while pending.size:
         stops = np.minimum(after[pending], starts + span)
         longest = _longest_settled(_read(smoothed_derivative, starts, stops), epsilon)
-        separate[pending] = longest / rate > settle
+        separate[pending] = longest > settle
         # A stretch short of its gap and with no run long enough is followed
         # by one twice as long that starts a settle length before it ends.
         grow = (stops < after[pending]) & ~separate[pending]
-        pending, starts, span = pending[grow], stops[grow] - overlap, 2 * span
+        pending, starts, span = pending[grow], stops[grow] - settle, 2 * span
     return np.concatenate(([0], np.flatnonzero(separate) + 1)).astype(np.int64, copy=False)

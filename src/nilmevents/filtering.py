@@ -14,12 +14,16 @@ index array; the survivors come back as positions into the candidates and
 the verdicts as :class:`FilterVerdicts` arrays, so no per-candidate object
 is built.
 
-A confirmation reads only the re-detections within
-``eval_match_tolerance_s`` of its candidate's time, so the trace is
+Candidates are matched to re-detections by sample index: a candidate
+is confirmed by a re-detection within ``t`` samples of its own index,
+``t`` being ``eval_match_tolerance_s`` in whole samples
+(:meth:`~nilmevents.core.HybridConfig.match_tolerance_samples`); the
+candidates' timestamps are not read.  So a confirmation reads only the
+re-detections within ``t`` samples of its candidate, and the trace is
 smoothed and re-detected only in windows around the candidates
-(:func:`_redetected_times`): pieces of :mod:`nilmevents.core`, smoothed
-by one :func:`savitzky_golay` call, each alarm the whole-trace one,
-since an end fit depends only on the end window it reads.
+(:func:`_redetected`): pieces of :mod:`nilmevents.core`, smoothed by one
+:func:`savitzky_golay` call, each alarm the whole-trace one, since an end
+fit depends only on the end window it reads.
 Where the refilter does not fire, nothing is smoothed.
 """
 
@@ -55,7 +59,6 @@ from .core import (
     _blocks,
     _reads,
     _union,
-    seconds_to_samples,
 )
 from .derivative import _checked_window, _read_only, _smooth
 
@@ -190,9 +193,9 @@ def _savitzky_golay_rows(window: int, poly_order: int) -> tuple[np.ndarray, np.n
 def _nearest_distance(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """``min(abs(sorted_values - q))`` for every query, from its two neighbours.
 
-    ``fl(v - q)`` is monotone in ``v``, so the minimum over the whole array
-    is attained at the nearest value on one side of ``q`` or the other.
-    With no values at all, every distance is infinite.
+    The minimum over the increasing ``sorted_values`` is attained at the
+    nearest value on one side of ``q`` or the other.  With no values at
+    all, every distance is infinite.
     """
     if sorted_values.size == 0:
         return np.full(queries.shape, np.inf)
@@ -211,36 +214,19 @@ def _first_outside(indices: np.ndarray, size: int) -> int | None:
 
 
 def _confirmation_windows(
-    series: SampleSeries, times: np.ndarray, config: HybridConfig, n: int
+    indices: np.ndarray, size: int, tolerance: int, k: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per candidate time ``t``, the alarm centres ``[lo, hi)`` its confirmation can read.
+    """Per candidate index ``c``, the alarm centres ``[lo, hi)`` its confirmation can read.
 
-    ``fl(time_at(j) - t)`` is non-decreasing in ``j``, so ``lo`` and ``hi``
-    are moved out from an estimate until ``time_at(lo - 1) - t`` lies below
-    ``-eval_match_tolerance_s`` and ``time_at(hi) - t`` above it, as
-    computed: no centre outside re-detects within the tolerance of ``t``.
-    A window that holds a centre is then given a lead-in of
-    ``ceil(time_limit_s * rate) + 1`` centres.  All are clipped to the
-    centres with full windows, ``[n, len(series) - n)``, and a time farther
-    than the tolerance from all of them gets an empty window.
+    They are the centres within ``tolerance`` samples of ``c`` and, where
+    that holds a centre, a lead-in of ``k + 1`` centres before them, ``k``
+    being the time limit in samples; all clipped to the centres with full
+    windows, ``[n, size - n)``.  A candidate with no centre within the
+    tolerance gets an empty window.
     """
-    rate, tolerance = series.sampling_rate_hz, config.eval_match_tolerance_s
-    low, high = n, len(series) - n
-    # Clipped before the conversion, so that a time far outside the trace converts.
-    with np.errstate(over="ignore"):
-        offsets = (times - series.start_time_s) * rate
-    lo = np.floor(np.clip(offsets - tolerance * rate, low - 1, high)).astype(np.int64)
-    hi = np.ceil(np.clip(offsets + tolerance * rate, low, high + 1)).astype(np.int64)
-    while True:
-        back = (lo > low) & (series.time_at(lo - 1) - times >= -tolerance)
-        ahead = (hi < high) & (series.time_at(hi) - times <= tolerance)
-        if not (back.any() or ahead.any()):
-            break
-        lo -= back
-        hi += ahead
-    lo, hi = np.maximum(lo, low), np.minimum(hi, high)
-    lead_in = math.ceil(config.time_limit_s * rate) + 1
-    return np.where(lo < hi, np.maximum(lo - lead_in, low), hi), hi
+    lo = np.maximum(indices - tolerance, n)
+    hi = np.minimum(indices + tolerance + 1, size - n)
+    return np.where(lo < hi, np.maximum(lo - (k + 1), n), hi), hi
 
 
 def _window_alarms(
@@ -267,18 +253,18 @@ def _window_alarms(
     return pieces.own(np.concatenate(found))[1]
 
 
-def _redetected_times(
-    series: SampleSeries, times: np.ndarray, config: HybridConfig, peak: float
+def _redetected(
+    series: SampleSeries, indices: np.ndarray, config: HybridConfig, peak: float
 ) -> np.ndarray:
-    """Re-detection times of the smoothed trace: every one within the tolerance of ``times``.
+    """Re-detection indices of the smoothed trace: every one within the tolerance of ``indices``.
 
-    They are the times of :func:`detect_base` run on the whole
+    They are the indices of :func:`detect_base` run on the whole
     ``savitzky_golay(series.values, ...)``, on the windows of
     :func:`_confirmation_windows`, each joined with any window less than
     ``2 (n + half)`` centres away.  A window's alarms are emitted as the
-    whole-trace run emits them once its first alarm is a proven chain
-    reset: ``fl(t_k - time_at(lo - 1)) > time_limit_s``, which the true gap
-    to any alarm before the window exceeds, or ``lo = n``, where the
+    whole-trace run emits them once its first alarm ``first`` is a proven
+    chain reset: ``first - (lo - 1) > k``, so that it is more than ``k``
+    samples after any alarm before the window, or ``lo = n``, where the
     whole-trace chain starts.  A window where neither holds is widened
     back to twice its length, at most to ``n``, and its alarms computed
     again, until one does.  Then the alarms of all windows go through one
@@ -305,7 +291,8 @@ def _redetected_times(
     if exact_peak is not None:
         _checked_margin(exact_peak, n, config.power_threshold_watts)
 
-    lo, hi = _confirmation_windows(series, times, config, n)
+    k = config.time_limit_samples(rate)
+    lo, hi = _confirmation_windows(indices, size, config.match_tolerance_samples(rate), k, n)
     lo, hi = lo[lo < hi], hi[lo < hi]
     reach = n + win // 2
     accepted = []
@@ -314,15 +301,13 @@ def _redetected_times(
         lo, hi = starts + reach, stops - reach
         alarms = _window_alarms(series.values, lo, hi, n, config)
         first = np.append(alarms, size)[np.searchsorted(alarms, lo)]
-        reset = (first >= hi) | (lo == n)
-        reset |= series.time_at(first) - series.time_at(lo - 1) > config.time_limit_s
+        reset = (first >= hi) | (lo == n) | (first - (lo - 1) > k)
         accepted.append(alarms[reset[np.searchsorted(lo, alarms, side="right") - 1]])
         lo, hi = np.maximum(2 * lo - hi, n)[~reset], hi[~reset]
     alarms = np.concatenate([np.empty(0, dtype=np.int64), *accepted])
     if len(accepted) > 1:  # a window widened back may overlap one proven before
         alarms = np.unique(alarms)
-    alarm_times = series.time_at(alarms)
-    return alarm_times[_emitted(alarm_times, config.time_limit_s)]
+    return alarms[_emitted(alarms, k)]
 
 
 def refilter_events_with_verdicts(
@@ -343,14 +328,17 @@ def refilter_events_with_verdicts(
     Returns the increasing int64 positions, into ``candidates``, of the
     survivors, one verdict per candidate, and the extrema the guard read:
     those of ``extrema`` within the guard radius of a candidate the
-    re-detection did not confirm, in their given order.  When the trace
-    never exceeds ``fluctuation_trigger_watts`` after the first turn-on
-    candidate, the refilter does not trigger: every candidate survives,
-    and there are no verdicts and no extrema read.  When it triggers, it
-    smooths only the windows of the module docstring.  Unless a window is
-    widened back, that is at most ``2 * eval_match_tolerance_s * rate + 3``
-    centres, the lead-in and ``2 * (n + half)`` samples per candidate,
-    ``n`` being the base half window and ``half`` the SG half window.
+    re-detection did not confirm, in their given order.  A candidate is
+    confirmed by a re-detection within ``t`` samples of its index, ``t``
+    being the match tolerance in samples; its timestamp is not read.  When
+    the trace never exceeds ``fluctuation_trigger_watts`` after the first
+    turn-on candidate, the refilter does not trigger: every candidate
+    survives, and there are no verdicts and no extrema read.  When it
+    triggers, it smooths only the windows of the module docstring.  Unless
+    a window is widened back, that is at most ``2 * t + 1`` centres, the
+    lead-in of ``k + 1`` and ``2 * (n + half)`` samples per candidate,
+    ``k`` being the time limit in samples, ``n`` the base half window and
+    ``half`` the SG half window.
     """
     if not callable(extrema):
         extrema = np.asarray(extrema, dtype=np.int64)
@@ -373,13 +361,12 @@ def refilter_events_with_verdicts(
     if segment_max <= config.fluctuation_trigger_watts:
         return unfired
 
-    # Re-detected times are non-decreasing, as their indices increase.
-    re_times = _redetected_times(series, candidates.timestamps_s, config, series.summary.peak())
-    guard_radius = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
-
+    rate = series.sampling_rate_hz
+    redetected = _redetected(series, candidate_indices, config, series.summary.peak())
     confirmed = (
-        _nearest_distance(re_times, candidates.timestamps_s) <= config.eval_match_tolerance_s
+        _nearest_distance(redetected, candidate_indices) <= config.match_tolerance_samples(rate)
     )
+    guard_radius = config.time_limit_samples(rate)
     unconfirmed = candidate_indices[~confirmed]
     if callable(extrema):
         extrema = np.asarray(extrema(unconfirmed, guard_radius), dtype=np.int64)

@@ -38,12 +38,14 @@ are those of the whole-trace stages.  What each reads:
 - ``s`` on a stretch reads the trace a LOESS half window further on
   either side;
 - the refilter's re-detection, only when the refilter fires, runs on the
-  Savitzky-Golay-smoothed trace at the alarm centres whose time lies
-  within ``eval_match_tolerance_s`` of each candidate's time, plus a
-  lead-in of ``ceil(time_limit_s * rate) + 1`` centres, widened back
-  where needed to an alarm that provably restarts the time-limit chain
-  (:mod:`nilmevents.filtering`), and reads ``n + h`` samples of trace
-  beyond them on either side, ``h`` being the SG half window.
+  Savitzky-Golay-smoothed trace at the alarm centres within ``t``
+  samples of each candidate's index, ``t`` being the match tolerance in
+  samples, since a candidate is confirmed by index distance, plus a
+  lead-in of ``k + 1`` centres, ``k`` being the time limit in samples,
+  widened back where needed to an alarm that provably restarts the
+  time-limit chain (:mod:`nilmevents.filtering`), and reads ``n + h``
+  samples of trace beyond them on either side, ``h`` being the SG half
+  window.
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,

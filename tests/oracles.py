@@ -86,19 +86,23 @@ def oracle_mean_difference_profile(values: np.ndarray, n: int) -> dict[int, floa
     return profile
 
 
-def oracle_emitted(times: list[float], time_limit_s: float) -> list[int]:
-    """Positions of the alarms the time limit emits, walking the alarm ``times`` in order.
+def oracle_samples(duration_s: float, rate_hz: float) -> int:
+    """A duration in whole samples: the nearest count, at least 1."""
+    return max(1, round(duration_s * rate_hz))
 
-    The first alarm is emitted, and each later one when ``t - last >
-    time_limit_s`` as one Python float subtraction and comparison,
-    ``last`` being the time of the last alarm emitted.
+
+def oracle_emitted(indices: list[int], k: int) -> list[int]:
+    """Positions of the alarms the time limit emits, walking the alarm ``indices`` in order.
+
+    The first alarm is emitted, and each later one when ``index - last >
+    k``, ``last`` being the index of the last alarm emitted.
     """
     emitted: list[int] = []
     last = None
-    for position, timestamp in enumerate(times):
-        if last is None or timestamp - last > time_limit_s:
+    for position, index in enumerate(indices):
+        if last is None or index - last > k:
             emitted.append(position)
-            last = timestamp
+            last = index
     return emitted
 
 
@@ -110,13 +114,15 @@ def oracle_base_events(
     time_limit_s: float,
     start_time_s: float = 0.0,
 ) -> list[tuple[int, float, float]]:
-    """Greedy threshold-and-cluster scan; returns (index, time, delta) triples."""
+    """Greedy threshold-and-cluster scan; returns (index, time, delta) triples.
+
+    The time limit is ``time_limit_s`` in whole samples (:func:`oracle_samples`).
+    """
     profile = oracle_mean_difference_profile(values, n)
     alarms = [(center, delta) for center, delta in sorted(profile.items()) if abs(delta) > threshold]
-    times = [start_time_s + center / rate_hz for center, _ in alarms]
-    return [
-        (alarms[k][0], times[k], alarms[k][1]) for k in oracle_emitted(times, time_limit_s)
-    ]
+    k = oracle_samples(time_limit_s, rate_hz)
+    emitted = [alarms[p] for p in oracle_emitted([center for center, _ in alarms], k)]
+    return [(center, start_time_s + center / rate_hz, delta) for center, delta in emitted]
 
 
 def oracle_tricube(offsets: np.ndarray, half: int) -> np.ndarray:
@@ -151,10 +157,8 @@ def oracle_extrema(values: np.ndarray) -> list[tuple[int, str, float]]:
     return found
 
 
-def oracle_longest_settled_run_s(
-    smoothed: np.ndarray, lo: int, hi: int, epsilon: float, rate_hz: float
-) -> float:
-    """Longest run of |smoothed| < epsilon strictly inside (lo, hi), in seconds."""
+def oracle_longest_settled_run(smoothed: np.ndarray, lo: int, hi: int, epsilon: float) -> int:
+    """Longest run of |smoothed| < epsilon strictly inside (lo, hi), in samples."""
     best = 0
     current = 0
     for i in range(lo + 1, hi):
@@ -163,7 +167,7 @@ def oracle_longest_settled_run_s(
             best = max(best, current)
         else:
             current = 0
-    return best / rate_hz
+    return best
 
 
 def oracle_merge(
@@ -173,13 +177,17 @@ def oracle_merge(
     epsilon: float,
     settle_threshold_s: float,
 ) -> list[int]:
-    """Surviving candidate indices under the settled-run rule."""
+    """Surviving candidate indices under the settled-run rule.
+
+    A run separates when it is longer than ``settle_threshold_s`` in whole
+    samples (:func:`oracle_samples`).
+    """
     if not candidates:
         return []
     survivors = [candidates[0][0]]
+    settle = oracle_samples(settle_threshold_s, rate_hz)
     for (prev_index, _), (cur_index, _) in zip(candidates, candidates[1:]):
-        run = oracle_longest_settled_run_s(smoothed, prev_index, cur_index, epsilon, rate_hz)
-        if run > settle_threshold_s:
+        if oracle_longest_settled_run(smoothed, prev_index, cur_index, epsilon) > settle:
             survivors.append(cur_index)
     return survivors
 
@@ -333,21 +341,21 @@ def oracle_match(
 
 
 def oracle_refilter_verdicts(
-    candidates: list[tuple[int, float]],
-    re_times: list[float],
+    candidates: list[int],
+    re_indices: list[int],
     extremum_indices: list[int],
-    tolerance_s: float,
+    tolerance: int,
     guard_radius: int,
 ) -> list[str]:
-    """Refilter reason per ``(index, time)`` candidate, by full scans.
+    """Refilter reason per candidate index, by full scans.
 
-    A candidate within ``tolerance_s`` of any re-detection survives;
+    A candidate within ``tolerance`` samples of any re-detection survives;
     otherwise one within ``guard_radius`` samples of any extremum is
     protected; otherwise it is removed.
     """
     reasons = []
-    for index, time in candidates:
-        if any(abs(r - time) <= tolerance_s for r in re_times):
+    for index in candidates:
+        if any(abs(r - index) <= tolerance for r in re_indices):
             reasons.append("survived_refilter")
         elif any(abs(g - index) <= guard_radius for g in extremum_indices):
             reasons.append("protected_by_extremum")

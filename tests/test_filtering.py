@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -266,13 +265,13 @@ def test_refilter_decisions_replay_from_first_principles() -> None:
         smoothed_trace, 20.0, config.mean_window_samples(20.0),
         config.power_threshold_watts, config.time_limit_s,
     )
-    re_times = [time for _, time, _ in re_events]
+    re_indices = [index for index, _, _ in re_events]
     whole = loess_smooth(first_derivative(series.values), config.loess_window_samples(20.0))
     guard_indices = detect_extrema(whole, config.derivative_epsilon).tolist()
     kept_expected = []
     for event in result.merged_events:
-        confirmed = any(abs(t - event.timestamp_s) <= config.eval_match_tolerance_s
-                        for t in re_times)
+        # The 1 s tolerance and the 0.2 s time limit are 20 and 4 samples.
+        confirmed = any(abs(r - event.index) <= 20 for r in re_indices)
         guarded = any(abs(g - event.index) <= 4 for g in guard_indices)
         if confirmed or guarded:
             kept_expected.append(event.index)
@@ -343,46 +342,51 @@ def refilter_trace(stepped: bool) -> np.ndarray:
     return np.select([t < 10.0, t < 30.0, t < 45.0], [0.0, 1500.0, 3000.0], 1500.0)
 
 
+def near_tolerance(re_indices: list[int], tolerance: int, size: int) -> list[int]:
+    """Candidate indices at the tolerance from a re-detection, or one sample either side."""
+    return [
+        edge
+        for r in re_indices
+        for bound in (r - tolerance, r + tolerance)
+        for edge in (bound - 1, bound, bound + 1)
+        if 0 <= edge < size
+    ]
+
+
 @given(st.data())
 def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     config = HybridConfig()
-    tolerance = config.eval_match_tolerance_s
+    tolerance = seconds_to_samples(config.eval_match_tolerance_s, 20.0)
     guard = seconds_to_samples(config.time_limit_s, 20.0)
     stepped = data.draw(st.booleans())
     series = series_at_20hz(refilter_trace(stepped))
     smoothed = series_at_20hz(
         savitzky_golay(series.values, config.sg_window_samples, config.sg_poly_order)
     )
-    re_times = [e.timestamp_s for e in detect_base(smoothed, config)]
-    assert bool(re_times) == stepped
+    re_indices = detect_base(smoothed, config).indices.tolist()
+    assert bool(re_indices) == stepped
     # Candidates sit exactly at the tolerance from a re-detection, or one
-    # ulp either side of it, and exactly at or one past the guard radius
-    # from an extremum; the extremum list may be empty.
+    # sample either side of it, and exactly at or one past the guard radius
+    # from an extremum; the extremum list may be empty.  Their timestamps
+    # are drawn apart from their indices, and no verdict reads them.
     extremum_indices = data.draw(st.lists(st.integers(0, 1199), max_size=6))
-    at_tolerance = [
-        float(edge)
-        for r in re_times
-        for bound in (r - tolerance, r + tolerance)
-        for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
-    ]
     at_guard = [
         g + d
         for g in extremum_indices
         for d in (-guard - 1, -guard, 0, guard, guard + 1)
         if 0 <= g + d < 1200
     ]
-    times = st.floats(0.0, 60.0)
-    if at_tolerance:
-        times = st.sampled_from(at_tolerance) | times
     indices = st.integers(0, 1199)
-    if at_guard:
-        indices = st.sampled_from(at_guard) | indices
-    specs = data.draw(st.lists(st.tuples(indices, times), min_size=1, max_size=10))
+    if near := near_tolerance(re_indices, tolerance, 1200) + at_guard:
+        indices = st.sampled_from(near) | indices
+    specs = data.draw(st.lists(st.tuples(indices, st.floats(0.0, 60.0)), min_size=1, max_size=10))
     candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
     survivors, verdicts, read = refilter_events_with_verdicts(
         series, candidates, extremum_indices, config
     )
-    expected = oracle_refilter_verdicts(specs, re_times, extremum_indices, tolerance, guard)
+    expected = oracle_refilter_verdicts(
+        [i for i, _ in specs], re_indices, extremum_indices, tolerance, guard
+    )
     assert [v.reason.value for v in verdicts] == expected
     assert [v.event_index for v in verdicts] == [i for i, _ in specs]
     kept = [k for k, reason in enumerate(expected) if reason != "removed_as_fluctuation"]
@@ -405,6 +409,25 @@ def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     assert asked == [(unconfirmed, guard)]
 
 
+def test_the_confirmation_reads_candidate_indices_not_timestamps() -> None:
+    # The same candidates stamped on the grid, far off it, and in reverse
+    # order get the same verdicts.
+    series = series_at_20hz(refilter_trace(True))
+    config = HybridConfig()
+    indices = [150, 198, 230, 590, 612, 900, 1100]
+    on_grid = events_at(indices, series, 50.0)
+    verdicts = refilter_events_with_verdicts(series, on_grid, [], config)
+    assert {v.reason for v in verdicts[1]} == {
+        FilterReason.SURVIVED_REFILTER,
+        FilterReason.REMOVED_AS_FLUCTUATION,
+    }
+    for stamps in ([1.7e9 + 0.3 * i for i in indices], [-float(i) for i in indices]):
+        stamped = Events(indices, stamps, [50.0] * len(indices))
+        survivors, restamped, read = refilter_events_with_verdicts(series, stamped, [], config)
+        assert np.array_equal(survivors, verdicts[0]) and restamped == verdicts[1]
+        assert np.array_equal(read, verdicts[2])
+
+
 def test_kitchen_replica_removes_fluctuation_alarms_only() -> None:
     from replicas import run_replica
 
@@ -424,14 +447,14 @@ def test_kitchen_replica_removes_fluctuation_alarms_only() -> None:
 # The windowed re-detection against today's whole-trace path.
 
 
-def whole_trace_redetections(series: SampleSeries, config: HybridConfig) -> list[float]:
-    """Re-detection times as the whole-trace path finds them: smooth all, detect on all."""
+def whole_trace_redetections(series: SampleSeries, config: HybridConfig) -> list[int]:
+    """Re-detection indices as the whole-trace path finds them: smooth all, detect on all."""
     smoothed = SampleSeries(
         savitzky_golay(series.values, config.sg_window_samples, config.sg_poly_order),
         series.sampling_rate_hz,
         series.start_time_s,
     )
-    return detect_base(smoothed, config).timestamps_s.tolist()
+    return detect_base(smoothed, config).indices.tolist()
 
 
 def assert_refilter_matches_whole_trace(
@@ -439,15 +462,18 @@ def assert_refilter_matches_whole_trace(
     config: HybridConfig,
     specs: list[tuple[int, float]],
     extremum_indices: list[int],
-    re_times: list[float],
+    re_indices: list[int],
 ) -> None:
-    guard = seconds_to_samples(config.time_limit_s, series.sampling_rate_hz)
+    """Verdicts of ``(index, timestamp)`` candidates; the oracle reads only their indices."""
+    rate = series.sampling_rate_hz
+    guard = seconds_to_samples(config.time_limit_s, rate)
+    tolerance = seconds_to_samples(config.eval_match_tolerance_s, rate)
     candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
     survivors, verdicts, read = refilter_events_with_verdicts(
         series, candidates, extremum_indices, config
     )
     expected = oracle_refilter_verdicts(
-        specs, re_times, extremum_indices, config.eval_match_tolerance_s, guard
+        [i for i, _ in specs], re_indices, extremum_indices, tolerance, guard
     )
     assert [v.reason.value for v in verdicts] == expected
     assert [v.event_index for v in verdicts] == [i for i, _ in specs]
@@ -499,29 +525,24 @@ def busy_traces(draw) -> tuple[SampleSeries, HybridConfig]:
 def test_windowed_redetection_verdicts_equal_the_whole_trace_path(case, data) -> None:
     series, config = case
     size, rate = len(series), series.sampling_rate_hz
-    tolerance = config.eval_match_tolerance_s
+    tolerance = seconds_to_samples(config.eval_match_tolerance_s, rate)
     half = config.sg_window_samples // 2
-    re_times = whole_trace_redetections(series, config)
-    at_tolerance = [
-        float(edge)
-        for r in re_times
-        for bound in (r - tolerance, r + tolerance)
-        for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
-    ]
+    re_indices = whole_trace_redetections(series, config)
     end_time = series.time_at(size - 1)
+    # No verdict reads a timestamp: on the grid, off it, or far outside the trace.
     times = (
-        st.floats(series.start_time_s - 5.0, end_time + 5.0)  # off the grid, or outside
-        | st.integers(0, size - 1).map(series.time_at)  # on the grid
-        | st.sampled_from([series.start_time_s - 100.0, end_time + 100.0])  # far outside
+        st.floats(series.start_time_s - 5.0, end_time + 5.0)
+        | st.integers(0, size - 1).map(series.time_at)
+        | st.sampled_from([series.start_time_s - 100.0, end_time + 100.0])
     )
-    if at_tolerance:
-        times = st.sampled_from(at_tolerance) | times
-    # Within an SG half window of either end, or anywhere.
+    # At the tolerance from a re-detection, within an SG half window of either end, or anywhere.
     indices = st.integers(0, half) | st.integers(size - 1 - half, size - 1)
     indices |= st.integers(0, size - 1)
+    if at_tolerance := near_tolerance(re_indices, tolerance, size):
+        indices = st.sampled_from(at_tolerance) | indices
     specs = data.draw(st.lists(st.tuples(indices, times), min_size=1, max_size=12))
     extrema = data.draw(st.lists(st.integers(0, size - 1), max_size=4))
-    assert_refilter_matches_whole_trace(series, config, specs, extrema, re_times)
+    assert_refilter_matches_whole_trace(series, config, specs, extrema, re_indices)
 
 
 def smoothing_calls(monkeypatch: pytest.MonkeyPatch) -> list[int]:
@@ -549,18 +570,31 @@ def test_a_window_that_starts_inside_an_alarm_run_is_widened_back(
     values[400:] = values[399]
     series = series_at_20hz(values)
     config = HybridConfig(sg_window_samples=9, sg_poly_order=3)
-    re_times = whole_trace_redetections(series, config)
-    tolerance = config.eval_match_tolerance_s
-    specs = [(300, 15.0)] + [
-        (300, float(edge))
-        for r in re_times
-        if abs(r - 15.0) < 2.0
-        for bound in (r - tolerance, r + tolerance)
-        for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
-    ]
+    re_indices = whole_trace_redetections(series, config)
+    near = near_tolerance([r for r in re_indices if abs(r - 300) < 40], 20, len(series))
+    specs = [(index, series.time_at(index)) for index in [300] + near]
     sizes = smoothing_calls(monkeypatch)
-    assert_refilter_matches_whole_trace(series, config, specs, [], re_times)
+    assert_refilter_matches_whole_trace(series, config, specs, [], re_indices)
     assert len(sizes) > 1
+
+
+def test_a_first_alarm_exactly_the_time_limit_into_its_window_is_no_proven_reset() -> None:
+    # An interpolating SG filter (5 taps, order 4) leaves the trace as it is.
+    # With 1-sample mean windows, a staircase rising 20 W at the samples 0
+    # and 1 of every 4 alarms at every centre 0 mod 4, and the 4-sample time
+    # limit emits those 4 mod 8.  A candidate at 3 mod 8 reads the centres
+    # from 6 samples before it, so its window's first alarm lies exactly 4
+    # samples after the alarm just before the window, which suppresses it:
+    # no proven reset.  The 1-sample tolerance then tells which is emitted.
+    steps = np.where(np.arange(400) % 4 < 2, 20.0, 0.0)
+    series = series_at_20hz(1500.0 + np.cumsum(steps))
+    config = HybridConfig(
+        mean_window_s=0.05, eval_match_tolerance_s=0.05, sg_window_samples=5, sg_poly_order=4
+    )
+    re_indices = whole_trace_redetections(series, config)
+    assert re_indices == list(range(4, 397, 8))
+    specs = [(index, 0.0) for index in range(43, 360, 32)]
+    assert_refilter_matches_whole_trace(series, config, specs, [], re_indices)
 
 
 def test_windows_at_both_ends_of_a_short_trace_take_the_edge_fits() -> None:
@@ -572,10 +606,10 @@ def test_windows_at_both_ends_of_a_short_trace_take_the_edge_fits() -> None:
     config = HybridConfig(
         mean_window_s=0.02, eval_match_tolerance_s=0.01, sg_window_samples=41, sg_poly_order=2
     )
-    re_times = whole_trace_redetections(series, config)
+    re_indices = whole_trace_redetections(series, config)
     specs = [(0, series.time_at(1)), (119, series.time_at(118)), (60, series.time_at(60))]
-    specs += [(5, t) for t in re_times]
-    assert_refilter_matches_whole_trace(series, config, specs, [], re_times)
+    specs += [(r, 5.0) for r in re_indices]
+    assert_refilter_matches_whole_trace(series, config, specs, [], re_indices)
 
 
 # Errors: a fired refilter raises what the whole-trace path raises, with its message.
@@ -620,9 +654,10 @@ def test_a_trace_near_the_magnitude_limit_that_smooths_below_it_is_re_detected_a
     values = np.full(400, 0.7 * limit)
     values[200:] -= 1e3
     series = series_at_20hz(values)
-    re_times = whole_trace_redetections(series, config)
-    specs = [(200, series.time_at(200)), (100, 5.0)] + [(10, t + 1.0) for t in re_times]
-    assert_refilter_matches_whole_trace(series, config, specs, [], re_times)
+    re_indices = whole_trace_redetections(series, config)
+    specs = [(200, series.time_at(200)), (100, 5.0)]
+    specs += [(index, 0.5) for index in near_tolerance(re_indices, 20, len(series))]
+    assert_refilter_matches_whole_trace(series, config, specs, [], re_indices)
 
 
 def test_a_smoothing_that_overflows_is_refused_as_the_whole_trace_path_refuses_it() -> None:
@@ -673,9 +708,9 @@ def read_bound(series: SampleSeries, candidates: int, config: HybridConfig) -> i
     rate = series.sampling_rate_hz
     n = config.mean_window_samples(rate)
     half = config.sg_window_samples // 2
-    centres = 2 * config.eval_match_tolerance_s * rate + 3
-    lead_in = math.ceil(config.time_limit_s * rate) + 1
-    return int(candidates * (centres + lead_in + 2 * (n + half)))
+    centres = 2 * seconds_to_samples(config.eval_match_tolerance_s, rate) + 1
+    lead_in = seconds_to_samples(config.time_limit_s, rate) + 1
+    return candidates * (centres + lead_in + 2 * (n + half))
 
 
 def dense_trace() -> SampleSeries:

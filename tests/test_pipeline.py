@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import doctest
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from nilmevents import (
     detect_hybrid,
     generate_scenario,
     lld_max,
+    load_trace,
     seconds_to_samples,
     smoothed_derivative,
+    write_trace,
 )
 from nilmevents import core
 from nilmevents.filtering import refilter_events_with_verdicts
@@ -433,3 +437,88 @@ def test_no_stage_builds_the_summary_of_a_built_series(monkeypatch: pytest.Monke
     ):
         call()
         assert built == []
+
+
+# --- The stages decide in samples: no clock, rate rounding or file trip moves an event ---
+
+
+def stage_indices(series: SampleSeries, config: HybridConfig) -> tuple[list[int], ...]:
+    """The base, merged and final event indices of one run."""
+    result = detect_hybrid(series, config)
+    return tuple(
+        events.indices.tolist()
+        for events in (result.base_events, result.merged_events, result.events)
+    )
+
+
+def restarted(series: SampleSeries, start_time_s: float) -> SampleSeries:
+    return SampleSeries(series.values, series.sampling_rate_hz, start_time_s)
+
+
+def rescaled(series: SampleSeries, factor: float) -> SampleSeries:
+    return SampleSeries(series.values, series.sampling_rate_hz * factor, series.start_time_s)
+
+
+def reloaded(series: SampleSeries, directory: Path) -> SampleSeries:
+    path = directory / "trace.csv"
+    write_trace(path, series)
+    return load_trace(path)
+
+
+CONFIG_KINDS = ("bundled", "defaults")
+
+
+def config_of(name: str, kind: str) -> HybridConfig:
+    return replica_config(name) if kind == "bundled" else HybridConfig()
+
+
+@pytest.mark.parametrize("kind", CONFIG_KINDS)
+@pytest.mark.parametrize("name", REPLICA_NAMES)
+@pytest.mark.parametrize("start_time_s", [0.0, 1e6, 1.7e9])
+def test_replica_events_ignore_the_start_time(name: str, kind: str, start_time_s: float) -> None:
+    series, config = run_replica(name).series, config_of(name, kind)
+    assert stage_indices(restarted(series, start_time_s), config) == stage_indices(series, config)
+
+
+@pytest.mark.parametrize("kind", CONFIG_KINDS)
+@pytest.mark.parametrize("name", REPLICA_NAMES)
+@pytest.mark.parametrize("factor", [1.0 - 1e-12, 1.0 + 1e-12])
+def test_replica_events_ignore_a_rate_off_by_one_part_in_a_trillion(
+    name: str, kind: str, factor: float
+) -> None:
+    series, config = run_replica(name).series, config_of(name, kind)
+    assert stage_indices(rescaled(series, factor), config) == stage_indices(series, config)
+
+
+@pytest.mark.parametrize("kind", CONFIG_KINDS)
+@pytest.mark.parametrize("name", REPLICA_NAMES)
+@pytest.mark.parametrize("start_time_s", [0.0, 1e6, 1.7e9])
+def test_replica_events_survive_a_write_and_load_round_trip(
+    name: str, kind: str, start_time_s: float, tmp_path: Path
+) -> None:
+    series, config = restarted(run_replica(name).series, start_time_s), config_of(name, kind)
+    assert stage_indices(reloaded(series, tmp_path), config) == stage_indices(series, config)
+
+
+@settings(max_examples=60)
+@given(
+    moving_stretches(),
+    st.sampled_from([HybridConfig(), HybridConfig(sg_window_samples=41, sg_poly_order=2)]),
+    st.sampled_from(
+        [("start", 1e6), ("start", 1.7e9), ("rate", 1.0 - 1e-12), ("rate", 1.0 + 1e-12)]
+        + [("reload", 0.0), ("reload", 1e6), ("reload", 1.7e9)]
+    ),
+)
+def test_random_trace_events_ignore_the_clock_the_rate_rounding_and_a_file_trip(
+    series: SampleSeries, config: HybridConfig, change: tuple[str, float]
+) -> None:
+    kind, value = change
+    if kind == "start":
+        changed = restarted(series, value)
+    elif kind == "rate":
+        changed = rescaled(series, value)
+    else:
+        series = restarted(series, value)
+        with tempfile.TemporaryDirectory() as directory:
+            changed = reloaded(series, Path(directory))
+    assert stage_indices(changed, config) == stage_indices(series, config)
