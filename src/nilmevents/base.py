@@ -65,14 +65,11 @@ class MagnitudeTooLarge(DetectionError):
     """A trace's magnitude is too large for its window sums to resolve the threshold."""
 
 
-def _window_sums(
-    values: np.ndarray, n: int, start: int = 0, stop: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the ``n`` samples before and after the centres of profile entries ``[start, stop)``.
+def _window_sums(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the ``n`` samples before and after each centre with a full window on both sides.
 
-    Entry ``k`` of the profile belongs to centre ``n + k``, for every
-    centre with a full window on both sides; all of them by default.  The
-    before window covers ``[centre - n, centre - 1]`` and the after window
+    Entry ``k`` of the profile belongs to centre ``n + k``.  The before
+    window covers ``[centre - n, centre - 1]`` and the after window
     ``[centre + 1, centre + n]``; the centre sample is excluded so a step
     landing exactly on it biases neither mean.
 
@@ -82,14 +79,13 @@ def _window_sums(
     power-of-two parts from the lowest set bit of ``n`` up, each part
     starting where the ones before it end.  So a sum depends only on the
     samples it reads, bit for bit, and takes ``O(log n)`` vectorised
-    passes over ``values[start : stop + 2n]``.  One array of window sums
-    serves both windows: an entry's before sum is its entry ``k`` and its
-    after sum entry ``k + n + 1``; the two results are views of it.
+    passes over ``values``; the sums of a slice of ``values`` are those
+    of the whole.  One array of window sums serves both windows: an
+    entry's before sum is its entry ``k`` and its after sum entry ``k + n
+    + 1``; the two results are views of it.
     """
-    if stop is None:
-        stop = values.size - 2 * n
-    count = stop - start + n + 1  # the windows starting at samples [start, stop + n]
-    part = values[start : stop + 2 * n]  # W_1
+    count = values.size - n + 1  # the windows starting at samples [0, size - n]
+    part = values  # W_1
     sums = None
     offset = 0
     for bit in range(n.bit_length()):
@@ -100,19 +96,17 @@ def _window_sums(
             piece = part[offset : offset + count]
             sums = piece if sums is None else sums + piece
             offset += width
-    return sums[: stop - start], sums[n + 1 :]
+    return sums[: values.size - 2 * n], sums[n + 1 :]
 
 
-def _mean_difference_profile(
-    values: np.ndarray, n: int, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """After-minus-before window means for profile entries ``[start, stop)``.
+def _mean_difference_profile(values: np.ndarray, n: int) -> np.ndarray:
+    """After-minus-before window means for every centre with full windows.
 
     Computed as ``(sum_after - sum_before) / n`` with a single division,
     so a constant offset added to every sample cancels exactly whenever
     the window sums are exact (integer-valued data, for instance).
     """
-    before_sums, after_sums = _window_sums(values, n, start, stop)
+    before_sums, after_sums = _window_sums(values, n)
     return (after_sums - before_sums) / n
 
 
@@ -187,29 +181,25 @@ def _checked_margin(peak: float, n: int, threshold: float) -> float:
     return margin
 
 
-def _tested_entries(summary: _Summary, n: int, threshold: float) -> list[tuple[int, int]]:
-    """The profile entries ``[start, stop)`` the threshold test must run on, in order.
+def _tested_centres(summary: _Summary, n: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, stops)``: the centres ``[start, stop)`` the threshold test must run on, in order.
 
     A centre ``c`` reads ``x[c - n .. c + n]``, so a proof block of
     centres is quiet when ``range + r < threshold``, with ``range`` read
     from the trace's summary over the block widened by ``n`` samples on
     either side, and ``r`` from :func:`_rounding_margin`; a non-finite
-    range never is.  The runs of blocks that are not quiet, cut to the
-    centres with full windows, are returned as profile entries (entry
-    ``k`` is centre ``n + k``).  :func:`~nilmevents.baselines.lld_max`
-    reads the same runs, since its ``mu1 - mu0`` obeys the same bound.
+    range never is.  The runs of blocks that are not quiet are returned,
+    cut to the centres with full windows, ``[n, size - n)``.
+    :func:`~nilmevents.baselines.lld_max` reads the same runs, since its
+    ``mu1 - mu0`` obeys the same bound.
 
     Raises :class:`MagnitudeTooLarge` from :func:`_checked_margin`.
     """
     low, high = summary.block_ranges(n, n)
     quiet = (high - low) + _checked_margin(summary.peak(), n, threshold) < threshold
-    entries = summary.size - 2 * n
-    runs = _proof_runs(~quiet, summary.size)
-    return [
-        (max(start - n, 0), min(stop - n, entries))
-        for start, stop in runs
-        if start - n < entries and stop - n > 0
-    ]
+    starts, stops = _proof_runs(~quiet, summary.size)
+    starts, stops = np.maximum(starts, n), np.minimum(stops, summary.size - n)
+    return starts[starts < stops], stops[starts < stops]
 
 
 def _require_windows(size: int, n: int) -> None:
@@ -311,7 +301,7 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
 
     Notes
     -----
-    Only the centres not proven quiet (:func:`_tested_entries`) are
+    Only the centres not proven quiet (:func:`_tested_centres`) are
     summed and tested (module docstring).  The time-limit emission
     (:func:`_emitted`) moves every alarm chain on by one emitted alarm per
     array pass until ``_LOCKSTEP_CHAINS`` or fewer are left, and walks
@@ -331,10 +321,10 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     _require_windows(len(series), n)
     threshold = config.power_threshold_watts
 
-    runs = np.array(_tested_entries(series.summary, n, threshold), dtype=np.int64).reshape(-1, 2)
+    starts, stops = _tested_centres(series.summary, n, threshold)
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
     # A centre reads n samples on either side; entry k is centre n + k.
-    for layout in _piece_groups(runs[:, 0] + n, runs[:, 1] + n, n, n, len(series)):
+    for layout in _piece_groups(starts, stops, n, n, len(series)):
         diffs = _mean_difference_profile(layout.take(series.values), n)
         positions = _alarming(diffs, threshold)
         kept, centres = layout.own(positions + n)

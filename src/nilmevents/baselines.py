@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import _rounding_margin, _tested_entries, _window_sums
+from .base import _alarming, _require_windows, _rounding_margin, _tested_centres, _window_sums
 from .core import (
     DetectionError,
     Events,
     SampleSeries,
-    SeriesTooShort,
     _BLOCK_SAMPLES,
+    _Layout,
     _check_integer,
     _check_setting,
-    _union,
+    _piece_groups,
 )
 
 __all__ = ["LldConfig", "lld_max"]
@@ -83,67 +83,71 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     ``power_threshold_watts``.
 
     The statistic is computed only where the series summary's range proof
-    fails (:func:`~nilmevents.base._tested_entries`): elsewhere ``|mu1 -
-    mu0|`` is below the threshold, so ``ds`` is 0.  Each tested run is
-    widened by ``maxima_precision_samples`` on both sides, so that it
-    holds the whole window of each of its candidates, widened runs that
-    touch are joined (:func:`~nilmevents.core._union`), and the strict
-    maxima are found run by run, with the zeros beyond a run standing for
-    the quiet entries there; a nonzero candidate never ties with a 0.  So
-    the events are those of the statistic over the whole trace, for any
-    proof-block size.  The runs are not gathered end to end like the
-    hybrid stages' pieces (:mod:`nilmevents.core`): a maximum near a run's
-    end is tested against the zeros beyond it, not a neighbour's entries.
+    fails (:func:`~nilmevents.base._tested_centres`): elsewhere ``|mu1 -
+    mu0|`` is below the threshold, so ``ds`` is 0.  The tested centres are
+    walked as the pieces of :mod:`nilmevents.core`, each reading
+    ``pre_window_samples + maxima_precision_samples`` samples past either
+    end, so that every entry within ``maxima_precision_samples`` of a
+    centre it owns is computed from the piece's own reads, and only the
+    candidates at centres a piece owns are tested.  A piece's entries
+    beyond its tested centres come out 0, as over the whole trace, since
+    ``r`` bounds the computed ``mu1 - mu0`` too.  Past a trace end there is no
+    entry, and the gathered array's zero padding stands for it: a nonzero
+    candidate never ties with a 0.  So the events are those of the
+    statistic over the whole trace, for any block and proof-block size.  A
+    window as wide as the profile already covers every eligible index, so
+    ``maxima_precision_samples`` is read as at most the profile length.
     """
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
-    if len(series) < 2 * pw + 1:
-        raise SeriesTooShort(
-            f"need at least {2 * pw + 1} samples for pre-window {pw}, got {len(series)}"
-        )
+    _require_windows(len(series), pw)
     threshold = config.power_threshold_watts
-    m = config.maxima_precision_samples
-    runs = np.array(_tested_entries(series.summary, pw, threshold), dtype=np.int64).reshape(-1, 2)
-    entries = len(series) - 2 * pw
-    starts, stops = _union(np.maximum(runs[:, 0] - m, 0), np.minimum(runs[:, 1] + m, entries))
+    m = min(int(config.maxima_precision_samples), len(series) - 2 * pw)
+    starts, stops = _tested_centres(series.summary, pw, threshold)
     margin = _rounding_margin(series.summary.peak(), pw)
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    for lo, hi in zip(starts.tolist(), stops.tolist()):
-        found.append(_run_maxima(series.values, pw, lo, hi, threshold, margin, m))
-    indices = pw + np.concatenate([positions for positions, _ in found])
+    for layout in _piece_groups(starts, stops, pw + m, pw + m, len(series)):
+        found.append(_maxima(layout, series.values, pw, threshold, margin, m))
+    indices = np.concatenate([centres for centres, _ in found])
     deltas = np.concatenate([deltas for _, deltas in found])
     return Events(indices, series.time_at(indices), deltas)
 
 
-def _run_maxima(
-    x: np.ndarray, pw: int, lo: int, hi: int, threshold: float, margin: float, m: int
+def _maxima(
+    layout: _Layout, values: np.ndarray, pw: int, threshold: float, margin: float, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Profile entries and deltas of the strict maxima of ``|ds|`` on entries ``[lo, hi)``."""
-    before_sums, after_sums = _window_sums(x, pw, lo, hi)  # views of one array of window sums
+    """Centres and deltas of the strict maxima of ``|ds|`` that the ``layout``'s pieces own.
+
+    ``|ds|`` is computed over ``layout.take(values)``, with zeros past its ends.
+    """
+    x = layout.take(values)
+    before_sums, after_sums = _window_sums(x, pw)  # views of one array of window sums
     mean_diff = after_sums / pw
     mean_diff -= before_sums / pw  # mu1 - mu0
     # ds is zero wherever |mu1 - mu0| <= threshold, so it is computed only
     # at the other positions, each by the formula of lld_max.
-    active = np.flatnonzero((mean_diff > threshold) | (mean_diff < -threshold))
+    active = _alarming(mean_diff, threshold)
     midpoint = (after_sums[active] / pw + before_sums[active] / pw) / 2.0
-    deviation = np.abs(x[pw + lo + active] - midpoint)
+    deviation = np.abs(x[pw + active] - midpoint)
     deviation[deviation <= margin] = 0.0  # what rounding alone can give
 
-    # Entries within m of the run's ends see zeros beyond them: the quiet
-    # entries there, or the ends of the profile.  No candidate (a nonzero
-    # magnitude) ties with a zero, so a window at a profile end is in
-    # effect truncated.
-    padded = np.zeros(hi - lo + 2 * m)
+    # Entries within m of the array's ends see the zero padding beyond them.
+    # No candidate (a nonzero magnitude) ties with a zero, so a window at a
+    # profile end is in effect truncated.
+    padded = np.zeros(mean_diff.size + 2 * m)
     magnitude = padded[m:-m]
     magnitude[active] = np.abs(mean_diff[active]) * deviation
     candidates = active[magnitude[active] > 0]
+    # Only owned candidates are tested: the others lie in a halo or straddle two pieces.
+    kept, centres = layout.own(candidates + pw)
+    candidates = candidates[kept]
     windows = sliding_window_view(padded, 2 * m + 1)
     # A strict maximum is the only entry of its window that is >= it.  The
     # candidates go in chunks, so the (chunk, 2m + 1) comparison stays small.
     chunk = max(1, _BLOCK_SAMPLES // (2 * m + 1))
-    maxima = [
-        part[np.count_nonzero(windows[part] >= magnitude[part, None], axis=1) == 1]
+    strict = [
+        np.count_nonzero(windows[part] >= magnitude[part, None], axis=1) == 1
         for part in (candidates[i : i + chunk] for i in range(0, candidates.size, chunk))
     ]
-    positions = np.concatenate([np.empty(0, dtype=np.int64), *maxima])
-    return lo + positions, mean_diff[positions]
+    is_max = np.concatenate([np.empty(0, dtype=bool), *strict])
+    return centres[is_max], mean_diff[candidates[is_max]]

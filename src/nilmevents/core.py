@@ -9,18 +9,20 @@ arrays that enforce the event rules once; a :class:`DetectedEvent` is an
 unchecked view of one position, built only where a caller reads events
 one at a time.  Durations are configured in seconds and converted to
 sample counts at the configured sampling rate via
-:func:`seconds_to_samples`.  The full-length passes of the other modules
-walk their range in the blocks of ``_blocks``, so that each block's
-temporaries stay in cache, and return the same results for any block
-size.
+:func:`seconds_to_samples`, at most ``2**53`` samples.  The passes over
+one contiguous range (the smoothers' interior convolution, the
+refilter's profile, the time-limit walk and the trace writer) walk it in
+the blocks of ``_blocks``, so that each block's temporaries stay in
+cache, and return the same results for any block size.
 
-A stage that computes only near where it reads lays out the ranges it
-needs as pieces (:class:`_Layout`), each owning a range of samples and
-reading it widened by ``before`` and ``after`` samples, clipped to the
-trace (``_reads``); ``_piece_groups`` groups pieces of at most a block
-about a block at a time.  The stage runs its whole-array kernel once
-over a group's reads laid end to end (:meth:`_Layout.take`), and keeps
-the outputs whose sample the piece holding them owns (:meth:`_Layout.own`).
+A stage that computes only near where it reads (``detect_base``, the
+smoothed derivative and ``lld_max``) lays out the ranges it needs as
+pieces (:class:`_Layout`), each owning a range of samples and reading it
+widened by ``before`` and ``after`` samples, clipped to the trace
+(``_reads``); ``_piece_groups`` groups pieces of at most a block about a
+block at a time.  The stage runs its whole-array kernel once over a
+group's reads laid end to end (:meth:`_Layout.take`), and keeps the
+outputs whose sample the piece holding them owns (:meth:`_Layout.own`).
 
 **Exactness.**  Let the kernel's output at sample ``s`` read only
 samples in ``[s - before, s + after]``.  Then an output that ``own``
@@ -29,13 +31,14 @@ is the dot product the kernel takes over the whole trace, of the same
 samples in the same order, so bit for bit the same for any block size.
 An output that straddles two pieces is owned by neither, and dropped.
 An output whose reads would pass an end of the trace (the derivative's
-zero pad, a smoother's end fits) is the whole-trace one where its piece
-is the first, or the last, in the gathered array, and reads at least one
-smoothing window from that end: the kernel then sees the trace's end and
-the trace's own end window.  So a read that touches an end spans at
-least one window (``_reads``), a piece whose read does so comes first, or
-last, in its group (``_piece_groups``), and a smoother's end fits depend
-only on the samples of its end window, not on where they sit in memory.
+zero pad, a smoother's end fits, LLD-Max's zeros past the profile) is
+the whole-trace one where its piece is the first, or the last, in the
+gathered array, and reads at least one smoothing window from that end:
+the kernel then sees the trace's end and the trace's own end window.
+So a read that touches an end spans at least one window (``_reads``), a
+piece whose read does so comes first, or last, in its group
+(``_piece_groups``), and a smoother's end fits depend only on the
+samples of its end window, not on where they sit in memory.
 
 Every trace-wide fact the detectors need comes from one summary that a
 :class:`SampleSeries` builds at construction, the min and the max of each
@@ -117,6 +120,10 @@ class ZeroGroundTruth(DetectionError):
     """Rates were requested against an empty reference log."""
 
 
+# The most samples a duration converts to: more than any series holds.
+_MAX_SAMPLES = 2**53
+
+
 def seconds_to_samples(duration_s: float, rate_hz: float) -> int:
     """Convert a duration to a sample count, never returning less than 1.
 
@@ -130,13 +137,17 @@ def seconds_to_samples(duration_s: float, rate_hz: float) -> int:
     Returns
     -------
     int
-        ``max(1, round(duration_s * rate_hz))``.
+        ``max(1, round(duration_s * rate_hz))``, at most ``2**53``.  No
+        series holds that many samples, so a longer duration takes every
+        decision as its exact count would, and index arithmetic on it
+        stays inside int64.
     """
     if not math.isfinite(duration_s) or duration_s <= 0:
         raise NonPositiveDuration(f"duration_s must be positive, got {duration_s}")
     if not math.isfinite(rate_hz) or rate_hz <= 0:
         raise NonPositiveRate(f"rate_hz must be positive, got {rate_hz}")
-    return max(1, round(duration_s * rate_hz))
+    samples = duration_s * rate_hz  # may overflow to inf
+    return _MAX_SAMPLES if samples >= _MAX_SAMPLES else max(1, round(samples))
 
 
 # Samples per block of a series' summary: fine enough that a range bound
@@ -428,8 +439,8 @@ class _Ranges:
         return positions + np.repeat(self.starts - offsets, per_range)
 
 
-def _proof_runs(active: np.ndarray, size: int) -> list[tuple[int, int]]:
-    """``[start, stop)`` of each run of active proof blocks, clipped to ``[0, size)``.
+def _proof_runs(active: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, stops)``: each run of active proof blocks as a range, clipped to ``[0, size)``.
 
     Proof block ``b`` covers samples ``[b * P, (b + 1) * P)``, with ``P =
     _PROOF_BLOCK_SAMPLES``, and is active where ``active[b]`` is true.  Each
@@ -438,9 +449,7 @@ def _proof_runs(active: np.ndarray, size: int) -> list[tuple[int, int]]:
     """
     flags = np.concatenate(([0], np.asarray(active, dtype=np.int8), [0]))
     edges = np.flatnonzero(np.diff(flags)) * _PROOF_BLOCK_SAMPLES
-    return [
-        (start, min(stop, size)) for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())
-    ]
+    return edges[0::2], np.minimum(edges[1::2], size)
 
 
 def validate_series(series: SampleSeries) -> SampleSeries:
@@ -597,10 +606,10 @@ class HybridConfig:
     smoothing windows, and the settle threshold for the appliance mix at
     hand.
 
-    Every duration is rounded to the nearest whole sample, at least 1, by
-    :func:`seconds_to_samples` at the series' rate before any decision
-    reads it, so every detection decision is an integer test on sample
-    indices: no timestamp is compared.
+    Every duration is rounded to the nearest whole sample, at least 1 and
+    at most ``2**53``, by :func:`seconds_to_samples` at the series' rate
+    before any decision reads it, so every detection decision is an
+    integer test on sample indices: no timestamp is compared.
     """
 
     mean_window_s: float = 0.3

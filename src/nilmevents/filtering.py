@@ -248,7 +248,7 @@ def _window_alarms(
     smoothed = savitzky_golay(pieces.take(x), win, config.sg_poly_order)
     found = [np.empty(0, dtype=np.int64)]
     for start, stop in _blocks(smoothed.size - 2 * n):
-        diffs = _mean_difference_profile(smoothed, n, start, stop)
+        diffs = _mean_difference_profile(smoothed[start : stop + 2 * n], n)
         found.append(_alarming(diffs, config.power_threshold_watts) + (start + n))
     return pieces.own(np.concatenate(found))[1]
 

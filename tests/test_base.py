@@ -28,11 +28,10 @@ from nilmevents.base import (
     _emitted,
     _mean_difference_profile,
     _rounding_margin,
-    _tested_entries,
     _window_sums,
 )
 
-from blocks import BLOCK_SIZES, PROOF_BLOCK_SIZES, use_blocks, use_proof_blocks
+from blocks import BLOCK_SIZES, PROOF_BLOCK_SIZES, unproven_entries, use_blocks, use_proof_blocks
 from oracles import (
     oracle_base_events,
     oracle_emitted,
@@ -487,7 +486,7 @@ def test_grouped_runs_match_the_oracle_on_integers(
     use_proof_blocks(monkeypatch, proof_block)
     values = clustered_steps(16_000, np.random.default_rng(proof_block * 10 + n))
     config = HybridConfig(mean_window_s=n / 20.0, time_limit_s=0.01)
-    runs = _tested_entries(SampleSeries(values, 20.0).summary, n, 25.0)
+    runs = unproven_entries(SampleSeries(values, 20.0).summary, n, 25.0)
     assert len(runs) >= (3 if proof_block == 1024 else 8)
     events = event_triples(detect_base(series_at_20hz(values), config))
     assert events == oracle_base_events(values, 20.0, n, 25.0, 0.01)
@@ -518,7 +517,7 @@ def test_a_run_longer_than_a_block_is_profiled_in_pieces(
     values = clustered_steps(6000, rng)
     values[3000:3700] += rng.integers(-300, 300, 700)
     n = 6
-    runs = _tested_entries(SampleSeries(values, 20.0).summary, n, 25.0)
+    runs = unproven_entries(SampleSeries(values, 20.0).summary, n, 25.0)
     assert max(stop - start for start, stop in runs) > 11 * 64
     config = HybridConfig(time_limit_s=0.01)
     events = event_triples(detect_base(series_at_20hz(values), config))
@@ -533,13 +532,13 @@ def test_short_runs_share_one_profile_per_group(monkeypatch: pytest.MonkeyPatch)
     for at in range(3000, values.size, 6000):
         values[at:] += rng.choice([-1.0, 1.0]) * rng.uniform(150.0, 400.0)
     series = SampleSeries(values, 60.0)
-    runs = _tested_entries(series.summary, 18, 25.0)
+    runs = unproven_entries(series.summary, 18, 25.0)
     calls: list[int] = []
     window_sums = base._window_sums
 
-    def counted(values, n, start=0, stop=None):
+    def counted(values, n):
         calls.append(n)
-        return window_sums(values, n, start, stop)
+        return window_sums(values, n)
 
     monkeypatch.setattr(base, "_window_sums", counted)
     events = detect_base(series, HybridConfig())
@@ -711,7 +710,7 @@ def test_a_range_one_ulp_from_threshold_minus_the_margin_gives_the_whole_profile
     edge = (high[12] - low[12]) + _rounding_margin(summary.peak(), n)
     threshold = float(np.nextafter(edge, np.inf if side == "below" else -np.inf))
     tested = {
-        k for start, stop in _tested_entries(summary, n, threshold) for k in range(start, stop)
+        k for start, stop in unproven_entries(summary, n, threshold) for k in range(start, stop)
     }
     block_entries = set(range(381, 413))
     assert (block_entries <= tested) == (side == "above")
@@ -741,10 +740,10 @@ def test_a_margin_that_reaches_the_threshold_is_refused(
 
     assert _rounding_margin(6.4e15 + 100.0, 6) >= 25.0 > _rounding_margin(6.0e15 + 100.0, 6)
     with pytest.raises(MagnitudeTooLarge, match="reaches the power threshold 25 W"):
-        _tested_entries(core._Summary.of(stepped(6.4e15)), 6, 25.0)
+        unproven_entries(core._Summary.of(stepped(6.4e15)), 6, 25.0)
     with pytest.raises(MagnitudeTooLarge):
         detect_base(series_at_20hz(stepped(6.4e15)), HybridConfig())
-    assert _tested_entries(core._Summary.of(np.full(17, 6.0e15)), 6, 25.0) == []
+    assert unproven_entries(core._Summary.of(np.full(17, 6.0e15)), 6, 25.0) == []
     events = event_triples(detect_base(series_at_20hz(stepped(6.0e15)), HybridConfig()))
     assert events == events_from_whole_profile(stepped(6.0e15), 20.0, 6, 25.0, 0.2)
     assert events

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -16,9 +18,9 @@ from nilmevents import (
     lld_max,
 )
 from nilmevents import baselines
-from nilmevents.base import MagnitudeTooLarge, _rounding_margin, _tested_entries
+from nilmevents.base import MagnitudeTooLarge, _rounding_margin
 
-from blocks import use_proof_blocks
+from blocks import unproven_entries, use_proof_blocks
 from oracles import exact_lld_deviation, oracle_lld
 
 integer_traces = st.lists(
@@ -273,7 +275,7 @@ def test_restricted_lld_handles_close_runs_run_edges_and_trace_ends() -> None:
     pw, m = 25, 10
     with pytest.MonkeyPatch.context() as monkeypatch:
         use_proof_blocks(monkeypatch, 1)
-        runs = _tested_entries(series_at_20hz(values).summary, pw, 25.0)
+        runs = unproven_entries(series_at_20hz(values).summary, pw, 25.0)
     # Only samples 64-127 are quiet in the 64-sample summary, so only the
     # entries 64-77, whose windows lie inside them, are proven quiet: 14 < 2m.
     assert runs == [(0, 64), (78, 206)]
@@ -305,7 +307,7 @@ def test_a_maximum_beaten_across_a_proven_quiet_gap_is_not_reported() -> None:
     config = LldConfig(pre_window_samples=30, maxima_precision_samples=10)
     with pytest.MonkeyPatch.context() as monkeypatch:
         use_proof_blocks(monkeypatch, 1)
-        assert _tested_entries(series_at_20hz(values).summary, 30, 25.0) == [(0, 64), (68, 192)]
+        assert unproven_entries(series_at_20hz(values).summary, 30, 25.0) == [(0, 64), (68, 192)]
     expected = oracle_lld(values, 30, 25.0, 10)
     assert expected == [(98, -33.5)]
     for block in LLD_PROOF_BLOCKS:
@@ -369,3 +371,94 @@ def test_lld_refuses_magnitudes_its_sums_cannot_resolve_for_any_proof_block(
     with pytest.raises(MagnitudeTooLarge) as excinfo:
         lld_with_proof_block(values, config, block)
     assert str(excinfo.value) == message
+
+
+# --- Every block size: the layout walk ----------------------------------------
+#
+# lld_max walks its tested centres as the pieces of core._piece_groups, each
+# reading pre_window + precision samples on either side, so small blocks cut
+# a run into many pieces and put several runs into one gathered array.
+
+
+def summary_block_steps(seed: int) -> np.ndarray:
+    """An integer trace of 12 summary blocks: each flat, stepped once, or busy.
+
+    The first and the last block are stepped within a few samples of the
+    trace's ends, stepped blocks with a quiet block between them give runs
+    fewer than ``2 * precision`` entries apart for the wider pre-windows,
+    and two or three busy blocks in a row give a run longer than a block.
+    A step has a transitional sample, and a unit of noise breaks ties.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["flat", "step", "busy"], size=12, p=[0.45, 0.4, 0.15])
+    kinds[0], kinds[-1] = "step", "step"
+    busy_at = rng.integers(2, 9)
+    kinds[busy_at : busy_at + rng.integers(2, 4)] = "busy"
+    x = np.empty(12 * 64)
+    level = float(rng.integers(0, 1500))
+    for block, kind in enumerate(kinds):
+        start = 64 * block
+        x[start : start + 64] = level
+        if kind == "busy":
+            x[start : start + 64] += rng.integers(-300, 300, 64)
+        elif kind == "step":
+            at = start + (rng.integers(1, 4) if block == 0 else rng.integers(0, 63))
+            if block == 11:
+                at = x.size - rng.integers(2, 5)
+            new = float(rng.integers(0, 1500))
+            x[at] = level + round(0.3 * (new - level))
+            x[at + 1 :] = level = new
+    return x + rng.integers(0, 2, x.size)
+
+
+LLD_BLOCK_WINDOWS = ((1, 1), (6, 10), (10, 25), (25, 10), (30, 12))
+
+
+@functools.lru_cache(maxsize=None)
+def summary_block_oracle(seed: int, pw: int, m: int) -> list[tuple[int, float]]:
+    return oracle_lld(summary_block_steps(seed), pw, 25.0, m)
+
+
+def test_the_block_traces_hold_end_runs_close_runs_and_long_runs(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    use_proof_blocks(monkeypatch, 1)
+    at_ends, close, long = set(), set(), set()
+    for seed in range(8):
+        values = summary_block_steps(seed)
+        for pw, m in LLD_BLOCK_WINDOWS:
+            runs = unproven_entries(series_at_20hz(values).summary, pw, 25.0)
+            at_ends.add(runs[0][0] == 0 and runs[-1][1] == values.size - 2 * pw)
+            close.add(any(b[0] - a[1] < 2 * m for a, b in zip(runs, runs[1:])))
+            long.add(max(stop - start for start, stop in runs) > 64)
+    assert True in at_ends and True in close and long == {True}
+
+
+@pytest.mark.parametrize("proof_block", [1, 7, 64, 1024])
+def test_lld_matches_the_oracle_for_every_block_size(small_blocks: int, proof_block: int) -> None:
+    for seed in range(8):
+        values = summary_block_steps(seed)
+        for pw, m in LLD_BLOCK_WINDOWS:
+            config = LldConfig(pre_window_samples=pw, maxima_precision_samples=m)
+            events = lld_with_proof_block(values, config, proof_block)
+            expected = summary_block_oracle(seed, pw, m)
+            assert [(index, delta) for index, _, delta in events] == expected, (seed, pw, m)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.r_[np.zeros(200), np.full(200, 300.0)],
+        np.r_[np.zeros(200), 90.0, np.full(120, 300.0), 200.0, np.full(78, 30.0)],
+    ],
+    ids=["symmetric-step", "pulse"],
+)
+@pytest.mark.parametrize("precision", [387, 388, 389, 2**62, 10**30], ids=str)
+def test_a_precision_window_past_the_profile_gives_the_oracle_events(
+    values: np.ndarray, precision: int
+) -> None:
+    """A window as wide as the 388-entry profile already covers every eligible
+    index, so a wider one, however wide, gives the same events."""
+    config = LldConfig(maxima_precision_samples=precision)
+    events = lld_max(series_at_20hz(values), config)
+    assert [(e.index, e.delta_watts) for e in events] == oracle_lld(values, 6, 25.0, precision)

@@ -29,7 +29,7 @@ from nilmevents import (
 )
 from nilmevents import core
 
-from blocks import PROOF_BLOCK_SIZES, use_blocks, use_proof_blocks
+from blocks import PROOF_BLOCK_SIZES, pairs, use_blocks, use_proof_blocks
 
 rates = st.floats(min_value=0.1, max_value=1000.0, allow_nan=False)
 
@@ -49,6 +49,13 @@ def test_seconds_to_samples_rejects_non_positive_inputs() -> None:
         seconds_to_samples(1.0, 0.0)
     with pytest.raises(NonPositiveRate):
         seconds_to_samples(1.0, -5.0)
+
+
+def test_seconds_to_samples_caps_counts_no_series_holds() -> None:
+    assert seconds_to_samples(2.0**53 - 1, 1.0) == 2**53 - 1
+    assert seconds_to_samples(2.0**53, 1.0) == 2**53
+    assert seconds_to_samples(2.0**60, 1.0) == 2**53
+    assert seconds_to_samples(1e300, 1e10) == 2**53  # the product overflows to inf
 
 
 @given(st.integers(min_value=1, max_value=1_000_000), rates)
@@ -344,9 +351,9 @@ def test_proof_runs_cover_each_run_of_active_blocks_and_clip_to_the_trace(
 ) -> None:
     use_proof_blocks(monkeypatch, 10)
     active = np.array([True, True, False, False, True, False, True])
-    assert core._proof_runs(active, 65) == [(0, 20), (40, 50), (60, 65)]
-    assert core._proof_runs(np.zeros(3, dtype=bool), 30) == []
-    assert core._proof_runs(np.ones(3, dtype=bool), 25) == [(0, 25)]
+    assert pairs(core._proof_runs(active, 65)) == [(0, 20), (40, 50), (60, 65)]
+    assert pairs(core._proof_runs(np.zeros(3, dtype=bool), 30)) == []
+    assert pairs(core._proof_runs(np.ones(3, dtype=bool), 25)) == [(0, 25)]
 
 
 @given(

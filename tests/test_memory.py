@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from nilmevents import HybridConfig, SampleSeries, core, detect_base, load_trace
-from nilmevents.base import _tested_entries
 from nilmevents.derivative import _SmoothedDerivative
+
+from blocks import unproven_entries
 
 
 def traced_peak(call) -> tuple[object, int]:
@@ -84,7 +85,7 @@ def test_detect_base_holds_a_few_blocks(steps: int, sigma: float, runs: int) -> 
     config = HybridConfig()
     detect_base(SampleSeries(np.random.default_rng(4).normal(500.0, 2.0, 4096), 20.0), config)
     series = noisy_steps(steps, sigma)
-    assert len(_tested_entries(series.summary, 6, 25.0)) == runs
+    assert len(unproven_entries(series.summary, 6, 25.0)) == runs
     events, peak = traced_peak(lambda: detect_base(series, config))
     assert len(events) >= steps
     assert peak <= 8 * 8 * core._BLOCK_SAMPLES  # eight blocks of float64; the trace is 8 MB

@@ -522,3 +522,52 @@ def test_random_trace_events_ignore_the_clock_the_rate_rounding_and_a_file_trip(
         with tempfile.TemporaryDirectory() as directory:
             changed = reloaded(series, Path(directory))
     assert stage_indices(changed, config) == stage_indices(series, config)
+
+
+# --- Durations no series can hold -------------------------------------------
+#
+# A duration converts to at most 2**53 samples, so one longer than any trace
+# decides as a long but exact one does, and raises nothing but a named error.
+
+HUGE_DURATIONS = [
+    {"mean_window_s": 1e300},
+    {"time_limit_s": 1e300, "settle_threshold_s": 1e301},
+    {"time_limit_s": 1e299, "settle_threshold_s": 1e300},
+    {"settle_threshold_s": 1e300},
+    {"loess_window_s": 1e300},
+    {"eval_match_tolerance_s": 1e300},
+]
+
+
+def pipeline_outcome(series: SampleSeries, config: HybridConfig):
+    """The stage outputs of ``detect_hybrid`` as lists, or the name of its error."""
+    try:
+        result = detect_hybrid(series, config)
+    except DetectionError as error:
+        return type(error).__name__
+    return (
+        result.base_events.indices.tolist(),
+        result.base_events.deltas_watts.tolist(),
+        result.merged_positions.tolist(),
+        result.final_positions.tolist(),
+        result.extrema.tolist(),
+        result.filter_verdicts.reason_codes.tolist(),
+    )
+
+
+@pytest.mark.parametrize("durations", HUGE_DURATIONS, ids=lambda d: "+".join(d))
+@pytest.mark.parametrize(
+    "series",
+    [
+        SampleSeries(np.zeros(100), 1e10),
+        SampleSeries(np.r_[np.zeros(200), np.full(200, 3000.0)], 20.0),
+    ],
+    ids=["flat-at-10-GHz", "refilter-fires"],
+)
+def test_durations_past_any_series_decide_as_long_exact_ones(
+    series: SampleSeries, durations: dict[str, float]
+) -> None:
+    outcome = pipeline_outcome(series, HybridConfig(**durations))
+    long = {name: seconds * 1e-295 for name, seconds in durations.items()}  # 1e5 s and so on
+    assert outcome == pipeline_outcome(series, HybridConfig(**long))
+    assert outcome != "DetectionError"
