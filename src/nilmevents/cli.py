@@ -18,7 +18,6 @@ file is missing or malformed or a domain check fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +29,7 @@ from .core import DetectionError, HybridConfig, SampleSeries
 from .derivative import detect_extrema, first_derivative
 from .evaluation import evaluate_detections
 from .io import (
+    _write_rows,
     format_report,
     load_config_file,
     load_ground_truth,
@@ -106,21 +106,15 @@ def _emit_stage_files(
     )
     smoothed = smoothed_derivative(series, config)
     write_trace(out / "smoothed_derivative.csv", SampleSeries(smoothed, rate, start))
-    extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
-    with open(out / "extrema.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "kind", "value"])
-        for index in extrema.tolist():
-            value = smoothed[index]
-            kind = "PEAK" if value > smoothed[index - 1] else "VALLEY"
-            writer.writerow([index, kind, f"{value:.6f}"])
-    write_events(out / "events_base.csv", result.base_events)
-    write_events(out / "events_merged.csv", result.merged_events)
-    write_events(out / "events_final.csv", result.events)
-    with open(out / "verdicts.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "reason"])
-        writer.writerows((v.event_index, v.reason.value) for v in result.filter_verdicts)
+    extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon).tolist()
+    kinds = ("PEAK" if smoothed[i] > smoothed[i - 1] else "VALLEY" for i in extrema)
+    rows = ([i, kind, f"{smoothed[i]:.6f}"] for i, kind in zip(extrema, kinds))
+    _write_rows(out / "extrema.csv", ["index", "kind", "value"], rows)
+    stages = {"base": result.base_events, "merged": result.merged_events, "final": result.events}
+    for stage, events in stages.items():
+        write_events(out / f"events_{stage}.csv", events)
+    verdicts = ((v.event_index, v.reason.value) for v in result.filter_verdicts)
+    _write_rows(out / "verdicts.csv", ["index", "reason"], verdicts)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:

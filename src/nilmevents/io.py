@@ -17,7 +17,10 @@ and writes each block with one call, so memory stays bounded by a block.
 
 Reference logs travel as ``timestamp_s,label`` CSV.  Detections go out
 only, as ``index,timestamp_s,delta_watts`` CSV with six-decimal reals,
-written straight from the :class:`Events` arrays a detector returns.  A
+written straight from the :class:`Events` arrays a detector returns.
+Every CSV file but the trace goes out through one row writer,
+``csv.writer`` with ``\r\n`` line ends: reference logs, detections, and
+the extrema and verdicts that ``detect --emit-stages`` writes.  A
 report renders as a plain-text table followed by ``key=value`` lines so
 shell scripts can grep single fields.  Config files are ``key = value``
 lines naming :class:`HybridConfig` fields, layered over the defaults,
@@ -97,13 +100,13 @@ def _looks_like_header(line: str) -> bool:
 
 
 @contextmanager
-def _decoding(path: Path) -> typing.Iterator[None]:
-    """Report bytes that are not UTF-8 as a :class:`ParseError` naming the file."""
+def _decoding(path: str | Path, error: type[DetectionError] = ParseError) -> typing.Iterator[None]:
+    """Report bytes that are not UTF-8 as an ``error`` naming the file."""
     try:
         yield
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start : exc.end]
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} {bad!r}") from None
+        raise error(f"{path}: not UTF-8 text: {exc.reason} {bad!r}") from None
 
 
 def _data_lines(path: Path, delimiter: str | None) -> typing.Iterator[tuple[int, list[str]]]:
@@ -279,13 +282,20 @@ def load_ground_truth(path: str | Path) -> GroundTruthLog:
     return GroundTruthLog(entries=tuple(entries))
 
 
+def _write_rows(target: str | Path | typing.TextIO, header: list, rows: typing.Iterable) -> None:
+    """Write ``header`` and then ``rows`` as CSV to a path or an open text stream."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", newline="", encoding="utf-8") as handle:
+            _write_rows(handle, header, rows)
+        return
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def write_ground_truth(path: str | Path, log: GroundTruthLog) -> None:
     """Write a reference log in the format :func:`load_ground_truth` reads."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_TRUTH_HEADER)
-        for entry in log:
-            writer.writerow([repr(entry.timestamp_s), entry.label])
+    _write_rows(path, _TRUTH_HEADER, ([repr(e.timestamp_s), e.label] for e in log))
 
 
 def write_events(target: str | Path | typing.TextIO, events: Events) -> None:
@@ -295,16 +305,8 @@ def write_events(target: str | Path | typing.TextIO, events: Events) -> None:
     instance).  Reals carry six decimal places.  An event's stage is the
     list it came from, so per-stage event files are told apart by name.
     """
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            write_events(handle, events)
-        return
-    writer = csv.writer(target)
-    writer.writerow(_EVENT_HEADER)
-    rows = zip(
-        events.indices.tolist(), events.timestamps_s.tolist(), events.deltas_watts.tolist()
-    )
-    writer.writerows([index, f"{stamp:.6f}", f"{delta:.6f}"] for index, stamp, delta in rows)
+    rows = zip(events.indices.tolist(), events.timestamps_s.tolist(), events.deltas_watts.tolist())
+    _write_rows(target, _EVENT_HEADER, ([i, f"{t:.6f}", f"{delta:.6f}"] for i, t, delta in rows))
 
 
 def format_report(report: EvaluationReport) -> str:

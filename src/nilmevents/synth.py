@@ -14,6 +14,11 @@ Burst geometry is fixed: a burst lasts ``BURST_CYCLES`` periods of a
 ``BURST_FIRST_OFFSET_S`` after turn-on, bursts repeat every
 ``BURST_PERIOD_S``, and no burst starts within ``BURST_TAIL_MARGIN_S`` of
 the end of the trace.  Bursts are emitted only while the appliance is on.
+
+A scenario file is a JSON object read by one reader that the fields of
+:class:`ScenarioSpec` and :class:`ApplianceSpec` drive: unknown keys,
+missing required keys and values a field cannot take raise
+:class:`InvalidSpec` naming the key.
 """
 
 from __future__ import annotations
@@ -21,12 +26,16 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, fields
+import reprlib
+import typing
+from contextlib import suppress
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import DetectionError, GroundTruthEntry, GroundTruthLog, SampleSeries
+from .core import _MAX_SAMPLES, DetectionError, GroundTruthEntry, GroundTruthLog, SampleSeries
+from .io import _decoding
 
 __all__ = [
     "InvalidSpec",
@@ -198,11 +207,13 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
     """
     rate = spec.sampling_rate_hz
     dt = 1.0 / rate
-    n = round(spec.duration_s * rate)
-    if n < 1:
+    samples = spec.duration_s * rate  # may overflow to inf
+    if not 0.5 < samples < _MAX_SAMPLES:  # so it rounds to a count a trace can hold
         raise InvalidSpec(
-            f"duration {spec.duration_s} s yields no samples at {rate} Hz"
+            f"duration_s {spec.duration_s} at sampling_rate_hz {rate} gives {samples:g} "
+            "samples, outside 1 to 2**53"
         )
+    n = round(samples)
     times = np.arange(n) / rate
     total = np.zeros(n)
 
@@ -240,68 +251,59 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
     return SampleSeries(values=total, sampling_rate_hz=rate), truth
 
 
-_APPLIANCE_KEYS = {field.name for field in fields(ApplianceSpec)}
-_SCENARIO_KEYS = {field.name for field in fields(ScenarioSpec)}
+_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in (ApplianceSpec, ScenarioSpec)}
+# The JSON types each scalar field takes; a bool is never a number.
+_JSON_TYPES = {float: (int, float), int: int, str: str, TransientKind: str}
 
 
-def _appliance_from_dict(payload: dict) -> ApplianceSpec:
-    unknown = set(payload) - _APPLIANCE_KEYS
+def _field_value(kind: object, key: str, value: object) -> object:
+    """Convert a JSON ``value`` to a field of type ``kind``, or raise :class:`InvalidSpec`.
+
+    A float field takes a number, an int field an integer, a str field a
+    string, ``transient`` a :class:`TransientKind` value and
+    ``appliances`` a list of appliance objects.
+    """
+    if isinstance(value, _JSON_TYPES.get(kind, ())) and not isinstance(value, bool):
+        with suppress(ValueError, OverflowError):  # no such TransientKind; past the float range
+            return kind(value)
+    elif kind == tuple[ApplianceSpec, ...] and isinstance(value, list):
+        if all(isinstance(item, dict) for item in value):
+            return tuple(_read_spec(ApplianceSpec, item) for item in value)
+    raise InvalidSpec(f"{key} cannot be {reprlib.repr(value)}")
+
+
+def _read_spec(cls: type, payload: object) -> ApplianceSpec | ScenarioSpec:
+    """Build a spec dataclass from a JSON object, each value read as its field's type."""
+    what = cls.__name__.removesuffix("Spec").lower()
+    if not isinstance(payload, dict):
+        raise InvalidSpec(f"{what} must be a JSON object, got {type(payload).__name__}")
+    types = _FIELD_TYPES[cls]
+    unknown = set(payload) - set(types)
     if unknown:
-        raise InvalidSpec(f"unknown appliance keys: {sorted(unknown)}")
-    try:
-        kind = TransientKind(payload.get("transient", "step"))
-    except ValueError as exc:
-        raise InvalidSpec(f"unknown transient kind {payload.get('transient')!r}") from exc
-    try:
-        return ApplianceSpec(
-            label=payload["label"],
-            power_watts=float(payload["power_watts"]),
-            on_time_s=float(payload["on_time_s"]),
-            off_time_s=float(payload["off_time_s"]),
-            transient=kind,
-            transient_duration_s=float(payload.get("transient_duration_s", 0.0)),
-            fluctuation_amplitude_watts=float(
-                payload.get("fluctuation_amplitude_watts", 0.0)
-            ),
-        )
-    except KeyError as exc:
-        raise InvalidSpec(f"appliance is missing required key {exc.args[0]!r}") from exc
+        raise InvalidSpec(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
+    if missing:
+        raise InvalidSpec(f"{what} is missing required key {missing[0]!r}")
+    return cls(**{key: _field_value(types[key], key, value) for key, value in payload.items()})
 
 
 def scenario_from_dict(payload: dict) -> ScenarioSpec:
-    """Build a :class:`ScenarioSpec` from plain JSON-style data.
+    """Build a :class:`ScenarioSpec` from plain JSON-style data, as in a scenario file.
 
-    Unknown keys raise :class:`InvalidSpec` so that typos in hand-written
-    scenario files fail loudly instead of silently using a default.
+    Unknown keys, missing required keys and values a field cannot take
+    raise :class:`InvalidSpec` naming the key, so that typos in
+    hand-written scenario files fail loudly instead of silently using a
+    default.
     """
-    if not isinstance(payload, dict):
-        raise InvalidSpec(f"scenario must be a JSON object, got {type(payload).__name__}")
-    unknown = set(payload) - _SCENARIO_KEYS
-    if unknown:
-        raise InvalidSpec(f"unknown scenario keys: {sorted(unknown)}")
-    appliances = payload.get("appliances", [])
-    if not isinstance(appliances, list):
-        raise InvalidSpec("appliances must be a list")
-    try:
-        return ScenarioSpec(
-            sampling_rate_hz=float(payload["sampling_rate_hz"]),
-            duration_s=float(payload["duration_s"]),
-            appliances=tuple(_appliance_from_dict(item) for item in appliances),
-            noise_std_watts=float(payload.get("noise_std_watts", 0.0)),
-            seed=int(payload.get("seed", 0)),
-            name=payload.get("name", "scenario"),
-        )
-    except KeyError as exc:
-        raise InvalidSpec(f"scenario is missing required key {exc.args[0]!r}") from exc
+    return _read_spec(ScenarioSpec, payload)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
     """Read a scenario description from a UTF-8 JSON file (a byte-order mark is allowed)."""
+    with _decoding(path, InvalidSpec):
+        text = Path(path).read_text(encoding="utf-8-sig")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start : exc.end]
-        raise InvalidSpec(f"{path}: not UTF-8 text: {exc.reason} {bad!r}") from None
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{path}: not valid JSON: {exc}") from exc
     return scenario_from_dict(payload)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import json
 import re
 import shlex
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +287,38 @@ def test_input_that_is_not_utf8_exits_with_code_two(reader: str, tmp_path: Path,
     assert captured.out == ""
 
 
+LAMP = {"label": "lamp", "power_watts": 60.0, "on_time_s": 1.0, "off_time_s": 5.0}
+
+
+@pytest.mark.parametrize(
+    ("overrides", "key"),
+    [
+        ({"appliances": [{**LAMP, "power_watts": "abc"}]}, "power_watts"),
+        ({"appliances": [{**LAMP, "power_watts": None}]}, "power_watts"),
+        ({"appliances": [{**LAMP, "power_watts": True}]}, "power_watts"),
+        ({"appliances": [{**LAMP, "power_watts": 10**400}]}, "power_watts"),
+        ({"appliances": [5]}, "appliances"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"appliances": [{**LAMP, "label": 5}]}, "label"),
+        ({"name": 7}, "name"),
+        ({"sampling_rate_hz": 1e308, "duration_s": 1e308}, "duration_s"),
+    ],
+)
+def test_a_malformed_scenario_exits_with_code_two_and_names_the_key(
+    overrides: dict, key: str, tmp_path: Path, capsys
+) -> None:
+    # Apart from the 1e308 case, each scenario here would render only 200 samples.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"sampling_rate_hz": 20.0, "duration_s": 10.0, **overrides}))
+    out = tmp_path / "out.csv"
+    assert cli_main(["synth", str(scenario), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: [^\n]*\b{key}\b[^\n]*\n", captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     ("rows", "message"),
     [
@@ -404,7 +438,7 @@ def test_detect_with_stages_smooths_the_whole_trace_once(
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["kitchen", "lighting"])
+@pytest.mark.parametrize("name", ["kitchen", "lighting", "house1"])
 def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
     name: str, tmp_path: Path, capsys
 ) -> None:
@@ -424,9 +458,19 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
     kept, verdicts, _ = refilter_events_with_verdicts(series, merged, extrema, config)
     final = merged[kept]
     assert err == f"stages base={len(base)} after_derivative={len(merged)} final={len(final)}\n"
-    # On kitchen the refilter fires, one verdict per merged event; on lighting it does not.
-    assert len(verdicts) == {"kitchen": 15, "lighting": 0}[name]
+    # On kitchen and house1 the refilter fires, one verdict per merged event; on
+    # lighting it does not.  house1 gives all three verdicts.
+    assert len(verdicts) == {"kitchen": 15, "lighting": 0, "house1": 26}[name]
     assert len(verdicts) in (0, len(merged))
+    assert Counter(v.reason.value for v in verdicts) == {
+        "kitchen": {"removed_as_fluctuation": 9, "survived_refilter": 6},
+        "lighting": {},
+        "house1": {
+            "survived_refilter": 13,
+            "protected_by_extremum": 7,
+            "removed_as_fluctuation": 6,
+        },
+    }[name]
     expected = tmp_path / "expected"
     expected.mkdir()
     rate, start = series.sampling_rate_hz, series.start_time_s

@@ -318,6 +318,7 @@ def test_scenario_from_dict_round_trips_and_applies_defaults() -> None:
         seed=7,
         name="demo",
     )
+    assert type(spec.sampling_rate_hz) is type(spec.appliances[1].power_watts) is float
     assert spec.appliances[1].transient is TransientKind.STEP
     assert spec.appliances[1].fluctuation_amplitude_watts == 0.0
     defaults = scenario_from_dict({"sampling_rate_hz": 20, "duration_s": 60})
