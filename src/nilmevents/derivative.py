@@ -21,11 +21,21 @@ sample bit for bit the whole-trace one by the argument of
 :mod:`nilmevents.core`.  ``s`` on ``[lo, hi)`` reads the trace on
 ``[lo - half - 1, hi + half)``, ``half`` being the LOESS half window, and
 at least one window from a trace end that this reaches.
+
+The merge needs only the settle test ``|s| < epsilon``, not ``s``
+itself.  So it takes each decision from a blocked Toeplitz product of the
+derivative and the LOESS kernel, one BLAS matrix product per 64 x 64
+block of the kernel's band, where a proven bound on the product's
+rounding (:func:`_product_margin`) shows that the whole-trace value gives
+the same decision; a piece group with a sample the bound cannot decide is
+smoothed exactly.  The product's values go nowhere else: the guard's
+extrema and every public smoother keep the exact values.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +65,10 @@ __all__ = [
 # The merge first reads this many settle lengths of a gap, and where that
 # stretch holds no settled run long enough, stretches twice as long each time.
 _SETTLE_SPANS = 2
+
+# The settle test's product computes the smoother's outputs in rows of this
+# many, each row a product with 64 x 64 blocks of the kernel's Toeplitz matrix.
+_ROW = 64
 
 
 class InvalidWindow(DetectionError):
@@ -92,11 +106,18 @@ def _smooth(
         out[half + start : half + stop] = np.convolve(
             x[start : stop + 2 * half], kernel, mode="valid"
         )
+    _fit_ends(out, x, half, head, tail)
+    return out
+
+
+def _fit_ends(
+    out: np.ndarray, x: np.ndarray, half: int, head: np.ndarray | None, tail: np.ndarray | None
+) -> None:
+    """Set the first and last ``half`` entries of ``out`` to :func:`_smooth`'s end fits of ``x``."""
     out[:half] = np.nan if head is None else (head * x[: head.shape[1]]).sum(axis=1)
     out[x.size - half :] = (
         np.nan if tail is None else (tail * x[x.size - tail.shape[1] :]).sum(axis=1)
     )
-    return out
 
 
 def first_derivative(values: np.ndarray) -> np.ndarray:
@@ -108,9 +129,13 @@ def first_derivative(values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise SeriesTooShort(f"first derivative needs >= 2 samples, got {x.size}")
-    out = np.empty_like(x)
+    return _differenced(x, np.empty_like(x))
+
+
+def _differenced(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, its first ``x.size`` entries set to :func:`first_derivative` of ``x``."""
     out[0] = 0.0
-    np.subtract(x[1:], x[:-1], out=out[1:])
+    np.subtract(x[1:], x[:-1], out=out[1 : x.size])
     return out
 
 
@@ -154,6 +179,107 @@ def _edge_rows(half: int) -> np.ndarray:
     return _read_only(w * (s2 - s1 * t) / (s0 * s2 - s1 * s1))
 
 
+@functools.lru_cache(maxsize=None)
+def _toeplitz_blocks(half: int) -> np.ndarray:
+    """The ``P x 64 x 64`` blocks ``T_p`` of the banded Toeplitz matrix of ``_loess_kernel(half)``.
+
+    With ``w = 2 * half + 1`` taps ``k`` and ``P = ceil((64 + w - 1) / 64)``,
+    ``T_p[q, c] = k[64 p + q - c]`` on the band ``0 <= 64 p + q - c < w``
+    and 0 off it.  So for inputs ``d`` laid out in rows of 64, ``M[r] =
+    d[64 r : 64 r + 64]``, the interior output ``j = 64 r + c`` of the
+    smoother, ``sum_i d[j + i] * k[i]``, is entry ``c`` of ``M[r] @ T_0 +
+    ... + M[r + P - 1] @ T_(P-1)``: a product of ``64 P`` terms, zeros
+    included.  Cached and read-only, like :func:`_loess_kernel`.
+    """
+    kernel = _loess_kernel(half)
+    blocks = -(-(_ROW + kernel.size - 1) // _ROW)
+    taps = _ROW * np.arange(blocks)[:, None, None] + np.arange(_ROW)[:, None] - np.arange(_ROW)
+    band = (taps >= 0) & (taps < kernel.size)
+    return _read_only(np.where(band, kernel[np.where(band, taps, 0)], 0.0))
+
+
+def _product_margin(peak: float, terms: int) -> float:
+    """``e``: the smoother's product and :func:`_smooth`'s value of one output differ by less.
+
+    **The bound.**  Take ``u = 2**-53``, ``peak = max|d|`` over the inputs
+    ``d`` of the product, ``K = terms`` and the taps ``k`` of
+    :func:`_loess_kernel`.  A dot product of ``K`` terms, computed in any
+    order of its additions, with or without fused multiply-adds, lies
+    within ``gamma_K * sum|k_j d_j|`` of the exact one, with ``gamma_K =
+    K u / (1 - K u)``, as long as nothing underflows or overflows (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1).
+    The blocked product of :func:`_toeplitz_blocks` is such a dot product
+    of ``K = 64 P`` terms, and ``np.convolve``'s ``ddot`` one of ``w <= K``
+    terms, so each lies within ``gamma_K * peak * sum k_j`` of the exact
+    sum, and they differ by at most twice that.  The taps are each rounded
+    once from ``t_j / fl(sum t)``, so ``sum k_j < 1.01``.
+
+    **Underflow.**  A product that underflows errs by at most half the
+    least subnormal, ``2**-1075``, on top of the relative bound, and an
+    addition of subnormals is exact.  Only the ``w`` taps of the kernel
+    can give a non-zero product, so the two values differ by
+    ``2 * w * 2**-1075`` at most on this count, less than the
+    ``K * 2**-1074`` added here; the ``K - w >= 63`` spare units cover an
+    underflow in the rounding of ``e`` itself.
+
+    **The margin.**  This returns ``e = 2 * gamma_K * (2 * peak) + K *
+    2**-1074``: the factor 4 is 2 for the two values, times 2 for ``sum
+    k_j < 1.01`` and the few roundings of ``gamma_K`` and of ``e``'s own
+    arithmetic, each a factor ``1 + u``.  No sum overflows when ``2 *
+    peak`` is finite: every partial sum of either value is at most ``(1 +
+    gamma_K) * sum|k_j d_j| < 2 * peak``.  So ``e`` is infinite, and
+    proves nothing, where the bound does not hold.
+    """
+    u = 2.0**-53
+    gamma = terms * u / (1.0 - terms * u)
+    return 2.0 * gamma * (2.0 * float(peak)) + terms * 2.0**-1074
+
+
+def _settled_of(
+    x: np.ndarray,
+    half: int,
+    head: np.ndarray | None,
+    tail: np.ndarray | None,
+    owned: np.ndarray,
+    epsilon: float,
+) -> np.ndarray:
+    """``|s| < epsilon`` at the ``owned`` outputs of ``_smooth`` over ``first_derivative(x)``.
+
+    ``s`` is the smoother of :func:`loess_smooth` with the end rows
+    ``head`` and ``tail``.  Its interior outputs come from the blocked
+    Toeplitz product of :func:`_toeplitz_blocks` over the derivative laid
+    out in rows of 64, zero-padded, with no row copied; its end fits are
+    those of :func:`_smooth`.  A product value ``v`` decides its sample
+    only where :func:`_product_margin`'s ``e`` proves the decision that
+    :func:`_smooth`'s value gives: settled where ``|v| < epsilon - e``,
+    unsettled where ``|v| >= epsilon + e``, each threshold rounded away
+    from ``epsilon``.  If an owned output lies between the two, or
+    ``e >= epsilon`` (``e`` infinite included), every owned output is
+    smoothed by :func:`_smooth` and tested as it is.  The product's values
+    are used for nothing else: a BLAS product may round an output by where
+    it sits in its block of 64 rows, so its bits are not the whole
+    trace's.
+    """
+    blocks = _toeplitz_blocks(half)
+    rows, terms = -(-(x.size - 2 * half) // _ROW), _ROW * len(blocks)
+    d = _differenced(x, np.zeros((rows + len(blocks) - 1) * _ROW))
+    margin = _product_margin(max(d.max(), -d.min()), terms)
+    if margin < epsilon:
+        s = np.empty(2 * half + rows * _ROW)
+        m, product = d.reshape(-1, _ROW), s[half : half + rows * _ROW].reshape(rows, _ROW)
+        np.matmul(m[:rows], blocks[0], out=product)
+        for p in range(1, len(blocks)):
+            product += m[p : p + rows] @ blocks[p]
+        _fit_ends(s[: x.size], d[: x.size], half, head, tail)
+        v = s[owned]
+        low, high = np.nextafter(epsilon - margin, -np.inf), np.nextafter(epsilon + margin, np.inf)
+        settled = (v < low) & (v > -low)
+        if np.count_nonzero(settled) == np.count_nonzero((v < high) & (v > -high)):
+            return settled
+    v = _smooth(d[: x.size], _loess_kernel(half), head, tail)[owned]
+    return (v < epsilon) & (v > -epsilon)
+
+
 def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     """Locally weighted linear smoothing with tricube weights.
 
@@ -185,7 +311,15 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
 
 
 class _SmoothedDerivative:
-    """``loess_smooth(first_derivative(values), window_samples)``, computed only where read."""
+    """``loess_smooth(first_derivative(values), window_samples)``, computed only where read.
+
+    :meth:`read` gives the values, bit for bit the whole-trace ones, for
+    the refilter's guard; :meth:`settled` gives only the merge's settle
+    test ``|s| < epsilon``, each decision the one the whole-trace value
+    gives, from a faster product whose rounding :func:`_product_margin`
+    bounds.  Both compute on the same piece groups, so both read the
+    same samples of the trace.
+    """
 
     def __init__(self, values: np.ndarray, window_samples: int) -> None:
         self.values = np.asarray(values, dtype=float)
@@ -209,17 +343,53 @@ class _SmoothedDerivative:
         group fits only the ends where it reads a trace end: its other ends
         lie in a piece's halo, which no piece owns, and are left NaN.
         """
+        kernel = _loess_kernel(self.window // 2)
+        return self._per_group(
+            starts,
+            stops,
+            float,
+            lambda x, head, tail, owned: _smooth(first_derivative(x), kernel, head, tail)[owned],
+        )
+
+    def settled(self, starts: np.ndarray, stops: np.ndarray, epsilon: float) -> _Ranges:
+        """``|s| < epsilon`` on the samples that :meth:`read` would give, as a bool mask.
+
+        Each decision is the one that :meth:`read`'s value, and so the
+        whole-trace value, gives: a group decides by :func:`_settled_of`.
+        """
+        half = self.window // 2
+        return self._per_group(
+            starts,
+            stops,
+            bool,
+            lambda x, head, tail, owned: _settled_of(x, half, head, tail, owned, epsilon),
+        )
+
+    def _per_group(
+        self,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        dtype: type,
+        kept: Callable[[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray], np.ndarray],
+    ) -> _Ranges:
+        """The union of ``[starts, stops)``, valued by ``kept(x, head, tail, owned)`` per group.
+
+        ``x`` is the group's reads, ``head`` and ``tail`` the edge rows of
+        the trace ends it reads (or ``None``), and ``owned`` the positions
+        in ``x`` of the samples its pieces own, whose values ``kept``
+        returns in order.
+        """
         x, half = self.values, self.window // 2
-        kernel, rows = _loess_kernel(half), _edge_rows(half)
+        rows = _edge_rows(half)
         starts, stops = _union(np.maximum(starts, 0), np.minimum(stops, x.size))
-        ranges = _Ranges(x.size, starts, stops, np.empty(int((stops - starts).sum())))
+        ranges = _Ranges(x.size, starts, stops, np.empty(int((stops - starts).sum()), dtype))
         done = 0
         for layout in _piece_groups(starts, stops, half + 1, half, x.size, self.window):
             head = rows if layout.lo[0] == 0 else None
             tail = rows[::-1, ::-1] if layout.hi[-1] == x.size else None
-            kept = _smooth(first_derivative(layout.take(x)), kernel, head, tail)[layout.owned()]
-            ranges.values[done : done + kept.size] = kept
-            done += kept.size
+            values = kept(layout.take(x), head, tail, layout.owned())
+            ranges.values[done : done + values.size] = values
+            done += values.size
         return ranges
 
 
@@ -267,18 +437,17 @@ def detect_extrema(
     return trace.indices(np.flatnonzero(strict) + 1).astype(np.int64, copy=False)
 
 
-def _longest_settled(trace: _Ranges, epsilon: float) -> np.ndarray:
-    """Per range of ``trace``, the longest run of ``|s| < epsilon`` inside it.
+def _longest_settled(trace: _Ranges) -> np.ndarray:
+    """Per range of ``trace``, whose values are the settle mask, the longest settled run inside it.
 
-    The runs are those of the values read, cut at the edges of every
-    range, so each lies in one range.  No full-length mask is built and
-    no range is looped over.
+    The runs are those of the mask, cut at the edges of every range, so
+    each lies in one range.  No full-length mask is built and no range is
+    looped over.
     """
-    v = trace.values
-    settled = (v < epsilon) & (v > -epsilon)  # no float temporary for |s|
+    settled = trace.values
     lengths = trace.stops - trace.starts
     offsets = np.cumsum(lengths) - lengths  # where each range starts in ``values``
-    cut = np.zeros(v.size, dtype=bool)
+    cut = np.zeros(settled.size, dtype=bool)
     cut[offsets] = True
     opens, closes = settled.copy(), settled.copy()
     opens[1:] &= cut[1:] | ~settled[:-1]
@@ -290,14 +459,18 @@ def _longest_settled(trace: _Ranges, epsilon: float) -> np.ndarray:
     return longest
 
 
-def _read(
-    smoothed: np.ndarray | _SmoothedDerivative, starts: np.ndarray, stops: np.ndarray
+def _settled(
+    smoothed: np.ndarray | _SmoothedDerivative,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    epsilon: float,
 ) -> _Ranges:
-    """The samples of ``smoothed`` on the increasing, non-touching ranges ``[starts, stops)``."""
+    """``|s| < epsilon`` on the increasing, non-touching ranges ``[starts, stops)``."""
     if isinstance(smoothed, _SmoothedDerivative):
-        return smoothed.read(starts, stops)
-    values = _Layout(starts, stops, starts, stops).take(smoothed)
-    return _Ranges(smoothed.size, starts, stops, values)
+        return smoothed.settled(starts, stops, epsilon)
+    v = _Layout(starts, stops, starts, stops).take(smoothed)
+    # No float temporary for |s|.
+    return _Ranges(smoothed.size, starts, stops, (v < epsilon) & (v > -epsilon))
 
 
 def merge_transient_events(
@@ -317,8 +490,13 @@ def merge_transient_events(
     a run the later event is merged into the earlier event's group, and
     each group is reported as its first event.
 
-    ``smoothed_derivative`` is the whole-trace array or a
-    :class:`_SmoothedDerivative`, which computes only the samples read.
+    ``smoothed_derivative`` is the whole-trace array, whose values are
+    tested as given, or a :class:`_SmoothedDerivative`, which computes only
+    the settle test of the samples read
+    (:meth:`_SmoothedDerivative.settled`): each decision is the one the
+    whole-trace value gives, taken from a faster product only where its
+    proven rounding bound (:func:`_product_margin`) allows, and from the
+    exact smoother elsewhere.
     The merge reads ``s`` only strictly between consecutive candidates
     ``a < b`` whose ``b - a - 1`` samples could hold a run long enough; a
     shorter gap merges unread.  It reads ``[a + 1, a + 1 + K)``, ``K``
@@ -362,7 +540,7 @@ def merge_transient_events(
     starts, span = before[pending] + 1, _SETTLE_SPANS * settle
     while pending.size:
         stops = np.minimum(after[pending], starts + span)
-        longest = _longest_settled(_read(smoothed_derivative, starts, stops), epsilon)
+        longest = _longest_settled(_settled(smoothed_derivative, starts, stops, epsilon))
         separate[pending] = longest > settle
         # A stretch short of its gap and with no run long enough is followed
         # by one twice as long that starts a settle length before it ends.

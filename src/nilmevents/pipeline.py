@@ -31,7 +31,10 @@ are those of the whole-trace stages.  What each reads:
   long enough: first two settle lengths after ``a``, and where those hold
   no settled run long enough, stretches that double in length, each
   starting a settle length before the last one ended, until one holds
-  such a run or reaches ``b``;
+  such a run or reaches ``b``.  It tests only ``|s| < epsilon``: each
+  decision is the whole-trace one, taken from a blocked matrix product
+  where a proven rounding bound allows and from the exact smoother
+  elsewhere (:meth:`nilmevents.derivative._SmoothedDerivative.settled`);
 - the refilter's guard, only when the refilter fires, reads ``s`` within
   ``r + 1`` samples of each candidate the re-detection did not confirm,
   ``r`` being the guard radius, for the significant extrema within ``r``;
@@ -145,8 +148,9 @@ def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarra
     """The LOESS-smoothed first derivative of the whole trace.
 
     :func:`detect_hybrid` computes it only where the merge and the
-    refilter's guard read it, each sample the same; this function
-    computes every sample.
+    refilter's guard read it: the guard's samples the same, and the
+    merge's settle test ``|s| < epsilon`` the one these values give; this
+    function computes every sample.
     """
     return loess_smooth(
         first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)

@@ -214,8 +214,14 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
             "samples, outside 1 to 2**53"
         )
     n = round(samples)
-    times = np.arange(n) / rate
-    total = np.zeros(n)
+    try:
+        times = np.arange(n) / rate
+        total = np.zeros(n)
+    except MemoryError as exc:
+        raise InvalidSpec(
+            f"duration_s {spec.duration_s} at sampling_rate_hz {rate} gives {n} samples, "
+            f"whose trace and sample times need {16 * n} bytes: more than can be allocated"
+        ) from exc
 
     labelled: list[tuple[float, str]] = []
     for appliance in spec.appliances:
@@ -298,12 +304,28 @@ def scenario_from_dict(payload: dict) -> ScenarioSpec:
     return _read_spec(ScenarioSpec, payload)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a key set twice is :class:`InvalidSpec`."""
+    payload: dict = {}
+    for key, value in pairs:
+        if key in payload:
+            raise InvalidSpec(f"key {key!r} is set twice in one JSON object")
+        payload[key] = value
+    return payload
+
+
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    """Read a scenario description from a UTF-8 JSON file (a byte-order mark is allowed)."""
+    """Read a scenario description from a UTF-8 JSON file (a byte-order mark is allowed).
+
+    A key set twice in one object, at any level, raises
+    :class:`InvalidSpec`, since ``json`` would keep its last value.
+    """
     with _decoding(path, InvalidSpec):
         text = Path(path).read_text(encoding="utf-8-sig")
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidSpec(f"{path}: JSON nested too deeply to read") from exc
     return scenario_from_dict(payload)

@@ -320,6 +320,32 @@ def test_a_malformed_scenario_exits_with_code_two_and_names_the_key(
 
 
 @pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),  # 200 kB
+        ('{"sampling_rate_hz": 20, "duration_s": 10, "seed": 1, "seed": 2}', "'seed' is set twice"),
+        (
+            '{"sampling_rate_hz": 20, "duration_s": 10, "appliances": [{"label": "lamp", '
+            '"power_watts": 60, "power_watts": 70, "on_time_s": 1, "off_time_s": 5}]}',
+            "'power_watts' is set twice",
+        ),
+    ],
+)
+def test_a_scenario_file_that_json_would_misread_exits_with_code_two(
+    text: str, message: str, tmp_path: Path, capsys
+) -> None:
+    """Nesting past the recursion limit, and a key set twice, which ``json``
+    would read as its last value, are refused as malformed scenarios."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli_main(["synth", str(scenario), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: [^\n]*{re.escape(message)}[^\n]*\n", captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     ("rows", "message"),
     [
         ("0.0,100\n0.05,100\nnan,100\n0.15,100\n", "sample 2 timestamp nan"),

@@ -613,13 +613,13 @@ def test_loess_kernel_rises_to_its_centre_and_ends_in_zero_taps(half: int) -> No
 def reads_of(monkeypatch: pytest.MonkeyPatch) -> list[list[tuple[int, int]]]:
     """The ranges of every read the merge makes from now on, one list per read."""
     reads: list[list[tuple[int, int]]] = []
-    read = derivative._read
+    settled = derivative._settled
 
-    def recorded(smoothed, starts, stops):
+    def recorded(smoothed, starts, stops, epsilon):
         reads.append(list(zip(starts.tolist(), stops.tolist())))
-        return read(smoothed, starts, stops)
+        return settled(smoothed, starts, stops, epsilon)
 
-    monkeypatch.setattr(derivative, "_read", recorded)
+    monkeypatch.setattr(derivative, "_settled", recorded)
     return reads
 
 
@@ -692,6 +692,129 @@ def test_merge_of_the_computed_derivative_is_the_dense_merge(
         [(i, series.time_at(i)) for i in indices], whole, 20.0, epsilon, settle_s
     )
     assert candidates[survivors].indices.tolist() == expected
+
+
+def smooth_calls(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """The length of every array that ``derivative._smooth`` smooths from now on."""
+    calls: list[int] = []
+    smooth = derivative._smooth
+
+    def counted(x, kernel, head, tail):
+        calls.append(x.size)
+        return smooth(x, kernel, head, tail)
+
+    monkeypatch.setattr(derivative, "_smooth", counted)
+    return calls
+
+
+@given(
+    moving_traces,
+    st.sampled_from([3, 9, 61, 121, 129]),
+    st.sampled_from(BLOCK_SIZES),
+    st.lists(st.integers(min_value=0, max_value=399), unique=True, min_size=1, max_size=8),
+    st.sampled_from([0.3, 2.0]),
+    st.one_of(
+        st.floats(min_value=1e-12, max_value=1e4),
+        st.integers(min_value=0, max_value=399),  # |s| at this sample, exactly
+    ),
+)
+def test_the_proven_settle_test_decides_as_the_whole_trace(
+    values: np.ndarray,
+    window: int,
+    block: int,
+    spots: list[int],
+    settle_s: float,
+    epsilon: float | int,
+) -> None:
+    """The merge through ``_SmoothedDerivative.settled``, whose product values
+    decide only where their rounding bound proves it, keeps the candidates that
+    the whole-trace array keeps, and each read is settled where that array is."""
+    assume(window <= values.size)
+    whole = loess_smooth(first_derivative(values), window)
+    if isinstance(epsilon, int):
+        epsilon = float(abs(whole[epsilon % values.size])) or 1.0
+    indices = sorted({i for i in spots if i < values.size})
+    series = series_at_20hz(values)
+    config = HybridConfig(
+        settle_threshold_s=settle_s, time_limit_s=0.1, derivative_epsilon=epsilon
+    )
+    candidates = events_at(indices, series)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_blocks(monkeypatch, block)
+        reads = reads_of(monkeypatch)
+        computed = _SmoothedDerivative(values, window)
+        survivors = merge_transient_events(candidates, computed, series, config)
+        assert np.array_equal(survivors, merge_transient_events(candidates, whole, series, config))
+        for read in reads:
+            starts, stops = (np.array(edges, dtype=np.int64) for edges in zip(*read))
+            settled = computed.settled(starts, stops, epsilon)
+            assert settled.values.dtype == bool
+            expected = np.abs(whole[sample_indices(settled)]) < epsilon
+            assert np.array_equal(settled.values, expected)
+
+
+def spiked(height: float) -> np.ndarray:
+    """A 400-sample random walk with samples 200 and 201 at ``+height`` and ``-height``."""
+    x = np.cumsum(np.random.default_rng(5).normal(0.0, 0.3, 400))
+    x[200], x[201] = height, -height
+    return x
+
+
+@pytest.mark.parametrize(
+    ("case", "fallback"),
+    [
+        ("proven", False),  # every read sample is proven: no exact smoothing
+        ("epsilon is |s|", True),  # puts a read sample in the undecided band
+        ("derivative overflows", True),  # max|d| is infinite
+        ("twice the derivative overflows", True),  # max|d| finite, 2 max|d| not
+        ("least subnormal epsilon", True),  # the margin reaches epsilon
+    ],
+)
+def test_an_unproven_settle_test_is_decided_by_the_exact_smoother(
+    case: str, fallback: bool, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Where the product's rounding bound cannot decide a read sample, its group
+    is smoothed as the whole trace is, and the merge keeps the same candidates."""
+    x, epsilon, indices = spiked(10.0), EPSILON, [195, 390]
+    if case == "epsilon is |s|":
+        with np.errstate(all="ignore"):
+            epsilon = float(abs(loess_smooth(first_derivative(x), 9)[198]))
+    elif case == "derivative overflows":
+        x = spiked(1e308)
+    elif case == "twice the derivative overflows":
+        x = spiked(0.6e308)
+    elif case == "least subnormal epsilon":
+        epsilon = 5e-324
+    series = series_at_20hz(x)
+    config = HybridConfig(settle_threshold_s=0.3, time_limit_s=0.1, derivative_epsilon=epsilon)
+    candidates = events_at(indices, series)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 - (-1e308) is inf
+        whole = loess_smooth(first_derivative(x), 9)
+        reads = reads_of(monkeypatch)
+        calls = smooth_calls(monkeypatch)
+        survivors = merge_transient_events(candidates, _SmoothedDerivative(x, 9), series, config)
+    assert reads and reads[0][0][0] <= 198 < reads[0][0][1]  # the spike's group is read
+    assert bool(calls) == fallback
+    assert np.array_equal(survivors, merge_transient_events(candidates, whole, series, config))
+
+
+@pytest.mark.parametrize("window", [3, 9, 61, 121, 127, 129, 255])
+def test_the_toeplitz_product_lies_within_the_margin_of_the_convolution(window: int) -> None:
+    """The blocked product of the kernel's Toeplitz blocks is the smoother's
+    interior, within the margin that the settle test allows it."""
+    half, rng = window // 2, np.random.default_rng(window)
+    blocks = derivative._toeplitz_blocks(half)
+    assert blocks.shape == (-(-(63 + window) // 64), 64, 64) and not blocks.flags.writeable
+    for scale in (1e-310, 1.0, 1e6):
+        d = rng.normal(0.0, scale, 64 * 40)
+        d[-64 * len(blocks) :] = 0.0  # the zero padding of the last rows
+        rows = 40 - len(blocks) + 1
+        m = d.reshape(-1, 64)
+        product = sum(m[p : p + rows] @ blocks[p] for p in range(len(blocks))).ravel()
+        exact = np.convolve(d, _loess_kernel(half), mode="valid")
+        count = min(product.size, exact.size)
+        margin = derivative._product_margin(np.abs(d).max(), 64 * len(blocks))
+        assert np.all(np.abs(product[:count] - exact[:count]) <= margin / 2)
 
 
 @given(
@@ -782,16 +905,22 @@ def test_the_merge_reads_a_small_share_of_a_noisy_meter_trace(
 
 
 def computed_by(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """The samples each ``_SmoothedDerivative.read`` computes from now on."""
+    """The samples each ``_SmoothedDerivative.read`` or ``.settled`` computes from now on."""
     computed: list[int] = []
-    read = _SmoothedDerivative.read
+    read, settled = _SmoothedDerivative.read, _SmoothedDerivative.settled
 
     def counted(self, starts, stops):
         ranges = read(self, starts, stops)
         computed.append(ranges.values.size)
         return ranges
 
+    def counted_settled(self, starts, stops, epsilon):
+        ranges = settled(self, starts, stops, epsilon)
+        computed.append(ranges.values.size)
+        return ranges
+
     monkeypatch.setattr(_SmoothedDerivative, "read", counted)
+    monkeypatch.setattr(_SmoothedDerivative, "settled", counted_settled)
     return computed
 
 
@@ -927,7 +1056,8 @@ def test_the_longest_settled_run_of_each_range_counts_only_its_own_samples(case)
             run = run + 1 if abs(value) < EPSILON else 0
             longest = max(longest, run)
         expected.append(longest)
-    assert _longest_settled(ranges, EPSILON).tolist() == expected
+    settled = _Ranges(ranges.size, ranges.starts, ranges.stops, np.abs(ranges.values) < EPSILON)
+    assert _longest_settled(settled).tolist() == expected
 
 
 def test_a_computed_derivative_checks_its_window_and_its_length() -> None:

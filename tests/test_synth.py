@@ -388,6 +388,22 @@ def test_load_scenario_reads_utf8_with_a_byte_order_mark(tmp_path: Path) -> None
         load_scenario(path)
 
 
+@pytest.mark.parametrize("allocation", ["arange", "zeros"])
+def test_a_trace_past_memory_is_an_invalid_spec_naming_its_size(
+    allocation: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Allocating the trace or its sample times fails as it would for a trace
+    past memory; no large array is allocated."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, allocation, exhausted)
+    spec = ScenarioSpec(sampling_rate_hz=20.0, duration_s=10.0)
+    with pytest.raises(InvalidSpec, match=r"gives 200 samples, .* need 3200 bytes"):
+        generate_scenario(spec)
+
+
 transition_kinds = st.sampled_from(list(TransientKind))
 
 
