@@ -9,10 +9,15 @@ Four subcommands cover the library's workflow::
 
 ``detect`` prints final events as ``index,timestamp_s,delta_watts`` CSV
 on stdout and can write per-stage traces, event lists and the refilter
-verdicts for plotting with ``--emit-stages DIR``.  Config files are
-``key = value`` lines naming config fields; any explicit flag overrides
-the file.  Exit codes: 0 on success, 1 for usage errors, 2 when an input
-file is missing or malformed or a domain check fails.
+verdicts for plotting with ``--emit-stages DIR``.  Two of those files,
+``smoothed_derivative.csv`` and ``extrema.csv``, come from a whole-trace
+``np.convolve`` whose rounding depends on the OpenBLAS kernel: across
+kernels they can differ in the last bits of a value and, where a
+plateau makes an exact tie, in which samples are peaks or valleys.  The
+events, the verdicts and ``PipelineResult.extrema`` do not.  Config
+files are ``key = value`` lines naming config fields; any explicit flag
+overrides the file.  Exit codes: 0 on success, 1 for usage errors, 2
+when an input file is missing or malformed or a domain check fails.
 """
 
 from __future__ import annotations

@@ -13,7 +13,12 @@ the ``(n, 2)`` parse array plus the one column the series keeps.
 :func:`write_trace` emits full-precision ``repr`` floats, so a written
 trace reloads with bit-identical sample values.  It renders the rows a
 block of samples at a time (the same blocks as the full-length passes)
-and writes each block with one call, so memory stays bounded by a block.
+and writes each block with one call.  A trace of at least four blocks,
+in a process that may run on two or more CPUs, has its later half
+rendered at the same time by a helper process that runs no numpy; the
+file is the same byte for byte.  Each process holds a block at a time,
+while the later half waits in the temporary directory, as float64s and
+then as text: about 43 bytes for each of its samples.
 
 Reference logs travel as ``timestamp_s,label`` CSV.  Detections go out
 only, as ``index,timestamp_s,delta_watts`` CSV with six-decimal reals,
@@ -33,14 +38,16 @@ import csv
 import math
 import os
 import re
+import sys
 import typing
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
+from . import _rows, core
 from .core import (
     DetectionError,
     EvaluationReport,
@@ -72,6 +79,11 @@ _SPLIT = re.compile(r"[,\s]+")
 _TRACE_HEADER = "timestamp_s,power_w"
 _TRUTH_HEADER = ["timestamp_s", "label"]
 _EVENT_HEADER = ["index", "timestamp_s", "delta_watts"]
+# write_trace splits a trace of at least this many blocks.  Against one
+# process, a split write won most alternating pairs from three or four blocks
+# up and never at two; a split that loses costs more (about 18 ms in a fresh
+# process) than it gains at three (BENCH_2026-10-20_split.json, "threshold").
+_SPLIT_BLOCKS = 4
 
 
 class ParseError(DetectionError):
@@ -234,6 +246,68 @@ def load_trace(path: str | Path) -> SampleSeries:
     )
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _render_blocks(
+    handle: typing.TextIO, series: SampleSeries, blocks: typing.Iterable[tuple[int, int]]
+) -> None:
+    """Write the rows of ``blocks`` of ``series``, each block's text in one ``write``."""
+    for start, stop in blocks:
+        stamps = series.time_at(np.arange(start, stop)).tolist()
+        handle.write(_rows.render(stamps, series.values[start:stop].tolist()))
+
+
+def _render_split(handle: typing.TextIO, series: SampleSeries, block: int) -> None:
+    """Write the rows of ``series``, the later half rendered by a ``_rows.py`` helper.
+
+    Without temporary space or a process to start, every row is rendered
+    here.  The helper is killed and reaped before this returns or raises.
+    """
+    # Imported here: only a split write needs them, and nothing else loads
+    # subprocess, so importing the package does not.
+    import shutil
+    import subprocess
+    import tempfile
+
+    blocks = list(_blocks(len(series)))
+    middle = (len(blocks) + 1) // 2  # the helper starts later, so it takes fewer
+    first, later = blocks[:middle], blocks[middle:]
+    with ExitStack() as stack:
+        try:
+            samples = stack.enter_context(tempfile.TemporaryFile())
+            text = stack.enter_context(tempfile.TemporaryFile())
+            for start, stop in later:
+                samples.write(series.time_at(np.arange(start, stop)).tobytes())
+                samples.write(series.values[start:stop].tobytes())
+            samples.seek(0)
+            command = [sys.executable, "-I", "-S", _rows.__file__, str(block)]
+            helper = stack.enter_context(
+                subprocess.Popen(command, stdin=samples, stdout=text, stderr=subprocess.PIPE)
+            )
+        except OSError:
+            _render_blocks(handle, series, blocks)
+            return
+        try:
+            _render_blocks(handle, series, first)
+            _, err = helper.communicate()
+        finally:
+            helper.kill()
+            helper.wait()
+        if helper.returncode:
+            message = err.decode(errors="replace").strip()
+            raise OSError(
+                f"{handle.name}: the row helper exited with code {helper.returncode}: {message}"
+            )
+        handle.flush()
+        text.seek(0)
+        shutil.copyfileobj(text, handle.buffer)
+
+
 def write_trace(path: str | Path, series: SampleSeries) -> None:
     """Write a trace in the format :func:`load_trace` reads.
 
@@ -243,13 +317,38 @@ def write_trace(path: str | Path, series: SampleSeries) -> None:
     block's timestamps come from :meth:`SampleSeries.time_at` on an index
     array, the same formula as for a single index, and its text goes out
     in one ``write``.  The file does not depend on the block size.
+
+    A trace of at least four blocks (``core._BLOCK_SAMPLES``, read at
+    call time), in a process that may run on two or more CPUs, is
+    rendered in two halves at once.  This process renders the first half
+    while a helper process, ``python -I -S _rows.py``, renders the later
+    half from its stamps and values, read a block at a time from an
+    anonymous temporary file.  The helper imports only ``sys``, so it
+    starts and exits in under 10 ms, and ``-I`` keeps the package
+    directory, whose ``io.py`` would shadow the standard library's, off
+    its ``sys.path``.  Its text is appended from a second anonymous
+    temporary file, so the file is the same byte for byte.  Neither
+    process holds more than a block, but the temporary directory holds
+    the later half, as float64s (16 bytes a sample) and then as text:
+    about 43 bytes a sample in all, 8.8 MB for a 432,000-sample trace,
+    in memory when the directory is a tmpfs.  Pinned to one CPU, a split
+    write was about 10 % slower than one process, hence the CPU check.
+
+    With no temporary file to stage the later half in, or no helper
+    process to start (``OSError`` from ``Popen``), this process renders
+    every row.  A helper that starts and exits non-zero raises
+    :class:`OSError` with its exit code and what it wrote to stderr; no
+    helper outlives the call, and no named file is left behind.
+    ``sys.executable`` must be a Python interpreter, as it is outside
+    embedding hosts.
     """
+    block = core._BLOCK_SAMPLES
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{_TRACE_HEADER}\n")
-        for start, stop in _blocks(len(series)):
-            stamps = series.time_at(np.arange(start, stop)).tolist()
-            values = series.values[start:stop].tolist()
-            handle.write("".join([f"{t!r},{v!r}\n" for t, v in zip(stamps, values)]))
+        if len(series) >= _SPLIT_BLOCKS * block and sys.executable and _cpus() > 1:
+            _render_split(handle, series, block)
+        else:
+            _render_blocks(handle, series, _blocks(len(series)))
 
 
 def load_ground_truth(path: str | Path) -> GroundTruthLog:

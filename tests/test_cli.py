@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nilmevents.pipeline
-from nilmevents import core
+from nilmevents import _rows, core
 from nilmevents import (
     ApplianceSpec,
     HybridConfig,
@@ -39,6 +39,7 @@ from nilmevents import (
 from nilmevents.cli import cli_main
 from nilmevents.filtering import refilter_events_with_verdicts
 
+from blocks import use_blocks
 from oracles import oracle_extrema, oracle_write_trace
 from replicas import SCENARIO_DIR
 
@@ -84,12 +85,29 @@ def test_synth_writes_trace_and_truth_files(tmp_path: Path, capsys) -> None:
     assert len(load_ground_truth(truth)) == 6
 
 
-def test_synth_writes_the_file_the_row_oracle_writes(small_blocks: int, tmp_path: Path) -> None:
+def test_synth_writes_the_file_the_row_oracle_writes(
+    small_blocks: int, helpers: list, tmp_path: Path
+) -> None:
     trace, _ = render_scenario("kitchen", tmp_path)
+    assert [helper.returncode for helper in helpers] == [0]
     series, _ = generate_scenario(load_scenario(SCENARIO_DIR / "kitchen.json"))
     expected = tmp_path / "rows.csv"
     oracle_write_trace(expected, series)
     assert trace.read_bytes() == expected.read_bytes()
+
+
+def test_synth_exits_with_code_two_when_the_row_helper_fails(
+    helpers: list, monkeypatch: pytest.MonkeyPatch, tmp_path: Path, capsys
+) -> None:
+    script = tmp_path / "failing.py"
+    script.write_text("import sys\nsys.exit('cannot render')\n")
+    monkeypatch.setattr(_rows, "__file__", str(script))
+    use_blocks(monkeypatch, 256)
+    out = tmp_path / "trace.csv"
+    assert cli_main(["synth", str(SCENARIO_DIR / "kitchen.json"), "--out", str(out)]) == 2
+    message = f"error: {out}: the row helper exited with code 1: cannot render\n"
+    assert capsys.readouterr().err == message
+    assert [helper.returncode for helper in helpers] == [1]
 
 
 def test_detect_prints_final_events_and_stage_counts(tmp_path: Path, capsys) -> None:
@@ -525,6 +543,17 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
     for file_name in names:
         written = (stage_dir / file_name).read_bytes()
         assert written == (expected / file_name).read_bytes(), file_name
+
+
+@pytest.mark.parametrize("name", ["kitchen", "lighting", "house1"])
+def test_emitted_stage_files_are_the_same_when_the_writer_splits(
+    name: str, helpers: list, monkeypatch: pytest.MonkeyPatch, tmp_path: Path, capsys
+) -> None:
+    # Small blocks make every trace long enough for the writer to split: in
+    # synth, and in each of the three trace files that detect writes.
+    use_blocks(monkeypatch, 256)
+    test_emitted_stage_files_are_what_the_whole_trace_chain_writes(name, tmp_path, capsys)
+    assert [helper.returncode for helper in helpers] == [0] * 4
 
 
 def test_usage_errors_exit_with_code_one(tmp_path: Path, capsys) -> None:

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nilmevents
+from nilmevents import _rows, core
 from nilmevents import (
     DetectionError,
     EmptyFile,
@@ -36,6 +40,7 @@ from nilmevents import (
 
 from nilmevents.io import _median_in_place
 
+from blocks import use_blocks
 from oracles import oracle_write_trace
 from replicas import SCENARIO_DIR
 
@@ -375,10 +380,18 @@ WRITER_VALUES = {
 @pytest.mark.parametrize("rate", [20.0, 60.0, 1 / 3], ids=["20Hz", "60Hz", "third-Hz"])
 @pytest.mark.parametrize("start", [0.0, 0.1, -30.0, 1e9 + 0.05], ids=str)
 def test_blocked_writer_matches_the_row_oracle_byte_for_byte(
-    start: float, rate: float, values: np.ndarray, small_blocks: int, tmp_path: Path
+    start: float,
+    rate: float,
+    values: np.ndarray,
+    small_blocks: int,
+    helpers: list,
+    tmp_path: Path,
 ) -> None:
-    # Two samples, and one block with one sample less and one more.
-    for n in sorted({2, small_blocks - 1, small_blocks, small_blocks + 1} - {0}):
+    # Two samples, one block with one sample less and one more, and the sizes
+    # around four blocks, where a helper process starts rendering the later half.
+    b = small_blocks
+    sizes = sorted({2, b - 1, b, b + 1, 4 * b - 1, 4 * b, 4 * b + 1, 9 * b} - {0})
+    for n in sizes:
         series = SampleSeries(np.resize(values, n), rate, start)
         written, expected = tmp_path / f"blocked{n}.csv", tmp_path / f"rows{n}.csv"
         write_trace(written, series)
@@ -388,6 +401,101 @@ def test_blocked_writer_matches_the_row_oracle_byte_for_byte(
             loaded = load_trace(written)
             assert loaded.values.tobytes() == series.values.tobytes()
             assert loaded.start_time_s == start
+    assert len(helpers) == sum(n >= 4 * b for n in sizes)
+    assert [helper.returncode for helper in helpers] == [0] * len(helpers)
+
+
+def test_a_split_trace_reloads_bit_for_bit(helpers: list, tmp_path: Path) -> None:
+    n = 4 * core._BLOCK_SAMPLES
+    values = np.random.default_rng(33).normal(500.0, 100.0, n)
+    series = SampleSeries(values, 60.0, 1.7e9)
+    write_trace(tmp_path / "split.csv", series)
+    assert len(helpers) == 1
+    loaded = load_trace(tmp_path / "split.csv")
+    assert loaded.values.tobytes() == series.values.tobytes()
+    assert loaded.start_time_s == 1.7e9
+    oracle_write_trace(tmp_path / "rows.csv", series)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_one_cpu_renders_every_row_in_process(
+    helpers: list, monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    use_blocks(monkeypatch, 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    series = SampleSeries(np.arange(9 * 7) * 0.5, 20.0, 3.0)
+    write_trace(tmp_path / "one.csv", series)
+    oracle_write_trace(tmp_path / "rows.csv", series)
+    assert helpers == []
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def cannot_start(*args: object, **kwargs: object) -> None:
+    raise BlockingIOError("fork: Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("missing", ["process", "temporary directory"])
+def test_without_a_helper_every_row_is_rendered_in_process(
+    missing: str, helpers: list, monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    use_blocks(monkeypatch, 7)
+    temporary = tmp_path / "tmp"
+    if missing == "process":
+        temporary.mkdir()
+        monkeypatch.setattr(subprocess, "Popen", cannot_start)
+    monkeypatch.setattr(tempfile, "tempdir", str(temporary))
+    series = SampleSeries(np.arange(9 * 7) * 0.5, 20.0, 3.0)
+    write_trace(tmp_path / "trace.csv", series)
+    oracle_write_trace(tmp_path / "rows.csv", series)
+    assert helpers == []
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert not temporary.exists() or list(temporary.iterdir()) == []
+
+
+def helper_script(monkeypatch: pytest.MonkeyPatch, tmp_path: Path, source: str) -> Path:
+    """Run ``source`` as the row helper, with temporary files in a directory of their own.
+
+    Returns that directory.
+    """
+    script = tmp_path / "bin" / "helper.py"
+    script.parent.mkdir()
+    script.write_text(source)
+    monkeypatch.setattr(_rows, "__file__", str(script))
+    temporary = tmp_path / "tmp"
+    temporary.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temporary))
+    return temporary
+
+
+def test_a_failing_helper_raises_and_leaves_no_process_or_file(
+    helpers: list, monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    use_blocks(monkeypatch, 7)
+    source = "import sys\nsys.stderr.write('no rows today\\n')\nsys.exit(3)\n"
+    temporary = helper_script(monkeypatch, tmp_path, source)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(OSError, match="exited with code 3: no rows today$"):
+        write_trace(out / "trace.csv", SampleSeries(np.ones(28), 20.0))
+    assert [helper.returncode for helper in helpers] == [3]
+    assert [path.name for path in out.iterdir()] == ["trace.csv"]
+    assert list(temporary.iterdir()) == []
+
+
+def test_an_interrupted_write_kills_and_reaps_the_helper(
+    helpers: list, monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    use_blocks(monkeypatch, 7)
+    temporary = helper_script(monkeypatch, tmp_path, "import time\ntime.sleep(60)\n")
+
+    def interrupted(stamps: list, values: list) -> str:
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_rows, "render", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_trace(tmp_path / "trace.csv", SampleSeries(np.ones(28), 20.0))
+    assert [helper.returncode for helper in helpers] == [-signal.SIGKILL]
+    assert list(temporary.iterdir()) == []
 
 
 def test_ground_truth_round_trip_keeps_duplicate_timestamps(tmp_path: Path) -> None:

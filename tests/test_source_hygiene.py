@@ -9,6 +9,8 @@ attribute; a module's ``__all__`` entries count as used there too.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "nilmevents"
@@ -95,3 +97,27 @@ def test_each_traced_import_is_still_there() -> None:
     modules = parsed_modules()
     for module, name in TRACED_IMPORTS:
         assert name in imported_names(modules[module])
+
+
+def test_importing_the_package_does_not_import_subprocess() -> None:
+    """Only a trace write that splits starts a process, so only it imports ``subprocess``."""
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SOURCE.parent)!r}); import nilmevents; "
+        "print('subprocess' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+def test_the_row_helper_imports_only_the_standard_library() -> None:
+    """``_rows.py`` runs as a script under ``-I``, with neither numpy nor the package to import."""
+    tree = parsed_modules()["_rows"]
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.Import) or node.level == 0 for node in imports)
+    modules = [
+        alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names
+    ]
+    modules += [node.module for node in imports if isinstance(node, ast.ImportFrom)]
+    assert {name.split(".")[0] for name in modules} <= sys.stdlib_module_names
