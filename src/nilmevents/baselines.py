@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import core
 from .base import _alarming, _require_windows, _rounding_margin, _tested_centres, _window_sums
 from .core import (
     DetectionError,
     Events,
     SampleSeries,
-    _BLOCK_SAMPLES,
     _Layout,
     _check_integer,
     _check_setting,
@@ -144,7 +144,7 @@ def _maxima(
     windows = sliding_window_view(padded, 2 * m + 1)
     # A strict maximum is the only entry of its window that is >= it.  The
     # candidates go in chunks, so the (chunk, 2m + 1) comparison stays small.
-    chunk = max(1, _BLOCK_SAMPLES // (2 * m + 1))
+    chunk = max(1, core._BLOCK_SAMPLES // (2 * m + 1))
     strict = [
         np.count_nonzero(windows[part] >= magnitude[part, None], axis=1) == 1
         for part in (candidates[i : i + chunk] for i in range(0, candidates.size, chunk))

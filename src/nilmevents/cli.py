@@ -16,8 +16,9 @@ kernels they can differ in the last bits of a value and, where a
 plateau makes an exact tie, in which samples are peaks or valleys.  The
 events, the verdicts and ``PipelineResult.extrema`` do not.  Config
 files are ``key = value`` lines naming config fields; any explicit flag
-overrides the file.  Exit codes: 0 on success, 1 for usage errors, 2
-when an input file is missing or malformed or a domain check fails.
+overrides the file.  ``--tolerance`` only scores, so ``detect`` does not
+take it.  Exit codes: 0 on success, 1 for usage errors, 2 when an input
+file is missing or malformed or a domain check fails.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ _CONFIG_FLAGS = (
     ("--sg-window", "sg_window_samples", int, "refilter smoothing window in samples (odd)"),
     ("--sg-order", "sg_poly_order", int, "refilter polynomial order"),
     ("--trigger", "fluctuation_trigger_watts", float, "refilter activation level in watts"),
-    ("--tolerance", "eval_match_tolerance_s", float, "match tolerance (s; refilter: samples)"),
+    ("--tolerance", "eval_match_tolerance_s", float, "match tolerance for scoring (s)"),
 )
+# ``detect`` scores nothing, so it takes every config flag but the scoring tolerance.
+_DETECTION_FLAGS = tuple(flag for flag in _CONFIG_FLAGS if flag[1] != "eval_match_tolerance_s")
 
 
 class _UsageError(Exception):
@@ -71,9 +74,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, config_flags: tuple) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    for flag, dest, kind, help_text in _CONFIG_FLAGS:
+    for flag, dest, kind, help_text in config_flags:
         parser.add_argument(flag, dest=dest, type=kind, default=None, help=help_text)
 
 
@@ -86,7 +89,7 @@ def _assemble_config(args: argparse.Namespace) -> HybridConfig:
     flags = {
         dest: getattr(args, dest)
         for _, dest, _, _ in _CONFIG_FLAGS
-        if getattr(args, dest) is not None
+        if getattr(args, dest, None) is not None
     }
     if args.config:
         return load_config_file(args.config, overrides=flags)
@@ -197,13 +200,13 @@ def _build_parser() -> _Parser:
         metavar="DIR",
         help="write per-stage traces, extrema, event lists and refilter verdicts into DIR",
     )
-    _add_config_flags(detect)
+    _add_config_flags(detect, _DETECTION_FLAGS)
     detect.set_defaults(func=_cmd_detect)
 
     evaluate = sub.add_parser("evaluate", help="run the pipeline and score it against a log")
     evaluate.add_argument("trace", help="two-column (timestamp, watts) trace file")
     evaluate.add_argument("truth", help="reference log CSV")
-    _add_config_flags(evaluate)
+    _add_config_flags(evaluate, _CONFIG_FLAGS)
     evaluate.set_defaults(func=_cmd_evaluate)
 
     compare = sub.add_parser(
@@ -211,7 +214,7 @@ def _build_parser() -> _Parser:
     )
     compare.add_argument("trace", help="two-column (timestamp, watts) trace file")
     compare.add_argument("truth", help="reference log CSV")
-    _add_config_flags(compare)
+    _add_config_flags(compare, _CONFIG_FLAGS)
     for flag, kind, help_text in (
         ("--lld-pre-window", int, "likelihood pre/post window in samples"),
         ("--lld-threshold", float, "likelihood mean-change threshold"),

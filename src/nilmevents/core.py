@@ -610,6 +610,9 @@ class HybridConfig:
     at most ``2**53``, by :func:`seconds_to_samples` at the series' rate
     before any decision reads it, so every detection decision is an
     integer test on sample indices: no timestamp is compared.
+    ``eval_match_tolerance_s`` only scores: ``evaluate`` and ``compare``
+    match detections to a reference log within it, and no detection
+    reads it.
     """
 
     mean_window_s: float = 0.3
@@ -648,10 +651,6 @@ class HybridConfig:
     def settle_samples(self, rate_hz: float) -> int:
         """``m``: a settled run of more than ``m`` samples separates two transitions."""
         return seconds_to_samples(self.settle_threshold_s, rate_hz)
-
-    def match_tolerance_samples(self, rate_hz: float) -> int:
-        """The refilter confirms a candidate re-detected within this many samples."""
-        return seconds_to_samples(self.eval_match_tolerance_s, rate_hz)
 
     def loess_window_samples(self, rate_hz: float) -> int:
         """Derivative smoothing window in samples, rounded up to odd."""

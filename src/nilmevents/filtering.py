@@ -16,14 +16,14 @@ is built.
 
 Candidates are matched to re-detections by sample index: a candidate
 is confirmed by a re-detection within ``t`` samples of its own index,
-``t`` being ``eval_match_tolerance_s`` in whole samples
-(:meth:`~nilmevents.core.HybridConfig.match_tolerance_samples`); the
-candidates' timestamps are not read.  So a confirmation reads only the
-re-detections within ``t`` samples of its candidate, and the trace is
-smoothed and re-detected only in windows around the candidates
-(:func:`_redetected`): pieces of :mod:`nilmevents.core`, smoothed by one
-:func:`savitzky_golay` call, each alarm the whole-trace one, since an end
-fit depends only on the end window it reads.
+``t`` being 1 s in whole samples (``_CONFIRM_S``, converted by
+:func:`~nilmevents.core.seconds_to_samples`); the candidates' timestamps
+are not read.  So a confirmation reads only the re-detections within
+``t`` samples of its candidate, and the trace is smoothed and
+re-detected only in windows around the candidates (:func:`_redetected`):
+pieces of :mod:`nilmevents.core`, smoothed by one :func:`savitzky_golay`
+call, each alarm the whole-trace one, since an end fit depends only on
+the end window it reads.
 Where the refilter does not fire, nothing is smoothed.
 """
 
@@ -59,6 +59,7 @@ from .core import (
     _blocks,
     _reads,
     _union,
+    seconds_to_samples,
 )
 from .derivative import _checked_window, _read_only, _smooth
 
@@ -125,6 +126,12 @@ class FilterVerdicts:
             self.reason_codes, other.reason_codes
         )
 
+
+# The refilter's confirmation window ``t``, in seconds.  It is not the scoring
+# tolerance ``eval_match_tolerance_s``, so a score at another tolerance scores
+# the same events; and 1 s is the only window any bundled config or workload
+# uses, so it is a constant rather than a config field.
+_CONFIRM_S = 1.0
 
 _NO_VERDICTS = FilterVerdicts(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
 _NO_EXTREMA = _read_only(np.empty(0, dtype=np.int64))
@@ -254,9 +261,9 @@ def _window_alarms(
 
 
 def _redetected(
-    series: SampleSeries, indices: np.ndarray, config: HybridConfig, peak: float
+    series: SampleSeries, indices: np.ndarray, tolerance: int, config: HybridConfig, peak: float
 ) -> np.ndarray:
-    """Re-detection indices of the smoothed trace: every one within the tolerance of ``indices``.
+    """Re-detection indices of the smoothed trace: every one within ``tolerance`` of ``indices``.
 
     They are the indices of :func:`detect_base` run on the whole
     ``savitzky_golay(series.values, ...)``, on the windows of
@@ -292,7 +299,7 @@ def _redetected(
         _checked_margin(exact_peak, n, config.power_threshold_watts)
 
     k = config.time_limit_samples(rate)
-    lo, hi = _confirmation_windows(indices, size, config.match_tolerance_samples(rate), k, n)
+    lo, hi = _confirmation_windows(indices, size, tolerance, k, n)
     lo, hi = lo[lo < hi], hi[lo < hi]
     reach = n + win // 2
     accepted = []
@@ -330,15 +337,16 @@ def refilter_events_with_verdicts(
     those of ``extrema`` within the guard radius of a candidate the
     re-detection did not confirm, in their given order.  A candidate is
     confirmed by a re-detection within ``t`` samples of its index, ``t``
-    being the match tolerance in samples; its timestamp is not read.  When
-    the trace never exceeds ``fluctuation_trigger_watts`` after the first
-    turn-on candidate, the refilter does not trigger: every candidate
-    survives, and there are no verdicts and no extrema read.  When it
-    triggers, it smooths only the windows of the module docstring.  Unless
-    a window is widened back, that is at most ``2 * t + 1`` centres, the
-    lead-in of ``k + 1`` and ``2 * (n + half)`` samples per candidate,
-    ``k`` being the time limit in samples, ``n`` the base half window and
-    ``half`` the SG half window.
+    being 1 s in whole samples at the series' rate, whatever the config's
+    scoring tolerance; its timestamp is not read.  When the trace never
+    exceeds ``fluctuation_trigger_watts`` after the first turn-on
+    candidate, the refilter does not trigger: every candidate survives,
+    and there are no verdicts and no extrema read.  When it triggers, it
+    smooths only the windows of the module docstring.  Unless a window is
+    widened back, that is at most ``2 * t + 1`` centres, the lead-in of
+    ``k + 1`` and ``2 * (n + half)`` samples per candidate, ``k`` being
+    the time limit in samples, ``n`` the base half window and ``half`` the
+    SG half window.
     """
     if not callable(extrema):
         extrema = np.asarray(extrema, dtype=np.int64)
@@ -362,10 +370,9 @@ def refilter_events_with_verdicts(
         return unfired
 
     rate = series.sampling_rate_hz
-    redetected = _redetected(series, candidate_indices, config, series.summary.peak())
-    confirmed = (
-        _nearest_distance(redetected, candidate_indices) <= config.match_tolerance_samples(rate)
-    )
+    t = seconds_to_samples(_CONFIRM_S, rate)
+    redetected = _redetected(series, candidate_indices, t, config, series.summary.peak())
+    confirmed = _nearest_distance(redetected, candidate_indices) <= t
     guard_radius = config.time_limit_samples(rate)
     unconfirmed = candidate_indices[~confirmed]
     if callable(extrema):

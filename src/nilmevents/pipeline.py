@@ -42,18 +42,18 @@ are those of the whole-trace stages.  What each reads:
   either side;
 - the refilter's re-detection, only when the refilter fires, runs on the
   Savitzky-Golay-smoothed trace at the alarm centres within ``t``
-  samples of each candidate's index, ``t`` being the match tolerance in
-  samples, since a candidate is confirmed by index distance, plus a
-  lead-in of ``k + 1`` centres, ``k`` being the time limit in samples,
-  widened back where needed to an alarm that provably restarts the
-  time-limit chain (:mod:`nilmevents.filtering`), and reads ``n + h``
-  samples of trace beyond them on either side, ``h`` being the SG half
-  window.
+  samples of each candidate's index, ``t`` being the confirmation window
+  of 1 s in whole samples (not the scoring tolerance), since a candidate
+  is confirmed by index distance, plus a lead-in of ``k + 1`` centres,
+  ``k`` being the time limit in samples, widened back where needed to an
+  alarm that provably restarts the time-limit chain
+  (:mod:`nilmevents.filtering`), and reads ``n + h`` samples of trace
+  beyond them on either side, ``h`` being the SG half window.
 
 Look-ahead is not bounded by the configured windows.  The per-candidate
 decisions read a bounded stretch past a candidate (the base after-window,
-the LOESS and Savitzky-Golay half windows, the match tolerance and the
-extremum guard radius), but the refilter trigger compares the maximum
+the LOESS and Savitzky-Golay half windows, the confirmation window and
+the extremum guard radius), but the refilter trigger compares the maximum
 of ``series.values[first_on.index:]``, which runs to the end of the
 trace, with ``fluctuation_trigger_watts``.  Whether the refilter runs at
 all, and so whether an early candidate is kept, can therefore depend on

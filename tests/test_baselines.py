@@ -17,10 +17,9 @@ from nilmevents import (
     SeriesTooShort,
     lld_max,
 )
-from nilmevents import baselines
 from nilmevents.base import MagnitudeTooLarge, _rounding_margin
 
-from blocks import unproven_entries, use_proof_blocks
+from blocks import unproven_entries, use_blocks, use_proof_blocks
 from oracles import exact_lld_deviation, oracle_lld
 
 integer_traces = st.lists(
@@ -94,7 +93,7 @@ def test_lld_finds_maxima_within_the_precision_window_of_either_end(
     monkeypatch: pytest.MonkeyPatch, block: int
 ) -> None:
     # Candidates are compared in chunks of block // 21 rows (at least one).
-    monkeypatch.setattr(baselines, "_BLOCK_SAMPLES", block)
+    use_blocks(monkeypatch, block)
     values = np.zeros(120)
     values[8], values[9:111], values[110] = 75.0, 250.0, 90.0
     values[111:] = 0.0

@@ -564,6 +564,39 @@ def test_usage_errors_exit_with_code_one(tmp_path: Path, capsys) -> None:
     capsys.readouterr()
 
 
+def test_detect_takes_no_tolerance_flag_but_any_command_takes_the_config_key(
+    tmp_path: Path, capsys
+) -> None:
+    # The tolerance only scores, and detect scores nothing.
+    trace, truth = render_scenario("rangehood", tmp_path)
+    capsys.readouterr()
+    assert cli_main(["detect", str(trace), "--tolerance", "0.5"]) == 1
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+    config = tmp_path / "scoring.config"
+    config.write_text("eval_match_tolerance_s = 0.5\n")
+    for args in (["detect", str(trace)], ["evaluate", str(trace), str(truth)]):
+        assert cli_main([*args, "--config", str(config)]) == 0
+    assert cli_main(["compare", str(trace), str(truth), "--config", str(config)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["house1", "kitchen"])
+def test_compare_scores_the_same_hybrid_events_at_any_tolerance(
+    name: str, tmp_path: Path, capsys
+) -> None:
+    # The refilter fires on both replicas; the tolerance must not change what it keeps.
+    trace, truth = render_scenario(name, tmp_path)
+    config = str(SCENARIO_DIR / f"{name}.config")
+    hybrid_events = []
+    for tolerance in ("1.0", "0.05"):
+        capsys.readouterr()
+        argv = ["compare", str(trace), str(truth), "--config", config, "--tolerance", tolerance]
+        assert cli_main(argv) == 0
+        hybrid = capsys.readouterr().out.split("detector=lld")[0]
+        hybrid_events.append(re.search(r"^events=\d+$", hybrid, re.M).group())
+    assert hybrid_events[0] == hybrid_events[1]
+
+
 def test_readme_cli_example_runs_as_written(tmp_path: Path, monkeypatch, capsys) -> None:
     readme = (SCENARIO_DIR.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

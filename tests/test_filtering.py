@@ -356,7 +356,7 @@ def near_tolerance(re_indices: list[int], tolerance: int, size: int) -> list[int
 @given(st.data())
 def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     config = HybridConfig()
-    tolerance = seconds_to_samples(config.eval_match_tolerance_s, 20.0)
+    tolerance = seconds_to_samples(nilmevents.filtering._CONFIRM_S, 20.0)
     guard = seconds_to_samples(config.time_limit_s, 20.0)
     stepped = data.draw(st.booleans())
     series = series_at_20hz(refilter_trace(stepped))
@@ -467,7 +467,7 @@ def assert_refilter_matches_whole_trace(
     """Verdicts of ``(index, timestamp)`` candidates; the oracle reads only their indices."""
     rate = series.sampling_rate_hz
     guard = seconds_to_samples(config.time_limit_s, rate)
-    tolerance = seconds_to_samples(config.eval_match_tolerance_s, rate)
+    tolerance = seconds_to_samples(nilmevents.filtering._CONFIRM_S, rate)
     candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
     survivors, verdicts, read = refilter_events_with_verdicts(
         series, candidates, extremum_indices, config
@@ -486,9 +486,15 @@ def assert_refilter_matches_whole_trace(
     ]
 
 
+def use_confirm_window(monkeypatch: pytest.MonkeyPatch, seconds: float) -> None:
+    """Confirm a candidate within ``seconds`` of a re-detection, rather than 1 s."""
+    monkeypatch.setattr(nilmevents.filtering, "_CONFIRM_S", seconds)
+
+
 @st.composite
-def busy_traces(draw) -> tuple[SampleSeries, HybridConfig]:
-    """A trace above the trigger throughout, with steps, oscillation bursts and long ramps.
+def busy_traces(draw) -> tuple[SampleSeries, HybridConfig, float]:
+    """A trace above the trigger throughout, with steps, oscillation bursts and long ramps,
+    and a confirmation window in seconds.
 
     A ramp alarms at every centre it covers, so a window that starts on
     one must be widened back past the ramp's start.
@@ -499,7 +505,6 @@ def busy_traces(draw) -> tuple[SampleSeries, HybridConfig]:
     config = HybridConfig(
         mean_window_s=draw(st.sampled_from([0.1, 0.3])),
         time_limit_s=draw(st.sampled_from([0.1, 0.2, 0.5])),
-        eval_match_tolerance_s=draw(st.sampled_from([0.05, 0.3, 1.0])),
         sg_window_samples=window,
         sg_poly_order=order,
     )
@@ -518,14 +523,15 @@ def busy_traces(draw) -> tuple[SampleSeries, HybridConfig]:
             part += 60.0 * np.sin(2.0 * np.pi * ramp * 2.0 / rate)
         else:
             part += ramp * draw(st.sampled_from([-15.0, 15.0, 40.0]))
-    return SampleSeries(np.maximum(values, 1100.0), rate, start), config
+    confirm_s = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    return SampleSeries(np.maximum(values, 1100.0), rate, start), config, confirm_s
 
 
 @given(busy_traces(), st.data())
 def test_windowed_redetection_verdicts_equal_the_whole_trace_path(case, data) -> None:
-    series, config = case
+    series, config, confirm_s = case
     size, rate = len(series), series.sampling_rate_hz
-    tolerance = seconds_to_samples(config.eval_match_tolerance_s, rate)
+    tolerance = seconds_to_samples(confirm_s, rate)
     half = config.sg_window_samples // 2
     re_indices = whole_trace_redetections(series, config)
     end_time = series.time_at(size - 1)
@@ -542,7 +548,9 @@ def test_windowed_redetection_verdicts_equal_the_whole_trace_path(case, data) ->
         indices = st.sampled_from(at_tolerance) | indices
     specs = data.draw(st.lists(st.tuples(indices, times), min_size=1, max_size=12))
     extrema = data.draw(st.lists(st.integers(0, size - 1), max_size=4))
-    assert_refilter_matches_whole_trace(series, config, specs, extrema, re_indices)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_confirm_window(monkeypatch, confirm_s)
+        assert_refilter_matches_whole_trace(series, config, specs, extrema, re_indices)
 
 
 def smoothing_calls(monkeypatch: pytest.MonkeyPatch) -> list[int]:
@@ -578,34 +586,36 @@ def test_a_window_that_starts_inside_an_alarm_run_is_widened_back(
     assert len(sizes) > 1
 
 
-def test_a_first_alarm_exactly_the_time_limit_into_its_window_is_no_proven_reset() -> None:
+def test_a_first_alarm_exactly_the_time_limit_into_its_window_is_no_proven_reset(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
     # An interpolating SG filter (5 taps, order 4) leaves the trace as it is.
     # With 1-sample mean windows, a staircase rising 20 W at the samples 0
     # and 1 of every 4 alarms at every centre 0 mod 4, and the 4-sample time
     # limit emits those 4 mod 8.  A candidate at 3 mod 8 reads the centres
     # from 6 samples before it, so its window's first alarm lies exactly 4
     # samples after the alarm just before the window, which suppresses it:
-    # no proven reset.  The 1-sample tolerance then tells which is emitted.
+    # no proven reset.  A 1-sample confirmation window then tells which is emitted.
     steps = np.where(np.arange(400) % 4 < 2, 20.0, 0.0)
     series = series_at_20hz(1500.0 + np.cumsum(steps))
-    config = HybridConfig(
-        mean_window_s=0.05, eval_match_tolerance_s=0.05, sg_window_samples=5, sg_poly_order=4
-    )
+    config = HybridConfig(mean_window_s=0.05, sg_window_samples=5, sg_poly_order=4)
+    use_confirm_window(monkeypatch, 0.05)
     re_indices = whole_trace_redetections(series, config)
     assert re_indices == list(range(4, 397, 8))
     specs = [(index, 0.0) for index in range(43, 360, 32)]
     assert_refilter_matches_whole_trace(series, config, specs, [], re_indices)
 
 
-def test_windows_at_both_ends_of_a_short_trace_take_the_edge_fits() -> None:
+def test_windows_at_both_ends_of_a_short_trace_take_the_edge_fits(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
     # An SG window longer than two mean windows and a half window: a window at
     # a trace end reads a piece shorter than an SG window, which is stretched.
     rng = np.random.default_rng(11)
     values = 1500.0 + np.cumsum(rng.normal(0.0, 20.0, 120))
     series = SampleSeries(values, 50.0, 2.5)
-    config = HybridConfig(
-        mean_window_s=0.02, eval_match_tolerance_s=0.01, sg_window_samples=41, sg_poly_order=2
-    )
+    config = HybridConfig(mean_window_s=0.02, sg_window_samples=41, sg_poly_order=2)
+    use_confirm_window(monkeypatch, 0.01)
     re_indices = whole_trace_redetections(series, config)
     specs = [(0, series.time_at(1)), (119, series.time_at(118)), (60, series.time_at(60))]
     specs += [(r, 5.0) for r in re_indices]
@@ -708,7 +718,7 @@ def read_bound(series: SampleSeries, candidates: int, config: HybridConfig) -> i
     rate = series.sampling_rate_hz
     n = config.mean_window_samples(rate)
     half = config.sg_window_samples // 2
-    centres = 2 * seconds_to_samples(config.eval_match_tolerance_s, rate) + 1
+    centres = 2 * seconds_to_samples(nilmevents.filtering._CONFIRM_S, rate) + 1
     lead_in = seconds_to_samples(config.time_limit_s, rate) + 1
     return candidates * (centres + lead_in + 2 * (n + half))
 

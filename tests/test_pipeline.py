@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from nilmevents import (
     smoothed_derivative,
     write_trace,
 )
-from nilmevents import core
+from nilmevents import core, filtering
 from nilmevents.filtering import refilter_events_with_verdicts
 
 from blocks import BLOCK_SIZES, use_blocks, use_proof_blocks
@@ -535,7 +536,6 @@ HUGE_DURATIONS = [
     {"time_limit_s": 1e299, "settle_threshold_s": 1e300},
     {"settle_threshold_s": 1e300},
     {"loess_window_s": 1e300},
-    {"eval_match_tolerance_s": 1e300},
 ]
 
 
@@ -555,8 +555,7 @@ def pipeline_outcome(series: SampleSeries, config: HybridConfig):
     )
 
 
-@pytest.mark.parametrize("durations", HUGE_DURATIONS, ids=lambda d: "+".join(d))
-@pytest.mark.parametrize(
+past_any_series = pytest.mark.parametrize(
     "series",
     [
         SampleSeries(np.zeros(100), 1e10),
@@ -564,6 +563,10 @@ def pipeline_outcome(series: SampleSeries, config: HybridConfig):
     ],
     ids=["flat-at-10-GHz", "refilter-fires"],
 )
+
+
+@pytest.mark.parametrize("durations", HUGE_DURATIONS, ids=lambda d: "+".join(d))
+@past_any_series
 def test_durations_past_any_series_decide_as_long_exact_ones(
     series: SampleSeries, durations: dict[str, float]
 ) -> None:
@@ -571,3 +574,65 @@ def test_durations_past_any_series_decide_as_long_exact_ones(
     long = {name: seconds * 1e-295 for name, seconds in durations.items()}  # 1e5 s and so on
     assert outcome == pipeline_outcome(series, HybridConfig(**long))
     assert outcome != "DetectionError"
+
+
+@past_any_series
+def test_a_confirmation_window_past_any_series_decides_as_a_long_exact_one(
+    series: SampleSeries, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setattr(filtering, "_CONFIRM_S", 1e300)
+    outcome = pipeline_outcome(series, HybridConfig())
+    monkeypatch.setattr(filtering, "_CONFIRM_S", 1e5)
+    assert outcome == pipeline_outcome(series, HybridConfig())
+    assert outcome != "DetectionError"
+
+
+# --- The scoring tolerance moves no detection ----------------------------------
+
+SCORING_TOLERANCES = [0.01, 0.05, 0.25, 1.0, 2.0, 1e300]
+
+
+@pytest.mark.parametrize("name", REPLICA_NAMES)
+def test_replica_detection_ignores_the_scoring_tolerance(name: str) -> None:
+    run = run_replica(name)
+    expected = pipeline_outcome(run.series, run.config)
+    # The refilter fires on house1 and kitchen, so the verdicts are there to move.
+    assert bool(expected[-1]) == (name in ("house1", "kitchen"))
+    for tolerance in SCORING_TOLERANCES:
+        config = replace(run.config, eval_match_tolerance_s=tolerance)
+        assert pipeline_outcome(run.series, config) == expected, tolerance
+
+
+@st.composite
+def fluctuating_loads(draw) -> SampleSeries:
+    """A load above the refilter trigger throughout, with a few steps and oscillation
+    bursts, so the refilter fires and confirms some candidates but not others."""
+    rate = draw(st.sampled_from([20.0, 50.0]))
+    size = draw(st.integers(min_value=400, max_value=3000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = 1500.0 + rng.normal(0.0, 2.0, size)
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        at = draw(st.integers(min_value=0, max_value=size - 1))
+        if draw(st.booleans()):
+            x[at:] += draw(st.sampled_from([-300.0, 300.0]))
+        else:
+            stop = min(size, at + round(draw(st.floats(0.5, 10.0)) * rate))
+            period = draw(st.floats(min_value=0.3, max_value=3.0)) * rate
+            amplitude = draw(st.floats(min_value=20.0, max_value=200.0))
+            x[at:stop] += amplitude * np.sin(2.0 * np.pi * np.arange(stop - at) / period)
+    return SampleSeries(x, rate)
+
+
+@given(
+    fluctuating_loads(),
+    # A 41-sample SG window moves re-detections off their candidates by more than a sample.
+    st.sampled_from([HybridConfig(), HybridConfig(sg_window_samples=41, sg_poly_order=2)]),
+)
+def test_every_scoring_tolerance_gives_the_same_detection(
+    series: SampleSeries, config: HybridConfig
+) -> None:
+    outcomes = [
+        pipeline_outcome(series, replace(config, eval_match_tolerance_s=tolerance))
+        for tolerance in SCORING_TOLERANCES
+    ]
+    assert outcomes == outcomes[:1] * len(outcomes)
