@@ -27,6 +27,7 @@ from .core import (
     _check_integer,
     _check_setting,
     _piece_groups,
+    _union,
 )
 
 __all__ = ["LldConfig", "lld_max"]
@@ -85,28 +86,37 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     The statistic is computed only where the series summary's range proof
     fails (:func:`~nilmevents.base._tested_centres`): elsewhere ``|mu1 -
     mu0|`` is below the threshold, so ``ds`` is 0.  The tested centres are
-    walked as the pieces of :mod:`nilmevents.core`, each reading
-    ``pre_window_samples + maxima_precision_samples`` samples past either
+    walked as the pieces of :mod:`nilmevents.core`, each reading ``R =
+    pre_window_samples + maxima_precision_samples`` samples past either
     end, so that every entry within ``maxima_precision_samples`` of a
     centre it owns is computed from the piece's own reads, and only the
-    candidates at centres a piece owns are tested.  A piece's entries
-    beyond its tested centres come out 0, as over the whole trace, since
-    ``r`` bounds the computed ``mu1 - mu0`` too.  Past a trace end there is no
-    entry, and the gathered array's zero padding stands for it: a nonzero
-    candidate never ties with a 0.  So the events are those of the
-    statistic over the whole trace, for any block and proof-block size.  A
-    window as wide as the profile already covers every eligible index, so
-    ``maxima_precision_samples`` is read as at most the profile length.
+    candidates at centres a piece owns are tested.  Runs of tested centres
+    at most ``2R`` apart, whose reads meet, are read as one run with the
+    centres between them, and the pieces are no shorter than ``2R`` but
+    for the last of a run, so that a wide window does not read the same
+    samples once per piece: at a window as wide as the profile, the trace
+    is read once.  A piece's entries beyond its tested centres come out 0,
+    as over the whole trace, since ``r`` bounds the computed ``mu1 - mu0``
+    too.  Past a trace end there is no entry, and the gathered array's
+    zero padding stands for it: a nonzero candidate never ties with a 0.
+    So the events are those of the statistic over the whole trace, for any
+    block and proof-block size.  A window as wide as the profile already
+    covers every eligible index, so ``maxima_precision_samples`` is read as
+    at most the profile length.
     """
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
     _require_windows(len(series), pw)
     threshold = config.power_threshold_watts
     m = min(int(config.maxima_precision_samples), len(series) - 2 * pw)
+    reach = pw + m  # what a piece reads past either end
     starts, stops = _tested_centres(series.summary, pw, threshold)
+    # Runs whose reads overlap are read as one, with the centres between them.
+    starts, stops = _union(starts - reach, stops + reach)
+    starts, stops = starts + reach, stops - reach
     margin = _rounding_margin(series.summary.peak(), pw)
 
     found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    for layout in _piece_groups(starts, stops, pw + m, pw + m, len(series)):
+    for layout in _piece_groups(starts, stops, reach, reach, len(series), piece=2 * reach):
         found.append(_maxima(layout, series.values, pw, threshold, margin, m))
     indices = np.concatenate([centres for centres, _ in found])
     deltas = np.concatenate([deltas for _, deltas in found])

@@ -383,7 +383,13 @@ def _reads(
 
 
 def _piece_groups(
-    starts: np.ndarray, stops: np.ndarray, before: int, after: int, size: int, window: int = 0
+    starts: np.ndarray,
+    stops: np.ndarray,
+    before: int,
+    after: int,
+    size: int,
+    window: int = 0,
+    piece: int = 0,
 ) -> Iterator[_Layout]:
     """The ranges ``[starts, stops)`` in pieces of at most ``_BLOCK_SAMPLES``, a group at a time.
 
@@ -392,12 +398,14 @@ def _piece_groups(
     multiple, so a group reads less than two blocks and ``before + after``
     (or ``window``).  A group also opens at each piece whose read begins at
     sample 0, and after each whose read ends at ``size``: such a piece is
-    the first, or the last, of its group.
+    the first, or the last, of its group.  A ``piece`` longer than a block
+    cuts the ranges into pieces of at most that many samples instead.
     """
     block = _BLOCK_SAMPLES
-    count = -(-(stops - starts) // block)  # pieces per range
-    begins = np.repeat(starts, count) + block * _aranges(np.zeros_like(count), count)
-    ends = np.minimum(begins + block, np.repeat(stops, count))
+    length = max(block, piece)
+    count = -(-(stops - starts) // length)  # pieces per range
+    begins = np.repeat(starts, count) + length * _aranges(np.zeros_like(count), count)
+    ends = np.minimum(begins + length, np.repeat(stops, count))
     lo, hi = _reads(begins, ends, before, after, size, window)
     reads = hi - lo
     opens = np.diff((np.cumsum(reads) - reads) // block, prepend=-1) != 0

@@ -34,7 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _MAX_SAMPLES, DetectionError, GroundTruthEntry, GroundTruthLog, SampleSeries
+from .core import (
+    _MAX_SAMPLES,
+    DetectionError,
+    GroundTruthEntry,
+    GroundTruthLog,
+    SampleSeries,
+    _blocks,
+)
 from .io import _decoding
 
 __all__ = [
@@ -123,6 +130,11 @@ class ApplianceSpec:
                     f"transient_duration_s {self.transient_duration_s} exceeds the "
                     f"on-span {span}"
                 )
+            if self.transient is TransientKind.SPIKE_DECAY and self.transient_duration_s / 3.0 == 0:
+                raise InvalidSpec(
+                    f"spike_decay transient_duration_s {self.transient_duration_s} gives "
+                    "a time constant of 0"
+                )
         if (
             not math.isfinite(self.fluctuation_amplitude_watts)
             or self.fluctuation_amplitude_watts < 0
@@ -167,15 +179,20 @@ class ScenarioSpec:
 
 
 def _transient_profile(appliance: ApplianceSpec, elapsed: np.ndarray, dt: float) -> np.ndarray:
-    """Power contribution over the active samples, ``elapsed`` >= 0."""
+    """Power contribution over the active samples, ``elapsed`` >= 0.
+
+    A transient so short that ``elapsed / d`` overflows to inf has ended:
+    the ramp's ``minimum`` and the decay's ``exp`` read inf as such.
+    """
     power = appliance.power_watts
     d = appliance.transient_duration_s
     if appliance.transient is TransientKind.STEP:
         return np.full_like(elapsed, power)
-    if appliance.transient is TransientKind.SPIKE_DECAY:
-        return power * (1.0 + 0.5 * np.exp(-elapsed / (d / 3.0)))
-    if appliance.transient is TransientKind.RAMP:
-        return power * np.minimum(1.0, (elapsed + dt) / d)
+    with np.errstate(over="ignore"):
+        if appliance.transient is TransientKind.SPIKE_DECAY:
+            return power * (1.0 + 0.5 * np.exp(-elapsed / (d / 3.0)))
+        if appliance.transient is TransientKind.RAMP:
+            return power * np.minimum(1.0, (elapsed + dt) / d)
     return np.where(elapsed < d / 2.0, power / 2.0, power)
 
 
@@ -191,6 +208,33 @@ def _burst_starts(appliance: ApplianceSpec, duration_s: float) -> list[float]:
     return starts
 
 
+def _first_at(t: float, rate: float, n: int) -> int:
+    """The first sample ``i`` of ``[0, n)`` whose time ``i / rate`` is ``>= t``, else ``n``.
+
+    What ``np.searchsorted(np.arange(n) / rate, t)`` returns: ``ceil(t *
+    rate)`` is a guess within a sample or two, corrected by the same
+    division, which rounds the same way in Python as in numpy.
+    """
+    i = min(max(math.ceil(t * rate), 0), n)
+    while i > 0 and (i - 1) / rate >= t:
+        i -= 1
+    while i < n and i / rate < t:
+        i += 1
+    return i
+
+
+def _blocks_between(
+    start: float, stop: float, rate: float, n: int
+) -> typing.Iterator[tuple[slice, np.ndarray]]:
+    """The samples ``i`` of ``[0, n)`` with ``start <= i / rate < stop``, a block at a time.
+
+    Yields each block's slice of the trace and its sample times.
+    """
+    lo, hi = _first_at(start, rate, n), _first_at(stop, rate, n)
+    for a, b in _blocks(hi - lo):
+        yield slice(lo + a, lo + b), np.arange(lo + a, lo + b) / rate
+
+
 def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]:
     """Render a scenario into a trace and its reference transition log.
 
@@ -204,6 +248,17 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
         (omitted when the appliance stays on through the end).  Entries
         are sorted by time; simultaneous transitions keep appliance
         order.
+
+    The trace is the one full-length array allocated: it is filled a
+    ``core._BLOCK_SAMPLES`` block at a time, so besides it and the
+    series' summary the call holds one block's sample times and a few
+    blocks of temporaries.  Sample ``i`` is at time ``i / rate``; an
+    appliance adds its power to the samples with ``on <= t < off`` and a
+    burst its sine to those in ``[start, start + BURST_CYCLES *
+    BURST_CARRIER_PERIOD_S)``.  Each sample gets its appliances in order,
+    each followed by its bursts, then its noise, drawn block after block
+    from one generator, which gives the same stream as one draw: so the
+    trace does not depend on the block size.
     """
     rate = spec.sampling_rate_hz
     dt = 1.0 / rate
@@ -215,26 +270,24 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
         )
     n = round(samples)
     try:
-        times = np.arange(n) / rate
         total = np.zeros(n)
     except MemoryError as exc:
         raise InvalidSpec(
             f"duration_s {spec.duration_s} at sampling_rate_hz {rate} gives {n} samples, "
-            f"whose trace and sample times need {16 * n} bytes: more than can be allocated"
+            f"whose trace needs {8 * n} bytes: more than can be allocated"
         ) from exc
 
     labelled: list[tuple[float, str]] = []
     for appliance in spec.appliances:
-        # On the increasing grid, [lo, hi) holds exactly the samples with on <= t < off.
-        lo, hi = np.searchsorted(times, (appliance.on_time_s, appliance.off_time_s))
-        elapsed = times[lo:hi] - appliance.on_time_s
-        total[lo:hi] += _transient_profile(appliance, elapsed, dt)
+        on = appliance.on_time_s
+        for part, times in _blocks_between(on, appliance.off_time_s, rate, n):
+            total[part] += _transient_profile(appliance, times - on, dt)
         if appliance.fluctuation_amplitude_watts > 0:
             for start in _burst_starts(appliance, spec.duration_s):
-                b_lo, b_hi = np.searchsorted(times, (start, start + _BURST_LENGTH_S))
-                total[b_lo:b_hi] += appliance.fluctuation_amplitude_watts * np.sin(
-                    2.0 * np.pi * (times[b_lo:b_hi] - start) / BURST_CARRIER_PERIOD_S
-                )
+                for part, times in _blocks_between(start, start + _BURST_LENGTH_S, rate, n):
+                    total[part] += appliance.fluctuation_amplitude_watts * np.sin(
+                        2.0 * np.pi * (times - start) / BURST_CARRIER_PERIOD_S
+                    )
         labelled.append((appliance.on_time_s, f"{appliance.label} on"))
         if appliance.transient is TransientKind.MULTI_STAGE:
             labelled.append(
@@ -248,7 +301,8 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
 
     if spec.noise_std_watts > 0:
         rng = np.random.default_rng(spec.seed)
-        total += rng.normal(0.0, spec.noise_std_watts, n)
+        for a, b in _blocks(n):
+            total[a:b] += rng.normal(0.0, spec.noise_std_watts, b - a)
 
     labelled.sort(key=lambda pair: pair[0])
     truth = GroundTruthLog(

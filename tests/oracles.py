@@ -23,6 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
+from nilmevents import GroundTruthEntry, ScenarioSpec, TransientKind
+from nilmevents.synth import (
+    _BURST_LENGTH_S,
+    BURST_CARRIER_PERIOD_S,
+    _burst_starts,
+    _transient_profile,
+)
+
 
 def oracle_first_derivative(values: np.ndarray, h: float = 1.0) -> np.ndarray:
     x = np.asarray(values, dtype=float)
@@ -370,3 +378,39 @@ def oracle_write_trace(path: Path, series) -> None:
         handle.write("timestamp_s,power_w\n")
         for i, value in enumerate(series.values):
             handle.write(f"{series.time_at(i)!r},{float(value)!r}\n")
+
+
+def oracle_generate_scenario(
+    spec: ScenarioSpec,
+) -> tuple[np.ndarray, tuple[GroundTruthEntry, ...]]:
+    """Render a scenario over whole arrays: the sample times, the trace and one noise draw.
+
+    Each appliance's samples are found by searching the full array of
+    sample times, and the noise is one draw of the trace's length.
+    Returns ``(values, truth entries)``.
+    """
+    rate = spec.sampling_rate_hz
+    n = round(spec.duration_s * rate)
+    times = np.arange(n) / rate
+    total = np.zeros(n)
+    labelled = []
+    for appliance in spec.appliances:
+        lo, hi = np.searchsorted(times, (appliance.on_time_s, appliance.off_time_s))
+        elapsed = times[lo:hi] - appliance.on_time_s
+        total[lo:hi] += _transient_profile(appliance, elapsed, 1.0 / rate)
+        if appliance.fluctuation_amplitude_watts > 0:
+            for start in _burst_starts(appliance, spec.duration_s):
+                b_lo, b_hi = np.searchsorted(times, (start, start + _BURST_LENGTH_S))
+                total[b_lo:b_hi] += appliance.fluctuation_amplitude_watts * np.sin(
+                    2.0 * np.pi * (times[b_lo:b_hi] - start) / BURST_CARRIER_PERIOD_S
+                )
+        labelled.append((appliance.on_time_s, f"{appliance.label} on"))
+        if appliance.transient is TransientKind.MULTI_STAGE:
+            mode = appliance.on_time_s + appliance.transient_duration_s / 2.0
+            labelled.append((mode, f"{appliance.label} mode"))
+        if appliance.off_time_s < spec.duration_s:
+            labelled.append((appliance.off_time_s, f"{appliance.label} off"))
+    if spec.noise_std_watts > 0:
+        total += np.random.default_rng(spec.seed).normal(0.0, spec.noise_std_watts, n)
+    labelled.sort(key=lambda pair: pair[0])
+    return total, tuple(GroundTruthEntry(t, label) for t, label in labelled)

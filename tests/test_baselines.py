@@ -15,12 +15,16 @@ from nilmevents import (
     NonFiniteValue,
     SampleSeries,
     SeriesTooShort,
+    baselines,
+    core,
+    generate_scenario,
     lld_max,
 )
-from nilmevents.base import MagnitudeTooLarge, _rounding_margin
+from nilmevents.base import MagnitudeTooLarge, _rounding_margin, _tested_centres
 
 from blocks import unproven_entries, use_blocks, use_proof_blocks
 from oracles import exact_lld_deviation, oracle_lld
+from replicas import replica_spec
 
 integer_traces = st.lists(
     st.integers(min_value=0, max_value=3000), min_size=13, max_size=150
@@ -461,3 +465,54 @@ def test_a_precision_window_past_the_profile_gives_the_oracle_events(
     config = LldConfig(maxima_precision_samples=precision)
     events = lld_max(series_at_20hz(values), config)
     assert [(e.index, e.delta_watts) for e in events] == oracle_lld(values, 6, 25.0, precision)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_profile_wide_window_reads_the_trace_once(
+    seed: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Read once per 64-sample piece of each tested run, the 768-sample trace
+    would be gathered 9 to 11 times over; joined, the runs read it once."""
+    use_blocks(monkeypatch, 64)
+    use_proof_blocks(monkeypatch, 1)
+    gathered = []
+    take = core._Layout.take
+
+    def counted(layout: core._Layout, x: np.ndarray) -> np.ndarray:
+        out = take(layout, x)
+        gathered.append(out.size)
+        return out
+
+    monkeypatch.setattr(core._Layout, "take", counted)
+    values = summary_block_steps(seed)
+    config = LldConfig(maxima_precision_samples=values.size)
+    events = lld_max(series_at_20hz(values), config)
+    assert [(e.index, e.delta_watts) for e in events] == oracle_lld(values, 6, 25.0, values.size)
+    assert sum(gathered) == values.size
+
+
+@pytest.mark.parametrize("block", [64, None], ids=["block64", "default"])
+def test_the_default_window_reads_the_pieces_of_each_tested_run(
+    block: int | None, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Tested runs lie a proof block (1024 centres) apart, far more than the
+    2 * 16 samples their reads overlap by at the default window, so no two are
+    joined, and every block is at least 32 samples, so pieces are blocks."""
+    if block is not None:
+        use_blocks(monkeypatch, block)
+    series, _ = generate_scenario(replica_spec("house1"))
+    layouts = []
+    maxima = baselines._maxima
+
+    def recorded(layout: core._Layout, *args) -> tuple[np.ndarray, np.ndarray]:
+        layouts.append(layout)
+        return maxima(layout, *args)
+
+    monkeypatch.setattr(baselines, "_maxima", recorded)
+    lld_max(series, LldConfig())
+    starts, stops = _tested_centres(series.summary, 6, 25.0)
+    expected = list(core._piece_groups(starts, stops, 16, 16, len(series)))
+    assert sum(layout.starts.size for layout in expected) > 1  # several runs, or pieces
+    assert len(layouts) == len(expected)
+    for got, want in zip(layouts, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -1,4 +1,5 @@
-"""Traced allocation peaks of the CSV reader, a smoothed derivative read and the base detector.
+"""Traced allocation peaks of the CSV reader, a smoothed derivative read, the base detector
+and the scenario renderer.
 
 numpy reports its array buffers to ``tracemalloc``, so a traced peak
 counts every temporary a call holds at once.  Each test runs its call
@@ -14,7 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilmevents import HybridConfig, SampleSeries, core, detect_base, load_trace
+from nilmevents import (
+    ApplianceSpec,
+    HybridConfig,
+    SampleSeries,
+    ScenarioSpec,
+    TransientKind,
+    core,
+    detect_base,
+    generate_scenario,
+    load_trace,
+)
 from nilmevents.derivative import _SmoothedDerivative
 
 from blocks import unproven_entries
@@ -89,3 +100,23 @@ def test_detect_base_holds_a_few_blocks(steps: int, sigma: float, runs: int) -> 
     events, peak = traced_peak(lambda: detect_base(series, config))
     assert len(events) >= steps
     assert peak <= 8 * 8 * core._BLOCK_SAMPLES  # eight blocks of float64; the trace is 8 MB
+
+
+def every_kind(duration_s: float) -> ScenarioSpec:
+    """A noisy 20 Hz scenario: a fluctuating fridge on throughout, one appliance per transient."""
+    fridge = ApplianceSpec("fridge", 120.0, 0.0, duration_s, fluctuation_amplitude_watts=30.0)
+    appliances = [fridge]
+    for k, kind in enumerate(TransientKind):
+        on = duration_s * (k + 1) / 6
+        off = on + duration_s / 8
+        appliances.append(ApplianceSpec(kind.value, 800.0, on, off, kind, 5.0, 20.0))
+    return ScenarioSpec(20.0, duration_s, tuple(appliances), noise_std_watts=2.0, seed=5)
+
+
+def test_generate_scenario_holds_the_trace_and_a_few_blocks() -> None:
+    generate_scenario(every_kind(100.0))
+    spec = every_kind(10_000.0)  # 200,000 samples
+    (series, truth), peak = traced_peak(lambda: generate_scenario(spec))
+    assert len(series) == 200_000 and len(truth) == 10
+    # The trace, its summary and a few blocks of sample times and temporaries.
+    assert peak <= series.values.nbytes + 8 * 8 * core._BLOCK_SAMPLES

@@ -28,8 +28,11 @@ from nilmevents.synth import (
     BURST_FIRST_OFFSET_S,
     BURST_PERIOD_S,
     BURST_TAIL_MARGIN_S,
+    _first_at,
 )
 
+from blocks import use_blocks
+from oracles import oracle_generate_scenario
 from replicas import replica_spec
 
 
@@ -104,6 +107,22 @@ def test_ramp_reaches_rated_power_after_the_transient_duration() -> None:
     assert series.values[239] == pytest.approx(400.0, rel=1e-12)
     assert (np.diff(series.values[200:240]) > 0).all()
     assert (series.values[240:800] == 400.0).all()
+
+
+@pytest.mark.parametrize("kind", [TransientKind.SPIKE_DECAY, TransientKind.RAMP])
+def test_a_transient_far_shorter_than_a_sample_has_ended_by_the_next(kind: TransientKind) -> None:
+    """``elapsed / d`` overflows to inf, which ends the transient, with no warning."""
+    spec = single_appliance(ApplianceSpec("a", 20.0, 0.0, 60.0, kind, 1e-310))
+    values = generate_scenario(spec)[0].values
+    assert values[0] == (30.0 if kind is TransientKind.SPIKE_DECAY else 20.0)
+    assert (values[1:] == 20.0).all()
+
+
+def test_a_spike_whose_time_constant_underflows_is_refused() -> None:
+    """At ``d / 3 == 0`` the first sample's decay would be ``exp(0 / 0)``, a NaN."""
+    with pytest.raises(InvalidSpec, match="time constant of 0"):
+        ApplianceSpec("a", 20.0, 0.0, 1.0, TransientKind.SPIKE_DECAY, 5e-324)
+    ApplianceSpec("a", 20.0, 0.0, 1.0, TransientKind.RAMP, 5e-324)
 
 
 def test_multi_stage_holds_half_power_then_logs_a_mode_change() -> None:
@@ -388,20 +407,53 @@ def test_load_scenario_reads_utf8_with_a_byte_order_mark(tmp_path: Path) -> None
         load_scenario(path)
 
 
-@pytest.mark.parametrize("allocation", ["arange", "zeros"])
 def test_a_trace_past_memory_is_an_invalid_spec_naming_its_size(
-    allocation: str, monkeypatch: pytest.MonkeyPatch
+    monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    """Allocating the trace or its sample times fails as it would for a trace
-    past memory; no large array is allocated."""
+    """Allocating the trace fails as it would for a trace past memory."""
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(np, allocation, exhausted)
+    monkeypatch.setattr(np, "zeros", exhausted)
     spec = ScenarioSpec(sampling_rate_hz=20.0, duration_s=10.0)
-    with pytest.raises(InvalidSpec, match=r"gives 200 samples, .* need 3200 bytes"):
+    with pytest.raises(InvalidSpec, match=r"gives 200 samples, whose trace needs 1600 bytes"):
         generate_scenario(spec)
+
+
+def test_sample_times_and_noise_are_made_a_block_at_a_time(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """No sample-time or noise array is longer than a block: the trace is the one full array."""
+    use_blocks(monkeypatch, 64)
+    spec = ScenarioSpec(
+        sampling_rate_hz=20.0,
+        duration_s=10.0,
+        appliances=(ApplianceSpec("kettle", 1800.0, 0.0, 10.0),),
+        noise_std_watts=1.0,
+    )
+    expected, _ = generate_scenario(spec)
+    lengths = []
+    arange, default_rng = np.arange, np.random.default_rng
+
+    def counted_arange(*args, **kwargs) -> np.ndarray:
+        out = arange(*args, **kwargs)
+        lengths.append(out.size)
+        return out
+
+    class CountedGenerator:
+        def __init__(self, seed: int) -> None:
+            self.rng = default_rng(seed)
+
+        def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
+            lengths.append(size)
+            return self.rng.normal(loc, scale, size)
+
+    monkeypatch.setattr(np, "arange", counted_arange)
+    monkeypatch.setattr(np.random, "default_rng", CountedGenerator)
+    series, _ = generate_scenario(spec)
+    assert series == expected
+    assert lengths.count(64) == 2 * 3 and max(lengths) == 64  # 200 samples: 3 full blocks
 
 
 transition_kinds = st.sampled_from(list(TransientKind))
@@ -448,6 +500,93 @@ def test_rendered_scenarios_are_finite_with_a_complete_log(
     stamps = [entry.timestamp_s for entry in truth.entries]
     assert stamps == sorted(stamps)
     assert all(0.0 <= t <= 60.0 for t in stamps)
+
+
+@pytest.mark.parametrize("rate", [0.3, 4.0, 7.0, 20.0, 50.0, 60.0])
+def test_first_at_is_the_search_of_the_full_sample_times(rate: float) -> None:
+    """At these rates ``t * rate`` rounds both above and below ``k`` for some instants ``t``."""
+    n = 3000
+    times = np.arange(n) / rate
+    instants = np.arange(-2, n + 2) / rate
+    probes = np.concatenate(
+        (
+            instants,
+            np.nextafter(instants, np.inf),
+            np.nextafter(instants, -np.inf),
+            instants + 14.0,  # burst starts of an appliance on at an instant
+            (np.arange(n) + 0.5) / rate,
+        )
+    )
+    probes = probes[probes >= 0.0]
+    found = [_first_at(t, rate, n) for t in probes.tolist()]
+    assert found == np.searchsorted(times, probes).tolist()
+
+
+@st.composite
+def scenarios_on_and_between_samples(draw: st.DrawFn) -> ScenarioSpec:
+    """Scenarios whose on, off and burst times fall on sample instants and between them.
+
+    A time is a sample's ``k / rate``, the float just before or after it,
+    or a quarter or half sample later.  At 4 Hz every such time and every
+    burst start is exact; at 50 and 60 Hz ``t * rate`` can round to either
+    side of ``k``, so the sample is found by correcting that guess.
+    """
+    rate = draw(st.sampled_from([4.0, 20.0, 50.0, 60.0]))
+    n = round(rate * draw(st.integers(min_value=30, max_value=60))) + draw(
+        st.integers(min_value=0, max_value=round(rate) - 1)
+    )
+    duration = n / rate
+
+    def time(first: int, last: int) -> float:
+        """A time from sample ``first`` to just past sample ``last``."""
+        t = draw(st.integers(min_value=first, max_value=last)) / rate
+        where = draw(st.sampled_from(["on", "after", "before", "quarter", "half"]))
+        if where in ("after", "before"):
+            return max(0.0, float(np.nextafter(t, math.inf if where == "after" else -math.inf)))
+        return t + {"on": 0.0, "quarter": 0.25, "half": 0.5}[where] / rate
+
+    appliances = []
+    for label in ("a", "b", "c")[: draw(st.integers(min_value=1, max_value=3))]:
+        on = time(0, n // 3)  # early enough for bursts, which start 14 s after it
+        off = duration if draw(st.booleans()) else time(math.ceil(on * rate), n - 1)
+        if off <= on:
+            continue
+        kind = draw(transition_kinds)
+        transient = 0.0
+        if kind is not TransientKind.STEP:
+            transient = (off - on) * draw(st.floats(min_value=0.01, max_value=1.0))
+            if transient / 3.0 == 0:  # refused: no positive duration or time constant
+                continue
+        appliances.append(
+            ApplianceSpec(
+                label=label,
+                power_watts=draw(st.floats(min_value=20.0, max_value=2000.0)),
+                on_time_s=on,
+                off_time_s=off,
+                transient=kind,
+                transient_duration_s=transient,
+                fluctuation_amplitude_watts=draw(st.sampled_from([0.0, 40.0])),
+            )
+        )
+    return ScenarioSpec(
+        sampling_rate_hz=rate,
+        duration_s=duration,
+        appliances=tuple(appliances),
+        noise_std_watts=draw(st.sampled_from([0.0, 0.5, 3.0])),
+        seed=draw(st.integers(min_value=0, max_value=2**31)),
+    )
+
+
+@given(scenarios_on_and_between_samples())
+def test_the_blocked_trace_is_the_whole_array_render_bit_for_bit(spec: ScenarioSpec) -> None:
+    values, entries = oracle_generate_scenario(spec)
+    for block in (1, 7, 64, None):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if block is not None:
+                use_blocks(monkeypatch, block)
+            series, truth = generate_scenario(spec)
+        assert series.values.tobytes() == values.tobytes()
+        assert truth.entries == entries
 
 
 def test_house_replica_log_coalesces_to_twenty_transitions() -> None:
