@@ -8,17 +8,17 @@ Four subcommands cover the library's workflow::
     nilmevents synth    SCENARIO.json    render a synthetic scenario
 
 ``detect`` prints final events as ``index,timestamp_s,delta_watts`` CSV
-on stdout and can write per-stage traces, event lists and the refilter
-verdicts for plotting with ``--emit-stages DIR``.  Two of those files,
-``smoothed_derivative.csv`` and ``extrema.csv``, come from a whole-trace
-``np.convolve`` whose rounding depends on the OpenBLAS kernel: across
-kernels they can differ in the last bits of a value and, where a
-plateau makes an exact tie, in which samples are peaks or valleys.  The
-events, the verdicts and ``PipelineResult.extrema`` do not.  Config
-files are ``key = value`` lines naming config fields; any explicit flag
-overrides the file.  ``--tolerance`` only scores, so ``detect`` does not
-take it.  Exit codes: 0 on success, 1 for usage errors, 2 when an input
-file is missing or malformed or a domain check fails.
+on stdout.  With ``--emit-stages DIR`` it also writes what each stage
+decided, rendered from its :class:`~nilmevents.pipeline.PipelineResult`
+with nothing recomputed: ``events_base.csv``, ``events_merged.csv`` and
+``events_final.csv``; ``verdicts.csv``, the refilter's ``index,reason``
+per merged event; and ``extrema.csv``, the ``index`` of each extremum the
+refilter's guard read.  The last two hold their header alone when the
+refilter did not fire.  Config files are ``key = value`` lines naming
+config fields; any explicit flag overrides the file.  ``--tolerance``
+only scores, so ``detect`` does not take it.  Exit codes: 0 on success,
+1 for usage errors, 2 when an input file is missing or malformed or a
+domain check fails.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import Sequence
 
 from . import __version__
 from .baselines import LldConfig, lld_max
-from .core import DetectionError, HybridConfig, SampleSeries
-from .derivative import detect_extrema, first_derivative
+from .core import DetectionError, HybridConfig
 from .evaluation import evaluate_detections
 from .io import (
     _write_rows,
@@ -44,7 +43,7 @@ from .io import (
     write_ground_truth,
     write_trace,
 )
-from .pipeline import PipelineResult, detect_hybrid, smoothed_derivative
+from .pipeline import PipelineResult, detect_hybrid
 from .synth import generate_scenario, load_scenario
 
 __all__ = ["cli_main"]
@@ -96,33 +95,16 @@ def _assemble_config(args: argparse.Namespace) -> HybridConfig:
     return HybridConfig(**flags)
 
 
-def _emit_stage_files(
-    directory: str, series: SampleSeries, config: HybridConfig, result: PipelineResult
-) -> None:
-    """Write plot-ready per-stage data under ``directory``.
-
-    ``extrema.csv`` holds every significant extremum of the whole-trace
-    smoothed derivative, not only those the refilter's guard read.
-    """
+def _emit_stage_files(directory: str, result: PipelineResult) -> None:
+    """Write the events, verdicts and extrema of each stage of ``result`` under ``directory``."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    rate, start = series.sampling_rate_hz, series.start_time_s
-    write_trace(out / "trace.csv", series)
-    write_trace(
-        out / "derivative.csv",
-        SampleSeries(first_derivative(series.values), rate, start),
-    )
-    smoothed = smoothed_derivative(series, config)
-    write_trace(out / "smoothed_derivative.csv", SampleSeries(smoothed, rate, start))
-    extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon).tolist()
-    kinds = ("PEAK" if smoothed[i] > smoothed[i - 1] else "VALLEY" for i in extrema)
-    rows = ([i, kind, f"{smoothed[i]:.6f}"] for i, kind in zip(extrema, kinds))
-    _write_rows(out / "extrema.csv", ["index", "kind", "value"], rows)
     stages = {"base": result.base_events, "merged": result.merged_events, "final": result.events}
     for stage, events in stages.items():
         write_events(out / f"events_{stage}.csv", events)
     verdicts = ((v.event_index, v.reason.value) for v in result.filter_verdicts)
     _write_rows(out / "verdicts.csv", ["index", "reason"], verdicts)
+    _write_rows(out / "extrema.csv", ["index"], ([i] for i in result.extrema.tolist()))
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -137,7 +119,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if args.emit_stages:
-        _emit_stage_files(args.emit_stages, series, config, result)
+        _emit_stage_files(args.emit_stages, result)
     return 0
 
 
@@ -198,7 +180,7 @@ def _build_parser() -> _Parser:
     detect.add_argument(
         "--emit-stages",
         metavar="DIR",
-        help="write per-stage traces, extrema, event lists and refilter verdicts into DIR",
+        help="write each stage's events, the refilter verdicts and the extrema it read into DIR",
     )
     _add_config_flags(detect, _DETECTION_FLAGS)
     detect.set_defaults(func=_cmd_detect)

@@ -25,9 +25,10 @@ at least one window from a trace end that this reaches.
 The merge needs only the settle test ``|s| < epsilon``, not ``s``
 itself.  So it takes each decision from a blocked Toeplitz product of the
 derivative and the LOESS kernel, one BLAS matrix product per 64 x 64
-block of the kernel's band, where a proven bound on the product's
-rounding (:func:`_product_margin`) shows that the whole-trace value gives
-the same decision; a piece group with a sample the bound cannot decide is
+block of the kernel's band and 64 rows of 64 outputs, small enough to run
+on the calling thread, where a proven bound on the product's rounding
+(:func:`_product_margin`) shows that the whole-trace value gives the same
+decision; a piece group with a sample the bound cannot decide is
 smoothed exactly.  The product's values go nowhere else: the guard's
 extrema and every public smoother keep the exact values.
 """
@@ -69,6 +70,14 @@ _SETTLE_SPANS = 2
 # The settle test's product computes the smoother's outputs in rows of this
 # many, each row a product with 64 x 64 blocks of the kernel's Toeplitz matrix.
 _ROW = 64
+
+# The settle test multiplies at most this many rows at a time.  A 64-row
+# product with a 64 x 64 block is 64**3 = 262,144 multiply-adds, which
+# OpenBLAS's gemm runs on the calling thread whatever its thread count: it
+# threads a product only above SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD
+# = 65,536 * 4 multiply-adds (OpenBLAS 0.3.31, the scipy-openblas build that
+# numpy's wheels ship).  A threaded product can stall for milliseconds.
+_CHUNK_ROWS = 64
 
 
 class InvalidWindow(DetectionError):
@@ -248,17 +257,19 @@ def _settled_of(
     ``s`` is the smoother of :func:`loess_smooth` with the end rows
     ``head`` and ``tail``.  Its interior outputs come from the blocked
     Toeplitz product of :func:`_toeplitz_blocks` over the derivative laid
-    out in rows of 64, zero-padded, with no row copied; its end fits are
-    those of :func:`_smooth`.  A product value ``v`` decides its sample
-    only where :func:`_product_margin`'s ``e`` proves the decision that
-    :func:`_smooth`'s value gives: settled where ``|v| < epsilon - e``,
-    unsettled where ``|v| >= epsilon + e``, each threshold rounded away
-    from ``epsilon``.  If an owned output lies between the two, or
-    ``e >= epsilon`` (``e`` infinite included), every owned output is
-    smoothed by :func:`_smooth` and tested as it is.  The product's values
-    are used for nothing else: a BLAS product may round an output by where
-    it sits in its block of 64 rows, so its bits are not the whole
-    trace's.
+    out in rows of 64, zero-padded, with no row copied, taken
+    ``_CHUNK_ROWS`` rows at a time so that BLAS runs it on this thread;
+    its end fits are those of :func:`_smooth`.  A product value ``v``
+    decides its sample only where :func:`_product_margin`'s ``e`` proves
+    the decision that :func:`_smooth`'s value gives: settled where ``|v| <
+    epsilon - e``, unsettled where ``|v| >= epsilon + e``, each threshold
+    rounded away from ``epsilon``.  If an owned output lies between the
+    two, or ``e >= epsilon`` (``e`` infinite included), every owned output
+    is smoothed by :func:`_smooth` and tested as it is.  ``e`` bounds each
+    output from its own ``64 P`` terms, wherever its row sits, so the
+    chunks move no decision.  The product's values are used for nothing
+    else: a BLAS product may round an output by where it sits in its block
+    of 64 rows, so its bits are not the whole trace's.
     """
     blocks = _toeplitz_blocks(half)
     rows, terms = -(-(x.size - 2 * half) // _ROW), _ROW * len(blocks)
@@ -267,9 +278,11 @@ def _settled_of(
     if margin < epsilon:
         s = np.empty(2 * half + rows * _ROW)
         m, product = d.reshape(-1, _ROW), s[half : half + rows * _ROW].reshape(rows, _ROW)
-        np.matmul(m[:rows], blocks[0], out=product)
-        for p in range(1, len(blocks)):
-            product += m[p : p + rows] @ blocks[p]
+        for lo in range(0, rows, _CHUNK_ROWS):
+            chunk = product[lo : lo + _CHUNK_ROWS]
+            np.matmul(m[lo : lo + len(chunk)], blocks[0], out=chunk)
+            for p in range(1, len(blocks)):
+                chunk += np.matmul(m[lo + p : lo + p + len(chunk)], blocks[p])
         _fit_ends(s[: x.size], d[: x.size], half, head, tail)
         v = s[owned]
         low, high = np.nextafter(epsilon - margin, -np.inf), np.nextafter(epsilon + margin, np.inf)

@@ -358,11 +358,15 @@ def load_ground_truth(path: str | Path) -> GroundTruthLog:
     empty log (evaluation against it then fails with ZeroGroundTruth).
     Entries must be in non-decreasing time order; a NaN or infinite
     timestamp raises :class:`NonFiniteValue` naming the file and line.
+    An error names the line a record starts on, counting every line of a
+    quoted label that spans several.
     """
     path = Path(path)
     entries: list[GroundTruthEntry] = []
     with _decoding(path), open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+        reader, next_line = csv.reader(handle), 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if row[0].lstrip().startswith("#"):

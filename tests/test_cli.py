@@ -10,9 +10,9 @@ import shutil
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+import nilmevents.cli
 import nilmevents.pipeline
 from nilmevents import _rows, core
 from nilmevents import (
@@ -20,11 +20,10 @@ from nilmevents import (
     HybridConfig,
     LldConfig,
     NonFiniteValue,
-    SampleSeries,
     ScenarioSpec,
     detect_base,
     detect_extrema,
-    first_derivative,
+    detect_hybrid,
     generate_scenario,
     lld_max,
     load_config_file,
@@ -40,7 +39,7 @@ from nilmevents.cli import cli_main
 from nilmevents.filtering import refilter_events_with_verdicts
 
 from blocks import use_blocks
-from oracles import oracle_extrema, oracle_write_trace
+from oracles import oracle_write_trace
 from replicas import SCENARIO_DIR
 
 
@@ -124,44 +123,48 @@ def test_detect_prints_final_events_and_stage_counts(tmp_path: Path, capsys) -> 
     assert re.search(r"stages base=\d+ after_derivative=1 final=1", captured.err)
 
 
-def test_detect_emit_stages_writes_reloadable_files(tmp_path: Path, capsys) -> None:
+STAGE_FILES = [
+    "events_base.csv",
+    "events_final.csv",
+    "events_merged.csv",
+    "extrema.csv",
+    "verdicts.csv",
+]
+
+
+def test_detect_emit_stages_writes_the_five_stage_files(tmp_path: Path, capsys) -> None:
     trace, _ = render_scenario("rangehood", tmp_path)
     stage_dir = tmp_path / "stages"
     assert cli_main(["detect", str(trace), "--emit-stages", str(stage_dir)]) == 0
     capsys.readouterr()
-    series = load_trace(stage_dir / "trace.csv")
-    derivative = load_trace(stage_dir / "derivative.csv")
-    smoothed = load_trace(stage_dir / "smoothed_derivative.csv")
-    assert len(series) == 1200
-    assert np.array_equal(derivative.values, first_derivative(series.values))
-    assert np.array_equal(smoothed.values, smoothed_derivative(series, HybridConfig()))
+    assert sorted(path.name for path in stage_dir.iterdir()) == STAGE_FILES
     stage_rows = {}
     for stage in ("base", "merged", "final"):
         with open(stage_dir / f"events_{stage}.csv", newline="", encoding="utf-8") as handle:
             header, *stage_rows[stage] = csv.reader(handle)
         assert header == ["index", "timestamp_s", "delta_watts"]
     assert len(stage_rows["base"]) >= len(stage_rows["merged"]) >= len(stage_rows["final"]) == 1
-    extrema_lines = (stage_dir / "extrema.csv").read_text().splitlines()
-    assert extrema_lines[0] == "index,kind,value"
-    assert len(extrema_lines) >= 2
+    assert (stage_dir / "extrema.csv").read_text().splitlines()[0] == "index"
 
 
 @pytest.mark.parametrize("name", ["kitchen", "house1"])
-def test_detect_emit_stages_writes_the_oracle_extrema(name: str, tmp_path: Path, capsys) -> None:
+def test_detect_emit_stages_lists_the_extrema_the_guard_read(
+    name: str, tmp_path: Path, capsys
+) -> None:
+    # The refilter fires on both replicas, but only on house1 does its guard
+    # read extrema: one for each of its 7 candidates protected by an extremum.
     trace, _ = render_scenario(name, tmp_path)
     config_path = SCENARIO_DIR / f"{name}.config"
     stage_dir = tmp_path / "stages"
     argv = ["detect", str(trace), "--config", str(config_path), "--emit-stages", str(stage_dir)]
     assert cli_main(argv) == 0
     capsys.readouterr()
-    config = load_config_file(config_path)
-    smoothed = smoothed_derivative(load_trace(trace), config)
-    expected = ["index,kind,value"] + [
-        f"{index},{kind.upper()},{value:.6f}"
-        for index, kind, value in oracle_extrema(smoothed)
-        if abs(value) > config.derivative_epsilon
-    ]
-    assert len(expected) > 2
+    extrema = detect_hybrid(load_trace(trace), load_config_file(config_path)).extrema.tolist()
+    assert extrema == {
+        "kitchen": [],
+        "house1": [3462, 17598, 18482, 19846, 21786, 24187, 26308],
+    }[name]
+    expected = ["index"] + [str(index) for index in extrema]
     assert (stage_dir / "extrema.csv").read_text().splitlines() == expected
 
 
@@ -463,27 +466,35 @@ def test_a_non_finite_likelihood_setting_exits_with_code_two_and_says_not_finite
     assert capsys.readouterr().err == f"error: {name} must be finite, got inf\n"
 
 
-def test_detect_with_stages_smooths_the_whole_trace_once(
+def test_detect_with_stages_detects_once_and_recomputes_nothing(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys
 ) -> None:
     trace, _ = render_scenario("kitchen", tmp_path)
-    calls = []
-    loess = nilmevents.pipeline.loess_smooth
-
-    def counting_loess(*args, **kwargs):
-        calls.append(args)
-        return loess(*args, **kwargs)
-
-    monkeypatch.setattr(nilmevents.pipeline, "loess_smooth", counting_loess)
+    capsys.readouterr()
     config = str(SCENARIO_DIR / "kitchen.config")
+    assert cli_main(["detect", str(trace), "--config", config]) == 0
+    plain = capsys.readouterr()
+    calls = []
+    for module, name in (
+        (nilmevents.cli, "detect_hybrid"),
+        (nilmevents.pipeline, "loess_smooth"),
+        (nilmevents.pipeline, "first_derivative"),
+    ):
+        wrapped = getattr(module, name)
+
+        def counting(*args, _name=name, _wrapped=wrapped, **kwargs):
+            calls.append(_name)
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
     argv = ["detect", str(trace), "--config", config, "--emit-stages", str(tmp_path / "stages")]
     assert cli_main(argv) == 0
-    capsys.readouterr()
-    assert len(calls) == 1
+    assert capsys.readouterr() == plain
+    assert calls == ["detect_hybrid"]
 
 
 @pytest.mark.parametrize("name", ["kitchen", "lighting", "house1"])
-def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
+def test_emitted_stage_files_are_what_the_whole_trace_chain_decides(
     name: str, tmp_path: Path, capsys
 ) -> None:
     trace, _ = render_scenario(name, tmp_path)
@@ -496,10 +507,11 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
 
     series, config = load_trace(trace), load_config_file(config_path)
     smoothed = smoothed_derivative(series, config)
-    extrema = detect_extrema(smoothed, config.derivative_epsilon)
     base = detect_base(series, config)
     merged = base[merge_transient_events(base, smoothed, series, config)]
-    kept, verdicts, _ = refilter_events_with_verdicts(series, merged, extrema, config)
+    kept, verdicts, read = refilter_events_with_verdicts(
+        series, merged, detect_extrema(smoothed, config.derivative_epsilon), config
+    )
     final = merged[kept]
     assert err == f"stages base={len(base)} after_derivative={len(merged)} final={len(final)}\n"
     # On kitchen and house1 the refilter fires, one verdict per merged event; on
@@ -517,20 +529,6 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
     }[name]
     expected = tmp_path / "expected"
     expected.mkdir()
-    rate, start = series.sampling_rate_hz, series.start_time_s
-    oracle_write_trace(expected / "trace.csv", series)
-    oracle_write_trace(
-        expected / "derivative.csv", SampleSeries(first_derivative(series.values), rate, start)
-    )
-    oracle_write_trace(expected / "smoothed_derivative.csv", SampleSeries(smoothed, rate, start))
-    (expected / "extrema.csv").write_text(
-        "index,kind,value\r\n"
-        + "".join(
-            f"{i},{'PEAK' if smoothed[i] > smoothed[i - 1] else 'VALLEY'},{smoothed[i]:.6f}\r\n"
-            for i in extrema.tolist()
-        ),
-        newline="",
-    )
     for stage, events in (("base", base), ("merged", merged), ("final", final)):
         write_events(expected / f"events_{stage}.csv", events)
     (expected / "verdicts.csv").write_text(
@@ -538,22 +536,14 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_writes(
         + "".join(f"{v.event_index},{v.reason.value}\r\n" for v in verdicts),
         newline="",
     )
+    (expected / "extrema.csv").write_text(
+        "index\r\n" + "".join(f"{i}\r\n" for i in read.tolist()), newline=""
+    )
     names = sorted(path.name for path in stage_dir.iterdir())
-    assert names == sorted(path.name for path in expected.iterdir())
+    assert names == sorted(path.name for path in expected.iterdir()) == STAGE_FILES
     for file_name in names:
         written = (stage_dir / file_name).read_bytes()
         assert written == (expected / file_name).read_bytes(), file_name
-
-
-@pytest.mark.parametrize("name", ["kitchen", "lighting", "house1"])
-def test_emitted_stage_files_are_the_same_when_the_writer_splits(
-    name: str, helpers: list, monkeypatch: pytest.MonkeyPatch, tmp_path: Path, capsys
-) -> None:
-    # Small blocks make every trace long enough for the writer to split: in
-    # synth, and in each of the three trace files that detect writes.
-    use_blocks(monkeypatch, 256)
-    test_emitted_stage_files_are_what_the_whole_trace_chain_writes(name, tmp_path, capsys)
-    assert [helper.returncode for helper in helpers] == [0] * 4
 
 
 def test_usage_errors_exit_with_code_one(tmp_path: Path, capsys) -> None:
@@ -608,6 +598,11 @@ def test_readme_cli_example_runs_as_written(tmp_path: Path, monkeypatch, capsys)
         program, *args = shlex.split(line)
         assert program == "nilmevents"
         assert cli_main(args) == 0, (line, capsys.readouterr().err)
+    # The plotting recipe reads the trace the commands wrote.
+    recipe = readme.split("## CLI", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(recipe, "README.md", "exec"), namespace)
+    assert namespace["s"].size == len(load_trace("kitchen.csv"))
 
 
 def test_readme_library_example_runs_as_written(capsys) -> None:

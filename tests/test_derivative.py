@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -19,6 +26,7 @@ from nilmevents import (
     detect_hybrid,
     first_derivative,
     generate_scenario,
+    load_scenario,
     load_trace,
     loess_smooth,
     merge_transient_events,
@@ -1068,3 +1076,81 @@ def test_a_computed_derivative_checks_its_window_and_its_length() -> None:
     with pytest.raises(MisalignedInput):
         short = _SmoothedDerivative(np.zeros(99), 3)
         merge_transient_events(events_at([5, 50], series), short, series, HybridConfig())
+
+
+def benchmark_shaped(workload: str, tmp_path: Path) -> tuple[SampleSeries, HybridConfig]:
+    """A shorter trace of a benchmark workload's shape, and its settings.
+
+    ``quiet_day`` gets 8 h of its 60 Hz day, whose settle test makes one
+    piece group of 83 rows, and ``busy_fluct`` 1 h of its busy load, with
+    groups of up to 256 rows (``perfbench/workloads.py``).
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    if workload == "quiet_day":
+        scenario, config = workloads.day_spec(3100, workloads.QUIET_RATE_HZ, 8), {}
+    else:
+        scenario, config = workloads.busy_spec(3100, 1), workloads.KITCHEN_CONFIG
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    series, _ = generate_scenario(load_scenario(tmp_path / "scenario.json"))
+    return series, HybridConfig(**config)
+
+
+@pytest.mark.parametrize("workload", ["quiet_day", "busy_fluct"])
+def test_the_settle_test_multiplies_at_most_64_rows_at_a_time(
+    workload: str, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Each product of the settle test stays at or below the size that
+    OpenBLAS runs on the calling thread, on groups of more than 64 rows."""
+    series, config = benchmark_shaped(workload, tmp_path)
+    expected = detect_hybrid(series, config)
+    products, groups = [], []
+    matmul, settled_of = np.matmul, derivative._settled_of
+
+    def counted_matmul(a, b, *args, **kwargs):
+        products.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    def counted_settled_of(x, half, *args):
+        groups.append((-(-(x.size - 2 * half) // 64), len(derivative._toeplitz_blocks(half))))
+        return settled_of(x, half, *args)
+
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    monkeypatch.setattr(derivative, "_settled_of", counted_settled_of)
+    result = detect_hybrid(series, config)
+    monkeypatch.undo()
+    assert max(rows for rows, _ in groups) > 64
+    assert sum(rows for rows, _ in products) == sum(rows * blocks for rows, blocks in groups)
+    assert max(rows for rows, _ in products) <= 64
+    assert all(width == 64 for _, width in products)
+    assert np.array_equal(result.final_positions, expected.final_positions)
+
+
+def test_detection_with_the_blas_thread_variables_unset_gives_the_pinned_events(
+    tmp_path: Path,
+) -> None:
+    """A process free to thread its BLAS calls detects what one pinned to one
+    BLAS thread detects."""
+    series, config = benchmark_shaped("busy_fluct", tmp_path)
+    np.save(tmp_path / "trace.npy", series.values)
+    package_root = Path(derivative.__file__).resolve().parent.parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(package_root)!r}); import numpy as np; "
+        "from nilmevents import HybridConfig, SampleSeries, detect_hybrid; "
+        f"values = np.load({str(tmp_path / 'trace.npy')!r}); "
+        f"result = detect_hybrid(SampleSeries(values, {series.sampling_rate_hz!r}), {config!r}); "
+        "print(result.events.indices.tolist(), result.filter_verdicts.reason_codes.tolist(), "
+        "result.extrema.tolist())"
+    )
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    free = {key: value for key, value in os.environ.items() if key not in threads}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        for env in (free, {**free, **dict.fromkeys(threads, "1")})
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 100

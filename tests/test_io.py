@@ -180,6 +180,11 @@ def test_trace_layouts_the_grammar_allows_load_like_the_plain_file(
             ":3: expected 2 numeric columns, got ['0.05', 'oops']",
             id="inline-comment-then-bad-number",
         ),
+        pytest.param(  # np.loadtxt reads this file whole, as three columns
+            "timestamp_s,power_w,volts\n0.0,1,230\n0.05,1,230\n",
+            ":2: expected 2 numeric columns, got ['0.0', '1', '230']",
+            id="three-columns-on-every-row",
+        ),
     ],
 )
 def test_trace_rows_outside_the_grammar_are_rejected_at_their_line(
@@ -552,6 +557,43 @@ def test_non_finite_truth_timestamps_name_the_file_and_line(stamp: str, tmp_path
     with pytest.raises(NonFiniteValue) as excinfo:
         load_ground_truth(path)
     assert str(excinfo.value) == f"{path}:2: timestamp {float(stamp)} is not finite"
+
+
+def test_ground_truth_errors_name_the_line_after_a_label_that_spans_lines(
+    tmp_path: Path,
+) -> None:
+    # csv reads a quoted label over two lines as one record, so records and
+    # lines part after it: the bad timestamp is on line 5, in record 4.
+    path = write_bytes(tmp_path / "truth.csv", '1.0,a\n2.0,"two\nlines"\n3.0,c\nnoon,d\n')
+    with pytest.raises(ParseError) as excinfo:
+        load_ground_truth(path)
+    assert str(excinfo.value) == f"{path}:5: not a timestamp: 'noon'"
+    # A record that spans lines is named by the line it starts on.
+    path = write_bytes(tmp_path / "spanning.csv", '1.0,a\nnoon,"two\nlines"\n')
+    with pytest.raises(ParseError) as excinfo:
+        load_ground_truth(path)
+    assert str(excinfo.value) == f"{path}:2: not a timestamp: 'noon'"
+    path = write_bytes(tmp_path / "good.csv", '1.0,a\n2.0,"two\nlines"\n3.0,c\n')
+    assert [entry.label for entry in load_ground_truth(path)] == ["a", "two\nlines", "c"]
+
+
+def test_ground_truth_skips_blank_and_comment_rows_and_keeps_counting_lines(
+    tmp_path: Path,
+) -> None:
+    text = "timestamp_s,label\n\n   \n# a note, with a comma\n  # indented\n1.0,a\n\n2.0,b\n"
+    path = write_bytes(tmp_path / "truth.csv", text)
+    assert [(e.timestamp_s, e.label) for e in load_ground_truth(path)] == [(1.0, "a"), (2.0, "b")]
+    path = write_bytes(tmp_path / "bad.csv", text + "# done\nnoon,c\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_ground_truth(path)
+    assert str(excinfo.value) == f"{path}:10: not a timestamp: 'noon'"
+
+
+@pytest.mark.parametrize("stamp", [float("nan"), float("inf"), float("-inf")])
+def test_a_reference_entry_built_with_a_non_finite_time_is_refused(stamp: float) -> None:
+    with pytest.raises(NonFiniteValue) as excinfo:
+        GroundTruthEntry(stamp, "kettle on")
+    assert str(excinfo.value) == f"truth timestamp must be finite, got {stamp}"
 
 
 def test_event_files_round_trip_with_the_documented_header(tmp_path: Path) -> None:

@@ -339,10 +339,13 @@ def test_detect_hybrid_gives_the_whole_trace_chain(
     assert_whole_trace_chain(series, config, result)
 
 
-def test_a_busy_fluctuating_trace_gives_the_whole_trace_chain() -> None:
-    """Ten minutes at 1.5 kW, with a 30-80 W step or a 1-3 s oscillation burst
-    every 4-10 s and kitchen settings: the refilter fires, and the guard keeps
-    significant extrema from the candidate itself out to its radius."""
+# The kitchen replica's tuned settings (scenarios/kitchen.config).
+KITCHEN_SETTINGS = HybridConfig(loess_window_s=3.0, sg_window_samples=41, sg_poly_order=2)
+
+
+def busy_fluctuating_trace() -> SampleSeries:
+    """Ten minutes at 1.5 kW and 20 Hz, with a 30-80 W step or a 1-3 s
+    oscillation burst every 4-10 s."""
     rng = np.random.default_rng(1)
     x = 1500.0 + 2.0 * rng.standard_normal(12_000)
     at = 0.0
@@ -354,8 +357,14 @@ def test_a_busy_fluctuating_trace_gives_the_whole_trace_chain() -> None:
             m, period = round(rng.uniform(1.0, 3.0) * 20.0), rng.uniform(0.3, 1.0) * 20.0
             square = np.sign(np.sin(2 * np.pi * np.arange(m) / period))
             x[i : i + m] += rng.uniform(30.0, 60.0) * square
-    series = SampleSeries(x, 20.0)
-    config = HybridConfig(loess_window_s=3.0, sg_window_samples=41, sg_poly_order=2)
+    return SampleSeries(x, 20.0)
+
+
+def test_a_busy_fluctuating_trace_gives_the_whole_trace_chain() -> None:
+    """With kitchen settings the refilter fires on :func:`busy_fluctuating_trace`,
+    and the guard keeps significant extrema from the candidate itself out to its
+    radius."""
+    series, config = busy_fluctuating_trace(), KITCHEN_SETTINGS
     result = detect_hybrid(series, config)
     assert_whole_trace_chain(series, config, result)
     radius = seconds_to_samples(config.time_limit_s, 20.0)
@@ -636,3 +645,143 @@ def test_every_scoring_tolerance_gives_the_same_detection(
         for tolerance in SCORING_TOLERANCES
     ]
     assert outcomes == outcomes[:1] * len(outcomes)
+
+
+# --- Contracts as properties: power scales exactly, and an offset moves no base decision ---
+
+# The traces below hold samples of at most 2**14 W in magnitude, and every
+# nonzero sample, setting, difference, sum, product with a smoother tap and
+# rounding margin they give lies above 2**-80 in magnitude (the product
+# margin's subnormal term aside, which only sends work to the exact path).
+# Scaled by 2**k with |k| <= 64, each stays inside [2**-144, 2**80], far in
+# the normal range, where rounding commutes with the scaling: every sum,
+# difference, product and quotient of scaled operands is the scaled result.
+SCALE_EXPONENTS = st.integers(min_value=-64, max_value=64)
+
+
+def scaled(series: SampleSeries, config: HybridConfig, k: int) -> tuple:
+    """``series`` and the power settings of ``config`` multiplied by ``2**k``."""
+    factor = 2.0**k
+    return SampleSeries(series.values * factor, series.sampling_rate_hz), replace(
+        config,
+        power_threshold_watts=config.power_threshold_watts * factor,
+        derivative_epsilon=config.derivative_epsilon * factor,
+        fluctuation_trigger_watts=config.fluctuation_trigger_watts * factor,
+    )
+
+
+def results_or_error(first: tuple, second: tuple):
+    """``detect_hybrid`` on both ``(series, config)`` pairs, or ``None`` when both
+    raise the same error."""
+    try:
+        result = detect_hybrid(*first)
+    except DetectionError as exc:
+        with pytest.raises(type(exc)):
+            detect_hybrid(*second)
+        return None
+    return result, detect_hybrid(*second)
+
+
+def assert_scales_exactly(series: SampleSeries, config: HybridConfig, k: int):
+    """Scaling the power by ``2**k`` moves no decision and scales every delta
+    exactly; returns the unscaled result (``None`` if both runs raised)."""
+    results = results_or_error((series, config), scaled(series, config, k))
+    if results is None:
+        return None
+    result, other = results
+    assert np.array_equal(other.base_events.indices, result.base_events.indices)
+    assert np.array_equal(other.base_events.timestamps_s, result.base_events.timestamps_s)
+    assert np.array_equal(other.base_events.deltas_watts, result.base_events.deltas_watts * 2.0**k)
+    assert np.array_equal(other.merged_positions, result.merged_positions)
+    assert other.filter_verdicts == result.filter_verdicts
+    assert np.array_equal(other.extrema, result.extrema)
+    assert np.array_equal(other.final_positions, result.final_positions)
+    return result
+
+
+@settings(derandomize=True, max_examples=40)
+@given(
+    quiet_stretches() | moving_stretches(),
+    SCALE_EXPONENTS,
+    st.sampled_from([0.05, 0.5, 3.0]),
+    st.sampled_from([1.0, 1000.0, 1e9]),
+)
+def test_scaling_the_power_by_a_power_of_two_scales_every_stage_exactly(
+    series: SampleSeries, k: int, epsilon: float, trigger: float
+) -> None:
+    config = HybridConfig(derivative_epsilon=epsilon, fluctuation_trigger_watts=trigger)
+    assert_scales_exactly(series, config, k)
+
+
+def lamp_trace() -> SampleSeries:
+    """A minute at 20 Hz with a 40 W lamp on from 10 s to 40 s: the refilter's
+    default trigger, 1 kW, is never reached."""
+    x = 60.0 + np.random.default_rng(2).normal(0.0, 0.3, 1200)
+    x[200:800] += 40.0
+    return SampleSeries(x, 20.0)
+
+
+@pytest.mark.parametrize("k", [-64, -3, 4, 20, 64])
+@pytest.mark.parametrize("fires", [True, False], ids=["fires", "quiet"])
+def test_a_short_trace_scales_exactly_whether_or_not_the_refilter_fires(
+    fires: bool, k: int
+) -> None:
+    series, config = (busy_fluctuating_trace(), KITCHEN_SETTINGS) if fires else (
+        lamp_trace(),
+        HybridConfig(),
+    )
+    result = assert_scales_exactly(series, config, k)
+    assert len(result.merged_events) >= 2
+    assert bool(len(result.filter_verdicts)) == fires
+    assert bool(result.extrema.size) == fires
+
+
+def rounded(series: SampleSeries) -> SampleSeries:
+    return SampleSeries(np.round(series.values), series.sampling_rate_hz)
+
+
+def assert_offset_moves_no_base_event_or_merge(
+    series: SampleSeries, config: HybridConfig, offset: int
+):
+    """On an integer-valued trace every window sum and difference is exact, so
+    adding an integer offset moves no base event, delta or merge; returns both
+    results (``None`` if both runs raised)."""
+    shifted = SampleSeries(series.values + offset, series.sampling_rate_hz)
+    results = results_or_error((series, config), (shifted, config))
+    if results is not None:
+        result, other = results
+        assert other.base_events == result.base_events
+        assert np.array_equal(other.merged_positions, result.merged_positions)
+    return results
+
+
+# Samples of at most 2**14 W plus offsets of at most 2**31 keep every window
+# sum an integer below 2**53, so exact.
+@settings(derandomize=True, max_examples=40)
+@given(
+    (quiet_stretches() | moving_stretches()).map(rounded),
+    st.integers(min_value=-(2**31), max_value=2**31),
+    st.sampled_from([0.05, 0.5, 3.0]),
+)
+def test_an_integer_offset_moves_no_base_event_or_merge_of_an_integer_trace(
+    series: SampleSeries, offset: int, epsilon: float
+) -> None:
+    assert_offset_moves_no_base_event_or_merge(
+        series, HybridConfig(derivative_epsilon=epsilon), offset
+    )
+
+
+@pytest.mark.parametrize("offset", [-1500, 1000, 2**20])
+@pytest.mark.parametrize("fires", [True, False], ids=["fires", "quiet"])
+def test_an_integer_offset_moves_no_base_event_or_merge_whether_or_not_the_refilter_fires(
+    fires: bool, offset: int
+) -> None:
+    # The trigger reads the level, so the offset may make the refilter fire or
+    # not: only the base events and the merge are compared.
+    series, config = (busy_fluctuating_trace(), KITCHEN_SETTINGS) if fires else (
+        lamp_trace(),
+        HybridConfig(),
+    )
+    result, _ = assert_offset_moves_no_base_event_or_merge(rounded(series), config, offset)
+    assert len(result.merged_events) >= 2
+    assert bool(len(result.filter_verdicts)) == fires
