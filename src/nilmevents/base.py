@@ -331,6 +331,7 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
         found.append((centres, diffs[positions[kept]]))
     alarm_indices = np.concatenate([indices for indices, _ in found])
     alarm_deltas = np.concatenate([deltas for _, deltas in found])
+    del found  # copied into the two arrays above, so not held through the emission
     keep = _emitted(alarm_indices, config.time_limit_samples(series.sampling_rate_hz))
     indices = alarm_indices[keep]
     return Events(indices, series.time_at(indices), alarm_deltas[keep])

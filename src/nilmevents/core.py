@@ -11,18 +11,19 @@ one at a time.  Durations are configured in seconds and converted to
 sample counts at the configured sampling rate via
 :func:`seconds_to_samples`, at most ``2**53`` samples.  The passes over
 one contiguous range (the smoothers' interior convolution, the
-refilter's profile, the time-limit walk and the trace writer) walk it in
-the blocks of ``_blocks``, so that each block's temporaries stay in
-cache, and return the same results for any block size.
+time-limit walk and the trace writer) walk it in the blocks of
+``_blocks``, so that each block's temporaries stay in cache, and return
+the same results for any block size.
 
 A stage that computes only near where it reads (``detect_base``, the
-smoothed derivative and ``lld_max``) lays out the ranges it needs as
-pieces (:class:`_Layout`), each owning a range of samples and reading it
-widened by ``before`` and ``after`` samples, clipped to the trace
-(``_reads``); ``_piece_groups`` groups pieces of at most a block about a
-block at a time.  The stage runs its whole-array kernel once over a
-group's reads laid end to end (:meth:`_Layout.take`), and keeps the
-outputs whose sample the piece holding them owns (:meth:`_Layout.own`).
+smoothed derivative, the refilter's re-detection and ``lld_max``) lays
+out the ranges it needs as pieces (:class:`_Layout`), each owning a
+range of samples and reading it widened by ``before`` and ``after``
+samples, clipped to the trace (``_reads``); ``_piece_groups`` groups
+pieces of at most a block about a block at a time.  The stage runs its
+whole-array kernel once over a group's reads laid end to end
+(:meth:`_Layout.take`), and keeps the outputs whose sample the piece
+holding them owns (:meth:`_Layout.own`).
 
 **Exactness.**  Let the kernel's output at sample ``s`` read only
 samples in ``[s - before, s + after]``.  Then an output that ``own``

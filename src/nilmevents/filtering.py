@@ -21,9 +21,10 @@ is confirmed by a re-detection within ``t`` samples of its own index,
 are not read.  So a confirmation reads only the re-detections within
 ``t`` samples of its candidate, and the trace is smoothed and
 re-detected only in windows around the candidates (:func:`_redetected`):
-pieces of :mod:`nilmevents.core`, smoothed by one :func:`savitzky_golay`
-call, each alarm the whole-trace one, since an end fit depends only on
-the end window it reads.
+pieces of :mod:`nilmevents.core`, smoothed and profiled one piece group
+at a time, one :func:`savitzky_golay` call per group, each alarm the
+whole-trace one, since an end fit depends only on the end window it
+reads.  So the refilter holds a group, not every window at once.
 Where the refilter does not fire, nothing is smoothed.
 """
 
@@ -55,9 +56,7 @@ from .core import (
     HybridConfig,
     MisalignedInput,
     SampleSeries,
-    _Layout,
-    _blocks,
-    _reads,
+    _piece_groups,
     _union,
     seconds_to_samples,
 )
@@ -241,23 +240,25 @@ def _window_alarms(
 ) -> np.ndarray:
     """The increasing indices of the smoothed trace's alarms at centres in ``[lo, hi)``.
 
-    The windows are increasing and more than ``2 * (n + half)`` centres
-    apart, ``half`` being the SG half window.  They are the pieces of one
-    :class:`~nilmevents.core._Layout`, reading ``x`` ``n + half`` samples
-    further on either side (:func:`~nilmevents.core._reads`), smoothed by
-    one :func:`savitzky_golay` call and profiled.  Being that far apart,
-    only the first piece can read from sample 0 and only the last to the
-    end, each at least one SG window: there the smoothed samples are the
-    end fits of ``x`` itself.
+    The windows are increasing and disjoint.  They are cut into the pieces
+    of :func:`~nilmevents.core._piece_groups`, each reading ``x``
+    ``n + half`` samples further on either side, ``half`` being the SG half
+    window, and one piece group at a time is gathered, smoothed by one
+    :func:`savitzky_golay` call and profiled, so the refilter holds a group
+    (less than two blocks and ``2 (n + half)`` samples), not every window.
+    A piece is no shorter than its reads on either side, or than a block,
+    so a window is smoothed at most about twice over.  A piece whose read
+    touches an end of the trace spans at least one SG window there and is
+    the first, or the last, of its group: there the smoothed samples are
+    the end fits of ``x`` itself.
     """
     win, reach = config.sg_window_samples, n + config.sg_window_samples // 2
-    pieces = _Layout(lo, hi, *_reads(lo, hi, reach, reach, x.size, win))
-    smoothed = savitzky_golay(pieces.take(x), win, config.sg_poly_order)
     found = [np.empty(0, dtype=np.int64)]
-    for start, stop in _blocks(smoothed.size - 2 * n):
-        diffs = _mean_difference_profile(smoothed[start : stop + 2 * n], n)
-        found.append(_alarming(diffs, config.power_threshold_watts) + (start + n))
-    return pieces.own(np.concatenate(found))[1]
+    for pieces in _piece_groups(lo, hi, reach, reach, x.size, win, piece=2 * reach):
+        smoothed = savitzky_golay(pieces.take(x), win, config.sg_poly_order)
+        diffs = _mean_difference_profile(smoothed, n)
+        found.append(pieces.own(_alarming(diffs, config.power_threshold_watts) + n)[1])
+    return np.concatenate(found)
 
 
 def _redetected(
@@ -268,15 +269,16 @@ def _redetected(
     They are the indices of :func:`detect_base` run on the whole
     ``savitzky_golay(series.values, ...)``, on the windows of
     :func:`_confirmation_windows`, each joined with any window less than
-    ``2 (n + half)`` centres away.  A window's alarms are emitted as the
-    whole-trace run emits them once its first alarm ``first`` is a proven
-    chain reset: ``first - (lo - 1) > k``, so that it is more than ``k``
-    samples after any alarm before the window, or ``lo = n``, where the
-    whole-trace chain starts.  A window where neither holds is widened
-    back to twice its length, at most to ``n``, and its alarms computed
-    again, until one does.  Then the alarms of all windows go through one
-    :func:`~nilmevents.base._emitted` call, chain by chain as the
-    whole-trace run's alarms do.
+    ``2 (n + half)`` centres away, and smoothed and profiled one piece
+    group at a time (:func:`_window_alarms`).  A window's alarms are
+    emitted as the whole-trace run emits them once its first alarm
+    ``first`` is a proven chain reset: ``first - (lo - 1) > k``, so that it
+    is more than ``k`` samples after any alarm before the window, or
+    ``lo = n``, where the whole-trace chain starts.  A window where neither
+    holds is widened back to twice its length, at most to ``n``, and its
+    alarms computed again, until one does.  Then the alarms of all
+    windows go through one :func:`~nilmevents.base._emitted` call, chain
+    by chain as the whole-trace run's alarms do.
 
     Raises what the whole-trace run raises, in its order.  A smoothed
     sample is at most ``l1 * peak`` in magnitude, ``l1`` the largest L1
@@ -342,11 +344,13 @@ def refilter_events_with_verdicts(
     exceeds ``fluctuation_trigger_watts`` after the first turn-on
     candidate, the refilter does not trigger: every candidate survives,
     and there are no verdicts and no extrema read.  When it triggers, it
-    smooths only the windows of the module docstring.  Unless a window is
-    widened back, that is at most ``2 * t + 1`` centres, the lead-in of
-    ``k + 1`` and ``2 * (n + half)`` samples per candidate, ``k`` being
-    the time limit in samples, ``n`` the base half window and ``half`` the
-    SG half window.
+    smooths only the windows of the module docstring, one piece group at
+    a time, so it holds at most about two blocks and ``2 (n + half)``
+    smoothed samples at once, whatever the trace's length.  Unless a
+    window is widened back, the windows are at most ``2 * t + 1``
+    centres, the lead-in of ``k + 1`` and ``2 * (n + half)`` samples per
+    candidate, ``k`` being the time limit in samples, ``n`` the base half
+    window and ``half`` the SG half window.
     """
     if not callable(extrema):
         extrema = np.asarray(extrema, dtype=np.int64)

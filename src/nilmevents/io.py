@@ -149,15 +149,17 @@ def _load_trace_columns(path: Path) -> np.ndarray:
         break
     else:
         raise EmptyFile(f"{path}: no data rows")
+    problem = None
     try:
         data = np.loadtxt(
             path, delimiter=delimiter, skiprows=skiprows, ndmin=2, encoding="utf-8-sig"
         )
         if data.shape[1] == 2:
             return data
-        problem = f"expected 2 columns, got {data.shape[1]}"
     except ValueError as exc:
         problem = str(exc)
+    # A wrong column count is on every data row, so the walk names the first;
+    # only a number that Python reads and np.loadtxt does not is left for it.
     for lineno, fields in _data_lines(path, delimiter):
         if lineno > skiprows and (len(fields) != 2 or not all(map(_is_number, fields))):
             fields = [field.strip() for field in fields]

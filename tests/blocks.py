@@ -2,9 +2,10 @@
 
 Full-length passes cut their range into ``core._BLOCK_SAMPLES`` blocks,
 and passes over many short ranges (the base detector's unproven runs, the
-smoothed derivative's reads) group their pieces about a block at a time,
-so small blocks also split those into many groups, and a short run often
-shares a group with its neighbours across a group's edge.
+smoothed derivative's reads, the refilter's windows) group their pieces
+about a block at a time, so small blocks also split those into many
+groups, and a short run often shares a group with its neighbours across
+a group's edge.
 :func:`use_blocks` patches the size for one test; the ``small_blocks``
 fixture in ``conftest.py`` runs a test once per size in :data:`BLOCK_SIZES`.
 The base detector and LLD-Max prove quiet stretches over

@@ -6,7 +6,8 @@ longer called through its traced name, or whose result stops having the
 event count as its length, would silently zero the per-layer metrics;
 this test makes either fail the suite.  The blocked passes must call
 nothing the tracer wraps from inside a block: the spans of a run cut into
-many blocks must be the same spans, each inside its parent.
+many blocks must be the same spans, each inside its parent, apart from
+the refilter's smoothing calls, one per piece group.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import nilmevents.filtering
 import nilmevents.pipeline
 from nilmevents import generate_scenario
 
@@ -78,11 +80,13 @@ def test_tracer_counts_match_the_pipeline_result_on_the_kitchen_replica() -> Non
             "survived": verdicts.count("survived_refilter"),
         },
     }
-    # The refilter smooths its windows with one traced savitzky_golay call and
-    # re-detects on them itself, so the re-detection runs in its self time.
+    # The refilter smooths its windows with one traced savitzky_golay call per
+    # piece group and re-detects on them itself, so the re-detection runs in
+    # its self time.
     by_id = {span["id"]: span for span in tracer.spans}
     smoothing = [span for span in tracer.spans if span["name"] == "filtering.savitzky_golay"]
-    assert [by_id[span["parent"]]["name"] for span in smoothing] == ["filtering.refilter"]
+    assert smoothing
+    assert {by_id[span["parent"]]["name"] for span in smoothing} == {"filtering.refilter"}
     assert "filtering.redetect" not in {span["name"] for span in tracer.spans}
     # The guard reads its extrema inside the refilter, once it knows what the
     # re-detection left unconfirmed.
@@ -109,17 +113,40 @@ def test_one_detect_hybrid_validates_no_series() -> None:
     assert "filtering.savitzky_golay" in names
 
 
+def without_smoothing(spans: list[dict]) -> list[tuple]:
+    """``(name, parent)`` of every span but the smoothing calls, ``parent`` a position among them.
+
+    A smoothing call calls nothing traced, so no span left out is a parent.
+    """
+    kept = [span for span in spans if span["name"] != "filtering.savitzky_golay"]
+    position = {span["id"]: k for k, span in enumerate(kept)}
+    return [(span["name"], position.get(span["parent"])) for span in kept]
+
+
 def test_many_blocks_leave_the_spans_unchanged(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     whole, _ = traced_replica_run()
     use_blocks(monkeypatch, 64)  # the 11,398-sample trace spans about 180 blocks
+    groups = []
+    piece_groups = nilmevents.filtering._piece_groups
+
+    def counted(*args, **kwargs):
+        layouts = list(piece_groups(*args, **kwargs))
+        groups.append(len(layouts))
+        return iter(layouts)
+
+    monkeypatch.setattr(nilmevents.filtering, "_piece_groups", counted)
     blocked, _ = traced_replica_run()
-    assert [(s["name"], s["parent"]) for s in blocked.spans] == [
-        (s["name"], s["parent"]) for s in whole.spans
-    ]
+    # The refilter smooths one piece group at a time: a run of smoothing calls
+    # under it, one per group, and every other span as before.
+    assert without_smoothing(blocked.spans) == without_smoothing(whole.spans)
     assert span_counts(blocked) == span_counts(whole)
     by_id = {span["id"]: span for span in blocked.spans}
+    smoothing = [s["id"] for s in blocked.spans if s["name"] == "filtering.savitzky_golay"]
+    assert len(smoothing) == sum(groups) > 1
+    assert smoothing == list(range(smoothing[0], smoothing[0] + len(smoothing)))
+    assert {by_id[by_id[k]["parent"]]["name"] for k in smoothing} == {"filtering.refilter"}
     for span in blocked.spans:
         if span["parent"] is not None:
             parent = by_id[span["parent"]]

@@ -34,6 +34,7 @@ from nilmevents import (
     seconds_to_samples,
 )
 
+from blocks import use_blocks
 from oracles import (
     oracle_base_events,
     oracle_refilter_verdicts,
@@ -457,6 +458,10 @@ def whole_trace_redetections(series: SampleSeries, config: HybridConfig) -> list
     return detect_base(smoothed, config).indices.tolist()
 
 
+# The default block size, then blocks of 1, 7 and 64 samples.
+REFILTER_BLOCKS = (None, 1, 7, 64)
+
+
 def assert_refilter_matches_whole_trace(
     series: SampleSeries,
     config: HybridConfig,
@@ -464,26 +469,35 @@ def assert_refilter_matches_whole_trace(
     extremum_indices: list[int],
     re_indices: list[int],
 ) -> None:
-    """Verdicts of ``(index, timestamp)`` candidates; the oracle reads only their indices."""
+    """Verdicts of ``(index, timestamp)`` candidates; the oracle reads only their indices.
+
+    The refilter runs at the default block size and at blocks of 1, 7 and
+    64 samples, so its windows are cut into many piece groups, against
+    re-detections found once, at the default size.
+    """
     rate = series.sampling_rate_hz
     guard = seconds_to_samples(config.time_limit_s, rate)
     tolerance = seconds_to_samples(nilmevents.filtering._CONFIRM_S, rate)
     candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
-    survivors, verdicts, read = refilter_events_with_verdicts(
-        series, candidates, extremum_indices, config
-    )
     expected = oracle_refilter_verdicts(
         [i for i, _ in specs], re_indices, extremum_indices, tolerance, guard
     )
-    assert [v.reason.value for v in verdicts] == expected
-    assert [v.event_index for v in verdicts] == [i for i, _ in specs]
-    assert survivors.tolist() == [
-        k for k, reason in enumerate(expected) if reason != "removed_as_fluctuation"
-    ]
     unconfirmed = [i for (i, _), reason in zip(specs, expected) if reason != "survived_refilter"]
-    assert read.tolist() == [
-        g for g in extremum_indices if any(abs(g - i) <= guard for i in unconfirmed)
-    ]
+    for block in REFILTER_BLOCKS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if block is not None:
+                use_blocks(monkeypatch, block)
+            survivors, verdicts, read = refilter_events_with_verdicts(
+                series, candidates, extremum_indices, config
+            )
+        assert [v.reason.value for v in verdicts] == expected, f"block {block}"
+        assert [v.event_index for v in verdicts] == [i for i, _ in specs]
+        assert survivors.tolist() == [
+            k for k, reason in enumerate(expected) if reason != "removed_as_fluctuation"
+        ]
+        assert read.tolist() == [
+            g for g in extremum_indices if any(abs(g - i) <= guard for i in unconfirmed)
+        ]
 
 
 def use_confirm_window(monkeypatch: pytest.MonkeyPatch, seconds: float) -> None:
@@ -566,6 +580,21 @@ def smoothing_calls(monkeypatch: pytest.MonkeyPatch) -> list[int]:
     return sizes
 
 
+def piece_groups_read(monkeypatch: pytest.MonkeyPatch) -> list[tuple[int, int, int]]:
+    """Wrap the refilter's ``_piece_groups``: per group, the block size, where its first read
+    begins and where its last read ends."""
+    reads: list[tuple[int, int, int]] = []
+    piece_groups = nilmevents.filtering._piece_groups
+
+    def recording(*args, **kwargs):
+        for layout in piece_groups(*args, **kwargs):
+            reads.append((nilmevents.core._BLOCK_SAMPLES, int(layout.lo[0]), int(layout.hi[-1])))
+            yield layout
+
+    monkeypatch.setattr(nilmevents.filtering, "_piece_groups", recording)
+    return reads
+
+
 def test_a_window_that_starts_inside_an_alarm_run_is_widened_back(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
@@ -619,7 +648,13 @@ def test_windows_at_both_ends_of_a_short_trace_take_the_edge_fits(
     re_indices = whole_trace_redetections(series, config)
     specs = [(0, series.time_at(1)), (119, series.time_at(118)), (60, series.time_at(60))]
     specs += [(r, 5.0) for r in re_indices]
+    groups = piece_groups_read(monkeypatch)
     assert_refilter_matches_whole_trace(series, config, specs, [], re_indices)
+    # At every block size some group opens with a read of sample 0 and some
+    # group closes with a read of the last sample.
+    blocks = {nilmevents.core._BLOCK_SAMPLES, 1, 7, 64}
+    assert {block for block, lo, _ in groups if lo == 0} == blocks
+    assert {block for block, _, hi in groups if hi == len(series)} == blocks
 
 
 # Errors: a fired refilter raises what the whole-trace path raises, with its message.
@@ -733,9 +768,10 @@ def dense_trace() -> SampleSeries:
     return series_at_20hz(values)
 
 
+@pytest.mark.parametrize("block", [None, 256], ids=["default_blocks", "block256"])
 @pytest.mark.parametrize("trace", ["kitchen", "dense"])
 def test_the_refilter_smooths_only_its_windows(
-    trace: str, monkeypatch: pytest.MonkeyPatch
+    trace: str, block: int | None, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     from replicas import replica_config, replica_spec
 
@@ -745,13 +781,23 @@ def test_the_refilter_smooths_only_its_windows(
     else:
         series = dense_trace()
         config = HybridConfig(loess_window_s=3.0, sg_window_samples=41, sg_poly_order=2)
+    if block is not None:
+        use_blocks(monkeypatch, block)
     sizes = smoothing_calls(monkeypatch)
     result = detect_hybrid(series, config)
     merged = len(result.merged_events)
     assert len(result.filter_verdicts) == merged > 10
-    assert len(sizes) == 1
-    assert sizes[0] <= read_bound(series, merged, config)
-    assert sizes[0] < len(series)
+    # One call per piece group, each reading less than two blocks and a
+    # window's reach on either side.
+    reach = config.mean_window_samples(series.sampling_rate_hz) + config.sg_window_samples // 2
+    assert sizes and max(sizes) < 2 * nilmevents.core._BLOCK_SAMPLES + 2 * reach
+    # A window longer than a block is cut into pieces that each read the
+    # reach again; at the default block size no window is that long.
+    if block is None:
+        assert sum(sizes) <= read_bound(series, merged, config)
+        assert sum(sizes) < len(series)
+    else:
+        assert len(sizes) > 1
 
 
 def test_nothing_is_smoothed_where_the_refilter_does_not_fire(

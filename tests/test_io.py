@@ -185,6 +185,11 @@ def test_trace_layouts_the_grammar_allows_load_like_the_plain_file(
             ":2: expected 2 numeric columns, got ['0.0', '1', '230']",
             id="three-columns-on-every-row",
         ),
+        pytest.param(  # ... and this one as one column, split on whitespace
+            "0.0\n0.05\n0.1\n",
+            ":1: expected 2 numeric columns, got ['0.0']",
+            id="one-column-on-every-row",
+        ),
     ],
 )
 def test_trace_rows_outside_the_grammar_are_rejected_at_their_line(

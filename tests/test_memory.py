@@ -1,5 +1,5 @@
-"""Traced allocation peaks of the CSV reader, a smoothed derivative read, the base detector
-and the scenario renderer.
+"""Traced allocation peaks of the CSV reader, a smoothed derivative read, the base detector,
+the refilter and the scenario renderer.
 
 numpy reports its array buffers to ``tracemalloc``, so a traced peak
 counts every temporary a call holds at once.  Each test runs its call
@@ -9,6 +9,7 @@ do not count.
 
 from __future__ import annotations
 
+import importlib.util
 import tracemalloc
 from pathlib import Path
 
@@ -23,8 +24,10 @@ from nilmevents import (
     TransientKind,
     core,
     detect_base,
+    detect_hybrid,
     generate_scenario,
     load_trace,
+    refilter_events_with_verdicts,
 )
 from nilmevents.derivative import _SmoothedDerivative
 
@@ -120,3 +123,33 @@ def test_generate_scenario_holds_the_trace_and_a_few_blocks() -> None:
     assert len(series) == 200_000 and len(truth) == 10
     # The trace, its summary and a few blocks of sample times and temporaries.
     assert peak <= series.values.nbytes + 8 * 8 * core._BLOCK_SAMPLES
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def busy_trace(hours: int) -> tuple[SampleSeries, HybridConfig]:
+    """The benchmark's busy trace (``busy_spec``, seed 7) of ``hours``, with its settings."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    values, _ = workloads.render(workloads.busy_spec(7, hours))
+    return SampleSeries(values, workloads.BUSY_RATE_HZ), HybridConfig(**workloads.KITCHEN_CONFIG)
+
+
+@pytest.mark.parametrize("hours", [8, 16])
+def test_the_refilter_holds_a_piece_group_and_its_candidates(hours: int) -> None:
+    warm, config = busy_trace(1)
+    warm_result = detect_hybrid(warm, config)
+    refilter_events_with_verdicts(warm, warm_result.merged_events, warm_result.extrema, config)
+    series, _ = busy_trace(hours)  # 576,000 or 1,152,000 samples: 4.6 or 9.2 MB
+    result = detect_hybrid(series, config)
+    candidates = result.merged_events
+    (kept, verdicts, _), peak = traced_peak(
+        lambda: refilter_events_with_verdicts(series, candidates, result.extrema, config)
+    )
+    assert len(verdicts) == len(candidates) > 2000 and 0 < kept.size < len(candidates)
+    # A group's smoothed samples and profile, a few blocks of float64 in all,
+    # and 64 int64 words per candidate; smoothing every window at once held
+    # 3.6 MB at 8 h and 7.1 MB at 16 h.
+    assert peak <= 8 * 8 * core._BLOCK_SAMPLES + 64 * 8 * len(candidates)
