@@ -74,7 +74,7 @@ from .io import (
     write_ground_truth,
     write_trace,
 )
-from .pipeline import PipelineResult, StageCounts, detect_hybrid, smoothed_derivative
+from .pipeline import PipelineResult, StageCounts, detect_hybrid
 from .synth import (
     ApplianceSpec,
     InvalidSpec,
@@ -122,7 +122,6 @@ __all__ = [
     "detect_base",
     "first_derivative",
     "loess_smooth",
-    "smoothed_derivative",
     "detect_extrema",
     "merge_transient_events",
     "savitzky_golay",

@@ -38,6 +38,8 @@ never summed.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from .core import (
@@ -46,6 +48,7 @@ from .core import (
     HybridConfig,
     SampleSeries,
     SeriesTooShort,
+    _Layout,
     _Summary,
     _aranges,
     _blocks,
@@ -219,6 +222,25 @@ def _alarming(diffs: np.ndarray, threshold: float) -> np.ndarray:
     return np.flatnonzero((diffs > threshold) | (diffs < -threshold))
 
 
+def _owned_alarms(
+    groups: Iterable[tuple[_Layout, np.ndarray]], n: int, threshold: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per piece group, the increasing alarm centres its pieces own and their mean differences.
+
+    Each group comes with the samples its pieces read, laid end to end:
+    :meth:`~nilmevents.core._Layout.take` of the trace, or of a smoothed
+    trace that agrees with the whole-trace smoothing over those reads.  A
+    centre reads ``n`` samples on either side, so entry ``k`` of a group's
+    profile is the centre ``n + k`` of its samples.  One group is yielded
+    at a time, so a caller that keeps only the centres holds no more.
+    """
+    for layout, samples in groups:
+        diffs = _mean_difference_profile(samples, n)
+        positions = _alarming(diffs, threshold)
+        kept, centres = layout.own(positions + n)
+        yield centres, diffs[positions[kept]]
+
+
 # Once no more than this many alarm chains are left to walk, each is finished
 # one alarm at a time: an array pass per emitted alarm would cost more.
 _LOCKSTEP_CHAINS = 64
@@ -322,13 +344,9 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
     threshold = config.power_threshold_watts
 
     starts, stops = _tested_centres(series.summary, n, threshold)
-    found = [(np.empty(0, dtype=np.int64), np.empty(0))]
-    # A centre reads n samples on either side; entry k is centre n + k.
-    for layout in _piece_groups(starts, stops, n, n, len(series)):
-        diffs = _mean_difference_profile(layout.take(series.values), n)
-        positions = _alarming(diffs, threshold)
-        kept, centres = layout.own(positions + n)
-        found.append((centres, diffs[positions[kept]]))
+    groups = _piece_groups(starts, stops, n, n, len(series))
+    takes = ((layout, layout.take(series.values)) for layout in groups)
+    found = [(np.empty(0, dtype=np.int64), np.empty(0)), *_owned_alarms(takes, n, threshold)]
     alarm_indices = np.concatenate([indices for indices, _ in found])
     alarm_deltas = np.concatenate([deltas for _, deltas in found])
     del found  # copied into the two arrays above, so not held through the emission

@@ -12,7 +12,7 @@ avoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,11 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import core
 from .base import _alarming, _require_windows, _rounding_margin, _tested_centres, _window_sums
 from .core import (
-    DetectionError,
     Events,
     SampleSeries,
     _Layout,
-    _check_integer,
     _check_setting,
     _piece_groups,
     _union,
@@ -46,12 +44,8 @@ class LldConfig:
     maxima_precision_samples: int = 10
 
     def __post_init__(self) -> None:
-        _check_setting("power_threshold_watts", self.power_threshold_watts)
-        for name in ("pre_window_samples", "maxima_precision_samples"):
-            value = getattr(self, name)
-            _check_integer(name, value)
-            if value < 1:
-                raise DetectionError(f"{name} must be >= 1, got {value}")
+        for field in fields(self):
+            _check_setting(field.name, getattr(self, field.name))
 
 
 def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:

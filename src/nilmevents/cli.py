@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -146,9 +145,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "power_threshold_watts": args.lld_threshold,
         "maxima_precision_samples": args.lld_precision,
     }
-    lld_config = replace(
-        LldConfig(), **{field: value for field, value in lld_flags.items() if value is not None}
-    )
+    lld_config = LldConfig(**{key: value for key, value in lld_flags.items() if value is not None})
     lld_events = lld_max(series, lld_config)
 
     for name, events in (("hybrid", hybrid_events), ("lld", lld_events)):

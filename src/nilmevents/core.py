@@ -53,6 +53,7 @@ stage builds it again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple
 
@@ -490,6 +491,24 @@ class DetectedEvent:
     delta_watts: float
 
 
+def _event_indices(values: object) -> np.ndarray:
+    """``values`` as int64 event indices, or :class:`DetectionError` naming the first bad one.
+
+    An integer array is taken on its dtype alone, with no pass over it.
+    Anything else is read value by value, so that a bool, a string, a
+    number with a fractional part or one past int64 is refused, even
+    among integers.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.int64, copy=False)
+    items = np.asarray(values, dtype=object)
+    for value in items.ravel().tolist():
+        value = value.item() if isinstance(value, np.generic) else value
+        if type(value) not in (int, float) or not -(2**63) <= value < 2**63 or value != int(value):
+            raise DetectionError(f"event index must be a whole number within int64, got {value!r}")
+    return items.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Events:
     """Detected events as three parallel arrays, in the order given.
@@ -497,13 +516,14 @@ class Events:
     Every detector returns one, and every scorer and writer takes one.
     ``indices`` (int64), ``timestamps_s`` and ``deltas_watts`` (float64)
     describe one event per position and are checked once, vectorised:
-    an index must be non-negative (:class:`DetectionError`) and a
-    timestamp or delta finite (:class:`NonFiniteValue`); the message
-    names the first bad value.  ``len()`` is the event count; iterating,
-    or indexing with an integer, yields :class:`DetectedEvent` views,
-    while indexing with a slice, a mask or an array of positions yields
-    another :class:`Events`.  Two :class:`Events` are equal when all
-    three arrays are.
+    an index must be a whole number within int64 and non-negative
+    (:class:`DetectionError`; an integer array passes the first rule on
+    its dtype) and a timestamp or delta finite (:class:`NonFiniteValue`);
+    the message names the first bad value.  ``len()`` is the event count;
+    iterating, or indexing with an integer, yields :class:`DetectedEvent`
+    views, while indexing with a slice, a mask or an array of positions
+    yields another :class:`Events`.  Two :class:`Events` are equal when
+    all three arrays are.
     """
 
     indices: np.ndarray
@@ -511,7 +531,7 @@ class Events:
     deltas_watts: np.ndarray
 
     def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=np.int64)
+        indices = _event_indices(self.indices)
         timestamps = np.asarray(self.timestamps_s, dtype=float)
         deltas = np.asarray(self.deltas_watts, dtype=float)
         if not indices.ndim == timestamps.ndim == deltas.ndim == 1:
@@ -578,20 +598,26 @@ _POSITIVE_SETTINGS = frozenset(
 )
 
 
-def _check_integer(name: str, value: object) -> None:
-    """Reject a sample count or polynomial order that is not an integer."""
-    if not isinstance(value, (int, np.integer)):
-        raise DetectionError(f"{name} must be an integer, got {value}")
+# The settings that count samples or give a polynomial order.
+_INTEGER_SETTINGS = frozenset(
+    ("sg_window_samples", "sg_poly_order", "pre_window_samples", "maxima_precision_samples")
+)
 
 
-def _check_setting(name: str, value: float) -> None:
-    """Reject a :class:`HybridConfig` value that is wrong whatever the other fields hold.
+def _check_setting(name: str, value: object) -> None:
+    """Reject a config value that is wrong whatever the other fields hold.
 
-    The rules that relate two fields are checked by the config itself, so
-    a config file can be checked one line at a time.
+    Both :class:`HybridConfig` and :class:`~nilmevents.baselines.LldConfig`
+    check each field here.  A count of samples or a polynomial order must
+    be an integer, and any other setting a number; a bool is neither.  The
+    rules that relate two fields are checked by the config itself, so a
+    config file can be checked one line at a time.
     """
-    if name in ("sg_window_samples", "sg_poly_order"):
-        _check_integer(name, value)
+    if name in _INTEGER_SETTINGS:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DetectionError(f"{name} must be an integer, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DetectionError(f"{name} must be a number, got {value!r}")
     if name in _POSITIVE_SETTINGS:
         if not math.isfinite(value):
             raise NonFiniteValue(f"{name} must be finite, got {value}")
@@ -603,6 +629,8 @@ def _check_setting(name: str, value: float) -> None:
         raise DetectionError(
             f"sg_poly_order must satisfy 0 <= order < sg_window_samples, got {value}"
         )
+    elif name in ("pre_window_samples", "maxima_precision_samples") and value < 1:
+        raise DetectionError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

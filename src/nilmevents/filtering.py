@@ -21,10 +21,12 @@ is confirmed by a re-detection within ``t`` samples of its own index,
 are not read.  So a confirmation reads only the re-detections within
 ``t`` samples of its candidate, and the trace is smoothed and
 re-detected only in windows around the candidates (:func:`_redetected`):
-pieces of :mod:`nilmevents.core`, smoothed and profiled one piece group
-at a time, one :func:`savitzky_golay` call per group, each alarm the
-whole-trace one, since an end fit depends only on the end window it
-reads.  So the refilter holds a group, not every window at once.
+pieces of :mod:`nilmevents.core`, smoothed one piece group at a time,
+one :func:`savitzky_golay` call per group, and tested by the base
+detector's own alarm pass (:func:`~nilmevents.base._owned_alarms`), each
+alarm the whole-trace one, since an end fit depends only on the end
+window it reads.  So the refilter holds a group, not every window at
+once.
 Where the refilter does not fire, nothing is smoothed.
 """
 
@@ -42,10 +44,9 @@ import numpy as np
 # module: the benchmark's tracer (perfbench/tracer.py) wraps
 # ``nilmevents.filtering.detect_base`` by name.
 from .base import (  # noqa: F401
-    _alarming,
     _checked_margin,
     _emitted,
-    _mean_difference_profile,
+    _owned_alarms,
     _require_windows,
     _rounding_margin,
     detect_base,
@@ -235,32 +236,6 @@ def _confirmation_windows(
     return np.where(lo < hi, np.maximum(lo - (k + 1), n), hi), hi
 
 
-def _window_alarms(
-    x: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int, config: HybridConfig
-) -> np.ndarray:
-    """The increasing indices of the smoothed trace's alarms at centres in ``[lo, hi)``.
-
-    The windows are increasing and disjoint.  They are cut into the pieces
-    of :func:`~nilmevents.core._piece_groups`, each reading ``x``
-    ``n + half`` samples further on either side, ``half`` being the SG half
-    window, and one piece group at a time is gathered, smoothed by one
-    :func:`savitzky_golay` call and profiled, so the refilter holds a group
-    (less than two blocks and ``2 (n + half)`` samples), not every window.
-    A piece is no shorter than its reads on either side, or than a block,
-    so a window is smoothed at most about twice over.  A piece whose read
-    touches an end of the trace spans at least one SG window there and is
-    the first, or the last, of its group: there the smoothed samples are
-    the end fits of ``x`` itself.
-    """
-    win, reach = config.sg_window_samples, n + config.sg_window_samples // 2
-    found = [np.empty(0, dtype=np.int64)]
-    for pieces in _piece_groups(lo, hi, reach, reach, x.size, win, piece=2 * reach):
-        smoothed = savitzky_golay(pieces.take(x), win, config.sg_poly_order)
-        diffs = _mean_difference_profile(smoothed, n)
-        found.append(pieces.own(_alarming(diffs, config.power_threshold_watts) + n)[1])
-    return np.concatenate(found)
-
-
 def _redetected(
     series: SampleSeries, indices: np.ndarray, tolerance: int, config: HybridConfig, peak: float
 ) -> np.ndarray:
@@ -269,8 +244,19 @@ def _redetected(
     They are the indices of :func:`detect_base` run on the whole
     ``savitzky_golay(series.values, ...)``, on the windows of
     :func:`_confirmation_windows`, each joined with any window less than
-    ``2 (n + half)`` centres away, and smoothed and profiled one piece
-    group at a time (:func:`_window_alarms`).  A window's alarms are
+    ``2 (n + half)`` centres away, ``half`` being the SG half window.
+    The windows are cut into the pieces of
+    :func:`~nilmevents.core._piece_groups`, each reading the trace ``n +
+    half`` samples further on either side, and one piece group at a time
+    is gathered, smoothed by one :func:`savitzky_golay` call and tested by
+    the base detector's own alarm pass
+    (:func:`~nilmevents.base._owned_alarms`), so the refilter holds a
+    group (less than two blocks and ``2 (n + half)`` samples), not every
+    window.  A piece is no shorter than its reads on either side, or than
+    a block, so a window is smoothed at most about twice over.  A piece
+    whose read touches an end of the trace spans at least one SG window
+    there and is the first, or the last, of its group: there the smoothed
+    samples are the end fits of the trace itself.  A window's alarms are
     emitted as the whole-trace run emits them once its first alarm
     ``first`` is a proven chain reset: ``first - (lo - 1) > k``, so that it
     is more than ``k`` samples after any alarm before the window, or
@@ -308,7 +294,10 @@ def _redetected(
     while lo.size:
         starts, stops = _union(lo - reach, hi + reach)
         lo, hi = starts + reach, stops - reach
-        alarms = _window_alarms(series.values, lo, hi, n, config)
+        groups = _piece_groups(lo, hi, reach, reach, size, win, piece=2 * reach)
+        smoothed = ((g, savitzky_golay(g.take(series.values), win, order)) for g in groups)
+        owned = _owned_alarms(smoothed, n, config.power_threshold_watts)
+        alarms = np.concatenate([np.empty(0, dtype=np.int64), *(centres for centres, _ in owned)])
         first = np.append(alarms, size)[np.searchsorted(alarms, lo)]
         reset = (first >= hi) | (lo == n) | (first - (lo - 1) > k)
         accepted.append(alarms[reset[np.searchsorted(lo, alarms, side="right") - 1]])

@@ -74,17 +74,16 @@ from .core import DetectionError, Events, HybridConfig, SampleSeries, SeriesTooS
 # this module: the benchmark's tracer (perfbench/tracer.py) wraps
 # ``nilmevents.pipeline.validate_series`` by name.
 from .core import validate_series  # noqa: F401
-from .derivative import (
-    InvalidWindow,
-    _SmoothedDerivative,
-    detect_extrema,
-    first_derivative,
-    loess_smooth,
-    merge_transient_events,
-)
+from .derivative import InvalidWindow, _SmoothedDerivative, detect_extrema, merge_transient_events
+
+# ``first_derivative`` and ``loess_smooth`` are not called here, but stay
+# importable under this module: the benchmark's tracer (perfbench/tracer.py)
+# wraps ``nilmevents.pipeline.first_derivative`` and
+# ``nilmevents.pipeline.loess_smooth`` by name.
+from .derivative import first_derivative, loess_smooth  # noqa: F401
 from .filtering import FilterVerdicts, refilter_events_with_verdicts
 
-__all__ = ["StageCounts", "PipelineResult", "smoothed_derivative", "detect_hybrid"]
+__all__ = ["StageCounts", "PipelineResult", "detect_hybrid"]
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,12 @@ class PipelineResult:
     the re-detection did not confirm, and none when the refilter did not
     fire.  ``filter_verdicts`` holds one verdict per merged event when the
     refilter fired (none otherwise).  No full-length trace is kept:
-    :func:`first_derivative` and :func:`smoothed_derivative` recompute the
-    derivative traces, and :func:`~nilmevents.derivative.detect_extrema`
-    finds every significant extremum on the latter.
+    :func:`~nilmevents.derivative.first_derivative` of ``series.values``
+    recomputes the derivative trace, and
+    :func:`~nilmevents.derivative.loess_smooth` of that, with
+    ``config.loess_window_samples(series.sampling_rate_hz)``, the smoothed
+    one, on which :func:`~nilmevents.derivative.detect_extrema` finds every
+    significant extremum.
     """
 
     base_events: Events
@@ -144,19 +146,6 @@ class PipelineResult:
         )
 
 
-def smoothed_derivative(series: SampleSeries, config: HybridConfig) -> np.ndarray:
-    """The LOESS-smoothed first derivative of the whole trace.
-
-    :func:`detect_hybrid` computes it only where the merge and the
-    refilter's guard read it: the guard's samples the same, and the
-    merge's settle test ``|s| < epsilon`` the one these values give; this
-    function computes every sample.
-    """
-    return loess_smooth(
-        first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)
-    )
-
-
 def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -> PipelineResult:
     """Run the full hybrid event detection pipeline on one trace.
 
@@ -174,8 +163,7 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
         the significant extrema the refilter's guard read (strict
         extrema of the smoothed derivative whose magnitude exceeds
         ``derivative_epsilon``).  The derivative traces are not kept;
-        :func:`first_derivative` and :func:`smoothed_derivative`
-        recompute them.
+        :class:`PipelineResult` says how to recompute them.
 
     Raises
     ------

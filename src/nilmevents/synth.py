@@ -168,8 +168,9 @@ class ScenarioSpec:
             raise InvalidSpec(f"duration_s must be positive, got {self.duration_s}")
         if not math.isfinite(self.noise_std_watts) or self.noise_std_watts < 0:
             raise InvalidSpec(f"noise_std_watts must be >= 0, got {self.noise_std_watts}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidSpec(f"seed must be an integer >= 0, got {seed!r}")
         for appliance in self.appliances:
             if appliance.off_time_s > self.duration_s:
                 raise InvalidSpec(

@@ -184,12 +184,25 @@ def test_lld_config_keeps_its_messages_for_zero_and_negative_settings(value: flo
 
 
 @pytest.mark.parametrize(
-    ("name", "value"), [("pre_window_samples", 6.5), ("maxima_precision_samples", 2.5)]
+    ("name", "value"),
+    [
+        ("pre_window_samples", 6.5),
+        ("maxima_precision_samples", 2.5),
+        ("pre_window_samples", True),
+        ("maxima_precision_samples", None),
+    ],
 )
 def test_lld_config_rejects_sample_counts_that_are_not_integers(name: str, value: float) -> None:
     with pytest.raises(DetectionError) as excinfo:
         LldConfig(**{name: value})
     assert str(excinfo.value) == f"{name} must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("value", [True, "25", None], ids=repr)
+def test_lld_config_refuses_a_bool_or_a_non_number_by_name(value: object) -> None:
+    with pytest.raises(DetectionError) as excinfo:
+        LldConfig(power_threshold_watts=value)
+    assert str(excinfo.value) == f"power_threshold_watts must be a number, got {value!r}"
 
 
 # Proof blocks of 1, 7, 64 and 1024 samples, and None: one block that covers

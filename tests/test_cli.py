@@ -24,14 +24,15 @@ from nilmevents import (
     detect_base,
     detect_extrema,
     detect_hybrid,
+    first_derivative,
     generate_scenario,
     lld_max,
     load_config_file,
     load_ground_truth,
     load_scenario,
     load_trace,
+    loess_smooth,
     merge_transient_events,
-    smoothed_derivative,
     write_events,
     write_trace,
 )
@@ -506,7 +507,9 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_decides(
     err = capsys.readouterr().err
 
     series, config = load_trace(trace), load_config_file(config_path)
-    smoothed = smoothed_derivative(series, config)
+    smoothed = loess_smooth(
+        first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)
+    )
     base = detect_base(series, config)
     merged = base[merge_transient_events(base, smoothed, series, config)]
     kept, verdicts, read = refilter_events_with_verdicts(

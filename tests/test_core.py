@@ -189,6 +189,9 @@ def test_a_refused_input_stays_writable(reason: str, error: type, message: str) 
         array[...] = 2.0
 
 
+WHOLE_INDEX = "event index must be a whole number within int64"
+
+
 @pytest.mark.parametrize(
     ("first_bad", "second_bad", "error", "message"),
     [
@@ -217,6 +220,11 @@ def test_a_refused_input_stays_writable(reason: str, error: type, message: str) 
             NonFiniteValue,
             "event delta must be finite, got nan",
         ),
+        ((1.5, 0.0, 1.0), (2.5, 0.0, 1.0), DetectionError, f"{WHOLE_INDEX}, got 1.5"),
+        (("3", 0.0, 1.0), ("4", 0.0, 1.0), DetectionError, f"{WHOLE_INDEX}, got '3'"),
+        ((True, 0.0, 1.0), (False, 0.0, 1.0), DetectionError, f"{WHOLE_INDEX}, got True"),
+        ((float("nan"), 0.0, 1.0), (1.5, 0.0, 1.0), DetectionError, f"{WHOLE_INDEX}, got nan"),
+        ((2**70, 0.0, 1.0), (2**63, 0.0, 1.0), DetectionError, f"{WHOLE_INDEX}, got {2**70}"),
     ],
 )
 def test_events_validate_every_position_like_a_detected_event(
@@ -227,6 +235,11 @@ def test_events_validate_every_position_like_a_detected_event(
         Events(*zip(*rows))
     # The batch names its first invalid position, not a later one.
     assert str(batch.value) == message
+
+
+def test_an_integer_index_array_is_taken_as_it_is() -> None:
+    indices = np.array([3, 8], dtype=np.int64)
+    assert Events(indices, [0.15, 0.4], [1.0, 2.0]).indices is indices
 
 
 def test_events_are_arrays_that_yield_detected_events() -> None:
@@ -304,12 +317,26 @@ def test_config_names_zero_and_negative_settings_as_not_positive(value: float) -
 
 
 @pytest.mark.parametrize(
-    ("name", "value"), [("sg_window_samples", 41.5), ("sg_poly_order", 2.5)]
+    ("name", "value"),
+    [
+        ("sg_window_samples", 41.5),
+        ("sg_poly_order", 2.5),
+        ("sg_window_samples", True),
+        ("sg_poly_order", None),
+    ],
 )
 def test_config_rejects_sample_counts_that_are_not_integers(name: str, value: float) -> None:
     with pytest.raises(DetectionError) as excinfo:
         HybridConfig(**{name: value})
     assert str(excinfo.value) == f"{name} must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("value", [True, "25", None], ids=repr)
+def test_config_refuses_a_bool_or_a_non_number_by_name(value: object) -> None:
+    with pytest.raises(DetectionError) as excinfo:
+        HybridConfig(power_threshold_watts=value)
+    assert str(excinfo.value) == f"power_threshold_watts must be a number, got {value!r}"
+
 
 def test_config_window_conversions() -> None:
     config = HybridConfig()

@@ -30,7 +30,6 @@ from nilmevents import (
     load_trace,
     loess_smooth,
     merge_transient_events,
-    smoothed_derivative,
     write_trace,
 )
 from nilmevents import derivative
@@ -880,7 +879,9 @@ def test_noisy_traces_give_the_whole_trace_extrema_and_merge(
     series, config = SampleSeries(x, rate_hz), HybridConfig()
     window, epsilon = config.loess_window_samples(rate_hz), config.derivative_epsilon
     computed = _SmoothedDerivative(x, window)
-    whole = smoothed_derivative(series, config)
+    whole = loess_smooth(
+        first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)
+    )
     candidates = detect_base(series, config)
     assert len(candidates) > 10
     assert np.array_equal(

@@ -29,11 +29,12 @@ from nilmevents import (
     detect_base,
     detect_extrema,
     detect_hybrid,
+    first_derivative,
     generate_scenario,
     lld_max,
     load_trace,
+    loess_smooth,
     seconds_to_samples,
-    smoothed_derivative,
     write_trace,
 )
 from nilmevents import core, filtering
@@ -130,7 +131,10 @@ def guard_read(extrema: np.ndarray, result: PipelineResult, radius: int) -> np.n
 def test_intermediate_traces_stay_aligned_with_the_series(name: str) -> None:
     run = run_replica(name)
     result = run.result
-    smoothed = smoothed_derivative(run.series, run.config)
+    rate = run.series.sampling_rate_hz
+    smoothed = loess_smooth(
+        first_derivative(run.series.values), run.config.loess_window_samples(rate)
+    )
     assert smoothed.size == len(run.series)
     epsilon = run.config.derivative_epsilon
     extrema = detect_extrema(smoothed, epsilon)
@@ -255,7 +259,9 @@ def assert_whole_trace_chain(series: SampleSeries, config: HybridConfig, result)
     """``result`` is what the whole-trace smoothed derivative gives at every stage:
     the merge oracle on it, its significant extrema and the refilter on those."""
     base = detect_base(series, config)
-    smoothed = smoothed_derivative(series, config)
+    smoothed = loess_smooth(
+        first_derivative(series.values), config.loess_window_samples(series.sampling_rate_hz)
+    )
     extrema = detect_extrema(smoothed, min_abs_value=config.derivative_epsilon)
     merged_indices = oracle_merge(
         [(e.index, e.timestamp_s) for e in base],

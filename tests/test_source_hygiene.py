@@ -9,11 +9,15 @@ attribute; a module's ``__all__`` entries count as used there too.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+from source_lines import code_lines
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "nilmevents"
+TRACER_PATH = SOURCE.parent.parent / "perfbench" / "tracer.py"
 
 # Imports that nothing in the package reads, kept because the benchmark's
 # tracer (perfbench/tracer.py) wraps these module attributes by name and
@@ -23,6 +27,8 @@ TRACED_IMPORTS = {
     ("pipeline", "validate_series"): "tracer target core.validate_series",
     ("base", "validate_series"): "tracer target core.validate_series",
     ("filtering", "detect_base"): "tracer target filtering.redetect",
+    ("pipeline", "first_derivative"): "tracer target derivative.first_derivative",
+    ("pipeline", "loess_smooth"): "tracer target derivative.loess_smooth",
 }
 
 
@@ -97,6 +103,36 @@ def test_each_traced_import_is_still_there() -> None:
     modules = parsed_modules()
     for module, name in TRACED_IMPORTS:
         assert name in imported_names(modules[module])
+
+
+def test_each_traced_import_is_a_tracer_target() -> None:
+    """An exemption whose tracer target is gone is stale and goes too."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = {(module, attribute) for module, attribute, _ in tracer.TARGETS}
+    for module, name in TRACED_IMPORTS:
+        assert (f"nilmevents.{module}", name) in targets
+
+
+def test_the_line_counter_skips_docstrings_comments_and_blank_lines() -> None:
+    source = (
+        '"""A module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "import os  # a comment after code\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """A docstring."""\n'
+        "    # a comment line\n"
+        '    text = """a string\n'
+        'that is code"""\n'
+        "    return (x,\n"
+        "            text)\n"
+    )
+    # import, def, the string's two lines and the return's two.
+    assert code_lines(source) == 6
 
 
 def test_importing_the_package_does_not_import_subprocess() -> None:

@@ -283,6 +283,8 @@ def test_malformed_appliances_are_rejected(kwargs: dict) -> None:
                 ApplianceSpec(label="x", power_watts=100.0, on_time_s=5.0, off_time_s=30.0),
             ),
         ),
+        dict(sampling_rate_hz=20.0, duration_s=60.0, noise_std_watts=1.0, seed=1.5),
+        dict(sampling_rate_hz=20.0, duration_s=60.0, seed=True),
     ],
 )
 def test_malformed_scenarios_are_rejected(kwargs: dict) -> None:
