@@ -37,6 +37,7 @@ from .core import (
     SampleSeries,
     SeriesTooShort,
     UnsortedInput,
+    WrongType,
     ZeroGroundTruth,
     seconds_to_samples,
     validate_series,
@@ -102,6 +103,7 @@ __all__ = [
     # errors
     "DetectionError",
     "EmptySeries",
+    "WrongType",
     "NonPositiveRate",
     "NonPositiveDuration",
     "NonFiniteValue",

@@ -52,8 +52,8 @@ stage builds it again.
 
 from __future__ import annotations
 
-import math
-import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple
 
@@ -70,6 +70,7 @@ __all__ = [
     "UnsortedInput",
     "InconsistentCounts",
     "ZeroGroundTruth",
+    "WrongType",
     "SampleSeries",
     "DetectedEvent",
     "Events",
@@ -91,11 +92,11 @@ class EmptySeries(DetectionError):
 
 
 class NonPositiveRate(DetectionError):
-    """A sampling rate was zero, negative, or not finite."""
+    """A sampling rate was not a number, or zero, negative, or not finite."""
 
 
 class NonPositiveDuration(DetectionError):
-    """A duration that must be positive was zero or negative."""
+    """A duration that must be positive was not a number, or zero, negative, or not finite."""
 
 
 class NonFiniteValue(DetectionError):
@@ -122,6 +123,81 @@ class ZeroGroundTruth(DetectionError):
     """Rates were requested against an empty reference log."""
 
 
+class WrongType(DetectionError):
+    """A value was not of its field's type: a number, an integer, a string or a record."""
+
+
+# The types of a number and of an integer, and the largest finite float.
+_NUMBERS = (int, float, np.integer, np.floating)
+_INTEGERS = (int, np.integer)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(name: str, value: object, error: type | None = None, integer: bool = False) -> float:
+    """``value`` as a float (an int where ``integer``), if it is a finite number; else ``error``.
+
+    The one rule by which every record and entry point checks a scalar.  A
+    number is an ``int``, a ``float`` or a numpy real scalar, never a bool,
+    and an integer is an ``int`` or a numpy integer.  Finite means no
+    larger in magnitude than the largest float, so NaN, an infinity and an
+    integer past the float range are refused.  ``error`` defaults to
+    :class:`WrongType` for a value of another type and to
+    :class:`NonFiniteValue` for one that is not finite; each message names
+    ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS if integer else _NUMBERS):
+        what = "an integer" if integer else "a number"
+        raise (error or WrongType)(f"{name} must be {what}, got {reprlib.repr(value)}")
+    number = value if isinstance(value, _INTEGERS) else float(value)  # no float32 bound to overflow
+    if -_FLOAT_MAX <= number <= _FLOAT_MAX:  # false for NaN; exact for an int of any size
+        return int(number) if integer else float(number)
+    raise (error or NonFiniteValue)(f"{name} must be finite, got {reprlib.repr(value)}")
+
+
+def _positive(name: str, value: object, error: type, or_zero: bool = False) -> float:
+    """``value`` as :func:`_number` gives it, if it is positive (or zero, where ``or_zero``).
+
+    Else ``error`` says what ``value`` must be.
+    """
+    number = _number(name, value, error)
+    if number < 0 or (number == 0 and not or_zero):
+        raise error(f"{name} must be {'>= 0' if or_zero else 'positive'}, got {value}")
+    return number
+
+
+def _check_type(name: str, value: object, kind: type, error: type | None = None) -> None:
+    """Raise ``error`` (by default :class:`WrongType`) unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        message = f"{name} must be of type {kind.__name__}, got {reprlib.repr(value)}"
+        raise (error or WrongType)(message)
+
+
+def _check_items(name: str, items: object, kind: type, error: type | None = None) -> tuple:
+    """``items`` as a tuple, if it is a tuple or a list of ``kind``; else ``error`` naming one."""
+    if not isinstance(items, (tuple, list)):
+        raise (error or WrongType)(f"{name} must be a tuple or a list, got {reprlib.repr(items)}")
+    for i, item in enumerate(items):
+        if not isinstance(item, kind):
+            _check_type(f"{name}[{i}]", item, kind, error)
+    return tuple(items)
+
+
+def _check_fields(record: object, error: type | None = None) -> None:
+    """Check each ``float``, ``int`` and ``str`` field of a frozen dataclass by the one rule.
+
+    A field's type is read from its annotation, a string in a module that
+    imports ``annotations`` from ``__future__``.  A float field is stored as
+    ``float(value)`` and an int field as ``int(value)``; see :func:`_number`
+    for ``error``.  Fields of any other type are the record's own to check.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "str":
+            _check_type(f.name, value, str, error)
+        elif f.type in ("float", "int"):
+            object.__setattr__(record, f.name, _number(f.name, value, error, f.type == "int"))
+
+
 # The most samples a duration converts to: more than any series holds.
 _MAX_SAMPLES = 2**53
 
@@ -144,11 +220,8 @@ def seconds_to_samples(duration_s: float, rate_hz: float) -> int:
         decision as its exact count would, and index arithmetic on it
         stays inside int64.
     """
-    if not math.isfinite(duration_s) or duration_s <= 0:
-        raise NonPositiveDuration(f"duration_s must be positive, got {duration_s}")
-    if not math.isfinite(rate_hz) or rate_hz <= 0:
-        raise NonPositiveRate(f"rate_hz must be positive, got {rate_hz}")
-    samples = duration_s * rate_hz  # may overflow to inf
+    duration_s = _positive("duration_s", duration_s, NonPositiveDuration)
+    samples = duration_s * _positive("rate_hz", rate_hz, NonPositiveRate)  # may overflow to inf
     return _MAX_SAMPLES if samples >= _MAX_SAMPLES else max(1, round(samples))
 
 
@@ -256,15 +329,12 @@ class SampleSeries:
             raise DetectionError(f"values must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise EmptySeries("series contains no samples")
-        if not math.isfinite(self.sampling_rate_hz) or self.sampling_rate_hz <= 0:
-            raise NonPositiveRate(
-                f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}"
-            )
+        rate = _positive("sampling_rate_hz", self.sampling_rate_hz, NonPositiveRate)
         summary = _Summary.of(arr)
         if not (np.isfinite(summary.low).all() and np.isfinite(summary.high).all()):
             raise NonFiniteValue("series contains NaN or infinite samples")
-        if not math.isfinite(self.start_time_s):
-            raise NonFiniteValue(f"start_time_s must be finite, got {self.start_time_s}")
+        object.__setattr__(self, "sampling_rate_hz", rate)
+        object.__setattr__(self, "start_time_s", _number("start_time_s", self.start_time_s))
         object.__setattr__(self, "summary", summary)
         owner = arr
         while isinstance(owner, np.ndarray):
@@ -584,52 +654,28 @@ class Events:
         )
 
 
-_POSITIVE_SETTINGS = frozenset(
-    (
-        "mean_window_s",
-        "power_threshold_watts",
-        "time_limit_s",
-        "derivative_epsilon",
-        "settle_threshold_s",
-        "loess_window_s",
-        "fluctuation_trigger_watts",
-        "eval_match_tolerance_s",
-    )
-)
-
-
-# The settings that count samples or give a polynomial order.
-_INTEGER_SETTINGS = frozenset(
-    ("sg_window_samples", "sg_poly_order", "pre_window_samples", "maxima_precision_samples")
-)
-
-
 def _check_setting(name: str, value: object) -> None:
     """Reject a config value that is wrong whatever the other fields hold.
 
     Both :class:`HybridConfig` and :class:`~nilmevents.baselines.LldConfig`
-    check each field here.  A count of samples or a polynomial order must
-    be an integer, and any other setting a number; a bool is neither.  The
-    rules that relate two fields are checked by the config itself, so a
-    config file can be checked one line at a time.
+    check each field here, by the rule of :func:`_number`: a count of
+    samples or a polynomial order (a name ending in ``_samples`` or
+    ``_order``) must be an integer, and any other setting a positive
+    number.  The value is kept as given.  The rules that relate two fields
+    are checked by the config itself, so a config file can be checked one
+    line at a time.
     """
-    if name in _INTEGER_SETTINGS:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DetectionError(f"{name} must be an integer, got {value!r}")
-    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DetectionError(f"{name} must be a number, got {value!r}")
-    if name in _POSITIVE_SETTINGS:
-        if not math.isfinite(value):
-            raise NonFiniteValue(f"{name} must be finite, got {value}")
-        if value <= 0:
-            raise DetectionError(f"{name} must be positive, got {value}")
-    elif name == "sg_window_samples" and (value < 3 or value % 2 == 0):
+    integer = name.endswith(("_samples", "_order"))
+    _number(name, value, integer=integer)
+    if not integer and value <= 0:
+        raise DetectionError(f"{name} must be positive, got {value}")
+    if name == "sg_window_samples" and (value < 3 or value % 2 == 0):
         raise DetectionError(f"sg_window_samples must be an odd integer >= 3, got {value}")
-    elif name == "sg_poly_order" and value < 0:
+    if name == "sg_poly_order" and value < 0:
         raise DetectionError(
             f"sg_poly_order must satisfy 0 <= order < sg_window_samples, got {value}"
         )
-    elif name in ("pre_window_samples", "maxima_precision_samples") and value < 1:
+    if name in ("pre_window_samples", "maxima_precision_samples") and value < 1:
         raise DetectionError(f"{name} must be >= 1, got {value}")
 
 
@@ -703,8 +749,7 @@ class GroundTruthEntry:
     label: str
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp_s):
-            raise NonFiniteValue(f"truth timestamp must be finite, got {self.timestamp_s}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -714,9 +759,8 @@ class GroundTruthLog:
     entries: tuple[GroundTruthEntry, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        for earlier, later in zip(entries, entries[1:]):
+        object.__setattr__(self, "entries", _check_items("entries", self.entries, GroundTruthEntry))
+        for earlier, later in zip(self.entries, self.entries[1:]):
             if later.timestamp_s < earlier.timestamp_s:
                 raise UnsortedInput(
                     "ground truth entries must be in non-decreasing time order: "
@@ -759,9 +803,9 @@ class EvaluationReport:
     matches: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_fields(self, InconsistentCounts)
         for name in ("tp", "fp", "fn"):
-            if getattr(self, name) < 0:
-                raise InconsistentCounts(f"{name} must be >= 0, got {getattr(self, name)}")
+            _positive(name, getattr(self, name), InconsistentCounts, or_zero=True)
         if self.tp + self.fn != self.ground_truth_count:
             raise InconsistentCounts(
                 "tp + fn must equal ground_truth_count, got "

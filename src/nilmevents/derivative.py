@@ -50,6 +50,7 @@ from .core import (
     _Layout,
     _Ranges,
     _blocks,
+    _number,
     _piece_groups,
     _union,
 )
@@ -81,12 +82,12 @@ _CHUNK_ROWS = 64
 
 
 class InvalidWindow(DetectionError):
-    """A smoothing window was even, too small, or longer than the series."""
+    """A smoothing window was not an integer, or even, too small, or longer than the series."""
 
 
 def _checked_window(window_samples: int, size: int) -> int:
-    """The window as an int, if it is odd, at least 3 and at most ``size``."""
-    win = int(window_samples)
+    """The window as an int, if it is an odd integer, at least 3 and at most ``size``."""
+    win = _number("window_samples", window_samples, InvalidWindow, integer=True)
     if win < 3 or win % 2 == 0:
         raise InvalidWindow(f"window_samples must be an odd integer >= 3, got {window_samples}")
     if win > size:

@@ -12,7 +12,6 @@ before matching.  The rates are defined by :class:`EvaluationReport`.
 from __future__ import annotations
 
 import bisect
-import math
 
 from .core import (
     DetectionError,
@@ -20,6 +19,7 @@ from .core import (
     Events,
     GroundTruthEntry,
     GroundTruthLog,
+    _positive,
 )
 
 __all__ = ["NegativeTolerance", "coalesce_simultaneous", "match_events", "evaluate_detections"]
@@ -86,8 +86,7 @@ def match_events(
     NegativeTolerance
         If ``tolerance_s`` is not a positive finite number.
     """
-    if not math.isfinite(tolerance_s) or tolerance_s <= 0:
-        raise NegativeTolerance(f"tolerance_s must be positive, got {tolerance_s}")
+    tolerance_s = _positive("tolerance_s", tolerance_s, NegativeTolerance)
     stamps = detections.timestamps_s.tolist()
     order = sorted(range(len(stamps)), key=stamps.__getitem__)
     times = [stamps[pos] for pos in order]

@@ -57,6 +57,7 @@ from .core import (
     HybridConfig,
     MisalignedInput,
     SampleSeries,
+    _number,
     _piece_groups,
     _union,
     seconds_to_samples,
@@ -74,7 +75,7 @@ __all__ = [
 
 
 class OrderTooHigh(DetectionError):
-    """A polynomial order was too high for its window."""
+    """A polynomial order was not an integer, or too high or negative for its window."""
 
 
 class FilterReason(enum.Enum):
@@ -177,7 +178,7 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
 def _checked_sg_window(window_samples: int, poly_order: int, size: int) -> int:
     """The window as an int, if it is valid for ``size`` samples and ``poly_order`` fits it."""
     win = _checked_window(window_samples, size)
-    if not 0 <= poly_order < win:
+    if not 0 <= _number("poly_order", poly_order, OrderTooHigh, integer=True) < win:
         raise OrderTooHigh(
             f"poly_order must satisfy 0 <= order < window, got {poly_order} with window {win}"
         )

@@ -15,10 +15,15 @@ Burst geometry is fixed: a burst lasts ``BURST_CYCLES`` periods of a
 ``BURST_PERIOD_S``, and no burst starts within ``BURST_TAIL_MARGIN_S`` of
 the end of the trace.  Bursts are emitted only while the appliance is on.
 
-A scenario file is a JSON object read by one reader that the fields of
-:class:`ScenarioSpec` and :class:`ApplianceSpec` drive: unknown keys,
-missing required keys and values a field cannot take raise
-:class:`InvalidSpec` naming the key.
+Both specs check their own values, by the rule every record of this
+package follows (``core._number``): a number field takes an ``int``, a
+``float`` or a numpy real scalar that is finite, never a bool, and is
+stored as a float; ``seed`` takes an integer, ``label`` and ``name`` a
+string, ``transient`` a :class:`TransientKind`, and ``appliances`` a
+tuple or list of :class:`ApplianceSpec`.  A value that breaks it raises
+:class:`InvalidSpec` naming the field.  A scenario file is a JSON object
+that one reader maps onto the specs' fields: it refuses unknown and
+missing keys itself, and leaves every value to the constructors.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import reprlib
 import typing
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields
@@ -41,6 +45,10 @@ from .core import (
     GroundTruthLog,
     SampleSeries,
     _blocks,
+    _check_fields,
+    _check_items,
+    _check_type,
+    _positive,
 )
 from .io import _decoding
 
@@ -108,19 +116,19 @@ class ApplianceSpec:
     fluctuation_amplitude_watts: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_fields(self, InvalidSpec)
+        _check_type("transient", self.transient, TransientKind, InvalidSpec)
         if not self.label:
             raise InvalidSpec("appliance label must be non-empty")
-        if not math.isfinite(self.power_watts) or self.power_watts <= 0:
-            raise InvalidSpec(f"power_watts must be positive, got {self.power_watts}")
-        if not math.isfinite(self.on_time_s) or self.on_time_s < 0:
-            raise InvalidSpec(f"on_time_s must be >= 0, got {self.on_time_s}")
-        if not math.isfinite(self.off_time_s) or self.off_time_s <= self.on_time_s:
+        _positive("power_watts", self.power_watts, InvalidSpec)
+        _positive("on_time_s", self.on_time_s, InvalidSpec, or_zero=True)
+        if self.off_time_s <= self.on_time_s:
             raise InvalidSpec(
                 f"off_time_s must exceed on_time_s, got {self.off_time_s} <= {self.on_time_s}"
             )
         if self.transient is not TransientKind.STEP:
             span = self.off_time_s - self.on_time_s
-            if not math.isfinite(self.transient_duration_s) or self.transient_duration_s <= 0:
+            if self.transient_duration_s <= 0:
                 raise InvalidSpec(
                     f"{self.transient.value} transient needs a positive "
                     f"transient_duration_s, got {self.transient_duration_s}"
@@ -135,14 +143,8 @@ class ApplianceSpec:
                     f"spike_decay transient_duration_s {self.transient_duration_s} gives "
                     "a time constant of 0"
                 )
-        if (
-            not math.isfinite(self.fluctuation_amplitude_watts)
-            or self.fluctuation_amplitude_watts < 0
-        ):
-            raise InvalidSpec(
-                "fluctuation_amplitude_watts must be >= 0, got "
-                f"{self.fluctuation_amplitude_watts}"
-            )
+        fluctuation = self.fluctuation_amplitude_watts
+        _positive("fluctuation_amplitude_watts", fluctuation, InvalidSpec, or_zero=True)
 
 
 @dataclass(frozen=True)
@@ -157,20 +159,15 @@ class ScenarioSpec:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "appliances", tuple(self.appliances))
+        _check_fields(self, InvalidSpec)
+        appliances = _check_items("appliances", self.appliances, ApplianceSpec, InvalidSpec)
+        object.__setattr__(self, "appliances", appliances)
         if not self.name:
             raise InvalidSpec("scenario name must be non-empty")
-        if not math.isfinite(self.sampling_rate_hz) or self.sampling_rate_hz <= 0:
-            raise InvalidSpec(
-                f"sampling_rate_hz must be positive, got {self.sampling_rate_hz}"
-            )
-        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
-            raise InvalidSpec(f"duration_s must be positive, got {self.duration_s}")
-        if not math.isfinite(self.noise_std_watts) or self.noise_std_watts < 0:
-            raise InvalidSpec(f"noise_std_watts must be >= 0, got {self.noise_std_watts}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise InvalidSpec(f"seed must be an integer >= 0, got {seed!r}")
+        _positive("sampling_rate_hz", self.sampling_rate_hz, InvalidSpec)
+        _positive("duration_s", self.duration_s, InvalidSpec)
+        _positive("noise_std_watts", self.noise_std_watts, InvalidSpec, or_zero=True)
+        _positive("seed", self.seed, InvalidSpec, or_zero=True)
         for appliance in self.appliances:
             if appliance.off_time_s > self.duration_s:
                 raise InvalidSpec(
@@ -312,49 +309,43 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
     return SampleSeries(values=total, sampling_rate_hz=rate), truth
 
 
-_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in (ApplianceSpec, ScenarioSpec)}
-# The JSON types each scalar field takes; a bool is never a number.
-_JSON_TYPES = {float: (int, float), int: int, str: str, TransientKind: str}
-
-
-def _field_value(kind: object, key: str, value: object) -> object:
-    """Convert a JSON ``value`` to a field of type ``kind``, or raise :class:`InvalidSpec`.
-
-    A float field takes a number, an int field an integer, a str field a
-    string, ``transient`` a :class:`TransientKind` value and
-    ``appliances`` a list of appliance objects.
-    """
-    if isinstance(value, _JSON_TYPES.get(kind, ())) and not isinstance(value, bool):
-        with suppress(ValueError, OverflowError):  # no such TransientKind; past the float range
-            return kind(value)
-    elif kind == tuple[ApplianceSpec, ...] and isinstance(value, list):
-        if all(isinstance(item, dict) for item in value):
-            return tuple(_read_spec(ApplianceSpec, item) for item in value)
-    raise InvalidSpec(f"{key} cannot be {reprlib.repr(value)}")
-
-
 def _read_spec(cls: type, payload: object) -> ApplianceSpec | ScenarioSpec:
-    """Build a spec dataclass from a JSON object, each value read as its field's type."""
+    """Build a spec dataclass from a JSON object, whose values its constructor checks.
+
+    Only two values are converted first: a ``transient`` that names a
+    :class:`TransientKind` to that kind, and each object of an
+    ``appliances`` list to an :class:`ApplianceSpec`, read by this function.
+    """
     what = cls.__name__.removesuffix("Spec").lower()
     if not isinstance(payload, dict):
         raise InvalidSpec(f"{what} must be a JSON object, got {type(payload).__name__}")
-    types = _FIELD_TYPES[cls]
-    unknown = set(payload) - set(types)
+    unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidSpec(f"unknown {what} keys: {sorted(unknown)}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
     if missing:
         raise InvalidSpec(f"{what} is missing required key {missing[0]!r}")
-    return cls(**{key: _field_value(types[key], key, value) for key, value in payload.items()})
+    values = dict(payload)
+    with suppress(KeyError, ValueError):  # no transient, or no such kind: left to the constructor
+        values["transient"] = TransientKind(values["transient"])
+    if isinstance(values.get("appliances"), list):  # each object read as a spec
+        values["appliances"] = [
+            _read_spec(ApplianceSpec, x) if isinstance(x, dict) else x for x in values["appliances"]
+        ]
+    return cls(**values)
 
 
 def scenario_from_dict(payload: dict) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from plain JSON-style data, as in a scenario file.
 
-    Unknown keys, missing required keys and values a field cannot take
-    raise :class:`InvalidSpec` naming the key, so that typos in
-    hand-written scenario files fail loudly instead of silently using a
-    default.
+    Unknown keys and missing required keys raise :class:`InvalidSpec`
+    naming the key, so that typos in hand-written scenario files fail
+    loudly instead of silently using a default.  The values are checked
+    by the :class:`ScenarioSpec` and :class:`ApplianceSpec` constructors,
+    so a bad value gets the message it would get in Python, naming the
+    key.  Only a ``transient`` that names a :class:`TransientKind` is read
+    as that kind, and each object of an ``appliances`` list as an
+    :class:`ApplianceSpec`, first.
     """
     return _read_spec(ScenarioSpec, payload)
 

@@ -598,7 +598,7 @@ def test_ground_truth_skips_blank_and_comment_rows_and_keeps_counting_lines(
 def test_a_reference_entry_built_with_a_non_finite_time_is_refused(stamp: float) -> None:
     with pytest.raises(NonFiniteValue) as excinfo:
         GroundTruthEntry(stamp, "kettle on")
-    assert str(excinfo.value) == f"truth timestamp must be finite, got {stamp}"
+    assert str(excinfo.value) == f"timestamp_s must be finite, got {stamp}"
 
 
 def test_event_files_round_trip_with_the_documented_header(tmp_path: Path) -> None:

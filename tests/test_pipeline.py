@@ -893,11 +893,17 @@ def any_configs(draw) -> HybridConfig | None:
         return None
 
 
+# Values a rate or a start time must refuse by name: a bool, a string, None.
+ill_typed = st.sampled_from([True, False, "20", None])
+
+
 @st.composite
-def any_finite_series(draw) -> SampleSeries:
-    """1 to 4,000 finite samples: a level, steps and noise, of household size or
-    of any magnitude from subnormal to 1e303, at 20 or 60 Hz or any rate from
-    1e-3 to 1e7 Hz, with start times far from 0."""
+def any_finite_series(draw) -> tuple[np.ndarray, object, object]:
+    """The arguments of a series of 1 to 4,000 finite samples: a level, steps and
+    noise, of household size or of any magnitude from subnormal to 1e303, at 20
+    or 60 Hz or any rate from 1e-3 to 1e7 Hz, with start times far from 0.  A
+    rate or a start time may also be a numpy scalar, which is a number, or a
+    bool, a string or None, which is not."""
     size = draw(st.integers(min_value=1, max_value=4000))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     shape = draw(st.sampled_from([0.0, 1e-3, 0.1])) * rng.standard_normal(size)
@@ -912,25 +918,30 @@ def any_finite_series(draw) -> SampleSeries:
             st.just(20.0),
             st.just(60.0),
             st.floats(min_value=-3.0, max_value=7.0).map(lambda e: 10.0**e),
+            st.sampled_from([np.float64(20.0), np.float32(60.0), np.int64(20), np.float32(1e-3)]),
+            ill_typed,
         )
     )
-    start = draw(st.sampled_from([0.0, 1.7e9, -1e12, 1e15]))
-    return SampleSeries(values, rate, start)
+    starts = [0.0, 1.7e9, -1e12, 1e15, np.float32(1.7e9), np.int64(-(10**12))]
+    start = draw(st.sampled_from(starts) | ill_typed)
+    return values, rate, start
 
 
 @settings(derandomize=True, max_examples=300)
 @given(any_configs(), any_finite_series())
 def test_any_accepted_config_on_any_finite_series_gives_valid_events_or_a_named_error(
-    config: HybridConfig | None, series: SampleSeries
+    config: HybridConfig | None, arguments: tuple[np.ndarray, object, object]
 ) -> None:
     if config is None:
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
+            series = SampleSeries(*arguments)
             result = detect_hybrid(series, config)
         except DetectionError as exc:
-            # Named by the stage that refused, not by the checks of a result's events.
+            # Named by the series or the stage that refused, not by the checks
+            # of a result's events.
             assert type(exc) is not DetectionError and not str(exc).startswith("event ")
             return
     counts = result.stage_counts
