@@ -52,6 +52,7 @@ from .core import (
     _Summary,
     _aranges,
     _blocks,
+    _check_type,
     _piece_groups,
     _proof_runs,
 )
@@ -339,6 +340,8 @@ def detect_base(series: SampleSeries, config: HybridConfig) -> Events:
         If the rounding margin of its window sums
         (:func:`_rounding_margin`) reaches ``power_threshold_watts``.
     """
+    _check_type("series", series, SampleSeries)
+    _check_type("config", config, HybridConfig)
     n = config.mean_window_samples(series.sampling_rate_hz)
     _require_windows(len(series), n)
     threshold = config.power_threshold_watts

@@ -24,6 +24,7 @@ from .core import (
     SampleSeries,
     _Layout,
     _check_setting,
+    _check_type,
     _piece_groups,
     _union,
 )
@@ -98,6 +99,8 @@ def lld_max(series: SampleSeries, config: LldConfig = LldConfig()) -> Events:
     covers every eligible index, so ``maxima_precision_samples`` is read as
     at most the profile length.
     """
+    _check_type("series", series, SampleSeries)
+    _check_type("config", config, LldConfig)
     pw = int(config.pre_window_samples)  # _window_sums reads the bits of a Python int
     _require_windows(len(series), pw)
     threshold = config.power_threshold_watts

@@ -172,6 +172,55 @@ def _check_type(name: str, value: object, kind: type, error: type | None = None)
         raise (error or WrongType)(message)
 
 
+def _array(
+    name: str, values: object, kinds: str, what: str, dtype: type | None = None
+) -> np.ndarray:
+    """``np.asarray(values, dtype)``, if it is one-dimensional and of a dtype kind in ``kinds``.
+
+    Else :class:`WrongType` says that ``name`` must be an array of ``what``.
+    """
+    try:
+        array = np.asarray(values, dtype)
+    except ValueError:  # a ragged nesting
+        array = np.empty((0, 0))
+    if array.ndim != 1 or array.dtype.kind not in kinds:
+        message = f"{name} must be a one-dimensional array of {what}, got {reprlib.repr(values)}"
+        raise WrongType(message)
+    return array
+
+
+def _samples(name: str, values: object) -> np.ndarray:
+    """``values`` as float64, if it is a one-dimensional array of integers or floats.
+
+    The one rule by which every record and function checks an array of
+    samples: a string, bool, complex or object array, or one that is not
+    one-dimensional, raises :class:`WrongType` naming ``name``.  A float64
+    ndarray is returned as it is, with no copy.
+    """
+    return _array(name, values, "iuf", "numbers").astype(float, copy=False)
+
+
+def _positions(name: str, values: object, size: int) -> np.ndarray:
+    """``values`` as int64 sample positions, if they increase strictly and lie in ``[0, size)``.
+
+    The one rule by which the merge and the refilter check the candidates
+    they take and the extrema the refilter's guard returns.  A value that
+    is not a one-dimensional integer array raises :class:`WrongType`; one
+    that breaks the rule raises :class:`MisalignedInput` naming its first
+    bad entry and where it sits.
+    """
+    array = _array(name, values, "iu", "integers")
+    bad = (array < 0) | (array >= size)
+    bad[1:] |= array[1:] <= array[:-1]
+    first = np.flatnonzero(bad)
+    if first.size:
+        i = int(first[0])
+        raise MisalignedInput(
+            f"{name} must increase strictly and lie in [0, {size}), got {name}[{i}] = {array[i]}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
 def _check_items(name: str, items: object, kind: type, error: type | None = None) -> tuple:
     """``items`` as a tuple, if it is a tuple or a list of ``kind``; else ``error`` naming one."""
     if not isinstance(items, (tuple, list)):
@@ -300,8 +349,9 @@ class _Summary:
 class SampleSeries:
     """Uniformly sampled power trace in watts, whose samples are read-only.
 
-    ``values`` is the array given, with no copy when it is a float64
-    ndarray; any other input is converted once.  Once every check has
+    ``values`` is a one-dimensional array of integers or floats
+    (:func:`_samples`): the array given, with no copy when it is a float64
+    ndarray, and otherwise converted to float64.  Once every check has
     passed, the series clears ``flags.writeable`` on ``values`` and on
     each ndarray on its ``.base`` chain, so a write through ``values``,
     through the array passed in, or through any view taken afterwards
@@ -323,10 +373,8 @@ class SampleSeries:
     summary: _Summary = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+        arr = _samples("values", self.values)
         object.__setattr__(self, "values", arr)
-        if arr.ndim != 1:
-            raise DetectionError(f"values must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise EmptySeries("series contains no samples")
         rate = _positive("sampling_rate_hz", self.sampling_rate_hz, NonPositiveRate)
@@ -508,7 +556,7 @@ class _Ranges:
         """``trace`` itself if it is ranges, else the dense array as one range."""
         if isinstance(trace, _Ranges):
             return trace
-        x = np.asarray(trace, dtype=float)
+        x = _samples("values", trace)
         return cls(x.size, np.array([0]), np.array([x.size]), x)
 
     def indices(self, positions: np.ndarray) -> np.ndarray:
@@ -541,6 +589,7 @@ def validate_series(series: SampleSeries) -> SampleSeries:
     series' samples cannot change after construction, so its own
     ``summary`` already describes them.
     """
+    _check_type("series", series, SampleSeries)
     return SampleSeries(series.values, series.sampling_rate_hz, series.start_time_s)
 
 
@@ -564,15 +613,16 @@ class DetectedEvent:
 def _event_indices(values: object) -> np.ndarray:
     """``values`` as int64 event indices, or :class:`DetectionError` naming the first bad one.
 
-    An integer array is taken on its dtype alone, with no pass over it.
-    Anything else is read value by value, so that a bool, a string, a
-    number with a fractional part or one past int64 is refused, even
-    among integers.
+    ``values`` must be one-dimensional (:func:`_array`).  An integer array
+    is taken on its dtype alone, with no pass over it.  Anything else is
+    read value by value, so that a bool, a string, a number with a
+    fractional part or one past int64 is refused, even among integers.
     """
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values.astype(np.int64, copy=False)
-    items = np.asarray(values, dtype=object)
-    for value in items.ravel().tolist():
+    integer = isinstance(values, np.ndarray) and values.dtype.kind == "i"
+    items = _array("indices", values, "iO", "whole numbers", None if integer else object)
+    if integer:
+        return items.astype(np.int64, copy=False)
+    for value in items.tolist():
         value = value.item() if isinstance(value, np.generic) else value
         if type(value) not in (int, float) or not -(2**63) <= value < 2**63 or value != int(value):
             raise DetectionError(f"event index must be a whole number within int64, got {value!r}")
@@ -586,7 +636,9 @@ class Events:
     Every detector returns one, and every scorer and writer takes one.
     ``indices`` (int64), ``timestamps_s`` and ``deltas_watts`` (float64)
     describe one event per position and are checked once, vectorised:
-    an index must be a whole number within int64 and non-negative
+    each is one-dimensional, the timestamps and deltas by the sample rule
+    of :func:`_samples` (:class:`WrongType`, naming the array); an index
+    must be a whole number within int64 and non-negative
     (:class:`DetectionError`; an integer array passes the first rule on
     its dtype) and a timestamp or delta finite (:class:`NonFiniteValue`);
     the message names the first bad value.  ``len()`` is the event count;
@@ -602,10 +654,8 @@ class Events:
 
     def __post_init__(self) -> None:
         indices = _event_indices(self.indices)
-        timestamps = np.asarray(self.timestamps_s, dtype=float)
-        deltas = np.asarray(self.deltas_watts, dtype=float)
-        if not indices.ndim == timestamps.ndim == deltas.ndim == 1:
-            raise DetectionError("event arrays must be one-dimensional")
+        timestamps = _samples("timestamps_s", self.timestamps_s)
+        deltas = _samples("deltas_watts", self.deltas_watts)
         if not indices.size == timestamps.size == deltas.size:
             raise MisalignedInput(
                 "event arrays differ in length: "
@@ -791,7 +841,8 @@ class EvaluationReport:
     Raises
     ------
     InconsistentCounts
-        If any count is negative or ``tp + fn != ground_truth_count``.
+        If any count is negative, ``tp + fn != ground_truth_count``, or
+        ``matches`` is not a tuple or a list of tuples.
     ZeroGroundTruth
         If ``ground_truth_count`` is zero.
     """
@@ -813,7 +864,8 @@ class EvaluationReport:
             )
         if self.ground_truth_count == 0:
             raise ZeroGroundTruth("rates are undefined without reference events")
-        object.__setattr__(self, "matches", tuple(self.matches))
+        matches = _check_items("matches", self.matches, tuple, InconsistentCounts)
+        object.__setattr__(self, "matches", matches)
 
     @property
     def tpr(self) -> float:

@@ -50,8 +50,11 @@ from .core import (
     _Layout,
     _Ranges,
     _blocks,
+    _check_type,
     _number,
     _piece_groups,
+    _positions,
+    _samples,
     _union,
 )
 
@@ -136,7 +139,7 @@ def first_derivative(values: np.ndarray) -> np.ndarray:
     The first entry is zero padding so that ``out[i]`` refers to the same
     sample instant as ``values[i]``.
     """
-    x = np.asarray(values, dtype=float)
+    x = _samples("values", values)
     if x.size < 2:
         raise SeriesTooShort(f"first derivative needs >= 2 samples, got {x.size}")
     return _differenced(x, np.empty_like(x))
@@ -318,7 +321,7 @@ def loess_smooth(values: np.ndarray, window_samples: int) -> np.ndarray:
     window_samples:
         Odd window length, at least 3 and at most ``len(values)``.
     """
-    x = np.asarray(values, dtype=float)
+    x = _samples("values", values)
     half = _checked_window(window_samples, x.size) // 2
     rows = _edge_rows(half)
     return _smooth(x, _loess_kernel(half), rows, rows[::-1, ::-1])
@@ -336,7 +339,7 @@ class _SmoothedDerivative:
     """
 
     def __init__(self, values: np.ndarray, window_samples: int) -> None:
-        self.values = np.asarray(values, dtype=float)
+        self.values = _samples("values", values)
         self.window = _checked_window(window_samples, self.values.size)
         self.size = self.values.size
 
@@ -528,22 +531,23 @@ def merge_transient_events(
     each range of a read is one pending gap, in gap order, and holds no
     candidate.
 
+    The candidates' indices must increase strictly and lie in the series,
+    by the rule of :func:`~nilmevents.core._positions`.
+
     Returns the increasing int64 positions, into ``candidates``, of the
     events that survive; ``candidates[positions]`` are the merged events.
     """
+    _check_type("candidates", candidates, Events)
+    _check_type("series", series, SampleSeries)
+    _check_type("config", config, HybridConfig)
     if not isinstance(smoothed_derivative, _SmoothedDerivative):
-        smoothed_derivative = np.asarray(smoothed_derivative, dtype=float)
+        smoothed_derivative = _samples("smoothed_derivative", smoothed_derivative)
     if smoothed_derivative.size != len(series):
         raise MisalignedInput(
             f"smoothed derivative length {smoothed_derivative.size} != "
             f"series length {len(series)}"
         )
-    indices = candidates.indices
-    if np.any(np.diff(indices) <= 0):
-        raise MisalignedInput("candidates must be in strictly increasing index order")
-    if indices.size and indices[-1] >= len(series):
-        raise MisalignedInput("candidate index exceeds series length")
-
+    indices = _positions("candidates", candidates.indices, len(series))
     if not indices.size:
         return np.empty(0, dtype=np.int64)
     settle, epsilon = config.settle_samples(series.sampling_rate_hz), config.derivative_epsilon

@@ -19,6 +19,7 @@ from .core import (
     Events,
     GroundTruthEntry,
     GroundTruthLog,
+    _check_type,
     _positive,
 )
 
@@ -36,6 +37,7 @@ def coalesce_simultaneous(log: GroundTruthLog) -> GroundTruthLog:
     order is otherwise preserved; timestamps that differ at all, however
     slightly, stay separate.
     """
+    _check_type("log", log, GroundTruthLog)
     merged: list[GroundTruthEntry] = []
     for entry in log:
         if merged and entry.timestamp_s == merged[-1].timestamp_s:
@@ -86,6 +88,8 @@ def match_events(
     NegativeTolerance
         If ``tolerance_s`` is not a positive finite number.
     """
+    _check_type("detections", detections, Events)
+    _check_type("truth", truth, GroundTruthLog)
     tolerance_s = _positive("tolerance_s", tolerance_s, NegativeTolerance)
     stamps = detections.timestamps_s.tolist()
     order = sorted(range(len(stamps)), key=stamps.__getitem__)
@@ -126,6 +130,8 @@ def evaluate_detections(
     match positions refer to the coalesced log.  Raises
     :class:`~nilmevents.core.ZeroGroundTruth` when the log is empty.
     """
+    _check_type("detections", detections, Events)
+    _check_type("truth", truth, GroundTruthLog)
     truth = coalesce_simultaneous(truth)
     tp, fp, fn, pairs = match_events(detections, truth, tolerance_s)
     return EvaluationReport(tp, fp, fn, len(truth), pairs)

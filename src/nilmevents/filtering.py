@@ -9,10 +9,13 @@ dropped if the smoothed derivative also shows no significant peak or
 valley near it, so genuine small transitions that the smoothing erased
 survive on the evidence of their derivative signature.
 
-Candidates arrive as :class:`~nilmevents.core.Events` and extrema as an
-index array; the survivors come back as positions into the candidates and
-the verdicts as :class:`FilterVerdicts` arrays, so no per-candidate object
-is built.
+Candidates arrive as :class:`~nilmevents.core.Events`, in increasing
+index order.  The extrema that guard them come from a guard function,
+asked once when the refilter fires, whose extrema increase; both are
+checked by the one position rule of :func:`~nilmevents.core._positions`.
+The survivors come back as positions into the candidates and the
+verdicts as :class:`FilterVerdicts` arrays, so no per-candidate object is
+built.
 
 Candidates are matched to re-detections by sample index: a candidate
 is confirmed by a re-detection within ``t`` samples of its own index,
@@ -35,8 +38,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,10 +58,12 @@ from .core import (
     DetectionError,
     Events,
     HybridConfig,
-    MisalignedInput,
     SampleSeries,
+    _check_type,
     _number,
     _piece_groups,
+    _positions,
+    _samples,
     _union,
     seconds_to_samples,
 )
@@ -169,7 +174,7 @@ def savitzky_golay(values: np.ndarray, window_samples: int, poly_order: int) -> 
         ``poly_order == window_samples - 1`` the fit interpolates and the
         filter is the identity.
     """
-    x = np.asarray(values, dtype=float)
+    x = _samples("values", values)
     win = _checked_sg_window(window_samples, poly_order, x.size)
     centre, projection = _savitzky_golay_rows(win, poly_order)
     return _smooth(x, centre, projection[: win // 2], projection[win - win // 2 :])
@@ -213,12 +218,6 @@ def _nearest_distance(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndar
     return np.minimum(
         np.abs(sorted_values[above] - queries), np.abs(sorted_values[below] - queries)
     )
-
-
-def _first_outside(indices: np.ndarray, size: int) -> int | None:
-    """Position of the first index outside ``[0, size)``, if any."""
-    outside = np.flatnonzero((indices < 0) | (indices >= size))
-    return int(outside[0]) if outside.size else None
 
 
 def _confirmation_windows(
@@ -312,25 +311,27 @@ def _redetected(
 def refilter_events_with_verdicts(
     series: SampleSeries,
     candidates: Events,
-    extrema: np.ndarray | Callable[[np.ndarray, int], np.ndarray],
+    extrema: Callable[[np.ndarray, int], np.ndarray],
     config: HybridConfig,
 ) -> tuple[np.ndarray, FilterVerdicts, np.ndarray]:
     """Drop fluctuation-induced candidates; see module docstring.
 
-    ``extrema`` holds the sample indices of the significant extrema that
-    guard a candidate, or is a function that finds them: it is called
-    once, when the refilter fires, with the sample indices of the
-    candidates the re-detection did not confirm and the guard radius in
-    samples, and returns the significant extrema within that radius of
-    them; any further ones are dropped.
+    ``extrema`` is the guard: a function whose extrema increase.  It is
+    called once, when the refilter fires, with the increasing sample
+    indices of the candidates the re-detection did not confirm and the
+    guard radius in samples, and returns the sample indices, increasing,
+    of at least the significant extrema within that radius of them; any
+    further ones are dropped.  The candidates' indices, and the extrema
+    the guard returns, must increase strictly and lie in the series, by
+    the rule of :func:`~nilmevents.core._positions`.
 
     Returns the increasing int64 positions, into ``candidates``, of the
     survivors, one verdict per candidate, and the extrema the guard read:
-    those of ``extrema`` within the guard radius of a candidate the
-    re-detection did not confirm, in their given order.  A candidate is
-    confirmed by a re-detection within ``t`` samples of its index, ``t``
-    being 1 s in whole samples at the series' rate, whatever the config's
-    scoring tolerance; its timestamp is not read.  When the trace never
+    those it returned within the guard radius of a candidate the
+    re-detection did not confirm, increasing.  A candidate is confirmed
+    by a re-detection within ``t`` samples of its index, ``t`` being 1 s
+    in whole samples at the series' rate, whatever the config's scoring
+    tolerance; its timestamp is not read.  When the trace never
     exceeds ``fluctuation_trigger_watts`` after the first turn-on
     candidate, the refilter does not trigger: every candidate survives,
     and there are no verdicts and no extrema read.  When it triggers, it
@@ -342,19 +343,11 @@ def refilter_events_with_verdicts(
     candidate, ``k`` being the time limit in samples, ``n`` the base half
     window and ``half`` the SG half window.
     """
-    if not callable(extrema):
-        extrema = np.asarray(extrema, dtype=np.int64)
-        bad = _first_outside(extrema, len(series))
-        if bad is not None:
-            raise MisalignedInput(
-                f"extremum index {extrema[bad]} outside series of length {len(series)}"
-            )
-    candidate_indices = candidates.indices
-    bad = _first_outside(candidate_indices, len(series))
-    if bad is not None:
-        raise MisalignedInput(
-            f"candidate index {candidate_indices[bad]} outside series of length {len(series)}"
-        )
+    _check_type("series", series, SampleSeries)
+    _check_type("candidates", candidates, Events)
+    _check_type("extrema", extrema, Callable)
+    _check_type("config", config, HybridConfig)
+    candidate_indices = _positions("candidates", candidates.indices, len(series))
     unfired = np.arange(len(candidates), dtype=np.int64), _NO_VERDICTS, _NO_EXTREMA
     turn_ons = np.flatnonzero(candidates.deltas_watts > 0)
     if not turn_ons.size:
@@ -369,11 +362,10 @@ def refilter_events_with_verdicts(
     confirmed = _nearest_distance(redetected, candidate_indices) <= t
     guard_radius = config.time_limit_samples(rate)
     unconfirmed = candidate_indices[~confirmed]
-    if callable(extrema):
-        extrema = np.asarray(extrema(unconfirmed, guard_radius), dtype=np.int64)
-    read = extrema[_nearest_distance(np.sort(unconfirmed), extrema) <= guard_radius]
+    found = _positions("extrema", extrema(unconfirmed, guard_radius), len(series))
+    read = found[_nearest_distance(unconfirmed, found) <= guard_radius]
     # A confirmed candidate survives whatever lies near it, so only ``read`` guards.
-    guarded = _nearest_distance(np.sort(read), candidate_indices) <= guard_radius
+    guarded = _nearest_distance(read, candidate_indices) <= guard_radius
     codes = np.full(len(candidates), _REASONS.index(FilterReason.REMOVED_AS_FLUCTUATION), np.int8)
     codes[guarded] = _REASONS.index(FilterReason.PROTECTED_BY_EXTREMUM)
     codes[confirmed] = _REASONS.index(FilterReason.SURVIVED_REFILTER)

@@ -59,6 +59,7 @@ from .core import (
     SampleSeries,
     _blocks,
     _check_setting,
+    _check_type,
 )
 
 __all__ = [
@@ -344,6 +345,7 @@ def write_trace(path: str | Path, series: SampleSeries) -> None:
     ``sys.executable`` must be a Python interpreter, as it is outside
     embedding hosts.
     """
+    _check_type("series", series, SampleSeries)
     block = core._BLOCK_SAMPLES
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{_TRACE_HEADER}\n")
@@ -400,6 +402,7 @@ def _write_rows(target: str | Path | typing.TextIO, header: list, rows: typing.I
 
 def write_ground_truth(path: str | Path, log: GroundTruthLog) -> None:
     """Write a reference log in the format :func:`load_ground_truth` reads."""
+    _check_type("log", log, GroundTruthLog)
     _write_rows(path, _TRUTH_HEADER, ([repr(e.timestamp_s), e.label] for e in log))
 
 
@@ -410,6 +413,7 @@ def write_events(target: str | Path | typing.TextIO, events: Events) -> None:
     instance).  Reals carry six decimal places.  An event's stage is the
     list it came from, so per-stage event files are told apart by name.
     """
+    _check_type("events", events, Events)
     rows = zip(events.indices.tolist(), events.timestamps_s.tolist(), events.deltas_watts.tolist())
     _write_rows(target, _EVENT_HEADER, ([i, f"{t:.6f}", f"{delta:.6f}"] for i, t, delta in rows))
 
@@ -419,6 +423,7 @@ def format_report(report: EvaluationReport) -> str:
 
     Rates appear as percentages with two decimals in both renderings.
     """
+    _check_type("report", report, EvaluationReport)
     header = f"{'TP':>6} {'FP':>6} {'FN':>6} {'E':>6} {'TPR%':>8} {'FPR%':>8} {'FNR%':>8}"
     row = (
         f"{report.tp:>6} {report.fp:>6} {report.fn:>6} {report.ground_truth_count:>6} "

@@ -35,9 +35,12 @@ are those of the whole-trace stages.  What each reads:
   decision is the whole-trace one, taken from a blocked matrix product
   where a proven rounding bound allows and from the exact smoother
   elsewhere (:meth:`nilmevents.derivative._SmoothedDerivative.settled`);
-- the refilter's guard, only when the refilter fires, reads ``s`` within
-  ``r + 1`` samples of each candidate the re-detection did not confirm,
-  ``r`` being the guard radius, for the significant extrema within ``r``;
+- the refilter's guard, a function the refilter asks once and only when
+  it fires, reads ``s`` within ``r + 1`` samples of each candidate the
+  re-detection did not confirm, ``r`` being the guard radius, and returns
+  the significant extrema it finds there, whose indices increase, as
+  :func:`~nilmevents.derivative.detect_extrema` gives them; the refilter
+  keeps those within ``r``;
 - ``s`` on a stretch reads the trace a LOESS half window further on
   either side;
 - the refilter's re-detection, only when the refilter fires, runs on the
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import detect_base
-from .core import DetectionError, Events, HybridConfig, SampleSeries, SeriesTooShort
+from .core import DetectionError, Events, HybridConfig, SampleSeries, SeriesTooShort, _check_type
 
 # ``validate_series`` is no longer called here, but stays importable under
 # this module: the benchmark's tracer (perfbench/tracer.py) wraps
@@ -167,6 +170,9 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
 
     Raises
     ------
+    WrongType
+        If ``series`` is not a :class:`SampleSeries` or ``config`` not a
+        :class:`HybridConfig`.
     InvalidWindow
         Before any stage runs, if ``loess_window_s`` is shorter than the
         3 samples a LOESS window needs at the series' rate.
@@ -180,6 +186,8 @@ def detect_hybrid(series: SampleSeries, config: HybridConfig = HybridConfig()) -
     The result is a pure function of ``(series, config)``: repeated calls
     return identical results.
     """
+    _check_type("series", series, SampleSeries)
+    _check_type("config", config, HybridConfig)
     base_span = 2 * config.mean_window_samples(series.sampling_rate_hz) + 1
     loess_window = config.loess_window_samples(series.sampling_rate_hz)
     if loess_window < 3:

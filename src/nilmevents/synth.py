@@ -258,6 +258,7 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[SampleSeries, GroundTruthLog]
     from one generator, which gives the same stream as one draw: so the
     trace does not depend on the block size.
     """
+    _check_type("spec", spec, ScenarioSpec)
     rate = spec.sampling_rate_hz
     dt = 1.0 / rate
     samples = spec.duration_s * rate  # may overflow to inf

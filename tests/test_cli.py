@@ -519,8 +519,9 @@ def test_emitted_stage_files_are_what_the_whole_trace_chain_decides(
     )
     base = detect_base(series, config)
     merged = base[merge_transient_events(base, smoothed, series, config)]
+    extrema = detect_extrema(smoothed, config.derivative_epsilon)
     kept, verdicts, read = refilter_events_with_verdicts(
-        series, merged, detect_extrema(smoothed, config.derivative_epsilon), config
+        series, merged, lambda indices, radius: extrema, config
     )
     final = merged[kept]
     assert err == f"stages base={len(base)} after_derivative={len(merged)} final={len(final)}\n"

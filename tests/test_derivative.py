@@ -277,13 +277,15 @@ def test_merge_input_validation() -> None:
     good = events_at([5, 50], series)
     with pytest.raises(MisalignedInput):
         merge_transient_events(good, np.zeros(99), series, HybridConfig())
-    with pytest.raises(MisalignedInput):
-        merge_transient_events(good[::-1], np.zeros(100), series, HybridConfig())
-    with pytest.raises(MisalignedInput):
-        merge_transient_events(events_at([5, 99, 99], series),
-                               np.zeros(100), series, HybridConfig())
-    with pytest.raises(MisalignedInput):
-        merge_transient_events(events_at([5, 100], series), np.zeros(100), series, HybridConfig())
+    rule = "candidates must increase strictly and lie in [0, 100), got candidates"
+    for candidates, message in (
+        (good[::-1], f"{rule}[1] = 5"),
+        (events_at([5, 99, 99], series), f"{rule}[2] = 99"),
+        (events_at([5, 100], series), f"{rule}[1] = 100"),
+    ):
+        with pytest.raises(MisalignedInput) as excinfo:
+            merge_transient_events(candidates, np.zeros(100), series, HybridConfig())
+        assert str(excinfo.value) == message
 
 
 @st.composite

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import reprlib
 import subprocess
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from nilmevents import (
     OrderTooHigh,
     SampleSeries,
     SeriesTooShort,
+    WrongType,
     detect_base,
     detect_extrema,
     detect_hybrid,
@@ -51,6 +54,14 @@ windows_and_orders = st.sampled_from([(5, 2), (5, 3), (7, 2), (9, 3), (9, 4)])
 
 def series_at_20hz(values: np.ndarray) -> SampleSeries:
     return SampleSeries(values, 20.0)
+
+
+def guard_of(extrema: list[int]) -> Callable[[np.ndarray, int], np.ndarray]:
+    """A guard that returns ``extrema``, whatever it is asked."""
+    return lambda indices, radius: np.array(extrema, dtype=np.int64)
+
+
+NO_EXTREMA = guard_of([])
 
 
 def plateau_fixture() -> tuple[SampleSeries, HybridConfig]:
@@ -201,7 +212,7 @@ def test_low_power_series_passes_through_unchanged() -> None:
     series = series_at_20hz(np.where((t >= 2.5) & (t < 7.5), 40.0, 0.0))
     candidates = low_power_candidates(series)
     survivors, verdicts, read = refilter_events_with_verdicts(
-        series, candidates, [], HybridConfig()
+        series, candidates, NO_EXTREMA, HybridConfig()
     )
     assert survivors.tolist() == [0, 1]
     assert len(verdicts) == 0 and read.size == 0
@@ -213,7 +224,7 @@ def test_all_negative_candidates_pass_through_unchanged() -> None:
     series = series_at_20hz(np.full(300, 2000.0))
     candidates = Events([80], [4.0], [-500.0])
     survivors, verdicts, read = refilter_events_with_verdicts(
-        series, candidates, [79], HybridConfig()
+        series, candidates, guard_of([79]), HybridConfig()
     )
     assert survivors.tolist() == [0]
     assert len(verdicts) == 0 and read.size == 0
@@ -222,7 +233,7 @@ def test_all_negative_candidates_pass_through_unchanged() -> None:
 def test_empty_candidate_list_is_a_no_op() -> None:
     series = series_at_20hz(np.zeros(100))
     survivors, verdicts, read = refilter_events_with_verdicts(
-        series, Events([], [], []), [], HybridConfig()
+        series, Events([], [], []), NO_EXTREMA, HybridConfig()
     )
     assert survivors.size == 0
     assert len(verdicts) == 0 and read.size == 0
@@ -231,10 +242,65 @@ def test_empty_candidate_list_is_a_no_op() -> None:
 def test_refilter_index_validation() -> None:
     series = series_at_20hz(np.zeros(100))
     stray_event = Events([100], [5.0], [50.0])
-    with pytest.raises(MisalignedInput, match="candidate index 100"):
-        refilter_events_with_verdicts(series, stray_event, [], HybridConfig())
-    with pytest.raises(MisalignedInput, match="extremum index 100"):
-        refilter_events_with_verdicts(series, Events([], [], []), [100], HybridConfig())
+    with pytest.raises(MisalignedInput) as excinfo:
+        refilter_events_with_verdicts(series, stray_event, NO_EXTREMA, HybridConfig())
+    message = "candidates must increase strictly and lie in [0, 100), got candidates[0] = 100"
+    assert str(excinfo.value) == message
+
+
+def two_loads() -> tuple[SampleSeries, Events]:
+    """2 kW on samples 100-300 and 300 W from 500, with a turn-on candidate at each start.
+
+    The first turn-on by index, at 100, fires the refilter.
+    """
+    values = np.zeros(600)
+    values[100:300], values[500:] = 2000.0, 300.0
+    return series_at_20hz(values), Events([100, 500], [5.0, 25.0], [2000.0, 300.0])
+
+
+def test_candidates_out_of_order_are_refused_whether_or_not_the_refilter_would_fire() -> None:
+    # The same candidates in reverse order once read the 300 W one as the
+    # first turn-on, and the refilter did not fire.
+    series, ordered = two_loads()
+    _, verdicts, _ = refilter_events_with_verdicts(series, ordered, NO_EXTREMA, HybridConfig())
+    assert len(verdicts) == 2
+    with pytest.raises(MisalignedInput) as excinfo:
+        refilter_events_with_verdicts(series, ordered[::-1], NO_EXTREMA, HybridConfig())
+    message = "candidates must increase strictly and lie in [0, 600), got candidates[1] = 100"
+    assert str(excinfo.value) == message
+
+
+RULE = "extrema must increase strictly and lie in [0, 600), got"
+
+
+@pytest.mark.parametrize(
+    ("returned", "error", "message"),
+    [
+        ([-1, 600], MisalignedInput, f"{RULE} extrema[0] = -1"),
+        ([5, 600], MisalignedInput, f"{RULE} extrema[1] = 600"),
+        ([7, 7], MisalignedInput, f"{RULE} extrema[1] = 7"),
+        ([9, 3], MisalignedInput, f"{RULE} extrema[1] = 3"),
+        ([1.0], WrongType, "extrema must be a one-dimensional array of integers, got [1.0]"),
+        ([[1]], WrongType, "extrema must be a one-dimensional array of integers, got [[1]]"),
+    ],
+)
+def test_the_extrema_a_guard_returns_are_checked_by_the_position_rule(
+    returned: list, error: type, message: str
+) -> None:
+    # Outside the series, the first two once protected both candidates unchecked.
+    series, candidates = two_loads()
+    with pytest.raises(error) as excinfo:
+        refilter_events_with_verdicts(series, candidates, lambda i, r: returned, HybridConfig())
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("extrema", [[], [79], np.array([79]), None], ids=repr)
+def test_extrema_that_are_not_a_function_are_refused_by_name(extrema: object) -> None:
+    series = series_at_20hz(np.full(300, 2000.0))
+    candidates = Events([80], [4.0], [500.0])
+    with pytest.raises(WrongType) as excinfo:
+        refilter_events_with_verdicts(series, candidates, extrema, HybridConfig())
+    assert str(excinfo.value) == f"extrema must be of type Callable, got {reprlib.repr(extrema)}"
 
 
 def test_oscillation_alarms_are_removed_and_steps_kept() -> None:
@@ -288,27 +354,31 @@ def test_guarded_candidates_survive_regardless_of_redetection() -> None:
     series = series_at_20hz(values)
     config = HybridConfig()
     candidates = Events([194, 600], [series.time_at(194), series.time_at(600)], [250.0, 28.0])
-    removed, _, _ = refilter_events_with_verdicts(series, candidates, [], config)
+    removed, _, _ = refilter_events_with_verdicts(series, candidates, NO_EXTREMA, config)
     assert candidates.indices[removed].tolist() == [194]
-    kept, verdicts, read = refilter_events_with_verdicts(series, candidates, [603, 190], config)
+    kept, verdicts, read = refilter_events_with_verdicts(
+        series, candidates, guard_of([190, 603]), config
+    )
     assert candidates.indices[kept].tolist() == [194, 600]
     # The extremum near the confirmed step guards nothing, so the guard does not read it.
     assert read.tolist() == [603]
     guarded = list(verdicts)[1]
     assert guarded.reason is FilterReason.PROTECTED_BY_EXTREMUM
     assert guarded.kept is True
-    kept_far, _, read_far = refilter_events_with_verdicts(series, candidates, [610], config)
+    kept_far, _, read_far = refilter_events_with_verdicts(
+        series, candidates, guard_of([610]), config
+    )
     assert candidates.indices[kept_far].tolist() == [194]
     assert read_far.size == 0
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1199), unique=True, min_size=1, max_size=6).map(sorted))
+@given(st.lists(st.integers(0, 1199), unique=True, min_size=1, max_size=6).map(sorted))
 def test_refilter_output_is_a_subset_with_consistent_verdicts(indices: list[int]) -> None:
     t = np.arange(1200) / 20.0
     series = series_at_20hz(np.where(t >= 10.0, 1500.0, 0.0))
     config = HybridConfig()
     candidates = events_at(indices, series, 50.0)
-    survivors, verdicts, _ = refilter_events_with_verdicts(series, candidates, [], config)
+    survivors, verdicts, _ = refilter_events_with_verdicts(series, candidates, NO_EXTREMA, config)
     survivor_indices = candidates.indices[survivors].tolist()
     assert set(survivor_indices) <= set(indices)
     assert [v.event_index for v in verdicts] == indices
@@ -369,8 +439,9 @@ def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     # Candidates sit exactly at the tolerance from a re-detection, or one
     # sample either side of it, and exactly at or one past the guard radius
     # from an extremum; the extremum list may be empty.  Their timestamps
-    # are drawn apart from their indices, and no verdict reads them.
-    extremum_indices = data.draw(st.lists(st.integers(0, 1199), max_size=6))
+    # are drawn apart from their indices, and no verdict reads them.  Both
+    # are taken in increasing index order, once each.
+    extremum_indices = sorted(data.draw(st.lists(st.integers(0, 1199), max_size=6, unique=True)))
     at_guard = [
         g + d
         for g in extremum_indices
@@ -381,10 +452,16 @@ def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     if near := near_tolerance(re_indices, tolerance, 1200) + at_guard:
         indices = st.sampled_from(near) | indices
     specs = data.draw(st.lists(st.tuples(indices, st.floats(0.0, 60.0)), min_size=1, max_size=10))
+    specs = sorted(dict(specs).items())
     candidates = Events([i for i, _ in specs], [t for _, t in specs], [50.0] * len(specs))
-    survivors, verdicts, read = refilter_events_with_verdicts(
-        series, candidates, extremum_indices, config
-    )
+    # The guard is asked once, for the unconfirmed candidates.
+    asked = []
+
+    def near(unconfirmed: np.ndarray, radius: int) -> np.ndarray:
+        asked.append((unconfirmed.tolist(), radius))
+        return np.array(extremum_indices, dtype=np.int64)
+
+    survivors, verdicts, read = refilter_events_with_verdicts(series, candidates, near, config)
     expected = oracle_refilter_verdicts(
         [i for i, _ in specs], re_indices, extremum_indices, tolerance, guard
     )
@@ -396,17 +473,6 @@ def test_refilter_verdicts_agree_with_full_scans(data) -> None:
     assert read.tolist() == [
         g for g in extremum_indices if any(abs(g - i) <= guard for i in unconfirmed)
     ]
-
-    # Given as a function, the guard is asked once, for the unconfirmed candidates.
-    asked = []
-
-    def near(unconfirmed: np.ndarray, radius: int) -> np.ndarray:
-        asked.append((unconfirmed.tolist(), radius))
-        return np.array(extremum_indices, dtype=np.int64)
-
-    lazy = refilter_events_with_verdicts(series, candidates, near, config)
-    assert np.array_equal(lazy[0], survivors) and lazy[1] == verdicts
-    assert np.array_equal(lazy[2], read)
     assert asked == [(unconfirmed, guard)]
 
 
@@ -417,14 +483,16 @@ def test_the_confirmation_reads_candidate_indices_not_timestamps() -> None:
     config = HybridConfig()
     indices = [150, 198, 230, 590, 612, 900, 1100]
     on_grid = events_at(indices, series, 50.0)
-    verdicts = refilter_events_with_verdicts(series, on_grid, [], config)
+    verdicts = refilter_events_with_verdicts(series, on_grid, NO_EXTREMA, config)
     assert {v.reason for v in verdicts[1]} == {
         FilterReason.SURVIVED_REFILTER,
         FilterReason.REMOVED_AS_FLUCTUATION,
     }
     for stamps in ([1.7e9 + 0.3 * i for i in indices], [-float(i) for i in indices]):
         stamped = Events(indices, stamps, [50.0] * len(indices))
-        survivors, restamped, read = refilter_events_with_verdicts(series, stamped, [], config)
+        survivors, restamped, read = refilter_events_with_verdicts(
+            series, stamped, NO_EXTREMA, config
+        )
         assert np.array_equal(survivors, verdicts[0]) and restamped == verdicts[1]
         assert np.array_equal(read, verdicts[2])
 
@@ -473,8 +541,11 @@ def assert_refilter_matches_whole_trace(
 
     The refilter runs at the default block size and at blocks of 1, 7 and
     64 samples, so its windows are cut into many piece groups, against
-    re-detections found once, at the default size.
+    re-detections found once, at the default size.  The candidates and the
+    extrema are taken in increasing index order, once each, as the
+    refilter takes them.
     """
+    specs, extremum_indices = sorted(dict(specs).items()), sorted(set(extremum_indices))
     rate = series.sampling_rate_hz
     guard = seconds_to_samples(config.time_limit_s, rate)
     tolerance = seconds_to_samples(nilmevents.filtering._CONFIRM_S, rate)
@@ -488,7 +559,7 @@ def assert_refilter_matches_whole_trace(
             if block is not None:
                 use_blocks(monkeypatch, block)
             survivors, verdicts, read = refilter_events_with_verdicts(
-                series, candidates, extremum_indices, config
+                series, candidates, guard_of(extremum_indices), config
             )
         assert [v.reason.value for v in verdicts] == expected, f"block {block}"
         assert [v.event_index for v in verdicts] == [i for i, _ in specs]
@@ -670,7 +741,7 @@ def assert_refilter_raises_as_whole_trace(series: SampleSeries, config: HybridCo
     expected = whole_trace_error(series, config)
     candidates = Events([len(series) // 2], [series.time_at(len(series) // 2)], [50.0])
     with pytest.raises(type(expected)) as caught:
-        refilter_events_with_verdicts(series, candidates, [], config)
+        refilter_events_with_verdicts(series, candidates, NO_EXTREMA, config)
     assert str(caught.value) == str(expected)
 
 

@@ -1,17 +1,22 @@
-"""One input rule: every public record and entry point checks its own scalars.
+"""One input rule: every public record and entry point checks its own inputs.
 
 A number is an int, a float or a numpy real scalar, never a bool, and
 finite; a count, a window, an order or a seed is an integer; a label or a
 name is a string; a transient is a :class:`TransientKind`, and a log or a
-scenario holds records of its own entry type.  A value that breaks the rule
-raises a named :class:`DetectionError` subclass whose message names the
-field, never a bare ``TypeError``, ``AttributeError`` or ``OverflowError``.
+scenario holds records of its own entry type.  An array of samples is a
+one-dimensional array of integers or floats; the candidates of the merge
+and the refilter, and the extrema the refilter's guard returns, increase
+strictly inside the series; and a record argument is of its record type.
+A value that breaks the rule raises a named :class:`DetectionError`
+subclass whose message names the field, never a bare ``TypeError``,
+``AttributeError``, ``ValueError`` or ``OverflowError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 from pathlib import Path
 
@@ -30,6 +35,7 @@ from nilmevents import (
     InvalidSpec,
     InvalidWindow,
     LldConfig,
+    MisalignedInput,
     NegativeTolerance,
     NonFiniteValue,
     NonPositiveDuration,
@@ -39,14 +45,27 @@ from nilmevents import (
     ScenarioSpec,
     TransientKind,
     WrongType,
+    coalesce_simultaneous,
+    detect_base,
+    detect_extrema,
+    detect_hybrid,
     evaluate_detections,
+    first_derivative,
+    format_report,
     generate_scenario,
+    lld_max,
     load_scenario,
     loess_smooth,
     match_events,
+    merge_transient_events,
+    refilter_events_with_verdicts,
     savitzky_golay,
     scenario_from_dict,
     seconds_to_samples,
+    validate_series,
+    write_events,
+    write_ground_truth,
+    write_trace,
 )
 
 LAMP = {"label": "lamp", "power_watts": 60.0, "on_time_s": 1.0, "off_time_s": 5.0}
@@ -264,3 +283,190 @@ def test_numpy_scalars_are_numbers_and_are_stored_as_python_scalars() -> None:
     report = EvaluationReport(np.int64(1), np.int32(0), 0, 1)
     assert type(report.tp) is type(report.fp) is int
     assert seconds_to_samples(np.float32(0.5), np.int64(20)) == 10
+
+
+# --- Records: a record argument of another type is refused by name ---
+
+SERIES = SampleSeries(np.ones(40), 20.0)
+CONFIG = HybridConfig()
+REPORT = EvaluationReport(1, 0, 0, 1)
+SPEC = ScenarioSpec(**SCENARIO)
+
+
+def no_extrema(indices: np.ndarray, radius: int) -> np.ndarray:
+    """A guard that finds no extremum."""
+    return np.empty(0, dtype=np.int64)
+
+
+# One row per (function, record parameter): what to call with the value, the
+# parameter, and its type.  Writers write to the null device.
+RECORD_ROWS = [
+    ("detect_hybrid", lambda v: detect_hybrid(v, CONFIG), "series", SampleSeries),
+    ("detect_hybrid", lambda v: detect_hybrid(SERIES, v), "config", HybridConfig),
+    ("detect_base", lambda v: detect_base(v, CONFIG), "series", SampleSeries),
+    ("detect_base", lambda v: detect_base(SERIES, v), "config", HybridConfig),
+    ("lld_max", lambda v: lld_max(v, LldConfig()), "series", SampleSeries),
+    ("lld_max", lambda v: lld_max(SERIES, v), "config", LldConfig),
+    (
+        "merge_transient_events",
+        lambda v: merge_transient_events(v, np.zeros(40), SERIES, CONFIG),
+        "candidates",
+        Events,
+    ),
+    (
+        "merge_transient_events",
+        lambda v: merge_transient_events(EVENTS, np.zeros(40), v, CONFIG),
+        "series",
+        SampleSeries,
+    ),
+    (
+        "merge_transient_events",
+        lambda v: merge_transient_events(EVENTS, np.zeros(40), SERIES, v),
+        "config",
+        HybridConfig,
+    ),
+    (
+        "refilter_events_with_verdicts",
+        lambda v: refilter_events_with_verdicts(v, EVENTS, no_extrema, CONFIG),
+        "series",
+        SampleSeries,
+    ),
+    (
+        "refilter_events_with_verdicts",
+        lambda v: refilter_events_with_verdicts(SERIES, v, no_extrema, CONFIG),
+        "candidates",
+        Events,
+    ),
+    (
+        "refilter_events_with_verdicts",
+        lambda v: refilter_events_with_verdicts(SERIES, EVENTS, no_extrema, v),
+        "config",
+        HybridConfig,
+    ),
+    ("validate_series", validate_series, "series", SampleSeries),
+    ("coalesce_simultaneous", coalesce_simultaneous, "log", GroundTruthLog),
+    ("match_events", lambda v: match_events(v, TRUTH, 1.0), "detections", Events),
+    ("match_events", lambda v: match_events(EVENTS, v, 1.0), "truth", GroundTruthLog),
+    ("evaluate_detections", lambda v: evaluate_detections(v, TRUTH, 1.0), "detections", Events),
+    (
+        "evaluate_detections",
+        lambda v: evaluate_detections(EVENTS, v, 1.0),
+        "truth",
+        GroundTruthLog,
+    ),
+    ("write_trace", lambda v: write_trace(os.devnull, v), "series", SampleSeries),
+    ("write_ground_truth", lambda v: write_ground_truth(os.devnull, v), "log", GroundTruthLog),
+    ("write_events", lambda v: write_events(os.devnull, v), "events", Events),
+    ("format_report", format_report, "report", EvaluationReport),
+    ("generate_scenario", generate_scenario, "spec", ScenarioSpec),
+]
+
+# None, an array, a dict, and a record of another type.
+RECORD_CASES = [
+    pytest.param(call, field, kind, value, id=f"{name}.{field}={label}")
+    for name, call, field, kind in RECORD_ROWS
+    for label, value in [
+        ("None", None),
+        ("ndarray", np.ones(40)),
+        ("dict", {"values": [1.0]}),
+        ("record", TRUTH if kind is not GroundTruthLog else EVENTS),
+    ]
+]
+
+
+@pytest.mark.parametrize(("call", "field", "kind", "value"), RECORD_CASES)
+def test_a_record_argument_of_another_type_is_refused_by_name(
+    call, field: str, kind: type, value: object
+) -> None:
+    with pytest.raises(DetectionError) as excinfo:
+        call(value)
+    assert type(excinfo.value) is WrongType
+    shown = reprlib.repr(value)
+    assert str(excinfo.value) == f"{field} must be of type {kind.__name__}, got {shown}"
+
+
+def test_report_matches_are_a_tuple_or_a_list_of_pairs() -> None:
+    with pytest.raises(InconsistentCounts) as excinfo:
+        EvaluationReport(1, 0, 0, 1, matches=5)
+    assert str(excinfo.value) == "matches must be a tuple or a list, got 5"
+    with pytest.raises(InconsistentCounts) as excinfo:
+        EvaluationReport(1, 0, 0, 1, matches=[5])
+    assert str(excinfo.value) == "matches[0] must be of type tuple, got 5"
+    assert EvaluationReport(1, 0, 0, 1, matches=[(0, 0)]).matches == ((0, 0),)
+
+
+# --- Sample arrays: a one-dimensional array of integers or floats ---
+
+# One row per (function or record, array argument).
+SAMPLE_ROWS = [
+    ("SampleSeries", lambda v: SampleSeries(v, 20.0), "values"),
+    ("Events", lambda v: Events([1], v, [1.0]), "timestamps_s"),
+    ("Events", lambda v: Events([1], [1.0], v), "deltas_watts"),
+    ("first_derivative", first_derivative, "values"),
+    ("loess_smooth", lambda v: loess_smooth(v, 3), "values"),
+    ("savitzky_golay", lambda v: savitzky_golay(v, 3, 1), "values"),
+    ("detect_extrema", detect_extrema, "values"),
+    (
+        "merge_transient_events",
+        lambda v: merge_transient_events(EVENTS, v, SERIES, CONFIG),
+        "smoothed_derivative",
+    ),
+]
+
+# A string, strings, bools, complex numbers, a 2-D array and a None among floats.
+SAMPLE_CASES = [
+    pytest.param(call, field, value, id=f"{name}.{field}={label}")
+    for name, call, field in SAMPLE_ROWS
+    for label, value in [
+        ("str", "abc"),
+        ("strs", ["1", "2"]),
+        ("bool", np.array([True, False, True])),
+        ("complex", np.array([1.0, 2.0, 3.0]) + 1j),
+        ("2-d", np.ones((3, 9))),
+        ("None", [None, 1.0]),
+    ]
+]
+
+
+@pytest.mark.parametrize(("call", "field", "value"), SAMPLE_CASES)
+def test_an_array_that_is_not_samples_is_refused_by_name(
+    call, field: str, value: object
+) -> None:
+    with pytest.raises(DetectionError) as excinfo:
+        call(value)
+    assert type(excinfo.value) is WrongType
+    shown = reprlib.repr(value)
+    assert str(excinfo.value) == f"{field} must be a one-dimensional array of numbers, got {shown}"
+
+
+def test_a_float64_array_of_samples_is_taken_with_no_copy() -> None:
+    values = np.linspace(0.0, 1.0, 40)
+    assert SampleSeries(values, 20.0).values is values
+    stamps = np.arange(2.0)
+    assert Events([1, 2], stamps, np.ones(2)).timestamps_s is stamps
+    assert SampleSeries([1, 2, 3], 20.0).values.dtype == np.float64
+
+
+# --- Positions: the merge and the refilter check candidates by one rule ---
+
+
+@pytest.mark.parametrize(
+    ("indices", "bad"),
+    [
+        ([30, 5], "candidates[1] = 5"),
+        ([5, 5], "candidates[1] = 5"),
+        ([5, 40], "candidates[1] = 40"),
+    ],
+)
+def test_the_merge_and_the_refilter_refuse_the_same_candidates_alike(
+    indices: list[int], bad: str
+) -> None:
+    candidates = Events(indices, [0.0, 1.0], [1.0, -1.0])
+    message = f"candidates must increase strictly and lie in [0, 40), got {bad}"
+    for call in (
+        lambda: merge_transient_events(candidates, np.zeros(40), SERIES, CONFIG),
+        lambda: refilter_events_with_verdicts(SERIES, candidates, no_extrema, CONFIG),
+    ):
+        with pytest.raises(MisalignedInput) as excinfo:
+            call()
+        assert str(excinfo.value) == message

@@ -141,12 +141,16 @@ def busy_trace(hours: int) -> tuple[SampleSeries, HybridConfig]:
 def test_the_refilter_holds_a_piece_group_and_its_candidates(hours: int) -> None:
     warm, config = busy_trace(1)
     warm_result = detect_hybrid(warm, config)
-    refilter_events_with_verdicts(warm, warm_result.merged_events, warm_result.extrema, config)
+    refilter_events_with_verdicts(
+        warm, warm_result.merged_events, lambda indices, radius: warm_result.extrema, config
+    )
     series, _ = busy_trace(hours)  # 576,000 or 1,152,000 samples: 4.6 or 9.2 MB
     result = detect_hybrid(series, config)
     candidates = result.merged_events
     (kept, verdicts, _), peak = traced_peak(
-        lambda: refilter_events_with_verdicts(series, candidates, result.extrema, config)
+        lambda: refilter_events_with_verdicts(
+            series, candidates, lambda indices, radius: result.extrema, config
+        )
     )
     assert len(verdicts) == len(candidates) > 2000 and 0 < kept.size < len(candidates)
     # A group's smoothed samples and profile, a few blocks of float64 in all,

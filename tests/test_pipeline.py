@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import doctest
+import reprlib
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from nilmevents import (
     SeriesTooShort,
     StageCounts,
     TransientKind,
+    WrongType,
     detect_base,
     detect_extrema,
     detect_hybrid,
@@ -271,7 +273,9 @@ def assert_whole_trace_chain(series: SampleSeries, config: HybridConfig, result)
         config.settle_threshold_s,
     )
     merged = np.flatnonzero(np.isin(base.indices, merged_indices))
-    kept, verdicts, read = refilter_events_with_verdicts(series, base[merged], extrema, config)
+    kept, verdicts, read = refilter_events_with_verdicts(
+        series, base[merged], lambda indices, radius: extrema, config
+    )
     assert result.base_events == base
     assert np.array_equal(result.merged_positions, merged)
     assert np.array_equal(result.final_positions, merged[kept])
@@ -499,7 +503,7 @@ def test_no_stage_builds_the_summary_of_a_built_series(monkeypatch: pytest.Monke
         lambda: detect_base(series, config),
         lambda: lld_max(series),
         lambda: refilter_events_with_verdicts(
-            series, result.merged_events, result.extrema, config
+            series, result.merged_events, lambda indices, radius: result.extrema, config
         ),
     ):
         call()
@@ -927,10 +931,14 @@ def any_finite_series(draw) -> tuple[np.ndarray, object, object]:
     return values, rate, start
 
 
+# What may stand in for the series or the config: its samples, or its fields.
+stand_ins = st.sampled_from([None, "series", "config"])
+
+
 @settings(derandomize=True, max_examples=300)
-@given(any_configs(), any_finite_series())
+@given(any_configs(), any_finite_series(), stand_ins)
 def test_any_accepted_config_on_any_finite_series_gives_valid_events_or_a_named_error(
-    config: HybridConfig | None, arguments: tuple[np.ndarray, object, object]
+    config: HybridConfig | None, arguments: tuple[np.ndarray, object, object], stand_in: str | None
 ) -> None:
     if config is None:
         return
@@ -938,6 +946,17 @@ def test_any_accepted_config_on_any_finite_series_gives_valid_events_or_a_named_
         warnings.simplefilter("error")
         try:
             series = SampleSeries(*arguments)
+            if stand_in is not None:
+                # A record of another type is refused by name before any stage runs.
+                name, kind, value = {
+                    "series": ("series", SampleSeries, series.values),
+                    "config": ("config", HybridConfig, asdict(config)),
+                }[stand_in]
+                with pytest.raises(DetectionError) as refused:
+                    detect_hybrid(**{"series": series, "config": config, name: value})
+                assert type(refused.value) is WrongType
+                shown = reprlib.repr(value)
+                assert str(refused.value) == f"{name} must be of type {kind.__name__}, got {shown}"
             result = detect_hybrid(series, config)
         except DetectionError as exc:
             # Named by the series or the stage that refused, not by the checks
